@@ -22,6 +22,10 @@ let attach_node node =
   | _ -> ()
 
 let begin_experiment id =
+  (* The compile cache is process-wide: without a reset, an experiment's
+     compile-cache counters would depend on which experiments ran before
+     it in the same process. *)
+  Core.Script.Compile.cache_clear ();
   current_experiment :=
     Some { id; registry = Core.Telemetry.Metrics.create (); nodes = [] }
 
