@@ -177,6 +177,18 @@ let test_hedge_decision =
          ignore (Core.Resource.Hedge.delay ?histogram:hedge_histogram ~fallback:0.75 ());
          ignore (Core.Resource.Hedge.try_hedge hedge_governor)))
 
+(* H1: the simulator's bandwidth model sizes every exchange; most SIMM
+   cache hits are 350 KB videos. Guarded so sizing stays arithmetic on
+   the tracked body length instead of serialising the message. *)
+let video_response =
+  Core.Http.Message.response
+    ~headers:[ ("Content-Type", "video/nkv") ]
+    ~body:(String.make (350 * 1024) 'v') ()
+
+let test_wire_size =
+  Test.make ~name:"H1: response wire size (350 KB body)"
+    (Staged.stage (fun () -> Core.Http.Codec.response_wire_size video_response))
+
 let tests =
   Test.make_grouped ~name:"nakika"
     [
@@ -224,6 +236,7 @@ let tests =
       test_ring_successor;
       test_deadline_check;
       test_hedge_decision;
+      test_wire_size;
       Test.make ~name:"E2: render register.nkp page"
         (Staged.stage (fun () ->
              let ctx = Core.Script.Interp.create () in
@@ -374,7 +387,8 @@ let micro () =
 (* --- bench-regression guard ------------------------------------------- *)
 
 (* CI gate: re-measure the guarded fast-path rows (interpreter,
-   transcode, 1000-node ring membership) and fail if any regressed
+   transcode, 1000-node ring membership, deadline and hedge checks, wire
+   sizing) and fail if any regressed
    more than [tolerance] against the committed BENCH_micro.json. Noise discipline: each row is measured three times
    and the *minimum* is compared — "has the code gotten slower" is a
    question about the best case, not the scheduler. Escape hatch:
@@ -388,6 +402,7 @@ let guard_rows =
     "nakika/O9: ring successor (n=1000)";
     "nakika/D1: deadline check (admit+clamp+expired)";
     "nakika/D1: hedge decision (note+delay+grant)";
+    "nakika/H1: response wire size (350 KB body)";
   ]
 
 let guard_tolerance = 1.25
@@ -438,6 +453,7 @@ let guard () =
             test_ring_successor;
             test_deadline_check;
             test_hedge_decision;
+            test_wire_size;
           ]
       in
       (* min over three measurement rounds, per row *)

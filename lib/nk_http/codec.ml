@@ -1,31 +1,43 @@
 let crlf = "\r\n"
 
-let encode_headers buf headers =
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf k;
-      Buffer.add_string buf ": ";
-      Buffer.add_string buf v;
-      Buffer.add_string buf crlf)
-    (Headers.to_list headers)
+let version = "HTTP/1.1"
+
+(* Wire sizes are sums of field lengths, term for term what the
+   encoders below write; they presize their buffer to the sum. *)
+
+(* "k: v\r\n" per header, then the blank line. *)
+let headers_length headers =
+  List.fold_left
+    (fun n (k, v) -> n + String.length k + 2 + String.length v + 2)
+    2 (Headers.to_list headers)
+
+(* "METHOD url HTTP/1.1\r\n" *)
+let request_wire_size (r : Message.request) =
+  String.length (Method_.to_string r.meth) + 1 + Url.length r.url + 1 + String.length version + 2
+  + headers_length r.headers + Body.length r.body
+
+(* "HTTP/1.1 code reason\r\n" *)
+let response_wire_size (r : Message.response) =
+  String.length version + 1 + String.length (string_of_int r.status) + 1
+  + String.length (Status.reason r.status)
+  + 2 + headers_length r.resp_headers + Body.length r.resp_body
+
+(* Header lines, the blank line and the body chunks, then the bytes. *)
+let finish buf headers body =
+  List.iter (fun (k, v) -> Printf.bprintf buf "%s: %s%s" k v crlf) (Headers.to_list headers);
+  Buffer.add_string buf crlf;
+  List.iter (Buffer.add_string buf) (Body.chunks body);
+  Buffer.contents buf
 
 let encode_request (r : Message.request) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %s HTTP/1.1%s" (Method_.to_string r.meth) (Url.to_string r.url) crlf);
-  encode_headers buf r.headers;
-  Buffer.add_string buf crlf;
-  Buffer.add_string buf (Body.to_string r.body);
-  Buffer.contents buf
+  let buf = Buffer.create (request_wire_size r) in
+  Printf.bprintf buf "%s %s %s%s" (Method_.to_string r.meth) (Url.to_string r.url) version crlf;
+  finish buf r.headers r.body
 
 let encode_response (r : Message.response) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "HTTP/1.1 %d %s%s" r.status (Status.reason r.status) crlf);
-  encode_headers buf r.resp_headers;
-  Buffer.add_string buf crlf;
-  Buffer.add_string buf (Body.to_string r.resp_body);
-  Buffer.contents buf
+  let buf = Buffer.create (response_wire_size r) in
+  Printf.bprintf buf "%s %d %s%s" version r.status (Status.reason r.status) crlf;
+  finish buf r.resp_headers r.resp_body
 
 let split_head s =
   match Nk_util.Strutil.index_sub s ~sub:"\r\n\r\n" ~start:0 with
@@ -85,7 +97,3 @@ let decode_response s =
         | None, _ -> Error ("bad status code: " ^ code)
         | _, Error e -> Error e)
       | _ -> Error ("malformed status line: " ^ status_line)))
-
-let request_wire_size r = String.length (encode_request r)
-
-let response_wire_size r = String.length (encode_response r)

@@ -59,9 +59,19 @@ let query_string query =
   if query = [] then ""
   else "?" ^ String.concat "&" (List.map (fun (k, v) -> if v = "" then k else k ^ "=" ^ v) query)
 
+let port_suffix t = if t.port = 80 then "" else ":" ^ string_of_int t.port
+
 let to_string t =
-  let port = if t.port = 80 then "" else ":" ^ string_of_int t.port in
-  Printf.sprintf "%s://%s%s%s%s" t.scheme t.host port t.path (query_string t.query)
+  Printf.sprintf "%s://%s%s%s%s" t.scheme t.host (port_suffix t) t.path (query_string t.query)
+
+(* [String.length (to_string t)] by the same rules: each query item
+   costs one separator ('?' for the first, '&' after), then "k" or
+   "k=v". *)
+let length t =
+  let item n (k, v) = n + 1 + String.length k + if v = "" then 0 else 1 + String.length v in
+  String.length t.scheme + 3 + String.length t.host + String.length (port_suffix t)
+  + String.length t.path
+  + List.fold_left item 0 t.query
 
 let query_get t k = List.assoc_opt k t.query
 

@@ -23,6 +23,10 @@ val parse_exn : string -> t
 
 val to_string : t -> string
 
+val length : t -> int
+(** [String.length (to_string t)], computed from the fields without
+    building the string. *)
+
 val query_get : t -> string -> string option
 
 val with_query : t -> (string * string) list -> t

@@ -373,6 +373,78 @@ let codec_roundtrip_prop =
                 headers)
       | Error _ -> false)
 
+(* Wire sizes are summed from field lengths; they must equal the length
+   of the actual encoding on every message shape the simulator can see. *)
+let gen_word lo hi = QCheck.Gen.(string_size ~gen:(char_range 'a' 'z') (int_range lo hi))
+
+let gen_body =
+  QCheck.Gen.(map Body.of_chunks (list_size (int_bound 4) (string_size ~gen:printable (int_bound 40))))
+
+let gen_headers =
+  QCheck.Gen.(map Headers.of_list (list_size (int_bound 5) (pair (gen_word 1 12) (gen_word 0 20))))
+
+let gen_request =
+  let open QCheck.Gen in
+  let meth =
+    oneof
+      [
+        oneofl Method_.[ GET; HEAD; POST; PUT; DELETE; OPTIONS; TRACE ];
+        map (fun s -> Method_.Other (String.uppercase_ascii s)) (gen_word 1 8);
+      ]
+  in
+  let url =
+    map
+      (fun (scheme, host, port, (path, query)) ->
+        Url.make ~scheme ~port ~query ~host ~path ())
+      (quad (oneofl [ "http"; "https" ]) (gen_word 1 12)
+         (oneof [ return 80; int_range 1 65535 ])
+         (pair (gen_word 0 15) (list_size (int_bound 4) (pair (gen_word 1 5) (gen_word 0 5)))))
+  in
+  map
+    (fun (meth, url, headers, body) ->
+      let r = Message.request "http://x/" in
+      r.Message.meth <- meth;
+      r.Message.url <- url;
+      r.Message.headers <- headers;
+      r.Message.body <- body;
+      r)
+    (quad meth url gen_headers gen_body)
+
+let gen_response =
+  let open QCheck.Gen in
+  let status =
+    oneof [ int_range 100 599; int_range (-9999) (-1); int_range 1000 9999; oneofl [ 0; 200; 304; 504 ] ]
+  in
+  map
+    (fun (status, resp_headers, resp_body) -> { Message.status; resp_headers; resp_body })
+    (triple status gen_headers gen_body)
+
+let request_wire_size_prop =
+  QCheck.Test.make ~name:"codec: request_wire_size = encoded length" ~count:500
+    (QCheck.make ~print:Codec.encode_request gen_request)
+    (fun r -> Codec.request_wire_size r = String.length (Codec.encode_request r))
+
+let response_wire_size_prop =
+  QCheck.Test.make ~name:"codec: response_wire_size = encoded length" ~count:500
+    (QCheck.make ~print:Codec.encode_response gen_response)
+    (fun r -> Codec.response_wire_size r = String.length (Codec.encode_response r))
+
+let test_wire_size_large_body () =
+  let video = String.make (350 * 1024) 'v' in
+  let r = Message.response ~headers:[ ("Content-Type", "video/nkv") ] ~body:video () in
+  let encoded = Codec.encode_response r in
+  Alcotest.(check int) "350 KB body" (String.length encoded) (Codec.response_wire_size r);
+  Alcotest.(check bool) "body is the tail" true
+    (String.sub encoded (String.length encoded - String.length video) (String.length video) = video)
+
+let test_wire_size_chunked_body () =
+  let req = Message.request ~meth:Method_.POST "http://e.org:8080/up?a&b=2" in
+  req.Message.body <- Body.of_chunks [ "first,"; ""; "second,"; "third" ];
+  let encoded = Codec.encode_request req in
+  Alcotest.(check int) "3-chunk body" (String.length encoded) (Codec.request_wire_size req);
+  Alcotest.(check string) "chunks in order"
+    "POST http://e.org:8080/up?a&b=2 HTTP/1.1\r\n\r\nfirst,second,third" encoded
+
 let suite =
   [
     Alcotest.test_case "method: roundtrip" `Quick test_method_roundtrip;
@@ -417,6 +489,10 @@ let suite =
     Alcotest.test_case "codec: malformed input" `Quick test_codec_malformed;
     QCheck_alcotest.to_alcotest url_roundtrip_prop;
     QCheck_alcotest.to_alcotest codec_roundtrip_prop;
+    QCheck_alcotest.to_alcotest request_wire_size_prop;
+    QCheck_alcotest.to_alcotest response_wire_size_prop;
+    Alcotest.test_case "codec: wire size of a 350 KB body" `Quick test_wire_size_large_body;
+    Alcotest.test_case "codec: wire size of a 3-chunk body" `Quick test_wire_size_chunked_body;
     Alcotest.test_case "range: parse" `Quick test_range_parse;
     Alcotest.test_case "range: resolve" `Quick test_range_resolve;
     Alcotest.test_case "range: apply to a response" `Quick test_range_apply;
