@@ -388,9 +388,9 @@ let micro () =
 
 (* CI gate: re-measure the guarded fast-path rows (interpreter,
    transcode, 1000-node ring membership, deadline and hedge checks, wire
-   sizing) and fail if any regressed
-   more than [tolerance] against the committed BENCH_micro.json. Noise discipline: each row is measured three times
-   and the *minimum* is compared — "has the code gotten slower" is a
+   sizing) and fail if any regressed more than [tolerance] against the
+   committed BENCH_micro.json. Noise discipline: each row is measured
+   three times and the *minimum* is compared — "has the code gotten slower" is a
    question about the best case, not the scheduler. Escape hatch:
    NAKIKA_BENCH_GUARD_SKIP=1 (for machines with incomparable baselines). *)
 
