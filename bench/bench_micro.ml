@@ -140,6 +140,47 @@ let test_ring_successor =
            (Core.Overlay.Ring.successor ring_1000
               (Core.Overlay.Node_id.of_int (!ring_counter land 0x3fffff)))))
 
+(* O9: the two per-request overlay paths at fleet scale — a greedy
+   route across the 1000-node ring, and a redirector pick among 1000
+   proxies for 1000 clients each linked to one of them (the zipf-fleet
+   topology). The redirector keeps no per-client state, so every pick
+   is a first pick. Guarded so a route stays one successor query per hop
+   and a pick never ranks the whole fleet. *)
+let ring_members = Array.of_list (Core.Overlay.Ring.nodes ring_1000)
+
+let ring_keys =
+  Array.init 1024 (fun i -> Core.Overlay.Node_id.of_string (Printf.sprintf "bench-key-%d" i))
+
+let test_ring_lookup_path =
+  Test.make ~name:"O9: ring lookup_path (n=1000)"
+    (Staged.stage (fun () ->
+         incr ring_counter;
+         let from = ring_members.(!ring_counter mod Array.length ring_members) in
+         ignore (Core.Overlay.Ring.lookup_path ring_1000 ~from ~key:ring_keys.(!ring_counter land 1023))))
+
+let fleet_redirector, fleet_clients =
+  let net = Core.Sim.Net.create (Core.Sim.Sim.create ()) ~default_latency:0.005 () in
+  let red = Core.Overlay.Redirector.create net in
+  let clients =
+    Array.init 1000 (fun i ->
+        let proxy = Core.Sim.Net.add_host net ~name:(Printf.sprintf "edge-%04d" i) () in
+        Core.Overlay.Redirector.add_proxy red proxy;
+        let client = Core.Sim.Net.add_host net ~name:(Printf.sprintf "client-%04d" i) () in
+        Core.Sim.Net.connect net client proxy ~latency:0.0005 ~bandwidth:12_500_000.0;
+        client)
+  in
+  (red, clients)
+
+let fleet_rng = Core.Util.Prng.create 23
+
+let test_redirector_pick =
+  Test.make ~name:"O9: redirector pick (1000 proxies, cold clients)"
+    (Staged.stage (fun () ->
+         incr ring_counter;
+         ignore
+           (Core.Overlay.Redirector.pick fleet_redirector ~spread:2 ~rng:fleet_rng
+              ~client:fleet_clients.(!ring_counter mod Array.length fleet_clients) ())))
+
 (* D1: the tail-tolerance fast path — what every request pays once
    deadlines are on (admission + per-hop clamp + expiry check), and
    what every peer fetch pays once hedging is on (token accounting +
@@ -234,6 +275,8 @@ let tests =
       test_transcode;
       test_ring_churn;
       test_ring_successor;
+      test_ring_lookup_path;
+      test_redirector_pick;
       test_deadline_check;
       test_hedge_decision;
       test_wire_size;
@@ -387,12 +430,13 @@ let micro () =
 (* --- bench-regression guard ------------------------------------------- *)
 
 (* CI gate: re-measure the guarded fast-path rows (interpreter,
-   transcode, 1000-node ring membership, deadline and hedge checks, wire
-   sizing) and fail if any regressed more than [tolerance] against the
-   committed BENCH_micro.json. Noise discipline: each row is measured
-   three times and the *minimum* is compared — "has the code gotten slower" is a
-   question about the best case, not the scheduler. Escape hatch:
-   NAKIKA_BENCH_GUARD_SKIP=1 (for machines with incomparable baselines). *)
+   transcode, 1000-node ring membership, routing and redirection,
+   deadline and hedge checks, wire sizing) and fail if any regressed
+   more than [tolerance] against the committed BENCH_micro.json. Noise
+   discipline: each row is measured three times and the *minimum* is
+   compared — "has the code gotten slower" is a question about the best
+   case, not the scheduler. Escape hatch: NAKIKA_BENCH_GUARD_SKIP=1 (for
+   machines with incomparable baselines). *)
 
 let guard_rows =
   [
@@ -400,6 +444,8 @@ let guard_rows =
     "nakika/Fig2: transcode 352x416 -> 176x208";
     "nakika/O9: ring join+leave (n=1000)";
     "nakika/O9: ring successor (n=1000)";
+    "nakika/O9: ring lookup_path (n=1000)";
+    "nakika/O9: redirector pick (1000 proxies, cold clients)";
     "nakika/D1: deadline check (admit+clamp+expired)";
     "nakika/D1: hedge decision (note+delay+grant)";
     "nakika/H1: response wire size (350 KB body)";
@@ -451,6 +497,8 @@ let guard () =
             test_transcode;
             test_ring_churn;
             test_ring_successor;
+            test_ring_lookup_path;
+            test_redirector_pick;
             test_deadline_check;
             test_hedge_decision;
             test_wire_size;

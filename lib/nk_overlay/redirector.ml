@@ -5,41 +5,44 @@ type health = {
   reported_at : float;
 }
 
+(* [seq] numbers registrations in order. [proxies] is newest first and
+   removal keeps the relative order, so list position is descending
+   [seq]: the pick walk compares positions without scanning the list. *)
+type proxy = { host : Nk_sim.Net.host; seq : int }
+
 type t = {
   net : Nk_sim.Net.t;
-  mutable proxies : Nk_sim.Net.host list;
+  mutable proxies : proxy list;
+  registered : (string, proxy) Hashtbl.t; (* by host name *)
+  mutable next_seq : int;
   reports : (string, health) Hashtbl.t;
   mutable staleness : float;
-  (* Per-client proximity cache: proxies sorted by estimated transfer
-     time. Transfer estimates depend only on the static topology, so
-     the expensive estimate-and-sort is done once per client instead
-     of once per pick — at 1000 proxies the per-request linear scan
-     plus sort dominated everything else. Invalidated whenever the
-     proxy set changes; liveness and health stay dynamic and are
-     applied at pick time. *)
-  by_client : (string, (float * Nk_sim.Net.host) list) Hashtbl.t;
 }
 
 let create net =
-  { net; proxies = []; reports = Hashtbl.create 8; staleness = infinity;
-    by_client = Hashtbl.create 64 }
+  { net; proxies = []; registered = Hashtbl.create 64; next_seq = 0;
+    reports = Hashtbl.create 8; staleness = infinity }
 
 let set_staleness t bound = t.staleness <- bound
 
 let add_proxy t host =
-  if not (List.exists (fun h -> Nk_sim.Net.host_name h = Nk_sim.Net.host_name host) t.proxies)
-  then begin
-    t.proxies <- host :: t.proxies;
-    Hashtbl.reset t.by_client
+  let name = Nk_sim.Net.host_name host in
+  if not (Hashtbl.mem t.registered name) then begin
+    let p = { host; seq = t.next_seq } in
+    t.next_seq <- t.next_seq + 1;
+    t.proxies <- p :: t.proxies;
+    Hashtbl.replace t.registered name p
   end
 
 let remove_proxy t host =
-  t.proxies <-
-    List.filter (fun h -> Nk_sim.Net.host_name h <> Nk_sim.Net.host_name host) t.proxies;
-  Hashtbl.remove t.reports (Nk_sim.Net.host_name host);
-  Hashtbl.reset t.by_client
+  let name = Nk_sim.Net.host_name host in
+  if Hashtbl.mem t.registered name then begin
+    t.proxies <- List.filter (fun p -> Nk_sim.Net.host_name p.host <> name) t.proxies;
+    Hashtbl.remove t.registered name
+  end;
+  Hashtbl.remove t.reports name
 
-let proxies t = t.proxies
+let proxies t = List.map (fun p -> p.host) t.proxies
 
 let report t ~host ?(incarnation = 0) ~queue_delay ~shed_rate () =
   let fresh =
@@ -80,46 +83,71 @@ let headroom t host =
       let shed_factor = 1.0 -. Float.min 0.95 h.shed_rate in
       Float.max 0.02 (delay_factor *. shed_factor)
 
-let scored_for_client t client =
-  let key = Nk_sim.Net.host_name client in
-  match Hashtbl.find_opt t.by_client key with
-  | Some scored -> scored
-  | None ->
-    let probe_size = 1024 in
-    let scored =
-      List.map
-        (fun p ->
-          (Nk_sim.Net.transfer_time_estimate t.net ~src:client ~dst:p ~size:probe_size, p))
-        t.proxies
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    Hashtbl.replace t.by_client key scored;
-    scored
+let probe_size = 1024
 
+(* A pick ranks proxies by estimated transfer time from the client, ties
+   in list order: the order a stable sort of the proxy list by estimate
+   gives. Only the client itself and the hosts it has an explicit link
+   to can have an estimate other than the default, so those few
+   ("special") are sorted by (estimate, position) and merged lazily with
+   the rest, which share the default estimate and are already in list
+   order. Both inputs are sorted by (estimate, position), so the merge
+   is too. A pick stops as soon as it has its candidates, so it never
+   ranks the whole fleet. *)
 let pick t ?(spread = 1) ~rng ~client () =
+  let estimate host = Nk_sim.Net.transfer_time_estimate t.net ~src:client ~dst:host ~size:probe_size in
+  let special =
+    client :: Nk_sim.Net.linked t.net client
+    |> List.filter_map (fun h -> Hashtbl.find_opt t.registered (Nk_sim.Net.host_name h))
+    |> List.map (fun p -> (estimate p.host, p))
+    |> List.sort_uniq (fun (a, p) (b, q) ->
+           match Float.compare a b with 0 -> Int.compare q.seq p.seq | c -> c)
+  in
+  let rec others = function
+    | p :: rest when List.exists (fun (_, q) -> q == p) special -> others rest
+    | rest -> rest
+  in
+  (* The next proxy in rank order, and the state after it. *)
+  let next special rest =
+    match (special, others rest) with
+    | [], [] -> None
+    | (s, p) :: special', [] -> Some (s, p.host, special', [])
+    | [], q :: rest' -> Some (estimate q.host, q.host, [], rest')
+    | (s, p) :: special', (q :: rest' as rest) ->
+      let d = estimate q.host in
+      let c = Float.compare s d in
+      if c < 0 || (c = 0 && p.seq > q.seq) then Some (s, p.host, special', rest)
+      else Some (d, q.host, special, rest')
+  in
   (* A crashed proxy must not receive redirections, whatever its last
      load report said. *)
-  let scored =
-    List.filter
-      (fun (_, p) -> not (Nk_sim.Net.host_down t.net p))
-      (scored_for_client t client)
+  let live h = not (Nk_sim.Net.host_down t.net h) in
+  let rec first_live special rest =
+    match next special rest with
+    | None -> None
+    | Some (s, h, special, rest) -> if live h then Some (s, h, special, rest) else first_live special rest
   in
-  match scored with
-  | [] -> None
-  | scored ->
+  match first_live special t.proxies with
+  | None -> None
+  | Some (best, nearest_host, special, rest) ->
     (* "Close-by": only proxies comparable to the nearest count as
        spread candidates, so load balancing never sends a client across
-       the world. *)
-    let best = match scored with (s, _) :: _ -> s | [] -> 0.0 in
-    let close = List.filter (fun (s, _) -> s <= (best *. 2.0) +. 1e-4) scored in
-    (* Clamp the spread to the candidates actually registered and close
-       enough — a spread of 4 over 2 proxies is a spread of 2. *)
-    let k = max 1 (min spread (List.length close)) in
-    let nearest = List.filteri (fun i _ -> i < k) close in
+       the world. The spread is clamped to the live close-by candidates
+       — a spread of 4 over 2 proxies is a spread of 2. *)
+    let close_bound = (best *. 2.0) +. 1e-4 in
+    let rec collect acc k special rest =
+      if k = 0 then List.rev acc
+      else
+        match next special rest with
+        | Some (s, h, special, rest) when s <= close_bound ->
+          if live h then collect (h :: acc) (k - 1) special rest else collect acc k special rest
+        | _ -> List.rev acc
+    in
+    let nearest = collect [ nearest_host ] (max 1 spread - 1) special rest in
     (* Weighted choice by reported headroom: among equally close nodes,
        an idle one draws proportionally more clients than one shedding
        half its arrivals. *)
-    let weighted = List.map (fun (_, p) -> (headroom t p, p)) nearest in
+    let weighted = List.map (fun p -> (headroom t p, p)) nearest in
     let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
     let roll = Nk_util.Prng.float rng total in
     let rec choose acc = function

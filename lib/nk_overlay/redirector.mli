@@ -23,6 +23,8 @@ type health = {
 val create : Nk_sim.Net.t -> t
 
 val add_proxy : t -> Nk_sim.Net.host -> unit
+(** Register a proxy; a no-op when one with the same host name is
+    already registered. O(1). *)
 
 val remove_proxy : t -> Nk_sim.Net.host -> unit
 (** Also drops any stored health report for the proxy. *)
@@ -55,4 +57,14 @@ val pick : t -> ?spread:int -> rng:Nk_util.Prng.t -> client:Nk_sim.Net.host -> u
 (** The nearest live proxy, or with [spread = k > 1] a headroom-weighted
     choice among the [k] nearest ([spread] is clamped to the close-by
     live candidates). Crashed proxies are never returned. [None] when no
-    live proxy is registered. *)
+    live proxy is registered.
+
+    Proxies rank by [Net.transfer_time_estimate] from the client, ties
+    in {!proxies} order; "close-by" means within [2 * best + 0.1 ms].
+    Exactly one draw is taken from [rng] whenever a proxy is returned.
+    Nothing is cached per client: only the client itself and its
+    {!Nk_sim.Net.linked} hosts can rank apart from the default estimate,
+    so a pick ranks those few and walks the rest of the list in order
+    only until it has its candidates: O(links + spread + crashed
+    proxies passed) per pick. Links made after earlier picks take
+    effect at once. *)

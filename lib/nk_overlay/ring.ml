@@ -70,35 +70,48 @@ let successors t key ~k =
     in
     collect [ owner ] owner (min k t.size - 1)
 
-(* The finger of [node] for exponent [i]: successor(node + 2^i). *)
-let finger t node i = successor t (Node_id.add_pow2 node i)
+(* The member strictly counter-clockwise before [key] (wrapping). *)
+let predecessor t key =
+  match S.find_last_opt (fun x -> Node_id.compare x key < 0) t.members with
+  | Some _ as p -> p
+  | None -> S.max_elt_opt t.members
 
+(* floor (log2 d) for 0 < d < 2^62, by halving shifts 32, 16, ..., 1. *)
+let floor_log2 d =
+  let rec go d r s =
+    if s = 0 then r else if d lsr s <> 0 then go (d lsr s) (r + s) (s / 2) else go d r (s / 2)
+  in
+  go d 0 32
+
+(* Greedy finger routing: from each hop, jump to the farthest finger
+   successor(current + 2^i) that stays strictly short of the key, or to
+   the owner when no finger does.
+
+   The members strictly between a member [current] and the key are
+   exactly the arc up to [pred], the key's predecessor. A finger lands
+   in that arc iff 2^i <= distance current pred: then current + 2^i lies
+   in the arc and its successor is at most [pred]; otherwise the
+   successor is past the key or wraps back to [current]. So the
+   farthest such finger has i = floor (log2 (distance current pred)),
+   and there is none once current = pred. This is the choice a scan of
+   all 62 fingers from the top makes, at one successor query per hop.
+   It needs [current] to be a member: from a non-member start the scan
+   could also accept a finger that wrapped past the start point. *)
 let lookup_path t ~from ~key =
   match successor t key with
   | None -> []
   | Some owner ->
+    if not (mem t from) then invalid_arg "Ring.lookup_path: from is not a member";
     if Node_id.equal owner from then []
     else begin
-      (* Greedy: repeatedly jump to the finger that gets closest to the
-         key without overshooting its successor; fall back to the
-         immediate successor, guaranteeing progress. *)
-      let rec route current acc guard =
-        if Node_id.equal current owner || guard = 0 then List.rev acc
-        else begin
-          let best = ref None in
-          for i = 61 downto 0 do
-            if !best = None then
-              match finger t current i with
-              | Some f
-                when (not (Node_id.equal f current))
-                     && Node_id.distance current f < Node_id.distance current key
-                     && Node_id.distance current f > 0 ->
-                best := Some f
-              | _ -> ()
-          done;
-          let next = match !best with Some f -> f | None -> owner in
-          route next (next :: acc) (guard - 1)
-        end
+      (* Two or more members, so [pred] exists and differs from [owner]. *)
+      let pred = Option.get (predecessor t key) in
+      let rec route current acc =
+        if Node_id.equal current pred then List.rev (owner :: acc)
+        else
+          let i = floor_log2 (Node_id.distance current pred) in
+          let next = Option.get (successor t (Node_id.add_pow2 current i)) in
+          route next (next :: acc)
       in
-      route from [] (t.size + 64)
+      route from []
     end

@@ -33,4 +33,8 @@ val successors : t -> Node_id.t -> k:int -> Node_id.t list
 val lookup_path : t -> from:Node_id.t -> key:Node_id.t -> Node_id.t list
 (** The nodes visited routing greedily by fingers from [from] to the
     key's successor, successor included, [from] excluded. Empty when
-    the ring is empty or [from] already owns the key. *)
+    the ring is empty or [from] already owns the key. Each hop costs
+    one successor query (O(log n)): the farthest finger short of the
+    key is computed from the key's predecessor instead of scanned.
+    Raises [Invalid_argument] when the ring is non-empty and [from] is
+    not a member. *)

@@ -8,6 +8,7 @@ type t = {
   sim : Sim.t;
   default : link_params;
   links : (int * int, link_params) Hashtbl.t;
+  linked : (int, host list) Hashtbl.t; (* per host: the far ends of its [links] *)
   pipes : (int * int, link_state) Hashtbl.t;
   cpus : (int, link_state) Hashtbl.t;
   sent : (int, int ref) Hashtbl.t;
@@ -23,6 +24,7 @@ let create sim ?(default_latency = 0.0002) ?(default_bandwidth = 12_500_000.0) (
     sim;
     default = { latency = default_latency; bandwidth = default_bandwidth };
     links = Hashtbl.create 16;
+    linked = Hashtbl.create 16;
     pipes = Hashtbl.create 16;
     cpus = Hashtbl.create 16;
     sent = Hashtbl.create 16;
@@ -70,7 +72,13 @@ let set_faults t plan =
             cpu.busy_until <- Sim.now t.sim))
     (Nk_faults.Plan.crash_times plan)
 
+let linked t host = Option.value (Hashtbl.find_opt t.linked host.id) ~default:[]
+
 let connect t a b ~latency ~bandwidth =
+  if not (Hashtbl.mem t.links (a.id, b.id)) then begin
+    Hashtbl.replace t.linked a.id (b :: linked t a);
+    if a.id <> b.id then Hashtbl.replace t.linked b.id (a :: linked t b)
+  end;
   let params = { latency; bandwidth } in
   Hashtbl.replace t.links (a.id, b.id) params;
   Hashtbl.replace t.links (b.id, a.id) params

@@ -45,6 +45,13 @@ val connect : t -> host -> host -> latency:float -> bandwidth:float -> unit
 (** Set symmetric link parameters between two hosts (overrides the
     defaults for that pair). *)
 
+val linked : t -> host -> host list
+(** The hosts [connect]ed to this one, each once, most recently linked
+    first. Every other pair uses the default link parameters, so these
+    (and the host itself) are the only destinations whose
+    [transfer_time_estimate] from this host can differ from the
+    default one. *)
+
 val set_egress_limit : t -> host -> float -> unit
 (** Cap the host's total outbound bandwidth (bytes/second): all
     transfers leaving the host additionally serialize through one

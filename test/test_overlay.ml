@@ -397,6 +397,143 @@ let test_redirector_staleness_bound () =
     true
     (float_of_int !silent_after > 0.3 *. float_of_int draws)
 
+let test_redirector_link_after_pick () =
+  (* A link made after a client's first pick must change later picks:
+     nothing may keep ranking proxies by the old topology. *)
+  let sim = Core.Sim.Sim.create () in
+  let net = Core.Sim.Net.create sim () in
+  let near = Core.Sim.Net.add_host net ~name:"near" () in
+  let far = Core.Sim.Net.add_host net ~name:"far" () in
+  let nearer = Core.Sim.Net.add_host net ~name:"nearer" () in
+  let client = Core.Sim.Net.add_host net ~name:"client" () in
+  Core.Sim.Net.connect net client near ~latency:0.005 ~bandwidth:1e7;
+  Core.Sim.Net.connect net client far ~latency:0.2 ~bandwidth:1e7;
+  Core.Sim.Net.connect net client nearer ~latency:0.1 ~bandwidth:1e7;
+  let red = Redirector.create net in
+  List.iter (Redirector.add_proxy red) [ near; far; nearer ];
+  let rng = Core.Util.Prng.create 1 in
+  let pick () =
+    match Redirector.pick red ~rng ~client () with
+    | Some h -> Core.Sim.Net.host_name h
+    | None -> Alcotest.fail "no proxy"
+  in
+  Alcotest.(check string) "before the new link" "near" (pick ());
+  Core.Sim.Net.connect net client nearer ~latency:0.001 ~bandwidth:1e7;
+  Alcotest.(check string) "after the new link" "nearer" (pick ())
+
+(* Reference: the redirector's pick as a full ranking of the proxy list
+   (stable sort by estimate), then the liveness and close-by filters and
+   the headroom-weighted draw. [headroom] mirrors the redirector's
+   formula for reports that never go stale. *)
+let reference_headroom red p =
+  match Redirector.health red ~host:(Core.Sim.Net.host_name p) with
+  | None -> 1.0
+  | Some h ->
+    let delay_factor = 1.0 /. (1.0 +. (h.Redirector.queue_delay /. 0.1)) in
+    let shed_factor = 1.0 -. Float.min 0.95 h.Redirector.shed_rate in
+    Float.max 0.02 (delay_factor *. shed_factor)
+
+let reference_ranking net red client =
+  List.map
+    (fun p -> (Core.Sim.Net.transfer_time_estimate net ~src:client ~dst:p ~size:1024, p))
+    (Redirector.proxies red)
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let reference_pick net red ~spread ~rng ~client =
+  let scored =
+    List.filter (fun (_, p) -> not (Core.Sim.Net.host_down net p)) (reference_ranking net red client)
+  in
+  match scored with
+  | [] -> None
+  | (best, _) :: _ ->
+    let close = List.filter (fun (s, _) -> s <= (best *. 2.0) +. 1e-4) scored in
+    let k = max 1 (min spread (List.length close)) in
+    let nearest = List.filteri (fun i _ -> i < k) close in
+    let weighted = List.map (fun (_, p) -> (reference_headroom red p, p)) nearest in
+    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
+    let roll = Core.Util.Prng.float rng total in
+    let rec choose acc = function
+      | [] -> None
+      | [ (_, p) ] -> Some p
+      | (w, p) :: rest -> if roll < acc +. w then Some p else choose (acc +. w) rest
+    in
+    choose 0.0 weighted
+
+let redirector_pick_matches_reference_prop =
+  QCheck.Test.make ~name:"redirector: pick equals the full-ranking reference on random topologies"
+    ~count:300 QCheck.int
+    (fun seed ->
+      let rng = Core.Util.Prng.create seed in
+      let chance n = Core.Util.Prng.int rng n = 0 in
+      let sim = Core.Sim.Sim.create () in
+      let net = Core.Sim.Net.create sim ~default_latency:0.005 ~default_bandwidth:12_500_000.0 () in
+      let n = 1 + Core.Util.Prng.int rng 12 in
+      let proxies =
+        Array.init n (fun i -> Core.Sim.Net.add_host net ~name:(Printf.sprintf "p%d" i) ())
+      in
+      let extra = Core.Sim.Net.add_host net ~name:"other" () in
+      (* Half the time the client is itself a proxy (estimate 0). *)
+      let client =
+        if chance 2 then Core.Util.Prng.pick rng proxies
+        else Core.Sim.Net.add_host net ~name:"client" ()
+      in
+      (* Link parameters include the defaults exactly, so explicit links
+         tie the default estimate. *)
+      let link_params =
+        [| (0.0005, 12_500_000.0); (0.005, 12_500_000.0); (0.002, 1e7); (0.05, 12_500_000.0);
+           (0.0049, 12_500_000.0) |]
+      in
+      let connect a b =
+        let latency, bandwidth = Core.Util.Prng.pick rng link_params in
+        Core.Sim.Net.connect net a b ~latency ~bandwidth
+      in
+      Array.iter (fun p -> if chance 2 then connect client p) proxies;
+      if chance 2 then connect client extra;
+      (* Links elsewhere in the topology must not matter. *)
+      Array.iter (fun p -> if chance 3 then connect extra p) proxies;
+      let red = Redirector.create net in
+      let order = Array.copy proxies in
+      Core.Util.Prng.shuffle rng order;
+      Array.iter (Redirector.add_proxy red) order;
+      Redirector.add_proxy red order.(0);
+      Array.iter
+        (fun p ->
+          if chance 4 then
+            Redirector.report red ~host:(Core.Sim.Net.host_name p)
+              ~queue_delay:(Core.Util.Prng.float rng 1.0) ~shed_rate:(Core.Util.Prng.float rng 1.0) ())
+        proxies;
+      (* Crash a random subset, and half the time the nearest proxy. *)
+      let plan = Core.Faults.Plan.create () in
+      let crash p = Core.Faults.Plan.crash plan ~host:(Core.Sim.Net.host_name p) ~at:0.0 () in
+      Array.iter (fun p -> if chance 4 then crash p) proxies;
+      (if chance 2 then
+         match reference_ranking net red client with (_, p) :: _ -> crash p | [] -> ());
+      Core.Sim.Net.set_faults net plan;
+      let agree () =
+        List.for_all
+          (fun spread ->
+            let draw = Core.Util.Prng.int rng 1_000_000 in
+            let mine = Core.Util.Prng.create draw and theirs = Core.Util.Prng.create draw in
+            let name = Option.map Core.Sim.Net.host_name in
+            name (Redirector.pick red ~spread ~rng:mine ~client ())
+            = name (reference_pick net red ~spread ~rng:theirs ~client)
+            (* Same number of draws taken on both sides. *)
+            && Core.Util.Prng.next_int64 mine = Core.Util.Prng.next_int64 theirs)
+          [ 0; 1; 2; 3; 4; 5 ]
+      in
+      let first = agree () in
+      (* Remove and re-add proxies (re-registration moves them to the
+         front of the list), and link the client anew. *)
+      Array.iter
+        (fun p ->
+          if chance 3 then begin
+            Redirector.remove_proxy red p;
+            if chance 2 then Redirector.add_proxy red p
+          end)
+        proxies;
+      connect client (Core.Util.Prng.pick rng proxies);
+      first && agree ())
+
 (* {1 Ring scaling properties}
 
    The membership structure went from a re-sorted array to an ordered
@@ -503,6 +640,75 @@ let ring_churn_prop =
       && sorted_distinct got
       && List.equal Node_id.equal got expected
       && List.for_all (fun id -> Ring.mem r id) expected)
+
+let test_ring_lookup_path_non_member_raises () =
+  let r = Ring.create () in
+  List.iter (fun i -> Ring.join r (Node_id.of_int i)) [ 10; 20; 30 ];
+  (match Ring.lookup_path r ~from:(Node_id.of_int 15) ~key:(Node_id.of_int 25) with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "expected Invalid_argument for a non-member start");
+  Alcotest.(check (list int)) "empty ring still routes nowhere" []
+    (List.map Node_id.to_int
+       (Ring.lookup_path (Ring.create ()) ~from:(Node_id.of_int 15) ~key:(Node_id.of_int 25)))
+
+(* Reference: the greedy route as a scan of all 62 fingers per hop,
+   taking the first (farthest) that lands strictly short of the key. *)
+let scan_lookup_path r ~from ~key =
+  match Ring.successor r key with
+  | None -> []
+  | Some owner ->
+    if Node_id.equal owner from then []
+    else begin
+      let rec route current acc guard =
+        if Node_id.equal current owner || guard = 0 then List.rev acc
+        else begin
+          let best = ref None in
+          for i = 61 downto 0 do
+            if !best = None then
+              match Ring.successor r (Node_id.add_pow2 current i) with
+              | Some f
+                when (not (Node_id.equal f current))
+                     && Node_id.distance current f < Node_id.distance current key
+                     && Node_id.distance current f > 0 ->
+                best := Some f
+              | _ -> ()
+          done;
+          let next = Option.value !best ~default:owner in
+          route next (next :: acc) (guard - 1)
+        end
+      in
+      route from [] (Ring.size r + 64)
+    end
+
+let ring_lookup_path_matches_scan_prop =
+  QCheck.Test.make ~name:"ring: direct-finger paths equal the 62-finger scan up to 2048 nodes"
+    ~count:40
+    QCheck.(pair (int_range 1 2048) int)
+    (fun (n, seed) ->
+      let rng = Core.Util.Prng.create seed in
+      (* Dense rings (ids below 4096) put members at exact power-of-two
+         distances; sparse ones spread over the whole 62-bit space. *)
+      let dense = Core.Util.Prng.bool rng in
+      let fresh_id () =
+        if dense then Node_id.of_int (Core.Util.Prng.int rng 4096)
+        else Node_id.of_int (Int64.to_int (Core.Util.Prng.next_int64 rng) land max_int)
+      in
+      let r = Ring.create () in
+      for _ = 1 to n do
+        Ring.join r (fresh_id ())
+      done;
+      let members = Array.of_list (Ring.nodes r) in
+      let near id delta = Node_id.of_int ((Node_id.to_int id + delta) land max_int) in
+      List.for_all
+        (fun _ ->
+          let from = Core.Util.Prng.pick rng members in
+          let m = Core.Util.Prng.pick rng members in
+          List.for_all
+            (fun key ->
+              List.equal Node_id.equal (Ring.lookup_path r ~from ~key)
+                (scan_lookup_path r ~from ~key))
+            [ fresh_id (); m; near m 1; near m (-1); from ])
+        (List.init 30 Fun.id))
 
 let test_ring_successors () =
   let r = Ring.create () in
@@ -663,8 +869,14 @@ let suite =
       test_redirector_incarnation_guard;
     Alcotest.test_case "redirector: silent nodes age out of rotation" `Quick
       test_redirector_staleness_bound;
+    Alcotest.test_case "redirector: links made after a pick take effect" `Quick
+      test_redirector_link_after_pick;
+    QCheck_alcotest.to_alcotest redirector_pick_matches_reference_prop;
     QCheck_alcotest.to_alcotest ring_successor_matches_reference_prop;
     QCheck_alcotest.to_alcotest ring_lookup_path_scales_prop;
+    Alcotest.test_case "ring: lookup from a non-member raises" `Quick
+      test_ring_lookup_path_non_member_raises;
+    QCheck_alcotest.to_alcotest ring_lookup_path_matches_scan_prop;
     QCheck_alcotest.to_alcotest ring_churn_prop;
     Alcotest.test_case "ring: successor sets" `Quick test_ring_successors;
     Alcotest.test_case "hotspot: replicated reads are bit-identical" `Quick
