@@ -48,8 +48,18 @@ let run_handler () =
   let resp = Core.Http.Message.response ~body:Core.Workload.Static_page.page_body () in
   ignore (Core.Pipeline.Pipeline.run_handler handler_stage ~this_request:req ~response:(Some resp) handler)
 
-(* F7 / E1: the XML rendering the SIMM site script performs. *)
+(* F7 / E1: the XML rendering the SIMM site script performs, and S1:
+   the origin building the lecture XML it renders. Guarded: on the SIMM
+   edge deployment both run once per lecture request. *)
 let lecture_xml = Core.Workload.Simm.lecture_xml ~module_:1 ~lecture:1 ~student:"bench"
+
+let test_render_lecture =
+  Test.make ~name:"F7: parse+render lecture XML"
+    (Staged.stage (fun () -> Core.Vocab.Xml.to_html Core.Workload.Simm.stylesheet lecture_xml))
+
+let test_lecture_xml =
+  Test.make ~name:"S1: SIMM lecture XML (origin)"
+    (Staged.stage (fun () -> Core.Workload.Simm.lecture_xml ~module_:3 ~lecture:7 ~student:"bench"))
 
 (* Fig. 2: image transcoding. *)
 let image_352x416 =
@@ -93,6 +103,24 @@ let fresh_ctx () =
 let tw_ctx = fresh_ctx ()
 
 let cp_ctx = fresh_ctx ()
+
+(* P1: what every handler call pays before the script runs — building
+   the Request and Response globals. Guarded: a SIMM lecture runs
+   several handlers. *)
+let globals_ctx = fresh_ctx ()
+
+let globals_request =
+  Core.Http.Message.request "http://simm.med.nyu.edu/content/m3/lec7.xml?student=bench"
+
+let globals_response =
+  Core.Http.Message.response ~headers:[ ("Content-Type", "text/xml") ] ~body:lecture_xml ()
+
+let install_globals () =
+  Core.Vocab.Http_v.install_request globals_ctx globals_request;
+  Core.Vocab.Http_v.install_response globals_ctx globals_response
+
+let test_install_globals =
+  Test.make ~name:"P1: install Request+Response objects" (Staged.stage install_globals)
 
 (* Named so the regression guard can re-run exactly these two. *)
 let test_cached_execute =
@@ -268,10 +296,9 @@ let tests =
              ignore (Core.Analysis.Analysis.analyze_source workload_script)));
       Test.make ~name:"T2: proxy cache hit"
         (Staged.stage (fun () -> Core.Cache.Http_cache.lookup cache_for_bench ~now:1.0 ~key:"bench"));
-      Test.make ~name:"F7: parse+render lecture XML"
-        (Staged.stage (fun () ->
-             Core.Vocab.Xml.to_html Core.Workload.Simm.stylesheet
-               (Core.Vocab.Xml.parse_exn lecture_xml)));
+      test_render_lecture;
+      test_lecture_xml;
+      test_install_globals;
       test_transcode;
       test_ring_churn;
       test_ring_successor;
@@ -347,8 +374,11 @@ let words_rows () =
           Core.Script.Interp.run tw_ctx workload_ast) );
     ( "F7: parse+render lecture XML",
       Harness.words_per_op (fun () ->
-          Core.Vocab.Xml.to_html Core.Workload.Simm.stylesheet
-            (Core.Vocab.Xml.parse_exn lecture_xml)) );
+          Core.Vocab.Xml.to_html Core.Workload.Simm.stylesheet lecture_xml) );
+    ( "S1: SIMM lecture XML (origin)",
+      Harness.words_per_op (fun () ->
+          Core.Workload.Simm.lecture_xml ~module_:3 ~lecture:7 ~student:"bench") );
+    ("P1: install Request+Response objects", Harness.words_per_op install_globals);
     ( "Fig2: transcode 352x416 -> 176x208",
       Harness.words_per_op (fun () ->
           match Core.Vocab.Image.decode image_352x416 with
@@ -429,18 +459,22 @@ let micro () =
 
 (* --- bench-regression guard ------------------------------------------- *)
 
-(* CI gate: re-measure the guarded fast-path rows (interpreter,
-   transcode, 1000-node ring membership, routing and redirection,
-   deadline and hedge checks, wire sizing) and fail if any regressed
-   more than [tolerance] against the committed BENCH_micro.json. Noise
-   discipline: each row is measured three times and the *minimum* is
-   compared — "has the code gotten slower" is a question about the best
-   case, not the scheduler. Escape hatch: NAKIKA_BENCH_GUARD_SKIP=1 (for
-   machines with incomparable baselines). *)
+(* CI gate: re-measure the guarded fast-path rows (interpreter, the
+   SIMM lecture path, transcode, 1000-node ring membership, routing
+   and redirection, deadline and hedge checks, wire sizing) and fail if
+   any regressed more than [tolerance] against the committed
+   BENCH_micro.json. Noise discipline: each row is measured three times
+   and the *minimum* is compared — "has the code gotten slower" is a
+   question about the best case, not the scheduler. Escape hatch:
+   NAKIKA_BENCH_GUARD_SKIP=1 (for machines with incomparable
+   baselines). *)
 
 let guard_rows =
   [
     "nakika/C1: cached execute (compiled)";
+    "nakika/F7: parse+render lecture XML";
+    "nakika/S1: SIMM lecture XML (origin)";
+    "nakika/P1: install Request+Response objects";
     "nakika/Fig2: transcode 352x416 -> 176x208";
     "nakika/O9: ring join+leave (n=1000)";
     "nakika/O9: ring successor (n=1000)";
@@ -494,6 +528,9 @@ let guard () =
         Test.make_grouped ~name:"nakika"
           [
             test_cached_execute;
+            test_render_lecture;
+            test_lecture_xml;
+            test_install_globals;
             test_transcode;
             test_ring_churn;
             test_ring_successor;

@@ -19,8 +19,10 @@ let of_string_exn s =
   match of_string s with Ok t -> t | Error e -> invalid_arg ("Ip.of_string_exn: " ^ e)
 
 let to_string t =
-  let b i = Int32.to_int (Int32.logand (Int32.shift_right_logical t i) 0xFFl) in
-  Printf.sprintf "%d.%d.%d.%d" (b 24) (b 16) (b 8) (b 0)
+  let octet shift =
+    string_of_int (Int32.to_int (Int32.logand (Int32.shift_right_logical t shift) 0xFFl))
+  in
+  String.concat "." [ octet 24; octet 16; octet 8; octet 0 ]
 
 let of_int32 x = x
 let to_int32 x = x

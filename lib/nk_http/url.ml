@@ -55,14 +55,7 @@ let parse s =
 let parse_exn s =
   match parse s with Ok u -> u | Error e -> invalid_arg ("Url.parse_exn: " ^ e)
 
-let query_string query =
-  if query = [] then ""
-  else "?" ^ String.concat "&" (List.map (fun (k, v) -> if v = "" then k else k ^ "=" ^ v) query)
-
 let port_suffix t = if t.port = 80 then "" else ":" ^ string_of_int t.port
-
-let to_string t =
-  Printf.sprintf "%s://%s%s%s%s" t.scheme t.host (port_suffix t) t.path (query_string t.query)
 
 (* [String.length (to_string t)] by the same rules: each query item
    costs one separator ('?' for the first, '&' after), then "k" or
@@ -72,6 +65,25 @@ let length t =
   String.length t.scheme + 3 + String.length t.host + String.length (port_suffix t)
   + String.length t.path
   + List.fold_left item 0 t.query
+
+let to_string t =
+  let buf = Buffer.create (length t) in
+  let add = Buffer.add_string buf in
+  add t.scheme;
+  add "://";
+  add t.host;
+  add (port_suffix t);
+  add t.path;
+  List.iteri
+    (fun i (k, v) ->
+      Buffer.add_char buf (if i = 0 then '?' else '&');
+      add k;
+      if v <> "" then begin
+        Buffer.add_char buf '=';
+        add v
+      end)
+    t.query;
+  Buffer.contents buf
 
 let query_get t k = List.assoc_opt k t.query
 

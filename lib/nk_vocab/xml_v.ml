@@ -73,11 +73,11 @@ let install ctx =
   obj_set o "toHtml"
     (native "toHtml" (fun _ args ->
          let src = to_string (arg 0 args) in
-         (* parse + transform + serialize *)
+         (* charged as a parse plus a render, though they run as one pass *)
          Nk_script.Interp.consume_fuel ctx (2 * String.length src);
          let sheet = stylesheet_of_value (arg 1 args) in
-         match Xml.parse src with
-         | Ok node -> Vstr (Xml.to_html sheet node)
+         match Xml.to_html sheet src with
+         | Ok html -> Vstr html
          | Error e -> error "Xml.toHtml: %s" e));
   obj_set o "escape" (native "escape" (fun _ args -> Vstr (Xml.escape (to_string (arg 0 args)))));
   Nk_script.Interp.define_global ctx "Xml" (Vobj o)

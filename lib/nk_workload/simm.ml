@@ -18,31 +18,56 @@ let conditions =
 let section_names =
   [| "presentation"; "workup"; "imaging"; "pathology"; "treatment"; "followup" |]
 
+(* The origin builds one of these per lecture request, so the pieces are
+   appended directly rather than formatted. *)
 let lecture_xml ~module_ ~lecture ~student =
-  let buf = Buffer.create 8192 in
+  let buf = Buffer.create 12288 in
+  let add = Buffer.add_string buf in
   let condition = conditions.((module_ - 1) mod Array.length conditions) in
-  Buffer.add_string buf
-    (Printf.sprintf "<lecture module=\"%d\" number=\"%d\" condition=\"%s\">" module_ lecture
-       condition);
-  Buffer.add_string buf
-    (Printf.sprintf "<title>Module %d, Lecture %d: %s</title>" module_ lecture condition);
-  Buffer.add_string buf (Printf.sprintf "<student>%s</student>" student);
+  let m = string_of_int module_ and k = string_of_int lecture in
+  add "<lecture module=\"";
+  add m;
+  add "\" number=\"";
+  add k;
+  add "\" condition=\"";
+  add condition;
+  add "\"><title>Module ";
+  add m;
+  add ", Lecture ";
+  add k;
+  add ": ";
+  add condition;
+  add "</title><student>";
+  add student;
+  add "</student>";
   Array.iteri
     (fun si section ->
-      Buffer.add_string buf (Printf.sprintf "<section name=\"%s\">" section);
+      add "<section name=\"";
+      add section;
+      add "\">";
       for para = 1 to 5 do
-        Buffer.add_string buf
-          (Printf.sprintf
-             "<para>In the %s phase of %s (module %d, lecture %d, part %d.%d), the \
-              clinical narrative continues with findings, annotated imaging studies, and \
-              guidance tailored to the learner's progress through the curriculum. Review \
-              the attached materials before proceeding to the assessment.</para>"
-             section condition module_ lecture si para)
+        add "<para>In the ";
+        add section;
+        add " phase of ";
+        add condition;
+        add " (module ";
+        add m;
+        add ", lecture ";
+        add k;
+        add ", part ";
+        add (string_of_int si);
+        Buffer.add_char buf '.';
+        add (string_of_int para);
+        add
+          "), the clinical narrative continues with findings, annotated imaging studies, and \
+           guidance tailored to the learner's progress through the curriculum. Review the \
+           attached materials before proceeding to the assessment.</para>"
       done;
-      Buffer.add_string buf (Printf.sprintf "<assessment section=\"%s\" questions=\"4\"/>" section);
-      Buffer.add_string buf "</section>")
+      add "<assessment section=\"";
+      add section;
+      add "\" questions=\"4\"/></section>")
     section_names;
-  Buffer.add_string buf "</lecture>";
+  add "</lecture>";
   Buffer.contents buf
 
 let stylesheet =
@@ -56,7 +81,9 @@ let stylesheet =
   ]
 
 let render_html ~module_ ~lecture ~student =
-  Nk_vocab.Xml.to_html stylesheet (Nk_vocab.Xml.parse_exn (lecture_xml ~module_ ~lecture ~student))
+  match Nk_vocab.Xml.to_html stylesheet (lecture_xml ~module_ ~lecture ~student) with
+  | Ok html -> html
+  | Error e -> invalid_arg ("Simm.render_html: " ^ e)
 
 let video_body k =
   (* Deterministic pseudo-media bytes. *)

@@ -58,6 +58,16 @@ let sha256_distinct_prop =
 let test_hex () =
   Alcotest.(check string) "hex" "00ff10" (Sha256.hex "\x00\xff\x10")
 
+(* [Sha256.hex] writes digits from a table; the Printf form is the
+   specification. *)
+let hex_reference_prop =
+  QCheck.Test.make ~name:"hex: matches the Printf reference" ~count:300
+    QCheck.(string_of_size Gen.(0 -- 100))
+    (fun s ->
+      let buf = Buffer.create (2 * String.length s) in
+      String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
+      Sha256.hex s = Buffer.contents buf)
+
 let test_hmac_rfc4231 () =
   (* RFC 4231 test cases 1, 2 and the long-key case 6. *)
   Alcotest.(check string) "case 1"
@@ -96,4 +106,5 @@ let suite =
     Alcotest.test_case "hmac: RFC 4231 vectors" `Quick test_hmac_rfc4231;
     Alcotest.test_case "hmac: verify accepts/rejects" `Quick test_hmac_verify;
     QCheck_alcotest.to_alcotest hmac_key_sensitivity_prop;
+    QCheck_alcotest.to_alcotest hex_reference_prop;
   ]

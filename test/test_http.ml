@@ -383,6 +383,15 @@ let gen_body =
 let gen_headers =
   QCheck.Gen.(map Headers.of_list (list_size (int_bound 5) (pair (gen_word 1 12) (gen_word 0 20))))
 
+(* Ports 80 and otherwise; queries of 0-4 items, values often empty. *)
+let gen_url =
+  let open QCheck.Gen in
+  map
+    (fun (scheme, host, port, (path, query)) -> Url.make ~scheme ~port ~query ~host ~path ())
+    (quad (oneofl [ "http"; "https" ]) (gen_word 1 12)
+       (oneof [ return 80; int_range 1 65535 ])
+       (pair (gen_word 0 15) (list_size (int_bound 4) (pair (gen_word 1 5) (gen_word 0 5)))))
+
 let gen_request =
   let open QCheck.Gen in
   let meth =
@@ -392,14 +401,7 @@ let gen_request =
         map (fun s -> Method_.Other (String.uppercase_ascii s)) (gen_word 1 8);
       ]
   in
-  let url =
-    map
-      (fun (scheme, host, port, (path, query)) ->
-        Url.make ~scheme ~port ~query ~host ~path ())
-      (quad (oneofl [ "http"; "https" ]) (gen_word 1 12)
-         (oneof [ return 80; int_range 1 65535 ])
-         (pair (gen_word 0 15) (list_size (int_bound 4) (pair (gen_word 1 5) (gen_word 0 5)))))
-  in
+  let url = gen_url in
   map
     (fun (meth, url, headers, body) ->
       let r = Message.request "http://x/" in
@@ -428,6 +430,46 @@ let response_wire_size_prop =
   QCheck.Test.make ~name:"codec: response_wire_size = encoded length" ~count:500
     (QCheck.make ~print:Codec.encode_response gen_response)
     (fun r -> Codec.response_wire_size r = String.length (Codec.encode_response r))
+
+(* [Url.to_string] and [Ip.to_string] build their strings by hand; these
+   Printf versions are the specification they must match. *)
+let reference_url_to_string (u : Url.t) =
+  let query =
+    if u.Url.query = [] then ""
+    else
+      "?"
+      ^ String.concat "&" (List.map (fun (k, v) -> if v = "" then k else k ^ "=" ^ v) u.Url.query)
+  in
+  let port = if u.Url.port = 80 then "" else ":" ^ string_of_int u.Url.port in
+  Printf.sprintf "%s://%s%s%s%s" u.Url.scheme u.Url.host port u.Url.path query
+
+let url_to_string_prop =
+  QCheck.Test.make ~name:"url: to_string matches the Printf reference" ~count:500
+    (QCheck.make ~print:reference_url_to_string gen_url)
+    (fun u ->
+      let s = Url.to_string u in
+      s = reference_url_to_string u && String.length s = Url.length u)
+
+let ip_to_string_prop =
+  QCheck.Test.make ~name:"ip: to_string matches the Printf reference" ~count:500
+    QCheck.(map Int32.of_int (int_range 0 0xFFFF_FFFF))
+    (fun n ->
+      let b i = Int32.to_int (Int32.logand (Int32.shift_right_logical n i) 0xFFl) in
+      let ip = Ip.of_int32 n in
+      Ip.to_string ip = Printf.sprintf "%d.%d.%d.%d" (b 24) (b 16) (b 8) (b 0)
+      && Ip.of_string (Ip.to_string ip) = Ok ip)
+
+let test_url_to_string_cases () =
+  List.iter
+    (fun (u, expected) -> Alcotest.(check string) expected expected (Url.to_string u))
+    [
+      (Url.make ~host:"a.org" ~path:"/" (), "http://a.org/");
+      (Url.make ~port:8080 ~host:"a.org" ~path:"/x" (), "http://a.org:8080/x");
+      (Url.make ~query:[ ("k", "") ] ~host:"a.org" ~path:"/" (), "http://a.org/?k");
+      ( Url.make ~scheme:"https" ~port:1 ~query:[ ("a", "1"); ("b", ""); ("c", "3") ] ~host:"A.org"
+          ~path:"p" (),
+        "https://a.org:1/p?a=1&b&c=3" );
+    ]
 
 let test_wire_size_large_body () =
   let video = String.make (350 * 1024) 'v' in
@@ -496,4 +538,7 @@ let suite =
     Alcotest.test_case "range: parse" `Quick test_range_parse;
     Alcotest.test_case "range: resolve" `Quick test_range_resolve;
     Alcotest.test_case "range: apply to a response" `Quick test_range_apply;
+    QCheck_alcotest.to_alcotest url_to_string_prop;
+    QCheck_alcotest.to_alcotest ip_to_string_prop;
+    Alcotest.test_case "url: to_string cases" `Quick test_url_to_string_cases;
   ]

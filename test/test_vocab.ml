@@ -251,8 +251,7 @@ let test_xml_find_all () =
 
 let test_xml_transform () =
   let sheet = [ { Xml.tag = "lecture"; html_tag = "article"; html_class = Some "lec" } ] in
-  let node = Xml.parse_exn "<lecture><unknown>t</unknown></lecture>" in
-  let html = Xml.to_html sheet node in
+  let html = Result.get_ok (Xml.to_html sheet "<lecture><unknown>t</unknown></lecture>") in
   Alcotest.(check bool) "rule applied" true
     (Core.Util.Strutil.contains_sub html ~sub:"<article class=\"lec\">");
   Alcotest.(check bool) "default rule" true
@@ -270,6 +269,437 @@ let test_xml_cdata () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "unterminated CDATA should fail")
 
+(* The XML code as it was before [Xml.to_html] rendered from source text:
+   a tree parser, a tree-to-tree stylesheet transform and a serializer.
+   The one-pass renderer, and the parser that now shares its scanner,
+   must agree with it exactly, error messages included. *)
+module Ref_xml = struct
+  type node = Xml.node = Element of string * (string * string) list * node list | Text of string
+
+  type rule = Xml.rule = { tag : string; html_tag : string; html_class : string option }
+
+  (* Append [s] to [buf], escaping markup characters. Unescaped spans are
+     copied with a single [add_substring] per span rather than char by
+     char. *)
+  let escape_into buf s =
+    let n = String.length s in
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      match String.unsafe_get s i with
+      | ('<' | '>' | '&' | '"' | '\'') as c ->
+        Buffer.add_substring buf s !start (i - !start);
+        Buffer.add_string buf
+          (match c with
+           | '<' -> "&lt;"
+           | '>' -> "&gt;"
+           | '&' -> "&amp;"
+           | '"' -> "&quot;"
+           | _ -> "&apos;");
+        start := i + 1
+      | _ -> ()
+    done;
+    Buffer.add_substring buf s !start (n - !start)
+
+  let unescape_slow s =
+    let buf = Buffer.create (String.length s) in
+    let n = String.length s in
+    let rec go i =
+      if i >= n then ()
+      else if s.[i] = '&' then begin
+        let entity_end = try Some (String.index_from s i ';') with Not_found -> None in
+        match entity_end with
+        | Some j when j - i <= 6 ->
+          let name = String.sub s (i + 1) (j - i - 1) in
+          let repl =
+            match name with
+            | "lt" -> "<"
+            | "gt" -> ">"
+            | "amp" -> "&"
+            | "quot" -> "\""
+            | "apos" -> "'"
+            | _ -> "&" ^ name ^ ";"
+          in
+          Buffer.add_string buf repl;
+          go (j + 1)
+        | _ ->
+          Buffer.add_char buf '&';
+          go (i + 1)
+      end
+      else begin
+        Buffer.add_char buf s.[i];
+        go (i + 1)
+      end
+    in
+    go 0;
+    Buffer.contents buf
+
+  let unescape s =
+    (* No ampersand, no entities: the common case for element text. *)
+    match String.index_opt s '&' with None -> s | Some _ -> unescape_slow s
+
+  exception Xml_error of string
+
+  type parser_state = { src : string; mutable pos : int }
+
+  let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+
+  let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
+  (* The scanning loops below index the source directly instead of going
+     through [peek]: [Some c] allocates, and these loops run once per
+     character of the document. *)
+  let skip_spaces st =
+    let src = st.src in
+    let n = String.length src in
+    while st.pos < n && is_space (String.unsafe_get src st.pos) do
+      st.pos <- st.pos + 1
+    done
+
+  (* Allocation-free equivalent of [String.trim s <> ""] (same character
+     set as [String.trim], which also strips form feeds). *)
+  let has_non_space s =
+    let n = String.length s in
+    let rec go i =
+      i < n
+      &&
+      match String.unsafe_get s i with
+      | ' ' | '\t' | '\n' | '\r' | '\012' -> go (i + 1)
+      | _ -> true
+    in
+    go 0
+
+  let is_name_char c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '-'
+    || c = '_' || c = ':' || c = '.'
+
+  let read_name st =
+    let src = st.src in
+    let n = String.length src in
+    let start = st.pos in
+    while st.pos < n && is_name_char (String.unsafe_get src st.pos) do
+      st.pos <- st.pos + 1
+    done;
+    if st.pos = start then raise (Xml_error (Printf.sprintf "expected name at %d" st.pos));
+    String.sub st.src start (st.pos - start)
+
+  let expect st c =
+    match peek st with
+    | Some c' when c' = c -> st.pos <- st.pos + 1
+    | _ -> raise (Xml_error (Printf.sprintf "expected '%c' at %d" c st.pos))
+
+  let skip_until st marker =
+    match Core.Util.Strutil.index_sub st.src ~sub:marker ~start:st.pos with
+    | Some i -> st.pos <- i + String.length marker
+    | None -> raise (Xml_error ("unterminated " ^ marker))
+
+  let read_attributes st =
+    let attrs = ref [] in
+    let continue = ref true in
+    while !continue do
+      skip_spaces st;
+      match peek st with
+      | Some c when is_name_char c ->
+        let name = read_name st in
+        skip_spaces st;
+        expect st '=';
+        skip_spaces st;
+        let quote =
+          match peek st with
+          | Some (('"' | '\'') as q) ->
+            st.pos <- st.pos + 1;
+            q
+          | _ -> raise (Xml_error "expected quoted attribute value")
+        in
+        let start = st.pos in
+        let n = String.length st.src in
+        while st.pos < n && String.unsafe_get st.src st.pos <> quote do
+          st.pos <- st.pos + 1
+        done;
+        expect st quote;
+        attrs := (name, unescape (String.sub st.src start (st.pos - 1 - start))) :: !attrs
+      | _ -> continue := false
+    done;
+    List.rev !attrs
+
+  let rec parse_element st =
+    expect st '<';
+    let name = read_name st in
+    let attrs = read_attributes st in
+    skip_spaces st;
+    match peek st with
+    | Some '/' ->
+      st.pos <- st.pos + 1;
+      expect st '>';
+      Element (name, attrs, [])
+    | Some '>' ->
+      st.pos <- st.pos + 1;
+      let children = parse_children st name in
+      Element (name, attrs, children)
+    | _ -> raise (Xml_error (Printf.sprintf "malformed tag <%s> at %d" name st.pos))
+
+  and parse_children st parent =
+    let children = ref [] in
+    let rec go () =
+      match peek st with
+      | None -> raise (Xml_error (Printf.sprintf "unterminated element <%s>" parent))
+      | Some '<' ->
+        if st.pos + 1 < String.length st.src then begin
+          match st.src.[st.pos + 1] with
+          | '/' ->
+            st.pos <- st.pos + 2;
+            let name = read_name st in
+            skip_spaces st;
+            expect st '>';
+            if name <> parent then
+              raise (Xml_error (Printf.sprintf "mismatched </%s>, expected </%s>" name parent))
+          | '!' ->
+            if st.pos + 3 < String.length st.src && String.sub st.src st.pos 4 = "<!--" then
+              skip_until st "-->"
+            else if
+              st.pos + 8 < String.length st.src && String.sub st.src st.pos 9 = "<![CDATA["
+            then begin
+              (* CDATA: verbatim text, no entity processing *)
+              let start = st.pos + 9 in
+              skip_until st "]]>";
+              let text = String.sub st.src start (st.pos - 3 - start) in
+              if text <> "" then children := Text text :: !children
+            end
+            else skip_until st ">";
+            go ()
+          | '?' ->
+            skip_until st "?>";
+            go ()
+          | _ ->
+            children := parse_element st :: !children;
+            go ()
+        end
+        else raise (Xml_error "stray '<' at end of input")
+      | Some _ ->
+        let start = st.pos in
+        let n = String.length st.src in
+        while st.pos < n && String.unsafe_get st.src st.pos <> '<' do
+          st.pos <- st.pos + 1
+        done;
+        let text = unescape (String.sub st.src start (st.pos - start)) in
+        if has_non_space text then children := Text text :: !children;
+        go ()
+    in
+    go ();
+    List.rev !children
+
+  let parse src =
+    let st = { src; pos = 0 } in
+    try
+      skip_spaces st;
+      (* leading declaration / comments *)
+      let rec skip_prolog () =
+        if st.pos + 1 < String.length src && src.[st.pos] = '<' then
+          match src.[st.pos + 1] with
+          | '?' ->
+            skip_until st "?>";
+            skip_spaces st;
+            skip_prolog ()
+          | '!' ->
+            if st.pos + 3 < String.length src && String.sub src st.pos 4 = "<!--" then begin
+              skip_until st "-->";
+              skip_spaces st;
+              skip_prolog ()
+            end
+            else begin
+              skip_until st ">";
+              skip_spaces st;
+              skip_prolog ()
+            end
+          | _ -> ()
+      in
+      skip_prolog ();
+      let root = parse_element st in
+      skip_spaces st;
+      if st.pos <> String.length src then Error "trailing content after root element"
+      else Ok root
+    with Xml_error msg -> Error msg
+
+  (* One buffer threads the whole tree: the old per-node
+     Printf/String.concat construction allocated an intermediate string
+     per element per level. *)
+  let rec serialize_into buf = function
+    | Text t -> escape_into buf t
+    | Element (name, attrs, children) ->
+      Buffer.add_char buf '<';
+      Buffer.add_string buf name;
+      List.iter
+        (fun (k, v) ->
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf k;
+          Buffer.add_string buf "=\"";
+          escape_into buf v;
+          Buffer.add_char buf '"')
+        attrs;
+      if children = [] then Buffer.add_string buf "/>"
+      else begin
+        Buffer.add_char buf '>';
+        List.iter (serialize_into buf) children;
+        Buffer.add_string buf "</";
+        Buffer.add_string buf name;
+        Buffer.add_char buf '>'
+      end
+
+  let rec transform sheet node =
+    match node with
+    | Text _ -> node
+    | Element (name, _attrs, children) ->
+      let children = List.map (transform sheet) children in
+      (match List.find_opt (fun r -> r.tag = name) sheet with
+       | Some rule ->
+         let attrs = match rule.html_class with Some c -> [ ("class", c) ] | None -> [] in
+         Element (rule.html_tag, attrs, children)
+       | None -> Element ("div", [ ("class", name) ], children))
+
+  let to_html sheet node =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf "<html><body>";
+    serialize_into buf (transform sheet node);
+    Buffer.add_string buf "</body></html>";
+    Buffer.contents buf
+
+  let render sheet src = Result.map (to_html sheet) (parse src)
+end
+
+(* Documents from a token alphabet: well-formed element trees most of
+   the time, with every lexical case the scanner distinguishes in text,
+   attribute and markup position, and mutations that break them. *)
+let gen_xml_doc =
+  let open QCheck.Gen in
+  let text =
+    oneofl
+      [
+        "hello"; "a b"; " "; "\n  "; "\t"; "\012"; "&amp;"; "&lt;"; "&gt;"; "&quot;"; "&apos;";
+        "&bogus;"; "&"; "x & y"; "&toolongname;"; "&amp"; "&#60;"; "'"; "\""; ">"; "it's";
+        "a\"b>c";
+      ]
+  in
+  (* Broken tokens are rare, so that about half the documents parse. *)
+  let rarely good bad = frequency [ (40, oneofl good); (1, oneofl bad) ] in
+  let markup =
+    rarely
+      [
+        "<![CDATA[raw <x> & 'q' \"d\"]]>"; "<![CDATA[]]>"; "<![CDATA[  ]]>"; "<![CDATA[\n]]>";
+        "<!-- note -->"; "<!---->"; "<?pi data?>"; "<!DOCTYPE x>";
+      ]
+      [ "<"; "<!-- open"; "<![CDATA[open"; "<?open"; "</"; "<!" ]
+  in
+  let name =
+    oneofl
+      [ "lecture"; "title"; "para"; "parb"; "section"; "student"; "x"; "y"; "a:b"; "d-1"; "q.r" ]
+  in
+  let attr =
+    rarely
+      [ " k=\"v\""; " k='v'"; " k = \"v &amp; w\""; " s='a\"b'"; " e=\"\""; "\n t='<&>'" ]
+      [ " u=v"; " k=\"open"; " k"; " =\"v\"" ]
+  in
+  let rec element depth =
+    name >>= fun n ->
+    list_size (int_bound 2) attr >>= fun attrs ->
+    let start = "<" ^ n ^ String.concat "" attrs in
+    let kid =
+      if depth = 0 then frequency [ (3, text); (1, markup) ]
+      else frequency [ (3, text); (2, markup); (3, element (depth - 1)) ]
+    in
+    list_size (int_bound 4) kid >>= fun kids ->
+    let body = String.concat "" kids in
+    frequency
+      [
+        (30, return (start ^ ">" ^ body ^ "</" ^ n ^ ">"));
+        (3, return (start ^ ">" ^ body ^ "</" ^ n ^ " >"));
+        (6, oneofl [ start ^ "/>"; start ^ " />"; start ^ "></" ^ n ^ ">" ]);
+        (1, map (fun m -> start ^ ">" ^ body ^ "</" ^ m ^ ">") name);
+        (1, return (start ^ ">" ^ body));
+      ]
+  in
+  let prolog =
+    list_size (int_bound 2)
+      (oneofl [ "<?xml version=\"1.0\"?>"; "<!-- pre -->"; "<!DOCTYPE lecture>"; " "; "\n" ])
+  in
+  let trailing = rarely [ ""; " \n" ] [ "x"; "<b/>"; "<!-- post -->"; "&amp;" ] in
+  let doc =
+    map
+      (fun (p, root, t) -> String.concat "" p ^ root ^ t)
+      (triple prolog (element 3) trailing)
+  in
+  doc >>= fun d ->
+  let n = String.length d in
+  frequency
+    [
+      (16, return d);
+      (1, map (fun i -> String.sub d 0 i) (int_bound n));
+      ( 1,
+        map2
+          (fun i tok -> String.sub d 0 i ^ tok ^ String.sub d i (n - i))
+          (int_bound n) (oneof [ text; markup ]) );
+    ]
+
+(* The SIMM stylesheet plus rules that exercise first-match order and a
+   class that needs escaping. *)
+let diff_sheet =
+  Core.Workload.Simm.stylesheet
+  @ [
+      { Xml.tag = "x"; html_tag = "em"; html_class = Some "q\"<&'>" };
+      { Xml.tag = "x"; html_tag = "strong"; html_class = None };
+      { Xml.tag = "a:b"; html_tag = "span"; html_class = None };
+    ]
+
+let show_result = function Ok s -> "Ok " ^ s | Error e -> "Error " ^ e
+
+let xml_agrees src =
+  Xml.to_html diff_sheet src = Ref_xml.render diff_sheet src && Xml.parse src = Ref_xml.parse src
+
+let xml_differential_prop =
+  QCheck.Test.make ~name:"xml: to_html and parse agree with the tree reference" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_xml_doc)
+    (fun src ->
+      xml_agrees src
+      || QCheck.Test.fail_reportf "to_html:   %s\nreference: %s"
+           (show_result (Xml.to_html diff_sheet src))
+           (show_result (Ref_xml.render diff_sheet src)))
+
+let test_xml_simm_lectures () =
+  let module Simm = Core.Workload.Simm in
+  let check src =
+    if not (xml_agrees src) then Alcotest.failf "renderers disagree on %S" src
+  in
+  for module_ = 1 to Simm.modules do
+    for lecture = 1 to Simm.lectures_per_module do
+      List.iter
+        (fun student -> check (Simm.lecture_xml ~module_ ~lecture ~student))
+        [ "s1"; ""; "a<b"; "x & y"; "O'Brien" ]
+    done
+  done;
+  let lecture = Simm.lecture_xml ~module_:3 ~lecture:7 ~student:"it's &amp; me" in
+  for len = 0 to String.length lecture do
+    check (String.sub lecture 0 len)
+  done;
+  Alcotest.(check string) "render_html is to_html of the lecture"
+    (Result.get_ok
+       (Ref_xml.render Simm.stylesheet (Simm.lecture_xml ~module_:2 ~lecture:3 ~student:"s")))
+    (Simm.render_html ~module_:2 ~lecture:3 ~student:"s")
+
+let test_xml_render_cases () =
+  let render src = show_result (Xml.to_html diff_sheet src) in
+  let shell s = "Ok <html><body>" ^ s ^ "</body></html>" in
+  Alcotest.(check string) "blank text drops, element closes as />"
+    (shell "<div class=\"q.r\"/>") (render "<q.r> \n\t\012 </q.r>");
+  Alcotest.(check string) "blank CDATA is kept"
+    (shell "<div class=\"q.r\"> </div>") (render "<q.r><![CDATA[ ]]></q.r>");
+  Alcotest.(check string) "empty CDATA is dropped" (shell "<div class=\"q.r\"/>")
+    (render "<q.r><![CDATA[]]></q.r>");
+  Alcotest.(check string) "entities round-trip through the fallback"
+    (shell "<h1> a &amp;bogus; &lt; &amp; b&apos;</h1>")
+    (render "<title> a &bogus; &lt; & b'</title>");
+  Alcotest.(check string) "first matching rule wins, class escaped"
+    (shell "<em class=\"q&quot;&lt;&amp;&apos;&gt;\">t</em>") (render "<x a='1'>t</x>");
+  Alcotest.(check string) "mismatch error" "Error mismatched </b>, expected </a>"
+    (render "<a></b>")
+
 (* --- script-facing vocabularies ---------------------------------------- *)
 
 let make_ctx ?(host = Hostcall.stub ()) () =
@@ -279,6 +709,207 @@ let make_ctx ?(host = Hostcall.stub ()) () =
   ctx
 
 let run ctx src = Interp.run_string ctx src
+
+(* [Request] and [Response] as they were built before their shapes were
+   resolved up front: one [obj_set] per property. The pre-shaped objects
+   must be indistinguishable from these. *)
+module Ref_http_v = struct
+    open Value
+
+    let arg i args = match List.nth_opt args i with Some v -> v | None -> Vundefined
+
+    let sarg i args = to_string (arg i args)
+
+  let install_request ctx (req : Nk_http.Message.request) =
+    let o = new_obj () in
+    let refresh () =
+      obj_set o "url" (Vstr (Nk_http.Url.to_string req.Nk_http.Message.url));
+      obj_set o "host" (Vstr req.Nk_http.Message.url.Nk_http.Url.host);
+      obj_set o "path" (Vstr req.Nk_http.Message.url.Nk_http.Url.path);
+      obj_set o "method" (Vstr (Nk_http.Method_.to_string req.Nk_http.Message.meth));
+      obj_set o "clientIP" (Vstr (Nk_http.Ip.to_string req.Nk_http.Message.client.Nk_http.Ip.ip))
+    in
+    refresh ();
+    obj_set o "header"
+      (native "header" (fun _ args ->
+           match Nk_http.Message.req_header req (sarg 0 args) with
+           | Some v -> Vstr v
+           | None -> Vnull));
+    obj_set o "setHeader"
+      (native "setHeader" (fun _ args ->
+           Nk_http.Message.set_req_header req (sarg 0 args) (sarg 1 args);
+           Vundefined));
+    obj_set o "setUrl"
+      (native "setUrl" (fun _ args ->
+           (match Nk_http.Url.parse (sarg 0 args) with
+            | Ok url -> req.Nk_http.Message.url <- url
+            | Error e -> error "setUrl: %s" e);
+           refresh ();
+           Vundefined));
+    obj_set o "setMethod"
+      (native "setMethod" (fun _ args ->
+           req.Nk_http.Message.meth <- Nk_http.Method_.of_string (sarg 0 args);
+           refresh ();
+           Vundefined));
+    obj_set o "cookie"
+      (native "cookie" (fun _ args ->
+           match Nk_http.Message.req_header req "Cookie" with
+           | None -> Vnull
+           | Some header -> (
+             match List.assoc_opt (sarg 0 args) (Nk_http.Cookie.parse header) with
+             | Some v -> Vstr v
+             | None -> Vnull)));
+    obj_set o "query"
+      (native "query" (fun _ args ->
+           match Nk_http.Url.query_get req.Nk_http.Message.url (sarg 0 args) with
+           | Some v -> Vstr v
+           | None -> Vnull));
+    obj_set o "terminate"
+      (native "terminate" (fun _ args ->
+           let status = match arg 0 args with Vundefined -> 403 | v -> to_int v in
+           raise (Http_v.Terminate_request (Nk_http.Message.error_response status))));
+    obj_set o "redirect"
+      (native "redirect" (fun _ args ->
+           let target = sarg 0 args in
+           let resp =
+             Nk_http.Message.response ~status:302 ~headers:[ ("Location", target) ] ()
+           in
+           raise (Http_v.Terminate_request resp)));
+    obj_set o "respond"
+      (native "respond" (fun _ args ->
+           let status = to_int (arg 0 args) in
+           let content_type = sarg 1 args in
+           let body = match arg 2 args with Vbytes b -> bytes_to_string b | v -> to_string v in
+           let resp =
+             Nk_http.Message.response ~status
+               ~headers:[ ("Content-Type", content_type) ]
+               ~body ()
+           in
+           raise (Http_v.Terminate_request resp)));
+    Nk_script.Interp.define_global ctx "Request" (Vobj o)
+
+
+  let install_response ctx (resp : Nk_http.Message.response) =
+    let sink = Buffer.create 256 in
+    let o = new_obj () in
+    let reader = ref (Nk_http.Body.reader resp.Nk_http.Message.resp_body) in
+    obj_set o "status" (Vnum (float_of_int resp.Nk_http.Message.status));
+    obj_set o "contentType"
+      (match Nk_http.Message.content_type resp with Some ct -> Vstr ct | None -> Vnull);
+    obj_set o "contentLength" (Vnum (float_of_int (Nk_http.Message.content_length resp)));
+    obj_set o "read"
+      (native "read" (fun _ _ ->
+           match Nk_http.Body.read !reader with Some chunk -> Vstr chunk | None -> Vnull));
+    obj_set o "rewind"
+      (native "rewind" (fun _ _ ->
+           reader := Nk_http.Body.reader resp.Nk_http.Message.resp_body;
+           Vundefined));
+    obj_set o "write"
+      (native "write" (fun _ args ->
+           (match arg 0 args with
+            | Vbytes b -> Buffer.add_string sink (bytes_to_string b)
+            | v -> Buffer.add_string sink (to_string v));
+           Vundefined));
+    obj_set o "getHeader"
+      (native "getHeader" (fun _ args ->
+           match Nk_http.Message.resp_header resp (sarg 0 args) with
+           | Some v -> Vstr v
+           | None -> Vnull));
+    obj_set o "setHeader"
+      (native "setHeader" (fun _ args ->
+           Nk_http.Message.set_resp_header resp (sarg 0 args) (sarg 1 args);
+           (* Keep the snapshot property coherent for subsequent reads. *)
+           if String.lowercase_ascii (sarg 0 args) = "content-type" then
+             obj_set o "contentType" (Vstr (sarg 1 args));
+           Vundefined));
+    obj_set o "setStatus"
+      (native "setStatus" (fun _ args ->
+           resp.Nk_http.Message.status <- to_int (arg 0 args);
+           obj_set o "status" (Vnum (float_of_int resp.Nk_http.Message.status));
+           Vundefined));
+    Nk_script.Interp.define_global ctx "Response" (Vobj o)
+end
+
+(* Everything a script can observe about a global's properties: the
+   keys, the data values, and which native each method is. *)
+let snapshot ctx name =
+  match Interp.get_global ctx name with
+  | Some (Value.Vobj o) ->
+    List.map
+      (fun k ->
+        let v =
+          match Value.obj_get o k with
+          | Value.Vfun (Value.Native_fn f) -> "native " ^ f.Value.nname
+          | Value.Vstr s -> "string " ^ s
+          | Value.Vnum f -> Printf.sprintf "number %h" f
+          | v -> Value.type_name v ^ " " ^ Value.to_string v
+        in
+        (k, v))
+      (Value.obj_keys o)
+  | _ -> Alcotest.failf "no %s object" name
+
+let snapshots = Alcotest.(list (pair string string))
+
+(* Run the same scripts against the reference globals and the real ones,
+   each over its own copy of the messages, comparing after every step. *)
+let test_message_globals_match_reference () =
+  let fresh () =
+    let req =
+      Core.Http.Message.request
+        ~client:{ Core.Http.Ip.ip = Core.Http.Ip.of_string_exn "10.1.2.3"; hostname = None }
+        "http://a.org:8080/p?k=v&e"
+    in
+    let resp =
+      Core.Http.Message.response ~headers:[ ("Content-Type", "text/xml") ] ~body:"<a/>" ()
+    in
+    (req, resp)
+  in
+  List.iter
+    (fun steps ->
+      let ref_ctx = make_ctx () and new_ctx = make_ctx () in
+      let ref_req, ref_resp = fresh () and new_req, new_resp = fresh () in
+      Ref_http_v.install_request ref_ctx ref_req;
+      Ref_http_v.install_response ref_ctx ref_resp;
+      Http_v.install_request new_ctx new_req;
+      ignore (Http_v.install_response new_ctx new_resp);
+      List.iter
+        (fun script ->
+          ignore (run ref_ctx script);
+          ignore (run new_ctx script);
+          List.iter
+            (fun name ->
+              Alcotest.check snapshots (name ^ " after " ^ script) (snapshot ref_ctx name)
+                (snapshot new_ctx name))
+            [ "Request"; "Response" ];
+          Alcotest.(check string) ("url after " ^ script)
+            (Core.Http.Url.to_string ref_req.Core.Http.Message.url)
+            (Core.Http.Url.to_string new_req.Core.Http.Message.url);
+          Alcotest.(check int) ("status after " ^ script) ref_resp.Core.Http.Message.status
+            new_resp.Core.Http.Message.status)
+        ("" :: steps))
+    [
+      [ "Request.setUrl(\"http://B.org/q?x=1&y&z=\")"; "Request.setMethod(\"post\")" ];
+      [ "Request.setHeader(\"X\", \"1\")"; "Request.setMethod(\"PUT\")" ];
+      [ "delete Request.host"; "Request.setUrl(\"http://c.org/\")" ];
+      [ "Request.extra = 1"; "Request.url = \"shadow\""; "Request.setMethod(\"HEAD\")" ];
+      [ "Response.setHeader(\"content-TYPE\", \"a/b\")"; "Response.setStatus(404)" ];
+      [
+        "Response.setHeader(\"X-Other\", \"1\")"; "delete Response.status";
+        "Response.setStatus(201)";
+      ];
+    ]
+
+let test_kept_request_is_the_old_request () =
+  let ctx = make_ctx () in
+  Http_v.install_request ctx (Core.Http.Message.request "http://first.org/a");
+  ignore (run ctx "var kept = Request;");
+  Http_v.install_request ctx (Core.Http.Message.request "http://second.org/b");
+  Alcotest.(check string) "kept" "http://first.org/a" (Value.to_string (run ctx "kept.url"));
+  Alcotest.(check string) "current" "http://second.org/b" (Value.to_string (run ctx "Request.url"));
+  ignore (run ctx "kept.setUrl(\"http://third.org/c\")");
+  Alcotest.(check string) "kept setUrl" "third.org" (Value.to_string (run ctx "kept.host"));
+  Alcotest.(check string) "current unchanged" "second.org"
+    (Value.to_string (run ctx "Request.host"))
 
 let test_request_global () =
   let ctx = make_ctx () in
@@ -531,4 +1162,12 @@ let suite =
     Alcotest.test_case "Xml vocabulary" `Quick test_xml_vocab_script;
     Alcotest.test_case "evalScript" `Quick test_eval_vocab;
     Alcotest.test_case "Cache vocabulary" `Quick test_cache_vocab;
+    Alcotest.test_case "xml: one-pass render cases" `Quick test_xml_render_cases;
+    Alcotest.test_case "xml: SIMM lectures and truncations match the reference" `Quick
+      test_xml_simm_lectures;
+    QCheck_alcotest.to_alcotest xml_differential_prop;
+    Alcotest.test_case "Request/Response objects match the reference" `Quick
+      test_message_globals_match_reference;
+    Alcotest.test_case "a kept Request is the old request" `Quick
+      test_kept_request_is_the_old_request;
   ]

@@ -63,6 +63,55 @@ let test_simm_personalization () =
   Alcotest.(check bool) "differs by student" false (a = b);
   Alcotest.(check bool) "mentions student" true (Core.Util.Strutil.contains_sub a ~sub:"alice")
 
+(* [Simm.lecture_xml] as it was written with Printf; the appending
+   version must produce the same bytes. *)
+let reference_lecture_xml ~module_ ~lecture ~student =
+  let conditions =
+    [| "appendicitis"; "cholecystitis"; "diverticulitis"; "pancreatitis"; "hernia" |]
+  in
+  let section_names =
+    [| "presentation"; "workup"; "imaging"; "pathology"; "treatment"; "followup" |]
+  in
+  let buf = Buffer.create 8192 in
+  let condition = conditions.((module_ - 1) mod Array.length conditions) in
+  Buffer.add_string buf
+    (Printf.sprintf "<lecture module=\"%d\" number=\"%d\" condition=\"%s\">" module_ lecture
+       condition);
+  Buffer.add_string buf
+    (Printf.sprintf "<title>Module %d, Lecture %d: %s</title>" module_ lecture condition);
+  Buffer.add_string buf (Printf.sprintf "<student>%s</student>" student);
+  Array.iteri
+    (fun si section ->
+      Buffer.add_string buf (Printf.sprintf "<section name=\"%s\">" section);
+      for para = 1 to 5 do
+        Buffer.add_string buf
+          (Printf.sprintf
+             "<para>In the %s phase of %s (module %d, lecture %d, part %d.%d), the \
+              clinical narrative continues with findings, annotated imaging studies, and \
+              guidance tailored to the learner's progress through the curriculum. Review \
+              the attached materials before proceeding to the assessment.</para>"
+             section condition module_ lecture si para)
+      done;
+      Buffer.add_string buf (Printf.sprintf "<assessment section=\"%s\" questions=\"4\"/>" section);
+      Buffer.add_string buf "</section>")
+    section_names;
+  Buffer.add_string buf "</lecture>";
+  Buffer.contents buf
+
+let test_simm_xml_matches_reference () =
+  for module_ = 1 to 7 do
+    for lecture = 1 to 25 do
+      List.iter
+        (fun student ->
+          let expected = reference_lecture_xml ~module_ ~lecture ~student in
+          Alcotest.(check string)
+            (Printf.sprintf "m%d lec%d %S" module_ lecture student)
+            expected
+            (Simm.lecture_xml ~module_ ~lecture ~student))
+        [ ""; "a<b"; "s1"; "student-159" ]
+    done
+  done
+
 let test_simm_render_html () =
   let html = Simm.render_html ~module_:2 ~lecture:3 ~student:"s" in
   Alcotest.(check bool) "article" true
@@ -390,4 +439,6 @@ let suite =
     Alcotest.test_case "zipf: empirical frequencies track r^-s" `Quick
       zipf_frequency_tracks_power_law;
     Alcotest.test_case "zipf: edge cases" `Quick test_zipf_edges;
+    Alcotest.test_case "simm: lecture xml matches the Printf reference" `Quick
+      test_simm_xml_matches_reference;
   ]
