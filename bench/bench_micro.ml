@@ -258,6 +258,37 @@ let test_wire_size =
   Test.make ~name:"H1: response wire size (350 KB body)"
     (Staged.stage (fun () -> Core.Http.Codec.response_wire_size video_response))
 
+(* Q1 and N1: the simulator substrate every simulated hop runs on.
+   Q1 schedules and runs one event against a queue 18k deep, the
+   zipf-fleet peak (mostly timeouts that never fire); N1 sends 1 KB
+   over a default link and runs the delivery, so the queue stays
+   empty. Guarded so an event costs no allocation beyond its thunk and
+   a send stays one out-link lookup. *)
+let deep_sim =
+  let sim = Core.Sim.Sim.create () in
+  for i = 1 to 18_000 do
+    Core.Sim.Sim.schedule sim ~daemon:true ~delay:(1e6 +. float_of_int i) ignore
+  done;
+  sim
+
+let test_schedule_step =
+  Test.make ~name:"Q1: sim schedule+step (depth 18k)"
+    (Staged.stage (fun () ->
+         Core.Sim.Sim.schedule deep_sim ~delay:0.001 ignore;
+         ignore (Core.Sim.Sim.step deep_sim)))
+
+let send_net, send_src, send_dst =
+  let net = Core.Sim.Net.create (Core.Sim.Sim.create ()) () in
+  let src = Core.Sim.Net.add_host net ~name:"src" () in
+  let dst = Core.Sim.Net.add_host net ~name:"dst" () in
+  (net, src, dst)
+
+let test_net_send =
+  Test.make ~name:"N1: Net.send (default link)"
+    (Staged.stage (fun () ->
+         Core.Sim.Net.send send_net ~src:send_src ~dst:send_dst ~size:1024 ignore;
+         ignore (Core.Sim.Sim.step (Core.Sim.Net.sim send_net))))
+
 let tests =
   Test.make_grouped ~name:"nakika"
     [
@@ -307,6 +338,8 @@ let tests =
       test_deadline_check;
       test_hedge_decision;
       test_wire_size;
+      test_schedule_step;
+      test_net_send;
       Test.make ~name:"E2: render register.nkp page"
         (Staged.stage (fun () ->
              let ctx = Core.Script.Interp.create () in
@@ -461,7 +494,8 @@ let micro () =
 
 (* CI gate: re-measure the guarded fast-path rows (interpreter, the
    SIMM lecture path, transcode, 1000-node ring membership, routing
-   and redirection, deadline and hedge checks, wire sizing) and fail if
+   and redirection, deadline and hedge checks, wire sizing, the event
+   queue and a network send) and fail if
    any regressed more than [tolerance] against the committed
    BENCH_micro.json. Noise discipline: each row is measured three times
    and the *minimum* is compared — "has the code gotten slower" is a
@@ -483,6 +517,8 @@ let guard_rows =
     "nakika/D1: deadline check (admit+clamp+expired)";
     "nakika/D1: hedge decision (note+delay+grant)";
     "nakika/H1: response wire size (350 KB body)";
+    "nakika/Q1: sim schedule+step (depth 18k)";
+    "nakika/N1: Net.send (default link)";
   ]
 
 let guard_tolerance = 1.25
@@ -539,6 +575,8 @@ let guard () =
             test_deadline_check;
             test_hedge_decision;
             test_wire_size;
+            test_schedule_step;
+            test_net_send;
           ]
       in
       (* min over three measurement rounds, per row *)

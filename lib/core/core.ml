@@ -25,7 +25,7 @@
     ]} *)
 
 module Util = Nk_util
-(** PRNG, heaps, statistics, EWMA, cothreads. *)
+(** PRNG, statistics, EWMA, cothreads. *)
 
 module Crypto = Nk_crypto
 (** SHA-256 and HMAC-SHA256. *)

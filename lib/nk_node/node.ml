@@ -271,16 +271,18 @@ let await_fetch_opt t ~via ~timeout req =
       | Some host -> Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:host req deliver
       | None -> Nk_sim.Httpd.fetch t.web ~from:t.host req deliver)
 
-let insert_if_cacheable t req resp =
+(* [key] is [cache_key req]; [dht_key] is its DHT key, hashed only if
+   the response is announced. *)
+let insert_if_cacheable t ~key ~dht_key req resp =
   if Nk_http.Message.cacheable req resp then begin
     let expiry = Nk_http.Message.response_expiry ~now:(now t) resp in
-    Nk_cache.Http_cache.insert t.cache ~now:(now t) ~key:(cache_key req) ~expiry resp;
+    Nk_cache.Http_cache.insert t.cache ~now:(now t) ~key ~expiry resp;
     match (expiry, t.dht) with
     | Some expiry, Some dht when t.cfg.Config.enable_dht ->
       let ttl = Float.min t.cfg.Config.dht_ttl (expiry -. now t) in
       if ttl > 0.0 then
         ignore
-          (Nk_overlay.Dht.put dht ~now:(now t) ~from:(name t) ~key:(cache_key req)
+          (Nk_overlay.Dht.put_key dht ~now:(now t) ~from:(name t) ~key:(Lazy.force dht_key)
              ~value:(name t) ~ttl)
     | _ -> ()
   end
@@ -376,6 +378,7 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeou
 let content_fetch t ?(allow_peers = true) ?span ?deadline
     (req : Nk_http.Message.request) =
   let key = cache_key req in
+  let dht_key = lazy (Nk_overlay.Dht.Key.of_string key) in
   let cached =
     in_span t ?parent:span "cache-lookup" [] (fun sp ->
         let hit = Nk_cache.Http_cache.lookup t.cache ~now:(now t) ~key in
@@ -538,14 +541,16 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                | None -> Nk_cache.Http_cache.remove t.cache ~key);
               old
             | _ ->
-              insert_if_cacheable t req resp;
+              insert_if_cacheable t ~key ~dht_key req resp;
               resp))
     in
     match t.dht with
     | Some dht when t.cfg.Config.enable_dht && allow_peers ->
       let result =
         in_span t ?parent:span "dht-lookup" [] (fun sp ->
-            let result = Nk_overlay.Dht.get dht ~now:(now t) ~from:(name t) ~key in
+            let result =
+              Nk_overlay.Dht.get_key dht ~now:(now t) ~from:(name t) ~key:(Lazy.force dht_key)
+            in
             charge_cpu t
               (float_of_int (max 1 result.Nk_overlay.Dht.hops)
               *. t.cfg.Config.costs.Config.dht_per_hop);
@@ -606,7 +611,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                          key's ring replica set ([Ring.successors]). *)
                       Nk_resource.Hedge.note_primary hedge;
                       let backup =
-                        rest @ Nk_overlay.Dht.replica_names dht ~key
+                        rest @ Nk_overlay.Dht.replica_names dht ~key:(Lazy.force dht_key)
                         |> List.find_opt (fun c -> c <> peer && c <> name t)
                         |> fun c ->
                         Option.bind c (fun c ->
@@ -671,7 +676,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                 | Some rb -> Nk_resource.Retry_budget.success rb ~upstream:"peer"
                 | None -> ());
                Nk_sim.Trace.incr t.trace "peer-fetches";
-               insert_if_cacheable t req resp;
+               insert_if_cacheable t ~key ~dht_key req resp;
                resp
              | None ->
                Nk_resource.Breaker.failure (breaker_for t ("peer:" ^ served_by));
@@ -1297,7 +1302,8 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
          await_fetch_opt t ~via:None ~timeout:t.cfg.Config.diffusion_fetch_timeout req
        with
        | Some resp when Nk_http.Status.is_success resp.Nk_http.Message.status ->
-         insert_if_cacheable t req resp
+         let key = cache_key req in
+         insert_if_cacheable t ~key ~dht_key:(lazy (Nk_overlay.Dht.Key.of_string key)) req resp
        | _ -> ())
 
 let handle_offload_request t d ~payload =

@@ -37,7 +37,14 @@ type t = {
   rng : Nk_util.Prng.t; (* replica placement; seeded for determinism *)
 }
 
+module Key = struct
+  type t = { name : string; id : Node_id.t }
+
+  let of_string name = { name; id = Node_id.of_string name }
+end
+
 let create ?(values_per_key = 16) ?(replicas = 2) ?(seed = 0x5107) () =
+  if replicas < 1 then invalid_arg "Dht.create: replicas must be >= 1";
   { ring = Ring.create (); stores = Hashtbl.create 16; ids = Hashtbl.create 16;
     names = Hashtbl.create 16; values_per_key; replicas; live = (fun _ -> true);
     metrics = Nk_telemetry.Metrics.create (); hotspot = None;
@@ -84,10 +91,9 @@ let node_id t name =
 
 type lookup = { values : string list; hops : int; fallbacks : int; owner : Node_id.t option }
 
-let route t ~from ~key =
+let route t ~from ~(key : Key.t) =
   let from_id = node_id t from in
-  let key_id = Node_id.of_string key in
-  let path = Ring.lookup_path t.ring ~from:from_id ~key:key_id in
+  let path = Ring.lookup_path t.ring ~from:from_id ~key:key.id in
   let owner =
     match List.rev path with
     | last :: _ -> Some last
@@ -235,8 +241,9 @@ let hotspots t ~now =
 
 let sloppy_replicas t = Hashtbl.length t.placements
 
-let put t ~now ~from ~key ~value ~ttl =
+let put_key t ~now ~from ~key ~value ~ttl =
   let owner, hops = route t ~from ~key in
+  let key = key.Key.name in
   (match owner with
    | None -> ()
    | Some owner ->
@@ -280,10 +287,12 @@ let live_values t ~now node key =
       Hashtbl.replace store key live;
       Some (List.map (fun e -> e.value) live))
 
-let get t ~now ~from ~key =
+let put t ~now ~from ~key ~value ~ttl = put_key t ~now ~from ~key:(Key.of_string key) ~value ~ttl
+
+let get_key t ~now ~from ~(key : Key.t) =
   let from_id = node_id t from in
-  let key_id = Node_id.of_string key in
-  let path = Ring.lookup_path t.ring ~from:from_id ~key:key_id in
+  let path = Ring.lookup_path t.ring ~from:from_id ~key:key.id in
+  let key = key.name in
   let owner =
     match List.rev path with
     | last :: _ -> Some last
@@ -349,12 +358,14 @@ let get t ~now ~from ~key =
   Nk_telemetry.Metrics.observe t.metrics "dht.hops" (float_of_int hops);
   { values; hops; fallbacks; owner }
 
+let get t ~now ~from ~key = get_key t ~now ~from ~key:(Key.of_string key)
+
 (* The live members of [key]'s replica set by node name — the owner
    and its next distinct ring successors, via {!Ring.successors}. The
    hedging layer asks for these when it needs "the next live replica"
    beyond a lookup's announced holders. *)
-let replica_names t ~key =
-  Ring.successors t.ring (Node_id.of_string key) ~k:t.replicas
+let replica_names t ~(key : Key.t) =
+  Ring.successors t.ring key.id ~k:t.replicas
   |> List.filter_map (fun id ->
        match Hashtbl.find_opt t.names (Node_id.to_int id) with
        | Some name when t.live name -> Some name

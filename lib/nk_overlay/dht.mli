@@ -9,12 +9,24 @@
 
 type t
 
+(** A DHT key: the key string with its ring id, hashed once by
+    {!of_string}. A caller that touches one key several times (lookup,
+    hedge replica set, announcement) builds it once and hands it to
+    {!get_key}, {!replica_names} and {!put_key}. *)
+module Key : sig
+  type t
+
+  val of_string : string -> t
+  (** Hashes the string to its ring id (SHA-256, via {!Node_id.of_string}). *)
+end
+
 val create : ?values_per_key:int -> ?replicas:int -> ?seed:int -> unit -> t
 (** [values_per_key] caps coexisting announcements (default 16; newest
     win). [replicas] (default 2) is how many ring nodes — the key's
     owner plus its next distinct successors — hold each announcement, so
     a lookup can fall back when the owner is down. [seed] drives the
-    deterministic PRNG used for sloppy replica placement. *)
+    deterministic PRNG used for sloppy replica placement. Raises
+    [Invalid_argument] when [replicas < 1]. *)
 
 val set_hotspots :
   t -> ?halflife:float -> threshold:float -> replicas:int -> ttl:float -> unit -> unit
@@ -66,11 +78,14 @@ val leave : t -> string -> unit
 
 type lookup = { values : string list; hops : int; fallbacks : int; owner : Node_id.t option }
 
-val put : t -> now:float -> from:string -> key:string -> value:string -> ttl:float -> int
+val put_key : t -> now:float -> from:string -> key:Key.t -> value:string -> ttl:float -> int
 (** Announce [value] under [key] at every replica; returns the routing
     hop count. Raises [Invalid_argument] if [from] never joined. *)
 
-val get : t -> now:float -> from:string -> key:string -> lookup
+val put : t -> now:float -> from:string -> key:string -> value:string -> ttl:float -> int
+(** [put_key] on [Key.of_string key]. *)
+
+val get_key : t -> now:float -> from:string -> key:Key.t -> lookup
 (** Live values under [key] (newest first), read from the first live
     replica. [fallbacks] counts crashed replicas skipped on the way
     (each also charged as one extra routing hop and counted in the
@@ -79,7 +94,10 @@ val get : t -> now:float -> from:string -> key:string -> lookup
     fewer hops, bit-identical values (puts write through to active
     holders). *)
 
-val replica_names : t -> key:string -> string list
+val get : t -> now:float -> from:string -> key:string -> lookup
+(** [get_key] on [Key.of_string key]. *)
+
+val replica_names : t -> key:Key.t -> string list
 (** The live members of [key]'s replica set by node name — the owner
     plus its next distinct ring successors ({!Ring.successors}), in
     ring order. The hedging layer uses this to find the next live

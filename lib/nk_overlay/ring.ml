@@ -57,8 +57,7 @@ let next_after t id =
 
 let successors t key ~k =
   match successor t key with
-  | None -> []
-  | Some owner ->
+  | Some owner when k > 0 ->
     let rec collect acc current remaining =
       if remaining = 0 then List.rev acc
       else
@@ -69,6 +68,7 @@ let successors t key ~k =
           else collect (nxt :: acc) nxt (remaining - 1)
     in
     collect [ owner ] owner (min k t.size - 1)
+  | _ -> []
 
 (* The member strictly counter-clockwise before [key] (wrapping). *)
 let predecessor t key =

@@ -27,8 +27,8 @@ val successor : t -> Node_id.t -> Node_id.t option
 
 val successors : t -> Node_id.t -> k:int -> Node_id.t list
 (** The key's owner plus its next distinct clockwise successors, at
-    most [k] nodes — a key's replica set. O(k log n), so callers no
-    longer materialize the whole membership per lookup. *)
+    most [k] nodes — a key's replica set; empty when [k <= 0] or the
+    ring is empty. O(k log n). *)
 
 val lookup_path : t -> from:Node_id.t -> key:Node_id.t -> Node_id.t list
 (** The nodes visited routing greedily by fingers from [from] to the

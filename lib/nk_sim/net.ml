@@ -1,18 +1,39 @@
-type host = { id : int; name : string; cpu_speed : float }
+(* All per-host state lives on the host: its CPU, the bytes it sent,
+   the hosts [connect]ed to it, its egress cap, and one int-keyed table
+   of out-links by destination id. An out-link holds the pair's link
+   parameters and its shared pipe; [send] creates it with the default
+   parameters on first use, and [connect] overrides them in place, so
+   a pipe keeps its backlog across a re-[connect]. *)
 
-type link_state = { mutable busy_until : float }
+type pipe = { mutable busy_until : float }
 
-type link_params = { latency : float; bandwidth : float }
+type link = { mutable latency : float; mutable bandwidth : float; mutable link_busy : float }
+
+type egress = { cap : float; mutable egress_busy : float }
+
+module Links = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash id = id (* ids are dense, so the identity spreads them *)
+end)
+
+type host = {
+  id : int;
+  name : string;
+  cpu_speed : float;
+  cpu : pipe;
+  mutable sent : int;
+  mutable linked : host list; (* the far ends of its [connect]s *)
+  mutable egress : egress option; (* bandwidth cap + shared pipe *)
+  out : link Links.t; (* by destination id *)
+}
 
 type t = {
   sim : Sim.t;
-  default : link_params;
-  links : (int * int, link_params) Hashtbl.t;
-  linked : (int, host list) Hashtbl.t; (* per host: the far ends of its [links] *)
-  pipes : (int * int, link_state) Hashtbl.t;
-  cpus : (int, link_state) Hashtbl.t;
-  sent : (int, int ref) Hashtbl.t;
-  egress : (int, float * link_state) Hashtbl.t; (* bandwidth cap + shared pipe *)
+  default_latency : float;
+  default_bandwidth : float;
   byname : (string, host) Hashtbl.t;
   metrics : Nk_telemetry.Metrics.t;
   mutable faults : Nk_faults.Plan.t option;
@@ -22,13 +43,8 @@ type t = {
 let create sim ?(default_latency = 0.0002) ?(default_bandwidth = 12_500_000.0) () =
   {
     sim;
-    default = { latency = default_latency; bandwidth = default_bandwidth };
-    links = Hashtbl.create 16;
-    linked = Hashtbl.create 16;
-    pipes = Hashtbl.create 16;
-    cpus = Hashtbl.create 16;
-    sent = Hashtbl.create 16;
-    egress = Hashtbl.create 4;
+    default_latency;
+    default_bandwidth;
     byname = Hashtbl.create 16;
     metrics = Nk_telemetry.Metrics.create ();
     faults = None;
@@ -40,10 +56,11 @@ let sim t = t.sim
 let metrics t = t.metrics
 
 let add_host t ~name ?(cpu_speed = 1.0) () =
-  let host = { id = t.next_id; name; cpu_speed } in
+  let host =
+    { id = t.next_id; name; cpu_speed; cpu = { busy_until = 0.0 }; sent = 0; linked = [];
+      egress = None; out = Links.create 8 }
+  in
   t.next_id <- t.next_id + 1;
-  Hashtbl.replace t.cpus host.id { busy_until = 0.0 };
-  Hashtbl.replace t.sent host.id (ref 0);
   Hashtbl.replace t.byname host.name host;
   host
 
@@ -67,38 +84,33 @@ let set_faults t plan =
           Nk_telemetry.Metrics.incr t.metrics "node.crashes";
           match Hashtbl.find_opt t.byname name with
           | None -> ()
-          | Some host ->
-            let cpu = Hashtbl.find t.cpus host.id in
-            cpu.busy_until <- Sim.now t.sim))
+          | Some host -> host.cpu.busy_until <- Sim.now t.sim))
     (Nk_faults.Plan.crash_times plan)
 
-let linked t host = Option.value (Hashtbl.find_opt t.linked host.id) ~default:[]
+let linked _ host = host.linked
+
+let out_link t src dst =
+  match Links.find src.out dst.id with
+  | link -> link
+  | exception Not_found ->
+    let link = { latency = t.default_latency; bandwidth = t.default_bandwidth; link_busy = 0.0 } in
+    Links.add src.out dst.id link;
+    link
 
 let connect t a b ~latency ~bandwidth =
-  if not (Hashtbl.mem t.links (a.id, b.id)) then begin
-    Hashtbl.replace t.linked a.id (b :: linked t a);
-    if a.id <> b.id then Hashtbl.replace t.linked b.id (a :: linked t b)
+  if not (List.memq b a.linked) then begin
+    a.linked <- b :: a.linked;
+    if a.id <> b.id then b.linked <- a :: b.linked
   end;
-  let params = { latency; bandwidth } in
-  Hashtbl.replace t.links (a.id, b.id) params;
-  Hashtbl.replace t.links (b.id, a.id) params
+  let set src dst =
+    let link = out_link t src dst in
+    link.latency <- latency;
+    link.bandwidth <- bandwidth
+  in
+  set a b;
+  set b a
 
-let params t src dst =
-  match Hashtbl.find_opt t.links (src.id, dst.id) with
-  | Some p -> p
-  | None -> t.default
-
-let pipe t src dst =
-  let key = (src.id, dst.id) in
-  match Hashtbl.find_opt t.pipes key with
-  | Some s -> s
-  | None ->
-    let s = { busy_until = 0.0 } in
-    Hashtbl.add t.pipes key s;
-    s
-
-let set_egress_limit t host bandwidth =
-  Hashtbl.replace t.egress host.id (bandwidth, { busy_until = 0.0 })
+let set_egress_limit _ host bandwidth = host.egress <- Some { cap = bandwidth; egress_busy = 0.0 }
 
 (* Wrap a callback that logically executes on [host]: if the host has
    crashed since it was captured (incarnation advanced) or is down when
@@ -133,37 +145,35 @@ let send t ~src ~dst ~size k =
     let k = guard t dst k in
     if src.id = dst.id then Sim.schedule t.sim ~delay:0.0 k
     else begin
-      let { latency; bandwidth } = params t src dst in
-      let pipe = pipe t src dst in
+      let link = out_link t src dst in
       let now = Sim.now t.sim in
       (* The transfer serializes through the source's shared egress pipe
          (when capped) and then the per-pair link pipe. *)
       let egress_done =
-        match Hashtbl.find_opt t.egress src.id with
+        match src.egress with
         | None -> now
-        | Some (cap, state) ->
-          let start = Float.max now state.busy_until in
-          state.busy_until <- start +. (float_of_int size /. cap);
-          state.busy_until
+        | Some e ->
+          let start = Float.max now e.egress_busy in
+          e.egress_busy <- start +. (float_of_int size /. e.cap);
+          e.egress_busy
       in
-      let start = Float.max egress_done pipe.busy_until in
-      let transmit = float_of_int size /. bandwidth in
-      pipe.busy_until <- start +. transmit;
-      (match Hashtbl.find_opt t.sent src.id with
-       | Some r -> r := !r + size
-       | None -> ());
-      Sim.schedule_at t.sim (start +. transmit +. latency +. extra) k
+      let start = Float.max egress_done link.link_busy in
+      let transmit = float_of_int size /. link.bandwidth in
+      link.link_busy <- start +. transmit;
+      src.sent <- src.sent + size;
+      Sim.schedule_at t.sim (start +. transmit +. link.latency +. extra) k
     end
 
 let transfer_time_estimate t ~src ~dst ~size =
   if src.id = dst.id then 0.0
   else begin
-    let { latency; bandwidth } = params t src dst in
-    latency +. (float_of_int size /. bandwidth)
+    match Links.find src.out dst.id with
+    | link -> link.latency +. (float_of_int size /. link.bandwidth)
+    | exception Not_found -> t.default_latency +. (float_of_int size /. t.default_bandwidth)
   end
 
 let cpu_run t host ~seconds k =
-  let cpu = Hashtbl.find t.cpus host.id in
+  let cpu = host.cpu in
   let now = Sim.now t.sim in
   let base =
     match t.faults with
@@ -184,9 +194,6 @@ let cpu_run t host ~seconds k =
     Sim.schedule_at t.sim cpu.busy_until (guard t host k)
   end
 
-let cpu_backlog t host =
-  let cpu = Hashtbl.find t.cpus host.id in
-  Float.max 0.0 (cpu.busy_until -. Sim.now t.sim)
+let cpu_backlog t host = Float.max 0.0 (host.cpu.busy_until -. Sim.now t.sim)
 
-let bytes_sent t host =
-  match Hashtbl.find_opt t.sent host.id with Some r -> !r | None -> 0
+let bytes_sent _ host = host.sent

@@ -5,7 +5,12 @@
     WAN-emulation cap and PlanetLab's per-project bandwidth limits are
     modeled). Each host also has a single CPU on which work items
     queue; CPU saturation is what produces the capacity results of
-    §5.1. *)
+    §5.1.
+
+    All of a host's state lives on its {!host} value: CPU, bytes sent,
+    linked hosts, egress cap, and its out-links keyed by destination.
+    An out-link carries the pair's parameters and its pipe, so a
+    {!send} costs one integer-keyed lookup. *)
 
 type t
 
@@ -43,7 +48,8 @@ val host_name : host -> string
 
 val connect : t -> host -> host -> latency:float -> bandwidth:float -> unit
 (** Set symmetric link parameters between two hosts (overrides the
-    defaults for that pair). *)
+    defaults for that pair). Connecting a pair again replaces the
+    parameters; transfers already queued on its pipes stay queued. *)
 
 val linked : t -> host -> host list
 (** The hosts [connect]ed to this one, each once, most recently linked

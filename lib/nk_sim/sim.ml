@@ -1,50 +1,140 @@
-type event = { thunk : unit -> unit; daemon : bool }
+(* The event queue is a binary min-heap kept as three parallel arrays:
+   times unboxed in a [Float.Array.t], tags in an [int array] and thunks
+   in their own array, so scheduling an event allocates nothing beyond
+   the caller's closure. A tag is the scheduling sequence number shifted
+   left one bit, with the low bit set for daemon events: tags are
+   unique, and comparing them compares scheduling order. Sifting moves a
+   hole instead of swapping, and every pop clears the slot it vacates so
+   the queue holds no closure it will not run. *)
 
 type t = {
   mutable clock : float;
-  queue : event Nk_util.Heap.t;
+  mutable times : Float.Array.t;
+  mutable tags : int array;
+  mutable thunks : (unit -> unit) array;
+  mutable len : int;
+  mutable next_seq : int;
   rng : Nk_util.Prng.t;
   mutable live : int; (* non-daemon events pending *)
   mutable executed : int; (* events run so far; scale soaks assert on it *)
 }
 
+let vacant () = ()
+
 let create ?(seed = 1) ?(start_time = 1_136_073_600.0) () =
-  { clock = start_time; queue = Nk_util.Heap.create (); rng = Nk_util.Prng.create seed;
-    live = 0; executed = 0 }
+  { clock = start_time; times = Float.Array.create 0; tags = [||]; thunks = [||]; len = 0;
+    next_seq = 0; rng = Nk_util.Prng.create seed; live = 0; executed = 0 }
 
 let now t = t.clock
 
 let prng t = t.rng
 
-let schedule_at t ?(daemon = false) time thunk =
+let grow t =
+  let cap = Array.length t.thunks in
+  let ncap = if cap = 0 then 64 else cap * 2 in
+  let times = Float.Array.create ncap in
+  Float.Array.blit t.times 0 times 0 t.len;
+  let tags = Array.make ncap 0 in
+  Array.blit t.tags 0 tags 0 t.len;
+  let thunks = Array.make ncap vacant in
+  Array.blit t.thunks 0 thunks 0 t.len;
+  t.times <- times;
+  t.tags <- tags;
+  t.thunks <- thunks
+
+let[@inline] place t i time tag thunk =
+  Float.Array.unsafe_set t.times i time;
+  Array.unsafe_set t.tags i tag;
+  Array.unsafe_set t.thunks i thunk
+
+let[@inline] move t ~src ~dst =
+  place t dst (Float.Array.unsafe_get t.times src) (Array.unsafe_get t.tags src)
+    (Array.unsafe_get t.thunks src)
+
+(* The new event has the largest tag, so it rises only past strictly
+   later times. *)
+let[@inline] push t time daemon thunk =
+  if t.len = Array.length t.thunks then grow t;
+  let tag = (t.next_seq lsl 1) lor Bool.to_int daemon in
+  t.next_seq <- t.next_seq + 1;
+  let hole = ref t.len in
+  t.len <- t.len + 1;
+  while
+    !hole > 0 && time < Float.Array.unsafe_get t.times ((!hole - 1) / 2)
+  do
+    let parent = (!hole - 1) / 2 in
+    move t ~src:parent ~dst:!hole;
+    hole := parent
+  done;
+  place t !hole time tag thunk
+
+(* Remove the minimum: the last event fills the hole left at the root,
+   sifted down past every child that orders before it. *)
+let pop t =
+  let last = t.len - 1 in
+  t.len <- last;
+  if last > 0 then begin
+    let time = Float.Array.unsafe_get t.times last
+    and tag = Array.unsafe_get t.tags last
+    and thunk = Array.unsafe_get t.thunks last in
+    let hole = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !hole) + 1 in
+      if l >= last then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < last
+             && (let tl = Float.Array.unsafe_get t.times l
+                 and tr = Float.Array.unsafe_get t.times r in
+                 tr < tl || (tr = tl && Array.unsafe_get t.tags r < Array.unsafe_get t.tags l))
+          then r
+          else l
+        in
+        let tc = Float.Array.unsafe_get t.times c in
+        if tc < time || (tc = time && Array.unsafe_get t.tags c < tag) then begin
+          move t ~src:c ~dst:!hole;
+          hole := c
+        end
+        else sifting := false
+      end
+    done;
+    place t !hole time tag thunk
+  end;
+  Array.unsafe_set t.thunks last vacant
+
+let[@inline] enqueue t daemon time thunk =
   let time = if time < t.clock then t.clock else time in
   if not daemon then t.live <- t.live + 1;
-  Nk_util.Heap.push t.queue time { thunk; daemon }
+  push t time daemon thunk
 
-let schedule t ?daemon ~delay thunk = schedule_at t ?daemon (t.clock +. delay) thunk
+let schedule_at t ?(daemon = false) time thunk = enqueue t daemon time thunk
+
+let schedule t ?(daemon = false) ~delay thunk = enqueue t daemon (t.clock +. delay) thunk
 
 let step t =
-  match Nk_util.Heap.pop t.queue with
-  | None -> false
-  | Some (time, event) ->
+  if t.len = 0 then false
+  else begin
+    let time = Float.Array.unsafe_get t.times 0 in
+    let tag = Array.unsafe_get t.tags 0 in
+    let thunk = Array.unsafe_get t.thunks 0 in
+    pop t;
     t.clock <- time;
-    if not event.daemon then t.live <- t.live - 1;
+    if tag land 1 = 0 then t.live <- t.live - 1;
     t.executed <- t.executed + 1;
-    event.thunk ();
+    thunk ();
     true
+  end
 
 let run ?until t =
   match until with
   | None -> while t.live > 0 && step t do () done
   | Some deadline ->
-    let continue = ref true in
-    while !continue do
-      match Nk_util.Heap.peek t.queue with
-      | Some (time, _) when time <= deadline -> ignore (step t)
-      | _ -> continue := false
+    while t.len > 0 && Float.Array.unsafe_get t.times 0 <= deadline do
+      ignore (step t)
     done;
     if t.clock < deadline then t.clock <- deadline
 
-let pending t = Nk_util.Heap.size t.queue
+let pending t = t.len
 
 let executed t = t.executed

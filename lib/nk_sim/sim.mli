@@ -3,7 +3,13 @@
     All end-to-end experiments (§5) run on this clock: events are
     scheduled at absolute times and executed in order; ties break by
     scheduling order. The simulated clock stands in for both wall-clock
-    latency and HTTP absolute expiration times. *)
+    latency and HTTP absolute expiration times.
+
+    The event queue is a binary heap specialised to thunks: times,
+    scheduling order (with the daemon flag in its low bit) and thunks
+    sit in three parallel arrays, so scheduling allocates nothing beyond
+    the thunk itself, and running an event drops the queue's reference
+    to it. *)
 
 type t
 
@@ -30,7 +36,7 @@ val run : ?until:float -> t -> unit
     queued). *)
 
 val step : t -> bool
-(** Execute one event; false when the queue is empty. *)
+(** Execute the earliest event; false when the queue is empty. *)
 
 val pending : t -> int
 

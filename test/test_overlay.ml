@@ -718,6 +718,8 @@ let test_ring_successors () =
   Alcotest.(check (list int)) "wraps" [ 30; 10 ] (ints 25 2);
   Alcotest.(check (list int)) "clamps to ring size" [ 10; 20; 30 ] (ints 5 7);
   Alcotest.(check (list int)) "k=1 is the owner" [ 20 ] (ints 20 1);
+  Alcotest.(check (list int)) "k=0 is empty" [] (ints 15 0);
+  Alcotest.(check (list int)) "negative k is empty" [] (ints 15 (-1));
   Alcotest.(check (list int)) "empty ring" []
     (List.map Node_id.to_int (Ring.successors (Ring.create ()) (Node_id.of_int 1) ~k:2))
 
@@ -832,6 +834,135 @@ let test_hotspot_crashed_holder_falls_back () =
   done;
   ignore hits_before
 
+(* {1 Keys hashed once against the string-keyed reference} *)
+
+type dht_op =
+  | Put of int * int * int
+  | Get of int * int
+  | Replicas of int
+  | Crash of int
+  | Tick of int
+  | Sweep
+
+let print_dht_op = function
+  | Put (f, k, ttl) -> Printf.sprintf "Put(%d,%d,%d)" f k ttl
+  | Get (f, k) -> Printf.sprintf "Get(%d,%d)" f k
+  | Replicas k -> Printf.sprintf "Replicas %d" k
+  | Crash f -> Printf.sprintf "Crash %d" f
+  | Tick n -> Printf.sprintf "Tick %d" n
+  | Sweep -> "Sweep"
+
+type dht_impl = {
+  put : now:float -> from:string -> key:int -> ttl:float -> int;
+  get : now:float -> from:string -> key:int -> string list * int * int * int option;
+  replicas : key:int -> string list;
+  sweep : now:float -> unit;
+  hot : now:float -> (string * float) list * int;
+}
+
+let dht_key_strings = Array.init 6 (Printf.sprintf "GET http://site.org/object-%d")
+
+let reference_dht ~replicas ~hot ~live names =
+  let module R = Reference_substrate.Dht in
+  let dht = R.create ~replicas ~seed:5 () in
+  Array.iter (fun n -> ignore (R.join dht n)) names;
+  R.set_liveness dht live;
+  if hot then R.set_hotspots dht ~halflife:2.0 ~threshold:0.5 ~replicas:2 ~ttl:5.0 ();
+  let key i = dht_key_strings.(i) in
+  {
+    put = (fun ~now ~from ~key:k ~ttl -> R.put dht ~now ~from ~key:(key k) ~value:from ~ttl);
+    get =
+      (fun ~now ~from ~key:k ->
+        let l = R.get dht ~now ~from ~key:(key k) in
+        (l.R.values, l.R.hops, l.R.fallbacks, Option.map Node_id.to_int l.R.owner));
+    replicas = (fun ~key:k -> R.replica_names dht ~key:(key k));
+    sweep = (fun ~now -> R.sweep dht ~now);
+    hot = (fun ~now -> (R.hotspots dht ~now, R.sloppy_replicas dht));
+  }
+
+(* Each key is hashed once, up front, and reused by every operation. *)
+let keyed_dht ~replicas ~hot ~live names =
+  let dht = Dht.create ~replicas ~seed:5 () in
+  Array.iter (fun n -> ignore (Dht.join dht n)) names;
+  Dht.set_liveness dht live;
+  if hot then Dht.set_hotspots dht ~halflife:2.0 ~threshold:0.5 ~replicas:2 ~ttl:5.0 ();
+  let keys = Array.map Dht.Key.of_string dht_key_strings in
+  {
+    put = (fun ~now ~from ~key ~ttl -> Dht.put_key dht ~now ~from ~key:keys.(key) ~value:from ~ttl);
+    get =
+      (fun ~now ~from ~key ->
+        let l = Dht.get_key dht ~now ~from ~key:keys.(key) in
+        (l.Dht.values, l.Dht.hops, l.Dht.fallbacks, Option.map Node_id.to_int l.Dht.owner));
+    replicas = (fun ~key -> Dht.replica_names dht ~key:keys.(key));
+    sweep = (fun ~now -> Dht.sweep dht ~now);
+    hot = (fun ~now -> (Dht.hotspots dht ~now, Dht.sloppy_replicas dht));
+  }
+
+type dht_obs =
+  | Hops of int
+  | Found of string list * int * int * int option
+  | Names of string list
+  | Hot of ((string * float) list * int)
+
+let dht_trace make ~n ~hot ~replicas ops =
+  let names = Array.init n (Printf.sprintf "edge-%02d") in
+  let down = Hashtbl.create 4 in
+  let impl = make ~replicas ~hot ~live:(fun name -> not (Hashtbl.mem down name)) names in
+  let now = ref 0.0 in
+  List.map
+    (fun op ->
+      match op with
+      | Put (f, k, ttl) ->
+        Hops (impl.put ~now:!now ~from:names.(f mod n) ~key:k ~ttl:(float_of_int ttl))
+      | Get (f, k) ->
+        let values, hops, fallbacks, owner = impl.get ~now:!now ~from:names.(f mod n) ~key:k in
+        Found (values, hops, fallbacks, owner)
+      | Replicas k -> Names (impl.replicas ~key:k)
+      | Crash f ->
+        let name = names.(f mod n) in
+        if Hashtbl.mem down name then Hashtbl.remove down name else Hashtbl.replace down name ();
+        Hot (impl.hot ~now:!now)
+      | Tick t ->
+        now := !now +. (0.25 *. float_of_int t);
+        Hot (impl.hot ~now:!now)
+      | Sweep ->
+        impl.sweep ~now:!now;
+        Hot (impl.hot ~now:!now))
+    ops
+
+let dht_key_matches_reference_prop =
+  let key = QCheck.Gen.int_bound (Array.length dht_key_strings - 1) in
+  let node = QCheck.Gen.int_bound 31 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map3 (fun f k ttl -> Put (f, k, ttl)) node key (int_range 1 8));
+          (6, map2 (fun f k -> Get (f, k)) node key);
+          (1, map (fun k -> Replicas k) key);
+          (1, map (fun f -> Crash f) node);
+          (2, map (fun t -> Tick t) (int_bound 8));
+          (1, return Sweep);
+        ])
+  in
+  QCheck.Test.make ~name:"dht: Key operations equal the string-keyed reference" ~count:200
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           quad int bool int (list print_dht_op))
+       QCheck.Gen.(quad (int_range 2 24) bool (int_range 1 3) (list_size (int_bound 150) op)))
+    (fun (n, hot, replicas, ops) ->
+      dht_trace reference_dht ~n ~hot ~replicas ops = dht_trace keyed_dht ~n ~hot ~replicas ops)
+
+let test_dht_rejects_no_replicas () =
+  List.iter
+    (fun replicas ->
+      Alcotest.check_raises
+        (Printf.sprintf "replicas:%d" replicas)
+        (Invalid_argument "Dht.create: replicas must be >= 1")
+        (fun () -> ignore (Dht.create ~replicas ())))
+    [ 0; -1 ]
+
 let suite =
   [
     Alcotest.test_case "node ids are deterministic" `Quick test_node_id_deterministic;
@@ -879,6 +1010,8 @@ let suite =
     QCheck_alcotest.to_alcotest ring_lookup_path_matches_scan_prop;
     QCheck_alcotest.to_alcotest ring_churn_prop;
     Alcotest.test_case "ring: successor sets" `Quick test_ring_successors;
+    Alcotest.test_case "dht: create rejects replicas < 1" `Quick test_dht_rejects_no_replicas;
+    QCheck_alcotest.to_alcotest dht_key_matches_reference_prop;
     Alcotest.test_case "hotspot: replicated reads are bit-identical" `Quick
       test_hotspot_replicated_reads_identical;
     Alcotest.test_case "hotspot: replicas expire and the ring reconverges" `Quick

@@ -223,6 +223,241 @@ let test_trace () =
   Alcotest.(check (float 1e-9)) "stat mean" 0.5 (Core.Util.Stats.mean (Trace.stats tr "latency"));
   Alcotest.(check (list string)) "names" [ "latency" ] (Trace.stat_names tr)
 
+(* {1 The event queue against the old boxed heap} *)
+
+(* Popped events leave nothing reachable behind. The old heap filled
+   fresh capacity with its first entry and left a moved entry in its
+   old slot, so both closures below stayed alive. *)
+let test_queue_releases_popped () =
+  let sim = Sim.create () in
+  let weak = Weak.create 2 in
+  let[@inline never] schedule_two () =
+    for i = 0 to 1 do
+      let cell = ref i in
+      let thunk () = incr cell in
+      Weak.set weak i (Some thunk);
+      Sim.schedule sim ~delay:(float_of_int i) thunk
+    done
+  in
+  schedule_two ();
+  Sim.run sim;
+  Gc.full_major ();
+  Alcotest.(check (pair bool bool)) "both collected" (false, false)
+    (Weak.check weak 0, Weak.check weak 1);
+  (* Still reachable here, so its queue was scanned by the collection. *)
+  Alcotest.(check int) "queue drained" 0 (Sim.pending sim)
+
+module type SIM = sig
+  type t
+
+  val create : ?seed:int -> ?start_time:float -> unit -> t
+
+  val now : t -> float
+
+  val schedule : t -> ?daemon:bool -> delay:float -> (unit -> unit) -> unit
+
+  val schedule_at : t -> ?daemon:bool -> float -> (unit -> unit) -> unit
+
+  val run : ?until:float -> t -> unit
+
+  val step : t -> bool
+
+  val pending : t -> int
+
+  val executed : t -> int
+end
+
+type queue_op = At of int * bool | After of int * bool | Step | Until of int | Run_all
+
+let print_queue_op = function
+  | At (n, d) -> Printf.sprintf "At(%d,%b)" n d
+  | After (n, d) -> Printf.sprintf "After(%d,%b)" n d
+  | Step -> "Step"
+  | Until n -> Printf.sprintf "Until %d" n
+  | Run_all -> "Run"
+
+(* Times are multiples of 0.5 from a small range, so priorities repeat,
+   and [At] lands in the past once the clock has moved (clamped to
+   now), as do negative [After] delays. Every third event schedules a
+   child when it runs. *)
+let queue_trace (module S : SIM) ops =
+  let sim = S.create ~start_time:0.0 () in
+  let log = ref [] and next = ref 0 in
+  let rec fresh () =
+    let id = !next in
+    incr next;
+    fun () ->
+      log := (id, S.now sim, 0, 0) :: !log;
+      if id mod 3 = 0 then S.schedule sim ~delay:(float_of_int (id mod 4) *. 0.5) (fresh ())
+  in
+  List.iter
+    (fun op ->
+      (match op with
+       | At (n, daemon) -> S.schedule_at sim ~daemon (float_of_int n *. 0.5) (fresh ())
+       | After (n, daemon) ->
+         S.schedule sim ~daemon ~delay:(float_of_int (n - 2) *. 0.5) (fresh ())
+       | Step -> ignore (S.step sim)
+       | Until n -> S.run ~until:(float_of_int n *. 0.5) sim
+       | Run_all -> S.run sim);
+      log := (-1, S.now sim, S.pending sim, S.executed sim) :: !log)
+    ops;
+  List.rev !log
+
+let queue_matches_reference_prop =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun n d -> At (n, d)) (int_bound 12) bool);
+          (4, map2 (fun n d -> After (n, d)) (int_bound 8) bool);
+          (3, return Step);
+          (1, map (fun n -> Until n) (int_bound 16));
+          (1, return Run_all);
+        ])
+  in
+  QCheck.Test.make ~name:"queue: pop order equals the boxed-heap reference" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_queue_op) QCheck.Gen.(list_size (int_bound 300) op))
+    (fun ops ->
+      queue_trace (module Reference_substrate.Sim) ops = queue_trace (module Sim) ops)
+
+(* {1 The network model against the old id-keyed tables} *)
+
+module type NET = sig
+  type t
+
+  type host
+
+  val create : Sim.t -> ?default_latency:float -> ?default_bandwidth:float -> unit -> t
+
+  val metrics : t -> Core.Telemetry.Metrics.t
+
+  val set_faults : t -> Core.Faults.Plan.t -> unit
+
+  val add_host : t -> name:string -> ?cpu_speed:float -> unit -> host
+
+  val host_name : host -> string
+
+  val connect : t -> host -> host -> latency:float -> bandwidth:float -> unit
+
+  val linked : t -> host -> host list
+
+  val set_egress_limit : t -> host -> float -> unit
+
+  val send : t -> src:host -> dst:host -> size:int -> (unit -> unit) -> unit
+
+  val transfer_time_estimate : t -> src:host -> dst:host -> size:int -> float
+
+  val cpu_run : t -> host -> seconds:float -> (unit -> unit) -> unit
+
+  val cpu_backlog : t -> host -> float
+
+  val bytes_sent : t -> host -> int
+end
+
+type net_op =
+  | Connect of int * int * int
+  | Egress of int * int
+  | Send of int * int * int
+  | Cpu of int * int
+  | Advance of int
+
+let print_net_op = function
+  | Connect (a, b, p) -> Printf.sprintf "Connect(%d,%d,%d)" a b p
+  | Egress (h, b) -> Printf.sprintf "Egress(%d,%d)" h b
+  | Send (a, b, s) -> Printf.sprintf "Send(%d,%d,%d)" a b s
+  | Cpu (h, w) -> Printf.sprintf "Cpu(%d,%d)" h w
+  | Advance n -> Printf.sprintf "Advance %d" n
+
+type net_obs =
+  | Delivered of int * float
+  | Host of int * string list * int * float
+  | Estimates of float list
+  | Counters of int * int * int
+
+(* Four hosts with different CPU speeds. Under the fault plan host h1
+   crashes (clearing its CPU) and restarts, h3 crashes for good, and
+   every link drops or spikes at random from the plan's seeded stream. *)
+let net_trace (module N : NET) ~faults ops =
+  let sim = Sim.create ~start_time:0.0 () in
+  let net = N.create sim ~default_latency:0.001 ~default_bandwidth:1_000_000.0 () in
+  let hosts =
+    Array.mapi
+      (fun i speed -> N.add_host net ~name:(Printf.sprintf "h%d" i) ~cpu_speed:speed ())
+      [| 1.0; 2.0; 0.5; 1.0 |]
+  in
+  if faults then begin
+    let plan = Core.Faults.Plan.create ~seed:11 () in
+    Core.Faults.Plan.crash plan ~host:"h1" ~at:0.05 ~restart:0.12 ();
+    Core.Faults.Plan.crash plan ~host:"h3" ~at:0.2 ();
+    Core.Faults.Plan.drop_link plan ~probability:0.1 ();
+    Core.Faults.Plan.spike_link plan ~probability:0.2 ~extra:0.03 ();
+    N.set_faults net plan
+  end;
+  let log = ref [] and next = ref 0 in
+  let delivered () =
+    let id = !next in
+    incr next;
+    fun () -> log := Delivered (id, Sim.now sim) :: !log
+  in
+  let observe () =
+    Array.iteri
+      (fun i h ->
+        log :=
+          Host (i, List.map N.host_name (N.linked net h), N.bytes_sent net h, N.cpu_backlog net h)
+          :: !log)
+      hosts;
+    let estimates =
+      Array.to_list hosts
+      |> List.concat_map (fun src ->
+             Array.to_list hosts
+             |> List.map (fun dst -> N.transfer_time_estimate net ~src ~dst ~size:20_000))
+    in
+    log := Estimates estimates :: !log
+  in
+  List.iter
+    (fun op ->
+      (match op with
+       | Connect (a, b, p) ->
+         N.connect net hosts.(a) hosts.(b) ~latency:(0.002 *. float_of_int p)
+           ~bandwidth:(250_000.0 *. float_of_int (p + 1))
+       | Egress (h, b) -> N.set_egress_limit net hosts.(h) (400_000.0 *. float_of_int (b + 1))
+       | Send (a, b, s) ->
+         N.send net ~src:hosts.(a) ~dst:hosts.(b) ~size:(1 + (s * 7_919)) (delivered ())
+       | Cpu (h, w) -> N.cpu_run net hosts.(h) ~seconds:(0.004 *. float_of_int w) (delivered ())
+       | Advance n -> Sim.run ~until:(Sim.now sim +. (0.01 *. float_of_int n)) sim);
+      observe ())
+    ops;
+  Sim.run sim;
+  observe ();
+  let m = N.metrics net in
+  log :=
+    Counters
+      ( Core.Telemetry.Metrics.counter m "net.dropped",
+        Core.Telemetry.Metrics.counter m "net.lost-callbacks",
+        Core.Telemetry.Metrics.counter m "node.crashes" )
+    :: !log;
+  List.rev !log
+
+let net_matches_reference_prop =
+  let host = QCheck.Gen.int_bound 3 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map3 (fun a b p -> Connect (a, b, p)) host host (int_bound 4));
+          (1, map2 (fun h b -> Egress (h, b)) host (int_bound 3));
+          (6, map3 (fun a b s -> Send (a, b, s)) host host (int_bound 40));
+          (3, map2 (fun h w -> Cpu (h, w)) host (int_bound 10));
+          (2, map (fun n -> Advance n) (int_bound 6));
+        ])
+  in
+  QCheck.Test.make ~name:"net: deliveries and state equal the id-keyed reference" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair bool (list print_net_op))
+       QCheck.Gen.(pair bool (list_size (int_bound 60) op)))
+    (fun (faults, ops) ->
+      net_trace (module Reference_substrate.Net) ~faults ops = net_trace (module Net) ~faults ops)
+
 let suite =
   [
     Alcotest.test_case "clock advances through events" `Quick test_clock_advances;
@@ -245,4 +480,8 @@ let suite =
     Alcotest.test_case "httpd: fetch_via overrides resolution" `Quick test_httpd_fetch_via;
     Alcotest.test_case "httpd: responses are copied" `Quick test_httpd_response_isolation;
     Alcotest.test_case "trace: counters and samples" `Quick test_trace;
+    Alcotest.test_case "queue: popped events are not retained" `Quick
+      test_queue_releases_popped;
+    QCheck_alcotest.to_alcotest queue_matches_reference_prop;
+    QCheck_alcotest.to_alcotest net_matches_reference_prop;
   ]

@@ -1,4 +1,4 @@
-(* Tests for Nk_util: PRNG determinism, heap ordering, statistics,
+(* Tests for Nk_util: PRNG determinism, event-heap ordering, statistics,
    EWMA, string helpers, cothreads. *)
 
 open Core.Util
@@ -69,43 +69,57 @@ let test_prng_split_independent () =
   let b = Prng.split a in
   Alcotest.(check bool) "split streams differ" false (Prng.next_int64 a = Prng.next_int64 b)
 
+(* The binary heap is the simulator's event queue, specialised to
+   thunks inside [Sim]; these drive it through [schedule_at] and [step]
+   and record which event ran when. *)
+let heap_sim () = Core.Sim.Sim.create ~start_time:0.0 ()
+
+let push sim log prio v =
+  Core.Sim.Sim.schedule_at sim prio (fun () -> log := (Core.Sim.Sim.now sim, v) :: !log)
+
+let pop sim log =
+  log := [];
+  if Core.Sim.Sim.step sim then Some (List.hd !log) else None
+
 let test_heap_orders () =
-  let h = Heap.create () in
-  List.iter (fun (p, v) -> Heap.push h p v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  let pops = List.init 3 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let sim = heap_sim () and log = ref [] in
+  List.iter (fun (p, v) -> push sim log p v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
+  let pops = List.init 3 (fun _ -> snd (Option.get (pop sim log))) in
   Alcotest.(check (list string)) "ascending" [ "a"; "b"; "c" ] pops
 
 let test_heap_stable_on_ties () =
-  let h = Heap.create () in
-  List.iter (fun v -> Heap.push h 1.0 v) [ "first"; "second"; "third" ];
-  let pops = List.init 3 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let sim = heap_sim () and log = ref [] in
+  List.iter (fun v -> push sim log 1.0 v) [ "first"; "second"; "third" ];
+  let pops = List.init 3 (fun _ -> snd (Option.get (pop sim log))) in
   Alcotest.(check (list string)) "insertion order" [ "first"; "second"; "third" ] pops
 
 let test_heap_empty () =
-  let h : int Heap.t = Heap.create () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek h = None)
+  let sim = heap_sim () and log = ref [] in
+  Alcotest.(check int) "empty" 0 (Core.Sim.Sim.pending sim);
+  Alcotest.(check bool) "pop none" true (pop sim log = None);
+  Alcotest.(check bool) "step on empty" false (Core.Sim.Sim.step sim)
 
+(* The simulator clamps a time in the past to now, so 0.5 pushed after
+   the clock reached 1.0 pops at 1.0 — still first. *)
 let test_heap_interleaved () =
-  let h = Heap.create () in
-  Heap.push h 5.0 5;
-  Heap.push h 1.0 1;
-  Alcotest.(check bool) "pop 1" true (Heap.pop h = Some (1.0, 1));
-  Heap.push h 3.0 3;
-  Heap.push h 0.5 0;
-  Alcotest.(check bool) "pop 0" true (Heap.pop h = Some (0.5, 0));
-  Alcotest.(check bool) "pop 3" true (Heap.pop h = Some (3.0, 3));
-  Alcotest.(check bool) "pop 5" true (Heap.pop h = Some (5.0, 5))
+  let sim = heap_sim () and log = ref [] in
+  push sim log 5.0 5;
+  push sim log 1.0 1;
+  Alcotest.(check bool) "pop 1" true (pop sim log = Some (1.0, 1));
+  push sim log 3.0 3;
+  push sim log 0.5 0;
+  Alcotest.(check bool) "pop 0" true (pop sim log = Some (1.0, 0));
+  Alcotest.(check bool) "pop 3" true (pop sim log = Some (3.0, 3));
+  Alcotest.(check bool) "pop 5" true (pop sim log = Some (5.0, 5))
 
 let heap_sort_prop =
   QCheck.Test.make ~name:"heap pops in nondecreasing priority order" ~count:200
     QCheck.(list (pair (float_bound_inclusive 1000.0) small_int))
     (fun items ->
-      let h = Heap.create () in
-      List.iter (fun (p, v) -> Heap.push h p v) items;
+      let sim = heap_sim () and log = ref [] in
+      List.iter (fun (p, v) -> push sim log p v) items;
       let rec drain last =
-        match Heap.pop h with
+        match pop sim log with
         | None -> true
         | Some (p, _) -> p >= last && drain p
       in
