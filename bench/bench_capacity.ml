@@ -98,13 +98,13 @@ let resource_controls () =
   let report label paper (r : Harness.load_result) proxy =
     (* Reject/drop fractions are over everything the node was offered,
        including the misbehaving site's requests. *)
-    let trace = Core.Node.Node.trace proxy in
-    let offered = Core.Sim.Trace.count trace "requests" in
+    let count = Core.Telemetry.Metrics.counter (Core.Node.Node.metrics proxy) in
+    let offered = count "requests" in
     Printf.printf
       "  %-44s paper %8s  measured %6.0f rps  (rejects %5.2f%%, drops %5.2f%%%s)\n" label paper
       (Harness.throughput r)
-      (fraction (Core.Sim.Trace.count trace "rejected-throttle") offered)
-      (fraction (Core.Sim.Trace.count trace "dropped-termination") offered)
+      (fraction (count "rejected-throttle") offered)
+      (fraction (count "dropped-termination") offered)
       (match Core.Node.Node.terminated_sites proxy with
        | [] -> ""
        | sites -> Printf.sprintf "; terminated: %s" (List.hd sites));

@@ -35,19 +35,15 @@ type t = {
   (* terminated sites serve escalating, decaying ban windows *)
   admission : Nk_resource.Admission.t option;
   diffusion : diffusion option;
-  breakers : (string, Nk_resource.Breaker.t) Hashtbl.t;
-  (* per upstream ("origin:<site>" / "peer:<node>" / "offload:<node>")
-     circuit breaker *)
+  upstream : Nk_resource.Upstream.t;
+  (* per-upstream circuit breakers and the optional retry budget *)
   hedge : Nk_resource.Hedge.t option;
   (* hedged-replica-fetch governor; None = hedging disabled *)
-  retry_budget : Nk_resource.Retry_budget.t option;
-  (* per-upstream budgeted retries; None = pre-existing retry behavior *)
   store : Nk_replication.Store.t;
   replicas : (string, Nk_replication.Replication.node) Hashtbl.t; (* per site *)
   log_urls : (string, string) Hashtbl.t; (* site -> posting URL *)
   log_entries : (string, string list ref) Hashtbl.t;
-  trace : Nk_sim.Trace.t;
-  metrics : Nk_telemetry.Metrics.t; (* shared with [trace] (facade) *)
+  metrics : Nk_telemetry.Metrics.t;
   tracer : Nk_telemetry.Tracer.t;
   events : Nk_telemetry.Events.t;
   mutable active_span : Nk_telemetry.Tracer.span option;
@@ -73,8 +69,6 @@ let name t = Nk_sim.Net.host_name t.host
 
 let config t = t.cfg
 
-let trace t = t.trace
-
 let metrics t = t.metrics
 
 let tracer t = t.tracer
@@ -90,6 +84,8 @@ let monitor t = t.monitor
 let quarantine t = t.quarantine
 
 let admission t = t.admission
+
+let upstream t = t.upstream
 
 let terminated_sites t = t.terminated
 
@@ -141,24 +137,6 @@ let charge_cpu_background t seconds =
 
 (* --- overload resilience --------------------------------------------- *)
 
-(* One breaker per upstream, created lazily on first use and keyed
-   ["origin:<site>"] / ["peer:<node>"]. *)
-let breaker_for t key =
-  match Hashtbl.find_opt t.breakers key with
-  | Some b -> b
-  | None ->
-    let b =
-      Nk_resource.Breaker.create ~name:key
-        ~failure_threshold:t.cfg.Config.breaker_failures
-        ~error_rate:t.cfg.Config.breaker_error_rate ~window:t.cfg.Config.breaker_window
-        ~cooldown:t.cfg.Config.breaker_cooldown
-        ~max_cooldown:t.cfg.Config.breaker_max_cooldown
-        ~clock:(fun () -> now t)
-        ~metrics:t.metrics ()
-    in
-    Hashtbl.add t.breakers key b;
-    b
-
 type health = {
   queue_delay : float;
   shed_rate : float;
@@ -174,13 +152,7 @@ let health t =
       (match t.admission with Some a -> Nk_resource.Admission.shed_rate a | None -> 0.0);
     shedding =
       (match t.admission with Some a -> Nk_resource.Admission.shedding a | None -> false);
-    open_breakers =
-      Hashtbl.fold
-        (fun key b acc ->
-          if Nk_resource.Breaker.state b <> Nk_resource.Breaker.Closed then key :: acc
-          else acc)
-        t.breakers []
-      |> List.sort compare;
+    open_breakers = Nk_resource.Upstream.open_breakers t.upstream;
     quarantined = List.map fst (Nk_resource.Quarantine.active t.quarantine);
   }
 
@@ -243,12 +215,39 @@ let hop_timeout t deadline timeout =
   | None -> timeout
   | Some d -> Nk_resource.Deadline.clamp d ~now:(now t) timeout
 
+let deadline_expired t deadline =
+  match deadline with
+  | Some d -> Nk_resource.Deadline.expired d ~now:(now t)
+  | None -> false
+
+(* Ship the remaining budget on an internal request, so the receiver
+   runs (and sheds) under it too. *)
+let stamp_deadline t deadline req =
+  Option.iter (fun d -> Nk_resource.Deadline.stamp d ~now:(now t) req) deadline
+
+(* Receiver-side deadline shed: a carried budget smaller than our
+   current queue-delay estimate cannot be served in time, so the
+   request is refused now, freeing the sender to try elsewhere within
+   its budget. Returns the carried budget and, when the request must be
+   shed, [spent] (the budget is already gone) or [late]. *)
+let carried_deadline t req ~spent ~late =
+  let deadline = Nk_resource.Deadline.of_request ~now:(now t) req in
+  let shed =
+    match deadline with
+    | Some d
+      when Nk_resource.Deadline.remaining d ~now:(now t) <= Nk_sim.Net.cpu_backlog t.net t.host
+      ->
+      Some (if deadline_expired t deadline then spent else late)
+    | _ -> None
+  in
+  (deadline, shed)
+
 (* An expired (or unservable-in-time) budget: count where it died and
    answer an immediate machine-readable 504 — the only useful thing
    left to do with the request is to say so quickly. *)
 let deadline_expired_response t ~at =
   Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("at", at) ] "deadline.expired";
-  Nk_sim.Trace.incr t.trace "deadline-expired";
+  Nk_telemetry.Metrics.incr t.metrics "deadline-expired";
   Nk_resource.Deadline.expired_response ~reason:("deadline-" ^ at) ()
 
 (* --- the content handler: cache + DHT + origin --------------------- *)
@@ -312,14 +311,14 @@ let hedge_delay t ~timeout =
    response ([None] when nothing answered inside [timeout]) plus the
    name of the peer that served it.
 
-   Breaker accounting: the caller accounts the *winning* arm from the
+   Upstream accounting: the caller accounts the *winning* arm from the
    verified outcome, exactly as on the unhedged path. A losing primary
-   is accounted here — success/failure by status when its response
-   straggles in, failure at [timeout] when it never answers — so a
-   hedge win can neither mask a dead peer nor strand a half-open probe
-   slot. A losing backup was never acquired through its breaker and is
-   left alone; its late response only counts [hedge.cancelled]. *)
-let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeout
+   settles its [ticket] here — success/failure by status when its
+   response straggles in, failure at [timeout] when it never answers —
+   so a hedge win can neither mask a dead peer nor strand a half-open
+   probe slot. A losing backup never held a ticket and is left alone;
+   its late response only counts [hedge.cancelled]. *)
+let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host, ticket) ~backup ~delay ~timeout
     ~deadline req =
   Nk_util.Cothread.await (fun resume ->
       let resolved = ref false in
@@ -332,19 +331,14 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeou
           resume (resp, server)
         end
       in
-      let settle_primary outcome =
+      let settle_primary ok =
         if not !primary_done then begin
           primary_done := true;
-          if !resolved && !winner <> peer then begin
-            let b = breaker_for t ("peer:" ^ peer) in
-            match outcome with
-            | `Ok -> Nk_resource.Breaker.success b
-            | `Failed -> Nk_resource.Breaker.failure b
-          end
+          if !resolved && !winner <> peer then Nk_resource.Upstream.settle ticket ok
         end
       in
       Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:timeout (fun () ->
-          settle_primary `Failed;
+          settle_primary false;
           finish peer None);
       let started = now t in
       Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:peer_host req (fun r ->
@@ -352,7 +346,7 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeou
             ~labels:[ ("upstream", "peer") ]
             "fetch.latency"
             (now t -. started);
-          settle_primary (if r.Nk_http.Message.status >= 500 then `Failed else `Ok);
+          settle_primary (r.Nk_http.Message.status < 500);
           finish peer (Some r));
       match backup with
       | None -> ()
@@ -361,9 +355,7 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeou
           Nk_sim.Sim.schedule t.sim ~daemon:true ~delay (fun () ->
               if (not !resolved) && Nk_resource.Hedge.try_hedge hedge then begin
                 let breq = Nk_http.Message.copy_request req in
-                (match deadline with
-                 | Some d -> Nk_resource.Deadline.stamp d ~now:(now t) breq
-                 | None -> ());
+                stamp_deadline t deadline breq;
                 Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:backup_host breq
                   (fun r ->
                     if !resolved then Nk_resource.Hedge.cancelled hedge
@@ -392,10 +384,8 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
   | Some resp -> resp
   | None -> (
     let from_origin () =
-      match deadline with
-      | Some d when Nk_resource.Deadline.expired d ~now:(now t) ->
-        deadline_expired_response t ~at:"origin"
-      | _ ->
+      if deadline_expired t deadline then deadline_expired_response t ~at:"origin"
+      else
       in_span t ?parent:span "origin-fetch" [] (fun osp ->
           (* A stale copy with a validator turns the refetch into a
              conditional GET; a 304 refreshes the entry without moving the
@@ -427,7 +417,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                 ~timeout:(hop_timeout t deadline t.cfg.Config.origin_timeout)
                 req
             in
-            Nk_sim.Trace.incr t.trace "origin-fetches";
+            Nk_telemetry.Metrics.incr t.metrics "origin-fetches";
             set_attr sp "status"
               (match resp with
                | Some r -> string_of_int r.Nk_http.Message.status
@@ -439,14 +429,12 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
              [origin_timeout] per request. The short-circuited request
              still degrades to a stale copy when one exists. *)
           let origin_key = "origin:" ^ Nk_http.Url.site req.Nk_http.Message.url in
-          let breaker = breaker_for t origin_key in
           let resp, short_circuit =
-            match Nk_resource.Breaker.acquire breaker with
+            match Nk_resource.Upstream.acquire t.upstream origin_key with
             | `Reject retry ->
-              Nk_sim.Trace.incr t.trace "breaker-short-circuits";
               set_attr osp "breaker" "open";
               (None, Some retry)
-            | `Proceed ->
+            | `Proceed ticket ->
               let attempt () =
                 match validator with
                 | None -> do_fetch osp
@@ -460,40 +448,29 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                             | None -> false));
                       resp)
               in
+              let answered resp =
+                match resp with
+                | None -> false
+                | Some r -> r.Nk_http.Message.status < 500
+              in
               let resp = attempt () in
               (* One budgeted retry: a transient origin failure (timeout,
                  5xx) gets a second attempt only while the upstream's
                  retry budget — refilled by its own successes — grants a
                  token and the request's deadline still has time left. *)
-              let failed =
-                match resp with
-                | None -> true
-                | Some r -> r.Nk_http.Message.status >= 500
-              in
               let resp =
-                match t.retry_budget with
-                | Some rb
-                  when failed
-                       && (match deadline with
-                           | Some d -> not (Nk_resource.Deadline.expired d ~now:(now t))
-                           | None -> true)
-                       && Nk_resource.Retry_budget.try_retry rb ~upstream:origin_key ->
-                  Nk_telemetry.Metrics.incr t.metrics
-                    ~labels:[ ("upstream", origin_key) ]
-                    "retry.attempts";
-                  set_attr osp "retried" "true";
-                  attempt ()
-                | _ -> resp
+                if answered resp then resp
+                else
+                  match Nk_resource.Upstream.retry t.upstream ?deadline origin_key with
+                  | `Granted ->
+                    Nk_telemetry.Metrics.incr t.metrics
+                      ~labels:[ ("upstream", origin_key) ]
+                      "retry.attempts";
+                    set_attr osp "retried" "true";
+                    attempt ()
+                  | `Refused | `Unbudgeted -> resp
               in
-              (match resp with
-               | None -> Nk_resource.Breaker.failure breaker
-               | Some r when r.Nk_http.Message.status >= 500 ->
-                 Nk_resource.Breaker.failure breaker
-               | Some _ ->
-                 Nk_resource.Breaker.success breaker;
-                 (match t.retry_budget with
-                  | Some rb -> Nk_resource.Retry_budget.success rb ~upstream:origin_key
-                  | None -> ()));
+              Nk_resource.Upstream.settle ~budget:origin_key ticket (answered resp);
               (resp, None)
           in
           (* Stale-if-error (RFC 2616 §13.1.5 spirit): when the origin
@@ -513,7 +490,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                 Nk_http.Message.set_resp_header old "X-NaKika-Stale"
                   (string_of_int (int_of_float age));
                 Nk_telemetry.Metrics.incr t.metrics "cache.stale_served";
-                Nk_sim.Trace.incr t.trace "stale-served";
+                Nk_telemetry.Metrics.incr t.metrics "stale-served";
                 set_attr osp "stale" "true";
                 Some old
               | _ -> None
@@ -535,7 +512,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
           | Some resp -> (
             match (resp.Nk_http.Message.status, validator) with
             | 304, Some old ->
-              Nk_sim.Trace.incr t.trace "revalidations";
+              Nk_telemetry.Metrics.incr t.metrics "revalidations";
               (match Nk_http.Message.response_expiry ~now:(now t) resp with
                | Some expiry -> Nk_cache.Http_cache.refresh t.cache ~key ~expiry
                | None -> Nk_cache.Http_cache.remove t.cache ~key);
@@ -567,39 +544,32 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
          and finally to the origin. *)
       let rec try_peers budget candidates =
         match candidates with
-        | _
-          when (match deadline with
-                | Some d -> Nk_resource.Deadline.expired d ~now:(now t)
-                | None -> false) ->
+        | _ when deadline_expired t deadline ->
           (* No budget left for a peer hop; [from_origin] answers the
              machine-readable 504. *)
           from_origin ()
         | [] -> from_origin ()
         | _ when budget = 0 -> from_origin ()
         | peer :: rest -> (
-          let peer_breaker = breaker_for t ("peer:" ^ peer) in
-          match Nk_resource.Breaker.acquire peer_breaker with
+          match Nk_resource.Upstream.acquire t.upstream ("peer:" ^ peer) with
           | `Reject _ ->
             (* A peer behind an open breaker is skipped outright — and
                without consuming the budget, so one dead peer doesn't
                halve our cooperative-cache reach. *)
-            Nk_sim.Trace.incr t.trace "breaker-short-circuits";
             try_peers budget rest
-          | `Proceed -> (
+          | `Proceed ticket -> (
           match Nk_sim.Httpd.resolve t.web peer with
           | None ->
             (* Release the (possibly half-open probe) slot we claimed. *)
-            Nk_resource.Breaker.failure peer_breaker;
+            Nk_resource.Upstream.settle ticket false;
             from_origin ()
           | Some peer_host ->
-            Nk_sim.Trace.incr t.trace "dht-hits";
+            Nk_telemetry.Metrics.incr t.metrics "dht-hits";
             let peer_resp, served_by =
               in_span t ?parent:span "peer-fetch" [ ("peer", peer) ] (fun psp ->
                   let peer_req = Nk_http.Message.copy_request req in
                   Nk_http.Message.set_req_header peer_req peer_header "1";
-                  (match deadline with
-                   | Some d -> Nk_resource.Deadline.stamp d ~now:(now t) peer_req
-                   | None -> ());
+                  stamp_deadline t deadline peer_req;
                   let timeout = hop_timeout t deadline t.cfg.Config.peer_timeout in
                   let raw, served_by =
                     match t.hedge with
@@ -622,7 +592,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                       let delay = hedge_delay t ~timeout in
                       set_attr psp "hedge_delay" (Printf.sprintf "%.4f" delay);
                       let resp, server =
-                        hedged_peer_fetch t ~hedge ~primary:(peer, peer_host)
+                        hedged_peer_fetch t ~hedge ~primary:(peer, peer_host, ticket)
                           ~backup ~delay ~timeout ~deadline peer_req
                       in
                       if server <> peer then set_attr psp "hedge_winner" server;
@@ -649,11 +619,11 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                               set_attr vsp "result" "ok";
                               true
                             | Error Nk_integrity.Integrity.Missing_headers ->
-                              Nk_sim.Trace.incr t.trace "integrity-unverified";
+                              Nk_telemetry.Metrics.incr t.metrics "integrity-unverified";
                               set_attr vsp "result" "unverified";
                               true
                             | Error violation ->
-                              Nk_sim.Trace.incr t.trace "integrity-violations";
+                              Nk_telemetry.Metrics.incr t.metrics "integrity-violations";
                               set_attr vsp "result" "violation";
                               Logs.warn (fun m ->
                                   m "[%s] integrity violation from %s: %s" (name t) peer
@@ -665,30 +635,27 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                     then (Some resp, served_by)
                     else (None, served_by))
             in
-            (* Accounting goes to the arm that actually served (the
-               hedged backup may have won); on the unhedged path
-               [served_by = peer] and this is the pre-existing
-               behavior, breaker object included. *)
-            (match peer_resp with
-             | Some resp ->
-               Nk_resource.Breaker.success (breaker_for t ("peer:" ^ served_by));
-               (match t.retry_budget with
-                | Some rb -> Nk_resource.Retry_budget.success rb ~upstream:"peer"
-                | None -> ());
-               Nk_sim.Trace.incr t.trace "peer-fetches";
-               insert_if_cacheable t ~key ~dht_key req resp;
-               resp
-             | None ->
-               Nk_resource.Breaker.failure (breaker_for t ("peer:" ^ served_by));
-               (* Trying the next candidate is a retry of the upstream
-                  class: under a retry budget it must find a token, or
-                  the chain collapses straight to the origin. *)
-               (match (t.retry_budget, rest) with
-                | Some rb, _ :: _ when budget > 1 ->
-                  if Nk_resource.Retry_budget.try_retry rb ~upstream:"peer" then
-                    try_peers (budget - 1) rest
-                  else from_origin ()
-                | _ -> try_peers (budget - 1) rest))))
+            (* Accounting goes to the arm that actually served. A
+               winning hedged backup never held a ticket: its outcome
+               is recorded without one, and the losing primary's
+               ticket is settled by [hedged_peer_fetch]. *)
+            let ok = Option.is_some peer_resp in
+            if served_by = peer then Nk_resource.Upstream.settle ~budget:"peer" ticket ok
+            else Nk_resource.Upstream.record t.upstream ~budget:"peer" ("peer:" ^ served_by) ok;
+            match peer_resp with
+            | Some resp ->
+              Nk_telemetry.Metrics.incr t.metrics "peer-fetches";
+              insert_if_cacheable t ~key ~dht_key req resp;
+              resp
+            | None ->
+              (* Trying the next candidate is a retry of the upstream
+                 class: under a retry budget it must find a token, or
+                 the chain collapses straight to the origin. *)
+              if
+                budget > 1 && rest <> []
+                && Nk_resource.Upstream.retry t.upstream "peer" = `Refused
+              then from_origin ()
+              else try_peers (budget - 1) rest))
       in
       try_peers 2 peers
     | _ -> from_origin ())
@@ -730,7 +697,7 @@ let emission_check t (req : Nk_http.Message.request) ~load_wall =
           Nk_pipeline.Pipeline.run_handler stage ~this_request:req ~response:None handler
         with
         | Ok (Some denial) ->
-          Nk_sim.Trace.incr t.trace "emission-denials";
+          Nk_telemetry.Metrics.incr t.metrics "emission-denials";
           Some denial
         | Ok None -> None
         | Error _ -> Some (Nk_http.Message.error_response 500))))
@@ -832,19 +799,11 @@ let site_max_fuel t ~site =
 let site_max_heap t ~site =
   site_limit t.cfg.Config.site_heap ~site ~global:t.cfg.Config.script_max_heap
 
-let rec build_stage t ?span ~url ~source () =
-  let site = site_of_stage_url url in
-  (* Join the site's replication group up front so updates published
-     before this node's first hard-state access still arrive. *)
-  ignore (replica t site);
-  (* The administrative stages themselves are exempt from emission
-     control (they *are* the control, and routing them through it would
-     recurse). *)
-  let load_wall t =
-    if url = Nk_pipeline.Pipeline.well_known_server_wall then None
-    else load_stage t Nk_pipeline.Pipeline.well_known_server_wall
-  in
-  let host = hostcall t ~site ~load_wall in
+(* Admission-time lint, then compile. The lint analyzes the fetched
+   source (report cached by SHA-256 process-wide) and exports the
+   diagnostic counts; under strict mode it refuses the stage before any
+   script code runs. *)
+let compile_source t ~span ~url ~site ~source ~host ~max_fuel ~max_heap_bytes ~seed =
   (* Whether this script body was already compiled (by this or any other
      simulated node in the process) or cost a fresh parse+compile. *)
   let on_compile_cache outcome =
@@ -853,11 +812,6 @@ let rec build_stage t ?span ~url ~source () =
     | `Hit -> Nk_telemetry.Metrics.incr t.metrics ~labels "script.compile_cache.hits"
     | `Miss -> Nk_telemetry.Metrics.incr t.metrics ~labels "script.compile_cache.misses"
   in
-  (* Admission-time lint: analyze the fetched source (report cached by
-     SHA-256 process-wide), export the diagnostic counts, and under
-     strict mode refuse the stage before any script code runs.  A
-     refusal flows into the caller's negative cache like any other
-     script error. *)
   let lint_gate =
     match t.cfg.Config.lint_mode with
     | `Off -> Ok ()
@@ -890,18 +844,36 @@ let rec build_stage t ?span ~url ~source () =
           end
           else Ok ())
   in
+  match lint_gate with
+  | Error _ as e -> e
+  | Ok () ->
+    in_span t ?parent:span "script.compile" [ ("stage", url) ] (fun _ ->
+        Nk_pipeline.Stage.of_script ~url ~host ~max_fuel ~max_heap_bytes ~seed
+          ~on_compile_cache ~lint:`Off ~source ())
+
+(* Stage installation, shared by every way a stage is made. The node
+   joins the site's replication group up front, so updates published
+   before its first hard-state access still arrive, and hands [build] a
+   hostcall whose fetches pass the server-side wall. A built stage
+   folds each request's fuel and heap into the per-site histograms and
+   is cached under [url] until the freshness of [response] (the origin
+   answer its source came from) or [script_ttl]. A failure is counted,
+   logged and negative-cached like any other script error. *)
+let rec install_stage t ~url ~site ~hash ?response build =
+  ignore (replica t site);
+  (* The administrative stages themselves are exempt from emission
+     control (they *are* the control, and routing them through it would
+     recurse). *)
+  let load_wall t =
+    if url = Nk_pipeline.Pipeline.well_known_server_wall then None
+    else load_stage t Nk_pipeline.Pipeline.well_known_server_wall
+  in
   match
-    match lint_gate with
-    | Error _ as e -> e
-    | Ok () ->
-      in_span t ?parent:span "script.compile" [ ("stage", url) ] (fun _ ->
-          Nk_pipeline.Stage.of_script ~url ~host ~max_fuel:(site_max_fuel t ~site)
-            ~max_heap_bytes:(site_max_heap t ~site) ~seed:t.cfg.Config.seed
-            ~on_compile_cache ~lint:`Off ~source ())
+    build ~host:(hostcall t ~site ~load_wall) ~max_fuel:(site_max_fuel t ~site)
+      ~max_heap_bytes:(site_max_heap t ~site) ~seed:t.cfg.Config.seed
   with
   | Ok stage ->
-    (* Context reuse reports the previous pipeline's consumption: fold
-       it into the per-site fuel/heap histograms. *)
+    (* Context reuse reports the previous pipeline's consumption. *)
     Nk_script.Interp.set_usage_observer (Nk_pipeline.Stage.context stage)
       (fun ~fuel ~heap ->
         let labels = [ ("site", site) ] in
@@ -909,8 +881,19 @@ let rec build_stage t ?span ~url ~source () =
           Nk_telemetry.Metrics.observe t.metrics ~labels "script.fuel" (float_of_int fuel);
         if heap > 0 then
           Nk_telemetry.Metrics.observe t.metrics ~labels "script.heap" (float_of_int heap));
+    let expiry =
+      match Option.bind response (Nk_http.Message.response_expiry ~now:(now t)) with
+      | Some e -> e
+      | None -> now t +. t.cfg.Config.script_ttl
+    in
+    Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry { stage; site; hash };
     Ok stage
-  | Error _ as e -> e
+  | Error msg as e ->
+    Nk_telemetry.Metrics.incr t.metrics "script-errors";
+    Logs.warn (fun m -> m "[%s] stage %s failed: %s" (name t) url msg);
+    Nk_cache.Memo_cache.put t.negative ~key:url
+      ~expiry:(now t +. t.cfg.Config.negative_ttl) ();
+    e
 
 and load_stage t ?span url =
   match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
@@ -947,33 +930,18 @@ and load_stage t ?span url =
           charge_cpu t
             (costs.Config.context_create +. costs.Config.parse_base
             +. (costs.Config.parse_per_byte *. float_of_int (String.length source)));
-          match build_stage t ?span:sp ~url ~source () with
-          | Ok stage ->
-            let expiry =
-              match Nk_http.Message.response_expiry ~now:(now t) resp with
-              | Some e -> e
-              | None -> now t +. t.cfg.Config.script_ttl
-            in
-            Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry
-              {
-                stage;
-                site = site_of_stage_url url;
-                hash = Nk_crypto.Sha256.digest source;
-              };
-            Some stage
-          | Error msg ->
-            Nk_sim.Trace.incr t.trace "script-errors";
-            Logs.warn (fun m -> m "[%s] stage %s failed: %s" (name t) url msg);
-            Nk_cache.Memo_cache.put t.negative ~key:url
-              ~expiry:(now t +. t.cfg.Config.negative_ttl) ();
-            None
+          let site = site_of_stage_url url in
+          Result.to_option
+            (install_stage t ~url ~site ~hash:(Nk_crypto.Sha256.digest source) ~response:resp
+               (compile_source t ~span:sp ~url ~site ~source))
         end)))
 
 let warm_stage t ~url ~site ~source =
-  match build_stage t ~url ~source () with
-  | Ok stage ->
-    Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry:(now t +. t.cfg.Config.script_ttl)
-      { stage; site; hash = Nk_crypto.Sha256.digest source }
+  match
+    install_stage t ~url ~site ~hash:(Nk_crypto.Sha256.digest source)
+      (compile_source t ~span:None ~url ~site ~source)
+  with
+  | Ok _ -> ()
   | Error msg -> invalid_arg (Printf.sprintf "warm_stage %s: %s" url msg)
 
 (* Install a stage straight from a compiled program (the diffusion
@@ -981,35 +949,10 @@ let warm_stage t ~url ~site ~source =
    the compile cache still holds it — no source, no parse, no lint; the
    node that compiled it linted it). *)
 let install_stage_from_program t ~url ~site ~hash program =
-  ignore (replica t site);
-  let load_wall t =
-    if url = Nk_pipeline.Pipeline.well_known_server_wall then None
-    else load_stage t Nk_pipeline.Pipeline.well_known_server_wall
-  in
-  let host = hostcall t ~site ~load_wall in
-  charge_cpu t t.cfg.Config.costs.Config.context_create;
-  match
-    Nk_pipeline.Stage.of_program ~url ~host ~max_fuel:(site_max_fuel t ~site)
-      ~max_heap_bytes:(site_max_heap t ~site) ~seed:t.cfg.Config.seed program
-  with
-  | Ok stage ->
-    Nk_script.Interp.set_usage_observer (Nk_pipeline.Stage.context stage)
-      (fun ~fuel ~heap ->
-        let labels = [ ("site", site) ] in
-        if fuel > 0 then
-          Nk_telemetry.Metrics.observe t.metrics ~labels "script.fuel" (float_of_int fuel);
-        if heap > 0 then
-          Nk_telemetry.Metrics.observe t.metrics ~labels "script.heap" (float_of_int heap));
-    Nk_cache.Memo_cache.put t.stage_cache ~key:url
-      ~expiry:(now t +. t.cfg.Config.script_ttl)
-      { stage; site; hash };
-    true
-  | Error msg ->
-    Nk_sim.Trace.incr t.trace "script-errors";
-    Logs.warn (fun m -> m "[%s] offloaded stage %s failed: %s" (name t) url msg);
-    Nk_cache.Memo_cache.put t.negative ~key:url
-      ~expiry:(now t +. t.cfg.Config.negative_ttl) ();
-    false
+  Result.is_ok
+    (install_stage t ~url ~site ~hash (fun ~host ~max_fuel ~max_heap_bytes ~seed ->
+         charge_cpu t t.cfg.Config.costs.Config.context_create;
+         Nk_pipeline.Stage.of_program ~url ~host ~max_fuel ~max_heap_bytes ~seed program))
 
 let invalidate_stage t ~url = Nk_cache.Memo_cache.remove t.stage_cache url
 
@@ -1099,10 +1042,10 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
           in
           (match outcome.Nk_pipeline.Pipeline.source with
            | Nk_pipeline.Pipeline.From_failure Nk_pipeline.Pipeline.Killed ->
-             Nk_sim.Trace.incr t.trace "dropped-termination";
+             Nk_telemetry.Metrics.incr t.metrics "dropped-termination";
              set_attr span "source" "killed"
            | Nk_pipeline.Pipeline.From_failure _ ->
-             Nk_sim.Trace.incr t.trace "script-errors";
+             Nk_telemetry.Metrics.incr t.metrics "script-errors";
              set_attr span "source" "failure"
            | Nk_pipeline.Pipeline.From_script stage_url ->
              set_attr span "source" ("script:" ^ stage_url)
@@ -1132,7 +1075,7 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
     ~cpu:(costs.Config.proxy_base +. concurrency +. handler_cpu +. crossing_cpu)
     ~heap:(float_of_int heap) ~bytes ~elapsed;
   access_log t ~site ~req ~resp:response;
-  Nk_sim.Trace.add t.trace "latency" elapsed;
+  Nk_telemetry.Metrics.observe t.metrics "latency" elapsed;
   let labels = [ ("site", site) ] in
   Nk_telemetry.Metrics.incr t.metrics ~labels "site.requests";
   Nk_telemetry.Metrics.observe t.metrics ~labels "site.latency" elapsed;
@@ -1194,22 +1137,18 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
       "diffusion.fallbacks";
     fallback ()
   in
-  let breaker = breaker_for t ("offload:" ^ target_name) in
-  match Nk_resource.Breaker.acquire breaker with
-  | `Reject _ ->
-    Nk_sim.Trace.incr t.trace "breaker-short-circuits";
-    fall_back "breaker-open"
-  | `Proceed ->
+  match Nk_resource.Upstream.acquire t.upstream ("offload:" ^ target_name) with
+  | `Reject _ -> fall_back "breaker-open"
+  | `Proceed ticket ->
     let span = start_request_span t "request" req in
     set_attr span "pressure" (Printf.sprintf "%.3f" p);
     let ospan =
-      match span with
-      | None -> None
-      | Some s ->
-        Some
-          (Nk_telemetry.Tracer.start_span t.tracer ~parent:s
-             ~attrs:[ ("target", target_name) ]
-             "offload")
+      Option.map
+        (fun s ->
+          Nk_telemetry.Tracer.start_span t.tracer ~parent:s
+            ~attrs:[ ("target", target_name) ]
+            "offload")
+        span
     in
     let range =
       Option.bind (Nk_http.Message.req_header req "Range") Nk_http.Range.parse
@@ -1218,49 +1157,42 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
        remaining budget here propagates it to the offload target; the
        reply timeout shrinks to the budget for the same reason the
        per-hop fetch timeouts do. *)
-    (match deadline with
-     | Some d -> Nk_resource.Deadline.stamp d ~now:(now t) req
-     | None -> ());
+    stamp_deadline t deadline req;
     Nk_diffusion.Offload.send d.offload ~target:target_name
       ~target_incarnation:target.Nk_diffusion.Neighbors.incarnation ~site ~script_hash
       ~timeout:(hop_timeout t deadline t.cfg.Config.diffusion_offload_timeout)
       ~request:req
       ~on_done:(fun outcome ->
+        (* A rejection means the target answered: it is alive, just
+           unwilling. Not a breaker failure — tripping on a
+           loaded-but-healthy neighbor would blind us to it for a whole
+           cooldown. *)
+        Nk_resource.Upstream.settle ticket (Option.is_some outcome);
+        set_attr ospan "outcome"
+          (match outcome with
+           | Some (Nk_diffusion.Offload.Executed _) -> "executed"
+           | Some (Nk_diffusion.Offload.Rejected reason) -> "rejected:" ^ reason
+           | None -> "timeout");
+        finish_span t ospan;
         match outcome with
         | Some (Nk_diffusion.Offload.Executed { response; fuel = _; heap = _ }) ->
-          Nk_resource.Breaker.success breaker;
           Nk_telemetry.Metrics.incr t.metrics
             ~labels:[ ("target", target_name) ]
             "diffusion.offloads";
-          Nk_sim.Trace.incr t.trace "responses";
+          Nk_telemetry.Metrics.incr t.metrics "responses";
           (match range with
            | Some r ->
              if Nk_http.Range.apply r response then
-               Nk_sim.Trace.incr t.trace "range-responses"
+               Nk_telemetry.Metrics.incr t.metrics "range-responses"
            | None -> ());
-          set_attr ospan "outcome" "executed";
-          (match ospan with Some s -> Nk_telemetry.Tracer.finish t.tracer s | None -> ());
           set_attr span "status" (string_of_int response.Nk_http.Message.status);
           set_attr span "source" ("offload:" ^ target_name);
           finish_span t span;
           k response
-        | Some (Nk_diffusion.Offload.Rejected reason) ->
-          (* The target answered: it is alive, just unwilling. Not a
-             breaker failure — tripping on a loaded-but-healthy neighbor
-             would blind us to it for a whole cooldown. *)
-          Nk_resource.Breaker.success breaker;
-          set_attr ospan "outcome" ("rejected:" ^ reason);
-          (match ospan with Some s -> Nk_telemetry.Tracer.finish t.tracer s | None -> ());
+        | Some (Nk_diffusion.Offload.Rejected _) | None ->
           set_attr span "source" "offload-fallback";
           finish_span t span;
-          fall_back "rejected"
-        | None ->
-          Nk_resource.Breaker.failure breaker;
-          set_attr ospan "outcome" "timeout";
-          (match ospan with Some s -> Nk_telemetry.Tracer.finish t.tracer s | None -> ());
-          set_attr span "source" "offload-fallback";
-          finish_span t span;
-          fall_back "timeout")
+          fall_back (if Option.is_some outcome then "rejected" else "timeout"))
 
 (* Receiver side: resolve the shipped hash to a runnable stage before
    the pipeline goes looking for a script. Runs inside the request's
@@ -1306,11 +1238,56 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
          insert_if_cacheable t ~key ~dht_key:(lazy (Nk_overlay.Dht.Key.of_string key)) req resp
        | _ -> ())
 
+(* Admitted execution: offer the request to admission control (the
+   host's CPU backlog is the queueing delay a newly admitted request
+   would see) and, once admitted, run [body] in its own cothread under
+   a request span. However the pipeline ends, the admission slot is
+   released and the span finished exactly once; [on_done] gets the
+   pipeline's result after ["responses"] is counted and the [range], if
+   any, has been cut out of the response. *)
+let run_admitted t ~site ~span:(span_name, attrs) ?range req ~shed body ~on_done ~on_error =
+  let verdict =
+    match t.admission with
+    | None -> Nk_resource.Admission.Admitted
+    | Some adm ->
+      Nk_resource.Admission.offer adm ~site ~queue_delay:(Nk_sim.Net.cpu_backlog t.net t.host)
+  in
+  match verdict with
+  | Nk_resource.Admission.Shed { retry_after; reason } ->
+    shed ~retry_after ("admission-" ^ reason)
+  | Nk_resource.Admission.Admitted ->
+    let release () =
+      Option.iter (fun adm -> Nk_resource.Admission.release adm ~site) t.admission
+    in
+    let span = start_request_span t span_name req in
+    List.iter (fun (key, value) -> set_attr span key value) attrs;
+    Nk_util.Cothread.spawn
+      (fun () -> body span)
+      ~on_done:(fun ((resp, _, _) as result) ->
+        release ();
+        Nk_telemetry.Metrics.incr t.metrics "responses";
+        (match range with
+         | Some r ->
+           if Nk_http.Range.apply r resp then
+             Nk_telemetry.Metrics.incr t.metrics "range-responses"
+         | None -> ());
+        set_attr span "status" (string_of_int resp.Nk_http.Message.status);
+        finish_span t span;
+        on_done result)
+      ~on_error:(fun exn ->
+        release ();
+        Nk_telemetry.Metrics.incr t.metrics "script-errors";
+        Logs.warn (fun m ->
+            m "[%s] %s pipeline error: %s" (name t) span_name (Printexc.to_string exn));
+        set_attr span "error" (Printexc.to_string exn);
+        finish_span t span;
+        on_error ())
+
 let handle_offload_request t d ~payload =
   match Nk_diffusion.Offload.decode_request_envelope payload with
   | Error msg ->
     Logs.debug (fun m -> m "[%s] undecodable offload request: %s" (name t) msg)
-  | Ok env ->
+  | Ok env -> (
     let site = env.Nk_diffusion.Offload.site in
     let reject reason =
       Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("reason", reason) ]
@@ -1324,116 +1301,59 @@ let handle_offload_request t d ~payload =
     else if Nk_resource.Quarantine.is_banned t.quarantine ~site then
       reject "banned-site"
     else if pressure t >= t.cfg.Config.diffusion_high_water then reject "pressure"
-    else begin
+    else
       let req = env.Nk_diffusion.Offload.request in
-      (* Receiver-side deadline shed: a budget smaller than our current
-         queue-delay estimate cannot be served in time — rejecting now
-         lets the sender fall back (its local queue may be shorter)
-         instead of computing an answer nobody will wait for. *)
-      let deadline = Nk_resource.Deadline.of_request ~now:(now t) req in
-      let doomed =
-        match deadline with
-        | Some d ->
-          Nk_resource.Deadline.remaining d ~now:(now t)
-          <= Nk_sim.Net.cpu_backlog t.net t.host
-        | None -> false
-      in
-      if doomed then begin
+      (* A doomed budget is rejected, so the sender falls back (its
+         local queue may be shorter). *)
+      match carried_deadline t req ~spent:"deadline-expired" ~late:"deadline-queue" with
+      | _, Some reason ->
         Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("at", "offload") ]
           "deadline.expired";
-        reject
-          (match deadline with
-           | Some d when Nk_resource.Deadline.expired d ~now:(now t) ->
-             "deadline-expired"
-           | _ -> "deadline-queue")
-      end
-      else begin
-      let verdict =
-        match t.admission with
-        | None -> Nk_resource.Admission.Admitted
-        | Some adm ->
-          Nk_resource.Admission.offer adm ~site
-            ~queue_delay:(Nk_sim.Net.cpu_backlog t.net t.host)
-      in
-      match verdict with
-      | Nk_resource.Admission.Shed { reason; _ } -> reject ("admission-" ^ reason)
-      | Nk_resource.Admission.Admitted ->
-        let release () =
-          match t.admission with
-          | Some adm -> Nk_resource.Admission.release adm ~site
-          | None -> ()
-        in
-        let span = start_request_span t "offload-request" req in
-        set_attr span "origin" env.Nk_diffusion.Offload.origin_node;
-        Nk_util.Cothread.spawn
-          (fun () ->
+        reject reason
+      | deadline, None ->
+        run_admitted t ~site
+          ~span:("offload-request", [ ("origin", env.Nk_diffusion.Offload.origin_node) ])
+          req
+          ~shed:(fun ~retry_after:_ reason -> reject reason)
+          (fun span ->
             resolve_offload_stage t env;
             process t ?span ?deadline req)
           ~on_done:(fun (resp, fuel, heap) ->
-            release ();
-            Nk_sim.Trace.incr t.trace "responses";
-            set_attr span "status" (string_of_int resp.Nk_http.Message.status);
-            finish_span t span;
             Nk_diffusion.Offload.reply d.offload ~to_:env
               (Nk_diffusion.Offload.Executed { response = resp; fuel; heap }))
-          ~on_error:(fun exn ->
-            release ();
-            Nk_sim.Trace.incr t.trace "script-errors";
-            Logs.warn (fun m ->
-                m "[%s] offloaded pipeline error: %s" (name t) (Printexc.to_string exn));
-            set_attr span "error" (Printexc.to_string exn);
-            finish_span t span;
-            reject "error")
-      end
-    end
+          ~on_error:(fun () -> reject "error"))
 
 let handle t (req : Nk_http.Message.request) k =
-  Nk_sim.Trace.incr t.trace "requests";
+  Nk_telemetry.Metrics.incr t.metrics "requests";
   (* Peer requests serve straight from cache/origin: no pipeline, no
      further DHT consultation (avoids routing loops). *)
   if Nk_http.Message.req_header req peer_header <> None then begin
-    (* Receiver-side deadline shed, mirroring the offload target's: a
-       peer request whose carried budget is below our queue-delay
-       estimate (or already spent) gets its 504 now, freeing the
-       requester to try its next candidate within the budget. *)
-    let deadline = Nk_resource.Deadline.of_request ~now:(now t) req in
-    let doomed =
-      match deadline with
-      | Some d ->
-        Nk_resource.Deadline.remaining d ~now:(now t)
-        <= Nk_sim.Net.cpu_backlog t.net t.host
-      | None -> false
-    in
-    if doomed then begin
-      Nk_sim.Trace.incr t.trace "responses";
-      k
-        (deadline_expired_response t
-           ~at:
-             (match deadline with
-              | Some d when Nk_resource.Deadline.expired d ~now:(now t) -> "peer"
-              | _ -> "peer-queue"))
-    end
-    else begin
-    let span = start_request_span t "peer-request" req in
-    Nk_util.Cothread.spawn
-      (fun () -> content_fetch t ~allow_peers:false ?span ?deadline req)
-      ~on_done:(fun resp ->
-        Nk_sim.Trace.incr t.trace "responses";
-        if t.cfg.Config.misbehaving then
-          (* The §6 threat: a node that arbitrarily modifies cached
-             content before serving it to its peers. *)
-          Nk_http.Message.set_body resp
-            (Nk_util.Strutil.replace_all
-               (Nk_http.Body.to_string resp.Nk_http.Message.resp_body)
-               ~sub:"content" ~by:"FALSIFIED");
-        set_attr span "status" (string_of_int resp.Nk_http.Message.status);
-        finish_span t span;
-        k resp)
-      ~on_error:(fun _ ->
-        set_attr span "error" "true";
-        finish_span t span;
-        k (Nk_http.Message.error_response 500))
-    end
+    (* A doomed budget gets its 504 now, freeing the requester to try
+       its next candidate within the budget. *)
+    match carried_deadline t req ~spent:"peer" ~late:"peer-queue" with
+    | _, Some at ->
+      Nk_telemetry.Metrics.incr t.metrics "responses";
+      k (deadline_expired_response t ~at)
+    | deadline, None ->
+      let span = start_request_span t "peer-request" req in
+      Nk_util.Cothread.spawn
+        (fun () -> content_fetch t ~allow_peers:false ?span ?deadline req)
+        ~on_done:(fun resp ->
+          Nk_telemetry.Metrics.incr t.metrics "responses";
+          if t.cfg.Config.misbehaving then
+            (* The §6 threat: a node that arbitrarily modifies cached
+               content before serving it to its peers. *)
+            Nk_http.Message.set_body resp
+              (Nk_util.Strutil.replace_all
+                 (Nk_http.Body.to_string resp.Nk_http.Message.resp_body)
+                 ~sub:"content" ~by:"FALSIFIED");
+          set_attr span "status" (string_of_int resp.Nk_http.Message.status);
+          finish_span t span;
+          k resp)
+        ~on_error:(fun _ ->
+          set_attr span "error" "true";
+          finish_span t span;
+          k (Nk_http.Message.error_response 500))
   end
   else begin
     (* Strip the .nakika.net suffix clients use to reach us (§3). *)
@@ -1457,14 +1377,14 @@ let handle t (req : Nk_http.Message.request) k =
          | None -> Nk_http.Message.error_response 503)
     in
     if Nk_resource.Quarantine.is_banned t.quarantine ~site then begin
-      Nk_sim.Trace.incr t.trace "dropped-termination";
+      Nk_telemetry.Metrics.incr t.metrics "dropped-termination";
       reject ~retry_after:(Nk_resource.Quarantine.remaining t.quarantine ~site) "banned-site"
     end
     else if
       t.cfg.Config.enable_resource_controls && fraction > 0.0
       && Nk_util.Prng.float t.rng 1.0 < fraction
     then begin
-      Nk_sim.Trace.incr t.trace "rejected-throttle";
+      Nk_telemetry.Metrics.incr t.metrics "rejected-throttle";
       reject "rejected-throttle"
     end
     else begin
@@ -1477,53 +1397,20 @@ let handle t (req : Nk_http.Message.request) k =
         Nk_resource.Deadline.admit ~now:(now t) ~budget:t.cfg.Config.request_deadline req
       in
       let local () =
-        (* Front-door admission control: the host's CPU backlog is the
-           queueing delay a newly admitted request would see. *)
-        let verdict =
-          match t.admission with
-          | None -> Nk_resource.Admission.Admitted
-          | Some adm ->
-            Nk_resource.Admission.offer adm ~site
-              ~queue_delay:(Nk_sim.Net.cpu_backlog t.net t.host)
-        in
-        match verdict with
-        | Nk_resource.Admission.Shed { retry_after; reason } ->
-          Nk_sim.Trace.incr t.trace "admission-sheds";
-          reject ~retry_after ("admission-" ^ reason)
-        | Nk_resource.Admission.Admitted ->
-          let release () =
-            match t.admission with
-            | Some adm -> Nk_resource.Admission.release adm ~site
-            | None -> ()
-          in
-          (* §3.1: a Range request is processed on the entire instance (the
-             pipeline may transcode it); the requested slice is cut out only
-             for the final client response. *)
-          let range =
-            Option.bind (Nk_http.Message.req_header req "Range") Nk_http.Range.parse
-          in
-          let span = start_request_span t "request" req in
-          Nk_util.Cothread.spawn
-            (fun () -> process t ?span ?deadline req)
-            ~on_done:(fun (resp, _fuel, _heap) ->
-              release ();
-              Nk_sim.Trace.incr t.trace "responses";
-              (match range with
-               | Some r -> if Nk_http.Range.apply r resp then Nk_sim.Trace.incr t.trace "range-responses"
-               | None -> ());
-              set_attr span "status" (string_of_int resp.Nk_http.Message.status);
-              finish_span t span;
-              k resp)
-            ~on_error:(fun exn ->
-              release ();
-              Nk_sim.Trace.incr t.trace "script-errors";
-              Logs.warn (fun m -> m "[%s] pipeline error: %s" (name t) (Printexc.to_string exn));
-              set_attr span "error" (Printexc.to_string exn);
-              finish_span t span;
-              k (Nk_http.Message.error_response 500))
+        (* §3.1: a Range request is processed on the entire instance (the
+           pipeline may transcode it); the requested slice is cut out only
+           for the final client response. *)
+        run_admitted t ~site ~span:("request", [])
+          ?range:(Option.bind (Nk_http.Message.req_header req "Range") Nk_http.Range.parse)
+          req
+          ~shed:(fun ~retry_after outcome ->
+            Nk_telemetry.Metrics.incr t.metrics "admission-sheds";
+            reject ~retry_after outcome)
+          (fun span -> process t ?span ?deadline req)
+          ~on_done:(fun (resp, _fuel, _heap) -> k resp)
+          ~on_error:(fun () -> k (Nk_http.Message.error_response 500))
       in
-      match deadline with
-      | Some d when Nk_resource.Deadline.expired d ~now:(now t) ->
+      if deadline_expired t deadline then begin
         (* Zero-remaining admission: the budget was spent before we
            could do anything — answer the 504 without taking a queue
            slot or consulting the diffusion plan. *)
@@ -1532,13 +1419,14 @@ let handle t (req : Nk_http.Message.request) k =
         set_attr span "status" "504";
         finish_span t span;
         k (deadline_expired_response t ~at:"admission")
-      | _ -> (
+      end
+      else
         (* Proactive diffusion sits after quarantine/throttle but before
            admission: an offloaded request never takes a local queue slot,
            which is exactly the relief a pressured node needs. *)
         match offload_plan t ~site with
         | None -> local ()
-        | Some plan -> attempt_offload t ~site ~plan ?deadline req k ~fallback:local)
+        | Some plan -> attempt_offload t ~site ~plan ?deadline req k ~fallback:local
     end
   end
 
@@ -1671,7 +1559,7 @@ let start_log_poster t =
           entries := [];
           let req = Nk_http.Message.request ~meth:Nk_http.Method_.POST ~body url in
           Nk_sim.Httpd.fetch t.web ~from:t.host req (fun _ ->
-              Nk_sim.Trace.incr t.trace "log-posts")
+              Nk_telemetry.Metrics.incr t.metrics "log-posts")
         | _ -> ())
       t.log_urls;
     Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:30.0 cycle
@@ -1789,22 +1677,20 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
                 ~clock ~metrics ())
          else None);
       diffusion;
-      breakers = Hashtbl.create 8;
+      upstream =
+        Nk_resource.Upstream.create ~failure_threshold:config.Config.breaker_failures
+          ~error_rate:config.Config.breaker_error_rate ~window:config.Config.breaker_window
+          ~cooldown:config.Config.breaker_cooldown
+          ~max_cooldown:config.Config.breaker_max_cooldown
+          ~retry_ratio:config.Config.retry_budget_ratio ~clock ~metrics ();
       hedge =
         (if config.Config.enable_hedging then
            Some (Nk_resource.Hedge.create ~rate:config.Config.hedge_rate ~metrics ())
-         else None);
-      retry_budget =
-        (if config.Config.retry_budget_ratio > 0.0 then
-           Some
-             (Nk_resource.Retry_budget.create ~ratio:config.Config.retry_budget_ratio
-                ~metrics ())
          else None);
       store = Nk_replication.Store.create ();
       replicas = Hashtbl.create 4;
       log_urls = Hashtbl.create 4;
       log_entries = Hashtbl.create 4;
-      trace = Nk_sim.Trace.create ~registry:metrics ();
       metrics;
       tracer = Nk_telemetry.Tracer.create ~capacity:config.Config.trace_capacity ~clock ();
       events = Nk_telemetry.Events.create ~clock ();

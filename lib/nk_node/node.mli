@@ -29,15 +29,13 @@ val name : t -> string
 
 val config : t -> Config.t
 
-val trace : t -> Nk_sim.Trace.t
-(** Counters: ["requests"], ["responses"], ["rejected-throttle"],
-    ["dropped-termination"], ["script-errors"], ["origin-fetches"],
-    ["peer-fetches"], ["dht-hits"]; samples: ["latency"] (per-request
-    service time at this node). *)
-
 val metrics : t -> Nk_telemetry.Metrics.t
-(** The node's registry. Shared with {!trace} (the facade feeds it), the
-    proxy cache, and the resource monitor; per-site instruments carry a
+(** The node's registry, shared with the proxy cache, the upstream
+    breakers and the resource monitor. Unlabeled counters:
+    ["requests"], ["responses"], ["rejected-throttle"],
+    ["dropped-termination"], ["script-errors"], ["origin-fetches"],
+    ["peer-fetches"], ["dht-hits"]; histogram ["latency"] (per-request
+    service time at this node). Per-site instruments carry a
     [("site", _)] label ("site.requests", "site.latency", "script.fuel",
     "script.heap", "monitor.throttles", "monitor.terminations"). *)
 
@@ -62,6 +60,10 @@ val quarantine : t -> Nk_resource.Quarantine.t
 val admission : t -> Nk_resource.Admission.t option
 (** Front-door admission controller ([None] when
     [Config.enable_admission] is off). *)
+
+val upstream : t -> Nk_resource.Upstream.t
+(** The breakers and retry budget every upstream call (origin, peer,
+    hedge primary, offload) goes through. *)
 
 type health = {
   queue_delay : float;  (** current CPU backlog in seconds *)

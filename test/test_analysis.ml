@@ -296,7 +296,7 @@ let test_node_strict_rejects () =
   Alcotest.(check bool) "lint errors exported" true
     (Core.Telemetry.Metrics.counter_total m "script.lint.errors" > 0);
   Alcotest.(check bool) "rejection traced as a script error" true
-    (Core.Sim.Trace.count (Node.trace proxy) "script-errors" > 0)
+    (Core.Telemetry.Metrics.counter (Node.metrics proxy) "script-errors" > 0)
 
 let test_node_permissive_admits () =
   let cluster = Cluster.create () in

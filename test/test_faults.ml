@@ -57,7 +57,8 @@ let random_plan seed =
 (* A 4-node cluster replaying a script-free workload (no nakika.js, so
    no process-global script caches can perturb the telemetry snapshot)
    under the given plan. Returns (issued, answered, ok, statuses in
-   order, fault-layer telemetry). *)
+   order, fault-layer telemetry, upstream tickets left unsettled across
+   the proxies once the run is quiet). *)
 let run_chaos plan =
   let cluster = Cluster.create ~seed:(Plan.seed plan) ~faults:plan () in
   let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
@@ -96,23 +97,30 @@ let run_chaos plan =
   Metrics.merge ~into:m (Net.metrics (Cluster.net cluster));
   Metrics.merge ~into:m (Core.Replication.Message_bus.metrics (Cluster.bus cluster));
   Metrics.merge ~into:m (Core.Overlay.Dht.metrics (Cluster.dht cluster));
-  (!issued, !answered, !ok, Buffer.contents statuses, Metrics.to_json_lines m)
+  let unsettled =
+    List.fold_left (fun n p -> n + Core.Resource.Upstream.outstanding (Node.upstream p)) 0 proxies
+  in
+  (!issued, !answered, !ok, Buffer.contents statuses, Metrics.to_json_lines m, unsettled)
 
 (* --- the qcheck soak ------------------------------------------------ *)
 
 let chaos_soak_prop =
   QCheck.Test.make ~name:"chaos soak: no hung requests under random schedules"
     ~count:200 QCheck.small_nat (fun seed ->
-      let issued, answered, _ok, _statuses, _telemetry = run_chaos (random_plan seed) in
-      issued = 30 && answered = issued)
+      let issued, answered, _ok, _statuses, _telemetry, unsettled =
+        run_chaos (random_plan seed)
+      in
+      (* Once quiet, every admitted upstream call has been accounted:
+         no half-open probe slot is left claimed. *)
+      issued = 30 && answered = issued && unsettled = 0)
 
 let test_chaos_determinism () =
   (* Same seed => identical fault schedule, identical responses in
      identical order, bit-identical fault-layer telemetry. *)
   let seed = 1234 in
   let run () = run_chaos (random_plan seed) in
-  let i1, a1, ok1, s1, t1 = run () in
-  let i2, a2, ok2, s2, t2 = run () in
+  let i1, a1, ok1, s1, t1, _ = run () in
+  let i2, a2, ok2, s2, t2, _ = run () in
   Alcotest.(check int) "issued" i1 i2;
   Alcotest.(check int) "answered" a1 a2;
   Alcotest.(check int) "ok" ok1 ok2;
@@ -122,8 +130,8 @@ let test_chaos_determinism () =
 let test_different_seeds_differ () =
   (* Not a hard guarantee for any pair, but these two differ — guards
      against the plan ignoring its seed entirely. *)
-  let _, _, _, s1, t1 = run_chaos (random_plan 1) in
-  let _, _, _, s2, t2 = run_chaos (random_plan 2) in
+  let _, _, _, s1, t1, _ = run_chaos (random_plan 1) in
+  let _, _, _, s2, t2, _ = run_chaos (random_plan 2) in
   Alcotest.(check bool) "schedules differ" true (s1 <> s2 || t1 <> t2)
 
 (* --- plan unit behaviour -------------------------------------------- *)
@@ -242,7 +250,7 @@ let test_dropped_send_counts () =
 
 let test_degraded_run_keeps_most_successes () =
   let run plan =
-    let issued, answered, ok, _, _ = run_chaos plan in
+    let issued, answered, ok, _, _, _ = run_chaos plan in
     Alcotest.(check int) "all issued" 30 issued;
     Alcotest.(check int) "no hung requests" issued answered;
     ok
@@ -282,7 +290,6 @@ let run_overload plan =
       (fun name -> Cluster.add_proxy cluster ~name ())
       [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net" ]
   in
-  ignore proxies;
   let clients =
     [
       Cluster.add_client cluster ~name:"c1";
@@ -322,16 +329,28 @@ let run_overload plan =
     fetch_at (epoch +. 1.0 +. float_of_int i) "http://dead.example.org/item.html"
   done;
   Sim.run ~until:(epoch +. 90.0) sim;
-  (!issued, !answered, !ok, !sheds_without_retry_after, Origin.request_count dead)
+  let open_breakers = List.map (fun p -> (Node.health p).Node.open_breakers) proxies in
+  List.iter
+    (fun p ->
+      Alcotest.(check (list string)) "health lists the upstream breakers"
+        (Core.Resource.Upstream.open_breakers (Node.upstream p))
+        (Node.health p).Node.open_breakers)
+    proxies;
+  ( !issued,
+    !answered,
+    !ok,
+    !sheds_without_retry_after,
+    Origin.request_count dead,
+    List.concat open_breakers )
 
 let test_overload_acceptance () =
-  let issued, answered, baseline_ok, _, _ = run_overload (Plan.create ~seed:5 ()) in
+  let issued, answered, baseline_ok, _, _, _ = run_overload (Plan.create ~seed:5 ()) in
   Alcotest.(check int) "baseline: all issued" 630 issued;
   Alcotest.(check int) "baseline: no hung requests" issued answered;
   let plan = Plan.create ~seed:5 () in
   Plan.crash plan ~host:"nk-b.nakika.net" ~at:(epoch +. 5.6) ~restart:(epoch +. 21.0) ();
   Plan.fail_origin plan ~host:"dead.example.org" ~at:(epoch +. 4.0) ~until:(epoch +. 90.0) ();
-  let issued, answered, ok, bare_503s, dead_hits = run_overload plan in
+  let issued, answered, ok, bare_503s, dead_hits, open_breakers = run_overload plan in
   Alcotest.(check int) "degraded: all issued" 630 issued;
   Alcotest.(check int) "degraded: no hung requests" issued answered;
   Alcotest.(check int) "degraded: every shed carries Retry-After" 0 bare_503s;
@@ -344,7 +363,11 @@ let test_overload_acceptance () =
      half-open probes ever reach the wire. *)
   Alcotest.(check bool)
     (Printf.sprintf "dead-origin fetches bounded by the breaker (%d)" dead_hits)
-    true (dead_hits <= 15)
+    true (dead_hits <= 15);
+  (* No request reaches the dead origin after the last one at +30 s,
+     so its breaker is still open at the end and health says so. *)
+  Alcotest.(check bool) "dead origin's breaker reported open" true
+    (List.mem "origin:dead.example.org" open_breakers)
 
 let suite =
   [

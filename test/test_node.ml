@@ -89,7 +89,7 @@ let test_dht_cooperative_caching () =
   Alcotest.(check string) "content served" "<html>hello</html>" (body resp);
   Alcotest.(check int) "origin fetches unchanged" origin_before (Origin.request_count origin);
   Alcotest.(check bool) "peer fetch recorded" true
-    (Core.Sim.Trace.count (Node.trace b) "peer-fetches" > 0)
+    (Core.Telemetry.Metrics.counter (Node.metrics b) "peer-fetches" > 0)
 
 let test_dht_disabled_goes_to_origin () =
   let config = { Config.default with Config.enable_dht = false } in
@@ -123,6 +123,51 @@ p.register();
   let resp = fetch_sync cluster ~client ~proxy (Message.request "http://www.example.edu/index.html") in
   Alcotest.(check string) "transformed" "<html>edge</html>" (body resp);
   Alcotest.(check bool) "stage cached" true (Node.stage_cache_entries proxy >= 1)
+
+let test_cached_stage_starts_clean () =
+  (* A stage served from the stage cache reuses its scripting context:
+     the next request must start with zero fuel and heap and a live
+     context. Each reset publishes the usage it discards, so with four
+     requests the histograms hold (top level + one request) and then
+     exactly one request's usage twice. A context that kept counting
+     would publish growing totals instead. *)
+  let cluster = Cluster.create () in
+  let origin = basic_site cluster in
+  Origin.set_static origin ~path:"/nakika.js" ~content_type:"text/javascript" ~max_age:300
+    {|
+var p = new Policy();
+p.url = ["www.example.edu"];
+p.onResponse = function() {
+  var b = "", c;
+  while ((c = Response.read()) != null) { b += c; }
+  Response.write(b.replace("hello", "edge"));
+}
+p.register();
+|};
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  for i = 1 to 4 do
+    let resp =
+      fetch_sync cluster ~client ~proxy (Message.request "http://www.example.edu/index.html")
+    in
+    Alcotest.(check string) (Printf.sprintf "request %d ran the script" i) "<html>edge</html>"
+      (body resp)
+  done;
+  List.iter
+    (fun name ->
+      match
+        Core.Telemetry.Metrics.histogram (Node.metrics proxy)
+          ~labels:[ ("site", "www.example.edu") ]
+          name
+      with
+      | None -> Alcotest.failf "no %s histogram" name
+      | Some h ->
+        let module H = Core.Telemetry.Metrics.Histogram in
+        Alcotest.(check int) (name ^ ": one sample per reuse") 3 (H.count h);
+        Alcotest.(check (float 1e-9)) (name ^ ": reuse starts from zero")
+          (H.max_value h +. (2.0 *. H.min_value h))
+          (H.sum h))
+    [ "script.fuel"; "script.heap" ]
 
 let test_negative_cache_for_missing_site_script () =
   let cluster = Cluster.create () in
@@ -325,8 +370,8 @@ let test_redirector_integration () =
   let resp = fetch_sync cluster ~client (Message.request "http://www.example.edu/index.html") in
   Alcotest.(check int) "served" 200 resp.Message.status;
   Alcotest.(check bool) "near proxy took the request" true
-    (Core.Sim.Trace.count (Node.trace near) "requests" > 0);
-  Alcotest.(check int) "far proxy idle" 0 (Core.Sim.Trace.count (Node.trace far) "requests")
+    (Core.Telemetry.Metrics.counter (Node.metrics near) "requests" > 0);
+  Alcotest.(check int) "far proxy idle" 0 (Core.Telemetry.Metrics.counter (Node.metrics far) "requests")
 
 
 let test_revalidation_304 () =
@@ -346,7 +391,7 @@ let test_revalidation_304 () =
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
   Alcotest.(check string) "content served from revived entry" "stable content" (body resp);
   Alcotest.(check bool) "revalidation recorded" true
-    (Core.Sim.Trace.count (Node.trace proxy) "revalidations" > 0);
+    (Core.Telemetry.Metrics.counter (Node.metrics proxy) "revalidations" > 0);
   (* The 304 carried no body: almost no new bytes from the origin. *)
   Alcotest.(check bool) "no full body transfer" true
     (Origin.bytes_served origin - bytes_before < String.length "stable content");
@@ -371,7 +416,7 @@ let test_revalidation_changed_content () =
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
   Alcotest.(check string) "new content" "version 2" (body resp);
   Alcotest.(check int) "no 304 this time" 0
-    (Core.Sim.Trace.count (Node.trace proxy) "revalidations")
+    (Core.Telemetry.Metrics.counter (Node.metrics proxy) "revalidations")
 
 
 let test_integrity_catches_misbehaving_peer () =
@@ -398,7 +443,7 @@ let test_integrity_catches_misbehaving_peer () =
   Alcotest.(check string) "authoritative content served" "<html>study content</html>"
     (body resp);
   Alcotest.(check bool) "violation detected" true
-    (Core.Sim.Trace.count (Node.trace good) "integrity-violations" > 0)
+    (Core.Telemetry.Metrics.counter (Node.metrics good) "integrity-violations" > 0)
 
 let test_integrity_accepts_honest_peer () =
   let key = "publisher-key" in
@@ -419,7 +464,7 @@ let test_integrity_accepts_honest_peer () =
   Alcotest.(check int) "peer copy accepted, origin idle" origin_before
     (Origin.request_count origin);
   Alcotest.(check int) "no violations" 0
-    (Core.Sim.Trace.count (Node.trace b) "integrity-violations")
+    (Core.Telemetry.Metrics.counter (Node.metrics b) "integrity-violations")
 
 
 let test_emission_control_on_script_fetches () =
@@ -453,7 +498,7 @@ p.register();
     (body resp);
   Alcotest.(check int) "blocked origin untouched" 0 (Origin.request_count blocked);
   Alcotest.(check bool) "denial recorded" true
-    (Core.Sim.Trace.count (Node.trace proxy) "emission-denials" > 0)
+    (Core.Telemetry.Metrics.counter (Node.metrics proxy) "emission-denials" > 0)
 
 
 let test_dht_reannouncement_outlives_ttl () =
@@ -476,7 +521,7 @@ let test_dht_reannouncement_outlives_ttl () =
   let origin_before = Origin.request_count origin in
   ignore (fetch_sync cluster ~client ~proxy:b (req ()));
   Alcotest.(check bool) "peer copy still found" true
-    (Core.Sim.Trace.count (Node.trace b) "peer-fetches" > 0);
+    (Core.Telemetry.Metrics.counter (Node.metrics b) "peer-fetches" > 0);
   Alcotest.(check int) "origin idle" origin_before (Origin.request_count origin)
 
 
@@ -577,7 +622,7 @@ let test_simulation_is_deterministic () =
       ();
     Cluster.run cluster;
     ( !latencies,
-      Core.Sim.Trace.count (Node.trace proxy) "requests",
+      Core.Telemetry.Metrics.counter (Node.metrics proxy) "requests",
       Origin.request_count origin )
   in
   let a = run () and b = run () in
@@ -983,4 +1028,6 @@ let suite =
       test_dht_sweeper_expires_idle_placements;
     Alcotest.test_case "config validation: tail-tolerance knobs" `Quick
       test_config_rejects_bad_tail_knobs;
+    Alcotest.test_case "cached stage starts each request clean" `Quick
+      test_cached_stage_starts_clean;
   ]

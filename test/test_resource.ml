@@ -684,6 +684,99 @@ let test_hedge_delay_from_histogram () =
   let d = Hedge.delay ?histogram:(h ()) ~fallback:0.25 () in
   Alcotest.(check bool) "warm histogram: p95, not fallback" true (d < 0.05 && d > 0.0)
 
+(* --- the upstream-call path -------------------------------------- *)
+
+let make_upstream ?retry_ratio () =
+  let clock = ref 0.0 in
+  let metrics = Core.Telemetry.Metrics.create () in
+  let up =
+    Upstream.create ~failure_threshold:1 ~cooldown:5.0 ?retry_ratio
+      ~clock:(fun () -> !clock)
+      ~metrics ()
+  in
+  (clock, metrics, up)
+
+let proceed up key =
+  match Upstream.acquire up key with
+  | `Proceed ticket -> ticket
+  | `Reject _ -> Alcotest.failf "%s: expected to proceed" key
+
+let test_upstream_reject_records_nothing () =
+  let clock, metrics, up = make_upstream () in
+  Upstream.settle (proceed up "origin:a") false;
+  Alcotest.(check (list string)) "tripped" [ "origin:a" ] (Upstream.open_breakers up);
+  clock := 5.0;
+  (* Half-open: the probe holds the only slot. A reject recorded as a
+     failure would re-open the breaker; one recorded as a success
+     would close it. *)
+  let probe = proceed up "origin:a" in
+  (match Upstream.acquire up "origin:a" with
+   | `Reject _ -> ()
+   | `Proceed _ -> Alcotest.fail "second probe must be rejected");
+  Alcotest.(check int) "short circuit counted" 1
+    (Core.Telemetry.Metrics.counter metrics "breaker-short-circuits");
+  Alcotest.(check int) "no trip recorded" 1
+    (Core.Telemetry.Metrics.counter metrics ~labels:[ ("upstream", "origin:a") ] "breaker.opens");
+  Alcotest.(check (list string)) "still half-open" [ "origin:a" ] (Upstream.open_breakers up);
+  Alcotest.(check int) "only the probe is outstanding" 1 (Upstream.outstanding up);
+  Upstream.settle probe true;
+  Alcotest.(check (list string)) "probe closed it" [] (Upstream.open_breakers up);
+  Alcotest.(check int) "nothing outstanding" 0 (Upstream.outstanding up)
+
+let test_upstream_settle_once () =
+  let _clock, _metrics, up = make_upstream () in
+  let ticket = proceed up "peer:b" in
+  Upstream.settle ticket true;
+  Alcotest.check_raises "second settle"
+    (Invalid_argument "Upstream.settle: ticket already settled") (fun () ->
+      Upstream.settle ticket false);
+  Alcotest.(check int) "accounted once" 0 (Upstream.outstanding up);
+  Alcotest.(check (list string)) "the second outcome was not recorded" []
+    (Upstream.open_breakers up)
+
+let test_upstream_retry_budget () =
+  let clock, metrics, up = make_upstream ~retry_ratio:0.25 () in
+  let _, _, unbudgeted = make_upstream () in
+  Alcotest.(check bool) "no budget configured" true (Upstream.retry unbudgeted "peer" = `Unbudgeted);
+  let spent = Deadline.mint ~now:0.0 ~budget:1.0 in
+  let live = Deadline.mint ~now:0.0 ~budget:10.0 in
+  clock := 2.0;
+  Alcotest.(check bool) "expired deadline refuses" true
+    (Upstream.retry up ~deadline:spent "peer" = `Refused);
+  (* The bucket starts at its cap; the refusal above drew nothing, so
+     exactly [cap] retries are granted before it runs dry. *)
+  let granted = ref 0 in
+  while Upstream.retry up ~deadline:live "peer" = `Granted do
+    incr granted
+  done;
+  Alcotest.(check int) "one token per retry" (int_of_float Retry_budget.default_cap) !granted;
+  Alcotest.(check int) "only the dry bucket counts as exhausted" 1
+    (Core.Telemetry.Metrics.counter metrics ~labels:[ ("upstream", "peer") ]
+       "retry.budget_exhausted");
+  (* Four settled successes at ratio 0.25 earn exactly one retry; a
+     settle without a budget key earns none. *)
+  Upstream.settle (proceed up "peer:x") true;
+  for _ = 1 to 3 do
+    Upstream.settle ~budget:"peer" (proceed up "peer:x") true
+  done;
+  Alcotest.(check bool) "no refill without a budget key" true
+    (Upstream.retry up "peer" = `Refused);
+  Upstream.settle ~budget:"peer" (proceed up "peer:x") true;
+  Alcotest.(check bool) "earned retry" true (Upstream.retry up "peer" = `Granted);
+  Alcotest.(check bool) "and only one" true (Upstream.retry up "peer" = `Refused)
+
+let test_upstream_breaker_listing () =
+  let _clock, _metrics, up = make_upstream () in
+  Upstream.settle (proceed up "peer:z") false;
+  Upstream.settle (proceed up "origin:b") false;
+  Upstream.settle (proceed up "offload:c") true;
+  (* A hedged backup that won never held a ticket; its outcome still
+     reaches its breaker. *)
+  Upstream.record up "peer:y" false;
+  Alcotest.(check (list string)) "open breakers, sorted"
+    [ "origin:b"; "peer:y"; "peer:z" ] (Upstream.open_breakers up);
+  Alcotest.(check int) "record holds no ticket" 0 (Upstream.outstanding up)
+
 let suite =
   [
     Alcotest.test_case "renewable vs nonrenewable" `Quick test_renewable_classification;
@@ -756,6 +849,13 @@ let suite =
       test_hedge_bucket_bounds_overhead;
     Alcotest.test_case "HEDGE: delay from p95 with cold-start fallback" `Quick
       test_hedge_delay_from_histogram;
+    Alcotest.test_case "UPSTREAM: a reject records nothing" `Quick
+      test_upstream_reject_records_nothing;
+    Alcotest.test_case "UPSTREAM: a ticket settles exactly once" `Quick
+      test_upstream_settle_once;
+    Alcotest.test_case "UPSTREAM: retry spends one token, none past the deadline" `Quick
+      test_upstream_retry_budget;
+    Alcotest.test_case "UPSTREAM: open-breaker listing" `Quick test_upstream_breaker_listing;
     QCheck_alcotest.to_alcotest admission_slots_balance_prop;
     QCheck_alcotest.to_alcotest throttle_fractions_sum_to_one_prop;
   ]
