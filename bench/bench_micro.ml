@@ -74,11 +74,10 @@ let () =
 
 let regex_ua = Core.Regex.Regex.compile "Nokia|SonyEricsson|Samsung"
 
-(* C1: the NKScript execution pipeline — parse, closure-compile, and the
-   two execution modes — on a standard handler-style workload (string
-   building + arithmetic, the shape of the M1 onResponse handler). The
-   tree-walk row is the pre-compiler baseline; the cached-execute row is
-   what a warm stage pays per invocation. *)
+(* C1: the NKScript execution pipeline — parse, closure-compile and
+   execute — on a standard handler-style workload (string building +
+   arithmetic, the shape of the M1 onResponse handler). The
+   cached-execute row is what a warm stage pays per invocation. *)
 let workload_script =
   {|
 function handler() {
@@ -99,8 +98,6 @@ let fresh_ctx () =
   let ctx = Core.Script.Interp.create () in
   Core.Script.Builtins.install ctx;
   ctx
-
-let tw_ctx = fresh_ctx ()
 
 let cp_ctx = fresh_ctx ()
 
@@ -306,10 +303,6 @@ let tests =
         (Staged.stage (fun () -> Core.Script.Parser.parse workload_script));
       Test.make ~name:"C1: compile parsed script"
         (Staged.stage (fun () -> Core.Script.Compile.compile workload_ast));
-      Test.make ~name:"C1: tree-walk execute"
-        (Staged.stage (fun () ->
-             Core.Script.Interp.reset_usage tw_ctx;
-             ignore (Core.Script.Interp.run tw_ctx workload_ast)));
       test_cached_execute;
       Test.make ~name:"C1: first execute (parse+compile+run)"
         (Staged.stage (fun () ->
@@ -401,10 +394,6 @@ let words_rows () =
       Harness.words_per_op (fun () ->
           Core.Script.Interp.reset_usage cp_ctx;
           Core.Script.Compile.run cp_ctx workload_prog) );
-    ( "C1: tree-walk execute",
-      Harness.words_per_op (fun () ->
-          Core.Script.Interp.reset_usage tw_ctx;
-          Core.Script.Interp.run tw_ctx workload_ast) );
     ( "F7: parse+render lecture XML",
       Harness.words_per_op (fun () ->
           Core.Vocab.Xml.to_html Core.Workload.Simm.stylesheet lecture_xml) );
@@ -442,20 +431,8 @@ let micro () =
       in
       Printf.printf "  %-44s %s/op\n" name pretty)
     rows;
-  (* Persist the rows (and the headline compiler speedup) into the
-     experiment registry so BENCH_micro.json carries the interpreter
-     baseline forward. *)
-  let find_row sub =
-    List.find_opt (fun (name, _) -> Core.Util.Strutil.contains_sub name ~sub) rows
-  in
-  let speedup =
-    match (find_row "C1: tree-walk execute", find_row "C1: cached execute") with
-    | Some (_, tw), Some (_, cp) when cp > 0.0 -> Some (tw /. cp)
-    | _ -> None
-  in
-  (match speedup with
-   | Some s -> Printf.printf "  %-44s %8.2f x\n" "C1: compiled speedup over tree-walk" s
-   | None -> ());
+  (* Persist the rows into the experiment registry so BENCH_micro.json
+     carries the baseline forward. *)
   let words = words_rows () in
   List.iter
     (fun (name, w) -> Printf.printf "  %-44s %8.0f minor words/op\n" name w)
@@ -479,9 +456,6 @@ let micro () =
       (fun (name, w) ->
         Core.Telemetry.Metrics.set_gauge m ~labels:[ ("test", name) ] "micro.words_per_op" w)
       words;
-    (match speedup with
-     | Some s -> Core.Telemetry.Metrics.set_gauge m "micro.compiled_speedup" s
-     | None -> ());
     Core.Telemetry.Metrics.set_gauge m "micro.compile_cache.hits" (float_of_int stats.Core.Script.Compile.hits);
     Core.Telemetry.Metrics.set_gauge m "micro.compile_cache.misses"
       (float_of_int stats.Core.Script.Compile.misses);

@@ -9,8 +9,9 @@
    builtins/vocabulary) raises ["'x' is not defined"] at runtime; we
    report it here, at admission time, with the right position.
 
-   Soundness notes (these match [Interp] case by case):
-   - [Interp.run] hoists direct toplevel [function f] declarations into
+   Soundness notes (these match the reference semantics in
+   [test/reference_interp.ml], which [Compile] reproduces, case by case):
+   - [run] hoists direct toplevel [function f] declarations into
      the globals before executing anything, and [exec_body] does the
      same per statement list on entry: hoisted names join the must-set
      at list entry.

@@ -1,16 +1,19 @@
-(* Closure compilation of NKScript.
+(* Closure compilation of NKScript: the one engine that runs scripts.
 
-   The tree-walking evaluator in [Interp] re-dispatches on AST
-   constructors and resolves every variable with a Hashtbl probe down a
-   scope-chain list on every execution — the hottest path in the proxy,
-   paid per handler per stage per request. This pass lowers each AST
-   node exactly once into an OCaml closure and resolves variables to
-   lexical slot addresses (frame arrays indexed at compile time), so
-   handler invocation runs pre-compiled code.
+   A tree-walking evaluator re-dispatches on AST constructors and
+   resolves every variable with a Hashtbl probe down a scope-chain list
+   on every execution — the hottest path in the proxy, paid per handler
+   per stage per request. This pass lowers each AST node exactly once
+   into an OCaml closure and resolves variables to lexical slot
+   addresses (frame arrays indexed at compile time), so handler
+   invocation runs pre-compiled code. The runtime those closures call
+   (member and index access, method dispatch, calls, charges) is
+   [Interp].
 
    Two invariants shape everything below:
 
-   1. Observable equivalence with [Interp], including *bit-identical
+   1. Observable equivalence with the reference tree-walker kept in
+      [test/reference_interp.ml], including *bit-identical
       fuel and heap accounting*: the resource monitor's congestion
       numbers, termination points, and every seed bench figure depend
       on the charges, so each compiled closure performs the same
@@ -74,7 +77,7 @@ let[@inline always] charge1 (ctx : Value.ctx) =
   ctx.fuel_used <- f;
   if f > ctx.max_fuel then raise (Value.Resource_exhausted "fuel limit exceeded")
 
-(* The 4-unit function-invocation charge ([Interp.apply_fn]). *)
+(* The 4-unit function-invocation charge ([Interp.apply]). *)
 let[@inline always] charge4 (ctx : Value.ctx) =
   if ctx.killed then raise Value.Terminated;
   let f = ctx.fuel_used + 4 in
@@ -146,8 +149,8 @@ let member_set_ic ic atom name obj v =
 
 (* Method-call site: IC lookup plus direct dispatch on the function
    representation (the common Compiled_fn/Native_fn cases stay in this
-   unit); error messages and the 4-unit apply charge are exactly the
-   tree-walker's [invoke_method]/[apply_fn]. *)
+   unit); error messages and the 4-unit apply charge are exactly
+   [Interp.invoke_method]/[Interp.apply]. *)
 let invoke_ic rt ic atom name obj args =
   match obj with
   | Vobj o -> (
@@ -158,7 +161,6 @@ let invoke_ic rt ic atom name obj args =
     | Vfun (Native_fn nf) ->
       charge4 rt.ctx;
       nf.call (Some obj) args
-    | Vfun (Script_fn _) as f -> I.apply rt.ctx ~this:obj f args
     | Vundefined -> error "object has no method '%s'" name
     | v -> error "property '%s' is not a function (%s)" name (type_name v))
   | _ -> I.invoke_method rt.ctx obj name args
@@ -190,8 +192,8 @@ let[@inline always] vbool b = if b then vtrue else vfalse
 let[@inline always] truthy_v = function Vbool b -> b | v -> truthy v
 
 (* Dispatch on the operator once, at compile time, with direct numeric
-   and string fast paths; coercions and charges match
-   [Interp.eval_binop] exactly ([to_number] on a [Vnum] is the
+   and string fast paths; coercions and charges match the reference
+   tree-walker's [eval_binop] exactly ([to_number] on a [Vnum] is the
    identity, [<] on non-NaN floats agrees with the [compare]-then-test
    formulation, and IEEE comparisons on NaN are false exactly where the
    tree-walker's NaN pre-check says false). *)
@@ -525,8 +527,8 @@ let pure_compare a b test =
     let x = to_number a and y = to_number b in
     if Float.is_nan x || Float.is_nan y then Vbool false else Vbool (test (Float.compare x y))
 
-(* Mirrors [Interp.eval_binop] on primitive operands, reporting the
-   allocation charge instead of performing it. *)
+(* Mirrors the reference [eval_binop] on primitive operands, reporting
+   the allocation charge instead of performing it. *)
 let pure_binop op a b : Value.t * charge list =
   match op with
   | Ast.Add -> (
@@ -986,7 +988,7 @@ and compile_lvalue cenv (lv : Ast.lvalue) : clval =
         (fun rt v ->
           let obj = cobj rt in
           let idx = cidx rt in
-          I.index_set obj idx v);
+          I.index_set rt.ctx obj idx v);
     }
 
 (* --- statement compilation ------------------------------------------- *)
@@ -1168,8 +1170,8 @@ and compile_stmt cenv (s : Ast.stmt) : cstmt =
         ch rt)
 
 (* Statement lists re-hoist their function declarations on every entry,
-   like [Interp.exec_body] (fresh closure values each time, no fuel or
-   alloc charge). *)
+   like the reference [exec_body] (fresh closure values each time, no
+   fuel or alloc charge). *)
 and compile_body cenv (stmts : Ast.stmt list) : cstmt =
   let hoisted =
     List.filter_map
@@ -1226,8 +1228,8 @@ and compile_function cenv ~fname params body : Value.compiled_code =
   let nparams = Array.length param_slots in
   let poolable = not (List.exists stmt_has_func body) in
   let ccall ctx ~this ~globals captured args =
-    (* The caller ([Interp.apply_fn]) has already charged the 4-unit
-       invocation fuel, for script and compiled functions alike. *)
+    (* The caller ([Interp.apply] or a compiled call site) has already
+       charged the 4-unit invocation fuel. *)
     let frame =
       if poolable then frame_acquire ctx nslots else Array.make nslots undeclared
     in
@@ -1285,9 +1287,9 @@ let compile (prog : Ast.program) : program =
 let run ctx (p : program) : Value.t =
   let rt = { ctx; globals = ctx.globals; frames = []; this = Vundefined } in
   (* Toplevel: hoist functions, then run; remember last expression
-     value — mirroring [Interp.run], including its quirk of evaluating
-     toplevel expression statements without the per-statement fuel
-     charge. *)
+     value — mirroring the reference [run], including its quirk of
+     evaluating toplevel expression statements without the
+     per-statement fuel charge. *)
   for i = 0 to Array.length p.hoisted - 1 do
     let name, code = Array.unsafe_get p.hoisted i in
     I.define_global ctx name

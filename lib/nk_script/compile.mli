@@ -9,11 +9,12 @@
     or nodes load it.
 
     Semantics, error messages, and — critically — fuel and heap
-    accounting are identical to the reference tree-walker ({!Interp}):
-    compiled closures call the same [charge_fuel]/[charge_alloc] sites
-    per operation, so resource-monitor congestion numbers and
+    accounting are identical to the reference tree-walker in
+    [test/reference_interp.ml]: compiled closures charge fuel and heap
+    at the points it does, so resource-monitor congestion numbers and
     termination points are bit-for-bit preserved. The differential test
-    suite ([test_compile.ml]) enforces this over random programs. *)
+    suite ([test_compile.ml]) enforces this over random programs. This
+    is the only engine the library ships; {!Interp} is its runtime. *)
 
 type program
 (** A compiled program. Context-independent: the same value may be
@@ -23,10 +24,11 @@ type program
 val compile : Ast.program -> program
 
 val run : Interp.ctx -> program -> Value.t
-(** Execute a compiled program; same contract as {!Interp.run}: returns
-    the value of the final toplevel expression statement, raises
-    [Value.Script_error] / [Interp.Resource_exhausted] /
-    [Interp.Terminated] exactly as the tree-walker would. *)
+(** Execute a compiled program: returns the value of the final
+    toplevel expression statement ([Vundefined] when none), raises
+    [Value.Script_error] for runtime errors and
+    [Interp.Resource_exhausted] / [Interp.Terminated] from the sandbox,
+    exactly as the reference tree-walker would. *)
 
 val get_program : ?on_cache:([ `Hit | `Miss ] -> unit) -> string -> program
 (** Fetch from (or compile into) the process-wide cache, keyed by

@@ -1,10 +1,15 @@
-(** The NKScript evaluator and its sandbox.
+(** The NKScript runtime and its sandbox.
 
     Each scripting context is fully isolated: it owns its globals and is
     subject to a fuel (CPU) and heap limit, mirroring the per-pipeline
     sandboxing of §3.2/§4. The resource monitor reads [fuel_used] /
     [heap_used] for congestion accounting and calls [kill] to terminate
-    a pipeline mid-execution. *)
+    a pipeline mid-execution.
+
+    Scripts execute through {!Compile}, the only engine; this module is
+    the runtime its closures call. The reference semantics the engine is
+    tested against is the tree-walking evaluator in
+    [test/reference_interp.ml]. *)
 
 type ctx = Value.ctx
 (** The concrete record lives in {!Value} so that compiled closures
@@ -27,24 +32,9 @@ val get_global : ctx -> string -> Value.t option
 
 val remove_global : ctx -> string -> unit
 
-val run : ctx -> Ast.program -> Value.t
-(** Execute a program with the reference tree-walking evaluator;
-    returns the value of the final expression statement ([Vundefined]
-    when none). Raises [Value.Script_error] for runtime errors and the
-    sandbox exceptions above.
-
-    Production paths (stages, [evalScript], NKP) run scripts through
-    {!Compile} instead, which executes pre-compiled closures with
-    identical semantics and identical fuel/heap accounting; the
-    tree-walker remains the executable specification the differential
-    tests compare against. *)
-
-val run_string : ctx -> string -> Value.t
-(** Parse then [run]. Also raises [Parser.Parse_error] /
-    [Lexer.Lex_error]. *)
-
 val apply : ctx -> ?this:Value.t -> Value.t -> Value.t list -> Value.t
-(** Call a function value (event handlers are invoked this way). *)
+(** Call a function value (event handlers are invoked this way),
+    charging the 4-unit invocation fuel first. *)
 
 val consume_fuel : ctx -> int -> unit
 (** Charge additional fuel from native (vocabulary) code, so
@@ -71,17 +61,15 @@ val kill : ctx -> unit
 
 val revive : ctx -> unit
 
-(** {1 Shared runtime surface}
+(** {1 Runtime surface of compiled code}
 
-    The value-level operations of the evaluator, exposed so that
-    {!Compile}'s generated closures execute the very same code (and
-    therefore charge the very same fuel and heap) as the tree-walker.
-    Not intended for general use. *)
+    The value-level operations {!Compile}'s closures call, so every
+    path through them charges fuel and heap at one place. Not intended
+    for general use. *)
 
 exception Return_exc of Value.t
-(** Non-local control flow inside the evaluator; shared with compiled
-    code so [return] / [break] / [continue] / [throw] cross between
-    compiled and interpreted frames transparently. *)
+(** Non-local control flow of compiled code: [return] / [break] /
+    [continue] / [throw] unwind through these. *)
 
 exception Break_exc
 
@@ -91,20 +79,26 @@ exception Throw_exc of Value.t
 
 val charge_fuel : ctx -> int -> unit
 (** [consume_fuel] without the non-negativity clamp: one unit per AST
-    node, exactly as the tree-walker charges. *)
+    node visited. *)
 
 val charge_alloc : ctx -> Value.t -> unit
-(** Charge [Value.alloc_size v] against the heap limit. *)
-
-val eval_binop : ctx -> Ast.binop -> Value.t -> Value.t -> Value.t
+(** Charge [Value.alloc_size v] against the heap limit: add, then raise
+    [Resource_exhausted] if the total is over the cap. The native
+    string builders ([repeat], [replace], [join]) charge the same
+    amount before they build their result. *)
 
 val member_get : ctx -> Value.t -> string -> Value.t
 
 val member_set : Value.t -> string -> Value.t -> unit
 
 val index_get : ctx -> Value.t -> Value.t -> Value.t
+(** An integral index no array can hold (negative, or at least
+    [Sys.max_array_length]) reads [undefined]. *)
 
-val index_set : Value.t -> Value.t -> Value.t -> unit
+val index_set : ctx -> Value.t -> Value.t -> Value.t -> unit
+(** An array index no array can hold raises the ["bad array index"]
+    [Script_error]. A write past the end charges 8 heap bytes per hole
+    it opens before the array grows. *)
 
 val invoke_method : ctx -> Value.t -> string -> Value.t list -> Value.t
 (** Method-call dispatch: [o.m(args)] on objects, strings, byte arrays

@@ -44,30 +44,26 @@ and arr = { mutable items : t array; mutable len : int }
 
 and bytebuf = { mutable data : Bytes.t; mutable blen : int }
 
-and func = Script_fn of script_fn | Native_fn of native_fn | Compiled_fn of compiled_fn
-
-and script_fn = {
-  params : string list;
-  body : Ast.stmt list;
-  closure : scope list;
-  fname : string;
-}
+and func = Native_fn of native_fn | Compiled_fn of compiled_fn
 
 and native_fn = { nname : string; call : t option -> t list -> t }
 (* [call this args]; raises Script_error on misuse. *)
 
 and compiled_fn = { code : compiled_code; captured : t array list; cglobals : scope }
-(* A closure produced by [Compile]: static code shared by every closure
-   over the same function body, plus the enclosing frames (innermost
-   first) and the *defining* context's globals — the tree-walker's
-   [closure] list always ends with the defining globals, and the
-   compiled form preserves that even if the value crosses contexts. *)
+(* A script closure, the only kind the library makes ([Compile]):
+   static code shared by every closure over the same function body,
+   plus the enclosing frames (innermost first) and the *defining*
+   context's globals — the reference semantics in
+   [test/reference_interp.ml] closes over a scope chain that always ends
+   with the defining globals, and the compiled form preserves that even
+   if the value crosses contexts. That reference builds its own closures
+   as [Compiled_fn] values whose [ccall] runs it. *)
 
 and compiled_code = {
   cfname : string;
   ccall : ctx -> this:t -> globals:scope -> t array list -> t list -> t;
   (* [ccall ctx ~this ~globals captured args]: fuel/heap are charged to
-     [ctx] (the *calling* context, as in the tree-walker). *)
+     [ctx], the *calling* context. *)
 }
 
 and scope = (string, t ref) Hashtbl.t
@@ -314,7 +310,6 @@ let rec to_string = function
   | Vbytes b -> bytes_to_string b
   | Vobj _ -> "[object Object]"
   | Varr a -> String.concat "," (List.map to_string (arr_to_list a))
-  | Vfun (Script_fn f) -> Printf.sprintf "function %s() { ... }" f.fname
   | Vfun (Compiled_fn f) -> Printf.sprintf "function %s() { ... }" f.code.cfname
   | Vfun (Native_fn f) -> Printf.sprintf "function %s() { [native code] }" f.nname
 

@@ -17,19 +17,25 @@ let split_first c s =
 
 let trim = String.trim
 
+(* Top-level scanners, so a search allocates nothing but its answer. *)
+let rec matches_at s sub i j =
+  j = String.length sub || (s.[i + j] = sub.[j] && matches_at s sub i (j + 1))
+
+let rec find_from s sub i =
+  if i > String.length s - String.length sub then -1
+  else if matches_at s sub i 0 then i
+  else find_from s sub (i + 1)
+
 let index_sub s ~sub ~start =
-  let ls = String.length s and lsub = String.length sub in
-  if lsub = 0 then Some start
-  else begin
-    let rec scan i =
-      if i + lsub > ls then None
-      else if String.sub s i lsub = sub then Some i
-      else scan (i + 1)
-    in
-    if start < 0 then scan 0 else scan start
-  end
+  if sub = "" then Some start
+  else match find_from s sub (max 0 start) with -1 -> None | i -> Some i
 
 let contains_sub s ~sub = index_sub s ~sub ~start:0 <> None
+
+let count_sub s ~sub =
+  let lsub = String.length sub in
+  let rec go i n = match find_from s sub i with -1 -> n | j -> go (j + lsub) (n + 1) in
+  if lsub = 0 then 0 else go 0 0
 
 let replace_all s ~sub ~by =
   if sub = "" then s

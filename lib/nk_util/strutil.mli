@@ -20,6 +20,10 @@ val contains_sub : string -> sub:string -> bool
 val index_sub : string -> sub:string -> start:int -> int option
 (** First index [>= start] where [sub] occurs. *)
 
+val count_sub : string -> sub:string -> int
+(** Non-overlapping occurrences of [sub], scanned left to right as
+    [replace_all] replaces them; 0 for an empty [sub]. *)
+
 val replace_all : string -> sub:string -> by:string -> string
 
 val join : string -> string list -> string

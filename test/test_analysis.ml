@@ -33,7 +33,7 @@ let test_scope_undefined () =
     [ "1:9 error undefined-var" ] "var a = b; var b = 2;"
 
 let test_scope_hoisting () =
-  (* Function declarations hoist ([Interp] re-hoists per statement
+  (* Function declarations hoist (the engine re-hoists per statement
      list), so a call textually before the declaration is clean. *)
   check_diags "call before function declaration" []
     "var r = twice(2); function twice(n) { return n + n; }";
@@ -129,7 +129,7 @@ let test_cost_bounds () =
        re)
   | C.Bounded _ -> Alcotest.fail "self-recursion must be unbounded"
 
-(* The bound must dominate what [Interp] actually charges: run the
+(* The bound must dominate what the engine actually charges: run the
    bounded function and compare measured fuel to the static bound.
    The call site itself costs a few fuel (statement, callee and call
    expressions) beyond the per-invocation item. *)
@@ -137,7 +137,7 @@ let test_cost_covers_measured_fuel () =
   let measure src =
     let ctx = Interp.create ~max_fuel:100_000 () in
     Builtins.install ctx;
-    ignore (Interp.run_string ctx src);
+    ignore (Compile.run_string ctx src);
     Interp.fuel_used ctx
   in
   let without = measure bounded_source in
@@ -334,7 +334,7 @@ let scope_soundness_prop =
       let prog = Test_compile.prelude @ stmts in
       if A.errors (A.analyze prog) > 0 then true
       else
-        let outcome = Test_compile.run_with Interp.run prog in
+        let outcome = Test_compile.run_with Reference_interp.run prog in
         match outcome.Test_compile.result with
         | Error m when Core.Util.Strutil.contains_sub m ~sub:"is not defined" ->
           QCheck.Test.fail_reportf

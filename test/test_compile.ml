@@ -1,6 +1,6 @@
 (* Differential testing of the closure compiler ([Compile]) against the
-   reference tree-walker ([Interp]): identical result values, identical
-   observable global state, identical raised exceptions, and — the
+   reference tree-walker ([Reference_interp]): identical result values,
+   identical observable global state, identical raised exceptions, and — the
    resource monitor depends on it — bit-identical fuel and heap
    accounting. Plus the compiled-program cache. *)
 
@@ -64,7 +64,7 @@ let show_outcome o =
     o.fuel o.heap o.globals
 
 let check_differential name source =
-  let reference = run_with Interp.run_string source in
+  let reference = run_with Reference_interp.run_string source in
   let compiled = run_with (fun ctx s -> Compile.run_string ctx s) source in
   Alcotest.(check string) (name ^ ": identical outcome") (show_outcome reference)
     (show_outcome compiled)
@@ -170,27 +170,53 @@ let fun_pool = [ "f"; "g" ]
 
 let num i = mke (Ast.Number (float_of_int i))
 
+(* Numbers at the edges of the runtime: past [Sys.max_array_length],
+   past [max_int], negative, fractional, NaN and infinite — as
+   operands, repeat counts and array indices. *)
+let edge_numbers = [ 1e300; -1e300; 4e18; 1e18; 1e8; -3.5; 0.5; Float.nan; Float.infinity ]
+
+let gen_edge_number =
+  QCheck.Gen.map (fun f -> mke (Ast.Number f)) (QCheck.Gen.oneofl edge_numbers)
+
+(* Index writes store constants only, so no array can come to contain
+   itself and [Value.to_string] always terminates. *)
+let gen_constant =
+  QCheck.Gen.(oneof [ map num (int_range (-9) 9); oneofl [ mke (Ast.String "s") ] ])
+
+let gen_index =
+  QCheck.Gen.(oneof [ map num (int_range (-1) 12); map num (oneofl [ 40; 300 ]); gen_edge_number ])
+
 let gen_expr_n n =
   QCheck.Gen.(
     fix
       (fun self n ->
         let leaf =
-          oneof
+          frequency
             [
-              map (fun i -> num i) (int_range (-9) 9);
-              map (fun v -> mke (Ast.Ident v)) gen_var;
-              map (fun b -> mke (Ast.Bool b)) bool;
-              oneofl
-                [
-                  mke (Ast.String "s");
-                  mke (Ast.String "tt");
-                  mke Ast.Undefined;
-                  mke Ast.Null;
-                  mke (Ast.Ident "p");
-                  mke Ast.This;
-                ];
+              (1, gen_edge_number);
+              (3, map (fun i -> num i) (int_range (-9) 9));
+              (3, map (fun v -> mke (Ast.Ident v)) gen_var);
+              (3, map (fun b -> mke (Ast.Bool b)) bool);
+              ( 3,
+                oneofl
+                  [
+                    mke (Ast.String "s");
+                    mke (Ast.String "tt");
+                    mke Ast.Undefined;
+                    mke Ast.Null;
+                    mke (Ast.Ident "p");
+                    mke Ast.This;
+                  ] );
             ]
         in
+        let call_method name recv args = mke (Ast.Call (mke (Ast.Member (recv, name)), args)) in
+        (* receivers and counts that reach the builders' work as often
+           as their error paths *)
+        let string_recv =
+          oneofl [ mke (Ast.String "s"); mke (Ast.String "tt"); mke (Ast.Ident "c") ]
+        in
+        let array_recv = return (mke (Ast.Ident "x")) in
+        let count = oneof [ map num (int_range 0 4); gen_edge_number ] in
         if n <= 0 then leaf
         else
           let sub = self (n / 2) in
@@ -241,6 +267,22 @@ let gen_expr_n n =
                 sub sub;
               map (fun e -> mke (Ast.Call (mke (Ast.Member (e, "join")), [ mke (Ast.String "-") ]))) sub;
               map (fun e -> mke (Ast.Delete (e, "k"))) sub;
+              (* the native string builders, which charge before they build *)
+              map2
+                (fun e c -> call_method "repeat" e [ c ])
+                (oneof [ sub; string_recv ])
+                (oneof [ sub; count ]);
+              map3
+                (fun e a b -> call_method "replace" e [ a; b ])
+                (oneof [ sub; string_recv ])
+                sub sub;
+              map2 (fun e sep -> call_method "join" e [ sep ]) (oneof [ sub; array_recv ]) sub;
+              (* index writes, in bounds, appending, past the end, or at
+                 an index no array can hold *)
+              map3
+                (fun e i v -> mke (Ast.Assign (Ast.Lindex (e, i), None, v)))
+                (oneof [ sub; array_recv ])
+                gen_index gen_constant;
             ])
       n)
 
@@ -315,11 +357,11 @@ let gen_program = QCheck.Gen.(list_size (int_range 1 6) gen_stmt)
 let differential_prop =
   QCheck.Test.make
     ~name:"compiled evaluator agrees with tree-walker (value, globals, fuel, heap, errors)"
-    ~count:500
+    ~count:500 ~long_factor:10
     (QCheck.make ~print:Pretty.program gen_program)
     (fun stmts ->
       let prog = prelude @ stmts in
-      let reference = run_with Interp.run prog in
+      let reference = run_with Reference_interp.run prog in
       let compiled = run_with (fun ctx p -> Compile.run ctx (Compile.compile p)) prog in
       reference = compiled
       || QCheck.Test.fail_reportf "tree-walker: %s\ncompiled:    %s" (show_outcome reference)
@@ -424,7 +466,7 @@ let test_fuel_parity_on_handler_apply () =
     let v = Value.to_number (Interp.apply ctx h [ Value.Vnum 50.0 ]) in
     (v, Interp.fuel_used ctx - before)
   in
-  let v_ref, fuel_ref = measure Interp.run_string in
+  let v_ref, fuel_ref = measure Reference_interp.run_string in
   let v_cmp, fuel_cmp = measure (fun ctx s -> Compile.run_string ctx s) in
   Alcotest.(check (float 0.)) "same value" v_ref v_cmp;
   Alcotest.(check int) "same fuel per invocation" fuel_ref fuel_cmp

@@ -87,7 +87,7 @@ let make_ctx () =
   Platform_v.install_all (Hostcall.stub ()) ctx;
   ctx
 
-let run ctx src = Core.Script.Interp.run_string ctx src
+let run ctx src = Core.Script.Compile.run_string ctx src
 
 let test_vocab_stringify () =
   let ctx = make_ctx () in

@@ -70,7 +70,7 @@ let make_ctx () =
     (Core.Script.Value.Vstr (Movie.encode clip));
   ctx
 
-let run ctx src = Core.Script.Interp.run_string ctx src
+let run ctx src = Core.Script.Compile.run_string ctx src
 
 let test_vocab_info_and_duration () =
   let ctx = make_ctx () in

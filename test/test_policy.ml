@@ -196,7 +196,7 @@ let eval_policies src =
   Core.Script.Builtins.install ctx;
   let registry = Script_bridge.create_registry () in
   Script_bridge.install registry ctx;
-  ignore (Core.Script.Interp.run_string ctx src);
+  ignore (Core.Script.Compile.run_string ctx src);
   Script_bridge.policies registry
 
 let test_bridge_figure3 () =

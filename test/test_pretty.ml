@@ -18,7 +18,7 @@ let check_semantics name src =
   let eval s =
     let ctx = Interp.create () in
     Builtins.install ctx;
-    Value.to_string (Interp.run_string ctx s)
+    Value.to_string (Compile.run_string ctx s)
   in
   Alcotest.(check string) (name ^ ": evaluation preserved") (eval src) (eval (reformat src))
 
@@ -120,7 +120,7 @@ let test_formatted_policies_register_identically () =
     Builtins.install ctx;
     let registry = Core.Policy.Script_bridge.create_registry () in
     Core.Policy.Script_bridge.install registry ctx;
-    ignore (Interp.run_string ctx src);
+    ignore (Compile.run_string ctx src);
     List.map
       (fun p -> (p.Core.Policy.Policy.urls, p.Core.Policy.Policy.next_stages))
       (Core.Policy.Script_bridge.policies registry)
@@ -203,7 +203,7 @@ let differential_prop =
       let ctx = Interp.create () in
       Builtins.install ctx;
       let interpreted =
-        match Interp.run_string ctx source with
+        match Compile.run_string ctx source with
         | Value.Vbool b -> if b then 1.0 else 0.0
         | v -> Value.to_number v
       in

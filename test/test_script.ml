@@ -1,12 +1,12 @@
-(* The NKScript interpreter: language semantics, builtins, and the
-   sandbox (fuel, heap, kill). *)
+(* The NKScript engine ([Compile]): language semantics, builtins, and
+   the sandbox (fuel, heap, kill, untrusted input). *)
 
 open Core.Script
 
 let eval src =
   let ctx = Interp.create () in
   Builtins.install ctx;
-  Interp.run_string ctx src
+  Compile.run_string ctx src
 
 let eval_str src = Value.to_string (eval src)
 
@@ -197,7 +197,7 @@ let test_math_random_deterministic () =
   let run () =
     let ctx = Interp.create () in
     Builtins.install ~seed:99 ctx;
-    Value.to_number (Interp.run_string ctx "Math.random()")
+    Value.to_number (Compile.run_string ctx "Math.random()")
   in
   Alcotest.(check (float 0.0)) "same seed, same value" (run ()) (run ())
 
@@ -218,7 +218,7 @@ let test_comments () =
 let test_fuel_limit () =
   let ctx = Interp.create ~max_fuel:10_000 () in
   Builtins.install ctx;
-  match Interp.run_string ctx "while (true) { }" with
+  match Compile.run_string ctx "while (true) { }" with
   | exception Interp.Resource_exhausted _ -> ()
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
@@ -226,7 +226,7 @@ let test_heap_limit () =
   (* The paper's misbehaving script: repeatedly doubling a string. *)
   let ctx = Interp.create ~max_heap_bytes:1_000_000 () in
   Builtins.install ctx;
-  match Interp.run_string ctx {| var s = "x"; while (true) { s = s + s; } |} with
+  match Compile.run_string ctx {| var s = "x"; while (true) { s = s + s; } |} with
   | exception Interp.Resource_exhausted msg ->
     Alcotest.(check bool) "heap message" true
       (Core.Util.Strutil.contains_sub msg ~sub:"heap")
@@ -236,7 +236,7 @@ let test_heap_limit_bytearray () =
   let ctx = Interp.create ~max_heap_bytes:100_000 () in
   Builtins.install ctx;
   match
-    Interp.run_string ctx
+    Compile.run_string ctx
       {| var b = new ByteArray(); while (true) { b.append("xxxxxxxxxxxxxxxx"); } |}
   with
   | exception Interp.Resource_exhausted _ -> ()
@@ -246,16 +246,16 @@ let test_kill () =
   let ctx = Interp.create () in
   Builtins.install ctx;
   Interp.kill ctx;
-  (match Interp.run_string ctx "1 + 1" with
+  (match Compile.run_string ctx "1 + 1" with
    | exception Interp.Terminated -> ()
    | _ -> Alcotest.fail "killed context should not run");
   Interp.revive ctx;
-  Alcotest.(check (float 0.)) "revived" 2.0 (Value.to_number (Interp.run_string ctx "1 + 1"))
+  Alcotest.(check (float 0.)) "revived" 2.0 (Value.to_number (Compile.run_string ctx "1 + 1"))
 
 let test_usage_counters () =
   let ctx = Interp.create () in
   Builtins.install ctx;
-  ignore (Interp.run_string ctx "var s = \"\"; for (var i = 0; i < 100; i++) { s += \"x\"; }");
+  ignore (Compile.run_string ctx "var s = \"\"; for (var i = 0; i < 100; i++) { s += \"x\"; }");
   Alcotest.(check bool) "fuel consumed" true (Interp.fuel_used ctx > 100);
   Alcotest.(check bool) "heap consumed" true (Interp.heap_used ctx > 100);
   Interp.reset_usage ctx;
@@ -267,15 +267,15 @@ let test_isolation_between_contexts () =
   let b = Interp.create () in
   Builtins.install a;
   Builtins.install b;
-  ignore (Interp.run_string a "var secret = 42;");
-  match Interp.run_string b "secret" with
+  ignore (Compile.run_string a "var secret = 42;");
+  match Compile.run_string b "secret" with
   | exception Value.Script_error _ -> ()
   | _ -> Alcotest.fail "contexts must not share globals"
 
 let test_apply () =
   let ctx = Interp.create () in
   Builtins.install ctx;
-  ignore (Interp.run_string ctx "function add(a, b) { return a + b; }");
+  ignore (Compile.run_string ctx "function add(a, b) { return a + b; }");
   let f = Option.get (Interp.get_global ctx "add") in
   let result = Interp.apply ctx f [ Value.Vnum 2.0; Value.Vnum 3.0 ] in
   Alcotest.(check (float 0.)) "apply" 5.0 (Value.to_number result)
@@ -288,7 +288,7 @@ let test_native_roundtrip () =
     (Value.native "record" (fun _ args ->
          called := List.map Value.to_string args :: !called;
          Value.Vnum (float_of_int (List.length args))));
-  ignore (Interp.run_string ctx "record(\"a\", 1, true)");
+  ignore (Compile.run_string ctx "record(\"a\", 1, true)");
   Alcotest.(check (list (list string))) "args seen" [ [ "a"; "1"; "true" ] ] !called
 
 let test_figure2_transcoding_script () =
@@ -309,6 +309,124 @@ if (dim.x > 176 || dim.y > 208) {
 }
 w
 |}
+
+(* --- the sandbox against untrusted input ------------------------------ *)
+
+let mib = 1024 * 1024
+
+(* Run [src] under a 1 MiB heap cap. Returns the outcome, the context
+   and the bytes the run allocated, from the GC's counters: minor
+   allocations plus those made straight in the major heap (large
+   strings and arrays), less the promoted words counted in both. *)
+let run_capped src =
+  let ctx = Interp.create ~max_heap_bytes:mib () in
+  Builtins.install ctx;
+  let prog = Compile.get_program src in
+  let minor0, promoted0, major0 = Gc.counters () in
+  let outcome = match Compile.run ctx prog with v -> Ok v | exception e -> Error e in
+  let minor1, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  (outcome, ctx, words *. float_of_int (Sys.word_size / 8))
+
+let expect_capped name src ~check_error =
+  match run_capped src with
+  | Error e, _, bytes ->
+    check_error e;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s allocates under 1 MiB (%.0f bytes)" name bytes)
+      true
+      (bytes < float_of_int mib)
+  | Ok v, _, _ -> Alcotest.failf "%s: returned a %s" name (Value.type_name v)
+
+(* Heap charged by a script that must succeed. *)
+let heap_after src =
+  match run_capped src with
+  | Ok _, ctx, _ -> Interp.heap_used ctx
+  | Error e, _, _ -> Alcotest.failf "%s raised %s" src (Printexc.to_string e)
+
+let heap_exhausted name = function
+  | Interp.Resource_exhausted msg -> Alcotest.(check string) name "heap limit exceeded" msg
+  | e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+
+let test_string_builders_charge_first () =
+  List.iter
+    (fun (name, src) -> expect_capped name src ~check_error:(heap_exhausted name))
+    [
+      ("repeat", {| "ab".repeat(1e9) |});
+      ("replace", {| var t = "x".repeat(100000); var s = "a".repeat(10000); s.replace("a", t) |});
+      ("join", {| var a = []; a[4999] = 0; a.join("x".repeat(200000)) |});
+    ];
+  (* A result that fits is charged exactly what [charge_alloc] charges
+     for it: length + 16. *)
+  Alcotest.(check int) "repeat charge" (6 + 16) (heap_after {| "ab".repeat(3) |});
+  Alcotest.(check int) "empty repeat charge" 16 (heap_after {| "".repeat(1e18) |});
+  Alcotest.(check int) "replace charge" (3 + 16) (heap_after {| "abcab".replace("ab", "x") |});
+  Alcotest.(check int) "join charge" (40 + 3 + 16) (heap_after {| [1, 2].join("-") |});
+  check_str "empty repeat returns at once" "" {| "".repeat(1e18) |};
+  check_str "repeat result" "ababab" {| "ab".repeat(3) |}
+
+let test_unrepresentable_indices () =
+  check_str "huge array read" "undefined" "typeof [5, 6][1e300]";
+  check_str "huge string read" "undefined" {| typeof "ab"[1e300] |};
+  check_str "negative array read" "undefined" "typeof [5, 6][-1]";
+  check_num "huge write leaves a[0] alone" 5.0
+    {| var a = [5, 6]; try { a[1e300] = 7; } catch (e) { } a[0] |};
+  check_str "huge write error" "bad array index 1e+300"
+    {| var a = [5]; var m; try { a[1e300] = 7; } catch (e) { m = e; } m |};
+  check_str "huge bytearray write error" "bytearray index 1e+300 out of bounds"
+    {| var b = new ByteArray(); b.append("xy"); var m; try { b[1e300] = 7; } catch (e) { m = e; } m |};
+  Alcotest.(check int) "holes charged 8 bytes each" (24 + 80) (heap_after "var a = []; a[10] = 1;");
+  Alcotest.(check int) "appends and in-bounds writes charge nothing" (24 + 80)
+    (heap_after "var a = []; a[10] = 1; a[11] = 2; a[3] = 0;");
+  expect_capped "a[1e8] = 1" "var a = []; a[1e8] = 1;" ~check_error:(heap_exhausted "a[1e8]");
+  expect_capped "a[4e18] = 1" "var a = []; a[4e18] = 1;" ~check_error:(function
+    | Value.Script_error msg -> Alcotest.(check string) "a[4e18]" "bad array index 4e+18" msg
+    | e -> Alcotest.failf "a[4e18]: raised %s" (Printexc.to_string e))
+
+(* Script text the parser must survive: arbitrary bytes, or a few
+   random edits (delete a span, insert junk, duplicate a span) to a
+   script that exercises every token class. *)
+let mutation_seeds =
+  [
+    {| var s = "a\n\"q"; /* block */ // line
+       for (var i = 0x1f; i < 1.5e3; i++) { s += 'q' + i % 3; }
+       function f(a, b) { return a >= b ? a : -b; }
+       try { throw { k: [1, 2.5, null] }; } catch (e) { delete e.k; }
+       do { i--; } while (i > 0 && !(i == 3) || typeof i != "number");
+       var o = new Policy(); o.onRequest = function () { return this.x[0] <<= 2; }; |};
+    {| if (x) { y(); } else if (z) { while (true) { break; } } else { continue; }
+       for (var k in { a: 1, "b": [], c: function () {} }) { k >>= ~1 ^ 2 | 3 & 4; } |};
+  ]
+
+let gen_script_text =
+  QCheck.Gen.(
+    let junk = string_size ~gen:char (int_bound 8) in
+    let edit s =
+      let n = String.length s in
+      int_bound n >>= fun i ->
+      int_bound (min 8 (n - i)) >>= fun len ->
+      oneof
+        [
+          return (String.sub s 0 i ^ String.sub s (i + len) (n - i - len));
+          map (fun j -> String.sub s 0 i ^ j ^ String.sub s i (n - i)) junk;
+          return (String.sub s 0 (i + len) ^ String.sub s i (n - i));
+        ]
+    in
+    let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+    oneof
+      [
+        string_size ~gen:char (int_bound 200);
+        (oneofl mutation_seeds >>= fun s -> int_range 1 6 >>= fun k -> edits k s);
+      ])
+
+let parse_totality_prop =
+  QCheck.Test.make ~name:"parser: arbitrary and mutated text raise only syntax errors"
+    ~count:1000 ~long_factor:10
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_script_text)
+    (fun src ->
+      match Parser.parse src with
+      | _ -> true
+      | exception (Parser.Parse_error _ | Lexer.Lex_error _) -> true)
 
 let interp_numbers_prop =
   QCheck.Test.make ~name:"interp: integer arithmetic matches OCaml" ~count:200
@@ -353,6 +471,11 @@ let suite =
     Alcotest.test_case "apply from OCaml" `Quick test_apply;
     Alcotest.test_case "native functions" `Quick test_native_roundtrip;
     Alcotest.test_case "Fig. 2 handler arithmetic" `Quick test_figure2_transcoding_script;
+    Alcotest.test_case "sandbox: string builders charge before they allocate" `Quick
+      test_string_builders_charge_first;
+    Alcotest.test_case "sandbox: unrepresentable array indices" `Quick
+      test_unrepresentable_indices;
+    QCheck_alcotest.to_alcotest parse_totality_prop;
     QCheck_alcotest.to_alcotest interp_numbers_prop;
     QCheck_alcotest.to_alcotest interp_string_concat_prop;
   ]

@@ -708,7 +708,7 @@ let make_ctx ?(host = Hostcall.stub ()) () =
   Eval_v.install ctx;
   ctx
 
-let run ctx src = Interp.run_string ctx src
+let run ctx src = Compile.run_string ctx src
 
 (* [Request] and [Response] as they were built before their shapes were
    resolved up front: one [obj_set] per property. The pre-shaped objects

@@ -16,7 +16,7 @@ let test_pred_script_registers_n_policies () =
     Core.Script.Builtins.install ctx;
     let registry = Core.Policy.Script_bridge.create_registry () in
     Core.Policy.Script_bridge.install registry ctx;
-    ignore (Core.Script.Interp.run_string ctx source);
+    ignore (Core.Script.Compile.run_string ctx source);
     List.length (Core.Policy.Script_bridge.policies registry)
   in
   Alcotest.(check int) "pred-0" 0
@@ -34,7 +34,7 @@ let test_pred_script_nonmatching () =
   let registry = Core.Policy.Script_bridge.create_registry () in
   Core.Policy.Script_bridge.install registry ctx;
   ignore
-    (Core.Script.Interp.run_string ctx (Static_page.pred_script ~host:"h.org" ~n:20 ~matching:true));
+    (Core.Script.Compile.run_string ctx (Static_page.pred_script ~host:"h.org" ~n:20 ~matching:true));
   let policies = Core.Policy.Script_bridge.policies registry in
   let req = Message.request "http://h.org/index.html" in
   (* Exactly the matching policy applies; the 20 decoys never do. *)
