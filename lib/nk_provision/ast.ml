@@ -3,10 +3,10 @@
    A plan is a flat list of items in source order:
 
    - [node "PATTERN" { capacity {...} diffusion {...} hotspots {...}
-     breaker {...} quarantine {...} }] blocks carry node-level knob
-     settings; the
-     pattern selects which nodes the block configures ("*" is every
-     node, "*.suffix" a name suffix, anything else an exact host).
+     breaker {...} quarantine {...} deadline {...} }] blocks carry
+     node-level knob settings; the pattern selects which nodes the
+     block configures ("*" is every node, "*.suffix" a name suffix,
+     anything else an exact host).
    - [site "PATTERN" { share >= 30%; fuel <= 40000; heap <= 4mb;
      quarantine base 2s max 5m }] rules carry per-site guarantees and
      caps; like the admission share table they compile into, rules

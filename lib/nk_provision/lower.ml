@@ -1,9 +1,10 @@
 (* Lowering: a verified plan to the [Nk_node.Config] values the nodes
-   it provisions will run. Lowering is total on verified plans (every
-   setting the verifier accepted has a knob here — both read the same
-   [Verify.vocabulary]) and deterministic: the same plan text always
-   produces the same configs, which is what makes the plan hash an
-   audit handle for a deployment's resource policy. *)
+   it provisions will run. Lowering reads the plan the verifier resolved
+   (every value already normalized, every setting already mapped to its
+   [Verify.vocabulary] row), so it has no cases of its own, and it is
+   deterministic: the same plan text always produces the same configs,
+   which is what makes the plan hash an audit handle for a deployment's
+   resource policy. *)
 
 module Config = Nk_node.Config
 
@@ -13,126 +14,38 @@ type lowered = {
   config : Config.t;
 }
 
-(* One row per node-level knob: the same vocabulary the verifier
-   checked against, interpreted as a config update. *)
-let apply ~knob ~value (c : Config.t) =
-  match knob with
-  | "admission_capacity" -> { c with Config.admission_capacity = int_of_float value }
-  | "admission_target" -> { c with Config.admission_target = value }
-  | "admission_interval" -> { c with Config.admission_interval = value }
-  | "script_max_fuel" -> { c with Config.script_max_fuel = int_of_float value }
-  | "script_max_heap" -> { c with Config.script_max_heap = int_of_float value }
-  | "cache_bytes" -> { c with Config.cache_bytes = int_of_float value }
-  | "enable_diffusion" -> { c with Config.enable_diffusion = value <> 0.0 }
-  | "diffusion_low_water" -> { c with Config.diffusion_low_water = value }
-  | "diffusion_high_water" -> { c with Config.diffusion_high_water = value }
-  | "diffusion_fanout" -> { c with Config.diffusion_fanout = int_of_float value }
-  | "diffusion_offload_timeout" -> { c with Config.diffusion_offload_timeout = value }
-  | "diffusion_fetch_timeout" -> { c with Config.diffusion_fetch_timeout = value }
-  | "diffusion_staleness" -> { c with Config.diffusion_staleness = value }
-  | "enable_hotspots" -> { c with Config.enable_hotspots = value <> 0.0 }
-  | "hotspot_threshold" -> { c with Config.hotspot_threshold = value }
-  | "hotspot_replicas" -> { c with Config.hotspot_replicas = int_of_float value }
-  | "hotspot_ttl" -> { c with Config.hotspot_ttl = value }
-  | "hotspot_halflife" -> { c with Config.hotspot_halflife = value }
-  | "breaker_failures" -> { c with Config.breaker_failures = int_of_float value }
-  | "breaker_error_rate" -> { c with Config.breaker_error_rate = value }
-  | "breaker_window" -> { c with Config.breaker_window = value }
-  | "breaker_cooldown" -> { c with Config.breaker_cooldown = value }
-  | "breaker_max_cooldown" -> { c with Config.breaker_max_cooldown = value }
-  | "termination_penalty" -> { c with Config.termination_penalty = value }
-  | "quarantine_max" -> { c with Config.quarantine_max = value }
-  | "quarantine_decay" -> { c with Config.quarantine_decay = value }
-  | "request_deadline" -> { c with Config.request_deadline = value }
-  | "enable_hedging" -> { c with Config.enable_hedging = value <> 0.0 }
-  | "hedge_rate" -> { c with Config.hedge_rate = value }
-  | "retry_budget_ratio" -> { c with Config.retry_budget_ratio = value }
-  | other -> invalid_arg (Printf.sprintf "Lower.apply: unknown knob %S" other)
-
-let apply_block (block : Ast.node_block) config =
-  List.fold_left
-    (fun config (sec : Ast.section) ->
-      List.fold_left
-        (fun config (s : Ast.setting) ->
-          match Verify.kind_of ~section:sec.Ast.section ~key:s.Ast.key with
-          | None -> config (* verifier already reported unknown-key *)
-          | Some kind -> (
-            match Verify.normalize kind s.Ast.value with
-            | Error _ -> config (* verifier already reported unit-mismatch *)
-            | Ok value -> (
-              match Verify.knob_of ~section:sec.Ast.section ~key:s.Ast.key with
-              | None -> config
-              | Some knob -> apply ~knob ~value config)))
-        config sec.Ast.settings)
-    config block.Ast.sections
-
-(* Site rules lower into the per-site tables, in declaration order
-   (first match wins at runtime, same as in the plan). Shadowed rules
-   are dropped — the verifier already warned — so the runtime tables
-   contain only rules that can fire. *)
-let site_tables (plan : Ast.t) =
-  let rules = Verify.reachable_sites plan in
-  let shares =
+(* Lower the resolved plan: each node block writes its settings through
+   the vocabulary rows over [base]; site rules lower into the per-site
+   tables, in declaration order (first match wins at runtime, same as
+   in the plan). Shadowed rules are dropped — the verifier already
+   warned — so the runtime tables contain only rules that can fire. *)
+let lower ?(base = Config.default) (r : Verify.resolved) =
+  let reachable = List.filter (fun (s : Verify.site) -> s.Verify.reachable) r.Verify.sites in
+  let table pick =
     List.filter_map
-      (fun (r : Ast.site_rule) ->
-        match Verify.declared_share r with
-        | Some (percent, _) when not (String.contains r.Ast.pattern '*') ->
-          Some (r.Ast.pattern, percent /. 100.0)
-        | _ -> None)
-      rules
+      (fun (s : Verify.site) ->
+        Option.map (fun v -> (s.Verify.rule.Ast.pattern, v)) (Verify.first pick s))
+      reachable
   in
-  let quarantine =
-    List.filter_map
-      (fun (r : Ast.site_rule) ->
-        List.find_map
-          (function
-            | Ast.Quarantine_window { base; max_; _ } -> (
-              match
-                (Verify.normalize Verify.Duration_pos base, Verify.normalize Verify.Duration_pos max_)
-              with
-              | Ok b, Ok m -> Some (r.Ast.pattern, b, m)
-              | _ -> None)
-            | _ -> None)
-          r.Ast.clauses)
-      rules
+  let site_shares = table (function Verify.Share (p, _) -> Some (p /. 100.0) | _ -> None) in
+  let site_quarantine =
+    List.map
+      (fun (pattern, (b, m)) -> (pattern, b, m))
+      (table (function Verify.Window (b, m, _) -> Some (b, m) | _ -> None))
   in
-  let cap ~pick =
-    List.filter_map
-      (fun (r : Ast.site_rule) ->
-        List.find_map (fun clause -> pick r.Ast.pattern clause) r.Ast.clauses)
-      rules
-  in
-  let fuel =
-    cap ~pick:(fun pattern -> function
-      | Ast.Fuel (v, _) -> (
-        match Verify.normalize Verify.Count v with
-        | Ok f -> Some (pattern, int_of_float f)
-        | Error _ -> None)
-      | _ -> None)
-  in
-  let heap =
-    cap ~pick:(fun pattern -> function
-      | Ast.Heap (v, _) -> (
-        match Verify.normalize Verify.Bytes v with
-        | Ok b -> Some (pattern, int_of_float b)
-        | Error _ -> None)
-      | _ -> None)
-  in
-  (shares, quarantine, fuel, heap)
-
-let lower ?(base = Config.default) (plan : Ast.t) =
-  let shares, quarantine, fuel, heap = site_tables plan in
+  let site_fuel = table (function Verify.Fuel n -> Some n | _ -> None) in
+  let site_heap = table (function Verify.Heap n -> Some n | _ -> None) in
   let with_sites config =
     {
       config with
-      Config.site_shares = shares;
-      site_quarantine = quarantine;
-      site_fuel = fuel;
-      site_heap = heap;
-      plan_hash = Some plan.Ast.hash;
+      Config.site_shares;
+      site_quarantine;
+      site_fuel;
+      site_heap;
+      plan_hash = Some r.Verify.plan.Ast.hash;
     }
   in
-  match Ast.nodes plan with
+  match r.Verify.blocks with
   | [] ->
     (* A plan of only site rules provisions every node off the base
        config — an implicit [node "*" {}] block. *)
@@ -145,11 +58,14 @@ let lower ?(base = Config.default) (plan : Ast.t) =
     ]
   | blocks ->
     List.map
-      (fun (b : Ast.node_block) ->
+      (fun (b : Verify.block) ->
+        let config =
+          List.fold_left (fun c (knob, v, _) -> knob.Verify.set c v) base b.Verify.settings
+        in
         {
-          node_pattern = b.Ast.node_pattern;
-          node_pos = b.Ast.node_pos;
-          config = with_sites (apply_block b base);
+          node_pattern = b.Verify.node.Ast.node_pattern;
+          node_pos = b.Verify.node.Ast.node_pos;
+          config = with_sites config;
         })
       blocks
 
@@ -171,49 +87,16 @@ let explain (plan : Ast.t) lowered =
       Printf.bprintf buf "node %S:\n" l.node_pattern;
       let c = l.config in
       List.iter
-        (fun (section, key, _, knob) ->
-          let shown =
-            match knob with
-            | "admission_capacity" -> Printf.sprintf "%d slots" c.Config.admission_capacity
-            | "admission_target" -> Printf.sprintf "%gs" c.Config.admission_target
-            | "admission_interval" -> Printf.sprintf "%gs" c.Config.admission_interval
-            | "script_max_fuel" -> Printf.sprintf "%d" c.Config.script_max_fuel
-            | "script_max_heap" -> Printf.sprintf "%d bytes" c.Config.script_max_heap
-            | "cache_bytes" -> Printf.sprintf "%d bytes" c.Config.cache_bytes
-            | "enable_diffusion" -> if c.Config.enable_diffusion then "on" else "off"
-            | "diffusion_low_water" -> Printf.sprintf "%g" c.Config.diffusion_low_water
-            | "diffusion_high_water" -> Printf.sprintf "%g" c.Config.diffusion_high_water
-            | "diffusion_fanout" -> Printf.sprintf "%d" c.Config.diffusion_fanout
-            | "diffusion_offload_timeout" ->
-              Printf.sprintf "%gs" c.Config.diffusion_offload_timeout
-            | "diffusion_fetch_timeout" -> Printf.sprintf "%gs" c.Config.diffusion_fetch_timeout
-            | "diffusion_staleness" -> Printf.sprintf "%gs" c.Config.diffusion_staleness
-            | "enable_hotspots" -> if c.Config.enable_hotspots then "on" else "off"
-            | "hotspot_threshold" -> Printf.sprintf "%g req/s" c.Config.hotspot_threshold
-            | "hotspot_replicas" -> Printf.sprintf "%d" c.Config.hotspot_replicas
-            | "hotspot_ttl" -> Printf.sprintf "%gs" c.Config.hotspot_ttl
-            | "hotspot_halflife" -> Printf.sprintf "%gs" c.Config.hotspot_halflife
-            | "breaker_failures" -> Printf.sprintf "%d" c.Config.breaker_failures
-            | "breaker_error_rate" -> Printf.sprintf "%g" c.Config.breaker_error_rate
-            | "breaker_window" -> Printf.sprintf "%gs" c.Config.breaker_window
-            | "breaker_cooldown" -> Printf.sprintf "%gs" c.Config.breaker_cooldown
-            | "breaker_max_cooldown" -> Printf.sprintf "%gs" c.Config.breaker_max_cooldown
-            | "termination_penalty" -> Printf.sprintf "%gs" c.Config.termination_penalty
-            | "quarantine_max" -> Printf.sprintf "%gs" c.Config.quarantine_max
-            | "quarantine_decay" -> Printf.sprintf "%gs" c.Config.quarantine_decay
-            | "request_deadline" -> Printf.sprintf "%gs" c.Config.request_deadline
-            | "enable_hedging" -> if c.Config.enable_hedging then "on" else "off"
-            | "hedge_rate" -> Printf.sprintf "%g" c.Config.hedge_rate
-            | "retry_budget_ratio" -> Printf.sprintf "%g" c.Config.retry_budget_ratio
-            | _ -> "?"
-          in
-          Printf.bprintf buf "  %s.%s -> %s = %s\n" section key knob shown)
+        (fun (k : Verify.knob) ->
+          Printf.bprintf buf "  %s.%s -> %s = %s\n" k.Verify.section k.Verify.key k.Verify.field
+            (k.Verify.show c))
         Verify.vocabulary;
+      let slots = int_of_float (Verify.admission.Verify.get c) in
       List.iter
         (fun (pattern, f) ->
           Printf.bprintf buf "  site %S -> share %g%% (%d of %d slots)\n" pattern (100.0 *. f)
-            (max 1 (int_of_float ((f *. float_of_int c.Config.admission_capacity) +. 0.5)))
-            c.Config.admission_capacity)
+            (max 1 (int_of_float ((f *. float_of_int slots) +. 0.5)))
+            slots)
         c.Config.site_shares;
       List.iter
         (fun (pattern, base, max_) ->

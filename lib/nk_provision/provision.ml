@@ -27,35 +27,37 @@ let parse source =
   | exception Lexer.Lex_error (msg, pos) -> Error (D.error "lex-error" pos "%s" msg)
   | exception Parser.Parse_error (msg, pos) -> Error (D.error "parse-error" pos "%s" msg)
 
-let check source =
+(* Parse and verify, keeping the resolved plan for lowering. *)
+let verify source =
   match parse source with
-  | Error d -> { plan = None; diagnostics = [ d ]; lowered = [] }
-  | Ok plan -> { plan = Some plan; diagnostics = Verify.check plan; lowered = [] }
+  | Error d -> ({ plan = None; diagnostics = [ d ]; lowered = [] }, None)
+  | Ok plan ->
+    let resolved, diagnostics = Verify.check plan in
+    ({ plan = Some plan; diagnostics; lowered = [] }, Some resolved)
+
+let check source = fst (verify source)
 
 let compile ?base source =
-  let report = check source in
-  match report.plan with
-  | None -> report
-  | Some plan ->
-    if D.count D.Error report.diagnostics > 0 then report
-    else
-      let lowered = Lower.lower ?base plan in
-      (* Belt and braces: the node-side checker over each lowered
-         config. Findings here are verifier bugs by construction, but
-         surfacing them as diagnostics beats a late [Invalid_argument]
-         from [Node.create]. *)
-      let config_diags =
-        List.concat_map
-          (fun (l : Lower.lowered) ->
-            List.map
-              (fun problem ->
-                D.error "config-invalid" l.Lower.node_pos "node %S: lowered config rejected: %s"
-                  l.Lower.node_pattern problem)
-              (Config.validate l.Lower.config))
-          lowered
-      in
-      if config_diags = [] then { report with lowered }
-      else { report with diagnostics = List.sort D.compare (report.diagnostics @ config_diags) }
+  match verify source with
+  | report, Some resolved when errors report = 0 ->
+    let lowered = Lower.lower ?base resolved in
+    (* Belt and braces: the node-side checker over each lowered
+       config. Findings here are verifier bugs by construction, but
+       surfacing them as diagnostics beats a late [Invalid_argument]
+       from [Node.create]. *)
+    let config_diags =
+      List.concat_map
+        (fun (l : Lower.lowered) ->
+          List.map
+            (fun problem ->
+              D.error "config-invalid" l.Lower.node_pos "node %S: lowered config rejected: %s"
+                l.Lower.node_pattern problem)
+            (Config.validate l.Lower.config))
+        lowered
+    in
+    if config_diags = [] then { report with lowered }
+    else { report with diagnostics = List.sort D.compare (report.diagnostics @ config_diags) }
+  | report, _ -> report
 
 let config_for report ~node =
   match report.lowered with [] -> None | lowered -> Lower.config_for lowered ~node

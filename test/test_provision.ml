@@ -7,6 +7,7 @@
 
 module P = Core.Provision.Provision
 module Lower = Core.Provision.Lower
+module Verify = Core.Provision.Verify
 module D = Core.Analysis.Diagnostic
 module Config = Core.Node.Config
 
@@ -146,6 +147,25 @@ let test_units_bad_pattern () =
     "site \"a.*.example\" { fuel <= 1000 }\n"
     [ "1:6: error[bad-pattern]: site pattern \"a.*.example\": wildcards must be \"*\" or \
        \"*.suffix\"" ]
+
+(* Counts and sizes lower through [int_of_float]; one past the int range
+   used to pass [plan check] and lower to 0. Both [check] and [compile]
+   must now stop at the value with a unit-mismatch. *)
+let test_units_oversized () =
+  List.iter
+    (fun (plan, expected) ->
+      check_diags "check" plan [ expected ];
+      Alcotest.(check (list string)) "compile" [ expected ] (diag_strings (P.compile plan)))
+    [
+      ( "node \"*\" {\n  capacity { admission = 99999999999999999999 }\n}\n",
+        "2:26: error[unit-mismatch]: capacity.admission: count must be below 4611686018427387904" );
+      ( "node \"*\" {\n  capacity { heap = 99999999999gb }\n}\n",
+        "2:21: error[unit-mismatch]: capacity.heap: size must be below 4611686018427387904" );
+      ( "node \"*\" {\n  hotspots { replicas = 99999999999999999999 }\n}\n",
+        "2:25: error[unit-mismatch]: hotspots.replicas: count must be below 4611686018427387904" );
+      ( "site \"a.example\" { fuel <= 99999999999999999999 }\n",
+        "1:20: error[unit-mismatch]: fuel cap: count must be below 4611686018427387904" );
+    ]
 
 (* --- golden diagnostics: ordering pass -------------------------------- *)
 
@@ -298,16 +318,73 @@ let test_explain_mentions_lowering () =
       Alcotest.(check bool) (Printf.sprintf "explain mentions %s" needle) true found)
     [ "capacity.admission -> admission_capacity"; "share 30%"; "quarantine base 2s" ]
 
+let test_explain_multi_tenant_exact () =
+  Alcotest.(check string) "explain, byte for byte"
+    "plan f5a0241e44d3\n\
+     node \"*.nakika.net\":\n\
+    \  capacity.admission -> admission_capacity = 64 slots\n\
+    \  capacity.target -> admission_target = 0.5s\n\
+    \  capacity.interval -> admission_interval = 0.5s\n\
+    \  capacity.fuel -> script_max_fuel = 5000000\n\
+    \  capacity.heap -> script_max_heap = 67108864 bytes\n\
+    \  capacity.cache -> cache_bytes = 268435456 bytes\n\
+    \  diffusion.enabled -> enable_diffusion = off\n\
+    \  diffusion.low -> diffusion_low_water = 0.3\n\
+    \  diffusion.high -> diffusion_high_water = 0.8\n\
+    \  diffusion.fanout -> diffusion_fanout = 3\n\
+    \  diffusion.timeout -> diffusion_offload_timeout = 3s\n\
+    \  diffusion.fetch-timeout -> diffusion_fetch_timeout = 2s\n\
+    \  diffusion.staleness -> diffusion_staleness = 3s\n\
+    \  hotspots.enabled -> enable_hotspots = off\n\
+    \  hotspots.threshold -> hotspot_threshold = 10 req/s\n\
+    \  hotspots.replicas -> hotspot_replicas = 3\n\
+    \  hotspots.ttl -> hotspot_ttl = 30s\n\
+    \  hotspots.halflife -> hotspot_halflife = 10s\n\
+    \  breaker.failures -> breaker_failures = 3\n\
+    \  breaker.error-rate -> breaker_error_rate = 0.5\n\
+    \  breaker.window -> breaker_window = 10s\n\
+    \  breaker.cooldown -> breaker_cooldown = 5s\n\
+    \  breaker.max -> breaker_max_cooldown = 60s\n\
+    \  quarantine.base -> termination_penalty = 30s\n\
+    \  quarantine.max -> quarantine_max = 240s\n\
+    \  quarantine.decay -> quarantine_decay = 60s\n\
+    \  deadline.request -> request_deadline = 0s\n\
+    \  deadline.hedge -> enable_hedging = off\n\
+    \  deadline.hedge-rate -> hedge_rate = 0.05\n\
+    \  deadline.retry_budget -> retry_budget_ratio = 0\n\
+    \  site \"video.example\" -> share 30% (19 of 64 slots)\n\
+    \  site \"news.example\" -> share 20% (13 of 64 slots)\n\
+    \  site \"video.example\" -> quarantine base 2s max 300s\n\
+    \  site \"video.example\" -> fuel cap 40000\n\
+    \  site \"video.example\" -> heap cap 4194304 bytes\n"
+    (P.explain (P.compile multi_tenant))
+
+let test_lowering_duplicate_key_first_wins () =
+  (* The ordering pass checks a knob's first well-formed value; lowering
+     must write that same value, not a later one the verifier never
+     compared (cooldown 10m against max 30s would be config-invalid). *)
+  let r = P.compile "node \"*\" {\n  breaker { cooldown = 1s; max = 30s; cooldown = 10m }\n}\n" in
+  Alcotest.(check (list string)) "clean" [] (diag_strings r);
+  match r.P.lowered with
+  | [ l ] ->
+    Alcotest.(check (float 1e-9)) "first cooldown" 1.0 l.Lower.config.Config.breaker_cooldown
+  | _ -> Alcotest.fail "expected one lowered config"
+
 (* --- the end-to-end guarantee (qcheck) -------------------------------- *)
 
-(* Random plans over the real grammar: values are drawn from mixed
-   ranges (valid and invalid), so some plans verify and some do not.
-   The property under test is one-sided: whenever the verifier says
-   yes, the lowered configs must pass [Config.validate] — the exact
-   checker [Node.create] enforces. *)
+(* Random plans over the real grammar: every knob in [Verify.vocabulary]
+   can appear, mostly with a value of its own kind, sometimes with one
+   drawn from mixed ranges (valid and invalid) or one past the int range,
+   so some plans verify and some do not. The property under test is
+   one-sided: whenever the verifier says yes, the lowered configs must
+   pass [Config.validate] — the exact checker [Node.create] enforces. *)
+let oversized_count = "99999999999999999999"
+
+let oversized_size = "99999999999gb"
+
 let gen_plan =
   QCheck.Gen.(
-    let value =
+    let mixed =
       oneof
         [
           map (fun n -> Printf.sprintf "%d" n) (int_range (-2) 200);
@@ -315,28 +392,36 @@ let gen_plan =
           map (fun n -> Printf.sprintf "%dms" n) (int_range (-100) 5000);
           map (fun n -> Printf.sprintf "%ds" n) (int_range 0 400);
           map (fun n -> Printf.sprintf "%dmb" n) (int_range 0 128);
-          oneofl [ "on"; "off"; "0.3"; "0.9" ];
+          oneofl [ "on"; "off"; "0.3"; "0.9"; oversized_count; oversized_size ];
         ]
     in
-    let setting (section, key) =
-      map (fun v -> Printf.sprintf "    %s = %s" key v) value
-      >|= fun s -> (section, s)
+    let of_kind = function
+      | Verify.Count ->
+        frequency
+          [ (9, map string_of_int (int_range 1 200)); (1, return oversized_count) ]
+      | Verify.Duration_pos -> map (fun n -> Printf.sprintf "%dms" n) (int_range 1 5000)
+      | Verify.Duration_nonneg -> map (fun n -> Printf.sprintf "%ds" n) (int_range 0 400)
+      | Verify.Water -> map (fun n -> Printf.sprintf "%d%%" n) (int_range 0 100)
+      | Verify.Rate -> map (fun n -> Printf.sprintf "%d%%" n) (int_range 1 100)
+      | Verify.Bytes ->
+        frequency
+          [
+            (9, map (fun n -> Printf.sprintf "%dmb" n) (int_range 1 128));
+            (1, return oversized_size);
+          ]
+      | Verify.Toggle -> oneofl [ "on"; "off" ]
     in
-    let keys =
-      [
-        ("capacity", "admission"); ("capacity", "target"); ("capacity", "fuel");
-        ("capacity", "heap"); ("diffusion", "low"); ("diffusion", "high");
-        ("diffusion", "enabled"); ("breaker", "cooldown"); ("breaker", "max");
-        ("quarantine", "base"); ("quarantine", "max");
-      ]
+    let setting (k : Verify.knob) =
+      let* v = frequency [ (9, of_kind k.Verify.kind); (1, mixed) ] in
+      return (k.Verify.section, Printf.sprintf "    %s = %s" k.Verify.key v)
     in
     let node_block =
       let* chosen = List.fold_right
         (fun k acc ->
-          let* keep = bool in
+          let* keep = int_range 0 3 in
           let* rest = acc in
-          if keep then let* s = setting k in return (s :: rest) else return rest)
-        keys (return [])
+          if keep = 0 then let* s = setting k in return (s :: rest) else return rest)
+        Verify.vocabulary (return [])
       in
       let by_section section =
         List.filter_map (fun (s, line) -> if s = section then Some line else None) chosen
@@ -347,17 +432,28 @@ let gen_plan =
         | lines -> Printf.sprintf "  %s {\n%s\n  }\n" name (String.concat "\n" lines)
       in
       return
-        (Printf.sprintf "node \"*\" {\n%s%s%s%s}\n" (section "capacity")
-           (section "diffusion") (section "breaker") (section "quarantine"))
+        (Printf.sprintf "node \"*\" {\n%s}\n" (String.concat "" (List.map section Verify.sections)))
     in
     let site i =
       let* share = int_range 1 60 in
       let* with_share = bool in
-      let* fuel = int_range (-5) 100000 in
+      let* fuel =
+        frequency
+          [ (6, map string_of_int (int_range (-5) 100000)); (1, return oversized_count) ]
+      in
       let* with_fuel = bool in
+      let* heap =
+        frequency
+          [
+            (6, map (fun n -> Printf.sprintf "%dkb" n) (int_range 0 4096));
+            (1, return oversized_size);
+          ]
+      in
+      let* with_heap = bool in
       let clauses =
         (if with_share then [ Printf.sprintf "share >= %d%%" share ] else [])
-        @ (if with_fuel then [ Printf.sprintf "fuel <= %d" fuel ] else [])
+        @ (if with_fuel then [ Printf.sprintf "fuel <= %s" fuel ] else [])
+        @ (if with_heap then [ Printf.sprintf "heap <= %s" heap ] else [])
       in
       match clauses with
       | [] -> return ""
@@ -380,7 +476,7 @@ let gen_plan =
 
 let accepted_plans_lower_to_valid_configs =
   QCheck.Test.make ~name:"verifier-accepted plans lower to node-accepted configs"
-    ~count:300
+    ~count:300 ~long_factor:10
     (QCheck.make ~print:(fun s -> s) gen_plan)
     (fun plan_text ->
       let checked = P.check plan_text in
@@ -455,6 +551,7 @@ let suite =
     Alcotest.test_case "units: share must be percent" `Quick test_units_share_not_percent;
     Alcotest.test_case "units: share range" `Quick test_units_share_out_of_range;
     Alcotest.test_case "units: bad pattern" `Quick test_units_bad_pattern;
+    Alcotest.test_case "units: counts and sizes past the int range" `Quick test_units_oversized;
     Alcotest.test_case "ordering: inverted waters vs default" `Quick
       test_ordering_inverted_waters;
     Alcotest.test_case "ordering: inverted waters, both set" `Quick
@@ -476,6 +573,9 @@ let suite =
     Alcotest.test_case "lowering: config_for first match" `Quick test_config_for_matching;
     Alcotest.test_case "lowering: site-only plan" `Quick test_site_only_plan_gets_default_node;
     Alcotest.test_case "explain: shows the lowering map" `Quick test_explain_mentions_lowering;
+    Alcotest.test_case "explain: multi-tenant map exact" `Quick test_explain_multi_tenant_exact;
+    Alcotest.test_case "lowering: duplicate key keeps first" `Quick
+      test_lowering_duplicate_key_first_wins;
     QCheck_alcotest.to_alcotest accepted_plans_lower_to_valid_configs;
     QCheck_alcotest.to_alcotest lowering_is_deterministic;
     Alcotest.test_case "plan config drives a real node" `Quick test_plan_drives_a_node;
