@@ -460,7 +460,7 @@ let lint_cmd =
     let docs =
       List.map
         (fun path ->
-          let report = Core.Analysis.Analysis.analyze_source (read_file path) in
+          let report = Core.Analysis.Analysis.analyze_program_source (read_file path) in
           let diags =
             if errors_only then
               List.filter

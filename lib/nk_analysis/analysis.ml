@@ -1,7 +1,8 @@
 (* Facade for the static analyzer: run the four passes over a parsed
-   program (or source text) and cache the resulting report alongside the
-   SHA-256-keyed compile cache, so admission-time linting of the
-   recurring wall/site scripts costs one table lookup per stage build. *)
+   program. The node's admission-time lint ([Nk_pipeline.Stage.of_script])
+   analyzes the AST held in [Nk_script.Compile]'s script cache, so a
+   stage build never parses a body the compiler already parsed; only the
+   CLI starts from source text ([analyze_program_source]). *)
 
 type report = {
   diagnostics : Diagnostic.t list;  (** sorted by position, then severity *)
@@ -26,55 +27,14 @@ let analyze (program : Nk_script.Ast.program) : report =
   in
   { diagnostics; costs }
 
-(* A source that does not even parse gets a one-diagnostic report: the
+(* A body that does not even parse gets a one-diagnostic report: the
    caller decides whether that is fatal (strict node) or left for the
-   compile path to surface (permissive). *)
+   compile path to surface (permissive). [kind] is "parse" or "lex". *)
+let parse_failure ~kind msg pos : report =
+  { diagnostics = [ Diagnostic.error "parse-error" pos "%s error: %s" kind msg ]; costs = [] }
+
 let analyze_program_source source : report =
   match Nk_script.Parser.parse source with
   | program -> analyze program
-  | exception Nk_script.Parser.Parse_error (msg, pos) ->
-    {
-      diagnostics =
-        [ Diagnostic.error "parse-error" pos "parse error: %s" msg ];
-      costs = [];
-    }
-  | exception Nk_script.Lexer.Lex_error (msg, pos) ->
-    {
-      diagnostics = [ Diagnostic.error "parse-error" pos "lex error: %s" msg ];
-      costs = [];
-    }
-
-(* --- the report cache ----------------------------------------------- *)
-
-type cache_stats = { hits : int; misses : int; entries : int }
-
-let cache : (string, report) Hashtbl.t = Hashtbl.create 64
-
-let cache_hits = ref 0
-
-let cache_misses = ref 0
-
-let max_cache_entries = 1024
-
-let cache_stats () =
-  { hits = !cache_hits; misses = !cache_misses; entries = Hashtbl.length cache }
-
-let cache_clear () =
-  Hashtbl.reset cache;
-  cache_hits := 0;
-  cache_misses := 0
-
-let analyze_source ?on_cache source : report =
-  let key = Nk_crypto.Sha256.digest source in
-  match Hashtbl.find_opt cache key with
-  | Some r ->
-    incr cache_hits;
-    (match on_cache with Some f -> f `Hit | None -> ());
-    r
-  | None ->
-    incr cache_misses;
-    (match on_cache with Some f -> f `Miss | None -> ());
-    let r = analyze_program_source source in
-    if Hashtbl.length cache >= max_cache_entries then Hashtbl.reset cache;
-    Hashtbl.replace cache key r;
-    r
+  | exception Nk_script.Parser.Parse_error (msg, pos) -> parse_failure ~kind:"parse" msg pos
+  | exception Nk_script.Lexer.Lex_error (msg, pos) -> parse_failure ~kind:"lex" msg pos

@@ -87,14 +87,6 @@ let to_string t =
 
 let query_get t k = List.assoc_opt k t.query
 
-let with_query t query = { t with query }
-
-let with_path t path =
-  let path = if path = "" then "/" else if path.[0] = '/' then path else "/" ^ path in
-  { t with path }
-
-let with_host t host = { t with host = String.lowercase_ascii host }
-
 let site t = if t.port = 80 then t.host else Printf.sprintf "%s:%d" t.host t.port
 
 let host_matches ~pattern host =
@@ -119,9 +111,6 @@ let of_nakika t =
   if is_nakika t then
     Some { t with host = String.sub t.host 0 (String.length t.host - String.length nakika_suffix) }
   else None
-
-let path_segments t =
-  String.split_on_char '/' t.path |> List.filter (fun s -> s <> "")
 
 let equal a b =
   a.scheme = b.scheme && a.host = b.host && a.port = b.port && a.path = b.path

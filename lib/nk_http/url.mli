@@ -29,12 +29,6 @@ val length : t -> int
 
 val query_get : t -> string -> string option
 
-val with_query : t -> (string * string) list -> t
-
-val with_path : t -> string -> t
-
-val with_host : t -> string -> t
-
 val site : t -> string
 (** The site identifier used for per-site accounting and the
     [nakika.js] lookup: "host" or "host:port" for non-default ports. *)
@@ -55,8 +49,5 @@ val of_nakika : t -> t option
     not a Na Kika name. *)
 
 val is_nakika : t -> bool
-
-val path_segments : t -> string list
-(** Path split on '/', without empty leading segment. *)
 
 val equal : t -> t -> bool

@@ -1,11 +1,4 @@
-type stage_entry = {
-  stage : Nk_pipeline.Stage.t;
-  site : string;
-  hash : string;
-      (* SHA-256 of the script source — the name an offload envelope
-         ships instead of the body; "" for stages not built from a
-         fetched source *)
-}
+type stage_entry = { stage : Nk_pipeline.Stage.t; site : string }
 
 (* Proactive computation diffusion (C3PO): the neighbor pressure table
    fed by the cluster's load-report gossip, plus the offload protocol
@@ -190,14 +183,6 @@ let observe_neighbor t ~name:peer ~pressure ~incarnation ~distance =
     if peer <> name t then
       Nk_diffusion.Neighbors.observe d.neighbors ~name:peer ~incarnation ~pressure
         ~distance ~now:(now t)
-
-let neighbor_pressures t =
-  match t.diffusion with
-  | None -> []
-  | Some d ->
-    List.map
-      (fun (i : Nk_diffusion.Neighbors.info) -> (i.Nk_diffusion.Neighbors.name, i.pressure))
-      (Nk_diffusion.Neighbors.all d.neighbors)
 
 let retry_after_response ?(status = 503) seconds =
   let resp = Nk_http.Message.error_response status in
@@ -799,57 +784,35 @@ let site_max_fuel t ~site =
 let site_max_heap t ~site =
   site_limit t.cfg.Config.site_heap ~site ~global:t.cfg.Config.script_max_heap
 
-(* Admission-time lint, then compile. The lint analyzes the fetched
-   source (report cached by SHA-256 process-wide) and exports the
-   diagnostic counts; under strict mode it refuses the stage before any
-   script code runs. *)
+(* Admission of a fetched script body: [Stage.of_script] looks it up in
+   the process-wide script cache and lints it under the node's
+   [lint_mode]; the node exports the diagnostic counts and the
+   compile-cache outcome, and traces the lint (refused under strict
+   mode before any script code runs) and the compile. *)
 let compile_source t ~span ~url ~site ~source ~host ~max_fuel ~max_heap_bytes ~seed =
+  let labels = [ ("site", site) ] in
   (* Whether this script body was already compiled (by this or any other
      simulated node in the process) or cost a fresh parse+compile. *)
   let on_compile_cache outcome =
-    let labels = [ ("site", site) ] in
     match outcome with
     | `Hit -> Nk_telemetry.Metrics.incr t.metrics ~labels "script.compile_cache.hits"
     | `Miss -> Nk_telemetry.Metrics.incr t.metrics ~labels "script.compile_cache.misses"
   in
-  let lint_gate =
-    match t.cfg.Config.lint_mode with
-    | `Off -> Ok ()
-    | (`Permissive | `Strict) as mode ->
-      in_span t ?parent:span "script.lint" [ ("stage", url) ] (fun sp ->
-          let report = Nk_analysis.Analysis.analyze_source source in
-          let errors = Nk_analysis.Analysis.errors report in
-          let warnings = Nk_analysis.Analysis.warnings report in
-          set_attr sp "errors" (string_of_int errors);
-          set_attr sp "warnings" (string_of_int warnings);
-          let labels = [ ("site", site) ] in
-          if errors > 0 then
-            Nk_telemetry.Metrics.incr t.metrics ~labels ~by:errors
-              "script.lint.errors";
-          if warnings > 0 then
-            Nk_telemetry.Metrics.incr t.metrics ~labels ~by:warnings
-              "script.lint.warnings";
-          if mode = `Strict && errors > 0 then begin
-            set_attr sp "rejected" "true";
-            let first =
-              List.find
-                (fun (d : Nk_analysis.Diagnostic.t) ->
-                  d.Nk_analysis.Diagnostic.severity = Nk_analysis.Diagnostic.Error)
-                report.Nk_analysis.Analysis.diagnostics
-            in
-            Error
-              (Printf.sprintf "%s: rejected by lint: %d error(s), first: %s" url
-                 errors
-                 (Nk_analysis.Diagnostic.to_string first))
-          end
-          else Ok ())
+  let on_lint report =
+    in_span t ?parent:span "script.lint" [ ("stage", url) ] (fun sp ->
+        let errors = Nk_analysis.Analysis.errors report in
+        let warnings = Nk_analysis.Analysis.warnings report in
+        set_attr sp "errors" (string_of_int errors);
+        set_attr sp "warnings" (string_of_int warnings);
+        if errors > 0 then
+          Nk_telemetry.Metrics.incr t.metrics ~labels ~by:errors "script.lint.errors";
+        if warnings > 0 then
+          Nk_telemetry.Metrics.incr t.metrics ~labels ~by:warnings "script.lint.warnings";
+        if t.cfg.Config.lint_mode = `Strict && errors > 0 then set_attr sp "rejected" "true")
   in
-  match lint_gate with
-  | Error _ as e -> e
-  | Ok () ->
-    in_span t ?parent:span "script.compile" [ ("stage", url) ] (fun _ ->
-        Nk_pipeline.Stage.of_script ~url ~host ~max_fuel ~max_heap_bytes ~seed
-          ~on_compile_cache ~lint:`Off ~source ())
+  in_span t ?parent:span "script.compile" [ ("stage", url) ] (fun _ ->
+      Nk_pipeline.Stage.of_script ~url ~host ~max_fuel ~max_heap_bytes ~seed
+        ~on_compile_cache ~lint:t.cfg.Config.lint_mode ~on_lint ~source ())
 
 (* Stage installation, shared by every way a stage is made. The node
    joins the site's replication group up front, so updates published
@@ -859,7 +822,7 @@ let compile_source t ~span ~url ~site ~source ~host ~max_fuel ~max_heap_bytes ~s
    is cached under [url] until the freshness of [response] (the origin
    answer its source came from) or [script_ttl]. A failure is counted,
    logged and negative-cached like any other script error. *)
-let rec install_stage t ~url ~site ~hash ?response build =
+let rec install_stage t ~url ~site ?response build =
   ignore (replica t site);
   (* The administrative stages themselves are exempt from emission
      control (they *are* the control, and routing them through it would
@@ -886,7 +849,7 @@ let rec install_stage t ~url ~site ~hash ?response build =
       | Some e -> e
       | None -> now t +. t.cfg.Config.script_ttl
     in
-    Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry { stage; site; hash };
+    Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry { stage; site };
     Ok stage
   | Error msg as e ->
     Nk_telemetry.Metrics.incr t.metrics "script-errors";
@@ -932,29 +895,19 @@ and load_stage t ?span url =
             +. (costs.Config.parse_per_byte *. float_of_int (String.length source)));
           let site = site_of_stage_url url in
           Result.to_option
-            (install_stage t ~url ~site ~hash:(Nk_crypto.Sha256.digest source) ~response:resp
+            (install_stage t ~url ~site ~response:resp
                (compile_source t ~span:sp ~url ~site ~source))
         end)))
-
-let warm_stage t ~url ~site ~source =
-  match
-    install_stage t ~url ~site ~hash:(Nk_crypto.Sha256.digest source)
-      (compile_source t ~span:None ~url ~site ~source)
-  with
-  | Ok _ -> ()
-  | Error msg -> invalid_arg (Printf.sprintf "warm_stage %s: %s" url msg)
 
 (* Install a stage straight from a compiled program (the diffusion
    receiver's path: the offload envelope named the script by SHA-256 and
    the compile cache still holds it — no source, no parse, no lint; the
    node that compiled it linted it). *)
-let install_stage_from_program t ~url ~site ~hash program =
+let install_stage_from_program t ~url ~site script =
   Result.is_ok
-    (install_stage t ~url ~site ~hash (fun ~host ~max_fuel ~max_heap_bytes ~seed ->
+    (install_stage t ~url ~site (fun ~host ~max_fuel ~max_heap_bytes ~seed ->
          charge_cpu t t.cfg.Config.costs.Config.context_create;
-         Nk_pipeline.Stage.of_program ~url ~host ~max_fuel ~max_heap_bytes ~seed program))
-
-let invalidate_stage t ~url = Nk_cache.Memo_cache.remove t.stage_cache url
+         Nk_pipeline.Stage.of_program ~url ~host ~max_fuel ~max_heap_bytes ~seed script))
 
 (* --- request processing ---------------------------------------------- *)
 
@@ -1093,7 +1046,7 @@ let site_script_url site = Printf.sprintf "http://%s/nakika.js" site
 let offload_hash t site =
   let url = site_script_url site in
   match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
-  | Some entry -> Some entry.hash
+  | Some entry -> Some (Nk_pipeline.Stage.digest entry.stage)
   | None -> (
     match Nk_cache.Memo_cache.find t.negative ~now:(now t) url with
     | Some () -> Some ""
@@ -1215,13 +1168,13 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
   else
     let registry_hits_before = (Nk_script.Registry.stats ()).Nk_script.Registry.hits in
     match Nk_script.Compile.find_cached_by_hash hash with
-    | Some program ->
+    | Some script ->
       (* [find_cached_by_hash] falls through to the persistent registry:
          if its hit counter moved, this program was rescued from disk
          rather than found in memory — an origin fetch avoided. *)
       if (Nk_script.Registry.stats ()).Nk_script.Registry.hits > registry_hits_before
       then Nk_telemetry.Metrics.incr t.metrics "diffusion.registry_rescues";
-      ignore (install_stage_from_program t ~url ~site ~hash program)
+      ignore (install_stage_from_program t ~url ~site script)
     | None ->
       (* Hash miss: the program fell out of the (LRU-bounded) compile
          cache, or was never compiled in this process. Fetch the script

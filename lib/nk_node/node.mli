@@ -95,18 +95,8 @@ val observe_neighbor :
     Incarnation-guarded; self-observations and calls on a
     diffusion-disabled node are no-ops. *)
 
-val neighbor_pressures : t -> (string * float) list
-(** Snapshot of the neighbor pressure table, name-sorted ([] when
-    diffusion is disabled). *)
-
 val terminated_sites : t -> string list
 (** Sites whose pipelines the monitor has terminated (most recent
     first; a site may appear more than once). *)
 
 val stage_cache_entries : t -> int
-
-val warm_stage : t -> url:string -> site:string -> source:string -> unit
-(** Pre-install a stage script (used by tests and benches to skip the
-    fetch path). The script's decision tree is cached under [url]. *)
-
-val invalidate_stage : t -> url:string -> unit

@@ -24,8 +24,6 @@ let compare = Int.compare
 
 let equal = Int.equal
 
-let to_hex t = Printf.sprintf "%016x" t
-
 let distance a b = (b - a) land mask
 
 let add_pow2 t i =

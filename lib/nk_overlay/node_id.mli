@@ -18,8 +18,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val to_hex : t -> string
-
 val distance : t -> t -> int
 (** Clockwise distance from the first id to the second. *)
 

@@ -1,5 +1,6 @@
 type t = {
   url : string;
+  digest : string;
   ctx : Nk_script.Interp.ctx;
   policies : Nk_policy.Policy.t list;
   tree : Nk_policy.Decision_tree.t;
@@ -14,87 +15,81 @@ type t = {
 
 let url t = t.url
 
+let digest t = t.digest
+
 let context t = t.ctx
 
 let policies t = t.policies
 
 let tree t = t.tree
 
-let of_policies ~url ~ctx policies =
-  {
-    url;
-    ctx;
-    policies;
-    tree = Nk_policy.Decision_tree.build policies;
-    busy = false;
-    waiters = Queue.create ();
-  }
-
-let of_script ~url ~host ?max_fuel ?max_heap_bytes ?seed ?on_compile_cache
-    ?(lint = `Permissive) ?on_lint ~source () =
-  (* Admission-time static analysis, cached by SHA-256 of the source
-     alongside the compile cache.  [`Strict] refuses scripts with
-     error-severity diagnostics before any code runs; [`Permissive]
-     still analyzes (so observers see the counts) but only reports. *)
-  let lint_gate =
-    match lint with
-    | `Off -> Ok ()
-    | (`Permissive | `Strict) as mode -> (
-      let report = Nk_analysis.Analysis.analyze_source source in
-      (match on_lint with Some f -> f report | None -> ());
-      match
-        ( mode,
-          List.find_opt
-            (fun (d : Nk_analysis.Diagnostic.t) ->
-              d.Nk_analysis.Diagnostic.severity = Nk_analysis.Diagnostic.Error)
-            report.Nk_analysis.Analysis.diagnostics )
-      with
-      | `Strict, Some d ->
-        Error
-          (Printf.sprintf "%s: rejected by lint: %d error(s), first at %d:%d: [%s] %s"
-             url
-             (Nk_analysis.Analysis.errors report)
-             d.Nk_analysis.Diagnostic.pos.Nk_script.Ast.line
-             d.Nk_analysis.Diagnostic.pos.Nk_script.Ast.col
-             d.Nk_analysis.Diagnostic.code d.Nk_analysis.Diagnostic.message)
-      | _ -> Ok ())
-  in
-  match lint_gate with
-  | Error _ as e -> e
-  | Ok () -> (
-    let ctx = Nk_script.Interp.create ?max_fuel ?max_heap_bytes () in
-    Nk_vocab.Platform_v.install_all host ?seed ctx;
-    Nk_vocab.Eval_v.install ctx;
-    let registry = Nk_policy.Script_bridge.create_registry () in
-    Nk_policy.Script_bridge.install registry ctx;
-    (* Compiled path: the program is fetched from (or compiled into) the
-       process-wide SHA-256-keyed cache, so many stages loading the same
-       wall/site script share one compilation. *)
-    match Nk_script.Compile.run_string ?on_cache:on_compile_cache ctx source with
-    | _ -> Ok (of_policies ~url ~ctx (Nk_policy.Script_bridge.policies registry))
-    | exception Nk_script.Value.Script_error msg -> Error (Printf.sprintf "%s: %s" url msg)
-    | exception Nk_script.Parser.Parse_error (msg, pos) ->
-      Error (Printf.sprintf "%s: parse error at %d:%d: %s" url pos.Nk_script.Ast.line pos.col msg)
-    | exception Nk_script.Lexer.Lex_error (msg, pos) ->
-      Error (Printf.sprintf "%s: lex error at %d:%d: %s" url pos.Nk_script.Ast.line pos.col msg)
-    | exception Nk_script.Interp.Resource_exhausted msg ->
-      Error (Printf.sprintf "%s: %s" url msg))
-
-let of_program ~url ~host ?max_fuel ?max_heap_bytes ?seed program =
-  (* Diffusion receivers resolve a script by SHA-256 against the
-     compile cache and never see the source, so there is nothing to
-     lint here — the node that first compiled the program already ran
-     the admission-time analysis. *)
+(* The one context builder: a fresh sandbox with the platform
+   vocabularies and the [Policy] constructor installed, the program run
+   in it, and the decision tree built from the policies it registered. *)
+let of_program ~url ~host ?max_fuel ?max_heap_bytes ?seed
+    (script : Nk_script.Compile.script) =
   let ctx = Nk_script.Interp.create ?max_fuel ?max_heap_bytes () in
   Nk_vocab.Platform_v.install_all host ?seed ctx;
   Nk_vocab.Eval_v.install ctx;
   let registry = Nk_policy.Script_bridge.create_registry () in
   Nk_policy.Script_bridge.install registry ctx;
-  match Nk_script.Compile.run ctx program with
-  | _ -> Ok (of_policies ~url ~ctx (Nk_policy.Script_bridge.policies registry))
+  match Nk_script.Compile.run ctx script.Nk_script.Compile.program with
+  | _ ->
+    let policies = Nk_policy.Script_bridge.policies registry in
+    Ok
+      {
+        url;
+        digest = script.Nk_script.Compile.digest;
+        ctx;
+        policies;
+        tree = Nk_policy.Decision_tree.build policies;
+        busy = false;
+        waiters = Queue.create ();
+      }
   | exception Nk_script.Value.Script_error msg -> Error (Printf.sprintf "%s: %s" url msg)
   | exception Nk_script.Interp.Resource_exhausted msg ->
     Error (Printf.sprintf "%s: %s" url msg)
+
+let of_script ~url ~host ?max_fuel ?max_heap_bytes ?seed ?on_compile_cache
+    ?(lint = `Permissive) ?on_lint ~source () =
+  let parsed =
+    match Nk_script.Compile.lookup ?on_cache:on_compile_cache source with
+    | script -> Ok script
+    | exception Nk_script.Parser.Parse_error (msg, pos) -> Error ("parse", msg, pos)
+    | exception Nk_script.Lexer.Lex_error (msg, pos) -> Error ("lex", msg, pos)
+  in
+  (* Admission-time static analysis of the cached AST. [`Strict]
+     refuses scripts with error-severity diagnostics before any code
+     runs; [`Permissive] still analyzes (so observers see the counts)
+     but only reports. *)
+  let rejection =
+    match lint with
+    | `Off -> None
+    | (`Permissive | `Strict) as mode ->
+      let module A = Nk_analysis.Analysis in
+      let report =
+        match parsed with
+        | Ok script -> A.analyze script.Nk_script.Compile.ast
+        | Error (kind, msg, pos) -> A.parse_failure ~kind msg pos
+      in
+      Option.iter (fun f -> f report) on_lint;
+      if mode = `Permissive then None
+      else
+        List.find_opt
+          (fun (d : Nk_analysis.Diagnostic.t) ->
+            d.Nk_analysis.Diagnostic.severity = Nk_analysis.Diagnostic.Error)
+          report.A.diagnostics
+        |> Option.map (fun d ->
+               Printf.sprintf "%s: rejected by lint: %d error(s), first: %s" url
+                 (A.errors report) (Nk_analysis.Diagnostic.to_string d))
+  in
+  match (rejection, parsed) with
+  | Some msg, _ -> Error msg
+  | None, Error (kind, msg, pos) ->
+    Error
+      (Printf.sprintf "%s: %s error at %d:%d: %s" url kind pos.Nk_script.Ast.line
+         pos.Nk_script.Ast.col msg)
+  | None, Ok script -> of_program ~url ~host ?max_fuel ?max_heap_bytes ?seed script
 
 let select t req = Nk_policy.Decision_tree.find_closest t.tree req
 

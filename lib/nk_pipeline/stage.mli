@@ -16,6 +16,10 @@ val policies : t -> Nk_policy.Policy.t list
 
 val tree : t -> Nk_policy.Decision_tree.t
 
+val digest : t -> string
+(** SHA-256 of the script body the stage was built from — the name an
+    offload envelope ships instead of the body. *)
+
 val of_script :
   url:string ->
   host:Nk_vocab.Hostcall.t ->
@@ -28,19 +32,20 @@ val of_script :
   source:string ->
   unit ->
   (t, string) result
-(** Build a fresh context, install the platform vocabularies and the
-    [Policy] constructor, evaluate the script (through
-    {!Nk_script.Compile}'s program cache; [on_compile_cache] reports
-    whether this source was already compiled), and compile the decision
-    tree. Returns [Error] on parse or runtime failure (such a script
-    publishes no policies).
+(** The one admission path for a script body. Looks the body up in
+    {!Nk_script.Compile}'s script cache ([on_compile_cache] reports
+    whether it was already there), lints it, then builds the stage as
+    {!of_program} does. Returns [Error] on a parse or runtime failure
+    (such a script publishes no policies).
 
-    Before anything runs, the source is statically analyzed through
-    {!Nk_analysis.Analysis.analyze_source} (SHA-256-cached like the
-    compile cache) and the report is handed to [on_lint].  Under
+    The lint is the static analyzer run over the cached AST; a body
+    that does not parse gets a one-diagnostic [parse-error] report. The
+    report is handed to [on_lint] before any script code runs. Under
     [~lint:`Strict] a report with error-severity diagnostics makes
-    [of_script] return [Error] without executing the script; the
-    default [`Permissive] only reports; [`Off] skips analysis. *)
+    [of_script] return [Error] without executing the script — the one
+    lint rejection, naming the error count and the first error as
+    {!Nk_analysis.Diagnostic.to_string} prints it; the default
+    [`Permissive] only reports; [`Off] skips analysis. *)
 
 val of_program :
   url:string ->
@@ -48,16 +53,14 @@ val of_program :
   ?max_fuel:int ->
   ?max_heap_bytes:int ->
   ?seed:int ->
-  Nk_script.Compile.program ->
+  Nk_script.Compile.script ->
   (t, string) result
-(** Like {!of_script} but from an already-compiled program (resolved
-    from the compile cache by SHA-256 — the diffusion receiver's path,
-    where the source is not available). Skips lint: the node that
-    compiled the program ran the admission-time analysis. *)
-
-val of_policies : url:string -> ctx:Nk_script.Interp.ctx -> Nk_policy.Policy.t list -> t
-(** Assemble a stage from pre-built policies (used by tests and
-    OCaml-authored stages). *)
+(** Build a fresh context, install the platform vocabularies and the
+    [Policy] constructor, run the program, and compile the decision
+    tree from the policies it registered. This is the diffusion
+    receiver's path, where the script was resolved by digest and the
+    source is not at hand; it skips lint, which the node that first
+    admitted the body ran. *)
 
 val select : t -> Nk_http.Message.request -> Nk_policy.Policy.t option
 (** Closest-match policy for the request via the decision tree. *)

@@ -156,8 +156,6 @@ let keys t ~prefix =
 
 let name t = t.node_name
 
-let applied_updates t = t.applied
-
 (* Anti-entropy: periodically re-broadcast every key this replica knows,
    at its current version. Receivers that already have the version drop
    it (version-stale), so the cycle is idempotent; receivers that missed

@@ -44,9 +44,6 @@ val keys : node -> prefix:string -> string list
 
 val name : node -> string
 
-val applied_updates : node -> int
-(** Local + remote updates applied at this node. *)
-
 val start_anti_entropy : node -> ?interval:float -> unit -> unit
 (** Every [interval] (default 30 s) simulated seconds, re-broadcast all
     keys this replica knows at their current versions. Receivers ignore

@@ -53,7 +53,4 @@ let keys t ~site ~prefix =
       s.table []
     |> List.sort compare
 
-let site_bytes t ~site =
-  match Hashtbl.find_opt t.sites site with Some s -> s.bytes | None -> 0
-
 let sites t = Hashtbl.fold (fun k _ acc -> k :: acc) t.sites [] |> List.sort compare

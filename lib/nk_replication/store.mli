@@ -20,6 +20,4 @@ val delete : t -> site:string -> key:string -> unit
 val keys : t -> site:string -> prefix:string -> string list
 (** Sorted. *)
 
-val site_bytes : t -> site:string -> int
-
 val sites : t -> string list

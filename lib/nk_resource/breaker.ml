@@ -50,11 +50,6 @@ let name t = t.name
 
 let state t = t.state
 
-let state_to_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
 let opens t = t.opens
 
 let probes t = t.probes

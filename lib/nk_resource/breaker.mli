@@ -51,8 +51,6 @@ val failure : t -> unit
 
 val state : t -> state
 
-val state_to_string : state -> string
-
 val name : t -> string
 
 val opens : t -> int

@@ -33,7 +33,7 @@ let install ?(seed = 42) ctx =
   let prng = Nk_util.Prng.create seed in
   let def name v = Interp.define_global ctx name v in
   def "Math" (math_object prng);
-  def "String" (native "String" (fun _ args -> Vstr (to_string (arg 0 args))));
+  def "String" (native "String" (fun _ args -> Vstr (Interp.text ctx (arg 0 args))));
   def "Number" (native "Number" (fun _ args -> Vnum (to_number (arg 0 args))));
   def "Boolean" (native "Boolean" (fun _ args -> Vbool (truthy (arg 0 args))));
   def "parseInt" (native "parseInt" (fun _ args ->

@@ -210,7 +210,8 @@ let specialize_binop (op : Ast.binop) : Value.ctx -> Value.t -> Value.t -> Value
         if h > ctx.max_heap then raise (Value.Resource_exhausted "heap limit exceeded");
         Vstr s
       | Vstr _, _ | _, Vstr _ ->
-        let v = Vstr (to_string a ^ to_string b) in
+        let x = I.text ctx a in
+        let v = Vstr (x ^ I.text ctx b) in
         charge_allocv ctx v;
         v
       | _ -> Vnum (to_number a +. to_number b))
@@ -1311,22 +1312,28 @@ let run ctx (p : program) : Value.t =
 
 (* --- the compiled-program cache --------------------------------------- *)
 
-(* Keyed by SHA-256 of the script body: the client wall, a site script
-   and the server wall are each parsed and compiled once per process,
-   no matter how many stages or simulated nodes load them (§4's context
-   amortization taken one step further). Only successful compilations
-   are cached — failing scripts are negative-cached upstream by the
-   node.
+(* The one place a script body is named and parsed. Keyed by SHA-256 of
+   the body: the client wall, a site script and the server wall are
+   each parsed and compiled once per process, no matter how many stages
+   or simulated nodes load them (§4's context amortization taken one
+   step further). An entry keeps the parsed program next to the
+   compiled one, so admission-time analysis reads the AST the compiler
+   lowered instead of parsing the body again, and the digest, which
+   stages carry as the name offload envelopes ship. Only successful
+   parses are cached — failing scripts are negative-cached upstream by
+   the node.
 
    The table is bounded with LRU eviction. Diffusion's hash-miss
    offload traffic makes unbounded growth reachable (every distinct
    script body a peer ever names lands here), and flushing the whole
-   table on overflow — the previous policy — would throw away the hot
-   wall scripts along with the flood. *)
+   table on overflow would throw away the hot wall scripts along with
+   the flood. *)
+
+type script = { digest : string; ast : Ast.program; program : program }
 
 type cache_stats = { hits : int; misses : int; entries : int; evictions : int }
 
-type cache_entry = { program : program; mutable last_used : int }
+type cache_entry = { script : script; mutable last_used : int }
 
 let cache : (string, cache_entry) Hashtbl.t = Hashtbl.create 64
 
@@ -1373,38 +1380,36 @@ let evict_lru () =
     incr cache_evictions
   | None -> ()
 
-let cache_insert key p =
+(* Compile [ast] under [digest] and cache the result. *)
+let admit digest ast =
   while Hashtbl.length cache >= !cache_capacity do
     evict_lru ()
   done;
-  let entry = { program = p; last_used = 0 } in
+  let script = { digest; ast; program = compile ast } in
+  let entry = { script; last_used = 0 } in
   touch entry;
-  Hashtbl.replace cache key entry
+  Hashtbl.replace cache digest entry;
+  script
 
 let find_cached_by_hash hash =
   match Hashtbl.find_opt cache hash with
   | Some entry ->
     touch entry;
-    Some entry.program
-  | None -> (
+    Some entry.script
+  | None ->
     (* Disk fallthrough: a diffusion peer naming a program by hash can
        be served from the persistent registry even if this process
        never saw the source (or the LRU dropped it). *)
-    match Registry.load ~hash with
-    | Some ast ->
-      let p = compile ast in
-      cache_insert hash p;
-      Some p
-    | None -> None)
+    Option.map (admit hash) (Registry.load ~hash)
 
-let get_program ?on_cache source =
-  let key = Nk_crypto.Sha256.digest source in
-  match Hashtbl.find_opt cache key with
+let lookup ?on_cache source =
+  let digest = Nk_crypto.Sha256.digest source in
+  match Hashtbl.find_opt cache digest with
   | Some entry ->
     incr cache_hits;
     touch entry;
     (match on_cache with Some f -> f `Hit | None -> ());
-    entry.program
+    entry.script
   | None ->
     incr cache_misses;
     (match on_cache with Some f -> f `Miss | None -> ());
@@ -1413,18 +1418,17 @@ let get_program ?on_cache source =
        and then persists the AST for the next process. Either way the
        callback reported [`Miss] above — the registry is a parse
        bypass, not a cache hit; [Registry.stats] accounts it. *)
-    let p =
-      match Registry.load ~hash:key with
-      | Some ast -> compile ast
+    let ast =
+      match Registry.load ~hash:digest with
+      | Some ast -> ast
       | None ->
         let ast = Parser.parse source in
-        Registry.store ~hash:key ast;
-        compile ast
+        Registry.store ~hash:digest ast;
+        ast
     in
-    cache_insert key p;
-    p
+    admit digest ast
 
-let run_string ?on_cache ctx source = run ctx (get_program ?on_cache source)
+let run_string ?on_cache ctx source = run ctx (lookup ?on_cache source).program
 
 (* Node start: pull every valid registry entry into the in-memory cache
    so the first request for a known site pays a cache hit, not a disk
@@ -1437,7 +1441,7 @@ let preload_registry () =
       else
         match Registry.load ~hash with
         | Some ast ->
-          cache_insert hash (compile ast);
+          ignore (admit hash ast);
           loaded + 1
         | None -> loaded)
     0 (Registry.entries ())

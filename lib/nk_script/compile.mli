@@ -1,12 +1,16 @@
-(** Closure compilation of NKScript.
+(** Closure compilation of NKScript, and the process-wide script cache.
 
     Lowers a parsed program once into OCaml closures with variables
     resolved to lexical slot addresses (frame arrays indexed at compile
-    time; the globals table is consulted only for true globals), plus a
-    process-wide compiled-program cache keyed by SHA-256 of the script
-    body — each distinct script (client wall, site script, server wall)
-    is parsed and compiled once per process no matter how many stages
-    or nodes load it.
+    time; the globals table is consulted only for true globals).
+
+    The cache is the only place a script body is hashed and parsed:
+    keyed by SHA-256 of the body, each entry holds that digest, the
+    parsed program and the compiled program, so each distinct script
+    (client wall, site script, server wall) is parsed and compiled once
+    per process no matter how many stages or nodes load it, and the
+    static analyzer and offload envelopes reuse the AST and the digest
+    instead of recomputing them.
 
     Semantics, error messages, and — critically — fuel and heap
     accounting are identical to the reference tree-walker in
@@ -30,13 +34,21 @@ val run : Interp.ctx -> program -> Value.t
     [Interp.Resource_exhausted] / [Interp.Terminated] from the sandbox,
     exactly as the reference tree-walker would. *)
 
-val get_program : ?on_cache:([ `Hit | `Miss ] -> unit) -> string -> program
-(** Fetch from (or compile into) the process-wide cache, keyed by
-    SHA-256 of [source]. [on_cache] fires before any parse work, so a
-    [`Miss] that then fails to parse is still reported (the caller
-    negative-caches failing sources). Raises [Parser.Parse_error] /
-    [Lexer.Lex_error] on a miss for invalid sources; failures are not
-    cached.
+type script = {
+  digest : string;  (** raw 32-byte SHA-256 of the body *)
+  ast : Ast.program;
+  program : program;
+}
+(** A cached script body: its name, its AST (what the static analyzer
+    reads) and its compiled program. *)
+
+val lookup : ?on_cache:([ `Hit | `Miss ] -> unit) -> string -> script
+(** Fetch from (or parse and compile into) the process-wide cache,
+    keyed by SHA-256 of the source. [on_cache] fires before any parse
+    work, so a [`Miss] that then fails to parse is still reported (the
+    caller negative-caches failing sources). Raises
+    [Parser.Parse_error] / [Lexer.Lex_error] on a miss for invalid
+    sources; failures are not cached.
 
     When the persistent {!Registry} is enabled, a memory miss consults
     it before parsing: a valid entry skips the parser entirely (still
@@ -45,8 +57,8 @@ val get_program : ?on_cache:([ `Hit | `Miss ] -> unit) -> string -> program
     for future processes. *)
 
 val run_string : ?on_cache:([ `Hit | `Miss ] -> unit) -> Interp.ctx -> string -> Value.t
-(** [run] ∘ [get_program]: the production entry point used by stages,
-    [evalScript] and NKP. *)
+(** [run] ∘ [lookup]: the entry point for [evalScript], NKP and the
+    CLI. *)
 
 type cache_stats = { hits : int; misses : int; entries : int; evictions : int }
 
@@ -69,11 +81,10 @@ val preload_registry : unit -> int
     No-op (0) when the registry is disabled. Called at node start so
     known sites' first requests never touch disk or the parser. *)
 
-val find_cached_by_hash : string -> program option
-(** Resolve an already-known SHA-256 digest (as produced by
-    {!Nk_crypto.Sha256.digest}) against the cache without having the
-    source — the diffusion receiver's lookup when an offload envelope
-    names a program by hash. Counts as an LRU touch but not as a
+val find_cached_by_hash : string -> script option
+(** Resolve an already-known SHA-256 digest (a {!script}'s [digest])
+    against the cache without having the source — the diffusion
+    receiver's lookup when an offload envelope names a program by hash. Counts as an LRU touch but not as a
     hit/miss (the caller accounts hash misses itself). Falls through to
     the persistent {!Registry} when enabled, so a peer-named program
     can be resolved without the source even across restarts. *)

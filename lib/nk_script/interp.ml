@@ -42,8 +42,6 @@ let define_global ctx name v = Hashtbl.replace ctx.globals name (ref v)
 
 let get_global ctx name = Option.map (fun r -> !r) (Hashtbl.find_opt ctx.globals name)
 
-let remove_global ctx name = Hashtbl.remove ctx.globals name
-
 let fuel_used ctx = ctx.fuel_used
 
 let heap_used ctx = ctx.heap_used
@@ -87,6 +85,14 @@ let charge_alloc ctx v = charge_bytes ctx (alloc_size v)
    string is built, so a result that would break the heap cap is never
    allocated. *)
 let charge_string ctx len = charge_bytes ctx (sat_add len 16)
+
+(* Array text inside the sandbox: each nested array is charged as a
+   string before it is built, and the heap limit stops the rest. The
+   outermost array is the caller's result to charge, so a flat array
+   costs what it always has. *)
+let element_texts ctx a = Value.element_texts ~charge:(charge_string ctx) [ a ] a
+
+let text ctx = function Varr a -> String.concat "," (element_texts ctx a) | v -> to_string v
 
 (* The slot an integral index names, or -1 when no array can have it.
    Compared in float space because [int_of_float] wraps huge values:
@@ -239,8 +245,8 @@ let array_method ctx a name args =
       first
     end
   | "join" ->
-    let sep = match arg 0 with Vundefined -> "," | v -> to_string v in
-    let parts = List.map to_string (arr_to_list a) in
+    let sep = match arg 0 with Vundefined -> "," | v -> text ctx v in
+    let parts = element_texts ctx a in
     let seps = sat_mul (max 0 (a.len - 1)) (String.length sep) in
     charge_string ctx (List.fold_left (fun n p -> sat_add n (String.length p)) seps parts);
     Vstr (String.concat sep parts)

@@ -30,8 +30,6 @@ val define_global : ctx -> string -> Value.t -> unit
 
 val get_global : ctx -> string -> Value.t option
 
-val remove_global : ctx -> string -> unit
-
 val apply : ctx -> ?this:Value.t -> Value.t -> Value.t list -> Value.t
 (** Call a function value (event handlers are invoked this way),
     charging the 4-unit invocation fuel first. *)
@@ -86,6 +84,13 @@ val charge_alloc : ctx -> Value.t -> unit
     [Resource_exhausted] if the total is over the cap. The native
     string builders ([repeat], [replace], [join]) charge the same
     amount before they build their result. *)
+
+val text : ctx -> Value.t -> string
+(** [Value.to_string] as [+] and [String(...)] see it: each array
+    nested in an array is charged as a string before it is built, so
+    the heap limit bounds text that grows per nesting level; an array
+    inside its own text prints as [""]. The result itself is the
+    caller's to charge. *)
 
 val member_get : ctx -> Value.t -> string -> Value.t
 

@@ -309,9 +309,27 @@ let rec to_string = function
   | Vstr s -> s
   | Vbytes b -> bytes_to_string b
   | Vobj _ -> "[object Object]"
-  | Varr a -> String.concat "," (List.map to_string (arr_to_list a))
+  | Varr a -> String.concat "," (element_texts ~charge:ignore [ a ] a)
   | Vfun (Compiled_fn f) -> Printf.sprintf "function %s() { ... }" f.code.cfname
   | Vfun (Native_fn f) -> Printf.sprintf "function %s() { [native code] }" f.nname
+
+(* The texts of [a]'s elements, as array stringification joins them;
+   [path] holds the arrays being stringified, [a] included. A nested
+   array's text is built with "," separators, its length passed to
+   [charge] first, so text that doubles per level ([a = [a, a]]
+   repeated) can be paid for as it grows. An array already on [path]
+   prints as "" (JS [join] semantics): [a.push(a)] cannot recurse
+   forever. *)
+and element_texts ~charge path a =
+  List.map
+    (function
+      | Varr b when List.memq b path -> ""
+      | Varr b ->
+        let parts = element_texts ~charge (b :: path) b in
+        charge (List.fold_left (fun n p -> n + String.length p) (max 0 (b.len - 1)) parts);
+        String.concat "," parts
+      | v -> to_string v)
+    (arr_to_list a)
 
 let to_number = function
   | Vundefined -> Float.nan

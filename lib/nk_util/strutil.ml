@@ -8,8 +8,6 @@ let ends_with ~suffix s =
 
 let lowercase = String.lowercase_ascii
 
-let split_char c s = String.split_on_char c s
-
 let split_first c s =
   match String.index_opt s c with
   | None -> None

@@ -6,9 +6,6 @@ val ends_with : suffix:string -> string -> bool
 
 val lowercase : string -> string
 
-val split_char : char -> string -> string list
-(** Split on every occurrence of the character; no empty-trimming. *)
-
 val split_first : char -> string -> (string * string) option
 (** [split_first c s] splits at the first occurrence of [c], excluding
     it, or [None] when absent. *)

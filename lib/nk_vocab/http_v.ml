@@ -165,7 +165,3 @@ let apply_writes sink (resp : Nk_http.Message.response) =
     resp.Nk_http.Message.resp_body <- Nk_http.Body.of_string body;
     Nk_http.Message.set_resp_header resp "Content-Length" (string_of_int (String.length body))
   end
-
-let clear_message_globals ctx =
-  Nk_script.Interp.remove_global ctx "Request";
-  Nk_script.Interp.remove_global ctx "Response"

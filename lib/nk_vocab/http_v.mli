@@ -23,10 +23,6 @@ val apply_writes : response_sink -> Nk_http.Message.response -> unit
     the body with the written bytes (Content-Length is updated; the
     script's Content-Type header is respected). *)
 
-val clear_message_globals : Nk_script.Interp.ctx -> unit
-(** Remove [Request]/[Response] before returning a context to the
-    pool. *)
-
 val response_to_value : Nk_http.Message.response -> Nk_script.Value.t
 (** [{status, contentType, body}] — the shape [fetchResource] and
     [Cache.lookup] return. *)

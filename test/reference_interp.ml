@@ -119,7 +119,8 @@ and eval_binop ctx op a b =
   | Ast.Add -> (
     match (a, b) with
     | (Vstr _, _ | _, Vstr _) ->
-      let v = Vstr (to_string a ^ to_string b) in
+      let x = Interp.text ctx a in
+      let v = Vstr (x ^ Interp.text ctx b) in
       charge_alloc ctx v;
       v
     | _ -> Vnum (to_number a +. to_number b))

@@ -1,7 +1,7 @@
 (* The static analyzer ([Nk_analysis]): golden diagnostics for each
    pass (scope, call shape, cost, taint), soundness of the cost bounds
-   against measured interpreter fuel, the per-source analysis cache,
-   lint gating in [Stage.of_script] and in a node's stage loader, and a
+   against measured interpreter fuel, lint gating in [Stage.of_script]
+   as the one gate a node's stage loader goes through, and a
    property linking the scope pass to the interpreter: programs the
    analyzer calls error-free never raise an undefined-variable error at
    runtime. *)
@@ -191,24 +191,6 @@ let test_for_init_position () =
     Alcotest.(check int) "init clause column" 17 init.Ast.spos.Ast.col
   | _ -> Alcotest.fail "unexpected parse shape"
 
-(* --- the analysis cache ---------------------------------------------- *)
-
-let test_analysis_cache () =
-  A.cache_clear ();
-  let events = ref [] in
-  let on_cache e = events := e :: !events in
-  let src = "var a = 1; a" in
-  ignore (A.analyze_source ~on_cache src);
-  ignore (A.analyze_source ~on_cache src);
-  ignore (A.analyze_source ~on_cache (src ^ " "));
-  Alcotest.(check (list bool))
-    "miss, hit, miss" [ false; true; false ]
-    (List.rev_map (fun e -> e = `Hit) !events);
-  let stats = A.cache_stats () in
-  Alcotest.(check int) "hits" 1 stats.A.hits;
-  Alcotest.(check int) "misses" 2 stats.A.misses;
-  Alcotest.(check int) "entries" 2 stats.A.entries
-
 (* --- lint gating in Stage.of_script ---------------------------------- *)
 
 let host = Core.Vocab.Hostcall.stub ()
@@ -317,6 +299,169 @@ let test_node_permissive_admits () =
   Alcotest.(check bool) "lint errors still counted" true
     (Core.Telemetry.Metrics.counter_total m "script.lint.errors" > 0)
 
+(* --- one gate: the node admits through [Stage.of_script] -------------- *)
+
+let unparsable_script = "var p = new Policy(; p.register();"
+
+(* A proxy under [mode] in front of a site publishing [broken_script]
+   and one publishing [unparsable_script]; each site is requested once
+   more after its stage was built (or refused). The compile cache is
+   cleared first, so the counters do not depend on earlier tests. *)
+let gate_run mode =
+  Compile.cache_clear ();
+  let cluster = Cluster.create () in
+  ignore (lint_site cluster);
+  let bad = Cluster.add_origin cluster ~name:"www.bad.edu" () in
+  Origin.set_static bad ~path:"/index.html" ~max_age:300 "<html>bad</html>";
+  Origin.set_static bad ~path:"/nakika.js" ~content_type:"text/javascript" ~max_age:300
+    unparsable_script;
+  let config = { Config.default with Config.lint_mode = mode } in
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  List.iter
+    (fun url -> ignore (fetch_sync cluster ~client ~proxy (Core.Http.Message.request url)))
+    [
+      "http://www.example.edu/index.html";
+      "http://www.example.edu/index.html";
+      "http://www.bad.edu/index.html";
+    ];
+  proxy
+
+let script_counters proxy =
+  List.filter_map
+    (fun (name, labels, v) ->
+      if Core.Util.Strutil.starts_with ~prefix:"script." name || name = "script-errors" then
+        Some
+          (Printf.sprintf "%s{%s}=%d" name
+             (String.concat "," (List.map (fun (k, v) -> k ^ ":" ^ v) labels))
+             v)
+      else None)
+    (Core.Telemetry.Metrics.counters (Node.metrics proxy))
+
+(* The node's log line for a refused stage carries the gate's message. *)
+let capture_warnings f =
+  let seen = ref [] in
+  let reporter =
+    {
+      Logs.report =
+        (fun _src level ~over k msgf ->
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.kasprintf
+                (fun m ->
+                  if level = Logs.Warning then seen := m :: !seen;
+                  over ();
+                  k ())
+                fmt));
+    }
+  in
+  let old_reporter = Logs.reporter () and old_level = Logs.level () in
+  Logs.set_reporter reporter;
+  Logs.set_level (Some Logs.Warning);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter old_reporter;
+      Logs.set_level old_level)
+    (fun () -> ignore (f ()));
+  List.rev !seen
+
+let test_gate_same_message () =
+  let url = "http://www.example.edu/nakika.js" in
+  let expected =
+    match Core.Pipeline.Stage.of_script ~url ~host ~lint:`Strict ~source:broken_script () with
+    | Ok _ -> Alcotest.fail "strict lint must reject"
+    | Error msg -> msg
+  in
+  Alcotest.(check bool) "names the first error" true
+    (Core.Util.Strutil.contains_sub expected ~sub:"rejected by lint: 1 error(s), first: 1:");
+  let prefix = Printf.sprintf "[nk1.nakika.net] stage %s failed: " url in
+  let refusals =
+    List.filter_map
+      (fun m ->
+        if Core.Util.Strutil.starts_with ~prefix m then
+          Some (String.sub m (String.length prefix) (String.length m - String.length prefix))
+        else None)
+      (capture_warnings (fun () -> gate_run `Strict))
+  in
+  (* Refused once; the negative cache answers the second request. *)
+  Alcotest.(check (list string)) "node refuses with the stage's message" [ expected ] refusals
+
+let test_gate_parse_error () =
+  List.iter
+    (fun mode ->
+      let report = ref None in
+      (match
+         Core.Pipeline.Stage.of_script ~url:"http://www.bad.edu/nakika.js" ~host ~lint:mode
+           ~on_lint:(fun r -> report := Some r)
+           ~source:unparsable_script ()
+       with
+      | Ok _ -> Alcotest.fail "an unparsable body cannot build a stage"
+      | Error _ -> ());
+      match !report with
+      | Some { A.diagnostics = [ d ]; _ } ->
+        Alcotest.(check string) "one parse-error" "parse-error" d.D.code;
+        Alcotest.(check bool) "an error" true (d.D.severity = D.Error)
+      | Some r -> Alcotest.failf "expected one diagnostic, got %d" (List.length r.A.diagnostics)
+      | None -> Alcotest.fail "on_lint not called")
+    [ `Permissive; `Strict ]
+
+(* Every mode looks each fetched body up in the compile cache before
+   anything else, since the lint reads the cached AST: a strict node
+   counts a miss for the bodies it refuses too. *)
+let test_gate_counters () =
+  let walls = "script.compile_cache.misses{site:nakika.net}=2" in
+  let compiled =
+    [
+      "script.compile_cache.misses{site:www.bad.edu}=1";
+      "script.compile_cache.misses{site:www.example.edu}=1";
+    ]
+  in
+  let linted = [ "script.lint.errors{site:www.bad.edu}=1"; "script.lint.errors{site:www.example.edu}=1" ] in
+  let check name mode expected =
+    Alcotest.(check (list string)) name (List.sort compare expected)
+      (List.sort compare (script_counters (gate_run mode)))
+  in
+  check "permissive" `Permissive (("script-errors{}=3" :: walls :: compiled) @ linted);
+  check "off" `Off ("script-errors{}=3" :: walls :: compiled);
+  check "strict" `Strict (("script-errors{}=2" :: walls :: compiled) @ linted)
+
+(* Offload envelopes name a site's work by the digest the stage
+   carries: SHA-256 of the script body, taken once by the compile
+   cache. A bus spy posing as an idle neighbor reads the envelope. *)
+let test_offload_digest () =
+  let cluster = Cluster.create () in
+  let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
+  Origin.set_static origin ~path:"/index.html" ~max_age:300 "<html>hello</html>";
+  Origin.set_static origin ~path:"/nakika.js" ~content_type:"text/javascript" ~max_age:300
+    broken_script;
+  let config =
+    {
+      Config.default with
+      Config.enable_diffusion = true;
+      diffusion_low_water = 0.0;
+      diffusion_staleness = 1000.0;
+      diffusion_offload_timeout = 0.3;
+    }
+  in
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let bus = Cluster.bus cluster in
+  let shipped = ref [] in
+  Core.Replication.Message_bus.attach bus ~name:"spy" ~host:client;
+  Core.Replication.Message_bus.subscribe bus ~name:"spy"
+    ~topic:(Core.Diffusion.Offload.request_topic "spy")
+    ~handler:(fun ~payload ~from:_ ->
+      match Core.Diffusion.Offload.decode_request_envelope payload with
+      | Ok env -> shipped := env.Core.Diffusion.Offload.script_hash :: !shipped
+      | Error e -> Alcotest.fail ("undecodable envelope: " ^ e));
+  let req () = Core.Http.Message.request "http://www.example.edu/index.html" in
+  (* The first request builds the stage locally; the second offloads. *)
+  ignore (fetch_sync cluster ~client ~proxy (req ()));
+  Node.observe_neighbor proxy ~name:"spy" ~pressure:(-1.0) ~incarnation:1 ~distance:0.01;
+  ignore (fetch_sync cluster ~client ~proxy (req ()));
+  Alcotest.(check (list string)) "digest of the body"
+    [ Core.Crypto.Sha256.digest broken_script ]
+    !shipped
+
 (* --- soundness property ---------------------------------------------- *)
 
 (* If the scope pass reports no error-severity diagnostic, running the
@@ -358,7 +503,6 @@ let suite =
     Alcotest.test_case "taint: credential flows" `Quick test_taint;
     Alcotest.test_case "parse errors become diagnostics" `Quick test_parse_error_report;
     Alcotest.test_case "parser: for-init positions" `Quick test_for_init_position;
-    Alcotest.test_case "analysis cache" `Quick test_analysis_cache;
     Alcotest.test_case "stage lint: strict rejects" `Quick test_stage_lint_strict;
     Alcotest.test_case "stage lint: permissive admits" `Quick test_stage_lint_permissive;
     Alcotest.test_case "stage lint: off skips" `Quick test_stage_lint_off;
@@ -366,5 +510,12 @@ let suite =
       test_node_strict_rejects;
     Alcotest.test_case "node: permissive lint admits and counts" `Quick
       test_node_permissive_admits;
+    Alcotest.test_case "one gate: node and stage refuse alike" `Quick test_gate_same_message;
+    Alcotest.test_case "one gate: unparsable body, one parse-error" `Quick
+      test_gate_parse_error;
+    Alcotest.test_case "one gate: node lint and compile-cache counters" `Quick
+      test_gate_counters;
+    Alcotest.test_case "one gate: offload digest is the body's SHA-256" `Quick
+      test_offload_digest;
     QCheck_alcotest.to_alcotest scope_soundness_prop;
   ]

@@ -321,7 +321,7 @@ let mib = 1024 * 1024
 let run_capped src =
   let ctx = Interp.create ~max_heap_bytes:mib () in
   Builtins.install ctx;
-  let prog = Compile.get_program src in
+  let prog = (Compile.lookup src).Compile.program in
   let minor0, promoted0, major0 = Gc.counters () in
   let outcome = match Compile.run ctx prog with v -> Ok v | exception e -> Error e in
   let minor1, promoted1, major1 = Gc.counters () in
@@ -382,6 +382,47 @@ let test_unrepresentable_indices () =
   expect_capped "a[4e18] = 1" "var a = []; a[4e18] = 1;" ~check_error:(function
     | Value.Script_error msg -> Alcotest.(check string) "a[4e18]" "bad array index 4e+18" msg
     | e -> Alcotest.failf "a[4e18]: raised %s" (Printexc.to_string e))
+
+(* Array text is built inside the sandbox: [join], [+] and [String(...)]
+   on an array that contains itself print it as "" instead of recursing,
+   and text that doubles per nesting level spends the heap budget (each
+   nested array is charged as a string before it is built) instead of
+   the process's memory. *)
+let test_array_text_in_sandbox () =
+  let capped src =
+    match run_capped src with
+    | Ok v, _, _ -> Value.to_string v
+    | Error e, _, _ -> Alcotest.failf "%s raised %s" src (Printexc.to_string e)
+  in
+  let cyclic = "var a = [1, 2]; a.push(a); " in
+  Alcotest.(check string) "String of a cycle" "1,2," (capped (cyclic ^ "String(a)"));
+  Alcotest.(check string) "+ on a cycle" "<1,2,>" (capped (cyclic ^ {| "<" + a + ">" |}));
+  Alcotest.(check string) "join of a cycle" "1-2-" (capped (cyclic ^ {| a.join("-") |}));
+  Alcotest.(check string) "a cycle through another array" "1,"
+    (capped "var a = [1]; var b = [a]; a.push(b); String(a)");
+  let doubling = "var a = [1]; for (var i = 0; i < 60; i++) { a = [a, a]; } " in
+  List.iter
+    (fun (name, op) ->
+      match run_capped (doubling ^ op) with
+      | Error e, _, bytes ->
+        heap_exhausted name e;
+        (* Each nested array costs a few list cells besides its text. *)
+        Alcotest.(check bool)
+          (Printf.sprintf "%s allocates under 16 MiB (%.0f bytes)" name bytes)
+          true
+          (bytes < float_of_int (16 * mib))
+      | Ok _, _, _ -> Alcotest.failf "%s: 2^60 leaves printed under a 1 MiB cap" name)
+    [ ("String", "String(a)"); ("+", {| "" + a |}); ("join", "a.join()") ];
+  (* A flat array is charged what it was before: nothing for String, the
+     result for + and join; a nested one adds its text (length + 16). *)
+  let flat = "var a = [1, 22, 333]; " in
+  let base = heap_after flat in
+  Alcotest.(check int) "String of a flat array" base (heap_after (flat ^ "String(a)"));
+  Alcotest.(check int) "+ on a flat array" (base + 8 + 16) (heap_after (flat ^ {| a + "" |}));
+  Alcotest.(check int) "join of a flat array" (base + 8 + 16) (heap_after (flat ^ "a.join()"));
+  let nested = "var a = [1, [22, 333]]; " in
+  Alcotest.(check int) "String of a nested array" (heap_after nested + 6 + 16)
+    (heap_after (nested ^ "String(a)"))
 
 (* Script text the parser must survive: arbitrary bytes, or a few
    random edits (delete a span, insert junk, duplicate a span) to a
@@ -475,6 +516,7 @@ let suite =
       test_string_builders_charge_first;
     Alcotest.test_case "sandbox: unrepresentable array indices" `Quick
       test_unrepresentable_indices;
+    Alcotest.test_case "sandbox: array text" `Quick test_array_text_in_sandbox;
     QCheck_alcotest.to_alcotest parse_totality_prop;
     QCheck_alcotest.to_alcotest interp_numbers_prop;
     QCheck_alcotest.to_alcotest interp_string_concat_prop;
