@@ -340,38 +340,6 @@ let tests =
              ignore (Core.Pipeline.Nkp.render ctx "x<?nkp 1 + 1 ?>y")));
     ]
 
-(* The dynamic rows (bechamel Test.t values built at [micro ()] time,
-   not module load time): the registry warm-start row must enable the
-   persistent registry, and doing that at module initialization would
-   turn it on for every experiment in the binary — it defaults off. *)
-let registry_bench_dir =
-  Filename.concat (Filename.get_temp_dir_name ()) "nakika-bench-registry"
-
-let warm_start_test () =
-  (* Model a node restart with a warm registry: the entry is on disk,
-     the in-memory cache is dropped, and [preload_registry] (what node
-     creation runs) compiles it back in. The measured op is then the
-     site's first execute on the request path — hash lookup + run, no
-     parse and no disk. The restart cost itself (disk load + compile)
-     happens once, off the request path; it is printed separately. *)
-  Core.Script.Registry.set_dir (Some registry_bench_dir);
-  Core.Script.Compile.cache_clear ();
-  ignore (Core.Script.Compile.lookup workload_script);
-  Core.Script.Compile.cache_clear ();
-  let t0 = Unix.gettimeofday () in
-  let loaded = Core.Script.Compile.preload_registry () in
-  let t1 = Unix.gettimeofday () in
-  Printf.printf "  %-44s %d entr%s in %8.2f us\n" "C1: registry preload (node start)" loaded
-    (if loaded = 1 then "y" else "ies")
-    ((t1 -. t0) *. 1e6);
-  let ctx = fresh_ctx () in
-  Test.make ~name:"C1: warm-start first execute (registry)"
-    (Staged.stage (fun () ->
-         Core.Script.Interp.reset_usage ctx;
-         ignore
-           (Core.Script.Compile.run ctx
-              (Core.Script.Compile.lookup workload_script).Core.Script.Compile.program)))
-
 let run_tests tests =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
@@ -413,14 +381,6 @@ let words_rows () =
 let micro () =
   Harness.header "Bechamel micro-benchmarks (real implementation, this machine)";
   let rows = run_tests tests in
-  let rows =
-    let registry_rows =
-      Fun.protect
-        ~finally:(fun () -> Core.Script.Registry.set_dir None)
-        (fun () -> run_tests (Test.make_grouped ~name:"nakika" [ warm_start_test () ]))
-    in
-    List.sort compare (rows @ registry_rows)
-  in
   List.iter
     (fun (name, ns) ->
       let pretty =
@@ -439,11 +399,6 @@ let micro () =
   let stats = Core.Script.Compile.cache_stats () in
   Printf.printf "  %-44s %d hits / %d misses / %d entries\n" "C1: compiled-program cache" stats.Core.Script.Compile.hits
     stats.Core.Script.Compile.misses stats.Core.Script.Compile.entries;
-  let rstats = Core.Script.Registry.stats () in
-  Printf.printf "  %-44s %d hits / %d misses / %d stores / %d rejects\n"
-    "C1: persistent program registry" rstats.Core.Script.Registry.hits
-    rstats.Core.Script.Registry.misses rstats.Core.Script.Registry.stores
-    rstats.Core.Script.Registry.rejects;
   match Harness.registry () with
   | None -> ()
   | Some m ->
@@ -457,11 +412,7 @@ let micro () =
       words;
     Core.Telemetry.Metrics.set_gauge m "micro.compile_cache.hits" (float_of_int stats.Core.Script.Compile.hits);
     Core.Telemetry.Metrics.set_gauge m "micro.compile_cache.misses"
-      (float_of_int stats.Core.Script.Compile.misses);
-    Core.Telemetry.Metrics.set_gauge m "micro.registry.hits"
-      (float_of_int rstats.Core.Script.Registry.hits);
-    Core.Telemetry.Metrics.set_gauge m "micro.registry.rejects"
-      (float_of_int rstats.Core.Script.Registry.rejects)
+      (float_of_int stats.Core.Script.Compile.misses)
 
 (* --- bench-regression guard ------------------------------------------- *)
 

@@ -88,11 +88,6 @@ type t = {
   hotspot_replicas : int;
   hotspot_ttl : float;
   hotspot_halflife : float;
-  (* Directory for the persistent program registry (marshalled ASTs
-     keyed by script-body SHA-256). [None] — the default — leaves the
-     registry disabled: no disk I/O, behavior identical to builds
-     without it. *)
-  program_registry_dir : string option;
   (* Per-site parameters lowered from a provisioning plan
      (lib/nk_provision). Each list is ordered: patterns ("host", "*",
      "*.suffix") resolve first-match, the order the plan declared them
@@ -204,7 +199,6 @@ let default =
     hotspot_replicas = 3;
     hotspot_ttl = 30.0;
     hotspot_halflife = 10.0;
-    program_registry_dir = None;
     site_shares = [];
     site_quarantine = [];
     site_fuel = [];

@@ -142,11 +142,6 @@ type t = {
                            the ring reconverges *)
   hotspot_halflife : float; (** decay halflife of the per-key
                                 request-rate estimator *)
-  program_registry_dir : string option;
-      (** directory for the persistent program registry (marshalled
-          parsed scripts keyed by body SHA-256); [None] (default)
-          disables it. Process-wide: the first node configured with a
-          directory enables it for every node in the process. *)
   site_shares : (string * float) list;
       (** ordered [(pattern, fraction)] guaranteed admission-queue
           slices per site, lowered from a provisioning plan's

@@ -232,7 +232,6 @@ let carried_deadline t req ~spent ~late =
    left to do with the request is to say so quickly. *)
 let deadline_expired_response t ~at =
   Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("at", at) ] "deadline.expired";
-  Nk_telemetry.Metrics.incr t.metrics "deadline-expired";
   Nk_resource.Deadline.expired_response ~reason:("deadline-" ^ at) ()
 
 (* --- the content handler: cache + DHT + origin --------------------- *)
@@ -475,7 +474,6 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                 Nk_http.Message.set_resp_header old "X-NaKika-Stale"
                   (string_of_int (int_of_float age));
                 Nk_telemetry.Metrics.incr t.metrics "cache.stale_served";
-                Nk_telemetry.Metrics.incr t.metrics "stale-served";
                 set_attr osp "stale" "true";
                 Some old
               | _ -> None
@@ -1166,15 +1164,8 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
   end
   else if Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url <> None then ()
   else
-    let registry_hits_before = (Nk_script.Registry.stats ()).Nk_script.Registry.hits in
     match Nk_script.Compile.find_cached_by_hash hash with
-    | Some script ->
-      (* [find_cached_by_hash] falls through to the persistent registry:
-         if its hit counter moved, this program was rescued from disk
-         rather than found in memory — an origin fetch avoided. *)
-      if (Nk_script.Registry.stats ()).Nk_script.Registry.hits > registry_hits_before
-      then Nk_telemetry.Metrics.incr t.metrics "diffusion.registry_rescues";
-      ignore (install_stage_from_program t ~url ~site script)
+    | Some script -> ignore (install_stage_from_program t ~url ~site script)
     | None ->
       (* Hash miss: the program fell out of the (LRU-bounded) compile
          cache, or was never compiled in this process. Fetch the script
@@ -1356,9 +1347,7 @@ let handle t (req : Nk_http.Message.request) k =
         run_admitted t ~site ~span:("request", [])
           ?range:(Option.bind (Nk_http.Message.req_header req "Range") Nk_http.Range.parse)
           req
-          ~shed:(fun ~retry_after outcome ->
-            Nk_telemetry.Metrics.incr t.metrics "admission-sheds";
-            reject ~retry_after outcome)
+          ~shed:(fun ~retry_after outcome -> reject ~retry_after outcome)
           (fun span -> process t ?span ?deadline req)
           ~on_done:(fun (resp, _fuel, _heap) -> k resp)
           ~on_error:(fun () -> k (Nk_http.Message.error_response 500))
@@ -1565,17 +1554,6 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
     invalid_arg
       (Printf.sprintf "Node.create %s: invalid config: %s" node_name
          (String.concat "; " problems)));
-  (* The registry is process-wide (like the compile cache it extends);
-     a node configured with a directory enables it, a node with the
-     default [None] leaves whatever is already configured alone. *)
-  (match config.Config.program_registry_dir with
-  | Some dir ->
-    Nk_script.Registry.set_dir (Some dir);
-    let loaded = Nk_script.Compile.preload_registry () in
-    if loaded > 0 then
-      Logs.debug (fun m ->
-          m "[%s] program registry: preloaded %d compiled program(s)" node_name loaded)
-  | None -> ());
   let diffusion =
     match bus with
     | Some b when config.Config.enable_diffusion ->

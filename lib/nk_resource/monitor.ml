@@ -7,7 +7,6 @@ type t = {
   pending : (Resource.t, (string * float) list) Hashtbl.t;
   (* usage-ranked sites from the begin phase, largest first *)
   mutable terminations : int;
-  mutable throttle_events : int;
   events : Nk_telemetry.Events.t option;
   metrics : Nk_telemetry.Metrics.t option;
 }
@@ -21,7 +20,6 @@ let create ~accounting ~is_congested ~throttle ~unthrottle ~terminate ?events ?m
     terminate;
     pending = Hashtbl.create 8;
     terminations = 0;
-    throttle_events = 0;
     events;
     metrics;
   }
@@ -54,7 +52,6 @@ let begin_control t resource =
         (fun (site, u) ->
           let fraction = if total > 0.0 then u /. total else 0.0 in
           t.throttle ~site ~fraction ~resource;
-          t.throttle_events <- t.throttle_events + 1;
           emit t ~counter:"monitor.throttles" ~event:"throttle" ~site
             ~attrs:
               [
@@ -103,5 +100,3 @@ let finish_control t resource =
   else unthrottled ()
 
 let terminations t = t.terminations
-
-let throttle_events t = t.throttle_events

@@ -39,5 +39,3 @@ val begin_control : t -> Resource.t -> [ `Congested of (string * float) list | `
 val finish_control : t -> Resource.t -> [ `Terminated of string | `Unthrottled ]
 
 val terminations : t -> int
-
-val throttle_events : t -> int

@@ -209,11 +209,7 @@ let specialize_binop (op : Ast.binop) : Value.ctx -> Value.t -> Value.t -> Value
         ctx.heap_used <- h;
         if h > ctx.max_heap then raise (Value.Resource_exhausted "heap limit exceeded");
         Vstr s
-      | Vstr _, _ | _, Vstr _ ->
-        let x = I.text ctx a in
-        let v = Vstr (x ^ I.text ctx b) in
-        charge_allocv ctx v;
-        v
+      | Vstr _, _ | _, Vstr _ -> Vstr (I.concat_text ctx a b)
       | _ -> Vnum (to_number a +. to_number b))
   | Ast.Sub -> (
     fun _ a b ->
@@ -1319,7 +1315,9 @@ let run ctx (p : program) : Value.t =
    step further). An entry keeps the parsed program next to the
    compiled one, so admission-time analysis reads the AST the compiler
    lowered instead of parsing the body again, and the digest, which
-   stages carry as the name offload envelopes ship. Only successful
+   stages carry as the name offload envelopes ship. Every entry is the
+   parse of a body whose SHA-256 is its key, and [lookup] is the only
+   way in: a hash alone never puts a program here. Only successful
    parses are cached — failing scripts are negative-cached upstream by
    the node.
 
@@ -1396,11 +1394,7 @@ let find_cached_by_hash hash =
   | Some entry ->
     touch entry;
     Some entry.script
-  | None ->
-    (* Disk fallthrough: a diffusion peer naming a program by hash can
-       be served from the persistent registry even if this process
-       never saw the source (or the LRU dropped it). *)
-    Option.map (admit hash) (Registry.load ~hash)
+  | None -> None
 
 let lookup ?on_cache source =
   let digest = Nk_crypto.Sha256.digest source in
@@ -1413,35 +1407,6 @@ let lookup ?on_cache source =
   | None ->
     incr cache_misses;
     (match on_cache with Some f -> f `Miss | None -> ());
-    (* Warm start: a registry hit replaces the parse (the dominant cost
-       of a first execution) with an unmarshal + compile. A miss parses
-       and then persists the AST for the next process. Either way the
-       callback reported [`Miss] above — the registry is a parse
-       bypass, not a cache hit; [Registry.stats] accounts it. *)
-    let ast =
-      match Registry.load ~hash:digest with
-      | Some ast -> ast
-      | None ->
-        let ast = Parser.parse source in
-        Registry.store ~hash:digest ast;
-        ast
-    in
-    admit digest ast
+    admit digest (Parser.parse source)
 
 let run_string ?on_cache ctx source = run ctx (lookup ?on_cache source).program
-
-(* Node start: pull every valid registry entry into the in-memory cache
-   so the first request for a known site pays a cache hit, not a disk
-   read — let alone a parse. Invalid entries are skipped (and counted
-   by [Registry.stats]); an over-full registry just cycles the LRU. *)
-let preload_registry () =
-  List.fold_left
-    (fun loaded hash ->
-      if Hashtbl.mem cache hash then loaded
-      else
-        match Registry.load ~hash with
-        | Some ast ->
-          ignore (admit hash ast);
-          loaded + 1
-        | None -> loaded)
-    0 (Registry.entries ())

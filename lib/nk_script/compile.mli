@@ -48,13 +48,9 @@ val lookup : ?on_cache:([ `Hit | `Miss ] -> unit) -> string -> script
     work, so a [`Miss] that then fails to parse is still reported (the
     caller negative-caches failing sources). Raises
     [Parser.Parse_error] / [Lexer.Lex_error] on a miss for invalid
-    sources; failures are not cached.
-
-    When the persistent {!Registry} is enabled, a memory miss consults
-    it before parsing: a valid entry skips the parser entirely (still
-    reported as [`Miss] — the registry is a parse bypass, accounted by
-    {!Registry.stats}); a full miss parses and then persists the AST
-    for future processes. *)
+    sources; failures are not cached. This is the only way a program
+    enters the cache, so every entry is the parse of a body whose
+    SHA-256 is its key. *)
 
 val run_string : ?on_cache:([ `Hit | `Miss ] -> unit) -> Interp.ctx -> string -> Value.t
 (** [run] ∘ [lookup]: the entry point for [evalScript], NKP and the
@@ -75,16 +71,10 @@ val set_cache_capacity : int -> unit
     (e.g. diffusion hash-miss traffic) cannot grow the table without
     bound or flush the hot wall scripts. *)
 
-val preload_registry : unit -> int
-(** Compile every valid persistent-{!Registry} entry into the in-memory
-    cache (skipping hashes already cached). Returns the number loaded.
-    No-op (0) when the registry is disabled. Called at node start so
-    known sites' first requests never touch disk or the parser. *)
-
 val find_cached_by_hash : string -> script option
 (** Resolve an already-known SHA-256 digest (a {!script}'s [digest])
     against the cache without having the source — the diffusion
-    receiver's lookup when an offload envelope names a program by hash. Counts as an LRU touch but not as a
-    hit/miss (the caller accounts hash misses itself). Falls through to
-    the persistent {!Registry} when enabled, so a peer-named program
-    can be resolved without the source even across restarts. *)
+    receiver's lookup when an offload envelope names a program by
+    hash. Counts as an LRU touch but not as a hit/miss (the caller
+    accounts hash misses itself). [None] when the digest is not
+    cached: this process never saw the body, or the LRU dropped it. *)

@@ -94,6 +94,24 @@ let element_texts ctx a = Value.element_texts ~charge:(charge_string ctx) [ a ] 
 
 let text ctx = function Varr a -> String.concat "," (element_texts ctx a) | v -> to_string v
 
+(* The length of [parts] joined with [sep], saturating. *)
+let joined_size sep parts =
+  List.fold_left
+    (fun n p -> sat_add n (String.length p))
+    (sat_mul (max 0 (List.length parts - 1)) (String.length sep))
+    parts
+
+(* [text a ^ text b] for [+], charged as a string before it is built:
+   a flat array holding one large string many times has text far
+   larger than the array itself. *)
+let concat_text ctx a b =
+  let texts = function Varr arr -> element_texts ctx arr | v -> [ to_string v ] in
+  let ta = texts a in
+  let tb = texts b in
+  charge_string ctx (sat_add (joined_size "," ta) (joined_size "," tb));
+  let join = function [ s ] -> s | parts -> String.concat "," parts in
+  join ta ^ join tb
+
 (* The slot an integral index names, or -1 when no array can have it.
    Compared in float space because [int_of_float] wraps huge values:
    converted first, [a[1e300]] would alias [a[0]]. *)
@@ -247,8 +265,7 @@ let array_method ctx a name args =
   | "join" ->
     let sep = match arg 0 with Vundefined -> "," | v -> text ctx v in
     let parts = element_texts ctx a in
-    let seps = sat_mul (max 0 (a.len - 1)) (String.length sep) in
-    charge_string ctx (List.fold_left (fun n p -> sat_add n (String.length p)) seps parts);
+    charge_string ctx (joined_size sep parts);
     Vstr (String.concat sep parts)
   | "indexOf" ->
     let target = arg 0 in

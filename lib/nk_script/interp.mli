@@ -86,11 +86,16 @@ val charge_alloc : ctx -> Value.t -> unit
     amount before they build their result. *)
 
 val text : ctx -> Value.t -> string
-(** [Value.to_string] as [+] and [String(...)] see it: each array
-    nested in an array is charged as a string before it is built, so
-    the heap limit bounds text that grows per nesting level; an array
-    inside its own text prints as [""]. The result itself is the
-    caller's to charge. *)
+(** [Value.to_string] as [String(...)] sees it: each array nested in
+    an array is charged as a string before it is built, so the heap
+    limit bounds text that grows per nesting level; an array inside
+    its own text prints as [""]. The result itself is the caller's to
+    charge. *)
+
+val concat_text : ctx -> Value.t -> Value.t -> string
+(** [text a ^ text b], the result of a string [+]: both operands' texts
+    are sized and the result charged as a string ([charge_alloc]'s
+    amount) before it is built, so the heap limit stops it first. *)
 
 val member_get : ctx -> Value.t -> string -> Value.t
 

@@ -471,132 +471,6 @@ let test_fuel_parity_on_handler_apply () =
   Alcotest.(check (float 0.)) "same value" v_ref v_cmp;
   Alcotest.(check int) "same fuel per invocation" fuel_ref fuel_cmp
 
-(* --- the persistent program registry ----------------------------------- *)
-
-let registry_dir = Filename.concat (Filename.get_temp_dir_name ()) "nakika-test-registry"
-
-let with_registry f =
-  (* Fresh directory, registry enabled only for the duration: the
-     registry is process-wide state and the default must stay off for
-     every other test in this binary. *)
-  if Sys.file_exists registry_dir then
-    Array.iter
-      (fun name -> Sys.remove (Filename.concat registry_dir name))
-      (Sys.readdir registry_dir);
-  Registry.set_dir (Some registry_dir);
-  Compile.cache_clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Registry.set_dir None;
-      Compile.cache_clear ())
-    f
-
-let run_source source =
-  let ctx = Interp.create () in
-  Builtins.install ctx;
-  Value.to_number (Compile.run_string ctx source)
-
-let entry_file source =
-  match Registry.entry_path ~hash:(Core.Crypto.Sha256.digest source) with
-  | Some p -> p
-  | None -> Alcotest.fail "registry disabled"
-
-let read_entry path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_entry path bytes =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc bytes)
-
-let test_registry_restart_skips_parse () =
-  with_registry (fun () ->
-      let source = "var rr = 6 * 7; rr" in
-      Alcotest.(check (float 0.)) "first run (parses, stores)" 42.0 (run_source source);
-      Alcotest.(check bool) "entry on disk" true (Sys.file_exists (entry_file source));
-      (* Simulated restart: drop the in-memory cache, keep the disk. *)
-      Compile.cache_clear ();
-      let hits0 = (Registry.stats ()).Registry.hits in
-      Alcotest.(check (float 0.)) "after restart" 42.0 (run_source source);
-      Alcotest.(check int) "served from the registry, not the parser" (hits0 + 1)
-        (Registry.stats ()).Registry.hits)
-
-let test_registry_version_mismatch_falls_back () =
-  with_registry (fun () ->
-      let source = "var rv = 1 + 2; rv" in
-      Alcotest.(check (float 0.)) "seed" 3.0 (run_source source);
-      let path = entry_file source in
-      let raw = read_entry path in
-      (* A future/foreign format version: same length, different magic. *)
-      write_entry path ("NKREG9\n" ^ String.sub raw 7 (String.length raw - 7));
-      Compile.cache_clear ();
-      let s0 = Registry.stats () in
-      Alcotest.(check (float 0.)) "falls back to parsing" 3.0 (run_source source);
-      let s1 = Registry.stats () in
-      Alcotest.(check int) "entry rejected" (s0.Registry.rejects + 1) s1.Registry.rejects;
-      Alcotest.(check int) "fallback re-stored a fresh entry" (s0.Registry.stores + 1)
-        s1.Registry.stores;
-      (* The re-written entry must be valid again. *)
-      Compile.cache_clear ();
-      Alcotest.(check (float 0.)) "healed" 3.0 (run_source source);
-      Alcotest.(check int) "healed entry loads" (s1.Registry.hits + 1)
-        (Registry.stats ()).Registry.hits)
-
-let test_registry_corrupt_entries_fall_back () =
-  with_registry (fun () ->
-      (* Checksum failure: one flipped payload byte. *)
-      let source = "var rc = 10 - 1; rc" in
-      Alcotest.(check (float 0.)) "seed" 9.0 (run_source source);
-      let path = entry_file source in
-      let raw = read_entry path in
-      let b = Bytes.of_string raw in
-      let last = Bytes.length b - 1 in
-      Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0xff));
-      write_entry path (Bytes.to_string b);
-      Compile.cache_clear ();
-      let s0 = Registry.stats () in
-      Alcotest.(check (float 0.)) "flipped bit: parses instead" 9.0 (run_source source);
-      Alcotest.(check int) "flipped bit rejected" (s0.Registry.rejects + 1)
-        (Registry.stats ()).Registry.rejects;
-      (* Truncation: too short to even hold the header. *)
-      let source2 = "var rt = 4 * 4; rt" in
-      Alcotest.(check (float 0.)) "seed 2" 16.0 (run_source source2);
-      let path2 = entry_file source2 in
-      write_entry path2 (String.sub (read_entry path2) 0 5);
-      Compile.cache_clear ();
-      let s1 = Registry.stats () in
-      Alcotest.(check (float 0.)) "truncated: parses instead" 16.0 (run_source source2);
-      Alcotest.(check int) "truncated rejected" (s1.Registry.rejects + 1)
-        (Registry.stats ()).Registry.rejects)
-
-let test_registry_preload_and_hash_resolution () =
-  with_registry (fun () ->
-      let a = "var pa = 5; pa" and b = "var pb = 7; pb" in
-      Alcotest.(check (float 0.)) "seed a" 5.0 (run_source a);
-      Alcotest.(check (float 0.)) "seed b" 7.0 (run_source b);
-      (* Restart, then warm the cache the way node start does. *)
-      Compile.cache_clear ();
-      Alcotest.(check int) "preload compiles every disk entry" 2 (Compile.preload_registry ());
-      Alcotest.(check int) "second preload is idempotent" 0 (Compile.preload_registry ());
-      let hash = Core.Crypto.Sha256.digest a in
-      Alcotest.(check bool) "hash-only resolution finds the preloaded program" true
-        (Compile.find_cached_by_hash hash <> None);
-      (* A diffusion-style hash lookup with a cold cache resolves from
-         disk without ever having the source. *)
-      Compile.cache_clear ();
-      Alcotest.(check bool) "hash-only resolution falls through to disk" true
-        (Compile.find_cached_by_hash hash <> None))
-
-let test_registry_disabled_is_inert () =
-  Alcotest.(check bool) "disabled by default" true (Registry.dir () = None);
-  Alcotest.(check bool) "no entries when disabled" true (Registry.entries () = []);
-  Alcotest.(check bool) "no paths when disabled" true
-    (Registry.entry_path ~hash:(Core.Crypto.Sha256.digest "x") = None);
-  Alcotest.(check bool) "load is a no-op when disabled" true
-    (Registry.load ~hash:(Core.Crypto.Sha256.digest "x") = None)
-
 let suite =
   [
     Alcotest.test_case "fixed corpus: compiled = tree-walker" `Quick test_corpus;
@@ -607,14 +481,4 @@ let suite =
     Alcotest.test_case "program cache: bounded LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "compiled handlers respond to apply" `Quick test_compiled_handler_apply;
     Alcotest.test_case "fuel parity on handler invocation" `Quick test_fuel_parity_on_handler_apply;
-    Alcotest.test_case "registry: restart resolves from disk, no parse" `Quick
-      test_registry_restart_skips_parse;
-    Alcotest.test_case "registry: version mismatch falls back to parse" `Quick
-      test_registry_version_mismatch_falls_back;
-    Alcotest.test_case "registry: corrupt/truncated entries fall back" `Quick
-      test_registry_corrupt_entries_fall_back;
-    Alcotest.test_case "registry: preload and hash-only resolution" `Quick
-      test_registry_preload_and_hash_resolution;
-    Alcotest.test_case "registry: disabled by default and inert" `Quick
-      test_registry_disabled_is_inert;
   ]

@@ -387,7 +387,8 @@ let test_unrepresentable_indices () =
    on an array that contains itself print it as "" instead of recursing,
    and text that doubles per nesting level spends the heap budget (each
    nested array is charged as a string before it is built) instead of
-   the process's memory. *)
+   the process's memory. A flat array holding one 100 KB string 10,000
+   times has about 1 GB of text, which [+] charges before it builds. *)
 let test_array_text_in_sandbox () =
   let capped src =
     match run_capped src with
@@ -401,9 +402,12 @@ let test_array_text_in_sandbox () =
   Alcotest.(check string) "a cycle through another array" "1,"
     (capped "var a = [1]; var b = [a]; a.push(b); String(a)");
   let doubling = "var a = [1]; for (var i = 0; i < 60; i++) { a = [a, a]; } " in
+  let repeated =
+    {| var s = "x".repeat(100000); var a = []; for (var i = 0; i < 10000; i++) { a.push(s); } |}
+  in
   List.iter
-    (fun (name, op) ->
-      match run_capped (doubling ^ op) with
+    (fun (name, src) ->
+      match run_capped src with
       | Error e, _, bytes ->
         heap_exhausted name e;
         (* Each nested array costs a few list cells besides its text. *)
@@ -411,8 +415,13 @@ let test_array_text_in_sandbox () =
           (Printf.sprintf "%s allocates under 16 MiB (%.0f bytes)" name bytes)
           true
           (bytes < float_of_int (16 * mib))
-      | Ok _, _, _ -> Alcotest.failf "%s: 2^60 leaves printed under a 1 MiB cap" name)
-    [ ("String", "String(a)"); ("+", {| "" + a |}); ("join", "a.join()") ];
+      | Ok _, _, _ -> Alcotest.failf "%s: printed under a 1 MiB cap" name)
+    [
+      ("String", doubling ^ "String(a)");
+      ("+", doubling ^ {| "" + a |});
+      ("join", doubling ^ "a.join()");
+      ("+ on a repeated string", repeated ^ {| "" + a |});
+    ];
   (* A flat array is charged what it was before: nothing for String, the
      result for + and join; a nested one adds its text (length + 16). *)
   let flat = "var a = [1, 22, 333]; " in
