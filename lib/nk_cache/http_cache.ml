@@ -150,12 +150,6 @@ let insert t ~now ~key ~expiry response =
       meter_size t
     end
 
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  t.bytes <- 0
-
 let entry_count t = Hashtbl.length t.table
 
 let size_bytes t = t.bytes

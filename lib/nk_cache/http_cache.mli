@@ -45,8 +45,6 @@ val remove : t -> key:string -> unit
 
 val mem : t -> now:float -> key:string -> bool
 
-val clear : t -> unit
-
 val entry_count : t -> int
 
 val size_bytes : t -> int

@@ -23,8 +23,6 @@ let put t ~key ~expiry v = Hashtbl.replace t.table key (expiry, v)
 
 let remove t key = Hashtbl.remove t.table key
 
-let clear t = Hashtbl.reset t.table
-
 let size t = Hashtbl.length t.table
 
 let hits t = t.hits

@@ -14,8 +14,6 @@ val put : 'a t -> key:string -> expiry:float -> 'a -> unit
 
 val remove : 'a t -> string -> unit
 
-val clear : 'a t -> unit
-
 val size : 'a t -> int
 
 val hits : 'a t -> int

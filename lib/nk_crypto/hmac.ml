@@ -14,14 +14,3 @@ let mac ~key msg =
   Sha256.digest (xor_pad key 0x5c ^ inner)
 
 let mac_hex ~key msg = Sha256.hex (mac ~key msg)
-
-let verify ~key ~msg ~mac:expected =
-  let actual = mac ~key msg in
-  if String.length actual <> String.length expected then false
-  else begin
-    let diff = ref 0 in
-    String.iteri
-      (fun i c -> diff := !diff lor (Char.code c lxor Char.code expected.[i]))
-      actual;
-    !diff = 0
-  end

@@ -4,10 +4,4 @@
     registry holds the key, so a valid MAC plays the role of the
     publisher's signature over content hash + cache-control headers. *)
 
-val mac : key:string -> string -> string
-(** Raw 32-byte MAC. *)
-
 val mac_hex : key:string -> string -> string
-
-val verify : key:string -> msg:string -> mac:string -> bool
-(** Constant-shape comparison of a raw MAC. *)

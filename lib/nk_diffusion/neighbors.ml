@@ -19,16 +19,6 @@ let observe t ~name ~incarnation ~pressure ~distance ~now =
   if fresh then
     Hashtbl.replace t.table name { name; pressure; incarnation; distance; reported_at = now }
 
-let remove t name = Hashtbl.remove t.table name
-
-let find t name = Hashtbl.find_opt t.table name
-
-let all t =
-  Hashtbl.fold (fun _ info acc -> info :: acc) t.table []
-  |> List.sort (fun a b -> compare a.name b.name)
-
-let size t = Hashtbl.length t.table
-
 let candidates t ~now ~staleness ~fanout =
   let fresh =
     Hashtbl.fold

@@ -32,15 +32,6 @@ val observe :
 (** Record a load report. Reports carrying an incarnation lower than the
     stored one are from a pre-crash epoch and are ignored. *)
 
-val remove : t -> string -> unit
-
-val find : t -> string -> info option
-
-val all : t -> info list
-(** Every stored entry, sorted by name (stale ones included). *)
-
-val size : t -> int
-
 val candidates : t -> now:float -> staleness:float -> fanout:int -> info list
 (** Offload candidates: entries no older than [staleness], restricted to
     the {e close set} (distance within 2x the nearest candidate, the same

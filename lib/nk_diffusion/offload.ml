@@ -175,34 +175,25 @@ type waiting = {
 type t = {
   name : string;
   incarnation : unit -> int;
-  clock : unit -> float;
   schedule : float -> (unit -> unit) -> unit;
   publish : topic:string -> payload:string -> unit;
   metrics : Nk_telemetry.Metrics.t option;
   waitings : (int, waiting) Hashtbl.t;
   mutable next_id : int;
-  mutable stale : int;
 }
 
-let create ~name ~incarnation ~clock ~schedule ~publish ?metrics () =
+let create ~name ~incarnation ~schedule ~publish ?metrics () =
   {
     name;
     incarnation;
-    clock;
     schedule;
     publish;
     metrics;
     waitings = Hashtbl.create 8;
     next_id = 0;
-    stale = 0;
   }
 
-let pending t = Hashtbl.length t.waitings
-
-let stale_replies t = t.stale
-
 let count_stale t =
-  t.stale <- t.stale + 1;
   match t.metrics with
   | Some m -> Nk_telemetry.Metrics.incr m "diffusion.stale_replies"
   | None -> ()

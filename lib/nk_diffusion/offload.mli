@@ -9,7 +9,7 @@
     so an offloaded execution is accountable (and testable) exactly
     like a local one.
 
-    Transport, clock and timers are injected: messages ride the
+    Transport and timers are injected: messages ride the
     deployment's reliable message bus via [publish], each node
     subscribing to its own request and reply topics, and timeouts ride
     the simulator's daemon scheduler. This module owns the envelope
@@ -63,8 +63,6 @@ val encode_request_envelope : request_envelope -> string
 
 val decode_request_envelope : string -> (request_envelope, string) result
 
-val encode_reply_envelope : reply_envelope -> string
-
 val decode_reply_envelope : string -> (reply_envelope, string) result
 
 (** {1 Sender side} *)
@@ -74,7 +72,6 @@ type t
 val create :
   name:string ->
   incarnation:(unit -> int) ->
-  clock:(unit -> float) ->
   schedule:(float -> (unit -> unit) -> unit) ->
   publish:(topic:string -> payload:string -> unit) ->
   ?metrics:Nk_telemetry.Metrics.t ->
@@ -107,10 +104,3 @@ val handle_reply : t -> payload:string -> unit
 val reply : t -> to_:request_envelope -> outcome -> unit
 (** Receiver side: publish the outcome back to the requester's reply
     topic, stamped with our current incarnation. *)
-
-val pending : t -> int
-(** Offloads currently awaiting a reply (tests). *)
-
-val stale_replies : t -> int
-(** Replies discarded as late, duplicate, unknown, or from the wrong
-    incarnation. *)

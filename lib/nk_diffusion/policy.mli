@@ -11,15 +11,11 @@ type decision =
   | Offload of Neighbors.info list
       (** candidates worth shipping the stage to, pressure ascending *)
 
-val margin : float
-(** A neighbor qualifies only when its pressure is at least this much
-    below ours — hysteresis so two equally loaded nodes never ping-pong
-    work between each other. *)
-
 val decide :
   pressure:float -> low_water:float -> candidates:Neighbors.info list -> decision
 (** [Local] when [pressure < low_water] (no congestion brewing) or no
-    candidate sits at least {!margin} below [pressure]. *)
+    candidate sits at least 0.05 below [pressure] (the hysteresis that
+    keeps two equally loaded nodes from ping-ponging work). *)
 
 val pick : rng:Nk_util.Prng.t -> Neighbors.info list -> Neighbors.info option
 (** Weighted choice among candidates by headroom [(1 - pressure)], so

@@ -9,6 +9,3 @@ let compute ~target ~queue_delay ~shed_rate ~queue_frac =
   let shed_c = clamp01 shed_rate in
   let queue_c = clamp01 queue_frac in
   clamp01 (1.0 -. ((1.0 -. delay_c) *. (1.0 -. shed_c) *. (1.0 -. queue_c)))
-
-let classify ~low ~high p =
-  if p < low then `Idle else if p >= high then `Saturated else `Diffusing

@@ -33,9 +33,3 @@ val compute :
     arrivals shed, and [queue_frac] the admitted-queue occupancy
     fraction. All inputs are clamped to their sane ranges; the result is
     in [0, 1]. *)
-
-val classify : low:float -> high:float -> float -> [ `Idle | `Diffusing | `Saturated ]
-(** Where a pressure value sits relative to the low/high water marks:
-    [`Idle] below [low] (execute locally), [`Diffusing] in between
-    (offload proactively), [`Saturated] at or above [high] (refuse
-    incoming offloads too). *)

@@ -17,14 +17,7 @@ let to_string t =
 
 let length t = t.length
 
-let is_empty t = t.length = 0
-
 let chunks t = t.chunks
-
-let append a b =
-  if a.length = 0 then b
-  else if b.length = 0 then a
-  else { chunks = a.chunks @ b.chunks; length = a.length + b.length }
 
 type reader = { mutable remaining : string list; mutable offset : int }
 
@@ -41,21 +34,3 @@ let read r =
     r.remaining <- rest;
     r.offset <- 0;
     Some part
-
-let read_size r n =
-  if n <= 0 then invalid_arg "Body.read_size: non-positive size";
-  match r.remaining with
-  | [] -> None
-  | chunk :: rest ->
-    let avail = String.length chunk - r.offset in
-    if avail <= n then begin
-      let part = String.sub chunk r.offset avail in
-      r.remaining <- rest;
-      r.offset <- 0;
-      Some part
-    end
-    else begin
-      let part = String.sub chunk r.offset n in
-      r.offset <- r.offset + n;
-      Some part
-    end

@@ -7,8 +7,6 @@
 
 type t
 
-val empty : t
-
 val of_string : string -> t
 
 val of_chunks : string list -> t
@@ -18,11 +16,7 @@ val to_string : t -> string
 
 val length : t -> int
 
-val is_empty : t -> bool
-
 val chunks : t -> string list
-
-val append : t -> t -> t
 
 type reader
 (** A cursor over the chunk sequence. *)
@@ -31,6 +25,3 @@ val reader : t -> reader
 
 val read : reader -> string option
 (** Next chunk, [None] at end of body. *)
-
-val read_size : reader -> int -> string option
-(** Next at most [n] bytes (re-chunking as needed). *)

@@ -44,18 +44,6 @@ let parse s =
       | _ -> acc)
     empty directives
 
-let to_string t =
-  let parts = ref [] in
-  let push s = parts := s :: !parts in
-  Option.iter (fun v -> push (Printf.sprintf "max-age=%d" v)) t.max_age;
-  Option.iter (fun v -> push (Printf.sprintf "s-maxage=%d" v)) t.s_maxage;
-  if t.no_cache then push "no-cache";
-  if t.no_store then push "no-store";
-  if t.private_ then push "private";
-  if t.public then push "public";
-  if t.must_revalidate then push "must-revalidate";
-  String.concat ", " (List.rev !parts)
-
 let cacheable t = not (t.no_store || t.private_ || t.no_cache)
 
 let expiry ~now ~date ~cache_control:cc ~expires =

@@ -19,8 +19,6 @@ val empty : t
 val parse : string -> t
 (** Parse a Cache-Control header value; unknown directives are ignored. *)
 
-val to_string : t -> string
-
 val cacheable : t -> bool
 (** False for no-store / private / no-cache (a shared proxy cache may
     not reuse such responses without revalidation, which we fold into

@@ -3,14 +3,3 @@
 
 val parse : string -> (string * string) list
 (** Parse a [Cookie:] request header ("k=v; k2=v2"). *)
-
-val to_header : (string * string) list -> string
-(** Render pairs back into [Cookie:] form. *)
-
-val set_cookie :
-  ?path:string -> ?max_age:int -> ?http_only:bool -> name:string -> value:string -> unit -> string
-(** Render a [Set-Cookie:] response header value. *)
-
-val parse_set_cookie : string -> (string * string) option
-(** Extract the name/value pair of a [Set-Cookie:] header, ignoring
-    attributes. *)

@@ -2,8 +2,6 @@ type t = (string * string) list (* insertion order *)
 
 let norm = String.lowercase_ascii
 
-let empty = []
-
 let of_list l = l
 
 let to_list t = t
@@ -42,13 +40,3 @@ let set t name value =
       t
   in
   if !replaced then t' else t @ [ (name, value) ]
-
-let add t name value = t @ [ (name, value) ]
-
-let fold f t init = List.fold_left (fun acc (k, v) -> f k v acc) init t
-
-let length = List.length
-
-let equal a b =
-  List.length a = List.length b
-  && List.for_all2 (fun (k1, v1) (k2, v2) -> norm k1 = norm k2 && v1 = v2) a b

@@ -5,8 +5,6 @@
 
 type t
 
-val empty : t
-
 val of_list : (string * string) list -> t
 
 val to_list : t -> (string * string) list
@@ -21,16 +19,6 @@ val set : t -> string -> string -> t
 (** Replace all existing values for the field with the single value,
     keeping the original position of the first occurrence. *)
 
-val add : t -> string -> string -> t
-(** Append an additional value. *)
-
 val remove : t -> string -> t
 
 val mem : t -> string -> bool
-
-val fold : (string -> string -> 'a -> 'a) -> t -> 'a -> 'a
-
-val length : t -> int
-
-val equal : t -> t -> bool
-(** Same fields and values after name normalization, order-sensitive. *)

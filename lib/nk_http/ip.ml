@@ -25,8 +25,6 @@ let to_string t =
   String.concat "." [ octet 24; octet 16; octet 8; octet 0 ]
 
 let of_int32 x = x
-let to_int32 x = x
-let equal = Int32.equal
 
 type cidr = { base : int32; bits : int }
 
@@ -48,22 +46,4 @@ let cidr_contains { base; bits } addr =
   let m = mask bits in
   Int32.logand base m = Int32.logand addr m
 
-let cidr_to_string { base; bits } = Printf.sprintf "%s/%d" (to_string base) bits
-
 type client = { ip : t; hostname : string option }
-
-let looks_like_address pattern =
-  pattern <> "" && (pattern.[0] >= '0' && pattern.[0] <= '9')
-
-let client_matches ~pattern client =
-  if looks_like_address pattern then
-    match cidr_of_string pattern with
-    | Ok c -> cidr_contains c client.ip
-    | Error _ -> false
-  else
-    match client.hostname with
-    | None -> false
-    | Some host ->
-      let pattern = String.lowercase_ascii pattern in
-      let host = String.lowercase_ascii host in
-      host = pattern || Nk_util.Strutil.ends_with ~suffix:("." ^ pattern) host

@@ -14,10 +14,6 @@ val to_string : t -> string
 
 val of_int32 : int32 -> t
 
-val to_int32 : t -> int32
-
-val equal : t -> t -> bool
-
 type cidr
 (** A CIDR block such as "10.0.0.0/8". *)
 
@@ -26,13 +22,6 @@ val cidr_of_string : string -> (cidr, string) result
 
 val cidr_contains : cidr -> t -> bool
 
-val cidr_to_string : cidr -> string
-
 type client = { ip : t; hostname : string option }
 (** What a predicate sees about a client: the address plus the reverse
     name when the deployment resolves one. *)
-
-val client_matches : pattern:string -> client -> bool
-(** [pattern] is either CIDR/dotted-quad notation (matched against the
-    address) or a domain suffix such as "nyu.edu" (matched against the
-    hostname: equal or a subdomain). *)

@@ -64,8 +64,6 @@ let set_body r ?content_type body =
   set_resp_header r "Content-Length" (string_of_int (String.length body));
   Option.iter (fun ct -> set_resp_header r "Content-Type" ct) content_type
 
-let host r = r.url.Url.host
-
 let response_expiry ~now r =
   let cache_control =
     match resp_header r "Cache-Control" with

@@ -52,9 +52,6 @@ val set_body : response -> ?content_type:string -> string -> unit
 (** Replace the body and update Content-Length (and Content-Type when
     given). *)
 
-val host : request -> string
-(** The site the request targets (from the URL). *)
-
 (* Caching semantics. *)
 
 val response_expiry : now:float -> response -> float option

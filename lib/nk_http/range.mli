@@ -19,9 +19,6 @@ val resolve : t -> length:int -> (int * int) option
 (** Inclusive byte offsets within an instance of [length] bytes;
     [None] when the range is unsatisfiable. *)
 
-val content_range : first:int -> last:int -> length:int -> string
-(** ["bytes first-last/length"]. *)
-
 val apply : t -> Message.response -> bool
 (** Slice a 200 response in place into a 206 partial response (body,
     Content-Length, Content-Range). Returns false — leaving the

@@ -29,19 +29,5 @@ let reason = function
   | _ -> "Unknown"
 
 let is_success c = c >= 200 && c < 300
-let is_redirect c = c >= 300 && c < 400
-let is_client_error c = c >= 400 && c < 500
-let is_server_error c = c >= 500 && c < 600
 
 let ok = 200
-let not_modified = 304
-let moved_permanently = 301
-let found = 302
-let bad_request = 400
-let unauthorized = 401
-let forbidden = 403
-let not_found = 404
-let request_timeout = 408
-let internal_server_error = 500
-let service_unavailable = 503
-let gateway_timeout = 504

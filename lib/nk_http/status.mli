@@ -6,19 +6,5 @@ val reason : t -> string
 (** RFC 2616 reason phrase, or ["Unknown"] for unassigned codes. *)
 
 val is_success : t -> bool
-val is_redirect : t -> bool
-val is_client_error : t -> bool
-val is_server_error : t -> bool
 
 val ok : t
-val not_modified : t
-val moved_permanently : t
-val found : t
-val bad_request : t
-val unauthorized : t
-val forbidden : t
-val not_found : t
-val request_timeout : t
-val internal_server_error : t
-val service_unavailable : t
-val gateway_timeout : t

@@ -6,10 +6,6 @@ type t = {
   query : (string * string) list;
 }
 
-let make ?(scheme = "http") ?(port = 80) ?(query = []) ~host ~path () =
-  let path = if path = "" then "/" else if path.[0] = '/' then path else "/" ^ path in
-  { scheme; host = String.lowercase_ascii host; port; path; query }
-
 let parse_query qs =
   if qs = "" then []
   else
@@ -89,29 +85,11 @@ let query_get t k = List.assoc_opt k t.query
 
 let site t = if t.port = 80 then t.host else Printf.sprintf "%s:%d" t.host t.port
 
-let host_matches ~pattern host =
-  pattern = host || Nk_util.Strutil.ends_with ~suffix:("." ^ pattern) host
-
-let matches_prefix t pattern =
-  let pattern = String.lowercase_ascii pattern in
-  let phost, ppath =
-    match String.index_opt pattern '/' with
-    | Some i -> (String.sub pattern 0 i, String.sub pattern i (String.length pattern - i))
-    | None -> (pattern, "/")
-  in
-  host_matches ~pattern:phost t.host && Nk_util.Strutil.starts_with ~prefix:ppath t.path
-
 let nakika_suffix = ".nakika.net"
 
 let is_nakika t = Nk_util.Strutil.ends_with ~suffix:nakika_suffix t.host
-
-let to_nakika t = if is_nakika t then t else { t with host = t.host ^ nakika_suffix }
 
 let of_nakika t =
   if is_nakika t then
     Some { t with host = String.sub t.host 0 (String.length t.host - String.length nakika_suffix) }
   else None
-
-let equal a b =
-  a.scheme = b.scheme && a.host = b.host && a.port = b.port && a.path = b.path
-  && a.query = b.query

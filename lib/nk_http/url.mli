@@ -2,7 +2,7 @@
 
     The paper's deployment appends ".nakika.net" to a URL's hostname so
     the system's name servers can redirect clients to edge nodes (§3);
-    [to_nakika] / [of_nakika] implement that rewriting. *)
+    [of_nakika] undoes that rewriting. *)
 
 type t = {
   scheme : string; (** "http" unless stated otherwise *)
@@ -11,8 +11,6 @@ type t = {
   path : string; (** always starts with '/' *)
   query : (string * string) list; (** decoded key/value pairs, in order *)
 }
-
-val make : ?scheme:string -> ?port:int -> ?query:(string * string) list -> host:string -> path:string -> unit -> t
 
 val parse : string -> (t, string) result
 (** Accepts absolute ("http://host:port/path?k=v") and scheme-less
@@ -33,21 +31,6 @@ val site : t -> string
 (** The site identifier used for per-site accounting and the
     [nakika.js] lookup: "host" or "host:port" for non-default ports. *)
 
-val matches_prefix : t -> string -> bool
-(** Predicate-list URL matching (§3.1): the pattern "host/pathprefix"
-    (no scheme) matches when the URL's host equals the pattern host, or
-    is a subdomain of it, and the URL path extends the pattern path. *)
-
-val nakika_suffix : string
-(** ".nakika.net" *)
-
-val to_nakika : t -> t
-(** Append the Na Kika suffix to the hostname (idempotent). *)
-
 val of_nakika : t -> t option
 (** Strip the suffix, returning the origin URL; [None] when the host is
     not a Na Kika name. *)
-
-val is_nakika : t -> bool
-
-val equal : t -> t -> bool

@@ -66,7 +66,3 @@ let verify ~key ~now resp =
         | Some expiry when expiry > now -> Ok ()
         | _ -> Error Stale
       end)
-
-let strip resp =
-  Nk_http.Message.remove_resp_header resp content_hash_header;
-  Nk_http.Message.remove_resp_header resp signature_header

@@ -9,9 +9,6 @@
     signature is HMAC under a publisher key held by the trusted
     registry. *)
 
-val content_hash_header : string
-val signature_header : string
-
 type violation = Missing_headers | Relative_expiry | Hash_mismatch | Bad_signature | Stale
 
 val violation_to_string : violation -> string
@@ -24,6 +21,3 @@ val sign : key:string -> Nk_http.Message.response -> (unit, violation) result
 val verify : key:string -> now:float -> Nk_http.Message.response -> (unit, violation) result
 (** Check hash, signature, and freshness against the (simulated)
     clock. *)
-
-val strip : Nk_http.Message.response -> unit
-(** Remove the integrity headers (what a tampering node would do). *)

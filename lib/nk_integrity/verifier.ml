@@ -10,8 +10,6 @@ let create ?(sample_fraction = 0.05) ?(eviction_threshold = 3) () =
     invalid_arg "Verifier.create: sample_fraction out of [0,1]";
   { sample_fraction; eviction_threshold; members = Hashtbl.create 16; evicted_nodes = [] }
 
-let sample_fraction t = t.sample_fraction
-
 let should_sample t ~rng = Nk_util.Prng.float rng 1.0 < t.sample_fraction
 
 let register_node t node = if not (Hashtbl.mem t.members node) then Hashtbl.add t.members node 0

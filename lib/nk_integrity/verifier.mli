@@ -11,8 +11,6 @@ val create : ?sample_fraction:float -> ?eviction_threshold:int -> unit -> t
 (** Defaults: sample 5% of responses; evict after 3 corroborated
     reports. *)
 
-val sample_fraction : t -> float
-
 val should_sample : t -> rng:Nk_util.Prng.t -> bool
 
 val register_node : t -> string -> unit

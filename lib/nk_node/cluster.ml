@@ -21,11 +21,10 @@ let dht t = t.dht
 let bus t = t.bus
 let redirector t = t.redirector
 let nakika_origin t = t.nakika_origin
-let proxies t = List.rev t.proxies
 
 let create ?(seed = 11) ?default_latency ?default_bandwidth ?client_wall ?server_wall
     ?faults () =
-  let sim = Nk_sim.Sim.create ~seed () in
+  let sim = Nk_sim.Sim.create () in
   let net = Nk_sim.Net.create sim ?default_latency ?default_bandwidth () in
   (match faults with
    | None -> ()

@@ -35,7 +35,6 @@ val nakika_origin : t -> Origin.t
     paper ships policy updates (§3.2). *)
 
 val add_proxy : t -> name:string -> ?cpu_speed:float -> ?config:Config.t -> unit -> Node.t
-val proxies : t -> Node.t list
 
 val add_origin : t -> name:string -> ?cpu_speed:float -> ?sign_key:string -> unit -> Origin.t
 (** With [sign_key], the origin publishes §6 integrity headers on its
@@ -45,10 +44,6 @@ val add_client : t -> name:string -> Nk_sim.Net.host
 (** A host that issues requests (load generators attach here). *)
 
 val connect : t -> Nk_sim.Net.host -> Nk_sim.Net.host -> latency:float -> bandwidth:float -> unit
-
-val pick_proxy : t -> client:Nk_sim.Net.host -> Node.t option
-(** DNS redirection: the nearest live proxy (with a small spread for
-    load balancing, weighted by the headroom each node reports). *)
 
 val fetch :
   t ->

@@ -70,8 +70,6 @@ let events t = t.events
 
 let cache t = t.cache
 
-let accounting t = t.accounting
-
 let monitor t = t.monitor
 
 let quarantine t = t.quarantine
@@ -1566,7 +1564,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
         {
           neighbors = Nk_diffusion.Neighbors.create ();
           offload =
-            Nk_diffusion.Offload.create ~name:node_name ~incarnation ~clock
+            Nk_diffusion.Offload.create ~name:node_name ~incarnation
               (* Non-daemon: a pending offload's timeout is the fallback
                  guarantee, so it must fire even when the target's crash
                  has left no other events (a daemon timer would let the

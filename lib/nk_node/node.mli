@@ -50,8 +50,6 @@ val events : t -> Nk_telemetry.Events.t
 
 val cache : t -> Nk_cache.Http_cache.t
 
-val accounting : t -> Nk_resource.Accounting.t
-
 val monitor : t -> Nk_resource.Monitor.t option
 
 val quarantine : t -> Nk_resource.Quarantine.t
@@ -83,10 +81,6 @@ val pressure : t -> float
     rate and admission-queue occupancy combined (monotone in each;
     crosses 0.5 at the admission delay target). Meaningful whether or
     not diffusion is enabled. *)
-
-val incarnation : t -> int
-(** Current liveness epoch under fault injection (0 without a fault
-    plan). *)
 
 val observe_neighbor :
   t -> name:string -> pressure:float -> incarnation:int -> distance:float -> unit

@@ -137,8 +137,6 @@ let set_static t ~path ?(content_type = "text/html") ?(max_age = 300) ?(status =
       modified = Nk_sim.Sim.now t.sim;
     }
 
-let remove t ~path = Hashtbl.remove t.statics path
-
 let set_dynamic t ~prefix ~cpu handler =
   let dynamics = { prefix; cpu; handler } :: List.filter (fun r -> r.prefix <> prefix) t.dynamics in
   t.dynamics <-

@@ -29,8 +29,6 @@ val set_static :
 (** Install or replace a static resource; [max_age] (default 300 s)
     controls proxy cacheability, [max_age = 0] makes it uncacheable. *)
 
-val remove : t -> path:string -> unit
-
 val set_dynamic :
   t ->
   prefix:string ->

@@ -51,8 +51,6 @@ let create ?(values_per_key = 16) ?(replicas = 2) ?(seed = 0x5107) () =
     rates = Hashtbl.create 16; placements = Hashtbl.create 16;
     rng = Nk_util.Prng.create seed }
 
-let ring t = t.ring
-
 let metrics t = t.metrics
 
 let set_liveness t f = t.live <- f

@@ -59,8 +59,6 @@ val set_liveness : t -> (string -> bool) -> unit
     before reading a replica; defaults to everyone-live. Wired to the
     fault plan's crash windows by the cluster builder. *)
 
-val ring : t -> Ring.t
-
 val metrics : t -> Nk_telemetry.Metrics.t
 (** The overlay's own registry: ["dht.puts"], ["dht.gets"],
     ["dht.get-hits"] counters and the ["dht.hops"] routing-path-length

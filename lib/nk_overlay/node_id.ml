@@ -29,7 +29,3 @@ let distance a b = (b - a) land mask
 let add_pow2 t i =
   if i < 0 || i >= ring_bits then invalid_arg "Node_id.add_pow2: bad exponent";
   (t + (1 lsl i)) land mask
-
-let in_interval x ~left ~right =
-  if left = right then true (* full circle *)
-  else distance left x > 0 && distance left x <= distance left right

@@ -23,6 +23,3 @@ val distance : t -> t -> int
 
 val add_pow2 : t -> int -> t
 (** [add_pow2 id i] is [id + 2^i] on the ring — finger-table targets. *)
-
-val in_interval : t -> left:t -> right:t -> bool
-(** True when the id lies in the clockwise-open interval (left, right]. *)

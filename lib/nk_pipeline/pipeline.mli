@@ -32,10 +32,6 @@ val well_known_client_wall : string
 
 val well_known_server_wall : string
 
-val site_script_url : Nk_http.Message.request -> string
-(** "http://<site>/nakika.js" — the robots.txt-style per-site policy
-    location. *)
-
 val default_stages : Nk_http.Message.request -> string list
 (** The three default stages in pop order: client wall, site script,
     server wall. *)

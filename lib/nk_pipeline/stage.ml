@@ -21,8 +21,6 @@ let context t = t.ctx
 
 let policies t = t.policies
 
-let tree t = t.tree
-
 (* The one context builder: a fresh sandbox with the platform
    vocabularies and the [Policy] constructor installed, the program run
    in it, and the decision tree built from the policies it registered. *)

@@ -14,8 +14,6 @@ val context : t -> Nk_script.Interp.ctx
 
 val policies : t -> Nk_policy.Policy.t list
 
-val tree : t -> Nk_policy.Decision_tree.t
-
 val digest : t -> string
 (** SHA-256 of the script body the stage was built from — the name an
     offload envelope ships instead of the body. *)

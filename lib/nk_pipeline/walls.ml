@@ -12,43 +12,6 @@ p.onResponse = function() { };
 p.register();
 |}
 
-let js_string_list urls =
-  "[" ^ String.concat ", " (List.map (fun u -> Printf.sprintf "%S" u) urls) ^ "]"
-
-let deny_urls_wall ~urls ~status =
-  Printf.sprintf
-    {|
-var p = new Policy();
-p.url = %s;
-p.onRequest = function() {
-  Request.terminate(%d);
-}
-p.register();
-
-var q = new Policy();
-q.onRequest = function() { };
-q.register();
-|}
-    (js_string_list urls) status
-
-let local_only_wall ~urls =
-  Printf.sprintf
-    {|
-var p = new Policy();
-p.url = %s;
-p.onRequest = function() {
-  if (!System.isLocal(Request.clientIP)) {
-    Request.terminate(401);
-  }
-}
-p.register();
-
-var q = new Policy();
-q.onRequest = function() { };
-q.register();
-|}
-    (js_string_list urls)
-
 let rate_limit_wall ~max_per_client =
   Printf.sprintf
     {|

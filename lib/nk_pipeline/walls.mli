@@ -5,22 +5,13 @@
     control over hosted scripts' access to web resources. Defaults are
     permissive (one matching predicate, empty handlers — the paper's
     Admin configuration); deployments override them with real policy
-    scripts like the ones produced by the helpers below. *)
+    scripts such as [rate_limit_wall] below. *)
 
 val default_client_wall : string
 (** Matches everything, runs an empty [onRequest]. *)
 
 val default_server_wall : string
 (** Matches everything, runs an empty [onResponse]. *)
-
-val deny_urls_wall : urls:string list -> status:int -> string
-(** A wall script that terminates requests for the given URL prefixes
-    (Fig. 5's digital-library policy is [deny_urls_wall] plus a
-    [System.isLocal] guard). *)
-
-val local_only_wall : urls:string list -> string
-(** Fig. 5 verbatim: reject access to the listed URL prefixes unless
-    the client is local to the hosting organization (401). *)
 
 val rate_limit_wall : max_per_client:int -> string
 (** Admission control that rejects a client's requests beyond a count

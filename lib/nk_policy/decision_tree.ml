@@ -3,7 +3,7 @@ type node = {
   mutable here : Policy.t list; (* policies whose URL host pattern ends at this node *)
 }
 
-type t = { root : node; mutable count : int }
+type t = { root : node; count : int }
 
 let new_node () = { children = Hashtbl.create 4; here = [] }
 

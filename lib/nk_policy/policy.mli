@@ -42,7 +42,3 @@ val matches : t -> Nk_http.Message.request -> score option
 val closest_match : t list -> Nk_http.Message.request -> t option
 (** Reference (brute force) selection: highest score; ties go to the
     latest registration. [None] when no policy is valid. *)
-
-val compare_candidates : (score * int) -> (score * int) -> int
-(** Ordering used by both the reference matcher and the decision tree:
-    score first, then registration order. *)

@@ -21,8 +21,3 @@ val policies : registry -> Policy.t list
 val install : registry -> Nk_script.Interp.ctx -> unit
 (** Define the global [Policy] constructor in the context; every
     [register()] call lands in [registry]. *)
-
-val of_object : order:int -> Nk_script.Value.obj -> Policy.t
-(** Convert a policy script object to its OCaml form; raises
-    [Nk_script.Value.Script_error] on malformed properties (e.g. a
-    non-function handler or an invalid header regex). *)

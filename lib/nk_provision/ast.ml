@@ -49,10 +49,6 @@ type clause =
   | Heap of value * pos
   | Quarantine_window of { base : value; base_pos : pos; max_ : value; max_pos : pos }
 
-let clause_pos = function
-  | Share (_, p) | Fuel (_, p) | Heap (_, p) -> p
-  | Quarantine_window { base_pos; _ } -> base_pos
-
 type site_rule = { pattern : string; pattern_pos : pos; clauses : clause list }
 
 type node_block = { node_pattern : string; node_pos : pos; sections : section list }

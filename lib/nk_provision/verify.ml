@@ -249,7 +249,7 @@ let units_pass (plan : Ast.t) =
       report (D.error "unit-mismatch" pos "%s: %s" what why);
       None
   in
-  let resolve_setting section settings (s : Ast.setting) =
+  let resolve_setting ~seen section settings (s : Ast.setting) =
     match find_knob ~section ~key:s.Ast.key with
     | None ->
       let known =
@@ -261,6 +261,14 @@ let units_pass (plan : Ast.t) =
       settings
     | Some knob -> (
       let what = section ^ "." ^ s.Ast.key in
+      (* A knob written twice in one block keeps its first well-formed
+         value; the repeat is flagged, not applied. *)
+      (match Hashtbl.find_opt seen what with
+       | Some (first : Ast.pos) ->
+         report
+           (D.warning "duplicate-key" s.Ast.key_pos "%s is already set on line %d" what
+              first.Nk_script.Ast.line)
+       | None -> Hashtbl.add seen what s.Ast.key_pos);
       match normalized knob.kind s.Ast.value s.Ast.value_pos ~what with
       | Some v when not (List.exists (fun (k, _, _) -> k == knob) settings) ->
         (knob, v, s.Ast.value_pos) :: settings
@@ -268,11 +276,12 @@ let units_pass (plan : Ast.t) =
   in
   let resolve_block (block : Ast.node_block) =
     check_pattern ~what:"node" block.Ast.node_pattern block.Ast.node_pos;
+    let seen = Hashtbl.create 8 in
     let settings =
       List.fold_left
         (fun settings (sec : Ast.section) ->
           if List.mem sec.Ast.section sections then
-            List.fold_left (resolve_setting sec.Ast.section) settings sec.Ast.settings
+            List.fold_left (resolve_setting ~seen sec.Ast.section) settings sec.Ast.settings
           else begin
             report
               (D.error "unknown-section" sec.Ast.section_pos "unknown section %S (expected %s)"

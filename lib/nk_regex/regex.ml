@@ -243,8 +243,6 @@ let find t s =
 
 let matches t s = find t s <> None
 
-let matches_full t s = match match_at t s 0 with Some j -> j = String.length s | None -> false
-
 let find_all t s =
   let n = String.length s in
   let rec scan i acc =

@@ -16,9 +16,6 @@ val compile : string -> t
 val matches : t -> string -> bool
 (** Unanchored search: true when the pattern matches anywhere. *)
 
-val matches_full : t -> string -> bool
-(** True when the pattern matches the entire string. *)
-
 val find : t -> string -> (int * int) option
 (** Leftmost match as [(start, end_exclusive)]. *)
 

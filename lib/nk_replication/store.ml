@@ -52,5 +52,3 @@ let keys t ~site ~prefix =
       (fun k _ acc -> if Nk_util.Strutil.starts_with ~prefix k then k :: acc else acc)
       s.table []
     |> List.sort compare
-
-let sites t = Hashtbl.fold (fun k _ acc -> k :: acc) t.sites [] |> List.sort compare

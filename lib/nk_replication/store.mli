@@ -19,5 +19,3 @@ val delete : t -> site:string -> key:string -> unit
 
 val keys : t -> site:string -> prefix:string -> string list
 (** Sorted. *)
-
-val sites : t -> string list

@@ -70,12 +70,6 @@ let fold_one t state resource r ~congested =
     ignore (Nk_util.Ewma.update (ewma t state resource) 0.0);
   r := 0.0
 
-let close_interval t ~congested =
-  Hashtbl.iter
-    (fun _site state ->
-      Hashtbl.iter (fun resource r -> fold_one t state resource r ~congested:(congested resource)) state.interval)
-    t.sites
-
 let close_resource_interval t resource ~congested =
   Hashtbl.iter
     (fun _site state ->
@@ -83,11 +77,5 @@ let close_resource_interval t resource ~congested =
       | Some r -> fold_one t state resource r ~congested
       | None -> ())
     t.sites
-
-let total_interval t resource =
-  Hashtbl.fold
-    (fun _ state acc ->
-      acc +. (match Hashtbl.find_opt state.interval resource with Some r -> !r | None -> 0.0))
-    t.sites 0.0
 
 let forget t ~site = Hashtbl.remove t.sites site

@@ -29,15 +29,7 @@ val contribution : t -> site:string -> Resource.t -> float
 val active_sites : t -> string list
 (** Sites with any recorded activity, sorted. *)
 
-val close_interval : t -> congested:(Resource.t -> bool) -> unit
-(** Fold the interval counters into the averages per the Fig. 6 rules
-    and reset them. *)
-
 val close_resource_interval : t -> Resource.t -> congested:bool -> unit
 (** Same, for a single resource — CONTROL runs per tracked resource. *)
-
-val total_interval : t -> Resource.t -> float
-(** Summed current-interval consumption across sites (the node-wide
-    view used by congestion detection). *)
 
 val forget : t -> site:string -> unit

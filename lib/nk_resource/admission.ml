@@ -13,7 +13,6 @@ type t = {
   mutable above_since : float option;
   mutable shedding_ : bool;
   mutable sheds : int;
-  mutable admits : int;
   mutable window_start : float;
   mutable window_arrivals : int;
   mutable window_sheds : int;
@@ -41,7 +40,6 @@ let create ?(target = 0.5) ?(interval = 0.5) ?(capacity = 64) ?(rate_window = 5.
     above_since = None;
     shedding_ = false;
     sheds = 0;
-    admits = 0;
     window_start = clock ();
     window_arrivals = 0;
     window_sheds = 0;
@@ -52,8 +50,6 @@ let create ?(target = 0.5) ?(interval = 0.5) ?(capacity = 64) ?(rate_window = 5.
 let queue_length t = t.total
 
 let sheds t = t.sheds
-
-let admits t = t.admits
 
 let shedding t = t.shedding_
 
@@ -148,7 +144,6 @@ let offer t ~site ~queue_delay =
   in
   match reason with
   | None ->
-    t.admits <- t.admits + 1;
     incr occ;
     t.total <- t.total + 1;
     Admitted

@@ -75,8 +75,6 @@ val shedding : t -> bool
 
 val sheds : t -> int
 
-val admits : t -> int
-
 val shed_rate : t -> float
 (** Fraction of arrivals shed over the current reporting window (falls
     back to the last completed window when the current one is empty) —

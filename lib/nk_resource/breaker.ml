@@ -46,8 +46,6 @@ let create ~name ?(failure_threshold = 3) ?(error_rate = 0.5) ?(min_samples = 8)
     probes = 0;
   }
 
-let name t = t.name
-
 let state t = t.state
 
 let opens t = t.opens

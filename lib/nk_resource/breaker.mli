@@ -51,8 +51,6 @@ val failure : t -> unit
 
 val state : t -> state
 
-val name : t -> string
-
 val opens : t -> int
 (** Times the breaker tripped open (including probe failures). *)
 

@@ -14,8 +14,6 @@ let header = "X-NaKika-Deadline"
 
 let reason_header = "X-NaKika-Timeout"
 
-let expires t = t.expires
-
 let mint ~now ~budget = { expires = now +. budget }
 
 let remaining t ~now = t.expires -. now

@@ -38,9 +38,6 @@ val remaining : t -> now:float -> float
 
 val expired : t -> now:float -> bool
 
-val expires : t -> float
-(** The absolute expiry instant. *)
-
 val clamp : t -> now:float -> float -> float
 (** [clamp t ~now timeout] = [min timeout (max 0 remaining)] — the
     effective per-hop timeout under this budget. *)

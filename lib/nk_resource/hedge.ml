@@ -22,8 +22,6 @@ let create ?(rate = default_rate) ?burst ?metrics () =
   if burst < 1.0 then invalid_arg "Hedge.create: burst must be at least 1";
   { rate; burst; tokens = burst; metrics }
 
-let tokens t = t.tokens
-
 let incr t name =
   match t.metrics with Some m -> Nk_telemetry.Metrics.incr m name | None -> ()
 

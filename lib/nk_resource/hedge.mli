@@ -32,8 +32,6 @@ val cancelled : t -> unit
 (** The primary answered first and the backup's (eventual) response
     was discarded: count [hedge.cancelled]. *)
 
-val tokens : t -> float
-
 val delay :
   ?histogram:Nk_telemetry.Metrics.Histogram.h ->
   ?min_samples:int ->

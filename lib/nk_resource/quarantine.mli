@@ -32,10 +32,6 @@ val create :
     ([site "..." { quarantine base ... max ... }]); patterns resolve
     first-match via {!Shares.matches}. *)
 
-val params : t -> site:string -> float * float
-(** The (base, max) ban window the site would be given, overrides
-    applied (exposed for tests and [nakika plan explain]). *)
-
 val punish : t -> site:string -> float
 (** Record an offense; returns the ban window granted (seconds). *)
 

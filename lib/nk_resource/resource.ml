@@ -12,5 +12,3 @@ let to_string = function
   | Bandwidth -> "bandwidth"
   | Running_time -> "running-time"
   | Bytes_transferred -> "bytes-transferred"
-
-let equal a b = a = b

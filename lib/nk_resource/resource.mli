@@ -10,5 +10,3 @@ val all : t list
 val is_renewable : t -> bool
 
 val to_string : t -> string
-
-val equal : t -> t -> bool

@@ -21,5 +21,3 @@ let fraction t ~site =
   List.find_map (fun (pattern, f) -> if matches ~pattern site then Some f else None) t
 
 let reserved t = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 t
-
-let to_list t = t

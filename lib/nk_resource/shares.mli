@@ -35,6 +35,3 @@ val fraction : t -> site:string -> float option
 
 val reserved : t -> float
 (** Sum of all declared fractions (what feasibility bounds by 1.0). *)
-
-val to_list : t -> (string * float) list
-(** The entries, in match order. *)

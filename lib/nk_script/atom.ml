@@ -36,7 +36,5 @@ let intern (s : string) : t =
 
 let to_string (a : t) : string = !names.(a)
 
-let count () = !next
-
 (* Pre-interned names for the hottest fixed lookups. *)
 let length = intern "length"

@@ -13,7 +13,5 @@ val intern : string -> t
 
 val to_string : t -> string
 
-val count : unit -> int
-
 val length : t
 (** The pre-interned atom for ["length"]. *)

@@ -369,11 +369,6 @@ let index_get ctx obj idx =
   | Vobj o -> obj_get o (to_string idx)
   | _ -> error "cannot index a %s" (type_name obj)
 
-let member_set obj name value =
-  match obj with
-  | Vobj o -> obj_set o name value
-  | v -> error "cannot set property '%s' on a %s" name (type_name v)
-
 let index_set ctx obj idx value =
   match obj with
   | Varr a ->

@@ -99,8 +99,6 @@ val concat_text : ctx -> Value.t -> Value.t -> string
 
 val member_get : ctx -> Value.t -> string -> Value.t
 
-val member_set : Value.t -> string -> Value.t -> unit
-
 val index_get : ctx -> Value.t -> Value.t -> Value.t
 (** An integral index no array can hold (negative, or at least
     [Sys.max_array_length]) reads [undefined]. *)

@@ -201,8 +201,6 @@ and stmt_at depth (s : Ast.stmt) =
   | Ast.Stry (body, name, handler) ->
     line (Printf.sprintf "try %s catch (%s) %s" (block depth body) name (block depth handler))
 
-let stmt ?(indent = 0) s = stmt_at indent s
-
 let expr e = expr_prec level_assign e
 
 let program stmts = String.concat "" (List.map (fun s -> stmt_at 0 s ^ "\n") stmts)

@@ -6,8 +6,6 @@
 
 val program : Ast.program -> string
 
-val stmt : ?indent:int -> Ast.stmt -> string
-
 val expr : Ast.expr -> string
 
 val format : string -> (string, string) result

@@ -188,14 +188,9 @@ let obj_set_atom o atom v =
     end
   | Some d -> Hashtbl.replace d atom v
 
-let obj_has_atom o atom =
-  match o.dict with None -> shape_find o.shape atom >= 0 | Some d -> Hashtbl.mem d atom
-
 let obj_get o name = obj_get_atom o (Atom.intern name)
 
 let obj_set o name v = obj_set_atom o (Atom.intern name) v
-
-let obj_has o name = obj_has_atom o (Atom.intern name)
 
 let obj_delete o name =
   let atom = Atom.intern name in
@@ -226,11 +221,6 @@ let obj_keys o =
     | Some d -> Hashtbl.fold (fun a _ acc -> Atom.to_string a :: acc) d []
   in
   List.sort String.compare keys
-
-let obj_of_list kvs =
-  let o = new_obj () in
-  List.iter (fun (k, v) -> obj_set o k v) kvs;
-  o
 
 (* --- arrays, bytes ---------------------------------------------------- *)
 

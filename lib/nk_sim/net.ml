@@ -1,6 +1,6 @@
-(* All per-host state lives on the host: its CPU, the bytes it sent,
-   the hosts [connect]ed to it, its egress cap, and one int-keyed table
-   of out-links by destination id. An out-link holds the pair's link
+(* All per-host state lives on the host: its CPU, the hosts
+   [connect]ed to it, its egress cap, and one int-keyed table of
+   out-links by destination id. An out-link holds the pair's link
    parameters and its shared pipe; [send] creates it with the default
    parameters on first use, and [connect] overrides them in place, so
    a pipe keeps its backlog across a re-[connect]. *)
@@ -24,7 +24,6 @@ type host = {
   name : string;
   cpu_speed : float;
   cpu : pipe;
-  mutable sent : int;
   mutable linked : host list; (* the far ends of its [connect]s *)
   mutable egress : egress option; (* bandwidth cap + shared pipe *)
   out : link Links.t; (* by destination id *)
@@ -57,7 +56,7 @@ let metrics t = t.metrics
 
 let add_host t ~name ?(cpu_speed = 1.0) () =
   let host =
-    { id = t.next_id; name; cpu_speed; cpu = { busy_until = 0.0 }; sent = 0; linked = [];
+    { id = t.next_id; name; cpu_speed; cpu = { busy_until = 0.0 }; linked = [];
       egress = None; out = Links.create 8 }
   in
   t.next_id <- t.next_id + 1;
@@ -160,7 +159,6 @@ let send t ~src ~dst ~size k =
       let start = Float.max egress_done link.link_busy in
       let transmit = float_of_int size /. link.bandwidth in
       link.link_busy <- start +. transmit;
-      src.sent <- src.sent + size;
       Sim.schedule_at t.sim (start +. transmit +. link.latency +. extra) k
     end
 
@@ -195,5 +193,3 @@ let cpu_run t host ~seconds k =
   end
 
 let cpu_backlog t host = Float.max 0.0 (host.cpu.busy_until -. Sim.now t.sim)
-
-let bytes_sent _ host = host.sent

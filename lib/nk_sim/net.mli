@@ -79,7 +79,3 @@ val cpu_run : t -> host -> seconds:float -> (unit -> unit) -> unit
 val cpu_backlog : t -> host -> float
 (** Seconds of queued CPU work not yet finished (0 when idle); the
     resource monitor reads this as the CPU congestion signal. *)
-
-val bytes_sent : t -> host -> int
-(** Total bytes this host has put on the wire; feeds bandwidth
-    accounting. *)

@@ -14,20 +14,17 @@ type t = {
   mutable thunks : (unit -> unit) array;
   mutable len : int;
   mutable next_seq : int;
-  rng : Nk_util.Prng.t;
   mutable live : int; (* non-daemon events pending *)
   mutable executed : int; (* events run so far; scale soaks assert on it *)
 }
 
 let vacant () = ()
 
-let create ?(seed = 1) ?(start_time = 1_136_073_600.0) () =
+let create ?(start_time = 1_136_073_600.0) () =
   { clock = start_time; times = Float.Array.create 0; tags = [||]; thunks = [||]; len = 0;
-    next_seq = 0; rng = Nk_util.Prng.create seed; live = 0; executed = 0 }
+    next_seq = 0; live = 0; executed = 0 }
 
 let now t = t.clock
-
-let prng t = t.rng
 
 let grow t =
   let cap = Array.length t.thunks in

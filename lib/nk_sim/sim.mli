@@ -13,15 +13,12 @@
 
 type t
 
-val create : ?seed:int -> ?start_time:float -> unit -> t
+val create : ?start_time:float -> unit -> t
 (** [start_time] is the initial clock value in epoch seconds (defaults
     to 1,136,073,600 — January 2006, the paper's era — so HTTP dates
     look plausible). *)
 
 val now : t -> float
-
-val prng : t -> Nk_util.Prng.t
-(** The simulation-wide deterministic random stream. *)
 
 val schedule : t -> ?daemon:bool -> delay:float -> (unit -> unit) -> unit
 (** Run a thunk [delay] seconds from now (clamped to now for negative

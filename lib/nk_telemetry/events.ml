@@ -25,17 +25,3 @@ let to_list t =
 let event_to_string e =
   Printf.sprintf "%10.3f %-12s %s" e.time e.name
     (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) e.attrs))
-
-let event_json e =
-  Printf.sprintf "{\"type\":\"event\",\"time\":%.6f,\"name\":\"%s\",\"attrs\":{%s}}" e.time
-    (Metrics.json_escape e.name)
-    (String.concat ","
-       (List.map
-          (fun (k, v) ->
-            Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k) (Metrics.json_escape v))
-          e.attrs))
-
-let to_json_lines t =
-  match to_list t with
-  | [] -> ""
-  | events -> String.concat "\n" (List.map event_json events) ^ "\n"

@@ -21,6 +21,4 @@ val count : t -> int
 val to_list : t -> event list
 (** Retained events, oldest first. *)
 
-val to_json_lines : t -> string
-
 val event_to_string : event -> string

@@ -260,12 +260,6 @@ let histogram_json (n, ls, h) =
     (float_repr (Histogram.quantile h 90.0))
     (float_repr (Histogram.quantile h 99.0))
 
-let to_json t =
-  Printf.sprintf "{\"counters\":[%s],\"gauges\":[%s],\"histograms\":[%s]}"
-    (String.concat "," (List.map counter_json (counters t)))
-    (String.concat "," (List.map gauge_json (gauges t)))
-    (String.concat "," (List.map histogram_json (histograms t)))
-
 let with_type ty json =
   (* Splice a "type" field into an exporter-produced object. *)
   Printf.sprintf "{\"type\":\"%s\",%s" ty (String.sub json 1 (String.length json - 1))

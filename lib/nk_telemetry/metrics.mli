@@ -85,7 +85,6 @@ val counter_names : t -> string list
 (** Distinct counter metric names, sorted. *)
 
 val counters : t -> (string * labels * int) list
-val gauges : t -> (string * labels * float) list
 val histograms : t -> (string * labels * Histogram.h) list
 (** All instruments, sorted by name then labels. *)
 
@@ -94,9 +93,6 @@ val histograms : t -> (string * labels * Histogram.h) list
 val to_table : t -> string
 (** Human-readable aligned table (counters, gauges, then histograms
     with count/mean/p50/p90/p99/max). *)
-
-val to_json : t -> string
-(** One JSON object: [{"counters":[...],"gauges":[...],"histograms":[...]}]. *)
 
 val to_json_lines : t -> string
 (** One JSON object per instrument per line, each with a ["type"] field

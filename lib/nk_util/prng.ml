@@ -4,8 +4,6 @@ let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next_int64 t =
   t.state <- Int64.add t.state golden;
   let z = t.state in
@@ -24,16 +22,6 @@ let float t bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let exponential t mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u
-
-let pareto t ~alpha ~xmin =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-12 else u in
-  xmin /. (u ** (1.0 /. alpha))
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
@@ -45,5 +33,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let split t = { state = next_int64 t }

@@ -9,9 +9,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -24,18 +21,8 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val exponential : t -> float -> float
-(** [exponential t mean] samples an exponential with the given mean;
-    used for arrival processes. *)
-
-val pareto : t -> alpha:float -> xmin:float -> float
-(** Heavy-tailed sample; used for web object sizes. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val split : t -> t
-(** Derive an independent generator (for per-entity streams). *)

@@ -89,5 +89,3 @@ let fraction_at_least t threshold =
     done;
     float_of_int !c /. float_of_int t.len
   end
-
-let to_list t = Array.to_list (Array.sub t.samples 0 t.len)

@@ -12,8 +12,6 @@ val add : t -> float -> unit
 
 val count : t -> int
 
-val total : t -> float
-
 val mean : t -> float
 (** 0 when empty. *)
 
@@ -35,6 +33,3 @@ val cdf : t -> points:int -> (float * float) list
 val fraction_at_least : t -> float -> float
 (** Fraction of samples [>= threshold]; used for "fraction of accesses
     seeing at least 140 Kbps". *)
-
-val to_list : t -> float list
-(** Samples in insertion order. *)

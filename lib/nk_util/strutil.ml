@@ -6,14 +6,10 @@ let ends_with ~suffix s =
   let ls = String.length suffix and l = String.length s in
   l >= ls && String.sub s (l - ls) ls = suffix
 
-let lowercase = String.lowercase_ascii
-
 let split_first c s =
   match String.index_opt s c with
   | None -> None
   | Some i -> Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-
-let trim = String.trim
 
 (* Top-level scanners, so a search allocates nothing but its answer. *)
 let rec matches_at s sub i j =
@@ -51,5 +47,3 @@ let replace_all s ~sub ~by =
     go 0;
     Buffer.contents buf
   end
-
-let join = String.concat

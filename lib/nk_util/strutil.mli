@@ -4,13 +4,9 @@ val starts_with : prefix:string -> string -> bool
 
 val ends_with : suffix:string -> string -> bool
 
-val lowercase : string -> string
-
 val split_first : char -> string -> (string * string) option
 (** [split_first c s] splits at the first occurrence of [c], excluding
     it, or [None] when absent. *)
-
-val trim : string -> string
 
 val contains_sub : string -> sub:string -> bool
 
@@ -22,5 +18,3 @@ val count_sub : string -> sub:string -> int
     [replace_all] replaces them; 0 for an empty [sub]. *)
 
 val replace_all : string -> sub:string -> by:string -> string
-
-val join : string -> string list -> string

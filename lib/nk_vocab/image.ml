@@ -100,26 +100,6 @@ let rle_decompress_into ~src ~pos (dst : Bytes.t) : (unit, string) result =
     with Rle_error e -> Error e
   end
 
-let rle_decompress s =
-  if String.length s mod 2 <> 0 then Error "RLE payload has odd length"
-  else begin
-    let buf = Buffer.create (String.length s * 2) in
-    let rec go i =
-      if i >= String.length s then Ok (Buffer.contents buf)
-      else begin
-        let run = Char.code s.[i] in
-        if run = 0 then Error "zero-length RLE run"
-        else begin
-          for _ = 1 to run do
-            Buffer.add_char buf s.[i + 1]
-          done;
-          go (i + 2)
-        end
-      end
-    in
-    go 0
-  end
-
 let set_header (out : Bytes.t) t format =
   Bytes.blit_string magic 0 out 0 4;
   Bytes.unsafe_set out 4 (Char.chr ((t.width lsr 8) land 0xFF));
@@ -175,6 +155,13 @@ let decode s =
           Bytes.blit_string s 9 pixels 0 plen;
           Ok ({ width = w; height = h; pixels }, Raw)
         end
+      | '\x01' when w * h > 255 * (plen / 2) -> (
+        (* No payload this long decodes to [w * h] pixels (a run covers
+           at most 255): report what decoding would, without allocating
+           a buffer sized by the untrusted header. *)
+        match rle_decompress_into ~src:s ~pos:9 Bytes.empty with
+        | Error e -> Error e
+        | Ok () -> Error "RLE payload size mismatch")
       | '\x01' -> (
         (* Decompress runs straight into the exact-size pixel buffer:
            no Buffer growth, no intermediate string, no final copy. *)

@@ -44,5 +44,3 @@ val mime_of_format : format -> string
 
 val rle_compress : string -> string
 (** Run-length encoding: (count, byte) pairs. Exposed for tests. *)
-
-val rle_decompress : string -> (string, string) result

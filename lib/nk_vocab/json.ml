@@ -168,9 +168,6 @@ let parse src =
     else Ok v
   with Json_error msg -> Error msg
 
-let parse_exn src =
-  match parse src with Ok v -> v | Error e -> invalid_arg ("Json.parse_exn: " ^ e)
-
 let escape_string buf s =
   Buffer.add_char buf '"';
   String.iter
@@ -217,15 +214,3 @@ let print t =
   in
   go t;
   Buffer.contents buf
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool x, Bool y -> x = y
-  | Num x, Num y -> x = y
-  | Str x, Str y -> x = y
-  | Arr x, Arr y -> List.length x = List.length y && List.for_all2 equal x y
-  | Obj x, Obj y ->
-    List.length x = List.length y
-    && List.for_all2 (fun (k1, v1) (k2, v2) -> k1 = k2 && equal v1 v2) x y
-  | _ -> false

@@ -14,9 +14,5 @@ type t =
 
 val parse : string -> (t, string) result
 
-val parse_exn : string -> t
-
 val print : t -> string
 (** Compact output; object fields keep their order. *)
-
-val equal : t -> t -> bool

@@ -3,10 +3,3 @@
     structured data in hard state and messages. *)
 
 val install : Nk_script.Interp.ctx -> unit
-
-val value_to_json : ?max_depth:int -> Nk_script.Value.t -> Json.t
-(** Functions become [null]; byte arrays become strings. Raises
-    [Nk_script.Value.Script_error] past [max_depth] (default 64,
-    guarding against cyclic objects). *)
-
-val json_to_value : Json.t -> Nk_script.Value.t

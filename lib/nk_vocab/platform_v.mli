@@ -2,8 +2,6 @@
     [Messages], [Crypto], [Log] and the global [fetchResource]
     (§3.1, §3.3). All close over a {!Hostcall.t}. *)
 
-val install : Hostcall.t -> Nk_script.Interp.ctx -> unit
-
 val install_all : Hostcall.t -> ?seed:int -> Nk_script.Interp.ctx -> unit
 (** Everything a pipeline context needs besides the per-request
     [Request]/[Response] globals: base builtins, [ImageTransformer],

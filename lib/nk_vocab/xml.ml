@@ -312,9 +312,6 @@ let parse src =
   in
   try Ok (scan tree src) with Xml_error msg -> Error msg
 
-let parse_exn src =
-  match parse src with Ok n -> n | Error e -> invalid_arg ("Xml.parse_exn: " ^ e)
-
 (* One buffer threads the whole tree: the old per-node
    Printf/String.concat construction allocated an intermediate string
    per element per level. *)

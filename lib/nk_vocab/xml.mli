@@ -13,8 +13,6 @@ val parse : string -> (node, string) result
     comments, CDATA, XML declarations and processing instructions, and
     the five standard entities. Whitespace-only text is dropped. *)
 
-val parse_exn : string -> node
-
 val serialize : node -> string
 
 val text_content : node -> string

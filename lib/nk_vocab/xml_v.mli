@@ -3,10 +3,3 @@
     transforming XML documents" among the platform vocabularies). *)
 
 val install : Nk_script.Interp.ctx -> unit
-
-val node_to_value : Xml.node -> Nk_script.Value.t
-(** Elements become [{name, attrs, children}]; text becomes strings. *)
-
-val value_to_node : Nk_script.Value.t -> Xml.node
-(** Inverse of [node_to_value]; raises [Nk_script.Value.Script_error]
-    on malformed shapes. *)

@@ -17,10 +17,6 @@ val annotations : site:string -> target_site:string -> string
 (** The electronic post-it-notes service: [site] interposes on
     [target_site]. *)
 
-val nkp : string
-(** Na Kika Pages ([Nk_pipeline.Nkp.script]), listed here for the LoC
-    table. *)
-
 val loc : string -> int
 (** Non-blank lines of code, the paper's counting unit. *)
 

@@ -21,8 +21,6 @@ val modules : int
 
 val lectures_per_module : int
 
-val videos : int
-
 val video_bytes : int
 (** ~350 KB per media object. *)
 

@@ -125,8 +125,3 @@ let make_request ~rng ~mode =
     | Nakika, false ->
       Nk_http.Message.request (Printf.sprintf "http://%s/nkp/profile.nkp?user=%s" host user)
   end
-
-let is_dynamic (req : Nk_http.Message.request) =
-  let path = req.Nk_http.Message.url.Nk_http.Url.path in
-  Nk_util.Strutil.starts_with ~prefix:"/cgi/" path
-  || Nk_util.Strutil.starts_with ~prefix:"/nkp/" path

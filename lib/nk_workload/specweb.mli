@@ -15,11 +15,6 @@ type mode = Php | Nakika
 val host : string
 (** "www.spec99.org" *)
 
-val users : int
-(** Size of the simulated user population (registrations + lookups). *)
-
-val static_files : int
-
 val install_origin : Nk_node.Origin.t -> unit
 (** Install both variants: [/cgi/...] dynamic handlers (PHP mode),
     [/nkp/...] page sources and [/nakika.js] (Na Kika mode), and the
@@ -28,5 +23,3 @@ val install_origin : Nk_node.Origin.t -> unit
 val make_request : rng:Nk_util.Prng.t -> mode:mode -> Nk_http.Message.request
 (** The 80/20 dynamic/static mix: dynamic requests register a user or
     look up a profile. *)
-
-val is_dynamic : Nk_http.Message.request -> bool

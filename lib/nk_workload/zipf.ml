@@ -8,7 +8,6 @@
    two PRNG outputs, bit-deterministic under a fixed seed. *)
 
 type t = {
-  s : float;
   universe : int;
   prob : float array; (* per-slot acceptance probability, in [0,1] *)
   alias : int array; (* slot to fall back to when the coin rejects *)
@@ -43,11 +42,7 @@ let create ~s ~universe =
   (* Leftovers are 1.0 up to rounding; both queues drain to prob = 1. *)
   Queue.iter (fun i -> prob.(i) <- 1.0) small;
   Queue.iter (fun i -> prob.(i) <- 1.0) large;
-  { s; universe = n; prob; alias; pmf }
-
-let skew t = t.s
-
-let universe t = t.universe
+  { universe = n; prob; alias; pmf }
 
 let prob t rank =
   if rank < 0 || rank >= t.universe then invalid_arg "Zipf.prob: rank out of range";
@@ -61,7 +56,3 @@ let sample t rng =
   let i = Nk_util.Prng.int rng t.universe in
   let u = Nk_util.Prng.float rng 1.0 in
   if u < t.prob.(i) then i else t.alias.(i)
-
-let url t rng ~site =
-  let rank = sample t rng in
-  Printf.sprintf "http://%s/zipf/%d.html" site rank

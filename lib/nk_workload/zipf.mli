@@ -20,16 +20,8 @@ val sample : t -> Nk_util.Prng.t -> int
     proportional to [(r+1)^-s]. Consumes exactly two PRNG outputs per
     draw, so streams are reproducible from the seed. *)
 
-val url : t -> Nk_util.Prng.t -> site:string -> string
-(** A sampled URL [http://site/zipf/<rank>.html] — the shape the
-    workload drivers and scale benches request. *)
-
 val prob : t -> int -> float
 (** Exact normalized probability of a rank (for tests). *)
-
-val skew : t -> float
-
-val universe : t -> int
 
 val table : t -> float array * int array
 (** Copies of the alias table's (acceptance probabilities, alias

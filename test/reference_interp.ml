@@ -21,6 +21,11 @@ open Interp
 type env = { scopes : Value.scope list; this : Value.t }
 (* [scopes] is innermost-first and always ends with the context globals. *)
 
+let member_set obj name value =
+  match obj with
+  | Vobj o -> obj_set o name value
+  | v -> error "cannot set property '%s' on a %s" name (type_name v)
+
 let lookup env name =
   let rec go = function
     | [] -> None

@@ -93,18 +93,14 @@ module Sim = struct
   type t = {
     mutable clock : float;
     queue : event Heap.t;
-    rng : Core.Util.Prng.t;
     mutable live : int;
     mutable executed : int;
   }
 
-  let create ?(seed = 1) ?(start_time = 1_136_073_600.0) () =
-    { clock = start_time; queue = Heap.create (); rng = Core.Util.Prng.create seed;
-      live = 0; executed = 0 }
+  let create ?(start_time = 1_136_073_600.0) () =
+    { clock = start_time; queue = Heap.create (); live = 0; executed = 0 }
 
   let now t = t.clock
-
-  let prng t = t.rng
 
   let schedule_at t ?(daemon = false) time thunk =
     let time = if time < t.clock then t.clock else time in
@@ -155,7 +151,6 @@ module Net = struct
     linked : (int, host list) Hashtbl.t;
     pipes : (int * int, link_state) Hashtbl.t;
     cpus : (int, link_state) Hashtbl.t;
-    sent : (int, int ref) Hashtbl.t;
     egress : (int, float * link_state) Hashtbl.t;
     byname : (string, host) Hashtbl.t;
     metrics : Core.Telemetry.Metrics.t;
@@ -171,7 +166,6 @@ module Net = struct
       linked = Hashtbl.create 16;
       pipes = Hashtbl.create 16;
       cpus = Hashtbl.create 16;
-      sent = Hashtbl.create 16;
       egress = Hashtbl.create 4;
       byname = Hashtbl.create 16;
       metrics = Core.Telemetry.Metrics.create ();
@@ -187,7 +181,6 @@ module Net = struct
     let host = { id = t.next_id; name; cpu_speed } in
     t.next_id <- t.next_id + 1;
     Hashtbl.replace t.cpus host.id { busy_until = 0.0 };
-    Hashtbl.replace t.sent host.id (ref 0);
     Hashtbl.replace t.byname host.name host;
     host
 
@@ -286,9 +279,6 @@ module Net = struct
         let start = Float.max egress_done pipe.busy_until in
         let transmit = float_of_int size /. bandwidth in
         pipe.busy_until <- start +. transmit;
-        (match Hashtbl.find_opt t.sent src.id with
-         | Some r -> r := !r + size
-         | None -> ());
         Core.Sim.Sim.schedule_at t.sim (start +. transmit +. latency +. extra) k
       end
 
@@ -323,9 +313,6 @@ module Net = struct
   let cpu_backlog t host =
     let cpu = Hashtbl.find t.cpus host.id in
     Float.max 0.0 (cpu.busy_until -. Core.Sim.Sim.now t.sim)
-
-  let bytes_sent t host =
-    match Hashtbl.find_opt t.sent host.id with Some r -> !r | None -> 0
 end
 
 (* Keyed by strings: every operation hashes its key. *)

@@ -100,7 +100,8 @@ let test_annotations_policies () =
   | None -> Alcotest.fail "no match"
 
 let test_nkp_source_is_the_pipeline_one () =
-  Alcotest.(check string) "shared source" Core.Pipeline.Nkp.script Extensions.nkp
+  let _, source, _ = List.find (fun (name, _, _) -> name = "Na Kika Pages") Extensions.all in
+  Alcotest.(check string) "shared source" Core.Pipeline.Nkp.script source
 
 let suite =
   [

@@ -3,6 +3,12 @@
 
 open Core.Http
 
+(* A URL built field by field, normalised as [Url.parse] normalises:
+   lowercase host, a path that starts with '/'. *)
+let make_url ?(scheme = "http") ?(port = 80) ?(query = []) ~host ~path () =
+  let path = if path = "" then "/" else if path.[0] = '/' then path else "/" ^ path in
+  { Url.scheme; host = String.lowercase_ascii host; port; path; query }
+
 let test_method_roundtrip () =
   List.iter
     (fun s ->
@@ -25,9 +31,7 @@ let test_status_reasons () =
 
 let test_status_classes () =
   Alcotest.(check bool) "200 success" true (Status.is_success 200);
-  Alcotest.(check bool) "302 redirect" true (Status.is_redirect 302);
-  Alcotest.(check bool) "404 client" true (Status.is_client_error 404);
-  Alcotest.(check bool) "500 server" true (Status.is_server_error 500)
+  Alcotest.(check bool) "404 is not" false (Status.is_success 404)
 
 let test_headers_case_insensitive () =
   let h = Headers.of_list [ ("Content-Type", "text/html") ] in
@@ -46,7 +50,7 @@ let test_headers_set_replaces () =
     (Headers.to_list h)
 
 let test_headers_add_accumulates () =
-  let h = Headers.add (Headers.add Headers.empty "Set-Cookie" "a=1") "Set-Cookie" "b=2" in
+  let h = Headers.of_list [ ("Set-Cookie", "a=1"); ("set-cookie", "b=2") ] in
   Alcotest.(check (list string)) "both" [ "a=1"; "b=2" ] (Headers.get_all h "set-cookie")
 
 let test_headers_remove () =
@@ -89,10 +93,7 @@ let test_url_errors () =
 
 let test_url_nakika_rewriting () =
   let u = Url.parse_exn "http://www.example.edu/page" in
-  let nk = Url.to_nakika u in
-  Alcotest.(check string) "suffix appended" "www.example.edu.nakika.net" nk.Url.host;
-  Alcotest.(check string) "idempotent" "www.example.edu.nakika.net"
-    (Url.to_nakika nk).Url.host;
+  let nk = Url.parse_exn "http://www.example.edu.nakika.net/page" in
   (match Url.of_nakika nk with
    | Some orig -> Alcotest.(check string) "stripped" "www.example.edu" orig.Url.host
    | None -> Alcotest.fail "of_nakika failed");
@@ -100,12 +101,13 @@ let test_url_nakika_rewriting () =
 
 let test_url_prefix_matching () =
   let u = Url.parse_exn "http://med.nyu.edu/library/page.html" in
-  Alcotest.(check bool) "host only" true (Url.matches_prefix u "med.nyu.edu");
-  Alcotest.(check bool) "host+path" true (Url.matches_prefix u "med.nyu.edu/library");
-  Alcotest.(check bool) "wrong path" false (Url.matches_prefix u "med.nyu.edu/admin");
-  Alcotest.(check bool) "parent domain" true (Url.matches_prefix u "nyu.edu");
-  Alcotest.(check bool) "not a label boundary" false (Url.matches_prefix u "yu.edu");
-  Alcotest.(check bool) "other host" false (Url.matches_prefix u "pitt.edu")
+  let matches_prefix u pattern = Core.Policy.Predicate.url ~pattern u <> None in
+  Alcotest.(check bool) "host only" true (matches_prefix u "med.nyu.edu");
+  Alcotest.(check bool) "host+path" true (matches_prefix u "med.nyu.edu/library");
+  Alcotest.(check bool) "wrong path" false (matches_prefix u "med.nyu.edu/admin");
+  Alcotest.(check bool) "parent domain" true (matches_prefix u "nyu.edu");
+  Alcotest.(check bool) "not a label boundary" false (matches_prefix u "yu.edu");
+  Alcotest.(check bool) "other host" false (matches_prefix u "pitt.edu")
 
 let test_url_site () =
   Alcotest.(check string) "default port" "example.org"
@@ -140,25 +142,20 @@ let test_cidr () =
     (Ip.cidr_contains all (Ip.of_string_exn "203.0.113.9"))
 
 let test_client_matches () =
+  let client_matches ~pattern c = Core.Policy.Predicate.client ~pattern c <> None in
   let client = { Ip.ip = Ip.of_string_exn "128.122.1.1"; hostname = Some "cs.nyu.edu" } in
-  Alcotest.(check bool) "cidr" true (Ip.client_matches ~pattern:"128.122.0.0/16" client);
-  Alcotest.(check bool) "domain suffix" true (Ip.client_matches ~pattern:"nyu.edu" client);
-  Alcotest.(check bool) "exact domain" true (Ip.client_matches ~pattern:"cs.nyu.edu" client);
-  Alcotest.(check bool) "other domain" false (Ip.client_matches ~pattern:"pitt.edu" client);
+  Alcotest.(check bool) "cidr" true (client_matches ~pattern:"128.122.0.0/16" client);
+  Alcotest.(check bool) "domain suffix" true (client_matches ~pattern:"nyu.edu" client);
+  Alcotest.(check bool) "exact domain" true (client_matches ~pattern:"cs.nyu.edu" client);
+  Alcotest.(check bool) "other domain" false (client_matches ~pattern:"pitt.edu" client);
   Alcotest.(check bool) "no hostname" false
-    (Ip.client_matches ~pattern:"nyu.edu" { client with hostname = None })
+    (client_matches ~pattern:"nyu.edu" { client with hostname = None })
 
 let test_cookie_parse () =
   Alcotest.(check (list (pair string string))) "pairs"
     [ ("session", "abc"); ("lang", "en") ]
     (Cookie.parse "session=abc; lang=en");
   Alcotest.(check (list (pair string string))) "bare flag" [ ("flag", "") ] (Cookie.parse "flag")
-
-let test_cookie_set () =
-  Alcotest.(check string) "full" "sid=1; Path=/; Max-Age=60; HttpOnly"
-    (Cookie.set_cookie ~path:"/" ~max_age:60 ~http_only:true ~name:"sid" ~value:"1" ());
-  Alcotest.(check (option (pair string string))) "parse back" (Some ("sid", "1"))
-    (Cookie.parse_set_cookie "sid=1; Path=/; HttpOnly")
 
 let test_cache_control_parse () =
   let cc = Cache_control.parse "max-age=300, public" in
@@ -216,18 +213,10 @@ let test_body_chunks () =
   Alcotest.(check (option string)) "chunk 2" (Some "world") (Body.read r);
   Alcotest.(check (option string)) "eof" None (Body.read r)
 
-let test_body_read_size () =
-  let b = Body.of_string "abcdefgh" in
-  let r = Body.reader b in
-  Alcotest.(check (option string)) "3 bytes" (Some "abc") (Body.read_size r 3);
-  Alcotest.(check (option string)) "3 more" (Some "def") (Body.read_size r 3);
-  Alcotest.(check (option string)) "tail" (Some "gh") (Body.read_size r 3);
-  Alcotest.(check (option string)) "eof" None (Body.read_size r 3)
-
 let test_message_request () =
   let r = Message.request ~meth:Method_.POST ~headers:[ ("X", "1") ] ~body:"data"
       "http://example.org/p" in
-  Alcotest.(check string) "host" "example.org" (Message.host r);
+  Alcotest.(check string) "host" "example.org" r.Message.url.Url.host;
   Alcotest.(check (option string)) "header" (Some "1") (Message.req_header r "x");
   Alcotest.(check string) "body" "data" (Body.to_string r.Message.body)
 
@@ -266,7 +255,7 @@ let test_codec_request_roundtrip () =
   | Error e -> Alcotest.fail e
   | Ok r' ->
     Alcotest.(check bool) "method" true (Method_.equal r.Message.meth r'.Message.meth);
-    Alcotest.(check bool) "url" true (Url.equal r.Message.url r'.Message.url);
+    Alcotest.(check bool) "url" true (r.Message.url = r'.Message.url);
     Alcotest.(check (option string)) "header" (Some "yes") (Message.req_header r' "x-test");
     Alcotest.(check string) "body" "payload" (Body.to_string r'.Message.body)
 
@@ -294,8 +283,8 @@ let url_roundtrip_prop =
         (string_gen_of_size (Gen.return 4) (Gen.char_range 'a' 'z'))
         (string_gen_of_size (Gen.return 3) (Gen.char_range 'a' 'z')))
     (fun (host, port, seg, qval) ->
-      let u = Url.make ~host ~port ~path:("/" ^ seg) ~query:[ ("k", qval) ] () in
-      Url.equal u (Url.parse_exn (Url.to_string u)))
+      let u = make_url ~host ~port ~path:("/" ^ seg) ~query:[ ("k", qval) ] () in
+      u = Url.parse_exn (Url.to_string u))
 
 
 
@@ -387,7 +376,7 @@ let gen_headers =
 let gen_url =
   let open QCheck.Gen in
   map
-    (fun (scheme, host, port, (path, query)) -> Url.make ~scheme ~port ~query ~host ~path ())
+    (fun (scheme, host, port, (path, query)) -> make_url ~scheme ~port ~query ~host ~path ())
     (quad (oneofl [ "http"; "https" ]) (gen_word 1 12)
        (oneof [ return 80; int_range 1 65535 ])
        (pair (gen_word 0 15) (list_size (int_bound 4) (pair (gen_word 1 5) (gen_word 0 5)))))
@@ -463,10 +452,10 @@ let test_url_to_string_cases () =
   List.iter
     (fun (u, expected) -> Alcotest.(check string) expected expected (Url.to_string u))
     [
-      (Url.make ~host:"a.org" ~path:"/" (), "http://a.org/");
-      (Url.make ~port:8080 ~host:"a.org" ~path:"/x" (), "http://a.org:8080/x");
-      (Url.make ~query:[ ("k", "") ] ~host:"a.org" ~path:"/" (), "http://a.org/?k");
-      ( Url.make ~scheme:"https" ~port:1 ~query:[ ("a", "1"); ("b", ""); ("c", "3") ] ~host:"A.org"
+      (make_url ~host:"a.org" ~path:"/" (), "http://a.org/");
+      (make_url ~port:8080 ~host:"a.org" ~path:"/x" (), "http://a.org:8080/x");
+      (make_url ~query:[ ("k", "") ] ~host:"a.org" ~path:"/" (), "http://a.org/?k");
+      ( make_url ~scheme:"https" ~port:1 ~query:[ ("a", "1"); ("b", ""); ("c", "3") ] ~host:"A.org"
           ~path:"p" (),
         "https://a.org:1/p?a=1&b&c=3" );
     ]
@@ -510,17 +499,15 @@ let suite =
     Alcotest.test_case "ip: CIDR containment" `Quick test_cidr;
     Alcotest.test_case "ip: client matching (Fig. 3 semantics)" `Quick test_client_matches;
     Alcotest.test_case "cookie: parse" `Quick test_cookie_parse;
-    Alcotest.test_case "cookie: set-cookie" `Quick test_cookie_set;
     Alcotest.test_case "cache-control: parse" `Quick test_cache_control_parse;
     Alcotest.test_case "cache-control: uncacheable directives" `Quick
       test_cache_control_uncacheable;
     Alcotest.test_case "cache-control: expiry priority" `Quick test_cache_control_expiry_priority;
     Alcotest.test_case "http-date: roundtrip" `Quick test_http_date_roundtrip;
     Alcotest.test_case "http-date: epoch rendering" `Quick test_http_date_epoch;
-    Alcotest.test_case "http-date: RFC 2616 example" `Quick test_http_date_known;
     Alcotest.test_case "http-date: malformed" `Quick test_http_date_bad;
+    Alcotest.test_case "http-date: RFC 2616 example" `Quick test_http_date_known;
     Alcotest.test_case "body: chunked reads" `Quick test_body_chunks;
-    Alcotest.test_case "body: sized reads" `Quick test_body_read_size;
     Alcotest.test_case "message: request construction" `Quick test_message_request;
     Alcotest.test_case "message: content-length maintenance" `Quick
       test_message_response_content_length;
@@ -530,6 +517,8 @@ let suite =
     Alcotest.test_case "codec: response roundtrip" `Quick test_codec_response_roundtrip;
     Alcotest.test_case "codec: malformed input" `Quick test_codec_malformed;
     QCheck_alcotest.to_alcotest url_roundtrip_prop;
+    QCheck_alcotest.to_alcotest url_to_string_prop;
+    QCheck_alcotest.to_alcotest ip_to_string_prop;
     QCheck_alcotest.to_alcotest codec_roundtrip_prop;
     QCheck_alcotest.to_alcotest request_wire_size_prop;
     QCheck_alcotest.to_alcotest response_wire_size_prop;
@@ -538,7 +527,5 @@ let suite =
     Alcotest.test_case "range: parse" `Quick test_range_parse;
     Alcotest.test_case "range: resolve" `Quick test_range_resolve;
     Alcotest.test_case "range: apply to a response" `Quick test_range_apply;
-    QCheck_alcotest.to_alcotest url_to_string_prop;
-    QCheck_alcotest.to_alcotest ip_to_string_prop;
     Alcotest.test_case "url: to_string cases" `Quick test_url_to_string_cases;
   ]

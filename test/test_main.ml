@@ -27,4 +27,5 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("workload", Test_workload.suite);
       ("extensions", Test_extensions.suite);
+      ("parsers", Test_parsers.suite);
     ]

@@ -185,7 +185,7 @@ let test_negative_cache_for_missing_site_script () =
     (Origin.request_count origin)
 
 let test_admin_walls_enforced () =
-  let wall = Core.Pipeline.Walls.deny_urls_wall ~urls:[ "forbidden.org" ] ~status:403 in
+  let wall = Wall_scripts.deny_urls_wall ~urls:[ "forbidden.org" ] ~status:403 in
   let cluster = Cluster.create ~client_wall:wall () in
   let origin = Cluster.add_origin cluster ~name:"forbidden.org" () in
   Origin.set_static origin ~path:"/secret.html" ~max_age:300 "secret";
@@ -208,7 +208,7 @@ let test_wall_update_via_expiry () =
   (* Publish a deny-all client wall. *)
   Origin.set_static (Cluster.nakika_origin cluster) ~path:"/clientwall.js"
     ~content_type:"text/javascript" ~max_age:300
-    (Core.Pipeline.Walls.deny_urls_wall ~urls:[ "www.example.edu" ] ~status:403);
+    (Wall_scripts.deny_urls_wall ~urls:[ "www.example.edu" ] ~status:403);
   (* Old wall still cached: *)
   Alcotest.(check int) "still open" 200 (fetch_sync cluster ~client ~proxy (req ())).Message.status;
   (* After the wall script expires (max-age 300) the update applies. *)
@@ -472,7 +472,7 @@ let test_emission_control_on_script_fetches () =
      resources. A site script that tries to fetch a blocked resource
      gets the wall's denial, and the blocked origin is never contacted. *)
   let server_wall =
-    Core.Pipeline.Walls.deny_urls_wall ~urls:[ "internal.example.org" ] ~status:403
+    Wall_scripts.deny_urls_wall ~urls:[ "internal.example.org" ] ~status:403
   in
   let cluster = Cluster.create ~server_wall () in
   let blocked = Cluster.add_origin cluster ~name:"internal.example.org" () in

@@ -15,13 +15,6 @@ let test_node_id_distance () =
   Alcotest.(check bool) "wraps" true (Node_id.distance b a > 0);
   Alcotest.(check int) "self" 0 (Node_id.distance a a)
 
-let test_node_id_interval () =
-  let a = Node_id.of_int 10 and b = Node_id.of_int 20 in
-  Alcotest.(check bool) "inside" true (Node_id.in_interval (Node_id.of_int 15) ~left:a ~right:b);
-  Alcotest.(check bool) "right closed" true (Node_id.in_interval b ~left:a ~right:b);
-  Alcotest.(check bool) "left open" false (Node_id.in_interval a ~left:a ~right:b);
-  Alcotest.(check bool) "outside" false (Node_id.in_interval (Node_id.of_int 25) ~left:a ~right:b)
-
 let test_ring_membership () =
   let r = Ring.create () in
   let a = Node_id.of_int 100 in
@@ -967,7 +960,6 @@ let suite =
   [
     Alcotest.test_case "node ids are deterministic" `Quick test_node_id_deterministic;
     Alcotest.test_case "ring distance" `Quick test_node_id_distance;
-    Alcotest.test_case "clockwise intervals" `Quick test_node_id_interval;
     Alcotest.test_case "ring membership" `Quick test_ring_membership;
     Alcotest.test_case "ring successor" `Quick test_ring_successor;
     Alcotest.test_case "lookup paths terminate at the owner" `Quick

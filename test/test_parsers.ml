@@ -1,0 +1,133 @@
+(* Parser totality: every parser that reads bytes from the network or
+   from an operator answers [Error] on malformed input and never raises.
+   Each property feeds arbitrary bytes and valid seeds with bytes
+   flipped, cut out, duplicated or truncated. *)
+
+open Core
+
+let gen_input seeds =
+  QCheck.Gen.(
+    let junk = string_size ~gen:char (int_range 1 8) in
+    let edit s =
+      let n = String.length s in
+      int_bound n >>= fun i ->
+      int_bound (min 8 (n - i)) >>= fun len ->
+      oneof
+        [
+          (* flip one byte *)
+          (if i < n then map (fun c -> String.mapi (fun j x -> if j = i then c else x) s) char
+           else return s);
+          (* truncate *)
+          return (String.sub s 0 i);
+          (* cut a span out *)
+          return (String.sub s 0 i ^ String.sub s (i + len) (n - i - len));
+          (* insert junk *)
+          map (fun j -> String.sub s 0 i ^ j ^ String.sub s i (n - i)) junk;
+          (* duplicate a span *)
+          return (String.sub s 0 (i + len) ^ String.sub s i (n - i));
+        ]
+    in
+    let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+    oneof
+      [
+        string_size ~gen:char (int_bound 200);
+        (oneofl seeds >>= fun s -> int_range 1 6 >>= fun k -> edits k s);
+      ])
+
+(* The property holds when [parse] returns at all: QCheck reports any
+   exception, with the input that raised it. *)
+let totality ~name seeds parse =
+  QCheck.Test.make ~name:(name ^ ": arbitrary and mutated bytes never raise") ~count:500
+    ~long_factor:10
+    (QCheck.make ~print:(Printf.sprintf "%S") (gen_input seeds))
+    (fun s ->
+      ignore (parse s);
+      true)
+
+let request_seeds =
+  [
+    Http.Codec.encode_request
+      (Http.Message.request ~meth:Http.Method_.POST
+         ~headers:[ ("Host", "a.org"); ("X-NaKika-Deadline", "1.5") ]
+         ~body:"k=v&w=1" "http://a.org:8080/p/q?x=1&y");
+    Http.Codec.encode_request (Http.Message.request "http://www.example.edu/index.html");
+  ]
+
+let response_seeds =
+  [
+    Http.Codec.encode_response
+      (Http.Message.response ~status:206
+         ~headers:[ ("Content-Type", "text/html"); ("Cache-Control", "max-age=60") ]
+         ~body:"<html>partial</html>" ());
+    Http.Codec.encode_response (Http.Message.response ~status:304 ());
+  ]
+
+let json_seeds =
+  [
+    {|{"a": [1, -2.5e3, "xé\n\"", true, false, null], "b": {"c": {}}, "d": []}|};
+    {|[0.5, "😀", {"k": "v"}]|};
+  ]
+
+let xml_seeds =
+  [
+    {|<?xml version="1.0"?><!-- c --><!DOCTYPE doc><doc a="1" b='2'>|}
+    ^ {|<p>t &amp; &lt;<b>x</b></p><![CDATA[raw <tag>]]><?pi x?><e/></doc>|};
+    {|<lecture module="3"><title>Anatomy</title><part n="1">text</part></lecture>|};
+  ]
+
+let image_seeds =
+  let img = Vocab.Image.synthesize ~width:6 ~height:4 ~seed:3 in
+  [ Vocab.Image.encode img Vocab.Image.Raw; Vocab.Image.encode img Vocab.Image.Rle ]
+
+let plan_seeds =
+  [
+    {|# a plan
+node "*.nakika.net" {
+  capacity {
+    admission = 64
+    target = 500ms
+  }
+  diffusion { enabled = on }
+  quarantine {
+    base = 30s
+    max = 4m
+  }
+}
+
+site "video.example" {
+  share >= 30%
+  fuel <= 400_000
+  heap <= 8mb
+}
+
+site "shop.example" {
+  quarantine base 2s max 5m
+}
+|};
+  ]
+
+(* A 9-byte header may claim 65535 x 65535 pixels; decoding must reject
+   a payload that cannot fill them before sizing any buffer by them. *)
+let test_image_header_larger_than_payload () =
+  let before = Gc.allocated_bytes () in
+  let claim = "NKI1\xff\xff\xff\xff\x01" in
+  Alcotest.(check bool) "size mismatch" true
+    (Vocab.Image.decode (claim ^ "\x05a") = Error "RLE payload size mismatch");
+  Alcotest.(check bool) "zero run still reported" true
+    (Vocab.Image.decode (claim ^ "\x05a\x00b") = Error "zero-length RLE run");
+  Alcotest.(check bool) "odd length still reported" true
+    (Vocab.Image.decode (claim ^ "\x05") = Error "RLE payload has odd length");
+  Alcotest.(check bool) "no pixel buffer" true (Gc.allocated_bytes () -. before < 1e6)
+
+let suite =
+  Alcotest.test_case "Image.decode: oversized header, short payload" `Quick
+    test_image_header_larger_than_payload
+  :: List.map QCheck_alcotest.to_alcotest
+    [
+      totality ~name:"Codec.decode_request" request_seeds Http.Codec.decode_request;
+      totality ~name:"Codec.decode_response" response_seeds Http.Codec.decode_response;
+      totality ~name:"Json.parse" json_seeds Vocab.Json.parse;
+      totality ~name:"Xml.parse" xml_seeds Vocab.Xml.parse;
+      totality ~name:"Image.decode" image_seeds Vocab.Image.decode;
+      totality ~name:"Provision.parse" plan_seeds Provision.Provision.parse;
+    ]

@@ -116,7 +116,7 @@ p.register();
 let test_pipeline_terminate_admission () =
   (* Fig. 5 as a client wall. *)
   let wall =
-    Core.Pipeline.Walls.local_only_wall
+    Wall_scripts.local_only_wall
       ~urls:[ "bmj.bmjjournals.com/cgi/reprint"; "content.nejm.org/cgi/reprint" ]
   in
   let table = [ ("http://nakika.net/clientwall.js", wall) ] in
@@ -282,7 +282,10 @@ let test_walls_default_are_noop () =
 
 let test_walls_deny () =
   let table =
-    [ ("http://nakika.net/clientwall.js", Walls.deny_urls_wall ~urls:[ "blocked.org" ] ~status:403) ]
+    [
+      ( "http://nakika.net/clientwall.js",
+        Wall_scripts.deny_urls_wall ~urls:[ "blocked.org" ] ~status:403 );
+    ]
   in
   let load = loader table in
   let blocked = execute ~load_stage:load ~fetch:origin_fetch (req "http://blocked.org/x") in

@@ -364,10 +364,24 @@ let test_lowering_duplicate_key_first_wins () =
      must write that same value, not a later one the verifier never
      compared (cooldown 10m against max 30s would be config-invalid). *)
   let r = P.compile "node \"*\" {\n  breaker { cooldown = 1s; max = 30s; cooldown = 10m }\n}\n" in
-  Alcotest.(check (list string)) "clean" [] (diag_strings r);
+  Alcotest.(check (list string)) "only the repeat is flagged"
+    [ "2:39: warning[duplicate-key]: breaker.cooldown is already set on line 2" ]
+    (diag_strings r);
   match r.P.lowered with
   | [ l ] ->
     Alcotest.(check (float 1e-9)) "first cooldown" 1.0 l.Lower.config.Config.breaker_cooldown
+  | _ -> Alcotest.fail "expected one lowered config"
+
+let test_duplicate_key_warning () =
+  (* One warning at the repeat, naming the first line; `plan check`
+     exits 1 on warnings alone; lowering keeps the first value. *)
+  let r = P.compile "node \"*\" {\n  capacity {\n    admission = 32; admission = 64\n  }\n}\n" in
+  Alcotest.(check (list string)) "one warning"
+    [ "3:21: warning[duplicate-key]: capacity.admission is already set on line 3" ]
+    (diag_strings r);
+  Alcotest.(check (pair int int)) "errors, warnings" (0, 1) (P.errors r, P.warnings r);
+  match r.P.lowered with
+  | [ l ] -> Alcotest.(check int) "first value" 32 l.Lower.config.Config.admission_capacity
   | _ -> Alcotest.fail "expected one lowered config"
 
 (* --- the end-to-end guarantee (qcheck) -------------------------------- *)
@@ -576,6 +590,8 @@ let suite =
     Alcotest.test_case "explain: multi-tenant map exact" `Quick test_explain_multi_tenant_exact;
     Alcotest.test_case "lowering: duplicate key keeps first" `Quick
       test_lowering_duplicate_key_first_wins;
+    Alcotest.test_case "verify: duplicate key warns at the repeat" `Quick
+      test_duplicate_key_warning;
     QCheck_alcotest.to_alcotest accepted_plans_lower_to_valid_configs;
     QCheck_alcotest.to_alcotest lowering_is_deterministic;
     Alcotest.test_case "plan config drives a real node" `Quick test_plan_drives_a_node;

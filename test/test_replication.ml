@@ -180,26 +180,6 @@ let test_replication_custom_resolver () =
   Alcotest.(check (option string)) "resolver keeps max" (Some "10")
     (Replication.read b ~key:"count")
 
-let test_registration () =
-  let sim, nodes = make_replicas 2 in
-  let reg0 = Registration.create (List.nth nodes 0) in
-  let reg1 = Registration.create (List.nth nodes 1) in
-  Alcotest.(check bool) "register" true (reg0 |> fun r -> Registration.register r ~user:"alice" ~profile:"p1");
-  Core.Sim.Sim.run sim;
-  Alcotest.(check bool) "duplicate rejected remotely" false
-    (Registration.register reg1 ~user:"alice" ~profile:"p2");
-  Alcotest.(check (option string)) "visible remotely" (Some "p1")
-    (Registration.lookup reg1 ~user:"alice");
-  Alcotest.(check bool) "update profile" true
-    (Registration.update_profile reg1 ~user:"alice" ~profile:"p3");
-  Core.Sim.Sim.run sim;
-  Alcotest.(check (option string)) "updated everywhere" (Some "p3")
-    (Registration.lookup reg0 ~user:"alice");
-  Alcotest.(check int) "count" 1 (Registration.user_count reg0);
-  Alcotest.(check bool) "unknown update rejected" false
-    (Registration.update_profile reg0 ~user:"bob" ~profile:"p")
-
-
 let make_primary_group n =
   let sim = Core.Sim.Sim.create () in
   let net = Core.Sim.Net.create sim () in
@@ -363,7 +343,6 @@ let suite =
       test_replication_delete_tombstones;
     Alcotest.test_case "replication: custom conflict resolver" `Quick
       test_replication_custom_resolver;
-    Alcotest.test_case "registration vocabulary (SPECweb99)" `Quick test_registration;
     Alcotest.test_case "primary: writes route through the primary" `Quick
       test_primary_routes_through_primary;
     Alcotest.test_case "primary: concurrent writes serialize" `Quick

@@ -3,6 +3,19 @@
 
 open Core.Resource
 
+(* Node-wide consumption of [resource] in the current interval. *)
+let total_interval a resource =
+  List.fold_left
+    (fun acc site -> acc +. Accounting.interval_consumption a ~site resource)
+    0.0 (Accounting.active_sites a)
+
+(* Fig. 6's UPDATE over every resource, as the monitor runs it one
+   resource at a time. *)
+let close_interval a ~congested =
+  List.iter
+    (fun r -> Accounting.close_resource_interval a r ~congested:(congested r))
+    Resource.all
+
 let test_renewable_classification () =
   Alcotest.(check bool) "cpu" true (Resource.is_renewable Resource.Cpu);
   Alcotest.(check bool) "memory" true (Resource.is_renewable Resource.Memory);
@@ -16,7 +29,7 @@ let test_charge_accumulates () =
   Accounting.charge a ~site:"s" Resource.Cpu 2.0;
   Alcotest.(check (float 1e-9)) "interval sum" 3.0
     (Accounting.interval_consumption a ~site:"s" Resource.Cpu);
-  Alcotest.(check (float 1e-9)) "total" 3.0 (Accounting.total_interval a Resource.Cpu)
+  Alcotest.(check (float 1e-9)) "total" 3.0 (total_interval a Resource.Cpu)
 
 let test_renewable_only_counts_under_congestion () =
   let a = Accounting.create ~alpha:1.0 () in
@@ -238,10 +251,10 @@ let test_control_no_unthrottle_event_when_idle () =
 let test_close_interval_zero_sites () =
   (* Fig. 6's UPDATE with nothing running: a no-op, not a crash. *)
   let a = Accounting.create () in
-  Accounting.close_interval a ~congested:(fun _ -> true);
-  Accounting.close_interval a ~congested:(fun _ -> false);
+  close_interval a ~congested:(fun _ -> true);
+  close_interval a ~congested:(fun _ -> false);
   Alcotest.(check (list string)) "still no sites" [] (Accounting.active_sites a);
-  Alcotest.(check (float 1e-9)) "no total" 0.0 (Accounting.total_interval a Resource.Cpu)
+  Alcotest.(check (float 1e-9)) "no total" 0.0 (total_interval a Resource.Cpu)
 
 let test_contribution_with_zero_total () =
   (* A site whose averaged usage is 0 (and a node whose total is 0)

@@ -239,7 +239,7 @@ let test_queue_releases_popped () =
 module type SIM = sig
   type t
 
-  val create : ?seed:int -> ?start_time:float -> unit -> t
+  val create : ?start_time:float -> unit -> t
 
   val now : t -> float
 
@@ -339,8 +339,6 @@ module type NET = sig
   val cpu_run : t -> host -> seconds:float -> (unit -> unit) -> unit
 
   val cpu_backlog : t -> host -> float
-
-  val bytes_sent : t -> host -> int
 end
 
 type net_op =
@@ -359,7 +357,7 @@ let print_net_op = function
 
 type net_obs =
   | Delivered of int * float
-  | Host of int * string list * int * float
+  | Host of int * string list * float
   | Estimates of float list
   | Counters of int * int * int
 
@@ -392,7 +390,7 @@ let net_trace (module N : NET) ~faults ops =
     Array.iteri
       (fun i h ->
         log :=
-          Host (i, List.map N.host_name (N.linked net h), N.bytes_sent net h, N.cpu_backlog net h)
+          Host (i, List.map N.host_name (N.linked net h), N.cpu_backlog net h)
           :: !log)
       hosts;
     let estimates =

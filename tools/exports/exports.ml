@@ -1,0 +1,222 @@
+(* Unused-export gate for lib/.
+
+   Usage: exports.exe ALLOW DIR...
+
+   Reads the typed trees dune leaves in the build directory: every
+   [val] declared in a [lib/**/*.cmti] is an export, and every
+   reference from another compilation unit in a [.cmt] under one of the
+   DIRs is a use. A use is matched to its declaration by the value's
+   uid, which is the same whether the caller wrote [Core.Http.Status.ok],
+   [Nk_http.Status.ok] or [Status.ok], so no path has to be normalised.
+   A module passed whole (functor argument, [include], first-class
+   module, module constraint) uses every value its target signature
+   takes.
+
+   Uses under [test/] do not count as shipped. An export with no
+   shipped caller must be listed in ALLOW ([Module.path.value  reason]
+   per line); the gate fails on any other, and on an ALLOW entry that
+   now has a shipped caller, has no caller at all, or is no longer
+   declared.
+
+   The executables' main modules get a [.cmt] only from [dune build
+   @check], so run it on a tree built that way. *)
+
+open Typedtree
+
+type decl = { name : string; unit : string; loc : Location.t }
+
+(* uid -> declaration, filled from the lib/ interfaces *)
+let decls : decl Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 1024
+
+(* uid -> used from shipped code / from tests *)
+let shipped : unit Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 1024
+let tested : unit Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 1024
+
+let rec walk dir f =
+  Array.iter
+    (fun entry ->
+      let path = Filename.concat dir entry in
+      if Sys.is_directory path then walk path f else f path)
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
+(* dune's [Nk_http__Status] is [Nk_http.Status] to its users. *)
+let unit_path modname =
+  let b = Buffer.create (String.length modname) in
+  let i = ref 0 in
+  while !i < String.length modname do
+    if modname.[!i] = '_' && !i + 1 < String.length modname && modname.[!i + 1] = '_' then begin
+      Buffer.add_char b '.';
+      i := !i + 2
+    end
+    else begin
+      Buffer.add_char b modname.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+let rec declare unit prefix items =
+  List.iter
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd ->
+          Shape.Uid.Tbl.replace decls vd.val_val.val_uid
+            { name = prefix ^ "." ^ vd.val_name.txt; unit; loc = vd.val_loc }
+      | Tsig_module md -> declare_module unit prefix md
+      | Tsig_recmodule mds -> List.iter (declare_module unit prefix) mds
+      | _ -> ())
+    items
+
+and declare_module unit prefix md =
+  match (md.md_name.txt, md.md_type.mty_desc) with
+  | Some name, Tmty_signature sg -> declare unit (prefix ^ "." ^ name) sg.sig_items
+  | _ -> ()
+
+(* A unit's own references carry its implementation's uids, which may
+   coincide with its interface's, so only other units' count. *)
+let use table unit (vd : Types.value_description) =
+  match Shape.Uid.Tbl.find_opt decls vd.val_uid with
+  | Some d when d.unit <> unit -> Shape.Uid.Tbl.replace table vd.val_uid ()
+  | _ -> ()
+
+(* The components a module value carries at run time, in the order a
+   [Tcoerce_structure] numbers them. *)
+let is_runtime_component = function
+  | Types.Sig_value (_, { val_kind = Val_prim _; _ }, _)
+  | Sig_type _ | Sig_modtype _ | Sig_class_type _
+  | Sig_module (_, Mp_absent, _, _, _) ->
+      false
+  | Sig_value _ | Sig_typext _ | Sig_class _ | Sig_module (_, Mp_present, _, _, _) -> true
+
+(* Every value a signature hands over through coercion [cc]. *)
+let rec use_signature use_value (sg : Types.signature) cc =
+  let mark = function Types.Sig_value (_, vd, _) -> use_value vd | _ -> () in
+  let rec all (sg : Types.signature) =
+    List.iter
+      (function
+        | Types.Sig_module (_, _, md, _, _) -> (
+            match md.md_type with Types.Mty_signature sub -> all sub | _ -> ())
+        | item -> mark item)
+      sg
+  in
+  match cc with
+  | Tcoerce_structure (picks, _) ->
+      let runtime = Array.of_list (List.filter is_runtime_component sg) in
+      List.iter
+        (fun (pos, sub) ->
+          if pos >= 0 && pos < Array.length runtime then
+            match runtime.(pos) with
+            | Types.Sig_module (_, _, { md_type = Types.Mty_signature inner; _ }, _, _) ->
+                use_signature use_value inner sub
+            | item -> mark item)
+        picks
+  | _ -> all sg
+
+(* A module named whole, coerced by [cc]. A named module usually
+   reaches the coercion as an alias, wrapped in a constraint whose type
+   is the aliased module's signature. *)
+let rec use_module mark (me : module_expr) cc =
+  match (me.mod_desc, me.mod_type) with
+  | ( (Tmod_ident _ | Tmod_constraint ({ mod_desc = Tmod_ident _; _ }, _, _, Tcoerce_alias _)),
+      Types.Mty_signature sg ) ->
+      use_signature mark sg cc
+  | Tmod_constraint (inner, _, _, Tcoerce_none), _ -> use_module mark inner cc
+  | Tmod_constraint (inner, _, _, cc'), _ -> use_module mark inner cc'
+  | _ -> ()
+
+let uses mark (str : structure) =
+  let open Tast_iterator in
+  let expr sub (e : expression) =
+    (match e.exp_desc with
+    | Texp_ident (_, _, vd) -> mark vd
+    | Texp_pack me -> use_module mark me Tcoerce_none
+    | _ -> ());
+    default_iterator.expr sub e
+  in
+  let module_expr sub (me : module_expr) =
+    (match me.mod_desc with
+    | Tmod_apply (_, arg, cc) -> use_module mark arg cc
+    | Tmod_constraint (inner, _, _, cc) -> use_module mark inner cc
+    | _ -> ());
+    default_iterator.module_expr sub me
+  in
+  let structure_item sub (item : structure_item) =
+    (match item.str_desc with
+    | Tstr_include incl -> use_module mark incl.incl_mod Tcoerce_none
+    | _ -> ());
+    default_iterator.structure_item sub item
+  in
+  let it = { default_iterator with expr; module_expr; structure_item } in
+  it.structure it str
+
+let read_allow file =
+  In_channel.with_open_text file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.trim line with
+         | "" -> None
+         | l when l.[0] = '#' -> None
+         | l -> (
+             match String.index_opt l ' ' with
+             | Some i -> Some (String.sub l 0 i, String.trim (String.sub l i (String.length l - i)))
+             | None -> Some (l, "")))
+
+let () =
+  match Array.to_list Sys.argv with
+  | _ :: allow_file :: dirs ->
+      walk "lib" (fun path ->
+          if Filename.check_suffix path ".cmti" then
+            let cmt = Cmt_format.read_cmt path in
+            match cmt.cmt_annots with
+            | Interface sg -> declare cmt.cmt_modname (unit_path cmt.cmt_modname) sg.sig_items
+            | _ -> ());
+      List.iter
+        (fun dir ->
+          let table = if dir = "test" then tested else shipped in
+          walk dir (fun path ->
+              if Filename.check_suffix path ".cmt" then
+                let cmt = Cmt_format.read_cmt path in
+                match cmt.cmt_annots with
+                | Implementation str -> uses (use table cmt.cmt_modname) str
+                | _ -> ()))
+        dirs;
+      let allow = read_allow allow_file in
+      let errors = ref 0 in
+      let report kind name where =
+        incr errors;
+        Printf.printf "%-10s %s  %s\n" kind name where
+      in
+      let by_name = Hashtbl.create 1024 in
+      Shape.Uid.Tbl.iter (fun uid d -> Hashtbl.replace by_name d.name uid) decls;
+      let offenders =
+        Shape.Uid.Tbl.fold
+          (fun uid d acc -> if Shape.Uid.Tbl.mem shipped uid then acc else (uid, d) :: acc)
+          decls []
+        |> List.sort (fun (_, a) (_, b) -> compare a.name b.name)
+      in
+      List.iter
+        (fun (uid, d) ->
+          if not (List.mem_assoc d.name allow) then
+            report
+              (if Shape.Uid.Tbl.mem tested uid then "test-only" else "unused")
+              d.name
+              (Printf.sprintf "%s:%d" d.loc.loc_start.pos_fname d.loc.loc_start.pos_lnum))
+        offenders;
+      List.iter
+        (fun (name, reason) ->
+          match Hashtbl.find_opt by_name name with
+          | None -> report "stale" name "not declared in any lib/ interface"
+          | Some uid when Shape.Uid.Tbl.mem shipped uid ->
+              report "stale" name "has a shipped caller"
+          | Some uid when not (Shape.Uid.Tbl.mem tested uid) ->
+              report "stale" name "has no caller at all"
+          | Some _ when reason = "" -> report "no-reason" name "gives no reason"
+          | Some _ -> ())
+        allow;
+      Printf.printf
+        "exports: %d vals in lib/ interfaces, %d without a shipped caller, %d allowlisted\n"
+        (Shape.Uid.Tbl.length decls) (List.length offenders) (List.length allow);
+      if !errors > 0 then exit 1
+  | _ ->
+      prerr_endline "usage: exports.exe ALLOW DIR...";
+      exit 2
