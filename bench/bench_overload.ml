@@ -121,7 +121,7 @@ let overload () =
      fragile origin dies just before the background stream's cached
      copy expires and never comes back. *)
   Plan.crash plan ~host:"nk-b.nakika.net" ~at:(epoch +. 5.6) ~restart:(epoch +. 21.0) ();
-  Plan.fail_origin plan ~host:"dead.example.org" ~at:(epoch +. 4.0) ~until:(epoch +. 90.0) ();
+  Plan.fail_origin plan ~host:"dead.example.org" ~at:(epoch +. 4.0) ~until:(epoch +. 90.0);
   let degraded = run_scenario ~attach:true plan in
   let ratio = goodput degraded /. Float.max 1e-9 (goodput baseline) in
   let report label o =

@@ -250,7 +250,7 @@ let health_scenario () =
   let epoch = 1_136_073_600.0 in
   let plan = Core.Faults.Plan.create () in
   Core.Faults.Plan.fail_origin plan ~host:"dead.example.org" ~at:epoch
-    ~until:(epoch +. 3600.0) ();
+    ~until:(epoch +. 3600.0);
   let cluster = Core.Node.Cluster.create ~faults:plan () in
   let origin = Core.Node.Cluster.add_origin cluster ~name:"www.example.edu" () in
   Core.Node.Origin.set_static origin ~path:"/index.html" ~max_age:300

@@ -23,6 +23,8 @@ let put t ~key ~expiry v = Hashtbl.replace t.table key (expiry, v)
 
 let remove t key = Hashtbl.remove t.table key
 
+let fold t ~init ~f = Hashtbl.fold (fun key (_, v) acc -> f acc key v) t.table init
+
 let size t = Hashtbl.length t.table
 
 let hits t = t.hits

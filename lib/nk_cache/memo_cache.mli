@@ -14,6 +14,9 @@ val put : 'a t -> key:string -> expiry:float -> 'a -> unit
 
 val remove : 'a t -> string -> unit
 
+val fold : 'a t -> init:'b -> f:('b -> string -> 'a -> 'b) -> 'b
+(** Every entry, expired ones included, in unspecified order. *)
+
 val size : 'a t -> int
 
 val hits : 'a t -> int

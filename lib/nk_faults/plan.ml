@@ -14,7 +14,7 @@ type origin_rule = {
   ohost : string;
   oat : float;
   ountil : float;
-  action : [ `Fail of int | `Slow of float ];
+  action : [ `Fail | `Slow of float ];
 }
 
 type t = {
@@ -49,8 +49,8 @@ let partition t ~a ~b ~at ~heal = t.partitions <- { a; b; at; heal } :: t.partit
 let crash t ~host ~at ?restart () =
   t.crashes <- { chost = host; cat = at; restart } :: t.crashes
 
-let fail_origin t ~host ~at ~until ?(status = 503) () =
-  t.origins <- { ohost = host; oat = at; ountil = until; action = `Fail status } :: t.origins
+let fail_origin t ~host ~at ~until =
+  t.origins <- { ohost = host; oat = at; ountil = until; action = `Fail } :: t.origins
 
 let slow_origin t ~host ~at ~until ~factor =
   t.origins <- { ohost = host; oat = at; ountil = until; action = `Slow factor } :: t.origins
@@ -117,7 +117,7 @@ let origin_state t ~now ~host =
     | [] -> `Ok
     | r :: rest ->
         if String.equal r.ohost host && now >= r.oat && now < r.ountil then
-          (r.action :> [ `Ok | `Fail of int | `Slow of float ])
+          (r.action :> [ `Ok | `Fail | `Slow of float ])
         else find rest
   in
   find (List.rev t.origins)

@@ -48,10 +48,9 @@ val crash : t -> host:string -> at:float -> ?restart:float -> unit -> unit
     host's CPU queue, and callbacks captured before the crash must not
     fire after restart (the host's {!incarnation} changes). *)
 
-val fail_origin :
-  t -> host:string -> at:float -> until:float -> ?status:int -> unit -> unit
-(** The origin server on [host] answers every request with an error
-    (default status 503) between [at] and [until]. *)
+val fail_origin : t -> host:string -> at:float -> until:float -> unit
+(** The origin server on [host] answers every request with a 503
+    between [at] and [until]. *)
 
 val slow_origin : t -> host:string -> at:float -> until:float -> factor:float -> unit
 (** The origin server's CPU cost per request is multiplied by [factor]
@@ -81,7 +80,7 @@ val crash_times : t -> (string * float) list
 (** All scheduled [(host, at)] crash instants, for the simulator to turn
     into crash events (CPU-queue clearing). *)
 
-val origin_state : t -> now:float -> host:string -> [ `Ok | `Fail of int | `Slow of float ]
+val origin_state : t -> now:float -> host:string -> [ `Ok | `Fail | `Slow of float ]
 (** What the origin server on [host] should do with a request at [now]. *)
 
 val describe : t -> string

@@ -59,10 +59,9 @@ let content_type r = resp_header r "Content-Type"
 
 let content_length r = Body.length r.resp_body
 
-let set_body r ?content_type body =
+let set_body r body =
   r.resp_body <- Body.of_string body;
-  set_resp_header r "Content-Length" (string_of_int (String.length body));
-  Option.iter (fun ct -> set_resp_header r "Content-Type" ct) content_type
+  set_resp_header r "Content-Length" (string_of_int (String.length body))
 
 let response_expiry ~now r =
   let cache_control =

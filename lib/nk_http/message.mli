@@ -48,9 +48,8 @@ val content_type : response -> string option
 val content_length : response -> int
 (** Physical body length (kept consistent by [set_body]). *)
 
-val set_body : response -> ?content_type:string -> string -> unit
-(** Replace the body and update Content-Length (and Content-Type when
-    given). *)
+val set_body : response -> string -> unit
+(** Replace the body and update Content-Length. *)
 
 (* Caching semantics. *)
 

@@ -69,11 +69,9 @@ let create ?(seed = 11) ?default_latency ?default_bandwidth ?client_wall ?server
    shadow the restarted node's view). A crashed node reports nothing —
    the redirector's own [host_down] filter covers the gap. *)
 let start_health_reports t node =
-  let period = (Node.config node).Config.health_report_interval in
-  if period > 0.0 then begin
-    let host = Node.host node in
-    let name = Nk_sim.Net.host_name host in
-    let rec cycle () =
+  let host = Node.host node in
+  let name = Nk_sim.Net.host_name host in
+  Nk_sim.Sim.every t.sim ~period:Node.health_report_interval (fun () ->
       if not (Nk_sim.Net.host_down t.net host) then begin
         let h = Node.health node in
         let incarnation =
@@ -103,11 +101,7 @@ let start_health_reports t node =
                        ~dst:host ~size:1024))
             t.proxies
         end
-      end;
-      Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
-    in
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
-  end
+      end)
 
 let add_proxy t ~name ?(cpu_speed = 1.0) ?config () =
   let host = Nk_sim.Net.add_host t.net ~name ~cpu_speed () in
@@ -178,4 +172,4 @@ let fetch t ~client ?proxy ?timeout req k =
   | Some node -> Nk_sim.Httpd.fetch_via t.web ~from:client ~via:(Node.host node) req k
   | None -> Nk_sim.Httpd.fetch t.web ~from:client req k
 
-let run ?until t = Nk_sim.Sim.run ?until t.sim
+let run t = Nk_sim.Sim.run t.sim

@@ -59,4 +59,4 @@ val fetch :
     seconds if no response arrived — under fault injection this is what
     guarantees every client gets an answer. *)
 
-val run : ?until:float -> t -> unit
+val run : t -> unit

@@ -21,26 +21,15 @@ type t = {
   cache_bytes : int;
   script_max_fuel : int;
   script_max_heap : int;
-  script_ttl : float;
-  negative_ttl : float;
   dht_ttl : float;
-  control_interval : float;
-  control_timeout : float;
   termination_penalty : float;
-  cpu_congestion_backlog : float;
-  memory_congestion_bytes : float;
-  bandwidth_congestion_bytes : float;
   local_clients : string list;
   integrity_key : string option;
-  misbehaving : bool;
   (* Admission-time static analysis of fetched scripts: [`Strict]
      refuses stages whose script has error-severity lint diagnostics,
      [`Permissive] only exports the counts, [`Off] skips analysis. *)
   lint_mode : [ `Off | `Permissive | `Strict ];
   enable_tracing : bool;
-  trace_capacity : int;
-  origin_timeout : float;
-  peer_timeout : float;
   (* Tail tolerance. [request_deadline] mints a per-request budget at
      admission, propagated on every internal hop via the
      X-NaKika-Deadline header; 0 — the default — mints nothing, and a
@@ -56,8 +45,6 @@ type t = {
   enable_hedging : bool;
   hedge_rate : float;
   retry_budget_ratio : float;
-  stale_if_error : float;
-  anti_entropy_interval : float;
   enable_admission : bool;
   admission_target : float;
   admission_interval : float;
@@ -69,7 +56,6 @@ type t = {
   breaker_max_cooldown : float;
   quarantine_max : float;
   quarantine_decay : float;
-  health_report_interval : float;
   enable_diffusion : bool;
   diffusion_low_water : float;
   diffusion_high_water : float;
@@ -102,8 +88,6 @@ type t = {
   plan_hash : string option;
   (* SHA-256 (hex) of the plan text this config was lowered from; None
      for hand-built configs. Surfaced by [nakika stats --health]. *)
-  costs : costs;
-  seed : int;
 }
 
 let default_costs =
@@ -146,31 +130,19 @@ let default =
     cache_bytes = 256 * 1024 * 1024;
     script_max_fuel = 5_000_000;
     script_max_heap = 64 * 1024 * 1024;
-    script_ttl = 300.0;
-    negative_ttl = 60.0;
     dht_ttl = 300.0;
-    control_interval = 1.0;
-    control_timeout = 0.5;
     termination_penalty = 30.0;
-    cpu_congestion_backlog = 0.08;
-    memory_congestion_bytes = 128.0 *. 1024.0 *. 1024.0;
-    bandwidth_congestion_bytes = 50.0 *. 1024.0 *. 1024.0;
     local_clients = [];
     integrity_key = None;
-    misbehaving = false;
     lint_mode = `Permissive;
     enable_tracing = true;
-    trace_capacity = 256;
-    origin_timeout = 10.0;
-    peer_timeout = 3.0;
     request_deadline = 0.0;
     enable_hedging = false;
     hedge_rate = 0.05;
     retry_budget_ratio = 0.0;
-    stale_if_error = 900.0;
-    anti_entropy_interval = 30.0;
     enable_admission = true;
-    (* Well above cpu_congestion_backlog: the Fig. 6 monitor handles
+    (* Well above the monitor's 80 ms CPU congestion backlog
+       ([Node.cpu_congestion_backlog]): the Fig. 6 monitor handles
        resource hogs; admission control only kicks in when the host is
        drowning in sheer request volume. *)
     admission_target = 0.5;
@@ -183,7 +155,6 @@ let default =
     breaker_max_cooldown = 60.0;
     quarantine_max = 240.0;
     quarantine_decay = 60.0;
-    health_report_interval = 1.0;
     enable_diffusion = false;
     (* Proactive: well below the 0.5 crossing the pressure signal hits
        at the admission delay target, so diffusion starts moving work
@@ -204,8 +175,6 @@ let default =
     site_fuel = [];
     site_heap = [];
     plan_hash = None;
-    costs = default_costs;
-    seed = 7;
   }
 
 let plain_proxy =
@@ -225,8 +194,8 @@ let plain_proxy =
 
    Checks are deliberately limited to values that are wrong under any
    interpretation (inverted orderings, non-positive capacities, negative
-   timeouts); documented sentinel values (e.g. [stale_if_error = 0]
-   disables degradation) stay legal. *)
+   timeouts); documented sentinel values (e.g. [request_deadline = 0]
+   mints no budget) stay legal. *)
 let validate t =
   let problems = ref [] in
   let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
@@ -241,21 +210,12 @@ let validate t =
   if t.script_max_heap <= 0 then
     reject "script_max_heap must be positive (got %d)" t.script_max_heap;
   if t.cache_bytes < 0 then reject "cache_bytes must not be negative (got %d)" t.cache_bytes;
-  positive "origin_timeout" t.origin_timeout;
-  positive "peer_timeout" t.peer_timeout;
   non_negative "request_deadline" t.request_deadline;
   if t.hedge_rate <= 0.0 || t.hedge_rate > 1.0 then
     reject "hedge_rate must be in (0, 1] (got %g)" t.hedge_rate;
   if t.retry_budget_ratio < 0.0 || t.retry_budget_ratio > 1.0 then
     reject "retry_budget_ratio must be in [0, 1] (got %g)" t.retry_budget_ratio;
-  positive "control_interval" t.control_interval;
-  non_negative "control_timeout" t.control_timeout;
-  positive "script_ttl" t.script_ttl;
-  non_negative "negative_ttl" t.negative_ttl;
   positive "dht_ttl" t.dht_ttl;
-  non_negative "stale_if_error" t.stale_if_error;
-  non_negative "anti_entropy_interval" t.anti_entropy_interval;
-  non_negative "health_report_interval" t.health_report_interval;
   positive "termination_penalty" t.termination_penalty;
   positive "quarantine_max" t.quarantine_max;
   if t.termination_penalty > t.quarantine_max then

@@ -1,12 +1,15 @@
-(** Node configuration, including the CPU cost model.
+(** Node configuration: the knobs an operator or a provisioning plan
+    sets per node, and the CPU cost model.
 
-    The cost constants translate the work our OCaml implementation does
-    into simulated CPU seconds on the reference machine (the paper's
-    2.8 GHz Pentium 4). They are set from the per-operation costs the
-    paper reports in §5.1 — e.g. 1.5 ms to create a scripting context,
-    3 µs to reuse one, 4 µs for a cached decision tree, < 38 µs per
+    The cost model is fixed: every node charges by {!default_costs}. Its
+    constants translate the work our OCaml implementation does into
+    simulated CPU seconds on the reference machine (the paper's 2.8 GHz
+    Pentium 4). They are set from the per-operation costs the paper
+    reports in §5.1 — e.g. 1.5 ms to create a scripting context, 3 µs
+    to reuse one, 4 µs for a cached decision tree, < 38 µs per
     predicate evaluation — so the micro-benchmarks reproduce Table 2's
-    shape. *)
+    shape. The node's fixed timeouts, TTLs and Fig. 6 control thresholds
+    are constants beside their one reader in [Node]. *)
 
 type costs = {
   proxy_base : float; (** per-request proxy handling (cache code path) *)
@@ -33,25 +36,15 @@ type t = {
   cache_bytes : int;
   script_max_fuel : int;
   script_max_heap : int;
-  script_ttl : float; (** freshness lifetime assumed for stage scripts
-                          lacking explicit expiry *)
-  negative_ttl : float; (** remember sites without [nakika.js] this long *)
   dht_ttl : float; (** cooperative-cache announcement lifetime *)
-  control_interval : float; (** CONTROL period (Fig. 6) *)
-  control_timeout : float; (** WAIT(TIMEOUT) before the kill decision *)
   termination_penalty : float; (** base quarantine window: seconds a
                                    terminated site's requests are refused
                                    before it may run scripts again; doubles
                                    per repeat offense up to [quarantine_max] *)
-  cpu_congestion_backlog : float; (** CPU backlog (s) counting as congested *)
-  memory_congestion_bytes : float; (** script heap per interval counting as congested *)
-  bandwidth_congestion_bytes : float; (** body bytes per interval counting as congested *)
   local_clients : string list; (** CIDR blocks considered local (System.isLocal) *)
   integrity_key : string option; (** verify X-Content-SHA256/X-Signature on
                                      peer-served content with this publisher
                                      key (§6); [None] disables verification *)
-  misbehaving : bool; (** a §6 threat model node: falsifies cached content
-                          it serves to peers *)
   lint_mode : [ `Off | `Permissive | `Strict ];
       (** admission-time static analysis of fetched scripts: [`Strict]
           refuses stages with error-severity diagnostics, [`Permissive]
@@ -59,11 +52,6 @@ type t = {
           skips analysis *)
   enable_tracing : bool; (** record a per-request span tree in the node's
                              {!Nk_telemetry.Tracer} (on by default) *)
-  trace_capacity : int; (** completed traces retained in the ring buffer *)
-  origin_timeout : float; (** give up on an origin fetch after this many
-                              seconds and enter stale-if-error degradation *)
-  peer_timeout : float; (** give up on one cooperative-cache peer fetch
-                            after this long and try the next candidate *)
   request_deadline : float;
       (** per-request deadline budget minted at admission and
           propagated on every internal hop via the X-NaKika-Deadline
@@ -81,12 +69,6 @@ type t = {
   retry_budget_ratio : float;
       (** per-success refill of the per-upstream retry budgets gating
           retry paths; 0 — the default — disables budgeted retries *)
-  stale_if_error : float; (** serve a stale cached copy on origin
-                              failure if it expired at most this many
-                              seconds ago (RFC 2616 stale-if-error);
-                              0 disables degradation *)
-  anti_entropy_interval : float; (** period of hard-state anti-entropy
-                                     re-broadcast; 0 disables it *)
   enable_admission : bool; (** CoDel-style admission control and load
                                shedding at the front door *)
   admission_target : float; (** queueing-delay target (s); delay above it
@@ -105,8 +87,6 @@ type t = {
                               (the base is [termination_penalty]) *)
   quarantine_decay : float; (** seconds of good behaviour that erase one
                                 quarantine strike *)
-  health_report_interval : float; (** period of load reports to the
-                                      redirector; 0 disables them *)
   enable_diffusion : bool; (** proactive computation diffusion (C3PO):
                                offload pipeline executions to
                                lower-pressure neighbors before admission
@@ -159,11 +139,10 @@ type t = {
   plan_hash : string option;
       (** SHA-256 (hex) of the provisioning-plan text this config was
           lowered from; [None] for hand-built configs *)
-  costs : costs;
-  seed : int;
 }
 
 val default_costs : costs
+(** The cost model every node charges by ([micro-costs] prints it). *)
 
 val default : t
 

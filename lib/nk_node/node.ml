@@ -86,6 +86,9 @@ let now t = Nk_sim.Sim.now t.sim
 
 let peer_header = "X-NK-Peer"
 
+(* The §5.1 CPU cost model; [Config.default_costs] documents it. *)
+let costs = Config.default_costs
+
 (* --- tracing helpers ------------------------------------------------ *)
 
 (* Spans are threaded as [span option]: [None] (tracing disabled, or a
@@ -234,6 +237,14 @@ let deadline_expired_response t ~at =
 
 (* --- the content handler: cache + DHT + origin --------------------- *)
 
+(* Seconds before giving up on an origin fetch (and degrading to a
+   stale copy) and on one cooperative-cache peer (and trying the next);
+   on origin failure, a cached copy that expired at most
+   [stale_if_error] seconds ago is served (RFC 2616 stale-if-error). *)
+let origin_timeout = 10.0
+let peer_timeout = 3.0
+let stale_if_error = 900.0
+
 let cache_key (req : Nk_http.Message.request) =
   Nk_http.Method_.to_string req.Nk_http.Message.meth
   ^ " "
@@ -358,7 +369,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
         let hit = Nk_cache.Http_cache.lookup t.cache ~now:(now t) ~key in
         set_attr sp "hit" (string_of_bool (hit <> None));
         (match hit with
-         | Some _ -> charge_cpu t t.cfg.Config.costs.Config.cache_hit
+         | Some _ -> charge_cpu t costs.Config.cache_hit
          | None -> ());
         hit)
   in
@@ -396,7 +407,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
           let do_fetch sp =
             let resp =
               await_fetch_opt t ~via:None
-                ~timeout:(hop_timeout t deadline t.cfg.Config.origin_timeout)
+                ~timeout:(hop_timeout t deadline origin_timeout)
                 req
             in
             Nk_telemetry.Metrics.incr t.metrics "origin-fetches";
@@ -462,19 +473,17 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
              header carries the staleness in seconds so clients and
              tests can tell degraded responses apart. *)
           let degrade () =
-            if t.cfg.Config.stale_if_error <= 0.0 then None
-            else
-              match Nk_cache.Http_cache.lookup_stale_entry t.cache ~key with
-              | Some (old, expiry)
-                when Nk_http.Status.is_success old.Nk_http.Message.status
-                     && now t -. expiry <= t.cfg.Config.stale_if_error ->
-                let age = Float.max 0.0 (now t -. expiry) in
-                Nk_http.Message.set_resp_header old "X-NaKika-Stale"
-                  (string_of_int (int_of_float age));
-                Nk_telemetry.Metrics.incr t.metrics "cache.stale_served";
-                set_attr osp "stale" "true";
-                Some old
-              | _ -> None
+            match Nk_cache.Http_cache.lookup_stale_entry t.cache ~key with
+            | Some (old, expiry)
+              when Nk_http.Status.is_success old.Nk_http.Message.status
+                   && now t -. expiry <= stale_if_error ->
+              let age = Float.max 0.0 (now t -. expiry) in
+              Nk_http.Message.set_resp_header old "X-NaKika-Stale"
+                (string_of_int (int_of_float age));
+              Nk_telemetry.Metrics.incr t.metrics "cache.stale_served";
+              set_attr osp "stale" "true";
+              Some old
+            | _ -> None
           in
           match resp with
           | None -> (
@@ -511,7 +520,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
             in
             charge_cpu t
               (float_of_int (max 1 result.Nk_overlay.Dht.hops)
-              *. t.cfg.Config.costs.Config.dht_per_hop);
+              *. costs.Config.dht_per_hop);
             set_attr sp "hops" (string_of_int result.Nk_overlay.Dht.hops);
             set_attr sp "values" (string_of_int (List.length result.Nk_overlay.Dht.values));
             result)
@@ -551,7 +560,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                   let peer_req = Nk_http.Message.copy_request req in
                   Nk_http.Message.set_req_header peer_req peer_header "1";
                   stamp_deadline t deadline peer_req;
-                  let timeout = hop_timeout t deadline t.cfg.Config.peer_timeout in
+                  let timeout = hop_timeout t deadline peer_timeout in
                   let raw, served_by =
                     match t.hedge with
                     | None ->
@@ -653,9 +662,7 @@ let replica t site =
     in
     (* Re-converge after partitions that outlast the bus's retry budget:
        periodically re-broadcast everything this replica knows. *)
-    if t.cfg.Config.anti_entropy_interval > 0.0 then
-      Nk_replication.Replication.start_anti_entropy r
-        ~interval:t.cfg.Config.anti_entropy_interval ();
+    Nk_replication.Replication.start_anti_entropy r;
     Hashtbl.add t.replicas site r;
     Some r
   | None, None -> None
@@ -757,6 +764,14 @@ let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
 
 (* --- stage loading: fetch, evaluate, cache --------------------------- *)
 
+(* A stage script without explicit expiry stays cached [script_ttl]
+   seconds; a site without [nakika.js] (or a failed stage) is
+   remembered [negative_ttl]. Every stage's interpreter starts from
+   [script_seed]; the node's own rng from it plus its name's length. *)
+let script_ttl = 300.0
+let negative_ttl = 60.0
+let script_seed = 7
+
 let site_of_stage_url url =
   match Nk_http.Url.parse url with
   | Ok u -> Nk_http.Url.site u
@@ -829,7 +844,7 @@ let rec install_stage t ~url ~site ?response build =
   in
   match
     build ~host:(hostcall t ~site ~load_wall) ~max_fuel:(site_max_fuel t ~site)
-      ~max_heap_bytes:(site_max_heap t ~site) ~seed:t.cfg.Config.seed
+      ~max_heap_bytes:(site_max_heap t ~site) ~seed:script_seed
   with
   | Ok stage ->
     (* Context reuse reports the previous pipeline's consumption. *)
@@ -843,7 +858,7 @@ let rec install_stage t ~url ~site ?response build =
     let expiry =
       match Option.bind response (Nk_http.Message.response_expiry ~now:(now t)) with
       | Some e -> e
-      | None -> now t +. t.cfg.Config.script_ttl
+      | None -> now t +. script_ttl
     in
     Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry { stage; site };
     Ok stage
@@ -851,14 +866,14 @@ let rec install_stage t ~url ~site ?response build =
     Nk_telemetry.Metrics.incr t.metrics "script-errors";
     Logs.warn (fun m -> m "[%s] stage %s failed: %s" (name t) url msg);
     Nk_cache.Memo_cache.put t.negative ~key:url
-      ~expiry:(now t +. t.cfg.Config.negative_ttl) ();
+      ~expiry:(now t +. negative_ttl) ();
     e
 
 and load_stage t ?span url =
   match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
   | Some entry ->
     charge_cpu t
-      (t.cfg.Config.costs.Config.tree_cached +. t.cfg.Config.costs.Config.context_reuse);
+      (costs.Config.tree_cached +. costs.Config.context_reuse);
     (* Context reuse resets the usage counters (§4); like the prototype,
        a pipeline suspended mid-request shares the stage context, so the
        reset is best effort. *)
@@ -880,12 +895,11 @@ and load_stage t ?span url =
         if not (Nk_http.Status.is_success resp.Nk_http.Message.status) then begin
           (* Remember that this site publishes no script (§4). *)
           Nk_cache.Memo_cache.put t.negative ~key:url
-            ~expiry:(now t +. t.cfg.Config.negative_ttl) ();
+            ~expiry:(now t +. negative_ttl) ();
           None
         end
         else begin
           let source = Nk_http.Body.to_string resp.Nk_http.Message.resp_body in
-          let costs = t.cfg.Config.costs in
           charge_cpu t
             (costs.Config.context_create +. costs.Config.parse_base
             +. (costs.Config.parse_per_byte *. float_of_int (String.length source)));
@@ -902,7 +916,7 @@ and load_stage t ?span url =
 let install_stage_from_program t ~url ~site script =
   Result.is_ok
     (install_stage t ~url ~site (fun ~host ~max_fuel ~max_heap_bytes ~seed ->
-         charge_cpu t t.cfg.Config.costs.Config.context_create;
+         charge_cpu t costs.Config.context_create;
          Nk_pipeline.Stage.of_program ~url ~host ~max_fuel ~max_heap_bytes ~seed script))
 
 (* --- request processing ---------------------------------------------- *)
@@ -950,7 +964,6 @@ let account t ~site ~cpu ~heap ~bytes ~elapsed =
 let process t ?span ?deadline (req : Nk_http.Message.request) =
   let started = now t in
   let site = Nk_http.Url.site req.Nk_http.Message.url in
-  let costs = t.cfg.Config.costs in
   t.in_flight <- t.in_flight + 1;
   let concurrency = float_of_int t.in_flight *. costs.Config.concurrency_cpu in
   (match deadline with
@@ -1158,7 +1171,7 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
       && Nk_cache.Memo_cache.find t.negative ~now:(now t) url = None
     then
       Nk_cache.Memo_cache.put t.negative ~key:url
-        ~expiry:(now t +. t.cfg.Config.negative_ttl) ()
+        ~expiry:(now t +. negative_ttl) ()
   end
   else if Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url <> None then ()
   else
@@ -1282,13 +1295,6 @@ let handle t (req : Nk_http.Message.request) k =
         (fun () -> content_fetch t ~allow_peers:false ?span ?deadline req)
         ~on_done:(fun resp ->
           Nk_telemetry.Metrics.incr t.metrics "responses";
-          if t.cfg.Config.misbehaving then
-            (* The §6 threat: a node that arbitrarily modifies cached
-               content before serving it to its peers. *)
-            Nk_http.Message.set_body resp
-              (Nk_util.Strutil.replace_all
-                 (Nk_http.Body.to_string resp.Nk_http.Message.resp_body)
-                 ~sub:"content" ~by:"FALSIFIED");
           set_attr span "status" (string_of_int resp.Nk_http.Message.status);
           finish_span t span;
           k resp)
@@ -1372,6 +1378,15 @@ let handle t (req : Nk_http.Message.request) k =
 
 (* --- congestion control (Fig. 6 scheduling) --------------------------- *)
 
+(* Fig. 6: the CONTROL period, the WAIT(TIMEOUT) before the kill
+   decision, and the congestion thresholds: CPU backlog (s), and script
+   heap and body bytes per control interval. *)
+let control_interval = 1.0
+let control_timeout = 0.5
+let cpu_congestion_backlog = 0.08
+let memory_congestion_bytes = 128.0 *. 1024.0 *. 1024.0
+let bandwidth_congestion_bytes = 50.0 *. 1024.0 *. 1024.0
+
 let window_rate t value =
   let dt = now t -. t.window_start in
   if dt <= 0.0 then 0.0 else value /. dt
@@ -1388,27 +1403,29 @@ let is_congested t ~final resource =
   let scale = if final then 3.0 else 1.0 in
   match resource with
   | Nk_resource.Resource.Cpu ->
-    Nk_sim.Net.cpu_backlog t.net t.host > scale *. t.cfg.Config.cpu_congestion_backlog
+    Nk_sim.Net.cpu_backlog t.net t.host > scale *. cpu_congestion_backlog
   | Nk_resource.Resource.Memory ->
     window_rate t t.mem_window
-    >= scale *. t.cfg.Config.memory_congestion_bytes /. t.cfg.Config.control_interval
+    >= scale *. memory_congestion_bytes /. control_interval
   | Nk_resource.Resource.Bandwidth ->
     window_rate t t.bw_window
-    >= scale *. t.cfg.Config.bandwidth_congestion_bytes /. t.cfg.Config.control_interval
+    >= scale *. bandwidth_congestion_bytes /. control_interval
   | Nk_resource.Resource.Running_time | Nk_resource.Resource.Bytes_transferred -> false
 
 let terminate_site t ~site =
   t.terminated <- site :: t.terminated;
   (* Kill the scripting contexts of every cached stage owned by the
-     site; in-flight pipelines die at their next evaluation step. *)
+     site (its [nakika.js] and whatever it chained to); in-flight
+     pipelines die at their next evaluation step. *)
+  let owned =
+    Nk_cache.Memo_cache.fold t.stage_cache ~init:[] ~f:(fun acc url entry ->
+        if entry.site = site then (url, entry) :: acc else acc)
+  in
   List.iter
-    (fun url ->
-      match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
-      | Some entry when entry.site = site ->
-        Nk_script.Interp.kill (Nk_pipeline.Stage.context entry.stage);
-        Nk_cache.Memo_cache.remove t.stage_cache url
-      | _ -> ())
-    [ Printf.sprintf "http://%s/nakika.js" site ];
+    (fun (url, entry) ->
+      Nk_script.Interp.kill (Nk_pipeline.Stage.context entry.stage);
+      Nk_cache.Memo_cache.remove t.stage_cache url)
+    owned;
   (* Refuse the site's requests for an escalating (but decaying) ban
      window — repeat offenders wait longer, reformed ones recover. *)
   ignore (Nk_resource.Quarantine.punish t.quarantine ~site)
@@ -1425,11 +1442,11 @@ let start_monitor t =
         let severity =
           let backlog = Nk_sim.Net.cpu_backlog t.net t.host in
           let cpu_sev =
-            if backlog <= t.cfg.Config.cpu_congestion_backlog then 0.0
-            else 1.0 -. (t.cfg.Config.cpu_congestion_backlog /. backlog)
+            if backlog <= cpu_congestion_backlog then 0.0
+            else 1.0 -. (cpu_congestion_backlog /. backlog)
           in
           let mem_rate = window_rate t t.mem_window in
-          let mem_limit = t.cfg.Config.memory_congestion_bytes /. t.cfg.Config.control_interval in
+          let mem_limit = memory_congestion_bytes /. control_interval in
           let mem_sev = if mem_rate <= mem_limit then 0.0 else 1.0 -. (mem_limit /. mem_rate) in
           Float.min 0.95 (Float.max cpu_sev mem_sev)
         in
@@ -1446,16 +1463,16 @@ let start_monitor t =
   let rec cycle () =
     List.iter (fun r -> ignore (Nk_resource.Monitor.begin_control monitor r)) Nk_resource.Resource.all;
     reset_window t;
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:t.cfg.Config.control_timeout (fun () ->
+    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:control_timeout (fun () ->
         List.iter
           (fun r -> ignore (Nk_resource.Monitor.finish_control monitor r))
           Nk_resource.Resource.all;
         reset_window t;
         Nk_sim.Sim.schedule t.sim ~daemon:true
-          ~delay:(Float.max 0.05 (t.cfg.Config.control_interval -. t.cfg.Config.control_timeout))
+          ~delay:(Float.max 0.05 (control_interval -. control_timeout))
           cycle)
   in
-  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:t.cfg.Config.control_interval cycle
+  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:control_interval cycle
 
 (* --- access-log posting (§3.3) ---------------------------------------- *)
 
@@ -1464,16 +1481,12 @@ let start_monitor t =
    cache contents so cooperative caching keeps finding them (Coral-style
    refresh). *)
 let start_reannouncer t dht =
-  let period = Float.max 5.0 (t.cfg.Config.dht_ttl /. 2.0) in
-  let rec cycle () =
-    Nk_cache.Http_cache.fold_fresh t.cache ~now:(now t) ~init:()
-      ~f:(fun () key expiry ->
-        let ttl = Float.min t.cfg.Config.dht_ttl (expiry -. now t) in
-        if ttl > 0.0 then
-          ignore (Nk_overlay.Dht.put dht ~now:(now t) ~from:(name t) ~key ~value:(name t) ~ttl));
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
-  in
-  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
+  Nk_sim.Sim.every t.sim ~period:(Float.max 5.0 (t.cfg.Config.dht_ttl /. 2.0)) (fun () ->
+      Nk_cache.Http_cache.fold_fresh t.cache ~now:(now t) ~init:()
+        ~f:(fun () key expiry ->
+          let ttl = Float.min t.cfg.Config.dht_ttl (expiry -. now t) in
+          if ttl > 0.0 then
+            ignore (Nk_overlay.Dht.put dht ~now:(now t) ~from:(name t) ~key ~value:(name t) ~ttl)))
 
 (* Expired sloppy placements otherwise die only lazily, on the next
    lookup of their own key: a crowd that moves on leaves its copies
@@ -1482,38 +1495,32 @@ let start_reannouncer t dht =
    of lookup luck. Idempotent, so every hotspot-enabled node may run
    one against the shared index. *)
 let start_dht_sweeper t dht =
-  let period = Float.max 1.0 (t.cfg.Config.hotspot_ttl /. 2.0) in
-  let rec cycle () =
-    Nk_overlay.Dht.sweep dht ~now:(now t);
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
-  in
-  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
+  Nk_sim.Sim.every t.sim ~period:(Float.max 1.0 (t.cfg.Config.hotspot_ttl /. 2.0)) (fun () ->
+      Nk_overlay.Dht.sweep dht ~now:(now t))
 
 let start_log_poster t =
-  let rec cycle () =
-    Hashtbl.iter
-      (fun site url ->
-        match Hashtbl.find_opt t.log_entries site with
-        | Some entries when !entries <> [] ->
-          let body = String.concat "\n" (List.rev !entries) in
-          entries := [];
-          let req = Nk_http.Message.request ~meth:Nk_http.Method_.POST ~body url in
-          Nk_sim.Httpd.fetch t.web ~from:t.host req (fun _ ->
-              Nk_telemetry.Metrics.incr t.metrics "log-posts")
-        | _ -> ())
-      t.log_urls;
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:30.0 cycle
-  in
-  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:30.0 cycle
+  Nk_sim.Sim.every t.sim ~period:30.0 (fun () ->
+      Hashtbl.iter
+        (fun site url ->
+          match Hashtbl.find_opt t.log_entries site with
+          | Some entries when !entries <> [] ->
+            let body = String.concat "\n" (List.rev !entries) in
+            entries := [];
+            let req = Nk_http.Message.request ~meth:Nk_http.Method_.POST ~body url in
+            Nk_sim.Httpd.fetch t.web ~from:t.host req (fun _ ->
+                Nk_telemetry.Metrics.incr t.metrics "log-posts")
+          | _ -> ())
+        t.log_urls)
+
+(* The period of the node's load reports and [health.*] gauges. *)
+let health_report_interval = 1.0
 
 (* Publish the node's own load view as gauges every report interval, so
    [nakika stats --health] and merged benchmark registries can show
    per-node overload state without poking node internals. *)
 let start_health_gauges t =
-  let period = t.cfg.Config.health_report_interval in
-  if period > 0.0 then begin
-    let was_down = ref false in
-    let rec cycle () =
+  let was_down = ref false in
+  Nk_sim.Sim.every t.sim ~period:health_report_interval (fun () ->
       let down = Nk_sim.Net.host_down t.net t.host in
       (* Requests admitted before a crash died with the host: their
          queue slots must not haunt admission after restart. *)
@@ -1530,11 +1537,23 @@ let start_health_gauges t =
         match t.diffusion with
         | Some _ -> set "diffusion.pressure" (pressure t)
         | None -> ()
-      end;
-      Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
-    in
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
-  end
+      end)
+
+(* A second answer to one request is a node bug. It is raised from a
+   fresh event, so it reaches [Sim.run] instead of the [on_error] of
+   whichever cothread made the call. *)
+let answer_once t (req : Nk_http.Message.request) k =
+  let answered = ref false in
+  fun resp ->
+    if !answered then
+      Nk_sim.Sim.schedule t.sim ~delay:0.0 (fun () ->
+          invalid_arg
+            (Printf.sprintf "Node %s answered %s twice" (name t)
+               (Nk_http.Url.to_string req.Nk_http.Message.url)))
+    else begin
+      answered := true;
+      k resp
+    end
 
 let create ~web ~host ?dht ?bus ?(config = Config.default) () =
   let net = Nk_sim.Httpd.net web in
@@ -1585,7 +1604,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       dht;
       bus;
       cfg = config;
-      rng = Nk_util.Prng.create (config.Config.seed + String.length (Nk_sim.Net.host_name host));
+      rng = Nk_util.Prng.create (script_seed + String.length (Nk_sim.Net.host_name host));
       cache = Nk_cache.Http_cache.create ~max_bytes:config.Config.cache_bytes ();
       stage_cache = Nk_cache.Memo_cache.create ();
       negative = Nk_cache.Memo_cache.create ();
@@ -1621,7 +1640,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       log_urls = Hashtbl.create 4;
       log_entries = Hashtbl.create 4;
       metrics;
-      tracer = Nk_telemetry.Tracer.create ~capacity:config.Config.trace_capacity ~clock ();
+      tracer = Nk_telemetry.Tracer.create ~clock ();
       events = Nk_telemetry.Events.create ~clock ();
       active_span = None;
       active_deadline = None;
@@ -1638,7 +1657,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
   in
   Nk_cache.Http_cache.set_metrics t.cache metrics;
   Nk_sim.Httpd.serve web ~host ~hostnames:[ Nk_sim.Net.host_name host ] (fun req k ->
-      handle t req k);
+      handle t req (answer_once t req k));
   (match dht with
    | Some dht when config.Config.enable_dht ->
      ignore (Nk_overlay.Dht.join dht (name t));

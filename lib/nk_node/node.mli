@@ -40,7 +40,7 @@ val metrics : t -> Nk_telemetry.Metrics.t
     "script.heap", "monitor.throttles", "monitor.terminations"). *)
 
 val tracer : t -> Nk_telemetry.Tracer.t
-(** Per-request span trees (ring buffer of [Config.trace_capacity]
+(** Per-request span trees (a ring buffer of the 256 most recent
     completed traces; disabled when [Config.enable_tracing] is false). *)
 
 val events : t -> Nk_telemetry.Events.t
@@ -73,8 +73,10 @@ type health = {
 
 val health : t -> health
 (** The node's own overload view — what it publishes to the redirector
-    and exports as [health.*] gauges every
-    [Config.health_report_interval]. *)
+    and exports as [health.*] gauges every {!health_report_interval}. *)
+
+val health_report_interval : float
+(** The period (1 s) of the node's load reports and [health.*] gauges. *)
 
 val pressure : t -> float
 (** The scalar diffusion load signal in [0, 1]: queueing delay, shed
@@ -92,5 +94,15 @@ val observe_neighbor :
 val terminated_sites : t -> string list
 (** Sites whose pipelines the monitor has terminated (most recent
     first; a site may appear more than once). *)
+
+val answer_once :
+  t ->
+  Nk_http.Message.request ->
+  (Nk_http.Message.response -> unit) ->
+  Nk_http.Message.response ->
+  unit
+(** The guard {!create} puts around every request's continuation: the
+    first call answers, a second raises [Invalid_argument] (naming the
+    node and the URL) from a fresh simulator event. *)
 
 val stage_cache_entries : t -> int

@@ -1,7 +1,6 @@
 type static_resource = {
   content_type : string;
   max_age : int;
-  status : int;
   body : string;
   etag : string;
   modified : float; (* installation time *)
@@ -16,7 +15,6 @@ type dynamic_route = {
 type t = {
   net : Nk_sim.Net.t;
   sim : Nk_sim.Sim.t;
-  static_cpu : float;
   sign_key : string option;
   origin_host : Nk_sim.Net.host;
   statics : (string, static_resource) Hashtbl.t;
@@ -26,6 +24,10 @@ type t = {
 }
 
 let host t = t.origin_host
+
+(* Origin CPU charged per static request: an Apache request cycle on
+   the reference machine. *)
+let static_cpu = 0.0009
 
 let freshness_headers t resource =
   let common =
@@ -41,7 +43,7 @@ let freshness_headers t resource =
 
 let static_response t resource =
   let headers = ("Content-Type", resource.content_type) :: freshness_headers t resource in
-  let resp = Nk_http.Message.response ~status:resource.status ~headers ~body:resource.body () in
+  let resp = Nk_http.Message.response ~headers ~body:resource.body () in
   (match t.sign_key with
    | Some key when resource.max_age > 0 ->
      (* §6: integrity requires absolute expiration; replace the relative
@@ -87,15 +89,15 @@ let handle t (req : Nk_http.Message.request) k =
       Nk_faults.Plan.origin_state plan ~now:(Nk_sim.Sim.now t.sim)
         ~host:(Nk_sim.Net.host_name t.origin_host)
   in
-  let slowdown = match state with `Slow f -> f | `Ok | `Fail _ -> 1.0 in
+  let slowdown = match state with `Slow f -> f | `Ok | `Fail -> 1.0 in
   match state with
-  | `Fail status ->
-    Nk_sim.Net.cpu_run t.net t.origin_host ~seconds:t.static_cpu (fun () ->
-        respond (Nk_http.Message.error_response status))
+  | `Fail ->
+    Nk_sim.Net.cpu_run t.net t.origin_host ~seconds:static_cpu (fun () ->
+        respond (Nk_http.Message.error_response 503))
   | `Ok | `Slow _ -> (
     match Hashtbl.find_opt t.statics path with
     | Some resource ->
-      Nk_sim.Net.cpu_run t.net t.origin_host ~seconds:(t.static_cpu *. slowdown) (fun () ->
+      Nk_sim.Net.cpu_run t.net t.origin_host ~seconds:(static_cpu *. slowdown) (fun () ->
           if conditional_match req resource then respond (not_modified t resource)
           else respond (static_response t resource))
     | None -> (
@@ -107,12 +109,11 @@ let handle t (req : Nk_http.Message.request) k =
             respond (route.handler req))
       | None -> respond (Nk_http.Message.error_response 404)))
 
-let create ~web ~host ?(extra_hostnames = []) ?(static_cpu = 0.0009) ?sign_key () =
+let create ~web ~host ?sign_key () =
   let t =
     {
       net = Nk_sim.Httpd.net web;
       sim = Nk_sim.Httpd.sim web;
-      static_cpu;
       sign_key;
       origin_host = host;
       statics = Hashtbl.create 16;
@@ -122,16 +123,15 @@ let create ~web ~host ?(extra_hostnames = []) ?(static_cpu = 0.0009) ?sign_key (
     }
   in
   Nk_sim.Httpd.serve web ~host
-    ~hostnames:(Nk_sim.Net.host_name host :: extra_hostnames)
+    ~hostnames:[ Nk_sim.Net.host_name host ]
     (fun req k -> handle t req k);
   t
 
-let set_static t ~path ?(content_type = "text/html") ?(max_age = 300) ?(status = 200) body =
+let set_static t ~path ?(content_type = "text/html") ?(max_age = 300) body =
   Hashtbl.replace t.statics path
     {
       content_type;
       max_age;
-      status;
       body;
       etag = Printf.sprintf "\"%s\"" (String.sub (Nk_crypto.Sha256.digest_hex body) 0 16);
       modified = Nk_sim.Sim.now t.sim;

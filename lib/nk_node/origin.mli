@@ -11,21 +11,18 @@ type t
 val create :
   web:Nk_sim.Httpd.t ->
   host:Nk_sim.Net.host ->
-  ?extra_hostnames:string list ->
-  ?static_cpu:float ->
   ?sign_key:string ->
   unit ->
   t
-(** [static_cpu] is the origin CPU charged per static request
-    (default 0.9 ms — an Apache request cycle on the reference
-    machine). With [sign_key], cacheable static responses carry the §6
-    integrity headers (X-Content-SHA256 and X-Signature over an
-    absolute Expires). *)
+(** Each static request costs 0.9 ms of origin CPU (an Apache request
+    cycle on the reference machine). With [sign_key], cacheable static
+    responses carry the §6 integrity headers (X-Content-SHA256 and
+    X-Signature over an absolute Expires). *)
 
 val host : t -> Nk_sim.Net.host
 
 val set_static :
-  t -> path:string -> ?content_type:string -> ?max_age:int -> ?status:int -> string -> unit
+  t -> path:string -> ?content_type:string -> ?max_age:int -> string -> unit
 (** Install or replace a static resource; [max_age] (default 300 s)
     controls proxy cacheability, [max_age = 0] makes it uncacheable. *)
 

@@ -90,8 +90,12 @@ let failure_response = function
   | Resources _ -> Nk_http.Message.error_response 503
   | Killed -> Nk_http.Message.error_response 503
 
-let execute ~load_stage ~fetch ?initial_stages ?(max_stages = 64) ?telemetry req =
-  let initial = match initial_stages with Some s -> s | None -> default_stages req in
+(* Bounds dynamic scheduling, so a misbehaving script cannot loop the
+   scheduler forever. *)
+let max_stages = 64
+
+let execute ~load_stage ~fetch ?telemetry req =
+  let initial = default_stages req in
   let fuel = ref 0 and heap = ref 0 and matched = ref 0 and handlers = ref 0 in
   let charge_stage stage before_fuel before_heap =
     let ctx = Stage.context stage in

@@ -39,15 +39,13 @@ val default_stages : Nk_http.Message.request -> string list
 val execute :
   load_stage:(string -> Stage.t option) ->
   fetch:(Nk_http.Message.request -> Nk_http.Message.response) ->
-  ?initial_stages:string list ->
-  ?max_stages:int ->
   ?telemetry:Nk_telemetry.Tracer.t * Nk_telemetry.Tracer.span ->
   Nk_http.Message.request ->
   outcome
 (** [load_stage] returns [None] for sites that publish no script (the
     stage is skipped); [fetch] is the content handler (proxy cache +
-    origin). [max_stages] (default 64) bounds dynamic scheduling so a
-    misbehaving script cannot loop the scheduler forever.
+    origin). At most 64 stages run, so a misbehaving script cannot
+    loop the scheduler forever.
 
     With [telemetry = (tracer, request_span)], the pipeline records
     child spans under the request: ["policy-match"] per stage

@@ -9,16 +9,15 @@ type t = {
   order : int;
 }
 
-let make ?(urls = []) ?(clients = []) ?(methods = []) ?(headers = []) ?on_request ?on_response
-    ?(next_stages = []) ?(order = 0) () =
+let make ?(urls = []) ?(clients = []) ?(methods = []) ?(headers = []) ?(order = 0) () =
   {
     urls;
     clients;
     methods;
     headers = List.map (fun (name, pat) -> (name, Nk_regex.Regex.compile pat)) headers;
-    on_request;
-    on_response;
-    next_stages;
+    on_request = None;
+    on_response = None;
+    next_stages = [];
     order;
   }
 

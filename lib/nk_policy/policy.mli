@@ -23,9 +23,6 @@ val make :
   ?clients:string list ->
   ?methods:string list ->
   ?headers:(string * string) list ->
-  ?on_request:Nk_script.Value.t ->
-  ?on_response:Nk_script.Value.t ->
-  ?next_stages:string list ->
   ?order:int ->
   unit ->
   t

@@ -41,10 +41,25 @@ let client ~pattern (c : Nk_http.Ip.client) =
 let meth ~pattern m =
   if Nk_http.Method_.equal (Nk_http.Method_.of_string pattern) m then Some 1 else None
 
+(* A client's header is matched outside any script, where no fuel
+   applies: a pattern that needs more than this many matcher steps on
+   it counts as no match. *)
+let header_step_bound = 10_000
+
+exception Step_bound
+
 let header ~name ~regex headers =
   match Nk_http.Headers.get headers name with
   | None -> None
-  | Some value -> if Nk_regex.Regex.matches regex value then Some 1 else None
+  | Some value -> (
+    let steps = ref 0 in
+    let step () =
+      incr steps;
+      if !steps > header_step_bound then raise_notrace Step_bound
+    in
+    match Nk_regex.Regex.matches regex ~step value with
+    | true -> Some 1
+    | false | (exception Step_bound) -> None)
 
 let best f values =
   List.fold_left

@@ -189,7 +189,12 @@ let class_matches ranges negated c =
   let inside = List.exists (fun (lo, hi) -> c >= lo && c <= hi) ranges in
   if negated then not inside else inside
 
-let rec mtch node s i (k : int -> bool) =
+(* Every matcher call is one step, reported to the caller's [step]; a
+   pattern like "(a*)*b" takes exponentially many on a long run of
+   "a", and a caller that raises from [step] (a script out of fuel, a
+   header predicate over its bound) stops the match. *)
+let rec mtch step node s i (k : int -> bool) =
+  step ();
   match node with
   | Empty -> k i
   | Char c -> i < String.length s && s.[i] = c && k (i + 1)
@@ -201,62 +206,62 @@ let rec mtch node s i (k : int -> bool) =
     let rec go nodes i =
       match nodes with
       | [] -> k i
-      | n :: rest -> mtch n s i (fun j -> go rest j)
+      | n :: rest -> mtch step n s i (fun j -> go rest j)
     in
     go nodes i
-  | Alt (a, b) -> mtch a s i k || mtch b s i k
-  | Opt n -> mtch n s i k || k i
+  | Alt (a, b) -> mtch step a s i k || mtch step b s i k
+  | Opt n -> mtch step n s i k || k i
   | Star n ->
     (* greedy; guard against zero-width loops by requiring progress *)
-    let rec star i = mtch n s i (fun j -> j > i && star j) || k i in
+    let rec star i = mtch step n s i (fun j -> j > i && star j) || k i in
     star i
-  | Plus n -> mtch n s i (fun j -> mtch (Star n) s j k)
+  | Plus n -> mtch step n s i (fun j -> mtch step (Star n) s j k)
   | Repeat (n, m, bound) ->
     let rec must count i =
-      if count = 0 then may 0 i else mtch n s i (fun j -> must (count - 1) j)
+      if count = 0 then may 0 i else mtch step n s i (fun j -> must (count - 1) j)
     and may used i =
       match bound with
       | Some n_max when m + used >= n_max -> k i
-      | _ -> mtch n s i (fun j -> j > i && may (used + 1) j) || k i
+      | _ -> mtch step n s i (fun j -> j > i && may (used + 1) j) || k i
     in
     must m i
 
-let match_at t s i =
+let match_at t ~step s i =
   let result = ref None in
   let ok =
-    mtch t.node s i (fun j ->
+    mtch step t.node s i (fun j ->
         result := Some j;
         true)
   in
   if ok then !result else None
 
-let find t s =
+let find t ~step s =
   let n = String.length s in
   let rec scan i =
     if i > n then None
     else
-      match match_at t s i with
+      match match_at t ~step s i with
       | Some j -> Some (i, j)
       | None -> scan (i + 1)
   in
   scan 0
 
-let matches t s = find t s <> None
+let matches t ~step s = find t ~step s <> None
 
-let find_all t s =
+let find_all t ~step s =
   let n = String.length s in
   let rec scan i acc =
     if i > n then List.rev acc
     else
-      match match_at t s i with
+      match match_at t ~step s i with
       | Some j when j > i -> scan j ((i, j) :: acc)
       | Some j -> scan (j + 1) ((i, j) :: acc) (* zero-width: force progress *)
       | None -> scan (i + 1) acc
   in
   scan 0 []
 
-let replace t ~by s =
-  let parts = find_all t s in
+let replace t ~step ~by s =
+  let parts = find_all t ~step s in
   let buf = Buffer.create (String.length s) in
   let last = ref 0 in
   List.iter
@@ -268,8 +273,8 @@ let replace t ~by s =
   Buffer.add_substring buf s !last (String.length s - !last);
   Buffer.contents buf
 
-let split t s =
-  let parts = find_all t s in
+let split t ~step s =
+  let parts = find_all t ~step s in
   let segments = ref [] in
   let last = ref 0 in
   List.iter

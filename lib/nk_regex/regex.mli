@@ -13,19 +13,23 @@ exception Parse_error of string
 val compile : string -> t
 (** Raises [Parse_error] on malformed patterns. *)
 
-val matches : t -> string -> bool
+(** Every matching function calls [step] once per step of the
+    backtracking matcher; an exception raised by [step] stops the match
+    and propagates. *)
+
+val matches : t -> step:(unit -> unit) -> string -> bool
 (** Unanchored search: true when the pattern matches anywhere. *)
 
-val find : t -> string -> (int * int) option
+val find : t -> step:(unit -> unit) -> string -> (int * int) option
 (** Leftmost match as [(start, end_exclusive)]. *)
 
-val find_all : t -> string -> (int * int) list
+val find_all : t -> step:(unit -> unit) -> string -> (int * int) list
 (** Non-overlapping leftmost matches. *)
 
-val replace : t -> by:string -> string -> string
+val replace : t -> step:(unit -> unit) -> by:string -> string -> string
 (** Replace every non-overlapping match. *)
 
-val split : t -> string -> string list
+val split : t -> step:(unit -> unit) -> string -> string list
 (** Split the string on matches. *)
 
 val source : t -> string

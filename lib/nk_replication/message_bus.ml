@@ -22,20 +22,16 @@ type t = {
   (* topic -> (from, payload), newest first: durable-subscription backlog *)
   seen : (int, unit) Hashtbl.t; (* receiver-side dedup of retried messages *)
   rng : Nk_util.Prng.t; (* deterministic backoff jitter *)
-  max_attempts : int;
-  backoff_base : float;
-  backoff_cap : float;
   mutable next_msg : int;
   mutable delivered : int;
   mutable dead_letters : int;
   metrics : Nk_telemetry.Metrics.t;
 }
 
-let create ?(seed = 42) ?(max_attempts = 8) ?(backoff_base = 0.5) ?(backoff_cap = 8.0) net
-    =
+let create ?(seed = 42) net =
   { net; members = Hashtbl.create 8; retained = Hashtbl.create 8;
-    seen = Hashtbl.create 64; rng = Nk_util.Prng.create seed; max_attempts;
-    backoff_base; backoff_cap; next_msg = 0; delivered = 0; dead_letters = 0;
+    seen = Hashtbl.create 64; rng = Nk_util.Prng.create seed;
+    next_msg = 0; delivered = 0; dead_letters = 0;
     metrics = Nk_telemetry.Metrics.create () }
 
 let metrics t = t.metrics
@@ -46,12 +42,18 @@ let attach t ~name ~host =
   if not (Hashtbl.mem t.members name) then
     Hashtbl.add t.members name { host; subscriptions = Hashtbl.create 4 }
 
-(* Backoff before retry [n] (1-based): capped exponential plus up to 25%
-   deterministic jitter from the bus's own PRNG, so synchronized retries
-   de-correlate yet replay identically from the seed. *)
+(* Backoff before retry [n] (1-based): 0.5 s doubling up to 8 s, plus up
+   to 25% deterministic jitter from the bus's own PRNG, so synchronized
+   retries de-correlate yet replay identically from the seed. *)
+let backoff_base = 0.5
+let backoff_cap = 8.0
+
 let backoff t n =
-  let base = Float.min t.backoff_cap (t.backoff_base *. (2. ** float_of_int (n - 1))) in
+  let base = Float.min backoff_cap (backoff_base *. (2. ** float_of_int (n - 1))) in
   base +. Nk_util.Prng.float t.rng (0.25 *. base)
+
+(* A message still unacked after this many attempts is a dead letter. *)
+let max_attempts = 8
 
 (* One delivery attempt: data message to the receiver, ack message back,
    and a daemon retry timer in case the ack never arrives. Either leg may
@@ -76,7 +78,7 @@ let rec attempt t p =
     let sim = Nk_sim.Net.sim t.net in
     Nk_sim.Sim.schedule sim ~daemon:true ~delay:(backoff t p.attempts) (fun () ->
         if not p.acked then begin
-          if p.attempts >= t.max_attempts then begin
+          if p.attempts >= max_attempts then begin
             t.dead_letters <- t.dead_letters + 1;
             Nk_telemetry.Metrics.incr t.metrics "bus.dead_letters"
           end

@@ -12,23 +12,17 @@
     an ack back over the network, and an unacked message is retried with
     capped exponential backoff plus deterministic jitter. The receiver
     deduplicates by id, so handlers still run exactly once under
-    retries. A message still unacked after [max_attempts] is counted as
+    retries. A message still unacked after 8 attempts is counted as
     a dead letter and abandoned (anti-entropy re-registration is the
     recovery path). Retry timers are daemon events: they never keep
     {!Nk_sim.Sim.run} alive. *)
 
 type t
 
-val create :
-  ?seed:int ->
-  ?max_attempts:int ->
-  ?backoff_base:float ->
-  ?backoff_cap:float ->
-  Nk_sim.Net.t ->
-  t
-(** Defaults: seed 42, 8 attempts, backoff 0.5 s doubling up to 8 s
-    (about 31 s of total retry coverage — enough to ride out short
-    partitions). *)
+val create : ?seed:int -> Nk_sim.Net.t -> t
+(** [seed] (default 42) drives the retry jitter. Retries back off from
+    0.5 s, doubling up to 8 s: about 31 s of total retry coverage,
+    enough to ride out short partitions. *)
 
 val net : t -> Nk_sim.Net.t
 

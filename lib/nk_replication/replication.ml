@@ -11,7 +11,6 @@ type node = {
   store : Store.t;
   site : string;
   strategy : strategy;
-  resolve : (key:string -> current:string option -> proposed:string -> string) option;
   versions : (string, version) Hashtbl.t;
   mutable clock : int;
   mutable applied : int;
@@ -57,17 +56,6 @@ let apply_local t ~version ~key ~value =
   if stale then true
   else begin
     t.clock <- max t.clock version.counter;
-    let value =
-      match t.resolve with
-      | Some resolve when value <> tombstone ->
-        let current =
-          match Store.get t.store ~site:t.site ~key with
-          | Some v when v <> tombstone -> Some v
-          | _ -> None
-        in
-        resolve ~key ~current ~proposed:value
-      | _ -> value
-    in
     let ok = Store.put t.store ~site:t.site ~key value in
     if ok then begin
       Hashtbl.replace t.versions key version;
@@ -99,7 +87,7 @@ let on_proposal t ~payload ~from:_ =
     if apply_local t ~version ~key ~value then broadcast t ~version ~key ~value
   | None -> ()
 
-let attach ~bus ~name ~host ~store ?resolve ~site strategy =
+let attach ~bus ~name ~host ~store ~site strategy =
   let t =
     {
       bus;
@@ -107,7 +95,6 @@ let attach ~bus ~name ~host ~store ?resolve ~site strategy =
       store;
       site;
       strategy;
-      resolve;
       versions = Hashtbl.create 32;
       clock = 0;
       applied = 0;
@@ -161,15 +148,14 @@ let name t = t.node_name
    it (version-stale), so the cycle is idempotent; receivers that missed
    the original broadcast — a partition outlasting the bus's retry
    budget, a crash — converge on the next cycle after heal. *)
-let start_anti_entropy t ?(interval = 30.0) () =
-  let sim = Nk_sim.Net.sim (Message_bus.net t.bus) in
-  let rec cycle () =
-    Hashtbl.iter
-      (fun key version ->
-        match Store.get t.store ~site:t.site ~key with
-        | Some value -> broadcast t ~version ~key ~value
-        | None -> ())
-      t.versions;
-    Nk_sim.Sim.schedule sim ~daemon:true ~delay:interval cycle
-  in
-  Nk_sim.Sim.schedule sim ~daemon:true ~delay:interval cycle
+let anti_entropy_interval = 30.0
+
+let start_anti_entropy t =
+  Nk_sim.Sim.every (Nk_sim.Net.sim (Message_bus.net t.bus)) ~period:anti_entropy_interval
+    (fun () ->
+      Hashtbl.iter
+        (fun key version ->
+          match Store.get t.store ~site:t.site ~key with
+          | Some value -> broadcast t ~version ~key ~value
+          | None -> ())
+        t.versions)

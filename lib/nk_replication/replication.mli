@@ -4,9 +4,8 @@
     is accepted at any node, applied per the site's strategy, and
     propagated; receivers resolve conflicts with a per-key version
     ordering (Lamport counter, node name as tie-break) — optimistic
-    last-writer-wins — or through a caller-supplied resolver. The
-    [Primary] strategy forwards updates through a primary node first,
-    giving serializability. *)
+    last-writer-wins. The [Primary] strategy forwards updates through a
+    primary node first, giving serializability. *)
 
 type strategy =
   | Optimistic (** apply locally, propagate to all nodes *)
@@ -19,12 +18,10 @@ val attach :
   name:string ->
   host:Nk_sim.Net.host ->
   store:Store.t ->
-  ?resolve:(key:string -> current:string option -> proposed:string -> string) ->
   site:string ->
   strategy ->
   node
-(** Join the replication group for [site]. [resolve] overrides
-    last-writer-wins for concurrent versions. *)
+(** Join the replication group for [site]. *)
 
 val update : node -> key:string -> value:string -> bool
 (** Accept an update at this node. Under [Optimistic] (or at the
@@ -44,10 +41,10 @@ val keys : node -> prefix:string -> string list
 
 val name : node -> string
 
-val start_anti_entropy : node -> ?interval:float -> unit -> unit
-(** Every [interval] (default 30 s) simulated seconds, re-broadcast all
-    keys this replica knows at their current versions. Receivers ignore
-    versions they already have, so the cycle is idempotent; it is the
-    recovery path for updates the bus dead-lettered during a partition
-    that outlasted the retry budget. Runs as daemon events — it never
-    keeps {!Nk_sim.Sim.run} alive. *)
+val start_anti_entropy : node -> unit
+(** Every 30 simulated seconds, re-broadcast all keys this replica
+    knows at their current versions. Receivers ignore versions they
+    already have, so the cycle is idempotent; it is the recovery path
+    for updates the bus dead-lettered during a partition that outlasted
+    the retry budget. Runs as daemon events — it never keeps
+    {!Nk_sim.Sim.run} alive. *)

@@ -4,7 +4,6 @@ type t = {
   target : float;
   interval : float;
   capacity : int;
-  rate_window : float;
   shares : Shares.t;
   clock : unit -> float;
   metrics : Nk_telemetry.Metrics.t option;
@@ -25,13 +24,12 @@ type t = {
   mutable contended_until : float;
 }
 
-let create ?(target = 0.5) ?(interval = 0.5) ?(capacity = 64) ?(rate_window = 5.0)
-    ?(shares = Shares.empty) ~clock ?metrics () =
+let create ?(target = 0.5) ?(interval = 0.5) ?(capacity = 64) ?(shares = Shares.empty) ~clock
+    ?metrics () =
   {
     target;
     interval;
     capacity;
-    rate_window;
     shares;
     clock;
     metrics;
@@ -56,8 +54,11 @@ let shedding t = t.shedding_
 let site_occupancy t ~site =
   match Hashtbl.find_opt t.occupancy site with Some r -> !r | None -> 0
 
+(* The shed-rate reporting window (s). *)
+let rate_window = 5.0
+
 let roll_rate_window t now =
-  if now -. t.window_start >= t.rate_window then begin
+  if now -. t.window_start >= rate_window then begin
     t.last_shed_rate <-
       (if t.window_arrivals = 0 then 0.0
        else float_of_int t.window_sheds /. float_of_int t.window_arrivals);

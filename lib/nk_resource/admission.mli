@@ -39,7 +39,6 @@ val create :
   ?target:float ->
   ?interval:float ->
   ?capacity:int ->
-  ?rate_window:float ->
   ?shares:Shares.t ->
   clock:(unit -> float) ->
   ?metrics:Nk_telemetry.Metrics.t ->

@@ -4,7 +4,6 @@ type t = {
   name : string;
   failure_threshold : int;
   error_rate : float;
-  min_samples : int;
   window : float;
   cooldown : float;
   max_cooldown : float;
@@ -22,13 +21,12 @@ type t = {
   mutable probes : int;
 }
 
-let create ~name ?(failure_threshold = 3) ?(error_rate = 0.5) ?(min_samples = 8)
-    ?(window = 10.0) ?(cooldown = 5.0) ?(max_cooldown = 60.0) ~clock ?metrics () =
+let create ~name ?(failure_threshold = 3) ?(error_rate = 0.5) ?(window = 10.0)
+    ?(cooldown = 5.0) ?(max_cooldown = 60.0) ~clock ?metrics () =
   {
     name;
     failure_threshold;
     error_rate;
-    min_samples;
     window;
     cooldown;
     max_cooldown;
@@ -112,6 +110,9 @@ let success t =
     t.probing <- false;
     t.next_cooldown <- t.cooldown
 
+(* The error-rate trip needs at least this many samples in the window. *)
+let min_samples = 8
+
 let failure t =
   let now = t.clock () in
   roll_window t now;
@@ -123,7 +124,7 @@ let failure t =
     let rate = float_of_int t.window_failures /. float_of_int (max 1 samples) in
     if
       t.consecutive >= t.failure_threshold
-      || (samples >= t.min_samples && rate >= t.error_rate)
+      || (samples >= min_samples && rate >= t.error_rate)
     then trip t now
   | Half_open ->
     (* The probe failed: back to open with a doubled window. *)

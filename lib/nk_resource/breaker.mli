@@ -27,7 +27,6 @@ val create :
   name:string ->
   ?failure_threshold:int ->
   ?error_rate:float ->
-  ?min_samples:int ->
   ?window:float ->
   ?cooldown:float ->
   ?max_cooldown:float ->

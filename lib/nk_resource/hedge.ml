@@ -43,7 +43,9 @@ let cancelled t = incr t "hedge.cancelled"
    node's fetch-latency histogram. Below [min_samples] observations the
    quantile is noise, so a [fallback] (typically a fraction of the
    per-hop timeout) stands in until the histogram has seen enough. *)
-let delay ?histogram ?(min_samples = 20) ~fallback () =
+let min_samples = 20
+
+let delay ?histogram ~fallback () =
   match histogram with
   | Some h
     when Nk_telemetry.Metrics.Histogram.count h >= min_samples ->

@@ -34,9 +34,8 @@ val cancelled : t -> unit
 
 val delay :
   ?histogram:Nk_telemetry.Metrics.Histogram.h ->
-  ?min_samples:int ->
   fallback:float ->
   unit ->
   float
-(** The hedge delay: p95 of the histogram when it holds at least
-    [min_samples] (default 20) observations, else [fallback]. *)
+(** The hedge delay: p95 of the histogram when it holds at least 20
+    observations, else [fallback]. *)

@@ -1409,4 +1409,4 @@ let lookup ?on_cache source =
     (match on_cache with Some f -> f `Miss | None -> ());
     admit digest (Parser.parse source)
 
-let run_string ?on_cache ctx source = run ctx (lookup ?on_cache source).program
+let run_string ctx source = run ctx (lookup source).program

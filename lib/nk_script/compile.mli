@@ -52,7 +52,7 @@ val lookup : ?on_cache:([ `Hit | `Miss ] -> unit) -> string -> script
     enters the cache, so every entry is the parse of a body whose
     SHA-256 is its key. *)
 
-val run_string : ?on_cache:([ `Hit | `Miss ] -> unit) -> Interp.ctx -> string -> Value.t
+val run_string : Interp.ctx -> string -> Value.t
 (** [run] ∘ [lookup]: the entry point for [evalScript], NKP and the
     CLI. *)
 

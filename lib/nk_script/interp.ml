@@ -401,7 +401,7 @@ let invoke_method ctx obj name args =
   | Varr a -> array_method ctx a name args
   | v -> error "cannot call method '%s' on a %s" name (type_name v)
 
-let apply ctx ?(this = Vundefined) f args = apply_fn ctx ~this f args
+let apply ctx f args = apply_fn ctx ~this:Vundefined f args
 
 let construct ctx ctor args =
   match ctor with

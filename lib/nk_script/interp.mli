@@ -30,7 +30,7 @@ val define_global : ctx -> string -> Value.t -> unit
 
 val get_global : ctx -> string -> Value.t option
 
-val apply : ctx -> ?this:Value.t -> Value.t -> Value.t list -> Value.t
+val apply : ctx -> Value.t -> Value.t list -> Value.t
 (** Call a function value (event handlers are invoked this way),
     charging the 4-unit invocation fuel first. *)
 

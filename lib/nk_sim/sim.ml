@@ -123,6 +123,13 @@ let step t =
     true
   end
 
+let every t ~period f =
+  let rec cycle () =
+    f ();
+    schedule t ~daemon:true ~delay:period cycle
+  in
+  schedule t ~daemon:true ~delay:period cycle
+
 let run ?until t =
   match until with
   | None -> while t.live > 0 && step t do () done

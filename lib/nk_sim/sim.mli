@@ -27,6 +27,11 @@ val schedule : t -> ?daemon:bool -> delay:float -> (unit -> unit) -> unit
 
 val schedule_at : t -> ?daemon:bool -> float -> (unit -> unit) -> unit
 
+val every : t -> period:float -> (unit -> unit) -> unit
+(** A daemon loop: run the thunk [period] seconds from now, then every
+    [period] seconds after that, each run scheduling the next once it
+    returns. *)
+
 val run : ?until:float -> t -> unit
 (** Drain the event queue until only daemon events remain; with
     [until], stop once the clock would pass it (remaining events stay

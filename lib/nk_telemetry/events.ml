@@ -7,11 +7,14 @@ type t = {
   mutable count : int;
 }
 
-let create ?(capacity = 1024) ?(clock = fun () -> 0.0) () =
-  { clock; ring = Array.make (max 1 capacity) None; next_slot = 0; count = 0 }
+(* Events retained; older ones are overwritten. *)
+let capacity = 1024
 
-let record t ?time ?(attrs = []) name =
-  let time = match time with Some time -> time | None -> t.clock () in
+let create ?(clock = fun () -> 0.0) () =
+  { clock; ring = Array.make capacity None; next_slot = 0; count = 0 }
+
+let record t ?(attrs = []) name =
+  let time = t.clock () in
   t.ring.(t.next_slot) <- Some { time; name; attrs };
   t.next_slot <- (t.next_slot + 1) mod Array.length t.ring;
   t.count <- t.count + 1

@@ -6,14 +6,12 @@ type event = { time : float; name : string; attrs : (string * string) list }
 
 type t
 
-val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
-(** [capacity] defaults to 1024 (oldest events are overwritten);
-    [clock] defaults to a constant 0 — pass the simulated clock to get
+val create : ?clock:(unit -> float) -> unit -> t
+(** The ring keeps the 1024 most recent events. [clock] defaults to a constant 0 — pass the simulated clock to get
     meaningful timestamps. *)
 
-val record : t -> ?time:float -> ?attrs:(string * string) list -> string -> unit
-(** [time] overrides the clock (used when copying events between
-    stores). *)
+val record : t -> ?attrs:(string * string) list -> string -> unit
+(** Stamped with the store's clock. *)
 
 val count : t -> int
 (** Total events recorded (not capped by the ring capacity). *)

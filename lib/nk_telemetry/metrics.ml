@@ -140,8 +140,8 @@ let set_gauge t ?(labels = []) name v =
   | Some r -> r := v
   | None -> Hashtbl.add t.gauges k (ref v)
 
-let gauge t ?(labels = []) name =
-  match Hashtbl.find_opt t.gauges (key name labels) with Some r -> !r | None -> 0.0
+let gauge t name =
+  match Hashtbl.find_opt t.gauges (key name []) with Some r -> !r | None -> 0.0
 
 let hist t k =
   match Hashtbl.find_opt t.histograms k with

@@ -30,8 +30,8 @@ val counter_total : t -> string -> int
 
 val set_gauge : t -> ?labels:labels -> string -> float -> unit
 
-val gauge : t -> ?labels:labels -> string -> float
-(** 0 when never set. *)
+val gauge : t -> string -> float
+(** The unlabeled gauge [name]; 0 when never set. *)
 
 (** {1 Histograms} *)
 

@@ -19,10 +19,13 @@ type t = {
   live : (int, span list ref) Hashtbl.t; (* trace id -> spans, newest first *)
 }
 
-let create ?(capacity = 256) ~clock () =
+(* Completed traces retained in the ring buffer. *)
+let capacity = 256
+
+let create ~clock () =
   {
     clock;
-    ring = Array.make (max 1 capacity) None;
+    ring = Array.make capacity None;
     next_slot = 0;
     completed = 0;
     next_id = 1;

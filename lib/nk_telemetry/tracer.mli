@@ -25,9 +25,9 @@ type trace = {
 
 type t
 
-val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
-(** [capacity] bounds the completed-trace ring buffer (default 256;
-    oldest traces are overwritten). [clock] is typically
+val create : clock:(unit -> float) -> unit -> t
+(** The completed-trace ring buffer keeps the 256 most recent traces.
+    [clock] is typically
     [fun () -> Nk_sim.Sim.now sim]. *)
 
 val start_trace : t -> ?attrs:(string * string) list -> string -> span

@@ -10,7 +10,6 @@ val closed_loop :
   Nk_node.Cluster.t ->
   client:Nk_sim.Net.host ->
   ?proxy:Nk_node.Node.t ->
-  ?timeout:float ->
   ?think:float ->
   until:float ->
   make_request:(int -> Nk_http.Message.request) ->
@@ -19,16 +18,12 @@ val closed_loop :
   unit
 (** [make_request i] builds the [i]-th request (0-based);
     [on_response i req resp elapsed] sees the client-perceived latency
-    in simulated seconds. [timeout] passes through to
-    {!Nk_node.Cluster.fetch}: with it, a lost request resolves to a
-    synthesized 504 instead of stalling the loop — required when
-    running under a fault plan. *)
+    in simulated seconds. *)
 
 val replay :
   Nk_node.Cluster.t ->
   client:Nk_sim.Net.host ->
   ?proxy:Nk_node.Node.t ->
-  ?timeout:float ->
   events:(float * Nk_http.Message.request) list ->
   on_response:(Nk_http.Message.request -> Nk_http.Message.response -> float -> unit) ->
   unit ->

@@ -311,7 +311,7 @@ let test_chaos_crash_during_offload () =
      the undeliverable envelope; drive the clock far enough for them to
      hand it to nk2's next incarnation and for the refusal to bounce
      back to p1, where the pending entry is long gone. *)
-  Cluster.run ~until:(epoch +. 60.0) cluster;
+  Core.Sim.Sim.run ~until:(epoch +. 60.0) (Cluster.sim cluster);
   Alcotest.(check bool) "restarted target refused its dead self's work" true
     (Core.Telemetry.Metrics.counter (Node.metrics p2)
        ~labels:[ ("reason", "incarnation") ]
@@ -360,7 +360,7 @@ let test_offload_sheds_expired_deadline () =
     let r = req () in
     Message.set_req_header r Core.Resource.Deadline.header "0.01";
     Cluster.fetch cluster ~client ~proxy:p1 r (fun resp -> result := Some resp));
-  Cluster.run ~until:(t0 +. 30.0) cluster;
+  Core.Sim.Sim.run ~until:(t0 +. 30.0) (Cluster.sim cluster);
   (match !result with
    | None -> Alcotest.fail "request lost"
    | Some resp ->

@@ -174,10 +174,10 @@ let test_plan_drop_rate_and_determinism () =
 
 let test_plan_origin_windows () =
   let plan = Plan.create () in
-  Plan.fail_origin plan ~host:"o" ~at:5.0 ~until:10.0 ();
+  Plan.fail_origin plan ~host:"o" ~at:5.0 ~until:10.0;
   Plan.slow_origin plan ~host:"o" ~at:20.0 ~until:30.0 ~factor:4.0;
   Alcotest.(check bool) "ok outside" true (Plan.origin_state plan ~now:1.0 ~host:"o" = `Ok);
-  Alcotest.(check bool) "failing" true (Plan.origin_state plan ~now:6.0 ~host:"o" = `Fail 503);
+  Alcotest.(check bool) "failing" true (Plan.origin_state plan ~now:6.0 ~host:"o" = `Fail);
   Alcotest.(check bool) "slow" true (Plan.origin_state plan ~now:25.0 ~host:"o" = `Slow 4.0);
   Alcotest.(check bool) "other host untouched" true
     (Plan.origin_state plan ~now:6.0 ~host:"p" = `Ok)
@@ -349,7 +349,7 @@ let test_overload_acceptance () =
   Alcotest.(check int) "baseline: no hung requests" issued answered;
   let plan = Plan.create ~seed:5 () in
   Plan.crash plan ~host:"nk-b.nakika.net" ~at:(epoch +. 5.6) ~restart:(epoch +. 21.0) ();
-  Plan.fail_origin plan ~host:"dead.example.org" ~at:(epoch +. 4.0) ~until:(epoch +. 90.0) ();
+  Plan.fail_origin plan ~host:"dead.example.org" ~at:(epoch +. 4.0) ~until:(epoch +. 90.0);
   let issued, answered, ok, bare_503s, dead_hits, open_breakers = run_overload plan in
   Alcotest.(check int) "degraded: all issued" 630 issued;
   Alcotest.(check int) "degraded: no hung requests" issued answered;

@@ -425,18 +425,27 @@ let test_integrity_catches_misbehaving_peer () =
      the falsified copy, and falls back to the origin. *)
   let key = "publisher-key" in
   let verify_config = { Config.default with Config.integrity_key = Some key } in
-  let bad_config = { Config.default with Config.misbehaving = true } in
   let cluster = Cluster.create () in
   let origin = Cluster.add_origin cluster ~name:"www.example.edu" ~sign_key:key () in
   Origin.set_static origin ~path:"/study.html" ~max_age:300 "<html>study content</html>";
   Origin.set_static origin ~path:"/nakika.js" ~content_type:"text/javascript" ~max_age:300
     "var p = new Policy(); p.onResponse = function() { }; p.register();";
-  let bad = Cluster.add_proxy cluster ~name:"nk-bad.nakika.net" ~config:bad_config () in
+  let bad = Cluster.add_proxy cluster ~name:"nk-bad.nakika.net" () in
   let good = Cluster.add_proxy cluster ~name:"nk-good.nakika.net" ~config:verify_config () in
   let client = Cluster.add_client cluster ~name:"c1" in
   let req () = Message.request "http://www.example.edu/study.html" in
-  (* Warm the misbehaving node's cache (it serves itself honestly). *)
   ignore (fetch_sync cluster ~client ~proxy:bad (req ()));
+  (* The §6 threat: B modifies its cached copy, keeping the publisher's
+     integrity headers, and serves it to its peers. *)
+  let cache = Node.cache bad in
+  let cache_key = "GET http://www.example.edu/study.html" in
+  let now = Core.Sim.Sim.now (Cluster.sim cluster) in
+  (match Core.Cache.Http_cache.lookup cache ~now ~key:cache_key with
+   | None -> Alcotest.fail "the misbehaving node did not cache the page"
+   | Some copy ->
+     Message.set_body copy "<html>study FALSIFIED</html>";
+     Core.Cache.Http_cache.insert cache ~now ~key:cache_key
+       ~expiry:(Message.response_expiry ~now copy) copy);
   (* The good node finds bad's announcement, gets a falsified copy,
      detects it, and retrieves the authoritative version. *)
   let resp = fetch_sync cluster ~client ~proxy:good (req ()) in
@@ -636,17 +645,17 @@ let test_simulation_is_deterministic () =
    and must be built before the cluster exists. *)
 let sim_epoch = 1_136_073_600.0
 
-(* A cluster whose one origin fails from [fail_at] on, with [cap] as
-   the node's staleness budget. The page is cached with max_age 10. *)
-let stale_fixture ~fail_at ~cap =
+(* A cluster whose one origin fails from [fail_at] on. The page is
+   cached with max_age 10; the node serves it stale for up to 900 s
+   past expiry. *)
+let stale_fixture ~fail_at =
   let plan = Core.Faults.Plan.create () in
   Core.Faults.Plan.fail_origin plan ~host:"www.example.edu" ~at:(sim_epoch +. fail_at)
-    ~until:(sim_epoch +. 10_000.0) ();
+    ~until:(sim_epoch +. 10_000.0);
   let cluster = Cluster.create ~faults:plan () in
   let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
   Origin.set_static origin ~path:"/page.html" ~max_age:10 "cached-copy";
-  let config = { Config.default with Config.stale_if_error = cap } in
-  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config () in
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" () in
   let client = Cluster.add_client cluster ~name:"c1" in
   let req () = Message.request "http://www.example.edu/page.html" in
   ignore (fetch_sync cluster ~client ~proxy (req ()));
@@ -657,7 +666,7 @@ let advance cluster until =
   Core.Sim.Sim.run ~until:(sim_epoch +. until) sim
 
 let test_stale_served_on_origin_failure () =
-  let cluster, proxy, client, req = stale_fixture ~fail_at:5.0 ~cap:900.0 in
+  let cluster, proxy, client, req = stale_fixture ~fail_at:5.0 in
   advance cluster 30.0;
   (* Entry expired at ~epoch+10, origin now failing: degraded serving. *)
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
@@ -674,7 +683,7 @@ let test_stale_served_on_origin_failure () =
 let test_fresh_preferred_over_stale () =
   (* While the copy is still fresh the failure is invisible: served from
      cache, no stale marker. *)
-  let cluster, proxy, client, req = stale_fixture ~fail_at:2.0 ~cap:900.0 in
+  let cluster, proxy, client, req = stale_fixture ~fail_at:2.0 in
   advance cluster 5.0;
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
   Alcotest.(check int) "fresh 200" 200 resp.Message.status;
@@ -684,10 +693,10 @@ let test_fresh_preferred_over_stale () =
     (Core.Telemetry.Metrics.counter (Node.metrics proxy) "cache.stale_served")
 
 let test_stale_cap_exceeded_fails_hard () =
-  (* Staleness cap 30 s: at ~60 s past expiry the copy is too old and
+  (* Staleness cap 900 s: at ~990 s past expiry the copy is too old and
      the origin's error surfaces. *)
-  let cluster, proxy, client, req = stale_fixture ~fail_at:5.0 ~cap:30.0 in
-  advance cluster 70.0;
+  let cluster, proxy, client, req = stale_fixture ~fail_at:5.0 in
+  advance cluster 1000.0;
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
   Alcotest.(check bool) ("hard failure: " ^ string_of_int resp.Message.status) true
     (resp.Message.status >= 500);
@@ -699,13 +708,13 @@ let test_stale_cap_exceeded_fails_hard () =
 let test_stale_within_cap_then_beyond () =
   (* The same deployment first degrades gracefully (inside the cap),
      then fails hard once the copy ages past it. *)
-  let cluster, proxy, client, req = stale_fixture ~fail_at:5.0 ~cap:60.0 in
-  advance cluster 40.0;
+  let cluster, proxy, client, req = stale_fixture ~fail_at:5.0 in
+  advance cluster 900.0;
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
   Alcotest.(check int) "within cap: degraded 200" 200 resp.Message.status;
   Alcotest.(check bool) "marked stale" true
     (Message.resp_header resp "X-NaKika-Stale" <> None);
-  advance cluster 200.0;
+  advance cluster 1000.0;
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
   Alcotest.(check bool) "beyond cap: hard failure" true (resp.Message.status >= 500)
 
@@ -740,11 +749,15 @@ let test_config_rejects_bad_capacity () =
     "admission_capacity"
 
 let test_config_rejects_negative_timeouts () =
-  expect_rejected "negative origin timeout"
-    { Config.default with Config.origin_timeout = -1.0 }
-    "origin_timeout";
-  expect_rejected "zero peer timeout" { Config.default with Config.peer_timeout = 0.0 }
-    "peer_timeout"
+  expect_rejected "negative offload timeout"
+    { Config.default with Config.diffusion_offload_timeout = -1.0 }
+    "diffusion_offload_timeout";
+  expect_rejected "zero fetch timeout"
+    { Config.default with Config.diffusion_fetch_timeout = 0.0 }
+    "diffusion_fetch_timeout";
+  expect_rejected "negative request deadline"
+    { Config.default with Config.request_deadline = -1.0 }
+    "request_deadline"
 
 let test_config_rejects_penalty_above_quarantine_max () =
   expect_rejected "penalty above cap"
@@ -766,8 +779,8 @@ let test_valid_config_still_accepted () =
   (* The validator must not reject the documented sentinel values. *)
   let cluster = Cluster.create () in
   let config =
-    { Config.default with Config.stale_if_error = 0.0; anti_entropy_interval = 0.0;
-      health_report_interval = 0.0; quarantine_decay = 0.0 }
+    { Config.default with Config.request_deadline = 0.0; retry_budget_ratio = 0.0;
+      quarantine_decay = 0.0 }
   in
   ignore (Cluster.add_proxy cluster ~name:"nk-ok.nakika.net" ~config ())
 
@@ -790,7 +803,7 @@ let test_client_timeout_reason_headers () =
     (Message.request "http://www.example.edu/index.html")
     (fun r -> result := Some r);
   (* The timeout timer is a daemon event: drive the clock past it. *)
-  Cluster.run ~until:(epoch +. 10.0) cluster;
+  Core.Sim.Sim.run ~until:(epoch +. 10.0) (Cluster.sim cluster);
   match !result with
   | None -> Alcotest.fail "client timeout never fired"
   | Some r ->
@@ -878,7 +891,7 @@ let test_hedged_fetch_beats_crashed_holder () =
       answered_at := Core.Sim.Sim.now sim;
       result := Some r);
   (* The hedge-delay timer is a daemon event: drive the clock. *)
-  Cluster.run ~until:(epoch +. 20.0) cluster;
+  Core.Sim.Sim.run ~until:(epoch +. 20.0) (Cluster.sim cluster);
   (match !result with
    | None -> Alcotest.fail "hedged fetch lost"
    | Some r ->
@@ -890,7 +903,7 @@ let test_hedged_fetch_beats_crashed_holder () =
   Alcotest.(check bool) "backup won the race" true
     (Core.Telemetry.Metrics.counter m "hedge.wins" >= 1);
   Alcotest.(check bool) "answered before the primary's timeout" true
-    (!answered_at -. t0 < (Node.config c).Config.peer_timeout)
+    (!answered_at -. t0 < 3.0)
 
 let test_dht_sweeper_expires_idle_placements () =
   (* Regression for the sweeper daemon: sloppy placements on a key the
@@ -935,7 +948,7 @@ let test_dht_sweeper_expires_idle_placements () =
   (* TTL 5 s, sweep period max(1, ttl/2) = 2.5 s: by +20 s the idle
      placement has long been swept — with no lookup ever touching the
      key again. *)
-  Cluster.run ~until:(t0 +. 20.0) cluster;
+  Core.Sim.Sim.run ~until:(t0 +. 20.0) (Cluster.sim cluster);
   Alcotest.(check bool) "crowd created placements" true (!placed > 0);
   Alcotest.(check int) "idle placements swept without a lookup" 0
     (Core.Overlay.Dht.sloppy_replicas dht)
@@ -951,6 +964,76 @@ let test_config_rejects_bad_tail_knobs () =
   expect_rejected "retry budget ratio above one"
     { Config.default with Config.retry_budget_ratio = 1.5 }
     "retry_budget_ratio"
+
+let test_local_clients_pass_local_only_wall () =
+  (* Fig. 5: the client wall refuses non-local clients with 401; the
+     node's [local_clients] blocks decide what System.isLocal calls
+     local. *)
+  let cluster =
+    Cluster.create ~client_wall:(Wall_scripts.local_only_wall ~urls:[ "www.example.edu" ]) ()
+  in
+  ignore (basic_site cluster);
+  let config = { Config.default with Config.local_clients = [ "10.0.0.0/8" ] } in
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let from ip =
+    Message.request
+      ~client:{ Ip.ip = Ip.of_string_exn ip; hostname = None }
+      "http://www.example.edu/index.html"
+  in
+  Alcotest.(check int) "local client served" 200
+    (fetch_sync cluster ~client ~proxy (from "10.1.2.3")).Message.status;
+  Alcotest.(check int) "remote client refused" 401
+    (fetch_sync cluster ~client ~proxy (from "192.0.2.7")).Message.status
+
+let test_termination_kills_chained_stages () =
+  (* The bomb site's own script chains to b.js on the same host, which
+     holds the memory bomb. Terminating the site must kill and evict
+     both of its stages, not just nakika.js. *)
+  let cluster = Cluster.create () in
+  let origin = Cluster.add_origin cluster ~name:"bomb.example.org" () in
+  Core.Workload.Flashcrowd.install_bomb_site origin;
+  Origin.set_static origin ~path:"/nakika.js" ~content_type:"text/javascript" ~max_age:300
+    {|
+var p = new Policy();
+p.url = ["bomb.example.org"];
+p.nextStages = ["http://bomb.example.org/b.js"];
+p.register();
+|};
+  Origin.set_static origin ~path:"/b.js" ~content_type:"text/javascript" ~max_age:300
+    Core.Workload.Flashcrowd.memory_bomb_script;
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let sim = Cluster.sim cluster in
+  Core.Workload.Driver.closed_loop cluster ~client ~proxy
+    ~until:(Core.Sim.Sim.now sim +. 8.0)
+    ~make_request:(fun _ -> Core.Workload.Flashcrowd.bomb_request ())
+    ~on_response:(fun _ _ _ _ -> ())
+    ();
+  Cluster.run cluster;
+  Alcotest.(check bool) "bomb site terminated" true
+    (List.mem "bomb.example.org" (Node.terminated_sites proxy));
+  (* The site is quarantined for the rest of the run, so nothing loads
+     its stages again: only the two administrative walls stay cached. *)
+  Alcotest.(check int) "both site stages evicted" 2 (Node.stage_cache_entries proxy)
+
+let test_second_answer_raises () =
+  (* At most one answer per request: the guard around every handler
+     continuation raises on a second call, from a fresh simulator event
+     so that no cothread's error handler can swallow it. *)
+  let cluster = Cluster.create () in
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" () in
+  let req = Message.request "http://www.example.edu/index.html" in
+  let answers = ref 0 in
+  let k = Node.answer_once proxy req (fun _ -> incr answers) in
+  k (Message.error_response 503);
+  k (Message.error_response 504);
+  Alcotest.(check int) "first answer delivered, second dropped" 1 !answers;
+  match Cluster.run cluster with
+  | () -> Alcotest.fail "a second answer must raise"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names the node and the URL"
+      "Node nk1.nakika.net answered http://www.example.edu/index.html twice" msg
 
 let suite =
   [
@@ -1030,4 +1113,9 @@ let suite =
       test_config_rejects_bad_tail_knobs;
     Alcotest.test_case "cached stage starts each request clean" `Quick
       test_cached_stage_starts_clean;
+    Alcotest.test_case "local_clients pass the Fig. 5 local-only wall" `Quick
+      test_local_clients_pass_local_only_wall;
+    Alcotest.test_case "termination kills chained stages" `Quick
+      test_termination_kills_chained_stages;
+    Alcotest.test_case "a second answer raises" `Quick test_second_answer_raises;
   ]

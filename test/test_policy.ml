@@ -10,7 +10,6 @@ let req ?(meth = Method_.GET) ?(client = "1.2.3.4") ?(hostname = None) ?(headers
     ~client:{ Ip.ip = Ip.of_string_exn client; hostname }
     url
 
-let handler = Core.Script.Value.native "h" (fun _ _ -> Core.Script.Value.Vundefined)
 
 let test_empty_policy_matches_everything () =
   let p = Policy.make () in
@@ -53,6 +52,16 @@ let test_header_predicate () =
   Alcotest.(check bool) "different agent" true
     (Policy.matches p (req ~headers:[ ("User-Agent", "Mozilla") ] "http://a.org/") = None);
   Alcotest.(check bool) "absent header" true (Policy.matches p (req "http://a.org/") = None)
+
+let test_header_predicate_step_bound () =
+  (* A client header is matched outside any script: a catastrophic
+     backtracking pattern gives up at the step bound and counts as no
+     match, instead of running for seconds. *)
+  let p = Policy.make ~headers:[ ("User-Agent", "(a*)*b") ] () in
+  let r = req ~headers:[ ("User-Agent", String.make 26 'a') ] "http://a.org/" in
+  let t0 = Sys.time () in
+  Alcotest.(check bool) "no match" true (Policy.matches p r = None);
+  Alcotest.(check bool) "stopped at the step bound" true (Sys.time () -. t0 < 0.5)
 
 let test_header_conjunction () =
   let p = Policy.make ~headers:[ ("A", "1"); ("B", "2") ] () in
@@ -123,7 +132,7 @@ let tree_find policies request =
   Decision_tree.find_closest (Decision_tree.build policies) request
 
 let test_tree_basic () =
-  let p = Policy.make ~urls:[ "med.nyu.edu" ] ~on_request:handler () in
+  let p = Policy.make ~urls:[ "med.nyu.edu" ] () in
   Alcotest.(check bool) "hit" true (tree_find [ p ] (req "http://med.nyu.edu/x") <> None);
   Alcotest.(check bool) "miss" true (tree_find [ p ] (req "http://mit.edu/x") = None)
 
@@ -306,4 +315,6 @@ let suite =
       test_bridge_rejects_bad_handler;
     Alcotest.test_case "bridge: unregistered policies ignored" `Quick
       test_bridge_unregistered_ignored;
+    Alcotest.test_case "header predicate stops at its step bound" `Quick
+      test_header_predicate_step_bound;
   ]

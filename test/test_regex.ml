@@ -2,7 +2,7 @@
 
 open Core.Regex
 
-let matches pattern s = Regex.matches (Regex.compile pattern) s
+let matches pattern s = Regex.matches (Regex.compile pattern) ~step:ignore s
 
 (* The whole string matches: the pattern anchored at both ends. *)
 let full pattern s = matches ("^(" ^ pattern ^ ")$") s
@@ -63,19 +63,19 @@ let test_anchors () =
 let test_find () =
   let r = Regex.compile "o+" in
   Alcotest.(check (option (pair int int))) "leftmost longest-ish" (Some (1, 3))
-    (Regex.find r "foooba" |> Option.map (fun (i, j) -> (i, min j 3)));
-  Alcotest.(check (option (pair int int))) "absent" None (Regex.find r "xyz")
+    (Regex.find r ~step:ignore "foooba" |> Option.map (fun (i, j) -> (i, min j 3)));
+  Alcotest.(check (option (pair int int))) "absent" None (Regex.find r ~step:ignore "xyz")
 
 let test_find_all_and_replace () =
   let r = Regex.compile "\\d+" in
-  Alcotest.(check int) "three numbers" 3 (List.length (Regex.find_all r "a1b22c333"));
-  Alcotest.(check string) "replace" "aNbNcN" (Regex.replace r ~by:"N" "a1b22c333");
-  Alcotest.(check string) "replace none" "abc" (Regex.replace r ~by:"N" "abc")
+  Alcotest.(check int) "three numbers" 3 (List.length (Regex.find_all r ~step:ignore "a1b22c333"));
+  Alcotest.(check string) "replace" "aNbNcN" (Regex.replace r ~step:ignore ~by:"N" "a1b22c333");
+  Alcotest.(check string) "replace none" "abc" (Regex.replace r ~step:ignore ~by:"N" "abc")
 
 let test_split () =
   let r = Regex.compile ",\\s*" in
-  Alcotest.(check (list string)) "split list" [ "a"; "b"; "c" ] (Regex.split r "a, b,c");
-  Alcotest.(check (list string)) "no separator" [ "abc" ] (Regex.split r "abc")
+  Alcotest.(check (list string)) "split list" [ "a"; "b"; "c" ] (Regex.split r ~step:ignore "a, b,c");
+  Alcotest.(check (list string)) "no separator" [ "abc" ] (Regex.split r ~step:ignore "abc")
 
 let test_parse_errors () =
   List.iter
@@ -107,7 +107,7 @@ let find_all_nonoverlapping_prop =
     QCheck.(string_of_size Gen.(0 -- 60))
     (fun s ->
       let r = Regex.compile "ab?" in
-      let spans = Regex.find_all r s in
+      let spans = Regex.find_all r ~step:ignore s in
       let rec ok = function
         | (_, j1) :: (((i2, _) :: _) as rest) -> j1 <= i2 && ok rest
         | _ -> true
@@ -119,8 +119,8 @@ let replace_idempotent_prop =
     QCheck.(string_of_size Gen.(0 -- 80))
     (fun s ->
       let r = Regex.compile "\\d" in
-      let cleaned = Regex.replace r ~by:"" s in
-      not (Regex.matches r cleaned))
+      let cleaned = Regex.replace r ~step:ignore ~by:"" s in
+      not (Regex.matches r ~step:ignore cleaned))
 
 let suite =
   [

@@ -462,8 +462,7 @@ let test_breaker_probe_failure_doubles_cooldown () =
 let test_breaker_error_rate_trip () =
   let clock = ref 0.0 in
   let b =
-    Breaker.create ~name:"origin:rate" ~failure_threshold:100 ~error_rate:0.5
-      ~min_samples:8 ~window:10.0
+    Breaker.create ~name:"origin:rate" ~failure_threshold:100 ~error_rate:0.5 ~window:10.0
       ~clock:(fun () -> !clock)
       ()
   in

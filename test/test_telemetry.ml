@@ -154,16 +154,16 @@ let test_tracer_span_tree () =
 
 let test_tracer_ring_and_slowest () =
   let now = ref 0.0 in
-  let tracer = Tracer.create ~capacity:2 ~clock:(fun () -> !now) () in
+  let tracer = Tracer.create ~clock:(fun () -> !now) () in
   List.iter
     (fun d ->
       let root = Tracer.start_trace tracer (Printf.sprintf "r%.0f" (d *. 1000.0)) in
       now := !now +. d;
       Tracer.finish tracer root)
-    [ 0.030; 0.010; 0.020 ];
-  Alcotest.(check int) "completed counts past capacity" 3 (Tracer.completed tracer);
-  Alcotest.(check int) "ring keeps capacity" 2 (List.length (Tracer.traces tracer));
-  (* The 30 ms trace was overwritten; slowest of the retained two is 20 ms. *)
+    (0.030 :: List.init 255 (fun _ -> 0.001) @ [ 0.020 ]);
+  Alcotest.(check int) "completed counts past capacity" 257 (Tracer.completed tracer);
+  Alcotest.(check int) "ring keeps capacity" 256 (List.length (Tracer.traces tracer));
+  (* The 30 ms trace was overwritten; slowest of the retained 256 is 20 ms. *)
   match Tracer.slowest tracer 5 with
   | first :: _ ->
     Alcotest.(check string) "slowest retained trace" "r20" first.Tracer.root.Tracer.name
@@ -173,18 +173,20 @@ let test_tracer_ring_and_slowest () =
 
 let test_events_ring () =
   let now = ref 1.0 in
-  let events = Events.create ~capacity:2 ~clock:(fun () -> !now) () in
+  let events = Events.create ~clock:(fun () -> !now) () in
   Events.record events ~attrs:[ ("site", "a.org") ] "throttle";
   now := 2.0;
-  Events.record events "terminate";
+  for _ = 1 to 1023 do
+    Events.record events "terminate"
+  done;
   now := 3.0;
   Events.record events "throttle";
-  Alcotest.(check int) "count is total" 3 (Events.count events);
+  Alcotest.(check int) "count is total" 1025 (Events.count events);
   match Events.to_list events with
-  | [ e1; e2 ] ->
+  | e1 :: _ as l when List.length l = 1024 ->
     Alcotest.(check string) "oldest retained" "terminate" e1.Events.name;
-    Alcotest.(check (float 0.0)) "clocked" 3.0 e2.Events.time
-  | l -> Alcotest.fail (Printf.sprintf "expected 2 events, got %d" (List.length l))
+    Alcotest.(check (float 0.0)) "clocked" 3.0 (List.nth l 1023).Events.time
+  | l -> Alcotest.fail (Printf.sprintf "expected 1024 events, got %d" (List.length l))
 
 let test_profile_accumulates () =
   let now = ref 0.0 in

@@ -1098,6 +1098,42 @@ let test_regex_vocab () =
   Alcotest.(check (float 1e-9)) "split" 3.0
     (Value.to_number (run ctx "Regex.split(\",\", \"a,b,c\").length"))
 
+let test_regex_vocab_backtracking_charged () =
+  (* Matcher steps are fuel: catastrophic backtracking runs the script
+     out of fuel instead of running for seconds on 8 fuel. *)
+  let ctx = Interp.create ~max_fuel:100_000 () in
+  Platform_v.install_all (Hostcall.stub ()) ctx;
+  match run ctx "Regex.test(\"(a*)*b\", \"aaaaaaaaaaaaaaaaaaaaaaaa\")" with
+  | _ -> Alcotest.fail "the match must exhaust the fuel"
+  | exception Interp.Resource_exhausted _ -> ()
+
+let test_regex_vocab_pattern_cache_bounded () =
+  (* A script cycling through distinct patterns under a 1 MiB sandbox
+     heap: the context's compiled-pattern table stays bounded, so the
+     OCaml heap does not grow by every pattern ever compiled. *)
+  let ctx = Interp.create ~max_heap_bytes:(1024 * 1024) () in
+  Platform_v.install_all (Hostcall.stub ()) ctx;
+  let request n =
+    Interp.reset_usage ctx;
+    ignore
+      (run ctx
+         (Printf.sprintf
+            "for (var i = 0; i < 20000; i++) { Regex.test(\"r%d_\" + i, \"x\"); }" n))
+  in
+  request 0;
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  request 1;
+  request 2;
+  Gc.full_major ();
+  let grown = ((Gc.stat ()).Gc.live_words - before) * (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew by %d bytes over 40,000 patterns" grown)
+    true
+    (grown < 4 * 1024 * 1024);
+  Alcotest.(check bool) "context still usable" true
+    (Value.truthy (run ctx "Regex.test(\"x\", \"x\")"))
+
 let test_xml_vocab_script () =
   let ctx = make_ctx () in
   Alcotest.(check string) "parse name" "root"
@@ -1173,4 +1209,8 @@ let suite =
       test_message_globals_match_reference;
     Alcotest.test_case "a kept Request is the old request" `Quick
       test_kept_request_is_the_old_request;
+    Alcotest.test_case "Regex: matcher steps are charged as fuel" `Quick
+      test_regex_vocab_backtracking_charged;
+    Alcotest.test_case "Regex: compiled-pattern table is bounded" `Quick
+      test_regex_vocab_pattern_cache_bounded;
   ]

@@ -1,4 +1,4 @@
-(* Unused-export gate for lib/.
+(* Unused-export and unused-knob gate for lib/.
 
    Usage: exports.exe ALLOW DIR...
 
@@ -12,11 +12,21 @@
    module, module constraint) uses every value its target signature
    takes.
 
-   Uses under [test/] do not count as shipped. An export with no
-   shipped caller must be listed in ALLOW ([Module.path.value  reason]
-   per line); the gate fails on any other, and on an ALLOW entry that
-   now has a shipped caller, has no caller at all, or is no longer
-   declared.
+   It also counts knobs. Each optional parameter of an exported [val]
+   is one, supplied when an application of that [val] passes it
+   ([~label:v] or [?label:o]); applications inside the declaring unit
+   are matched by name, since they carry the implementation's uids.
+   Each field of [Nk_node.Config.t] is one, set when a record
+   expression overrides it ([{ c with f = ... }] or a fresh record);
+   the fresh records inside [Config] itself ([Config.default]) do not
+   count.
+
+   Uses under [test/] do not count as shipped. An export or knob with
+   no shipped use must be listed in ALLOW, one per line: the value's
+   path ([Module.path.value]), a parameter ([Module.path.value ?label])
+   or a field ([Nk_node.Config.field]), then a reason. The gate fails
+   on any other, and on an ALLOW entry that now has a shipped use, has
+   no use at all, gives no reason, or is no longer declared.
 
    The executables' main modules get a [.cmt] only from [dune build
    @check], so run it on a tree built that way. *)
@@ -28,9 +38,24 @@ type decl = { name : string; unit : string; loc : Location.t }
 (* uid -> declaration, filled from the lib/ interfaces *)
 let decls : decl Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 1024
 
+(* The declaring unit's own calls, by path: "Nk_http.Status.ok" -> uid *)
+let decl_by_name : (string, Shape.Uid.t) Hashtbl.t = Hashtbl.create 1024
+
 (* uid -> used from shipped code / from tests *)
 let shipped : unit Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 1024
 let tested : unit Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 1024
+
+(* Knobs, by name ("Nk_node.Cluster.create ?seed", "Nk_node.Config.seed"),
+   with the uid that owns them: the [val]'s for a parameter, the
+   label's for a field. *)
+let knobs : (string, decl) Hashtbl.t = Hashtbl.create 256
+let params : (Shape.Uid.t * string, string) Hashtbl.t = Hashtbl.create 256
+let fields : unit Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 64
+let shipped_knobs : (string, unit) Hashtbl.t = Hashtbl.create 256
+let tested_knobs : (string, unit) Hashtbl.t = Hashtbl.create 256
+
+let config_unit = "Nk_node__Config"
+let config_type = "t"
 
 let rec walk dir f =
   Array.iter
@@ -55,13 +80,41 @@ let unit_path modname =
   done;
   Buffer.contents b
 
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Optional l, _, rest, _) -> l :: optional_labels rest
+  | Tarrow (_, _, rest, _) -> optional_labels rest
+  | _ -> []
+
+let add_knob name unit loc = Hashtbl.replace knobs name { name; unit; loc }
+
 let rec declare unit prefix items =
   List.iter
     (fun item ->
       match item.sig_desc with
       | Tsig_value vd ->
-          Shape.Uid.Tbl.replace decls vd.val_val.val_uid
-            { name = prefix ^ "." ^ vd.val_name.txt; unit; loc = vd.val_loc }
+          let d = { name = prefix ^ "." ^ vd.val_name.txt; unit; loc = vd.val_loc } in
+          let uid = vd.val_val.val_uid in
+          Shape.Uid.Tbl.replace decls uid d;
+          Hashtbl.replace decl_by_name d.name uid;
+          List.iter
+            (fun l ->
+              let name = Printf.sprintf "%s ?%s" d.name l in
+              Hashtbl.replace params (uid, l) name;
+              add_knob name unit d.loc)
+            (optional_labels vd.val_val.val_type)
+      | Tsig_type (_, tds) when unit = config_unit ->
+          List.iter
+            (fun td ->
+              match td.typ_type.type_kind with
+              | Type_record (lds, _) when td.typ_name.txt = config_type ->
+                  List.iter
+                    (fun (ld : Types.label_declaration) ->
+                      Shape.Uid.Tbl.replace fields ld.ld_uid ();
+                      add_knob (prefix ^ "." ^ Ident.name ld.ld_id) unit ld.ld_loc)
+                    lds
+              | _ -> ())
+            tds
       | Tsig_module md -> declare_module unit prefix md
       | Tsig_recmodule mds -> List.iter (declare_module unit prefix) mds
       | _ -> ())
@@ -78,6 +131,25 @@ let use table unit (vd : Types.value_description) =
   match Shape.Uid.Tbl.find_opt decls vd.val_uid with
   | Some d when d.unit <> unit -> Shape.Uid.Tbl.replace table vd.val_uid ()
   | _ -> ()
+
+(* The declaration an applied identifier resolves to: by uid from
+   another unit, by path from the declaring unit's own definitions. *)
+let callee unit path (vd : Types.value_description) =
+  match Shape.Uid.Tbl.find_opt decls vd.val_uid with
+  | Some d when d.unit <> unit -> Some vd.val_uid
+  | _ -> (
+      match vd.val_uid with
+      | Shape.Uid.Item { comp_unit; _ } when comp_unit = unit ->
+          Hashtbl.find_opt decl_by_name (unit_path unit ^ "." ^ Path.name path)
+      | _ -> None)
+
+(* An optional argument the caller left out reaches the typed tree as a
+   ghost-located [None]; that is no supply. *)
+let supplied = function
+  | Some { exp_desc = Texp_construct (_, { cstr_name = "None"; _ }, []); exp_loc; _ } ->
+      not exp_loc.loc_ghost
+  | Some _ -> true
+  | None -> false
 
 (* The components a module value carries at run time, in the order a
    [Tcoerce_structure] numbers them. *)
@@ -124,12 +196,34 @@ let rec use_module mark (me : module_expr) cc =
   | Tmod_constraint (inner, _, _, cc'), _ -> use_module mark inner cc'
   | _ -> ()
 
-let uses mark (str : structure) =
+let uses ~test unit (str : structure) =
+  let mark = use (if test then tested else shipped) unit in
+  let knob name = Hashtbl.replace (if test then tested_knobs else shipped_knobs) name () in
   let open Tast_iterator in
   let expr sub (e : expression) =
     (match e.exp_desc with
     | Texp_ident (_, _, vd) -> mark vd
     | Texp_pack me -> use_module mark me Tcoerce_none
+    | Texp_apply ({ exp_desc = Texp_ident (path, _, vd); _ }, args) -> (
+        match callee unit path vd with
+        | Some uid ->
+            List.iter
+              (fun (label, arg) ->
+                match label with
+                | Asttypes.Optional l when supplied arg ->
+                    Option.iter knob (Hashtbl.find_opt params (uid, l))
+                | _ -> ())
+              args
+        | None -> ())
+    | Texp_record { fields = fs; extended_expression; _ }
+      when not (unit = config_unit && extended_expression = None) ->
+        Array.iter
+          (fun ((lbl : Types.label_description), def) ->
+            match def with
+            | Overridden _ when Shape.Uid.Tbl.mem fields lbl.lbl_uid ->
+                knob (unit_path config_unit ^ "." ^ lbl.lbl_name)
+            | _ -> ())
+          fs
     | _ -> ());
     default_iterator.expr sub e
   in
@@ -149,17 +243,27 @@ let uses mark (str : structure) =
   let it = { default_iterator with expr; module_expr; structure_item } in
   it.structure it str
 
+(* [name  reason] per line; a parameter's name is two words. *)
 let read_allow file =
+  let split l =
+    match String.index_opt l ' ' with
+    | Some i -> (String.sub l 0 i, String.trim (String.sub l i (String.length l - i)))
+    | None -> (l, "")
+  in
   In_channel.with_open_text file In_channel.input_all
   |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          match String.trim line with
          | "" -> None
          | l when l.[0] = '#' -> None
-         | l -> (
-             match String.index_opt l ' ' with
-             | Some i -> Some (String.sub l 0 i, String.trim (String.sub l i (String.length l - i)))
-             | None -> Some (l, "")))
+         | l ->
+             let name, rest = split l in
+             if String.length rest > 0 && rest.[0] = '?' then
+               let label, reason = split rest in
+               Some (name ^ " " ^ label, reason)
+             else Some (name, rest))
+
+let where (d : decl) = Printf.sprintf "%s:%d" d.loc.loc_start.pos_fname d.loc.loc_start.pos_lnum
 
 let () =
   match Array.to_list Sys.argv with
@@ -172,12 +276,11 @@ let () =
             | _ -> ());
       List.iter
         (fun dir ->
-          let table = if dir = "test" then tested else shipped in
           walk dir (fun path ->
               if Filename.check_suffix path ".cmt" then
                 let cmt = Cmt_format.read_cmt path in
                 match cmt.cmt_annots with
-                | Implementation str -> uses (use table cmt.cmt_modname) str
+                | Implementation str -> uses ~test:(dir = "test") cmt.cmt_modname str
                 | _ -> ()))
         dirs;
       let allow = read_allow allow_file in
@@ -186,8 +289,6 @@ let () =
         incr errors;
         Printf.printf "%-10s %s  %s\n" kind name where
       in
-      let by_name = Hashtbl.create 1024 in
-      Shape.Uid.Tbl.iter (fun uid d -> Hashtbl.replace by_name d.name uid) decls;
       let offenders =
         Shape.Uid.Tbl.fold
           (fun uid d acc -> if Shape.Uid.Tbl.mem shipped uid then acc else (uid, d) :: acc)
@@ -197,25 +298,44 @@ let () =
       List.iter
         (fun (uid, d) ->
           if not (List.mem_assoc d.name allow) then
-            report
-              (if Shape.Uid.Tbl.mem tested uid then "test-only" else "unused")
-              d.name
-              (Printf.sprintf "%s:%d" d.loc.loc_start.pos_fname d.loc.loc_start.pos_lnum))
+            report (if Shape.Uid.Tbl.mem tested uid then "test-only" else "unused") d.name (where d))
         offenders;
+      let knob_offenders =
+        Hashtbl.fold
+          (fun name d acc -> if Hashtbl.mem shipped_knobs name then acc else d :: acc)
+          knobs []
+        |> List.sort compare
+      in
+      List.iter
+        (fun d ->
+          if not (List.mem_assoc d.name allow) then
+            report (if Hashtbl.mem tested_knobs d.name then "test-only" else "unused") d.name (where d))
+        knob_offenders;
       List.iter
         (fun (name, reason) ->
-          match Hashtbl.find_opt by_name name with
+          let state =
+            match Hashtbl.find_opt decl_by_name name with
+            | Some uid -> Some (Shape.Uid.Tbl.mem shipped uid, Shape.Uid.Tbl.mem tested uid)
+            | None when Hashtbl.mem knobs name ->
+                Some (Hashtbl.mem shipped_knobs name, Hashtbl.mem tested_knobs name)
+            | None -> None
+          in
+          match state with
           | None -> report "stale" name "not declared in any lib/ interface"
-          | Some uid when Shape.Uid.Tbl.mem shipped uid ->
-              report "stale" name "has a shipped caller"
-          | Some uid when not (Shape.Uid.Tbl.mem tested uid) ->
-              report "stale" name "has no caller at all"
+          | Some (true, _) -> report "stale" name "has a shipped use"
+          | Some (false, false) -> report "stale" name "has no use at all"
           | Some _ when reason = "" -> report "no-reason" name "gives no reason"
           | Some _ -> ())
         allow;
+      let count param ds = List.length (List.filter (fun d -> String.contains d.name '?' = param) ds) in
+      let all_knobs = Hashtbl.fold (fun _ d acc -> d :: acc) knobs [] in
       Printf.printf
-        "exports: %d vals in lib/ interfaces, %d without a shipped caller, %d allowlisted\n"
-        (Shape.Uid.Tbl.length decls) (List.length offenders) (List.length allow);
+        "exports: %d vals in lib/ interfaces, %d without a shipped caller; %d optional \
+         parameters, %d never passed by shipped code; %d Config fields, %d never set by \
+         shipped code; %d allowlisted\n"
+        (Shape.Uid.Tbl.length decls) (List.length offenders) (count true all_knobs)
+        (count true knob_offenders) (count false all_knobs) (count false knob_offenders)
+        (List.length allow);
       if !errors > 0 then exit 1
   | _ ->
       prerr_endline "usage: exports.exe ALLOW DIR...";
