@@ -19,18 +19,13 @@ let length t = t.length
 
 let chunks t = t.chunks
 
-type reader = { mutable remaining : string list; mutable offset : int }
+type reader = { mutable remaining : string list }
 
-let reader t = { remaining = t.chunks; offset = 0 }
+let reader t = { remaining = t.chunks }
 
 let read r =
   match r.remaining with
   | [] -> None
   | chunk :: rest ->
-    let part =
-      if r.offset = 0 then chunk
-      else String.sub chunk r.offset (String.length chunk - r.offset)
-    in
     r.remaining <- rest;
-    r.offset <- 0;
-    Some part
+    Some chunk

@@ -204,11 +204,13 @@ let specialize_binop (op : Ast.binop) : Value.ctx -> Value.t -> Value.t -> Value
       match (a, b) with
       | Vnum x, Vnum y -> Vnum (x +. y)
       | Vstr x, Vstr y ->
-        let s = x ^ y in
-        let h = ctx.heap_used + String.length s + 16 in
+        (* Charged before the string is built, like every string
+           builder. An empty side returns the other operand itself: the
+           charge is the same, only the copy is saved. *)
+        let h = ctx.heap_used + String.length x + String.length y + 16 in
         ctx.heap_used <- h;
         if h > ctx.max_heap then raise (Value.Resource_exhausted "heap limit exceeded");
-        Vstr s
+        if String.length x = 0 then b else if String.length y = 0 then a else Vstr (x ^ y)
       | Vstr _, _ | _, Vstr _ -> Vstr (I.concat_text ctx a b)
       | _ -> Vnum (to_number a +. to_number b))
   | Ast.Sub -> (

@@ -106,7 +106,10 @@ let install_request ctx (req : Nk_http.Message.request) =
         raise (Terminate_request resp));
   Nk_script.Interp.define_global ctx "Request" (Vobj o)
 
-type response_sink = { written : Buffer.t; mutable wrote : bool }
+(* The strings the handler wrote, newest first. They are kept, not
+   copied: a handler that writes once hands its string straight to the
+   body. *)
+type response_sink = { mutable written : string list }
 
 (* Slot 0 is refreshed by [setStatus], slot 1 by a Content-Type
    [setHeader]. *)
@@ -118,7 +121,7 @@ let response_shape, response_atoms =
     ]
 
 let install_response ctx (resp : Nk_http.Message.response) =
-  let sink = { written = Buffer.create 256; wrote = false } in
+  let sink = { written = [] } in
   let o = new_obj_with_shape response_shape in
   let slots = o.slots in
   let reader = ref (Nk_http.Body.reader resp.Nk_http.Message.resp_body) in
@@ -134,10 +137,9 @@ let install_response ctx (resp : Nk_http.Message.response) =
         Vundefined);
   slots.(5) <-
     native "write" (fun _ args ->
-        (match arg 0 args with
-         | Vbytes b -> Buffer.add_string sink.written (bytes_to_string b)
-         | v -> Buffer.add_string sink.written (to_string v));
-        sink.wrote <- true;
+        (* A byte array stays mutable after the call, so it is copied. *)
+        let data = match arg 0 args with Vbytes b -> bytes_to_string b | v -> to_string v in
+        sink.written <- data :: sink.written;
         Vundefined);
   slots.(6) <-
     native "getHeader" (fun _ args ->
@@ -160,8 +162,11 @@ let install_response ctx (resp : Nk_http.Message.response) =
   sink
 
 let apply_writes sink (resp : Nk_http.Message.response) =
-  if sink.wrote then begin
-    let body = Buffer.contents sink.written in
+  let set body =
     resp.Nk_http.Message.resp_body <- Nk_http.Body.of_string body;
     Nk_http.Message.set_resp_header resp "Content-Length" (string_of_int (String.length body))
-  end
+  in
+  match sink.written with
+  | [] -> ()
+  | [ body ] -> set body
+  | parts -> set (String.concat "" (List.rev parts))

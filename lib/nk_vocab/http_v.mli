@@ -12,16 +12,17 @@ val install_request : Nk_script.Interp.ctx -> Nk_http.Message.request -> unit
     [setMethod]) write through to the underlying message. *)
 
 type response_sink
-(** Buffered script writes to the response body. *)
+(** Script writes to the response body, kept as written. *)
 
 val install_response : Nk_script.Interp.ctx -> Nk_http.Message.response -> response_sink
 (** Define the [Response] global: [read()] yields body chunks,
-    [write(data)] buffers replacement content. *)
+    [write(data)] collects replacement content. *)
 
 val apply_writes : response_sink -> Nk_http.Message.response -> unit
 (** After the handler returns: when the script wrote anything, replace
     the body with the written bytes (Content-Length is updated; the
-    script's Content-Type header is respected). *)
+    script's Content-Type header is respected). A single written string
+    becomes the body as is; several are joined once. *)
 
 val response_to_value : Nk_http.Message.response -> Nk_script.Value.t
 (** [{status, contentType, body}] — the shape [fetchResource] and

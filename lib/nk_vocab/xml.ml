@@ -1,5 +1,46 @@
 type node = Element of string * (string * string) list * node list | Text of string
 
+(* --- word-at-a-time scanning ------------------------------------------ *)
+
+(* Text runs are long and markup characters rare, so the scan for the
+   next one reads eight bytes at a time. A byte is zero in
+   [x land 0xFD.. lxor 0x3C..] exactly when it is '<' or '>' (they
+   differ only in bit 1), in [x land 0xFE.. lxor 0x26..] when it is '&'
+   or '\'' (bit 0), and in [x lxor 0x22..] when it is '"'. The classic
+   has-zero-byte test then answers "any of the five in this word?"
+   exactly, whatever the byte order. *)
+let lows = 0x0101010101010101L
+
+let highs = 0x8080808080808080L
+
+let[@inline] zero_byte x = Int64.logand (Int64.logand (Int64.sub x lows) (Int64.lognot x)) highs
+
+let[@inline] has_markup w =
+  let lt_gt = Int64.logxor (Int64.logand w 0xFDFDFDFDFDFDFDFDL) 0x3C3C3C3C3C3C3C3CL in
+  let amp_apos = Int64.logxor (Int64.logand w 0xFEFEFEFEFEFEFEFEL) 0x2626262626262626L in
+  let quot = Int64.logxor w 0x2222222222222222L in
+  Int64.logor (Int64.logor (zero_byte lt_gt) (zero_byte amp_apos)) (zero_byte quot) <> 0L
+
+(* The same five bytes as a class table: it finishes a tail shorter
+   than a word and pinpoints the hit inside a word. *)
+let markup_class =
+  let t = Bytes.make 256 '\000' in
+  String.iter (fun c -> Bytes.set t (Char.code c) '\001') "<>&\"'";
+  Bytes.unsafe_to_string t
+
+let[@inline] is_markup c = String.unsafe_get markup_class (Char.code c) <> '\000'
+
+(* The first markup character in [s.[i..stop)], or [stop]. *)
+let next_markup s i stop =
+  let i = ref i in
+  while !i + 8 <= stop && not (has_markup (String.get_int64_le s !i)) do
+    i := !i + 8
+  done;
+  while !i < stop && not (is_markup (String.unsafe_get s !i)) do
+    incr i
+  done;
+  !i
+
 let entity = function
   | '<' -> "&lt;"
   | '>' -> "&gt;"
@@ -12,33 +53,21 @@ let entity = function
    rather than char by char. *)
 let escape_sub buf s start stop =
   let seg = ref start in
-  for i = start to stop - 1 do
-    match String.unsafe_get s i with
-    | ('<' | '>' | '&' | '"' | '\'') as c ->
-      Buffer.add_substring buf s !seg (i - !seg);
-      Buffer.add_string buf (entity c);
-      seg := i + 1
-    | _ -> ()
+  let i = ref (next_markup s start stop) in
+  while !i < stop do
+    Buffer.add_substring buf s !seg (!i - !seg);
+    Buffer.add_string buf (entity (String.unsafe_get s !i));
+    seg := !i + 1;
+    i := next_markup s !seg stop
   done;
   Buffer.add_substring buf s !seg (stop - !seg)
 
 let escape_into buf s = escape_sub buf s 0 (String.length s)
 
-let needs_escape s =
-  let n = String.length s in
-  let rec go i =
-    i < n
-    &&
-    match String.unsafe_get s i with
-    | '<' | '>' | '&' | '"' | '\'' -> true
-    | _ -> go (i + 1)
-  in
-  go 0
-
 let escape s =
   (* Most text nodes contain no markup characters: return the input
      itself rather than round-tripping through a Buffer. *)
-  if not (needs_escape s) then s
+  if next_markup s 0 (String.length s) = String.length s then s
   else begin
     let buf = Buffer.create (String.length s + 8) in
     escape_into buf s;
@@ -374,11 +403,12 @@ let open_content out =
   end
 
 (* Render the text run at [pos] in one pass: leading blanks are held
-   back until a non-blank character shows the run is kept, markup
-   characters are escaped as they are met, and the run ends at '<'. A
-   run with an entity reference falls back, from its first '&', to
-   unescape-then-escape: everything before that '&' is literal, so the
-   result is the same as unescaping the whole run. *)
+   back until a non-blank character shows the run is kept, the run is
+   copied a segment at a time between markup characters (found a word
+   at a time), those are escaped as they are met, and the run ends at
+   '<'. A run with an entity reference falls back, from its first '&',
+   to unescape-then-escape: everything before that '&' is literal, so
+   the result is the same as unescaping the whole run. *)
 let render_text out src pos =
   let n = String.length src in
   let i = ref pos in
@@ -392,6 +422,7 @@ let render_text out src pos =
     let seg = ref pos in
     let stop = ref (-1) in
     while !stop < 0 do
+      i := next_markup src !i n;
       if !i >= n then stop := n
       else
         match String.unsafe_get src !i with
@@ -402,12 +433,11 @@ let render_text out src pos =
           escape_into buf (unescape_slow (String.sub src !i (e - !i)));
           seg := e;
           stop := e
-        | ('>' | '"' | '\'') as c ->
+        | c ->
           Buffer.add_substring buf src !seg (!i - !seg);
           Buffer.add_string buf (entity c);
           incr i;
           seg := !i
-        | _ -> incr i
     done;
     Buffer.add_substring buf src !seg (!stop - !seg);
     !stop

@@ -491,6 +491,39 @@ let interp_string_concat_prop =
               (string_gen_of_size (Gen.int_bound 20) (Gen.char_range 'a' 'z')))
     (fun (a, b) -> eval_str (Printf.sprintf "%S + %S" a b) = a ^ b)
 
+(* A global string the measured program reads, set up outside the
+   measurement: the run itself allocates only what [+] builds. *)
+let run_add ~max_heap_bytes s src =
+  let ctx = Interp.create ~max_heap_bytes () in
+  Interp.define_global ctx "s" (Value.Vstr s);
+  let prog = (Compile.lookup src).Compile.program in
+  let before = Gc.allocated_bytes () in
+  let outcome = match Compile.run ctx prog with v -> Ok v | exception e -> Error e in
+  (outcome, Interp.heap_used ctx, Gc.allocated_bytes () -. before)
+
+let test_string_add_charges_first () =
+  let s = String.make 600_000 'x' in
+  match run_add ~max_heap_bytes:mib s "s + s" with
+  | Error e, heap, allocated ->
+    heap_exhausted "s + s" e;
+    Alcotest.(check int) "charged the would-be result" (1_200_000 + 16) heap;
+    Alcotest.(check bool)
+      (Printf.sprintf "allocated %.0f bytes, less than the result" allocated)
+      true (allocated < 1_200_000.)
+  | Ok _, _, _ -> Alcotest.fail "s + s must pass the 1 MiB heap cap"
+
+let test_string_add_empty_side () =
+  let s = String.make 1000 'y' in
+  List.iter
+    (fun src ->
+      match run_add ~max_heap_bytes:mib s src with
+      | Ok (Value.Vstr r), heap, _ ->
+        Alcotest.(check bool) (src ^ " is s itself") true (r == s);
+        Alcotest.(check int) (src ^ " charge") (1000 + 16) heap
+      | Ok v, _, _ -> Alcotest.failf "%s gave a %s" src (Value.type_name v)
+      | Error e, _, _ -> Alcotest.failf "%s raised %s" src (Printexc.to_string e))
+    [ {| "" + s |}; {| s + "" |} ]
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -529,4 +562,8 @@ let suite =
     QCheck_alcotest.to_alcotest parse_totality_prop;
     QCheck_alcotest.to_alcotest interp_numbers_prop;
     QCheck_alcotest.to_alcotest interp_string_concat_prop;
+    Alcotest.test_case "sandbox: string + charges before it allocates" `Quick
+      test_string_add_charges_first;
+    Alcotest.test_case "string + with an empty side returns the other operand" `Quick
+      test_string_add_empty_side;
   ]

@@ -658,6 +658,7 @@ let xml_agrees src =
 
 let xml_differential_prop =
   QCheck.Test.make ~name:"xml: to_html and parse agree with the tree reference" ~count:3000
+    ~long_factor:10
     (QCheck.make ~print:(Printf.sprintf "%S") gen_xml_doc)
     (fun src ->
       xml_agrees src
@@ -1165,6 +1166,104 @@ let test_cache_vocab () =
   ignore (run ctx "Cache.store(\"k\", \"text/plain\", \"cached!\", 60)");
   Alcotest.(check string) "hit" "cached!" (Value.to_string (run ctx "Cache.lookup(\"k\").body"))
 
+(* The text scan reads eight bytes at a time and finishes with a class
+   table: put each markup byte, and bytes one bit away from one, at
+   every offset of a word and in the source's last bytes, in text,
+   CDATA and attribute position. *)
+let test_xml_word_scan_sweep () =
+  let specials = [ '<'; '>'; '&'; '"'; '\'' ] in
+  let near_misses =
+    [ "="; "?"; "#"; "$"; "%"; "!"; "\xa2"; "\xa6"; "\xa7"; "\xbc"; "\xbe"; "\xc3\xa9" ]
+  in
+  let filler len = String.init len (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let with_at len off piece =
+    let base = filler len in
+    String.sub base 0 off ^ piece ^ String.sub base off (len - off)
+  in
+  let check_doc src =
+    if not (xml_agrees src) then
+      Alcotest.failf "renderers disagree on %S:\n  %s\n  %s" src
+        (show_result (Xml.to_html diff_sheet src))
+        (show_result (Ref_xml.render diff_sheet src))
+  in
+  let check_run run =
+    check_doc ("<x>" ^ run ^ "</x>");
+    check_doc ("<para>" ^ run ^ "<y/>" ^ run ^ "</para>");
+    check_doc ("<x><![CDATA[" ^ run ^ "]]></x>");
+    (* the run ends in the source's last 1-7 bytes: unterminated *)
+    for tail = 1 to 7 do
+      check_doc ("<x>" ^ run ^ filler tail)
+    done;
+    let buf = Buffer.create 64 in
+    Ref_xml.escape_into buf run;
+    Alcotest.(check string) (Printf.sprintf "escape %S" run) (Buffer.contents buf)
+      (Xml.escape run);
+    if Buffer.contents buf = run then
+      Alcotest.(check bool) (Printf.sprintf "escape %S is the input" run) true
+        (Xml.escape run == run);
+    let node = Xml.Element ("x", [ ("k", run) ], [ Xml.Text run ]) in
+    let buf = Buffer.create 64 in
+    Ref_xml.serialize_into buf node;
+    Alcotest.(check string) (Printf.sprintf "serialize %S" run) (Buffer.contents buf)
+      (Xml.serialize node)
+  in
+  for len = 0 to 24 do
+    check_run (filler len);
+    check_run (" \n" ^ filler len)
+  done;
+  let pieces = List.map (String.make 1) specials @ near_misses in
+  List.iter
+    (fun piece ->
+      for off = 0 to 17 do
+        List.iter (fun len -> check_run (with_at len off piece)) [ off; off + 1; off + 7; 24 ]
+      done)
+    pieces;
+  (* a markup byte among near misses in the same word *)
+  List.iter
+    (fun c ->
+      List.iter
+        (fun miss -> check_run (miss ^ "ab" ^ String.make 1 c ^ miss ^ filler 9))
+        near_misses)
+    specials
+
+(* [Response.write] keeps what it is given: one write is the body. *)
+let test_response_write_one_copy () =
+  let written ?(setup = fun _ -> ()) src =
+    let ctx = make_ctx () in
+    let resp = Core.Http.Message.response ~body:"original" () in
+    let sink = Http_v.install_response ctx resp in
+    setup ctx;
+    ignore (run ctx src);
+    (sink, resp)
+  in
+  let chunks resp = Core.Http.Body.chunks resp.Core.Http.Message.resp_body in
+  let length resp = Core.Http.Message.resp_header resp "Content-Length" in
+  let page = String.make 9000 'p' in
+  let sink, resp =
+    written ~setup:(fun ctx -> Interp.define_global ctx "page" (Value.Vstr page)) "Response.write(page)"
+  in
+  Http_v.apply_writes sink resp;
+  (match chunks resp with
+   | [ c ] -> Alcotest.(check bool) "one write is the body itself" true (c == page)
+   | cs -> Alcotest.failf "%d chunks" (List.length cs));
+  let sink, resp = written {| Response.write("ab"); Response.write(""); Response.write("cd") |} in
+  Http_v.apply_writes sink resp;
+  Alcotest.(check (list string)) "writes join into one chunk" [ "abcd" ] (chunks resp);
+  Alcotest.(check (option string)) "joined length" (Some "4") (length resp);
+  let data = Value.bytes_of_string "bytes" in
+  let sink, resp =
+    written ~setup:(fun ctx -> Interp.define_global ctx "b" (Value.Vbytes data)) "Response.write(b)"
+  in
+  Bytes.set data.Value.data 0 'X';
+  Http_v.apply_writes sink resp;
+  Bytes.set data.Value.data 1 'Y';
+  Alcotest.(check string) "a written byte array is copied" "bytes"
+    (Core.Http.Body.to_string resp.Core.Http.Message.resp_body);
+  let sink, resp = written {| Response.write("") |} in
+  Http_v.apply_writes sink resp;
+  Alcotest.(check (list string)) "empty write empties the body" [] (chunks resp);
+  Alcotest.(check (option string)) "empty length" (Some "0") (length resp)
+
 let suite =
   [
     Alcotest.test_case "image: raw roundtrip" `Quick test_image_encode_decode_raw;
@@ -1213,4 +1312,8 @@ let suite =
       test_regex_vocab_backtracking_charged;
     Alcotest.test_case "Regex: compiled-pattern table is bounded" `Quick
       test_regex_vocab_pattern_cache_bounded;
+    Alcotest.test_case "xml: word-at-a-time scan sweep matches the reference" `Quick
+      test_xml_word_scan_sweep;
+    Alcotest.test_case "Response.write keeps one write as the body" `Quick
+      test_response_write_one_copy;
   ]
