@@ -8,9 +8,16 @@ let normalize_key key =
 
 let xor_pad key byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) key
 
+(* H(pad ^ text), with the pad and the text fed separately so the
+   message is never copied. *)
+let padded_digest key byte text =
+  let ctx = Sha256.init () in
+  Sha256.update ctx (xor_pad key byte);
+  Sha256.update ctx text;
+  Sha256.finalize ctx
+
 let mac ~key msg =
   let key = normalize_key key in
-  let inner = Sha256.digest (xor_pad key 0x36 ^ msg) in
-  Sha256.digest (xor_pad key 0x5c ^ inner)
+  padded_digest key 0x5c (padded_digest key 0x36 msg)
 
 let mac_hex ~key msg = Sha256.hex (mac ~key msg)

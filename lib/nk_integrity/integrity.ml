@@ -32,13 +32,18 @@ let absolute_expires resp =
       | None -> Error Relative_expiry)
     | None -> Error Relative_expiry
 
+(* Hashed chunk by chunk: a multi-chunk body is never concatenated. *)
+let body_hash resp =
+  let ctx = Nk_crypto.Sha256.init () in
+  List.iter (Nk_crypto.Sha256.update ctx)
+    (Nk_http.Body.chunks resp.Nk_http.Message.resp_body);
+  Nk_crypto.Sha256.hex (Nk_crypto.Sha256.finalize ctx)
+
 let sign ~key resp =
   match absolute_expires resp with
   | Error v -> Error v
   | Ok expires ->
-    let hash =
-      Nk_crypto.Sha256.digest_hex (Nk_http.Body.to_string resp.Nk_http.Message.resp_body)
-    in
+    let hash = body_hash resp in
     Nk_http.Message.set_resp_header resp content_hash_header hash;
     Nk_http.Message.set_resp_header resp signature_header
       (Nk_crypto.Hmac.mac_hex ~key (signing_payload ~hash ~expires));
@@ -54,10 +59,7 @@ let verify ~key ~now resp =
     match absolute_expires resp with
     | Error v -> Error v
     | Ok expires ->
-      let actual =
-        Nk_crypto.Sha256.digest_hex (Nk_http.Body.to_string resp.Nk_http.Message.resp_body)
-      in
-      if actual <> hash then Error Hash_mismatch
+      if body_hash resp <> hash then Error Hash_mismatch
       else if
         Nk_crypto.Hmac.mac_hex ~key (signing_payload ~hash ~expires) <> signature
       then Error Bad_signature

@@ -148,25 +148,29 @@ let fetch t ~client ?proxy ?timeout req k =
       (* Client-side deadline: under fault injection the request or its
          response may be dropped outright, and the client must still
          get an explicit failure (no hung requests). Daemon timer, and
-         a [resolved] latch so whichever outcome loses the race is
-         discarded. *)
-      let resolved = ref false in
+         a latch so whichever outcome loses the race is discarded: the
+         first outcome takes the callback out of [pending], so the
+         timer, still queued after an early answer, no longer holds
+         the callback or anything it captures. *)
+      let pending = ref (Some k) in
       Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:timeout (fun () ->
-          if not !resolved then begin
-            resolved := true;
+          match !pending with
+          | None -> ()
+          | Some k ->
+            pending := None;
             (* Machine-readable like the admission/quarantine 503s:
                the reason header distinguishes "the client gave up"
                from an origin 504, and Retry-After says when trying
                again might actually fit in the same patience. *)
             k
               (Nk_resource.Deadline.expired_response ~retry_after:timeout
-                 ~reason:"client-timeout" ())
-          end);
+                 ~reason:"client-timeout" ()));
       fun resp ->
-        if not !resolved then begin
-          resolved := true;
+        match !pending with
+        | None -> ()
+        | Some k ->
+          pending := None;
           k resp
-        end
   in
   match proxy with
   | Some node -> Nk_sim.Httpd.fetch_via t.web ~from:client ~via:(Node.host node) req k

@@ -1,29 +1,17 @@
 type event = { time : float; name : string; attrs : (string * string) list }
 
-type t = {
-  clock : unit -> float;
-  ring : event option array;
-  mutable next_slot : int;
-  mutable count : int;
-}
+type t = { clock : unit -> float; ring : event Ring.t }
 
 (* Events retained; older ones are overwritten. *)
 let capacity = 1024
 
-let create ?(clock = fun () -> 0.0) () =
-  { clock; ring = Array.make capacity None; next_slot = 0; count = 0 }
+let create ?(clock = fun () -> 0.0) () = { clock; ring = Ring.create ~capacity }
 
-let record t ?(attrs = []) name =
-  let time = t.clock () in
-  t.ring.(t.next_slot) <- Some { time; name; attrs };
-  t.next_slot <- (t.next_slot + 1) mod Array.length t.ring;
-  t.count <- t.count + 1
+let record t ?(attrs = []) name = Ring.push t.ring { time = t.clock (); name; attrs }
 
-let count t = t.count
+let count t = Ring.count t.ring
 
-let to_list t =
-  let n = Array.length t.ring in
-  List.filter_map (fun i -> t.ring.((t.next_slot + i) mod n)) (List.init n (fun i -> i))
+let to_list t = Ring.to_list t.ring
 
 let event_to_string e =
   Printf.sprintf "%10.3f %-12s %s" e.time e.name

@@ -1,14 +1,15 @@
 (** Structured telemetry events: point-in-time decisions worth auditing
     (resource-monitor throttles and terminations, integrity evictions),
-    kept in a fixed-capacity ring buffer with attribute labels. *)
+    kept in a bounded ring buffer with attribute labels. *)
 
 type event = { time : float; name : string; attrs : (string * string) list }
 
 type t
 
 val create : ?clock:(unit -> float) -> unit -> t
-(** The ring keeps the 1024 most recent events. [clock] defaults to a constant 0 — pass the simulated clock to get
-    meaningful timestamps. *)
+(** The ring keeps the 1024 most recent events; it starts empty and
+    grows as events arrive. [clock] defaults to a constant 0 — pass the
+    simulated clock to get meaningful timestamps. *)
 
 val record : t -> ?attrs:(string * string) list -> string -> unit
 (** Stamped with the store's clock. *)

@@ -12,9 +12,7 @@ type trace = { id : int; root : span; spans : span list }
 
 type t = {
   clock : unit -> float;
-  ring : trace option array;
-  mutable next_slot : int;
-  mutable completed : int;
+  ring : trace Ring.t;
   mutable next_id : int;
   live : (int, span list ref) Hashtbl.t; (* trace id -> spans, newest first *)
 }
@@ -25,9 +23,7 @@ let capacity = 256
 let create ~clock () =
   {
     clock;
-    ring = Array.make capacity None;
-    next_slot = 0;
-    completed = 0;
+    ring = Ring.create ~capacity;
     next_id = 1;
     live = Hashtbl.create 16;
   }
@@ -72,9 +68,7 @@ let finish t span =
         | None -> [ span ]
       in
       Hashtbl.remove t.live span.trace_id;
-      t.ring.(t.next_slot) <- Some { id = span.trace_id; root = span; spans };
-      t.next_slot <- (t.next_slot + 1) mod Array.length t.ring;
-      t.completed <- t.completed + 1
+      Ring.push t.ring { id = span.trace_id; root = span; spans }
     end
   end
 
@@ -84,14 +78,9 @@ let with_span t ~parent ?attrs name f =
 
 let duration span = Option.map (fun e -> e -. span.started) span.ended
 
-let completed t = t.completed
+let completed t = Ring.count t.ring
 
-let traces t =
-  (* Oldest first: the slot about to be overwritten holds the oldest. *)
-  let n = Array.length t.ring in
-  List.filter_map
-    (fun i -> t.ring.((t.next_slot + i) mod n))
-    (List.init n (fun i -> i))
+let traces t = Ring.to_list t.ring
 
 let slowest t n =
   traces t

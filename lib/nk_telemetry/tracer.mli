@@ -4,7 +4,7 @@
     the work it causes — cache lookup, policy match, pipeline stages,
     script interpretation, DHT hops, origin fetch, revalidation,
     integrity verification — runs under child spans. Completed traces
-    land in a fixed-capacity ring buffer, and {!slowest} answers "where
+    land in a bounded ring buffer, and {!slowest} answers "where
     did this request's time go?" for the worst offenders. *)
 
 type span = {
@@ -26,8 +26,8 @@ type trace = {
 type t
 
 val create : clock:(unit -> float) -> unit -> t
-(** The completed-trace ring buffer keeps the 256 most recent traces.
-    [clock] is typically
+(** The completed-trace ring buffer keeps the 256 most recent traces;
+    it starts empty and grows as traces complete. [clock] is typically
     [fun () -> Nk_sim.Sim.now sim]. *)
 
 val start_trace : t -> ?attrs:(string * string) list -> string -> span

@@ -86,6 +86,49 @@ let hmac_key_sensitivity_prop =
     (fun (k1, k2) ->
       k1 = k2 || Hmac.mac_hex ~key:k1 "fixed message" <> Hmac.mac_hex ~key:k2 "fixed message")
 
+(* --- native-int SHA-256 against the int32 reference ----------------------- *)
+
+(* A message of 0-3,000 bytes, fed to [update] in random pieces. *)
+let sha256_matches_reference_prop =
+  QCheck.Test.make ~name:"sha256: native-int digest matches the int32 reference" ~count:500
+    QCheck.(
+      make
+        ~print:Print.(pair (fun s -> Printf.sprintf "%d bytes" (String.length s)) (list int))
+        Gen.(
+          pair
+            (string_size ~gen:char (int_range 0 3000))
+            (list_size (int_bound 6) (int_bound 3000))))
+    (fun (msg, cuts) ->
+      let n = String.length msg in
+      let cuts = List.sort_uniq compare (List.map (fun c -> min c n) cuts) in
+      let ctx = Sha256.init () in
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            Sha256.update ctx (String.sub msg pos (cut - pos));
+            cut)
+          0 cuts
+      in
+      Sha256.update ctx (String.sub msg last (n - last));
+      let expected = Reference_sha256.digest msg in
+      Sha256.finalize ctx = expected && Sha256.digest msg = expected)
+
+let test_sha256_every_length () =
+  let data = String.init 3000 (fun i -> Char.chr ((i * 131) land 255)) in
+  for n = 0 to 3000 do
+    let msg = String.sub data 0 n in
+    if Sha256.digest msg <> Reference_sha256.digest msg then
+      Alcotest.failf "length %d differs from the int32 reference" n
+  done
+
+(* The schedule and state live in the context and full blocks are read
+   in place, so a digest allocates the same words whatever the length. *)
+let test_sha256_allocation_constant () =
+  let allocated s = snd (Alloc.allocated_bytes (fun () -> ignore (Sha256.digest s))) in
+  let empty = allocated "" in
+  Alcotest.(check (float 0.0)) "64 KB allocates what the empty string does" empty
+    (allocated (String.make 65536 'x'))
+
 let suite =
   [
     Alcotest.test_case "sha256: NIST vectors" `Quick test_sha256_vectors;
@@ -98,4 +141,9 @@ let suite =
     Alcotest.test_case "hmac: RFC 4231 vectors" `Quick test_hmac_rfc4231;
     QCheck_alcotest.to_alcotest hmac_key_sensitivity_prop;
     QCheck_alcotest.to_alcotest hex_reference_prop;
+    QCheck_alcotest.to_alcotest sha256_matches_reference_prop;
+    Alcotest.test_case "sha256: allocation independent of length" `Quick
+      test_sha256_allocation_constant;
+    Alcotest.test_case "sha256: every length 0-3,000 matches the int32 reference" `Quick
+      test_sha256_every_length;
   ]

@@ -1035,6 +1035,63 @@ let test_second_answer_raises () =
     Alcotest.(check string) "names the node and the URL"
       "Node nk1.nakika.net answered http://www.example.edu/index.html twice" msg
 
+(* A client timeout that an answer beat is settled: its timer stays
+   queued (a daemon event, it fires later and does nothing) but no
+   longer holds the client's callback or what the callback captures. *)
+let test_settled_timeout_releases_callback () =
+  let cluster = Cluster.create () in
+  ignore (basic_site cluster);
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let captured = Weak.create 1 and status = ref 0 in
+  let send () =
+    let payload = Bytes.make 64 'p' in
+    Weak.set captured 0 (Some payload);
+    Cluster.fetch cluster ~client ~proxy ~timeout:60.0
+      (Message.request "http://www.example.edu/index.html")
+      (fun r ->
+        ignore (Sys.opaque_identity payload);
+        status := r.Message.status)
+  in
+  send ();
+  Cluster.run cluster;
+  Alcotest.(check int) "answered" 200 !status;
+  Gc.full_major ();
+  let collected = not (Weak.check captured 0) in
+  (* Read after the collection, so the cluster and its queue were live
+     through it. *)
+  let sim = Cluster.sim cluster in
+  Alcotest.(check bool) "timer still queued" true
+    (Core.Sim.Sim.now sim < epoch +. 60.0 && Core.Sim.Sim.pending sim > 0);
+  Alcotest.(check bool) "captured value collected" true collected
+
+(* Live heap per idle proxy: what [Cluster.add_proxy] keeps for a node
+   that has served nothing. The first proxy pays for the cluster's
+   shared state and is left out of the count. An idle proxy holds about
+   850 words; the bound, 8 KiB, leaves room for that to grow by a fifth,
+   and fails if either telemetry ring is preallocated again (the event
+   ring alone is 1,025 words, the trace ring 257). *)
+let idle_proxy_words_bound = 1024
+
+let test_idle_proxy_footprint () =
+  let cluster = Cluster.create () in
+  ignore (Cluster.add_proxy cluster ~name:"nk0.nakika.net" ());
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let proxies =
+    List.init 200 (fun i ->
+        Cluster.add_proxy cluster ~name:(Printf.sprintf "nk%d.nakika.net" (i + 1)) ())
+  in
+  let per_node = (live () - before) / 200 in
+  ignore (Sys.opaque_identity (cluster, proxies));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d live words per idle proxy, bound %d" per_node idle_proxy_words_bound)
+    true
+    (per_node <= idle_proxy_words_bound)
+
 let suite =
   [
     Alcotest.test_case "proxying a static page" `Quick test_plain_proxying;
@@ -1118,4 +1175,7 @@ let suite =
     Alcotest.test_case "termination kills chained stages" `Quick
       test_termination_kills_chained_stages;
     Alcotest.test_case "a second answer raises" `Quick test_second_answer_raises;
+    Alcotest.test_case "a settled client timeout releases its callback" `Quick
+      test_settled_timeout_releases_callback;
+    Alcotest.test_case "idle proxy live-heap bound" `Quick test_idle_proxy_footprint;
   ]

@@ -109,15 +109,17 @@ site "shop.example" {
 (* A 9-byte header may claim 65535 x 65535 pixels; decoding must reject
    a payload that cannot fill them before sizing any buffer by them. *)
 let test_image_header_larger_than_payload () =
-  let before = Gc.allocated_bytes () in
   let claim = "NKI1\xff\xff\xff\xff\x01" in
-  Alcotest.(check bool) "size mismatch" true
-    (Vocab.Image.decode (claim ^ "\x05a") = Error "RLE payload size mismatch");
-  Alcotest.(check bool) "zero run still reported" true
-    (Vocab.Image.decode (claim ^ "\x05a\x00b") = Error "zero-length RLE run");
-  Alcotest.(check bool) "odd length still reported" true
-    (Vocab.Image.decode (claim ^ "\x05") = Error "RLE payload has odd length");
-  Alcotest.(check bool) "no pixel buffer" true (Gc.allocated_bytes () -. before < 1e6)
+  let (), bytes =
+    Alloc.allocated_bytes (fun () ->
+        Alcotest.(check bool) "size mismatch" true
+          (Vocab.Image.decode (claim ^ "\x05a") = Error "RLE payload size mismatch");
+        Alcotest.(check bool) "zero run still reported" true
+          (Vocab.Image.decode (claim ^ "\x05a\x00b") = Error "zero-length RLE run");
+        Alcotest.(check bool) "odd length still reported" true
+          (Vocab.Image.decode (claim ^ "\x05") = Error "RLE payload has odd length"))
+  in
+  Alcotest.(check bool) "no pixel buffer" true (bytes < 1e6)
 
 let suite =
   Alcotest.test_case "Image.decode: oversized header, short payload" `Quick

@@ -315,18 +315,16 @@ w
 let mib = 1024 * 1024
 
 (* Run [src] under a 1 MiB heap cap. Returns the outcome, the context
-   and the bytes the run allocated, from the GC's counters: minor
-   allocations plus those made straight in the major heap (large
-   strings and arrays), less the promoted words counted in both. *)
+   and the bytes the run allocated ([Alloc.allocated_bytes]). *)
 let run_capped src =
   let ctx = Interp.create ~max_heap_bytes:mib () in
   Builtins.install ctx;
   let prog = (Compile.lookup src).Compile.program in
-  let minor0, promoted0, major0 = Gc.counters () in
-  let outcome = match Compile.run ctx prog with v -> Ok v | exception e -> Error e in
-  let minor1, promoted1, major1 = Gc.counters () in
-  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
-  (outcome, ctx, words *. float_of_int (Sys.word_size / 8))
+  let outcome, bytes =
+    Alloc.allocated_bytes (fun () ->
+        match Compile.run ctx prog with v -> Ok v | exception e -> Error e)
+  in
+  (outcome, ctx, bytes)
 
 let expect_capped name src ~check_error =
   match run_capped src with
@@ -497,9 +495,11 @@ let run_add ~max_heap_bytes s src =
   let ctx = Interp.create ~max_heap_bytes () in
   Interp.define_global ctx "s" (Value.Vstr s);
   let prog = (Compile.lookup src).Compile.program in
-  let before = Gc.allocated_bytes () in
-  let outcome = match Compile.run ctx prog with v -> Ok v | exception e -> Error e in
-  (outcome, Interp.heap_used ctx, Gc.allocated_bytes () -. before)
+  let outcome, bytes =
+    Alloc.allocated_bytes (fun () ->
+        match Compile.run ctx prog with v -> Ok v | exception e -> Error e)
+  in
+  (outcome, Interp.heap_used ctx, bytes)
 
 let test_string_add_charges_first () =
   let s = String.make 600_000 'x' in

@@ -272,6 +272,92 @@ let test_node_wiring () =
   Alcotest.(check int) "no traces when disabled" 0 (Tracer.completed (Node.tracer quiet));
   Alcotest.(check int) "metrics still flow" 1 (Metrics.counter (Node.metrics quiet) "requests")
 
+(* --- growing rings against the fixed-capacity reference ---------------- *)
+
+module Ref = Reference_telemetry
+
+(* Record counts: anywhere in 0-3,000, or one at a ring's doubling and
+   wrap edges. *)
+let ring_sizes =
+  QCheck.Gen.(
+    oneof
+      [ int_range 0 3000; oneofl [ 0; 1; 2; 255; 256; 257; 512; 1023; 1024; 1025; 2049 ] ])
+
+let events_match_reference_prop =
+  QCheck.Test.make ~name:"events: growing ring matches the fixed-capacity reference"
+    ~count:100
+    QCheck.(make ~print:Print.(pair int int) Gen.(pair ring_sizes int))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let now = ref 0.0 in
+      let clock () = !now in
+      let events = Events.create ~clock () and reference = Ref.Events.create ~clock () in
+      for i = 1 to n do
+        now := !now +. float_of_int (Random.State.int rng 3);
+        let name = Printf.sprintf "e%d" (Random.State.int rng 5) in
+        let attrs = if i mod 3 = 0 then [ ("i", string_of_int i) ] else [] in
+        Events.record events ~attrs name;
+        Ref.Events.record reference ~attrs name
+      done;
+      Events.count events = Ref.Events.count reference
+      && List.map
+           (fun e -> (e.Events.time, e.Events.name, e.Events.attrs))
+           (Events.to_list events)
+         = List.map
+             (fun e -> (e.Ref.Events.time, e.Ref.Events.name, e.Ref.Events.attrs))
+             (Ref.Events.to_list reference))
+
+(* Each trace gets up to three children, some left open, on a clock
+   that moves in whole milliseconds so that durations tie. *)
+let tracer_match_reference_prop =
+  QCheck.Test.make ~name:"tracer: growing ring matches the fixed-capacity reference"
+    ~count:100
+    QCheck.(make ~print:Print.(pair int int) Gen.(pair ring_sizes int))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let now = ref 0.0 in
+      let clock () = !now in
+      let tick () = now := !now +. (0.001 *. float_of_int (Random.State.int rng 20)) in
+      let tracer = Tracer.create ~clock () and reference = Ref.Tracer.create ~clock () in
+      for i = 1 to n do
+        let name = Printf.sprintf "t%d" i in
+        let root = Tracer.start_trace tracer name
+        and ref_root = Ref.Tracer.start_trace reference name in
+        for j = 1 to Random.State.int rng 4 do
+          let child = Tracer.start_span tracer ~parent:root "child"
+          and ref_child = Ref.Tracer.start_span reference ~parent:ref_root "child" in
+          tick ();
+          if j <> 3 then begin
+            Tracer.finish tracer child;
+            Ref.Tracer.finish reference ref_child
+          end
+        done;
+        tick ();
+        Tracer.finish tracer root;
+        Ref.Tracer.finish reference ref_root
+      done;
+      let span s =
+        (s.Tracer.span_id, s.Tracer.parent_id, s.Tracer.name, s.Tracer.started, s.Tracer.ended)
+      and ref_span s =
+        ( s.Ref.Tracer.span_id,
+          s.Ref.Tracer.parent_id,
+          s.Ref.Tracer.name,
+          s.Ref.Tracer.started,
+          s.Ref.Tracer.ended )
+      in
+      let trace t = (t.Tracer.id, span t.Tracer.root, List.map span t.Tracer.spans)
+      and ref_trace t =
+        (t.Ref.Tracer.id, ref_span t.Ref.Tracer.root, List.map ref_span t.Ref.Tracer.spans)
+      in
+      Tracer.completed tracer = Ref.Tracer.completed reference
+      && List.map trace (Tracer.traces tracer)
+         = List.map ref_trace (Ref.Tracer.traces reference)
+      && List.for_all
+           (fun k ->
+             List.map trace (Tracer.slowest tracer k)
+             = List.map ref_trace (Ref.Tracer.slowest reference k))
+           [ 0; 1; 5; 300 ])
+
 let suite =
   [
     Alcotest.test_case "counters and labels" `Quick test_counters_and_labels;
@@ -285,4 +371,6 @@ let suite =
     Alcotest.test_case "node wiring end-to-end" `Quick test_node_wiring;
     QCheck_alcotest.to_alcotest quantiles_match_stats_prop;
     QCheck_alcotest.to_alcotest merge_equals_concat_prop;
+    QCheck_alcotest.to_alcotest events_match_reference_prop;
+    QCheck_alcotest.to_alcotest tracer_match_reference_prop;
   ]
