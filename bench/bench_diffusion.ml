@@ -56,7 +56,10 @@ let goodput o = float_of_int o.ok /. float_of_int (max 1 o.issued)
 let run_scenario ~attach ~diffusion () =
   let config =
     if diffusion then
-      { Core.Node.Config.default with Core.Node.Config.enable_diffusion = true }
+      {
+        Core.Node.Config.default with
+        Core.Node.Config.diffusion = Some Core.Diffusion.Policy.default;
+      }
     else Core.Node.Config.default
   in
   let cluster = Core.Node.Cluster.create ~seed:(seed_base + 5) () in

@@ -49,7 +49,7 @@ let provision () =
   in
   (match P.hash report with
    | Some h -> Printf.printf "  plan %s -> admission %d slots\n" (String.sub h 0 12)
-                 config.Core.Node.Config.admission_capacity
+                 (Core.Provision.Verify.admission_of config).Core.Resource.Admission.capacity
    | None -> ());
   let cluster = Core.Node.Cluster.create ~seed:11 () in
   List.iter

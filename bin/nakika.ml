@@ -590,14 +590,14 @@ let plan_cmd =
                            J.Arr
                              (List.map
                                 (fun (l : Core.Provision.Lower.lowered) ->
-                                  let c = l.Core.Provision.Lower.config in
+                                  let a =
+                                    Core.Provision.Verify.admission_of l.Core.Provision.Lower.config
+                                  in
                                   J.Obj
                                     [
                                       ("pattern", J.Str l.Core.Provision.Lower.node_pattern);
                                       ( "admission_capacity",
-                                        J.Num
-                                          (float_of_int c.Core.Node.Config.admission_capacity)
-                                      );
+                                        J.Num (float_of_int a.Core.Resource.Admission.capacity) );
                                       ( "shares",
                                         J.Arr
                                           (List.map
@@ -607,7 +607,7 @@ let plan_cmd =
                                                    ("site", J.Str site);
                                                    ("fraction", J.Num f);
                                                  ])
-                                             c.Core.Node.Config.site_shares) );
+                                             a.Core.Resource.Admission.shares) );
                                     ])
                                 r.P.lowered) );
                        ])

@@ -6,6 +6,29 @@
     than we are. The decision is deliberately cheap (a scan of at most
     [fanout] table entries) because it sits on the request hot path. *)
 
+type config = {
+  low_water : float;
+      (** pressure below which a node never offloads (the proactive
+          threshold; the signal crosses 0.5 at the admission delay
+          target) *)
+  high_water : float; (** pressure at or above which a node refuses incoming offloads *)
+  fanout : int; (** max lower-pressure neighbors considered per offload decision *)
+  offload_timeout : float;
+      (** seconds to wait for an offload reply before falling back to
+          local execution *)
+  fetch_timeout : float;
+      (** receiver's bound on fetching a script from the origin after a
+          compile-cache hash miss *)
+  staleness : float;
+      (** neighbor pressure reports older than this are ignored; also
+          the redirector's load-report staleness bound *)
+}
+
+val default : config
+
+val validate : config -> string list
+(** A finding per value that is wrong under any interpretation; [[]] accepts. *)
+
 type decision =
   | Local  (** execute the pipeline here *)
   | Offload of Neighbors.info list

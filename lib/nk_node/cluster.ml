@@ -86,11 +86,11 @@ let start_health_reports t node =
            learns this node's pressure (and how far away it is), which
            is the whole neighbor table the offload policy runs on — no
            separate protocol, the health plane carries it. Gated on
-           the sender's diffusion flag: a diffusion-off node never
+           the sender's diffusion policy: a diffusion-off node never
            accepts offloads, so broadcasting its pressure is pure
            overhead — and at 1000 proxies this loop is the difference
            between O(n) and O(n^2) work per report interval. *)
-        if (Node.config node).Config.enable_diffusion then begin
+        if Option.is_some (Node.config node).Config.diffusion then begin
           let p = Node.pressure node in
           List.iter
             (fun other ->
@@ -108,13 +108,14 @@ let add_proxy t ~name ?(cpu_speed = 1.0) ?config () =
   let node = Node.create ~web:t.web ~host ~dht:t.dht ~bus:t.bus ?config () in
   (* Diffusion deployments also bound how long the redirector trusts a
      load report: a silent node must stop attracting clients just as it
-     stops attracting offloads. Gated on the flag so a diffusion-free
+     stops attracting offloads. Gated on the policy so a diffusion-free
      cluster keeps its exact pre-diffusion redirect behavior. *)
   let cfg = Node.config node in
-  if cfg.Config.enable_diffusion then
-    Nk_overlay.Redirector.set_staleness t.redirector cfg.Config.diffusion_staleness;
+  (match cfg.Config.diffusion with
+   | Some d -> Nk_overlay.Redirector.set_staleness t.redirector d.Nk_diffusion.Policy.staleness
+   | None -> ());
   (* Same pattern for hotspot replication: the first hotspot-enabled
-     proxy configures the cluster's shared DHT index. Gated on the
+     proxy configures the cluster's shared DHT index. Gated on its
      flag so hotspot-free clusters keep their exact prior behavior. *)
   if cfg.Config.enable_hotspots then
     Nk_overlay.Dht.set_hotspots t.dht ~halflife:cfg.Config.hotspot_halflife

@@ -1,6 +1,16 @@
 (** Node configuration: the knobs an operator or a provisioning plan
     sets per node, and the CPU cost model.
 
+    Each subsystem with its own module owns its settings: admission,
+    breakers, quarantine and diffusion are sub-records whose type,
+    [default] and [validate] live in that module, and an optional one
+    that is [None] is off. The remaining fields stay flat. The
+    throughput harness ([perfbench/]) reads the hedging, hotspot,
+    pipeline, tracing, resource-control, lint, cache, deadline and
+    [dht_ttl] fields by name, and [enable_dht] stays beside [dht_ttl].
+    The script caps, per-site fuel and heap tables, local clients,
+    integrity key and plan hash belong to no module of their own.
+
     The cost model is fixed: every node charges by {!default_costs}. Its
     constants translate the work our OCaml implementation does into
     simulated CPU seconds on the reference machine (the paper's 2.8 GHz
@@ -37,10 +47,6 @@ type t = {
   script_max_fuel : int;
   script_max_heap : int;
   dht_ttl : float; (** cooperative-cache announcement lifetime *)
-  termination_penalty : float; (** base quarantine window: seconds a
-                                   terminated site's requests are refused
-                                   before it may run scripts again; doubles
-                                   per repeat offense up to [quarantine_max] *)
   local_clients : string list; (** CIDR blocks considered local (System.isLocal) *)
   integrity_key : string option; (** verify X-Content-SHA256/X-Signature on
                                      peer-served content with this publisher
@@ -69,46 +75,17 @@ type t = {
   retry_budget_ratio : float;
       (** per-success refill of the per-upstream retry budgets gating
           retry paths; 0 — the default — disables budgeted retries *)
-  enable_admission : bool; (** CoDel-style admission control and load
-                               shedding at the front door *)
-  admission_target : float; (** queueing-delay target (s); delay above it
-                                for a full interval triggers shedding *)
-  admission_interval : float; (** detection interval for the delay target *)
-  admission_capacity : int; (** hard bound on concurrently admitted
-                                requests, with per-site fair shares *)
-  breaker_failures : int; (** consecutive upstream failures tripping a
-                              circuit breaker open *)
-  breaker_error_rate : float; (** windowed error rate that also trips it *)
-  breaker_window : float; (** error-rate observation window (s) *)
-  breaker_cooldown : float; (** initial open-state cooldown before the
-                                half-open probe *)
-  breaker_max_cooldown : float; (** backoff doubling cap *)
-  quarantine_max : float; (** cap on the escalating per-site ban window
-                              (the base is [termination_penalty]) *)
-  quarantine_decay : float; (** seconds of good behaviour that erase one
-                                quarantine strike *)
-  enable_diffusion : bool; (** proactive computation diffusion (C3PO):
-                               offload pipeline executions to
-                               lower-pressure neighbors before admission
-                               control starts shedding *)
-  diffusion_low_water : float; (** pressure below which a node never
-                                   offloads (proactive threshold; the
-                                   signal crosses 0.5 at the admission
-                                   delay target) *)
-  diffusion_high_water : float; (** pressure at or above which a node
-                                    refuses incoming offloads *)
-  diffusion_fanout : int; (** max lower-pressure neighbors considered
-                              per offload decision *)
-  diffusion_offload_timeout : float; (** seconds to wait for an offload
-                                         reply before falling back to
-                                         local execution *)
-  diffusion_fetch_timeout : float; (** receiver's bound on fetching a
-                                       script from the origin after a
-                                       compile-cache hash miss *)
-  diffusion_staleness : float; (** neighbor pressure reports older than
-                                   this are ignored; also the
-                                   redirector's load-report staleness
-                                   bound *)
+  admission : Nk_resource.Admission.config option;
+      (** CoDel-style admission control and load shedding at the front
+          door, with per-site fair shares; [None] admits everything *)
+  breaker : Nk_resource.Breaker.config;
+      (** the circuit breaker of every upstream the node calls *)
+  quarantine : Nk_resource.Quarantine.config;
+      (** escalating ban windows for sites the monitor terminates *)
+  diffusion : Nk_diffusion.Policy.config option;
+      (** proactive computation diffusion (C3PO): offload pipeline
+          executions to lower-pressure neighbors before admission
+          control starts shedding; [None] (the default) is off *)
   enable_hotspots : bool;
       (** hotspot detection + Coral-style sloppy replication on the
           cluster's shared DHT index (default false). The first
@@ -122,23 +99,16 @@ type t = {
                            the ring reconverges *)
   hotspot_halflife : float; (** decay halflife of the per-key
                                 request-rate estimator *)
-  site_shares : (string * float) list;
-      (** ordered [(pattern, fraction)] guaranteed admission-queue
-          slices per site, lowered from a provisioning plan's
-          [site "..." {share >= N%}] rules; patterns are exact hosts,
-          ["*"], or ["*.suffix"], first match wins. Empty (default):
-          active sites split the queue evenly. *)
-  site_quarantine : (string * float * float) list;
-      (** ordered [(pattern, base, max)] per-site quarantine ban-window
-          overrides ([site "..." {quarantine base .. max ..}]) *)
   site_fuel : (string * int) list;
       (** ordered [(pattern, fuel)] per-site per-request fuel caps
-          (each effective cap is [min script_max_fuel cap]) *)
+          (each effective cap is [min script_max_fuel cap]); patterns
+          are exact hosts, ["*"], or ["*.suffix"], first match wins *)
   site_heap : (string * int) list;
       (** ordered [(pattern, bytes)] per-site script-heap caps *)
   plan_hash : string option;
       (** SHA-256 (hex) of the provisioning-plan text this config was
-          lowered from; [None] for hand-built configs *)
+          lowered from, surfaced by [nakika stats --health]; [None] for
+          hand-built configs *)
 }
 
 val default_costs : costs
@@ -153,11 +123,12 @@ val plain_proxy : t
 val validate : t -> string list
 (** The config checker core: every finding is a human-readable
     description of a value that is wrong under any interpretation —
-    inverted orderings ([diffusion_low_water >= diffusion_high_water],
-    [breaker_cooldown > breaker_max_cooldown],
-    [termination_penalty > quarantine_max]), non-positive capacities,
+    inverted orderings (diffusion waters, a breaker cooldown or
+    quarantine base above its cap), non-positive capacities,
     negative timeouts, and per-site share tables that oversubscribe or
-    round to zero slots. [[]] means the config is accepted.
-    {!Node.create} refuses configs with findings, and the provisioning
-    compiler ([Nk_provision]) runs the same checks over every config it
-    lowers — verification and rejection share one core. *)
+    round to zero slots. It runs each present subsystem's own
+    [validate] beside the checks on the flat fields. [[]] means the
+    config is accepted. {!Node.create} refuses configs with findings,
+    and the provisioning compiler ([Nk_provision]) runs the same checks
+    over every config it lowers — verification and rejection share one
+    core. *)

@@ -1,9 +1,11 @@
 type stage_entry = { stage : Nk_pipeline.Stage.t; site : string }
 
-(* Proactive computation diffusion (C3PO): the neighbor pressure table
-   fed by the cluster's load-report gossip, plus the offload protocol
-   instance (envelope codec, pending table, reply matching). *)
+(* Proactive computation diffusion (C3PO): the policy settings, the
+   neighbor pressure table fed by the cluster's load-report gossip, plus
+   the offload protocol instance (envelope codec, pending table, reply
+   matching). *)
 type diffusion = {
+  policy : Nk_diffusion.Policy.config;
   neighbors : Nk_diffusion.Neighbors.t;
   offload : Nk_diffusion.Offload.t;
 }
@@ -165,15 +167,16 @@ let incarnation t =
    diffusion low water sits below that, which is what makes diffusion
    proactive rather than a shedding echo. *)
 let pressure t =
+  let cfg = Option.value t.cfg.Config.admission ~default:Nk_resource.Admission.default in
   let shed_rate, queue_frac =
     match t.admission with
     | Some adm ->
       ( Nk_resource.Admission.shed_rate adm,
         float_of_int (Nk_resource.Admission.queue_length adm)
-        /. float_of_int (max 1 t.cfg.Config.admission_capacity) )
+        /. float_of_int (max 1 cfg.Nk_resource.Admission.capacity) )
     | None -> (0.0, 0.0)
   in
-  Nk_diffusion.Pressure.compute ~target:t.cfg.Config.admission_target
+  Nk_diffusion.Pressure.compute ~target:cfg.Nk_resource.Admission.target
     ~queue_delay:(Nk_sim.Net.cpu_backlog t.net t.host)
     ~shed_rate ~queue_frac
 
@@ -1069,19 +1072,17 @@ let offload_plan t ~site =
   | None -> None
   | Some d -> (
     let p = pressure t in
-    if p < t.cfg.Config.diffusion_low_water then None
+    if p < d.policy.low_water then None
     else
       match offload_hash t site with
       | None -> None
       | Some script_hash -> (
         let candidates =
           Nk_diffusion.Neighbors.candidates d.neighbors ~now:(now t)
-            ~staleness:t.cfg.Config.diffusion_staleness
-            ~fanout:t.cfg.Config.diffusion_fanout
+            ~staleness:d.policy.staleness ~fanout:d.policy.fanout
         in
         match
-          Nk_diffusion.Policy.decide ~pressure:p
-            ~low_water:t.cfg.Config.diffusion_low_water ~candidates
+          Nk_diffusion.Policy.decide ~pressure:p ~low_water:d.policy.low_water ~candidates
         with
         | Nk_diffusion.Policy.Local -> None
         | Nk_diffusion.Policy.Offload eligible -> (
@@ -1122,7 +1123,7 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
     stamp_deadline t deadline req;
     Nk_diffusion.Offload.send d.offload ~target:target_name
       ~target_incarnation:target.Nk_diffusion.Neighbors.incarnation ~site ~script_hash
-      ~timeout:(hop_timeout t deadline t.cfg.Config.diffusion_offload_timeout)
+      ~timeout:(hop_timeout t deadline d.policy.offload_timeout)
       ~request:req
       ~on_done:(fun outcome ->
         (* A rejection means the target answered: it is alive, just
@@ -1159,7 +1160,7 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
 (* Receiver side: resolve the shipped hash to a runnable stage before
    the pipeline goes looking for a script. Runs inside the request's
    cothread (the hash-miss path awaits a bounded origin fetch). *)
-let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
+let resolve_offload_stage t d (env : Nk_diffusion.Offload.request_envelope) =
   let site = env.Nk_diffusion.Offload.site in
   let url = site_script_url site in
   let hash = env.Nk_diffusion.Offload.script_hash in
@@ -1186,7 +1187,7 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
       Nk_telemetry.Metrics.incr t.metrics "diffusion.hash_misses";
       let req = Nk_http.Message.request url in
       (match
-         await_fetch_opt t ~via:None ~timeout:t.cfg.Config.diffusion_fetch_timeout req
+         await_fetch_opt t ~via:None ~timeout:d.policy.fetch_timeout req
        with
        | Some resp when Nk_http.Status.is_success resp.Nk_http.Message.status ->
          let key = cache_key req in
@@ -1255,7 +1256,7 @@ let handle_offload_request t d ~payload =
       reject "incarnation"
     else if Nk_resource.Quarantine.is_banned t.quarantine ~site then
       reject "banned-site"
-    else if pressure t >= t.cfg.Config.diffusion_high_water then reject "pressure"
+    else if pressure t >= d.policy.high_water then reject "pressure"
     else
       let req = env.Nk_diffusion.Offload.request in
       (* A doomed budget is rejected, so the sender falls back (its
@@ -1271,7 +1272,7 @@ let handle_offload_request t d ~payload =
           req
           ~shed:(fun ~retry_after:_ reason -> reject reason)
           (fun span ->
-            resolve_offload_stage t env;
+            resolve_offload_stage t d env;
             process t ?span ?deadline req)
           ~on_done:(fun (resp, fuel, heap) ->
             Nk_diffusion.Offload.reply d.offload ~to_:env
@@ -1572,8 +1573,8 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       (Printf.sprintf "Node.create %s: invalid config: %s" node_name
          (String.concat "; " problems)));
   let diffusion =
-    match bus with
-    | Some b when config.Config.enable_diffusion ->
+    match (bus, config.Config.diffusion) with
+    | Some b, Some policy ->
       let incarnation () =
         match Nk_sim.Net.faults net with
         | Some plan -> Nk_faults.Plan.incarnation plan ~now:(clock ()) node_name
@@ -1581,6 +1582,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       in
       Some
         {
+          policy;
           neighbors = Nk_diffusion.Neighbors.create ();
           offload =
             Nk_diffusion.Offload.create ~name:node_name ~incarnation
@@ -1611,25 +1613,14 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       accounting = Nk_resource.Accounting.create ();
       monitor = None;
       throttles = Hashtbl.create 4;
-      quarantine =
-        Nk_resource.Quarantine.create ~base:config.Config.termination_penalty
-          ~max_window:config.Config.quarantine_max ~decay:config.Config.quarantine_decay
-          ~site_params:config.Config.site_quarantine ~clock ~metrics ();
+      quarantine = Nk_resource.Quarantine.create config.Config.quarantine ~clock ~metrics ();
       admission =
-        (if config.Config.enable_admission then
-           Some
-             (Nk_resource.Admission.create ~target:config.Config.admission_target
-                ~interval:config.Config.admission_interval
-                ~capacity:config.Config.admission_capacity
-                ~shares:(Nk_resource.Shares.create config.Config.site_shares)
-                ~clock ~metrics ())
-         else None);
+        Option.map
+          (fun c -> Nk_resource.Admission.create c ~clock ~metrics ())
+          config.Config.admission;
       diffusion;
       upstream =
-        Nk_resource.Upstream.create ~failure_threshold:config.Config.breaker_failures
-          ~error_rate:config.Config.breaker_error_rate ~window:config.Config.breaker_window
-          ~cooldown:config.Config.breaker_cooldown
-          ~max_cooldown:config.Config.breaker_max_cooldown
+        Nk_resource.Upstream.create config.Config.breaker
           ~retry_ratio:config.Config.retry_budget_ratio ~clock ~metrics ();
       hedge =
         (if config.Config.enable_hedging then

@@ -56,8 +56,8 @@ val quarantine : t -> Nk_resource.Quarantine.t
 (** The escalating ban windows of terminated sites. *)
 
 val admission : t -> Nk_resource.Admission.t option
-(** Front-door admission controller ([None] when
-    [Config.enable_admission] is off). *)
+(** Front-door admission controller ([None] when [Config.admission]
+    is). *)
 
 val upstream : t -> Nk_resource.Upstream.t
 (** The breakers and retry budget every upstream call (origin, peer,

@@ -15,11 +15,13 @@ type lowered = {
 }
 
 (* Lower the resolved plan: each node block writes its settings through
-   the vocabulary rows over [base]; site rules lower into the per-site
-   tables, in declaration order (first match wins at runtime, same as
-   in the plan). Shadowed rules are dropped — the verifier already
-   warned — so the runtime tables contain only rules that can fire. *)
-let lower ?(base = Config.default) (r : Verify.resolved) =
+   the vocabulary rows over [Config.default], in vocabulary order, so a
+   section's [enabled] row runs before the rest of that section; site
+   rules lower into the per-site tables, in declaration order (first
+   match wins at runtime, same as in the plan). Shadowed rules are
+   dropped — the verifier already warned — so the runtime tables
+   contain only rules that can fire. *)
+let lower (r : Verify.resolved) =
   let reachable = List.filter (fun (s : Verify.site) -> s.Verify.reachable) r.Verify.sites in
   let table pick =
     List.filter_map
@@ -27,8 +29,8 @@ let lower ?(base = Config.default) (r : Verify.resolved) =
         Option.map (fun v -> (s.Verify.rule.Ast.pattern, v)) (Verify.first pick s))
       reachable
   in
-  let site_shares = table (function Verify.Share (p, _) -> Some (p /. 100.0) | _ -> None) in
-  let site_quarantine =
+  let shares = table (function Verify.Share (p, _) -> Some (p /. 100.0) | _ -> None) in
+  let site_params =
     List.map
       (fun (pattern, (b, m)) -> (pattern, b, m))
       (table (function Verify.Window (b, m, _) -> Some (b, m) | _ -> None))
@@ -36,10 +38,10 @@ let lower ?(base = Config.default) (r : Verify.resolved) =
   let site_fuel = table (function Verify.Fuel n -> Some n | _ -> None) in
   let site_heap = table (function Verify.Heap n -> Some n | _ -> None) in
   let with_sites config =
+    let config = Verify.map_admission config (fun a -> { a with shares }) in
     {
       config with
-      Config.site_shares;
-      site_quarantine;
+      Config.quarantine = { config.Config.quarantine with site_params };
       site_fuel;
       site_heap;
       plan_hash = Some r.Verify.plan.Ast.hash;
@@ -47,20 +49,23 @@ let lower ?(base = Config.default) (r : Verify.resolved) =
   in
   match r.Verify.blocks with
   | [] ->
-    (* A plan of only site rules provisions every node off the base
+    (* A plan of only site rules provisions every node off the default
        config — an implicit [node "*" {}] block. *)
     [
       {
         node_pattern = "*";
         node_pos = { Nk_script.Ast.line = 1; col = 1 };
-        config = with_sites base;
+        config = with_sites Config.default;
       };
     ]
   | blocks ->
     List.map
       (fun (b : Verify.block) ->
         let config =
-          List.fold_left (fun c (knob, v, _) -> knob.Verify.set c v) base b.Verify.settings
+          List.fold_left
+            (fun c knob ->
+              match Verify.setting b knob with Some (v, _) -> knob.Verify.set c v | None -> c)
+            Config.default Verify.vocabulary
         in
         {
           node_pattern = b.Verify.node.Ast.node_pattern;
@@ -97,11 +102,11 @@ let explain (plan : Ast.t) lowered =
           Printf.bprintf buf "  site %S -> share %g%% (%d of %d slots)\n" pattern (100.0 *. f)
             (max 1 (int_of_float ((f *. float_of_int slots) +. 0.5)))
             slots)
-        c.Config.site_shares;
+        (Verify.admission_of c).Nk_resource.Admission.shares;
       List.iter
         (fun (pattern, base, max_) ->
           Printf.bprintf buf "  site %S -> quarantine base %gs max %gs\n" pattern base max_)
-        c.Config.site_quarantine;
+        c.Config.quarantine.Nk_resource.Quarantine.site_params;
       List.iter
         (fun (pattern, fuel) -> Printf.bprintf buf "  site %S -> fuel cap %d\n" pattern fuel)
         c.Config.site_fuel;

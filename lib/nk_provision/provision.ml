@@ -37,10 +37,10 @@ let verify source =
 
 let check source = fst (verify source)
 
-let compile ?base source =
+let compile source =
   match verify source with
   | report, Some resolved when errors report = 0 ->
-    let lowered = Lower.lower ?base resolved in
+    let lowered = Lower.lower resolved in
     (* Belt and braces: the node-side checker over each lowered
        config. Findings here are verifier bugs by construction, but
        surfacing them as diagnostics beats a late [Invalid_argument]

@@ -90,39 +90,47 @@ let flag_row section key field get set =
     show = (fun c -> if get c then "on" else "off");
   }
 
+(* An absent optional subsystem reads as its module's default and drops
+   writes; the diffusion section's [enabled] row is the only one that
+   adds or removes a subsystem. *)
+let admission_of c = Option.value c.Config.admission ~default:Nk_resource.Admission.default
+let map_admission c f = { c with Config.admission = Option.map f c.Config.admission }
+let diffusion_of c = Option.value c.Config.diffusion ~default:Nk_diffusion.Policy.default
+let map_diffusion c f = { c with Config.diffusion = Option.map f c.Config.diffusion }
+
 (* The single mapping from plan language to node config: the verifier
-   checks against these rows, [Lower] writes through them and [explain]
-   prints through them. One row per line, so each knob is named on
-   exactly one line. *)
+   checks against these rows, [Lower] writes through them in this order
+   and [explain] prints through them. One row per line, so each knob is
+   named on exactly one line. *)
 let vocabulary =
   let open Config in
   [
-    int_row "capacity" "admission" Count "admission_capacity" ~unit:" slots" (fun c -> c.admission_capacity) (fun c v -> { c with admission_capacity = v });
-    float_row "capacity" "target" Duration_pos "admission_target" (fun c -> c.admission_target) (fun c v -> { c with admission_target = v });
-    float_row "capacity" "interval" Duration_pos "admission_interval" (fun c -> c.admission_interval) (fun c v -> { c with admission_interval = v });
+    int_row "capacity" "admission" Count "admission_capacity" ~unit:" slots" (fun c -> (admission_of c).capacity) (fun c v -> map_admission c (fun a -> { a with capacity = v }));
+    float_row "capacity" "target" Duration_pos "admission_target" (fun c -> (admission_of c).target) (fun c v -> map_admission c (fun a -> { a with target = v }));
+    float_row "capacity" "interval" Duration_pos "admission_interval" (fun c -> (admission_of c).interval) (fun c v -> map_admission c (fun a -> { a with interval = v }));
     int_row "capacity" "fuel" Count "script_max_fuel" (fun c -> c.script_max_fuel) (fun c v -> { c with script_max_fuel = v });
     int_row "capacity" "heap" Bytes "script_max_heap" (fun c -> c.script_max_heap) (fun c v -> { c with script_max_heap = v });
     int_row "capacity" "cache" Bytes "cache_bytes" (fun c -> c.cache_bytes) (fun c v -> { c with cache_bytes = v });
-    flag_row "diffusion" "enabled" "enable_diffusion" (fun c -> c.enable_diffusion) (fun c v -> { c with enable_diffusion = v });
-    float_row "diffusion" "low" Water "diffusion_low_water" (fun c -> c.diffusion_low_water) (fun c v -> { c with diffusion_low_water = v });
-    float_row "diffusion" "high" Water "diffusion_high_water" (fun c -> c.diffusion_high_water) (fun c v -> { c with diffusion_high_water = v });
-    int_row "diffusion" "fanout" Count "diffusion_fanout" (fun c -> c.diffusion_fanout) (fun c v -> { c with diffusion_fanout = v });
-    float_row "diffusion" "timeout" Duration_pos "diffusion_offload_timeout" (fun c -> c.diffusion_offload_timeout) (fun c v -> { c with diffusion_offload_timeout = v });
-    float_row "diffusion" "fetch-timeout" Duration_pos "diffusion_fetch_timeout" (fun c -> c.diffusion_fetch_timeout) (fun c v -> { c with diffusion_fetch_timeout = v });
-    float_row "diffusion" "staleness" Duration_pos "diffusion_staleness" (fun c -> c.diffusion_staleness) (fun c v -> { c with diffusion_staleness = v });
+    flag_row "diffusion" "enabled" "enable_diffusion" (fun c -> Option.is_some c.diffusion) (fun c v -> { c with diffusion = (if v then Some (diffusion_of c) else None) });
+    float_row "diffusion" "low" Water "diffusion_low_water" (fun c -> (diffusion_of c).low_water) (fun c v -> map_diffusion c (fun d -> { d with low_water = v }));
+    float_row "diffusion" "high" Water "diffusion_high_water" (fun c -> (diffusion_of c).high_water) (fun c v -> map_diffusion c (fun d -> { d with high_water = v }));
+    int_row "diffusion" "fanout" Count "diffusion_fanout" (fun c -> (diffusion_of c).fanout) (fun c v -> map_diffusion c (fun d -> { d with fanout = v }));
+    float_row "diffusion" "timeout" Duration_pos "diffusion_offload_timeout" (fun c -> (diffusion_of c).offload_timeout) (fun c v -> map_diffusion c (fun d -> { d with offload_timeout = v }));
+    float_row "diffusion" "fetch-timeout" Duration_pos "diffusion_fetch_timeout" (fun c -> (diffusion_of c).fetch_timeout) (fun c v -> map_diffusion c (fun d -> { d with fetch_timeout = v }));
+    float_row "diffusion" "staleness" Duration_pos "diffusion_staleness" (fun c -> (diffusion_of c).staleness) (fun c v -> map_diffusion c (fun d -> { d with staleness = v }));
     flag_row "hotspots" "enabled" "enable_hotspots" (fun c -> c.enable_hotspots) (fun c v -> { c with enable_hotspots = v });
     float_row "hotspots" "threshold" Count "hotspot_threshold" ~unit:" req/s" (fun c -> c.hotspot_threshold) (fun c v -> { c with hotspot_threshold = v });
     int_row "hotspots" "replicas" Count "hotspot_replicas" (fun c -> c.hotspot_replicas) (fun c v -> { c with hotspot_replicas = v });
     float_row "hotspots" "ttl" Duration_pos "hotspot_ttl" (fun c -> c.hotspot_ttl) (fun c v -> { c with hotspot_ttl = v });
     float_row "hotspots" "halflife" Duration_pos "hotspot_halflife" (fun c -> c.hotspot_halflife) (fun c v -> { c with hotspot_halflife = v });
-    int_row "breaker" "failures" Count "breaker_failures" (fun c -> c.breaker_failures) (fun c v -> { c with breaker_failures = v });
-    float_row "breaker" "error-rate" Rate "breaker_error_rate" (fun c -> c.breaker_error_rate) (fun c v -> { c with breaker_error_rate = v });
-    float_row "breaker" "window" Duration_pos "breaker_window" (fun c -> c.breaker_window) (fun c v -> { c with breaker_window = v });
-    float_row "breaker" "cooldown" Duration_pos "breaker_cooldown" (fun c -> c.breaker_cooldown) (fun c v -> { c with breaker_cooldown = v });
-    float_row "breaker" "max" Duration_pos "breaker_max_cooldown" (fun c -> c.breaker_max_cooldown) (fun c v -> { c with breaker_max_cooldown = v });
-    float_row "quarantine" "base" Duration_pos "termination_penalty" (fun c -> c.termination_penalty) (fun c v -> { c with termination_penalty = v });
-    float_row "quarantine" "max" Duration_pos "quarantine_max" (fun c -> c.quarantine_max) (fun c v -> { c with quarantine_max = v });
-    float_row "quarantine" "decay" Duration_nonneg "quarantine_decay" (fun c -> c.quarantine_decay) (fun c v -> { c with quarantine_decay = v });
+    int_row "breaker" "failures" Count "breaker_failures" (fun c -> c.breaker.failure_threshold) (fun c v -> { c with breaker = { c.breaker with failure_threshold = v } });
+    float_row "breaker" "error-rate" Rate "breaker_error_rate" (fun c -> c.breaker.error_rate) (fun c v -> { c with breaker = { c.breaker with error_rate = v } });
+    float_row "breaker" "window" Duration_pos "breaker_window" (fun c -> c.breaker.window) (fun c v -> { c with breaker = { c.breaker with window = v } });
+    float_row "breaker" "cooldown" Duration_pos "breaker_cooldown" (fun c -> c.breaker.cooldown) (fun c v -> { c with breaker = { c.breaker with cooldown = v } });
+    float_row "breaker" "max" Duration_pos "breaker_max_cooldown" (fun c -> c.breaker.max_cooldown) (fun c v -> { c with breaker = { c.breaker with max_cooldown = v } });
+    float_row "quarantine" "base" Duration_pos "termination_penalty" (fun c -> c.quarantine.base) (fun c v -> { c with quarantine = { c.quarantine with base = v } });
+    float_row "quarantine" "max" Duration_pos "quarantine_max" (fun c -> c.quarantine.max_window) (fun c v -> { c with quarantine = { c.quarantine with max_window = v } });
+    float_row "quarantine" "decay" Duration_nonneg "quarantine_decay" (fun c -> c.quarantine.decay) (fun c v -> { c with quarantine = { c.quarantine with decay = v } });
     float_row "deadline" "request" Duration_pos "request_deadline" (fun c -> c.request_deadline) (fun c v -> { c with request_deadline = v });
     flag_row "deadline" "hedge" "enable_hedging" (fun c -> c.enable_hedging) (fun c v -> { c with enable_hedging = v });
     float_row "deadline" "hedge-rate" Rate "hedge_rate" (fun c -> c.hedge_rate) (fun c v -> { c with hedge_rate = v });

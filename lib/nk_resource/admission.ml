@@ -1,9 +1,44 @@
 type verdict = Admitted | Shed of { retry_after : float; reason : string }
 
-type t = {
+type config = {
   target : float;
   interval : float;
   capacity : int;
+  shares : (string * float) list;
+}
+
+(* The target sits well above the monitor's 80 ms CPU congestion
+   backlog ([Node.cpu_congestion_backlog]): the Fig. 6 monitor handles
+   resource hogs; admission control only kicks in when the host is
+   drowning in sheer request volume. *)
+let default = { target = 0.5; interval = 0.5; capacity = 64; shares = [] }
+
+let validate c =
+  let problems = ref [] in
+  let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  if c.capacity <= 0 then reject "admission_capacity must be positive (got %d)" c.capacity;
+  if c.target <= 0.0 then reject "admission_target must be positive (got %g)" c.target;
+  if c.interval <= 0.0 then reject "admission_interval must be positive (got %g)" c.interval;
+  let share_total = ref 0.0 in
+  List.iter
+    (fun (pattern, f) ->
+      if pattern = "" then reject "site_shares: empty site pattern";
+      if f <= 0.0 || f > 1.0 then
+        reject "site_shares[%s]: share must be in (0, 1] (got %g)" pattern f
+      else begin
+        share_total := !share_total +. f;
+        if f *. float_of_int c.capacity < 0.5 then
+          reject "site_shares[%s]: share %g%% of capacity %d rounds to zero slots" pattern
+            (100.0 *. f) c.capacity
+      end)
+    c.shares;
+  if !share_total > 1.0 +. 1e-9 then
+    reject "site_shares: declared shares sum to %g%% of capacity (over 100%%)"
+      (100.0 *. !share_total);
+  List.rev !problems
+
+type t = {
+  config : config;
   shares : Shares.t;
   clock : unit -> float;
   metrics : Nk_telemetry.Metrics.t option;
@@ -24,13 +59,10 @@ type t = {
   mutable contended_until : float;
 }
 
-let create ?(target = 0.5) ?(interval = 0.5) ?(capacity = 64) ?(shares = Shares.empty) ~clock
-    ?metrics () =
+let create config ~clock ?metrics () =
   {
-    target;
-    interval;
-    capacity;
-    shares;
+    config;
+    shares = Shares.create config.shares;
     clock;
     metrics;
     occupancy = Hashtbl.create 8;
@@ -83,12 +115,12 @@ let fair_share t ~site =
   let declared = Shares.fraction t.shares ~site in
   match declared with
   | Some f ->
-    max 1 (int_of_float ((f *. float_of_int t.capacity) +. 0.5))
+    max 1 (int_of_float ((f *. float_of_int t.config.capacity) +. 0.5))
   | None ->
     let unreserved =
-      if Shares.is_empty t.shares then float_of_int t.capacity
+      if Shares.is_empty t.shares then float_of_int t.config.capacity
       else
-        Float.max 0.0 (float_of_int t.capacity *. (1.0 -. Shares.reserved t.shares))
+        Float.max 0.0 (float_of_int t.config.capacity *. (1.0 -. Shares.reserved t.shares))
     in
     let active_undeclared =
       Hashtbl.fold
@@ -119,23 +151,23 @@ let offer t ~site ~queue_delay =
      only delay that stays above it for a full interval flips the node
      into shedding, and the first dip back below the target flips it
      out. *)
-  if queue_delay < t.target then begin
+  if queue_delay < t.config.target then begin
     t.above_since <- None;
     t.shedding_ <- false
   end
   else begin
     match t.above_since with
     | None -> t.above_since <- Some now
-    | Some since -> if now -. since >= t.interval then t.shedding_ <- true
+    | Some since -> if now -. since >= t.config.interval then t.shedding_ <- true
   end;
   let occ = slot t site in
-  if t.total >= t.capacity then t.contended_until <- now +. t.interval;
+  if t.total >= t.config.capacity then t.contended_until <- now +. t.config.interval;
   let contended =
-    2 * t.total >= t.capacity
+    2 * t.total >= t.config.capacity
     || ((not (Shares.is_empty t.shares)) && now < t.contended_until)
   in
   let reason =
-    if t.total >= t.capacity then Some "queue-full"
+    if t.total >= t.config.capacity then Some "queue-full"
     else if t.shedding_ then Some "overload"
     else if contended && !occ + 1 > fair_share t ~site then
       (* The queue is contended and this site is already over its
@@ -159,7 +191,7 @@ let offer t ~site ~queue_delay =
      | None -> ());
     (* Tell the client when the backlog should have drained back to the
        target — cheap for us, actionable for it. *)
-    let retry_after = Float.max t.interval (queue_delay -. t.target) in
+    let retry_after = Float.max t.config.interval (queue_delay -. t.config.target) in
     Shed { retry_after; reason }
 
 let reset t =

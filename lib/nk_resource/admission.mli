@@ -35,18 +35,29 @@ type t
 
 type verdict = Admitted | Shed of { retry_after : float; reason : string }
 
+type config = {
+  target : float;
+      (** queueing-delay target (s); delay above it for a full
+          [interval] triggers shedding *)
+  interval : float; (** detection interval for the delay target *)
+  capacity : int;
+      (** hard bound on concurrently admitted requests, with per-site
+          fair shares *)
+  shares : (string * float) list;
+      (** ordered [(pattern, fraction)] guaranteed queue slices per site
+          (a {!Shares} table), lowered from a provisioning plan's
+          [site "..." {share >= N%}] rules. Empty: active sites split
+          the queue evenly. *)
+}
+
+val default : config
+
+val validate : config -> string list
+(** A finding per value that is wrong under any interpretation; [[]] accepts. *)
+
 val create :
-  ?target:float ->
-  ?interval:float ->
-  ?capacity:int ->
-  ?shares:Shares.t ->
-  clock:(unit -> float) ->
-  ?metrics:Nk_telemetry.Metrics.t ->
-  unit ->
-  t
-(** Defaults: 0.5 s delay target, 0.5 s detection interval, 64-slot
-    queue, 5 s shed-rate reporting window, no declared shares (every
-    active site splits the queue evenly). *)
+  config -> clock:(unit -> float) -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
+(** Shed rates are reported over a 5 s window. *)
 
 val fair_share : t -> site:string -> int
 (** The slice of [capacity] the controller currently guarantees [site]

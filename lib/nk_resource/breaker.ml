@@ -1,12 +1,32 @@
 type state = Closed | Open | Half_open
 
-type t = {
-  name : string;
+type config = {
   failure_threshold : int;
   error_rate : float;
   window : float;
   cooldown : float;
   max_cooldown : float;
+}
+
+let default =
+  { failure_threshold = 3; error_rate = 0.5; window = 10.0; cooldown = 5.0; max_cooldown = 60.0 }
+
+let validate c =
+  let problems = ref [] in
+  let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  if c.failure_threshold <= 0 then
+    reject "breaker_failures must be positive (got %d)" c.failure_threshold;
+  if c.error_rate <= 0.0 || c.error_rate > 1.0 then
+    reject "breaker_error_rate must be in (0, 1] (got %g)" c.error_rate;
+  if c.window <= 0.0 then reject "breaker_window must be positive (got %g)" c.window;
+  if c.cooldown <= 0.0 then reject "breaker_cooldown must be positive (got %g)" c.cooldown;
+  if c.cooldown > c.max_cooldown then
+    reject "breaker_cooldown (%g) exceeds breaker_max_cooldown (%g)" c.cooldown c.max_cooldown;
+  List.rev !problems
+
+type t = {
+  name : string;
+  config : config;
   clock : unit -> float;
   metrics : Nk_telemetry.Metrics.t option;
   mutable state : state;
@@ -21,15 +41,10 @@ type t = {
   mutable probes : int;
 }
 
-let create ~name ?(failure_threshold = 3) ?(error_rate = 0.5) ?(window = 10.0)
-    ?(cooldown = 5.0) ?(max_cooldown = 60.0) ~clock ?metrics () =
+let create ~name config ~clock ?metrics () =
   {
     name;
-    failure_threshold;
-    error_rate;
-    window;
-    cooldown;
-    max_cooldown;
+    config;
     clock;
     metrics;
     state = Closed;
@@ -38,7 +53,7 @@ let create ~name ?(failure_threshold = 3) ?(error_rate = 0.5) ?(window = 10.0)
     window_successes = 0;
     window_failures = 0;
     open_until = 0.0;
-    next_cooldown = cooldown;
+    next_cooldown = config.cooldown;
     probing = false;
     opens = 0;
     probes = 0;
@@ -56,7 +71,7 @@ let incr_metric t counter =
   | None -> ()
 
 let roll_window t now =
-  if now -. t.window_start >= t.window then begin
+  if now -. t.window_start >= t.config.window then begin
     t.window_start <- now;
     t.window_successes <- 0;
     t.window_failures <- 0
@@ -69,7 +84,7 @@ let trip t now =
   t.probing <- false;
   t.opens <- t.opens + 1;
   t.open_until <- now +. t.next_cooldown;
-  t.next_cooldown <- Float.min t.max_cooldown (t.next_cooldown *. 2.0);
+  t.next_cooldown <- Float.min t.config.max_cooldown (t.next_cooldown *. 2.0);
   incr_metric t "breaker.opens"
 
 let acquire t =
@@ -87,7 +102,7 @@ let acquire t =
     end
     else `Reject (t.open_until -. now)
   | Half_open ->
-    if t.probing then `Reject t.cooldown
+    if t.probing then `Reject t.config.cooldown
     else begin
       t.probing <- true;
       t.probes <- t.probes + 1;
@@ -108,7 +123,7 @@ let success t =
     t.state <- Closed;
     t.consecutive <- 0;
     t.probing <- false;
-    t.next_cooldown <- t.cooldown
+    t.next_cooldown <- t.config.cooldown
 
 (* The error-rate trip needs at least this many samples in the window. *)
 let min_samples = 8
@@ -123,8 +138,8 @@ let failure t =
     let samples = t.window_successes + t.window_failures in
     let rate = float_of_int t.window_failures /. float_of_int (max 1 samples) in
     if
-      t.consecutive >= t.failure_threshold
-      || (samples >= min_samples && rate >= t.error_rate)
+      t.consecutive >= t.config.failure_threshold
+      || (samples >= min_samples && rate >= t.config.error_rate)
     then trip t now
   | Half_open ->
     (* The probe failed: back to open with a doubled window. *)

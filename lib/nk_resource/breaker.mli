@@ -23,20 +23,28 @@ type t
 
 type state = Closed | Open | Half_open
 
+type config = {
+  failure_threshold : int; (** consecutive failures tripping it open *)
+  error_rate : float;
+      (** windowed error rate that also trips it, over >= 8 samples *)
+  window : float; (** error-rate observation window (s) *)
+  cooldown : float; (** initial open-state cooldown before the half-open probe *)
+  max_cooldown : float; (** backoff doubling cap *)
+}
+
+val default : config
+
+val validate : config -> string list
+(** A finding per value that is wrong under any interpretation; [[]] accepts. *)
+
 val create :
   name:string ->
-  ?failure_threshold:int ->
-  ?error_rate:float ->
-  ?window:float ->
-  ?cooldown:float ->
-  ?max_cooldown:float ->
+  config ->
   clock:(unit -> float) ->
   ?metrics:Nk_telemetry.Metrics.t ->
   unit ->
   t
-(** [name] identifies the upstream in metrics labels. Defaults: trip
-    after 3 consecutive failures, or a 50% error rate over >= 8 samples
-    in a 10 s window; 5 s cooldown doubling up to 60 s. *)
+(** [name] identifies the upstream in metrics labels. *)
 
 val acquire : t -> [ `Proceed | `Reject of float ]
 (** Ask to send one request. [`Reject retry] means the breaker is open;

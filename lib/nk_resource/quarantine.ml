@@ -5,27 +5,44 @@ type entry = {
                              [decay] period elapsed after [anchor] *)
 }
 
-type t = {
+type config = {
   base : float;
   max_window : float;
   decay : float;
-  site_params : (string * (float * float)) list;
-  (* ordered (pattern, (base, max)) overrides from a provisioning plan;
-     first match wins, like the admission share table *)
+  site_params : (string * float * float) list;
+}
+
+let default = { base = 30.0; max_window = 240.0; decay = 60.0; site_params = [] }
+
+let validate c =
+  let problems = ref [] in
+  let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  if c.base <= 0.0 then reject "termination_penalty must be positive (got %g)" c.base;
+  if c.max_window <= 0.0 then reject "quarantine_max must be positive (got %g)" c.max_window;
+  if c.base > c.max_window then
+    reject "termination_penalty (%g) exceeds quarantine_max (%g)" c.base c.max_window;
+  List.iter
+    (fun (pattern, base, max_window) ->
+      if pattern = "" then reject "site_quarantine: empty site pattern";
+      if base <= 0.0 then
+        reject "site_quarantine[%s]: base window must be positive (got %g)" pattern base;
+      if base > max_window then
+        reject "site_quarantine[%s]: base window (%g) exceeds max (%g)" pattern base
+          max_window)
+    c.site_params;
+  List.rev !problems
+
+type t = {
+  config : config; (* site overrides match first-match, like the admission share table *)
   clock : unit -> float;
   metrics : Nk_telemetry.Metrics.t option;
   sites : (string, entry) Hashtbl.t;
   mutable bans : int;
 }
 
-let create ?(base = 30.0) ?(max_window = 240.0) ?(decay = 60.0) ?(site_params = []) ~clock
-    ?metrics () =
+let create config ~clock ?metrics () =
   {
-    base;
-    max_window;
-    decay;
-    site_params =
-      List.map (fun (pattern, base, max_window) -> (pattern, (base, max_window))) site_params;
+    config;
     clock;
     metrics;
     sites = Hashtbl.create 8;
@@ -35,18 +52,19 @@ let create ?(base = 30.0) ?(max_window = 240.0) ?(decay = 60.0) ?(site_params = 
 let params t ~site =
   match
     List.find_map
-      (fun (pattern, p) -> if Shares.matches ~pattern site then Some p else None)
-      t.site_params
+      (fun (pattern, base, max) -> if Shares.matches ~pattern site then Some (base, max) else None)
+      t.config.site_params
   with
   | Some p -> p
-  | None -> (t.base, t.max_window)
+  | None -> (t.config.base, t.config.max_window)
 
 let decay_strikes t e now =
-  if t.decay > 0.0 && e.strikes > 0 && now > e.anchor then begin
-    let periods = int_of_float ((now -. e.anchor) /. t.decay) in
+  let decay = t.config.decay in
+  if decay > 0.0 && e.strikes > 0 && now > e.anchor then begin
+    let periods = int_of_float ((now -. e.anchor) /. decay) in
     if periods > 0 then begin
       e.strikes <- max 0 (e.strikes - periods);
-      e.anchor <- e.anchor +. (float_of_int periods *. t.decay)
+      e.anchor <- e.anchor +. (float_of_int periods *. decay)
     end
   end
 

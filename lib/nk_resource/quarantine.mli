@@ -16,21 +16,28 @@
 
 type t
 
+type config = {
+  base : float;
+      (** base ban window (s) a terminated site's requests are refused
+          before it may run scripts again; doubles per repeat offense up
+          to [max_window] *)
+  max_window : float; (** cap on the escalating ban window *)
+  decay : float;
+      (** seconds of good behaviour that erase one strike; [<= 0.0]
+          disables decay (strikes only ever grow) *)
+  site_params : (string * float * float) list;
+      (** ordered [(pattern, base, max)] per-site overrides lowered from
+          a provisioning plan ([site "..." { quarantine base ... max
+          ... }]); patterns resolve first-match via {!Shares.matches} *)
+}
+
+val default : config
+
+val validate : config -> string list
+(** A finding per value that is wrong under any interpretation; [[]] accepts. *)
+
 val create :
-  ?base:float ->
-  ?max_window:float ->
-  ?decay:float ->
-  ?site_params:(string * float * float) list ->
-  clock:(unit -> float) ->
-  ?metrics:Nk_telemetry.Metrics.t ->
-  unit ->
-  t
-(** Defaults: 30 s base ban doubling up to 240 s; strikes decay per
-    60 s of good behaviour. [decay <= 0.0] disables decay (strikes only
-    ever grow). [site_params] is an ordered [(pattern, base, max)] list
-    of per-site overrides lowered from a provisioning plan
-    ([site "..." { quarantine base ... max ... }]); patterns resolve
-    first-match via {!Shares.matches}. *)
+  config -> clock:(unit -> float) -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
 
 val punish : t -> site:string -> float
 (** Record an offense; returns the ban window granted (seconds). *)

@@ -2,8 +2,6 @@ type t = (string * float) list (* ordered: first match wins *)
 
 let create entries = entries
 
-let empty = []
-
 let is_empty t = t = []
 
 let matches ~pattern site =

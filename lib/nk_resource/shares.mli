@@ -20,8 +20,6 @@ val create : (string * float) list -> t
 (** [create entries] builds a table from ordered [(pattern, fraction)]
     pairs, fractions in [(0, 1]]. The list order is the match order. *)
 
-val empty : t
-
 val is_empty : t -> bool
 
 val matches : pattern:string -> string -> bool

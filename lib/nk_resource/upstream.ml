@@ -9,13 +9,9 @@ type t = {
 
 type ticket = { owner : t; breaker : Breaker.t; mutable settled : bool }
 
-let create ?failure_threshold ?error_rate ?window ?cooldown ?max_cooldown
-    ?(retry_ratio = 0.0) ~clock ?metrics () =
+let create breaker ?(retry_ratio = 0.0) ~clock ?metrics () =
   {
-    make =
-      (fun name ->
-        Breaker.create ~name ?failure_threshold ?error_rate ?window ?cooldown
-          ?max_cooldown ~clock ?metrics ());
+    make = (fun name -> Breaker.create ~name breaker ~clock ?metrics ());
     breakers = Hashtbl.create 8;
     budget =
       (if retry_ratio > 0.0 then Some (Retry_budget.create ~ratio:retry_ratio ?metrics ())

@@ -21,11 +21,7 @@ type ticket
 (** One admitted upstream call, owed exactly one {!settle}. *)
 
 val create :
-  ?failure_threshold:int ->
-  ?error_rate:float ->
-  ?window:float ->
-  ?cooldown:float ->
-  ?max_cooldown:float ->
+  Breaker.config ->
   ?retry_ratio:float ->
   clock:(unit -> float) ->
   ?metrics:Nk_telemetry.Metrics.t ->

@@ -436,10 +436,14 @@ let test_offload_digest () =
   let config =
     {
       Config.default with
-      Config.enable_diffusion = true;
-      diffusion_low_water = 0.0;
-      diffusion_staleness = 1000.0;
-      diffusion_offload_timeout = 0.3;
+      Config.diffusion =
+        Some
+          {
+            Core.Diffusion.Policy.default with
+            low_water = 0.0;
+            staleness = 1000.0;
+            offload_timeout = 0.3;
+          };
     }
   in
   let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config () in

@@ -39,13 +39,17 @@ let transforming_site cluster =
 let diffusion_config =
   {
     Config.default with
-    Config.enable_diffusion = true;
-    (* Offload on any pressure at all, and trust planted/gossiped
-       neighbor entries for a long time: the tests drive the decision
-       deterministically instead of waiting for a real flash crowd. *)
-    diffusion_low_water = 0.0;
-    diffusion_staleness = 1000.0;
-    diffusion_offload_timeout = 0.3;
+    Config.diffusion =
+      Some
+        {
+          Core.Diffusion.Policy.default with
+          (* Offload on any pressure at all, and trust planted/gossiped
+             neighbor entries for a long time: the tests drive the decision
+             deterministically instead of waiting for a real flash crowd. *)
+          low_water = 0.0;
+          staleness = 1000.0;
+          offload_timeout = 0.3;
+        };
   }
 
 (* --- pressure: monotone, bounded, proactive crossing ------------------- *)
@@ -204,7 +208,7 @@ let test_fallback_on_breaker_open () =
     Node.observe_neighbor p1 ~name:"nk2.nakika.net" ~pressure:(-1.0) ~incarnation:1
       ~distance:0.01
   in
-  let failures = (Node.config p1).Config.breaker_failures in
+  let failures = (Node.config p1).Config.breaker.Core.Resource.Breaker.failure_threshold in
   for i = 1 to failures do
     plant ();
     let resp = fetch_sync cluster ~client ~proxy:p1 (req ()) in

@@ -734,26 +734,34 @@ let expect_rejected label config needle =
     if not contains then
       Alcotest.fail (Printf.sprintf "%s: rejection message %S lacks %S" label msg needle)
 
+module Admission = Core.Resource.Admission
+module Quarantine = Core.Resource.Quarantine
+module Policy = Core.Diffusion.Policy
+
+let admission a = { Config.default with Config.admission = Some a }
+
+let diffusion d = { Config.default with Config.diffusion = Some d }
+
 let test_config_rejects_inverted_waters () =
   expect_rejected "inverted waters"
-    { Config.default with Config.diffusion_low_water = 0.9; diffusion_high_water = 0.8 }
+    (diffusion { Policy.default with low_water = 0.9; high_water = 0.8 })
     "diffusion_low_water";
   expect_rejected "equal waters"
-    { Config.default with Config.diffusion_low_water = 0.8; diffusion_high_water = 0.8 }
+    (diffusion { Policy.default with low_water = 0.8; high_water = 0.8 })
     "diffusion_low_water"
 
 let test_config_rejects_bad_capacity () =
-  expect_rejected "zero capacity" { Config.default with Config.admission_capacity = 0 }
+  expect_rejected "zero capacity" (admission { Admission.default with capacity = 0 })
     "admission_capacity";
-  expect_rejected "negative capacity" { Config.default with Config.admission_capacity = -4 }
+  expect_rejected "negative capacity" (admission { Admission.default with capacity = -4 })
     "admission_capacity"
 
 let test_config_rejects_negative_timeouts () =
   expect_rejected "negative offload timeout"
-    { Config.default with Config.diffusion_offload_timeout = -1.0 }
+    (diffusion { Policy.default with offload_timeout = -1.0 })
     "diffusion_offload_timeout";
   expect_rejected "zero fetch timeout"
-    { Config.default with Config.diffusion_fetch_timeout = 0.0 }
+    (diffusion { Policy.default with fetch_timeout = 0.0 })
     "diffusion_fetch_timeout";
   expect_rejected "negative request deadline"
     { Config.default with Config.request_deadline = -1.0 }
@@ -761,15 +769,22 @@ let test_config_rejects_negative_timeouts () =
 
 let test_config_rejects_penalty_above_quarantine_max () =
   expect_rejected "penalty above cap"
-    { Config.default with Config.termination_penalty = 600.0; quarantine_max = 240.0 }
+    {
+      Config.default with
+      Config.quarantine = { Quarantine.default with base = 600.0; max_window = 240.0 };
+    }
     "termination_penalty"
 
 let test_config_rejects_bad_site_tables () =
   expect_rejected "oversubscribed shares"
-    { Config.default with Config.site_shares = [ ("a.example", 0.7); ("b.example", 0.6) ] }
+    (admission { Admission.default with shares = [ ("a.example", 0.7); ("b.example", 0.6) ] })
     "site_shares";
   expect_rejected "inverted site quarantine"
-    { Config.default with Config.site_quarantine = [ ("a.example", 600.0, 300.0) ] }
+    {
+      Config.default with
+      Config.quarantine =
+        { Quarantine.default with site_params = [ ("a.example", 600.0, 300.0) ] };
+    }
     "site_quarantine";
   expect_rejected "non-positive site fuel"
     { Config.default with Config.site_fuel = [ ("a.example", 0) ] }
@@ -779,8 +794,12 @@ let test_valid_config_still_accepted () =
   (* The validator must not reject the documented sentinel values. *)
   let cluster = Cluster.create () in
   let config =
-    { Config.default with Config.request_deadline = 0.0; retry_budget_ratio = 0.0;
-      quarantine_decay = 0.0 }
+    {
+      Config.default with
+      Config.request_deadline = 0.0;
+      retry_budget_ratio = 0.0;
+      quarantine = { Quarantine.default with decay = 0.0 };
+    }
   in
   ignore (Cluster.add_proxy cluster ~name:"nk-ok.nakika.net" ~config ())
 

@@ -10,6 +10,8 @@ module Lower = Core.Provision.Lower
 module Verify = Core.Provision.Verify
 module D = Core.Analysis.Diagnostic
 module Config = Core.Node.Config
+module Admission = Core.Resource.Admission
+module Quarantine = Core.Resource.Quarantine
 
 let diag_strings (r : P.report) = List.map D.to_string r.P.diagnostics
 
@@ -53,11 +55,11 @@ let test_units_sugar () =
   match r.P.lowered with
   | [ l ] ->
     let c = l.Lower.config in
-    Alcotest.(check (float 1e-9)) "500ms" 0.5 c.Config.admission_target;
+    Alcotest.(check (float 1e-9)) "500ms" 0.5 (Verify.admission_of c).Admission.target;
     Alcotest.(check int) "2_000_000" 2_000_000 c.Config.script_max_fuel;
     Alcotest.(check int) "8mb" (8 * 1024 * 1024) c.Config.script_max_heap;
-    Alcotest.(check (float 1e-9)) "2s" 2.0 c.Config.termination_penalty;
-    Alcotest.(check (float 1e-9)) "5m" 300.0 c.Config.quarantine_max
+    Alcotest.(check (float 1e-9)) "2s" 2.0 c.Config.quarantine.Quarantine.base;
+    Alcotest.(check (float 1e-9)) "5m" 300.0 c.Config.quarantine.Quarantine.max_window
   | _ -> Alcotest.fail "expected exactly one lowered config"
 
 let test_hotspots_section () =
@@ -252,16 +254,16 @@ let test_lowering_multi_tenant () =
   | [ l ] ->
     let c = l.Lower.config in
     Alcotest.(check string) "pattern" "*.nakika.net" l.Lower.node_pattern;
-    Alcotest.(check int) "capacity" 64 c.Config.admission_capacity;
+    Alcotest.(check int) "capacity" 64 (Verify.admission_of c).Admission.capacity;
     Alcotest.(check (list (pair string (float 1e-9)))) "shares in declaration order"
       [ ("video.example", 0.30); ("news.example", 0.20) ]
-      c.Config.site_shares;
+      (Verify.admission_of c).Admission.shares;
     Alcotest.(check (list (pair string int))) "fuel caps" [ ("video.example", 40000) ]
       c.Config.site_fuel;
     Alcotest.(check (list (pair string int))) "heap caps"
       [ ("video.example", 4 * 1024 * 1024) ]
       c.Config.site_heap;
-    (match c.Config.site_quarantine with
+    (match c.Config.quarantine.Quarantine.site_params with
      | [ (site, base, max_) ] ->
        Alcotest.(check string) "quarantine site" "video.example" site;
        Alcotest.(check (float 1e-9)) "base" 2.0 base;
@@ -289,7 +291,7 @@ let test_config_for_matching () =
   Alcotest.(check int) "clean" 0 (P.errors r);
   let cap node =
     match P.config_for r ~node with
-    | Some c -> c.Config.admission_capacity
+    | Some c -> (Verify.admission_of c).Admission.capacity
     | None -> -1
   in
   Alcotest.(check int) "exact match wins" 32 (cap "nk1.nakika.net");
@@ -301,8 +303,8 @@ let test_site_only_plan_gets_default_node () =
   match r.P.lowered with
   | [ l ] ->
     Alcotest.(check string) "implicit wildcard node" "*" l.Lower.node_pattern;
-    Alcotest.(check int) "default capacity" Config.default.Config.admission_capacity
-      l.Lower.config.Config.admission_capacity
+    Alcotest.(check int) "default capacity" (Verify.admission_of Config.default).Admission.capacity
+      (Verify.admission_of l.Lower.config).Admission.capacity
   | _ -> Alcotest.fail "expected one lowered config"
 
 let test_explain_mentions_lowering () =
@@ -359,6 +361,81 @@ let test_explain_multi_tenant_exact () =
     \  site \"video.example\" -> heap cap 4194304 bytes\n"
     (P.explain (P.compile multi_tenant))
 
+(* examples/plans/single-tenant.nkp, verbatim: the one example plan that
+   turns diffusion on and sets breaker knobs. *)
+let single_tenant =
+  "# A single-tenant deployment: one site, generous caps, diffusion on.\n\
+   #\n\
+   # The node block configures every proxy (\"*\" matches all node names);\n\
+   # the site rule guarantees media.example half the admission queue and\n\
+   # tightens its quarantine windows (abusive scripts are banned fast but\n\
+   # never for more than ten minutes).\n\
+   \n\
+   node \"*\" {\n\
+    \  capacity {\n\
+    \    admission = 128\n\
+    \    target = 500ms\n\
+    \    fuel = 2_000_000\n\
+    \    heap = 32mb\n\
+    \  }\n\
+    \  diffusion {\n\
+    \    enabled = on\n\
+    \    low = 30%\n\
+    \    high = 80%\n\
+    \    fanout = 3\n\
+    \  }\n\
+    \  breaker {\n\
+    \    failures = 3\n\
+    \    cooldown = 5s\n\
+    \    max = 60s\n\
+    \  }\n\
+   }\n\
+   \n\
+   site \"media.example\" {\n\
+    \  share >= 50%\n\
+    \  fuel <= 1_000_000\n\
+    \  quarantine base 5s max 10m\n\
+   }\n"
+
+let test_explain_single_tenant_exact () =
+  Alcotest.(check string) "explain, byte for byte"
+    "plan e2c8e20abe63\n\
+     node \"*\":\n\
+    \  capacity.admission -> admission_capacity = 128 slots\n\
+    \  capacity.target -> admission_target = 0.5s\n\
+    \  capacity.interval -> admission_interval = 0.5s\n\
+    \  capacity.fuel -> script_max_fuel = 2000000\n\
+    \  capacity.heap -> script_max_heap = 33554432 bytes\n\
+    \  capacity.cache -> cache_bytes = 268435456 bytes\n\
+    \  diffusion.enabled -> enable_diffusion = on\n\
+    \  diffusion.low -> diffusion_low_water = 0.3\n\
+    \  diffusion.high -> diffusion_high_water = 0.8\n\
+    \  diffusion.fanout -> diffusion_fanout = 3\n\
+    \  diffusion.timeout -> diffusion_offload_timeout = 3s\n\
+    \  diffusion.fetch-timeout -> diffusion_fetch_timeout = 2s\n\
+    \  diffusion.staleness -> diffusion_staleness = 3s\n\
+    \  hotspots.enabled -> enable_hotspots = off\n\
+    \  hotspots.threshold -> hotspot_threshold = 10 req/s\n\
+    \  hotspots.replicas -> hotspot_replicas = 3\n\
+    \  hotspots.ttl -> hotspot_ttl = 30s\n\
+    \  hotspots.halflife -> hotspot_halflife = 10s\n\
+    \  breaker.failures -> breaker_failures = 3\n\
+    \  breaker.error-rate -> breaker_error_rate = 0.5\n\
+    \  breaker.window -> breaker_window = 10s\n\
+    \  breaker.cooldown -> breaker_cooldown = 5s\n\
+    \  breaker.max -> breaker_max_cooldown = 60s\n\
+    \  quarantine.base -> termination_penalty = 30s\n\
+    \  quarantine.max -> quarantine_max = 240s\n\
+    \  quarantine.decay -> quarantine_decay = 60s\n\
+    \  deadline.request -> request_deadline = 0s\n\
+    \  deadline.hedge -> enable_hedging = off\n\
+    \  deadline.hedge-rate -> hedge_rate = 0.05\n\
+    \  deadline.retry_budget -> retry_budget_ratio = 0\n\
+    \  site \"media.example\" -> share 50% (64 of 128 slots)\n\
+    \  site \"media.example\" -> quarantine base 5s max 600s\n\
+    \  site \"media.example\" -> fuel cap 1000000\n"
+    (P.explain (P.compile single_tenant))
+
 let test_lowering_duplicate_key_first_wins () =
   (* The ordering pass checks a knob's first well-formed value; lowering
      must write that same value, not a later one the verifier never
@@ -369,7 +446,8 @@ let test_lowering_duplicate_key_first_wins () =
     (diag_strings r);
   match r.P.lowered with
   | [ l ] ->
-    Alcotest.(check (float 1e-9)) "first cooldown" 1.0 l.Lower.config.Config.breaker_cooldown
+    Alcotest.(check (float 1e-9)) "first cooldown" 1.0
+      l.Lower.config.Config.breaker.Core.Resource.Breaker.cooldown
   | _ -> Alcotest.fail "expected one lowered config"
 
 let test_duplicate_key_warning () =
@@ -381,8 +459,87 @@ let test_duplicate_key_warning () =
     (diag_strings r);
   Alcotest.(check (pair int int)) "errors, warnings" (0, 1) (P.errors r, P.warnings r);
   match r.P.lowered with
-  | [ l ] -> Alcotest.(check int) "first value" 32 l.Lower.config.Config.admission_capacity
+  | [ l ] ->
+    Alcotest.(check int) "first value" 32 (Verify.admission_of l.Lower.config).Admission.capacity
   | _ -> Alcotest.fail "expected one lowered config"
+
+(* --- the vocabulary rows ------------------------------------------------ *)
+
+(* Each row's setter writes its own field and nothing else: on a config
+   where every subsystem is present, [get (set c v) = v] for a legal
+   [v], and no other row's [get] moves. A setter that writes the wrong
+   sub-record field fails here. Lowering applies a block's settings in
+   vocabulary order, so a diffusion setting in a block that leaves
+   diffusion off is dropped, and [explain] prints the default for it. *)
+let test_vocabulary_round_trip () =
+  let all_present =
+    { Config.default with Config.diffusion = Some Core.Diffusion.Policy.default }
+  in
+  let legal (k : Verify.knob) current =
+    match k.Verify.kind with
+    | Verify.Toggle -> 1.0 -. current
+    | Verify.Water -> if current = 0.55 then 0.45 else 0.55
+    | Verify.Rate -> if current = 0.25 then 0.75 else 0.25
+    | Verify.Count | Verify.Bytes | Verify.Duration_pos | Verify.Duration_nonneg -> current +. 1.0
+  in
+  List.iter
+    (fun (k : Verify.knob) ->
+      let name = k.Verify.section ^ "." ^ k.Verify.key in
+      let v = legal k (k.Verify.get all_present) in
+      let c = k.Verify.set all_present v in
+      Alcotest.(check (float 0.0)) (name ^ ": get (set c v) = v") v (k.Verify.get c);
+      List.iter
+        (fun (other : Verify.knob) ->
+          if other != k then
+            Alcotest.(check (float 0.0))
+              (Printf.sprintf "%s leaves %s.%s" name other.Verify.section other.Verify.key)
+              (other.Verify.get all_present) (other.Verify.get c))
+        Verify.vocabulary)
+    Verify.vocabulary;
+  let low_only = "node \"*\" {\n  diffusion { low = 20% }\n}\n" in
+  (match (P.compile low_only).P.lowered with
+   | [ l ] ->
+     Alcotest.(check bool) "diffusion stays off" true (l.Lower.config.Config.diffusion = None)
+   | _ -> Alcotest.fail "expected one lowered config");
+  (match (P.compile "node \"*\" {\n  diffusion { low = 20%; enabled = on }\n}\n").P.lowered with
+   | [ l ] ->
+     Alcotest.(check (float 1e-9)) "enabled runs first, whatever the source order" 0.2
+       (Verify.diffusion_of l.Lower.config).Core.Diffusion.Policy.low_water
+   | _ -> Alcotest.fail "expected one lowered config");
+  Alcotest.(check string) "explain, byte for byte"
+    "plan b7de1f42eaa8\n\
+     node \"*\":\n\
+    \  capacity.admission -> admission_capacity = 64 slots\n\
+    \  capacity.target -> admission_target = 0.5s\n\
+    \  capacity.interval -> admission_interval = 0.5s\n\
+    \  capacity.fuel -> script_max_fuel = 5000000\n\
+    \  capacity.heap -> script_max_heap = 67108864 bytes\n\
+    \  capacity.cache -> cache_bytes = 268435456 bytes\n\
+    \  diffusion.enabled -> enable_diffusion = off\n\
+    \  diffusion.low -> diffusion_low_water = 0.3\n\
+    \  diffusion.high -> diffusion_high_water = 0.8\n\
+    \  diffusion.fanout -> diffusion_fanout = 3\n\
+    \  diffusion.timeout -> diffusion_offload_timeout = 3s\n\
+    \  diffusion.fetch-timeout -> diffusion_fetch_timeout = 2s\n\
+    \  diffusion.staleness -> diffusion_staleness = 3s\n\
+    \  hotspots.enabled -> enable_hotspots = off\n\
+    \  hotspots.threshold -> hotspot_threshold = 10 req/s\n\
+    \  hotspots.replicas -> hotspot_replicas = 3\n\
+    \  hotspots.ttl -> hotspot_ttl = 30s\n\
+    \  hotspots.halflife -> hotspot_halflife = 10s\n\
+    \  breaker.failures -> breaker_failures = 3\n\
+    \  breaker.error-rate -> breaker_error_rate = 0.5\n\
+    \  breaker.window -> breaker_window = 10s\n\
+    \  breaker.cooldown -> breaker_cooldown = 5s\n\
+    \  breaker.max -> breaker_max_cooldown = 60s\n\
+    \  quarantine.base -> termination_penalty = 30s\n\
+    \  quarantine.max -> quarantine_max = 240s\n\
+    \  quarantine.decay -> quarantine_decay = 60s\n\
+    \  deadline.request -> request_deadline = 0s\n\
+    \  deadline.hedge -> enable_hedging = off\n\
+    \  deadline.hedge-rate -> hedge_rate = 0.05\n\
+    \  deadline.retry_budget -> retry_budget_ratio = 0\n"
+    (P.explain (P.compile low_only))
 
 (* --- the end-to-end guarantee (qcheck) -------------------------------- *)
 
@@ -588,10 +745,14 @@ let suite =
     Alcotest.test_case "lowering: site-only plan" `Quick test_site_only_plan_gets_default_node;
     Alcotest.test_case "explain: shows the lowering map" `Quick test_explain_mentions_lowering;
     Alcotest.test_case "explain: multi-tenant map exact" `Quick test_explain_multi_tenant_exact;
+    Alcotest.test_case "explain: single-tenant map exact" `Quick
+      test_explain_single_tenant_exact;
     Alcotest.test_case "lowering: duplicate key keeps first" `Quick
       test_lowering_duplicate_key_first_wins;
     Alcotest.test_case "verify: duplicate key warns at the repeat" `Quick
       test_duplicate_key_warning;
+    Alcotest.test_case "vocabulary: rows round-trip, absent subsystem drops settings" `Quick
+      test_vocabulary_round_trip;
     QCheck_alcotest.to_alcotest accepted_plans_lower_to_valid_configs;
     QCheck_alcotest.to_alcotest lowering_is_deterministic;
     Alcotest.test_case "plan config drives a real node" `Quick test_plan_drives_a_node;

@@ -274,7 +274,12 @@ let test_contribution_with_zero_total () =
 
 let make_admission ?(target = 0.1) ?(interval = 0.5) ?(capacity = 8) ?metrics () =
   let clock = ref 0.0 in
-  let adm = Admission.create ~target ~interval ~capacity ~clock:(fun () -> !clock) ?metrics () in
+  let adm =
+    Admission.create
+      { Admission.default with target; interval; capacity }
+      ~clock:(fun () -> !clock)
+      ?metrics ()
+  in
   (clock, adm)
 
 let test_admission_admits_when_idle () =
@@ -379,7 +384,8 @@ let test_admission_reset () =
 let make_breaker ?(failure_threshold = 3) ?(cooldown = 5.0) ?(max_cooldown = 20.0) ?metrics () =
   let clock = ref 0.0 in
   let b =
-    Breaker.create ~name:"origin:test" ~failure_threshold ~cooldown ~max_cooldown
+    Breaker.create ~name:"origin:test"
+      { Breaker.default with failure_threshold; cooldown; max_cooldown }
       ~clock:(fun () -> !clock)
       ?metrics ()
   in
@@ -462,7 +468,8 @@ let test_breaker_probe_failure_doubles_cooldown () =
 let test_breaker_error_rate_trip () =
   let clock = ref 0.0 in
   let b =
-    Breaker.create ~name:"origin:rate" ~failure_threshold:100 ~error_rate:0.5 ~window:10.0
+    Breaker.create ~name:"origin:rate"
+      { Breaker.default with failure_threshold = 100; error_rate = 0.5; window = 10.0 }
       ~clock:(fun () -> !clock)
       ()
   in
@@ -479,7 +486,12 @@ let test_breaker_error_rate_trip () =
 
 let make_quarantine ?(base = 30.0) ?(max_window = 240.0) ?(decay = 60.0) ?metrics () =
   let clock = ref 0.0 in
-  let q = Quarantine.create ~base ~max_window ~decay ~clock:(fun () -> !clock) ?metrics () in
+  let q =
+    Quarantine.create
+      { Quarantine.default with base; max_window; decay }
+      ~clock:(fun () -> !clock)
+      ?metrics ()
+  in
   (clock, q)
 
 let test_quarantine_ban_expires () =
@@ -702,7 +714,9 @@ let make_upstream ?retry_ratio () =
   let clock = ref 0.0 in
   let metrics = Core.Telemetry.Metrics.create () in
   let up =
-    Upstream.create ~failure_threshold:1 ~cooldown:5.0 ?retry_ratio
+    Upstream.create
+      { Breaker.default with failure_threshold = 1; cooldown = 5.0 }
+      ?retry_ratio
       ~clock:(fun () -> !clock)
       ~metrics ()
   in

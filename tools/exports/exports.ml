@@ -16,17 +16,20 @@
    is one, supplied when an application of that [val] passes it
    ([~label:v] or [?label:o]); applications inside the declaring unit
    are matched by name, since they carry the implementation's uids.
-   Each field of [Nk_node.Config.t] is one, set when a record
-   expression overrides it ([{ c with f = ... }] or a fresh record);
-   the fresh records inside [Config] itself ([Config.default]) do not
-   count.
+   Each field of [Nk_node.Config.t] is one, and so is each field of a
+   lib/ record type a [Config.t] field holds, directly or under
+   [option] ([Nk_resource.Breaker.config]). A field is set when a
+   record expression overrides it ([{ c with f = ... }] or a fresh
+   record); the fresh records inside the unit that declares the type
+   ([Config.default], [Breaker.default]) do not count.
 
    Uses under [test/] do not count as shipped. An export or knob with
    no shipped use must be listed in ALLOW, one per line: the value's
    path ([Module.path.value]), a parameter ([Module.path.value ?label])
-   or a field ([Nk_node.Config.field]), then a reason. The gate fails
-   on any other, and on an ALLOW entry that now has a shipped use, has
-   no use at all, gives no reason, or is no longer declared.
+   or a field ([Nk_node.Config.field], [Nk_resource.Breaker.window]),
+   then a reason. The gate fails on any other, and on an ALLOW entry
+   that now has a shipped use, has no use at all, gives no reason, or
+   is no longer declared.
 
    The executables' main modules get a [.cmt] only from [dune build
    @check], so run it on a tree built that way. *)
@@ -47,12 +50,17 @@ let tested : unit Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 1024
 
 (* Knobs, by name ("Nk_node.Cluster.create ?seed", "Nk_node.Config.seed"),
    with the uid that owns them: the [val]'s for a parameter, the
-   label's for a field. *)
+   label's for a field (mapped to the field's knob and declaring unit). *)
 let knobs : (string, decl) Hashtbl.t = Hashtbl.create 256
 let params : (Shape.Uid.t * string, string) Hashtbl.t = Hashtbl.create 256
-let fields : unit Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 64
+let fields : (string * string) Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 64
 let shipped_knobs : (string, unit) Hashtbl.t = Hashtbl.create 256
 let tested_knobs : (string, unit) Hashtbl.t = Hashtbl.create 256
+
+(* Every record type in a lib/ interface, by path: "Nk_node.Config.t" ->
+   (unit, module path, labels) *)
+let records : (string, string * string * Types.label_declaration list) Hashtbl.t =
+  Hashtbl.create 64
 
 let config_unit = "Nk_node__Config"
 let config_type = "t"
@@ -103,16 +111,12 @@ let rec declare unit prefix items =
               Hashtbl.replace params (uid, l) name;
               add_knob name unit d.loc)
             (optional_labels vd.val_val.val_type)
-      | Tsig_type (_, tds) when unit = config_unit ->
+      | Tsig_type (_, tds) ->
           List.iter
             (fun td ->
               match td.typ_type.type_kind with
-              | Type_record (lds, _) when td.typ_name.txt = config_type ->
-                  List.iter
-                    (fun (ld : Types.label_declaration) ->
-                      Shape.Uid.Tbl.replace fields ld.ld_uid ();
-                      add_knob (prefix ^ "." ^ Ident.name ld.ld_id) unit ld.ld_loc)
-                    lds
+              | Type_record (lds, _) ->
+                  Hashtbl.replace records (prefix ^ "." ^ td.typ_name.txt) (unit, prefix, lds)
               | _ -> ())
             tds
       | Tsig_module md -> declare_module unit prefix md
@@ -124,6 +128,30 @@ and declare_module unit prefix md =
   match (md.md_name.txt, md.md_type.mty_desc) with
   | Some name, Tmty_signature sg -> declare unit (prefix ^ "." ^ name) sg.sig_items
   | _ -> ()
+
+(* The record type a field holds directly or under [option], by path. *)
+let rec held ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [ arg ], _) when Path.same p Predef.path_option -> held arg
+  | Tconstr (p, [], _) -> Hashtbl.find_opt records (unit_path (Path.name p))
+  | _ -> None
+
+(* Config.t's fields and those of the records they hold are the field
+   knobs. *)
+let declare_fields () =
+  let add (unit, prefix, lds) =
+    List.iter
+      (fun (ld : Types.label_declaration) ->
+        let name = prefix ^ "." ^ Ident.name ld.ld_id in
+        Shape.Uid.Tbl.replace fields ld.ld_uid (name, unit);
+        add_knob name unit ld.ld_loc)
+      lds
+  in
+  match Hashtbl.find_opt records (unit_path config_unit ^ "." ^ config_type) with
+  | Some ((_, _, lds) as config) ->
+      add config;
+      List.iter (fun (ld : Types.label_declaration) -> Option.iter add (held ld.ld_type)) lds
+  | None -> ()
 
 (* A unit's own references carry its implementation's uids, which may
    coincide with its interface's, so only other units' count. *)
@@ -215,13 +243,13 @@ let uses ~test unit (str : structure) =
                 | _ -> ())
               args
         | None -> ())
-    | Texp_record { fields = fs; extended_expression; _ }
-      when not (unit = config_unit && extended_expression = None) ->
+    | Texp_record { fields = fs; extended_expression; _ } ->
         Array.iter
           (fun ((lbl : Types.label_description), def) ->
-            match def with
-            | Overridden _ when Shape.Uid.Tbl.mem fields lbl.lbl_uid ->
-                knob (unit_path config_unit ^ "." ^ lbl.lbl_name)
+            match (def, Shape.Uid.Tbl.find_opt fields lbl.lbl_uid) with
+            | Overridden _, Some (name, owner)
+              when not (owner = unit && extended_expression = None) ->
+                knob name
             | _ -> ())
           fs
     | _ -> ());
@@ -274,6 +302,7 @@ let () =
             match cmt.cmt_annots with
             | Interface sg -> declare cmt.cmt_modname (unit_path cmt.cmt_modname) sg.sig_items
             | _ -> ());
+      declare_fields ();
       List.iter
         (fun dir ->
           walk dir (fun path ->
