@@ -124,13 +124,14 @@ let evict_until_fits t =
     | None -> t.bytes <- 0
   done
 
-let insert t ~now ~key ~expiry response =
+let store t ~now ~key ~expiry response =
   match expiry with
-  | None -> ()
-  | Some expiry when expiry <= now -> ()
+  | None -> false
+  | Some expiry when expiry <= now -> false
   | Some expiry ->
     let size = Nk_http.Message.content_length response + 128 in
-    if size <= t.max_bytes then begin
+    if size > t.max_bytes then false
+    else begin
       remove t ~key;
       let e =
         {
@@ -147,8 +148,11 @@ let insert t ~now ~key ~expiry response =
       t.bytes <- t.bytes + size;
       meter t "cache.insertions";
       evict_until_fits t;
-      meter_size t
+      meter_size t;
+      true
     end
+
+let insert t ~now ~key ~expiry response = ignore (store t ~now ~key ~expiry response)
 
 let entry_count t = Hashtbl.length t.table
 

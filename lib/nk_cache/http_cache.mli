@@ -33,9 +33,13 @@ val refresh : t -> key:string -> expiry:float -> unit
 (** Extend a stored entry's freshness lifetime (after a 304 Not
     Modified). No-op when the key is absent. *)
 
+val store : t -> now:float -> key:string -> expiry:float option -> Nk_http.Message.response -> bool
+(** Store a copy and say whether it was kept. [expiry = None] (no
+    freshness lifetime) and an expiry already past are not stored;
+    oversized entries (> max_bytes) are refused. *)
+
 val insert : t -> now:float -> key:string -> expiry:float option -> Nk_http.Message.response -> unit
-(** Store a copy. [expiry = None] (no freshness lifetime) is not
-    stored. Oversized entries (> max_bytes) are ignored. *)
+(** {!store}, for callers with no use for the answer. *)
 
 val fold_fresh : t -> now:float -> init:'a -> f:('a -> string -> float -> 'a) -> 'a
 (** Fold over fresh entries as [(key, expiry)]; drives the node's

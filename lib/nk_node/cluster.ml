@@ -148,29 +148,31 @@ let fetch t ~client ?proxy ?timeout req k =
     | Some timeout ->
       (* Client-side deadline: under fault injection the request or its
          response may be dropped outright, and the client must still
-         get an explicit failure (no hung requests). Daemon timer, and
-         a latch so whichever outcome loses the race is discarded: the
-         first outcome takes the callback out of [pending], so the
-         timer, still queued after an early answer, no longer holds
-         the callback or anything it captures. *)
+         get an explicit failure (no hung requests). A cancellable
+         timer that an answer takes out of the queue, and a latch for
+         the answer that arrives after the timer fired: the first
+         outcome takes the callback out of [pending]. *)
       let pending = ref (Some k) in
-      Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:timeout (fun () ->
-          match !pending with
-          | None -> ()
-          | Some k ->
-            pending := None;
-            (* Machine-readable like the admission/quarantine 503s:
-               the reason header distinguishes "the client gave up"
-               from an origin 504, and Retry-After says when trying
-               again might actually fit in the same patience. *)
-            k
-              (Nk_resource.Deadline.expired_response ~retry_after:timeout
-                 ~reason:"client-timeout" ()));
+      let timer =
+        Nk_sim.Sim.timer t.sim ~delay:timeout (fun () ->
+            match !pending with
+            | None -> ()
+            | Some k ->
+              pending := None;
+              (* Machine-readable like the admission/quarantine 503s:
+                 the reason header distinguishes "the client gave up"
+                 from an origin 504, and Retry-After says when trying
+                 again might actually fit in the same patience. *)
+              k
+                (Nk_resource.Deadline.expired_response ~retry_after:timeout
+                   ~reason:"client-timeout" ()))
+      in
       fun resp ->
         match !pending with
         | None -> ()
         | Some k ->
           pending := None;
+          Nk_sim.Sim.cancel t.sim timer;
           k resp
   in
   match proxy with

@@ -256,30 +256,35 @@ let cache_key (req : Nk_http.Message.request) =
 (* Fetch with a deadline, resolving to [None] on timeout. Under fault
    injection the response may never arrive (dropped on the wire, server
    crashed); the timer is a daemon event so pending timeouts never keep
-   the simulation alive, and [Cothread.await] ignores whichever of the
-   two resumes loses the race. *)
+   the simulation alive. A response cancels the timer, so it leaves the
+   queue and lets go of the suspended cothread at once; one that arrives
+   after the timeout fired is ignored by [Cothread.await]. *)
 let await_fetch_opt t ~via ~timeout req =
   Nk_util.Cothread.await (fun k ->
-      Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:timeout (fun () -> k None);
-      let deliver resp = k (Some resp) in
+      let timer = Nk_sim.Sim.timer t.sim ~delay:timeout (fun () -> k None) in
+      let deliver resp =
+        Nk_sim.Sim.cancel t.sim timer;
+        k (Some resp)
+      in
       match via with
       | Some host -> Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:host req deliver
       | None -> Nk_sim.Httpd.fetch t.web ~from:t.host req deliver)
 
 (* [key] is [cache_key req]; [dht_key] is its DHT key, hashed only if
-   the response is announced. *)
+   the response is announced. Only a copy the cache kept is announced:
+   a peer sent here for one it refused would find nothing. *)
 let insert_if_cacheable t ~key ~dht_key req resp =
   if Nk_http.Message.cacheable req resp then begin
     let expiry = Nk_http.Message.response_expiry ~now:(now t) resp in
-    Nk_cache.Http_cache.insert t.cache ~now:(now t) ~key ~expiry resp;
-    match (expiry, t.dht) with
-    | Some expiry, Some dht when t.cfg.Config.enable_dht ->
-      let ttl = Float.min t.cfg.Config.dht_ttl (expiry -. now t) in
-      if ttl > 0.0 then
-        ignore
-          (Nk_overlay.Dht.put_key dht ~now:(now t) ~from:(name t) ~key:(Lazy.force dht_key)
-             ~value:(name t) ~ttl)
-    | _ -> ()
+    if Nk_cache.Http_cache.store t.cache ~now:(now t) ~key ~expiry resp then
+      match (expiry, t.dht) with
+      | Some expiry, Some dht when t.cfg.Config.enable_dht ->
+        let ttl = Float.min t.cfg.Config.dht_ttl (expiry -. now t) in
+        if ttl > 0.0 then
+          ignore
+            (Nk_overlay.Dht.put_key dht ~now:(now t) ~from:(name t) ~key:(Lazy.force dht_key)
+               ~value:(name t) ~ttl)
+      | _ -> ()
   end
 
 (* --- tail tolerance: hedged replica fetches -------------------------- *)
@@ -320,10 +325,12 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host, ticket) ~backup ~delay
       let resolved = ref false in
       let primary_done = ref false in
       let winner = ref "" in
+      let hedge_timer = ref None in
       let finish server resp =
         if not !resolved then begin
           resolved := true;
           winner := server;
+          Option.iter (Nk_sim.Sim.cancel t.sim) !hedge_timer;
           resume (resp, server)
         end
       in
@@ -333,9 +340,11 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host, ticket) ~backup ~delay
           if !resolved && !winner <> peer then Nk_resource.Upstream.settle ticket ok
         end
       in
-      Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:timeout (fun () ->
-          settle_primary false;
-          finish peer None);
+      let timeout_timer =
+        Nk_sim.Sim.timer t.sim ~delay:timeout (fun () ->
+            settle_primary false;
+            finish peer None)
+      in
       let started = now t in
       Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:peer_host req (fun r ->
           Nk_telemetry.Metrics.observe t.metrics
@@ -343,21 +352,26 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host, ticket) ~backup ~delay
             "fetch.latency"
             (now t -. started);
           settle_primary (r.Nk_http.Message.status < 500);
-          finish peer (Some r));
+          finish peer (Some r);
+          (* Resolved, and the primary settled: the timeout has nothing
+             left to do. *)
+          Nk_sim.Sim.cancel t.sim timeout_timer);
       match backup with
       | None -> ()
       | Some (backup_name, backup_host) ->
         if delay < timeout then
-          Nk_sim.Sim.schedule t.sim ~daemon:true ~delay (fun () ->
-              if (not !resolved) && Nk_resource.Hedge.try_hedge hedge then begin
-                let breq = Nk_http.Message.copy_request req in
-                stamp_deadline t deadline breq;
-                Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:backup_host breq
-                  (fun r ->
-                    if !resolved then Nk_resource.Hedge.cancelled hedge
-                    else Nk_resource.Hedge.won hedge;
-                    finish backup_name (Some r))
-              end))
+          hedge_timer :=
+            Some
+              (Nk_sim.Sim.timer t.sim ~delay (fun () ->
+                   if (not !resolved) && Nk_resource.Hedge.try_hedge hedge then begin
+                     let breq = Nk_http.Message.copy_request req in
+                     stamp_deadline t deadline breq;
+                     Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:backup_host breq
+                       (fun r ->
+                         if !resolved then Nk_resource.Hedge.cancelled hedge
+                         else Nk_resource.Hedge.won hedge;
+                         finish backup_name (Some r))
+                   end)))
 
 (* Fetch content for [req]: proxy cache, then cooperative cache, then
    origin. Runs inside a cothread. [span] is the request span child

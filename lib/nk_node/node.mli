@@ -105,4 +105,14 @@ val answer_once :
     first call answers, a second raises [Invalid_argument] (naming the
     node and the URL) from a fresh simulator event. *)
 
+val await_fetch_opt :
+  t ->
+  via:Nk_sim.Net.host option ->
+  timeout:float ->
+  Nk_http.Message.request ->
+  Nk_http.Message.response option
+(** The timeout race of every origin ([via = None]) and peer hop:
+    suspends the calling cothread until the response, or [None] after
+    [timeout] seconds. A response takes the timer out of the queue. *)
+
 val stage_cache_entries : t -> int

@@ -11,6 +11,7 @@ type pending = {
   handler : payload:string -> from:string -> unit;
   mutable attempts : int;
   mutable acked : bool;
+  mutable retry : Nk_sim.Sim.timer option; (* the latest attempt's *)
 }
 
 let retained_cap = 128
@@ -56,9 +57,10 @@ let backoff t n =
 let max_attempts = 8
 
 (* One delivery attempt: data message to the receiver, ack message back,
-   and a daemon retry timer in case the ack never arrives. Either leg may
-   be dropped by the fault plan; the receiver-side [seen] table keeps the
-   handler exactly-once under retries. *)
+   and a daemon retry timer in case the ack never arrives, which the ack
+   cancels. Either leg may be dropped by the fault plan; the
+   receiver-side [seen] table keeps the handler exactly-once under
+   retries. *)
 let rec attempt t p =
   match (Hashtbl.find_opt t.members p.p_from, Hashtbl.find_opt t.members p.p_dst) with
   | Some sender, Some receiver ->
@@ -74,19 +76,22 @@ let rec attempt t p =
         (* Ack even duplicate deliveries: the first ack may have been the
            lost leg. *)
         Nk_sim.Net.send t.net ~src:receiver.host ~dst:sender.host ~size:64 (fun () ->
-            p.acked <- true));
+            p.acked <- true;
+            Option.iter (Nk_sim.Sim.cancel (Nk_sim.Net.sim t.net)) p.retry));
     let sim = Nk_sim.Net.sim t.net in
-    Nk_sim.Sim.schedule sim ~daemon:true ~delay:(backoff t p.attempts) (fun () ->
-        if not p.acked then begin
-          if p.attempts >= max_attempts then begin
-            t.dead_letters <- t.dead_letters + 1;
-            Nk_telemetry.Metrics.incr t.metrics "bus.dead_letters"
-          end
-          else begin
-            Nk_telemetry.Metrics.incr t.metrics "bus.retries";
-            attempt t p
-          end
-        end)
+    p.retry <-
+      Some
+        (Nk_sim.Sim.timer sim ~delay:(backoff t p.attempts) (fun () ->
+             if not p.acked then begin
+               if p.attempts >= max_attempts then begin
+                 t.dead_letters <- t.dead_letters + 1;
+                 Nk_telemetry.Metrics.incr t.metrics "bus.dead_letters"
+               end
+               else begin
+                 Nk_telemetry.Metrics.incr t.metrics "bus.retries";
+                 attempt t p
+               end
+             end))
   | _ -> ()
 
 let deliver t m ~name ~from ~topic ~payload =
@@ -96,7 +101,7 @@ let deliver t m ~name ~from ~topic ~payload =
     t.next_msg <- t.next_msg + 1;
     attempt t
       { id; p_from = from; p_dst = name; p_payload = payload; handler; attempts = 0;
-        acked = false }
+        acked = false; retry = None }
   | _ -> ()
 
 let subscribe t ~name ~topic ~handler =

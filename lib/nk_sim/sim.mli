@@ -9,7 +9,9 @@
     scheduling order (with the daemon flag in its low bit) and thunks
     sit in three parallel arrays, so scheduling allocates nothing beyond
     the thunk itself, and running an event drops the queue's reference
-    to it. *)
+    to it. Cancellable timers sit in a second heap beside it, ordered by
+    the same key, so the order of every event is the order one queue
+    would give. *)
 
 type t
 
@@ -32,6 +34,17 @@ val every : t -> period:float -> (unit -> unit) -> unit
     [period] seconds after that, each run scheduling the next once it
     returns. *)
 
+type timer
+(** A handle on a queued {!timer}. *)
+
+val timer : t -> delay:float -> (unit -> unit) -> timer
+(** Schedule a daemon event, as [schedule ~daemon:true] does, that
+    {!cancel} can take back: a timeout that races an answer. *)
+
+val cancel : t -> timer -> unit
+(** Take the timer out of the queue at once (O(log n)) and drop its
+    thunk. Does nothing once it has fired or been cancelled. *)
+
 val run : ?until:float -> t -> unit
 (** Drain the event queue until only daemon events remain; with
     [until], stop once the clock would pass it (remaining events stay
@@ -41,6 +54,7 @@ val step : t -> bool
 (** Execute the earliest event; false when the queue is empty. *)
 
 val pending : t -> int
+(** Events and timers queued. *)
 
 val executed : t -> int
 (** Total events executed since creation (daemons included). Scale

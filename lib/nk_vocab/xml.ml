@@ -443,9 +443,15 @@ let render_text out src pos =
     !stop
   end
 
-let to_html sheet src =
-  let out = { buf = Buffer.create (String.length src + 64); pending = false } in
-  let buf = out.buf in
+let to_html ?buf sheet src =
+  let buf =
+    match buf with
+    | Some b ->
+      Buffer.clear b;
+      b
+    | None -> Buffer.create (String.length src + 64)
+  in
+  let out = { buf; pending = false } in
   let rec find_rule name len = function
     | [] -> None
     | r :: rest ->

@@ -27,7 +27,7 @@ type rule = { tag : string; html_tag : string; html_class : string option }
 
 type stylesheet = rule list
 
-val to_html : stylesheet -> string -> (string, string) result
+val to_html : ?buf:Buffer.t -> stylesheet -> string -> (string, string) result
 (** Render an XML source document straight to HTML, in one pass and
     without building a tree. The first rule whose [tag] matches an
     element decides its HTML tag and class; an unmatched element becomes
@@ -35,7 +35,9 @@ val to_html : stylesheet -> string -> (string, string) result
     text passes through re-escaped, and the result is wrapped in an
     [<html><body>] shell. The output is byte-for-byte what serializing
     the rewritten {!parse} tree would give; [Error] carries the message
-    {!parse} would return for the same source. *)
+    {!parse} would return for the same source. [buf], cleared first,
+    is the scratch the page is written into: a caller that renders
+    many pages passes one, so each page costs only its result string. *)
 
 val escape : string -> string
 (** Entity-escape markup characters. Returns the input itself (no

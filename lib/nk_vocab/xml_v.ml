@@ -46,8 +46,15 @@ let stylesheet_of_value v =
   | Vundefined | Vnull -> []
   | v -> error "Xml: stylesheet must be an object, got %s" (type_name v)
 
+(* A render buffer that has grown past this is given back after use, so
+   one huge page does not pin its size for the context's lifetime. *)
+let render_keep_bytes = 65_536
+
 let install ctx =
   let o = new_obj () in
+  (* The context's one render buffer: a page then costs only its result
+     string. Rendering never yields, so pages cannot interleave in it. *)
+  let render = Buffer.create 1024 in
   (* Platform XML work is data-proportional CPU; charge it as fuel so
      it counts against the sandbox and resource accounting. *)
   let charge_bytes s = Nk_script.Interp.consume_fuel ctx (String.length s) in
@@ -76,7 +83,9 @@ let install ctx =
          (* charged as a parse plus a render, though they run as one pass *)
          Nk_script.Interp.consume_fuel ctx (2 * String.length src);
          let sheet = stylesheet_of_value (arg 1 args) in
-         match Xml.to_html sheet src with
+         let html = Xml.to_html ~buf:render sheet src in
+         if Buffer.length render > render_keep_bytes then Buffer.reset render;
+         match html with
          | Ok html -> Vstr html
          | Error e -> error "Xml.toHtml: %s" e));
   obj_set o "escape" (native "escape" (fun _ args -> Vstr (Xml.escape (to_string (arg 0 args)))));

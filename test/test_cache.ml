@@ -74,9 +74,15 @@ let test_lru_eviction () =
   Alcotest.(check int) "one eviction" 1 (Http_cache.evictions c)
 
 let test_oversized_entry_ignored () =
-  let c = Http_cache.create ~max_bytes:100 () in
-  Http_cache.insert c ~now:0.0 ~key:"big" ~expiry:(Some 100.0) (resp ~body:(String.make 1000 'x') ());
-  Alcotest.(check int) "ignored" 0 (Http_cache.entry_count c)
+  let c = Http_cache.create ~max_bytes:200 () in
+  let store ?(body = String.make 1000 'x') key =
+    Http_cache.store c ~now:0.0 ~key ~expiry:(Some 100.0) (resp ~body ())
+  in
+  Alcotest.(check bool) "refused" false (store "big");
+  Alcotest.(check int) "ignored" 0 (Http_cache.entry_count c);
+  Alcotest.(check bool) "kept" true (store ~body:"" "small");
+  Alcotest.(check bool) "refused over a kept copy" false (store "small");
+  Alcotest.(check int) "old copy stays" 1 (Http_cache.entry_count c)
 
 let test_replace_updates_size () =
   let c = Http_cache.create () in

@@ -1054,9 +1054,9 @@ let test_second_answer_raises () =
     Alcotest.(check string) "names the node and the URL"
       "Node nk1.nakika.net answered http://www.example.edu/index.html twice" msg
 
-(* A client timeout that an answer beat is settled: its timer stays
-   queued (a daemon event, it fires later and does nothing) but no
-   longer holds the client's callback or what the callback captures. *)
+(* A client timeout that an answer beat is settled: the answer takes
+   its timer out of the queue, and the latch no longer holds the
+   client's callback or what the callback captures. *)
 let test_settled_timeout_releases_callback () =
   let cluster = Cluster.create () in
   ignore (basic_site cluster);
@@ -1080,7 +1080,7 @@ let test_settled_timeout_releases_callback () =
   (* Read after the collection, so the cluster and its queue were live
      through it. *)
   let sim = Cluster.sim cluster in
-  Alcotest.(check bool) "timer still queued" true
+  Alcotest.(check bool) "before the timeout, with daemon loops queued" true
     (Core.Sim.Sim.now sim < epoch +. 60.0 && Core.Sim.Sim.pending sim > 0);
   Alcotest.(check bool) "captured value collected" true collected
 
@@ -1110,6 +1110,96 @@ let test_idle_proxy_footprint () =
     (Printf.sprintf "%d live words per idle proxy, bound %d" per_node idle_proxy_words_bound)
     true
     (per_node <= idle_proxy_words_bound)
+
+(* A quiet proxy holds nothing for requests it has answered. Each
+   origin and peer hop races a timeout, and so does each hedged peer
+   fetch's backup; once the answers are in, every such timer has left
+   the queue, which holds only daemon loops: those it held before the
+   first request, and the anti-entropy loop of the site replica each
+   proxy attaches on its first request. A hop's timer held the
+   suspended cothread's resume callback, and with it the cothread's
+   error path, until it fired. *)
+let test_quiet_proxy_footprint () =
+  let cluster = Cluster.create () in
+  let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
+  let pages = 50 in
+  for i = 0 to pages - 1 do
+    Origin.set_static origin ~path:(Printf.sprintf "/p%d.html" i) ~max_age:300 "<html>p</html>"
+  done;
+  let config = { Config.default with Config.enable_hedging = true } in
+  let proxies =
+    List.init 4 (fun i ->
+        Cluster.add_proxy cluster ~name:(Printf.sprintf "nk%d.nakika.net" i) ~config ())
+  in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let sim = Cluster.sim cluster in
+  let daemons = Core.Sim.Sim.pending sim in
+  let ok = ref 0 in
+  (* The first proxy takes each page from the origin, the second from
+     the first, and the last two race the two holders with a hedge. *)
+  for i = 0 to pages - 1 do
+    List.iter
+      (fun proxy ->
+        Cluster.fetch cluster ~client ~proxy
+          (Message.request (Printf.sprintf "http://www.example.edu/p%d.html" i))
+          (fun r -> if r.Message.status = 200 then incr ok);
+        Cluster.run cluster)
+      proxies
+  done;
+  Alcotest.(check int) "all answered" (pages * 4) !ok;
+  let peer_fetches =
+    List.fold_left
+      (fun n p -> n + Core.Telemetry.Metrics.counter (Node.metrics p) "peer-fetches")
+      0 proxies
+  in
+  Alcotest.(check bool) "peer path taken" true (peer_fetches >= pages * 3);
+  Alcotest.(check int) "only the daemon loops queued"
+    (daemons + List.length proxies)
+    (Core.Sim.Sim.pending sim);
+  (* One origin hop and one peer hop from a cothread of the test's own,
+     whose error path captures a value. *)
+  let node = List.hd proxies and peer = Node.host (List.nth proxies 1) in
+  let captured = Weak.create 2 and answered = ref 0 in
+  let[@inline never] hop slot via =
+    let payload = Bytes.make 64 'p' in
+    Weak.set captured slot (Some payload);
+    Core.Util.Cothread.spawn
+      (fun () ->
+        Node.await_fetch_opt node ~via ~timeout:10.0
+          (Message.request "http://www.example.edu/p0.html"))
+      ~on_done:(fun r -> if r <> None then incr answered)
+      ~on_error:(fun _ -> ignore (Sys.opaque_identity payload))
+  in
+  hop 0 None;
+  hop 1 (Some peer);
+  Cluster.run cluster;
+  Alcotest.(check int) "both hops answered" 2 !answered;
+  Gc.full_major ();
+  let held = Weak.check captured 0 || Weak.check captured 1 in
+  (* Read after the collection, so the cluster and its queue were live
+     through it. *)
+  Alcotest.(check int) "hop timers gone" (daemons + List.length proxies)
+    (Core.Sim.Sim.pending sim);
+  Alcotest.(check bool) "settled hop callbacks collected" false held
+
+(* A proxy announces on the DHT only what its cache kept: an edge too
+   small for the page serves it but does not tell peers it holds it. *)
+let test_refused_insert_not_announced () =
+  let cluster = Cluster.create () in
+  ignore (basic_site cluster);
+  let tiny = { Config.default with Config.cache_bytes = 1 } in
+  let edge = Cluster.add_proxy cluster ~name:"nk-edge.nakika.net" ~config:tiny () in
+  let full = Cluster.add_proxy cluster ~name:"nk-full.nakika.net" () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let puts () =
+    Core.Telemetry.Metrics.counter (Core.Overlay.Dht.metrics (Cluster.dht cluster)) "dht.puts"
+  in
+  let req () = Message.request "http://www.example.edu/index.html" in
+  let before = puts () in
+  Alcotest.(check int) "served" 200 (fetch_sync cluster ~client ~proxy:edge (req ())).Message.status;
+  Alcotest.(check int) "refused copy not announced" before (puts ());
+  ignore (fetch_sync cluster ~client ~proxy:full (req ()));
+  Alcotest.(check bool) "kept copies announced" true (puts () > before)
 
 let suite =
   [
@@ -1197,4 +1287,8 @@ let suite =
     Alcotest.test_case "a settled client timeout releases its callback" `Quick
       test_settled_timeout_releases_callback;
     Alcotest.test_case "idle proxy live-heap bound" `Quick test_idle_proxy_footprint;
+    Alcotest.test_case "a quiet proxy queues only its daemon loops" `Quick
+      test_quiet_proxy_footprint;
+    Alcotest.test_case "a refused cache insert is not announced" `Quick
+      test_refused_insert_not_announced;
   ]

@@ -309,6 +309,184 @@ let queue_matches_reference_prop =
     (fun ops ->
       queue_trace (module Reference_substrate.Sim) ops = queue_trace (module Sim) ops)
 
+(* {1 Cancellable timers against a sorted-list model} *)
+
+(* The obvious queue: every pending event in one list sorted by
+   (time, scheduling order), a timer being a daemon event that [cancel]
+   filters out by its sequence number. *)
+module Model = struct
+  type entry = { time : float; seq : int; daemon : bool; is_timer : bool; thunk : unit -> unit }
+
+  type t = {
+    mutable clock : float;
+    mutable queue : entry list;
+    mutable seq : int;
+    mutable executed : int;
+  }
+
+  type timer = int
+
+  let create ?(start_time = 1_136_073_600.0) () =
+    { clock = start_time; queue = []; seq = 0; executed = 0 }
+
+  let now t = t.clock
+
+  let add t ~daemon ~is_timer time thunk =
+    let e = { time = Float.max time t.clock; seq = t.seq; daemon; is_timer; thunk } in
+    t.seq <- t.seq + 1;
+    let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq) in
+    let rec insert = function
+      | x :: rest when before x e -> x :: insert rest
+      | l -> e :: l
+    in
+    t.queue <- insert t.queue;
+    e.seq
+
+  let schedule_at t ?(daemon = false) time thunk =
+    ignore (add t ~daemon ~is_timer:false time thunk)
+
+  let schedule t ?daemon ~delay thunk = schedule_at t ?daemon (t.clock +. delay) thunk
+
+  let timer t ~delay thunk = add t ~daemon:true ~is_timer:true (t.clock +. delay) thunk
+
+  let cancel t seq = t.queue <- List.filter (fun e -> not (e.is_timer && e.seq = seq)) t.queue
+
+  let step t =
+    match t.queue with
+    | [] -> false
+    | e :: rest ->
+      t.queue <- rest;
+      t.clock <- e.time;
+      t.executed <- t.executed + 1;
+      e.thunk ();
+      true
+
+  let run ?until t =
+    match until with
+    | None -> while List.exists (fun e -> not e.daemon) t.queue && step t do () done
+    | Some deadline ->
+      while match t.queue with e :: _ -> e.time <= deadline | [] -> false do
+        ignore (step t)
+      done;
+      if t.clock < deadline then t.clock <- deadline
+
+  let pending t = List.length t.queue
+
+  let executed t = t.executed
+end
+
+module type TIMERS = sig
+  include SIM
+
+  type timer
+
+  val timer : t -> delay:float -> (unit -> unit) -> timer
+
+  val cancel : t -> timer -> unit
+end
+
+type timer_op =
+  | Ev of queue_op
+  | Timer of int
+  | Cancel of int
+
+let print_timer_op = function
+  | Ev op -> print_queue_op op
+  | Timer n -> Printf.sprintf "Timer %d" n
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+
+(* As [queue_trace], with timers beside the events. [Cancel i] cancels
+   the i-th timer made so far (modulo their number), which may have
+   fired or been cancelled already. Running events make more of both:
+   every third one schedules a child event, every seventh a timer, and
+   every fifth cancels a timer. A log entry [(-2, _, id, _)] records a
+   timer [id] that ran after it was cancelled. *)
+let timer_trace (module S : TIMERS) ops =
+  let sim = S.create ~start_time:0.0 () in
+  let log = ref [] and next = ref 0 in
+  let timers = ref [||] in
+  let fired = Hashtbl.create 16 and cancelled = Hashtbl.create 16 in
+  let cancel i =
+    let n = Array.length !timers in
+    if n > 0 then begin
+      let h, id = !timers.(i mod n) in
+      if not (Hashtbl.mem fired id) then Hashtbl.replace cancelled id ();
+      S.cancel sim h
+    end
+  in
+  let rec fresh () =
+    let id = !next in
+    incr next;
+    fun () ->
+      Hashtbl.replace fired id ();
+      if Hashtbl.mem cancelled id then log := (-2, S.now sim, id, 0) :: !log;
+      log := (id, S.now sim, 0, 0) :: !log;
+      if id mod 3 = 0 then S.schedule sim ~delay:(float_of_int (id mod 4) *. 0.5) (fresh ());
+      if id mod 7 = 0 then make_timer (id mod 5);
+      if id mod 5 = 0 then cancel id
+  and make_timer n =
+    let id = !next in
+    let h = S.timer sim ~delay:(float_of_int (n - 2) *. 0.5) (fresh ()) in
+    timers := Array.append !timers [| (h, id) |]
+  in
+  List.iter
+    (fun op ->
+      (match op with
+       | Ev (At (n, daemon)) -> S.schedule_at sim ~daemon (float_of_int n *. 0.5) (fresh ())
+       | Ev (After (n, daemon)) ->
+         S.schedule sim ~daemon ~delay:(float_of_int (n - 2) *. 0.5) (fresh ())
+       | Ev Step -> ignore (S.step sim)
+       | Ev (Until n) -> S.run ~until:(float_of_int n *. 0.5) sim
+       | Ev Run_all -> S.run sim
+       | Timer n -> make_timer n
+       | Cancel i -> cancel i);
+      log := (-1, S.now sim, S.pending sim, S.executed sim) :: !log)
+    ops;
+  List.rev !log
+
+let timers_match_model_prop =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun n d -> Ev (At (n, d))) (int_bound 12) bool);
+          (3, map2 (fun n d -> Ev (After (n, d))) (int_bound 8) bool);
+          (4, map (fun n -> Timer n) (int_bound 10));
+          (3, map (fun i -> Cancel i) (int_bound 50));
+          (3, return (Ev Step));
+          (1, map (fun n -> Ev (Until n)) (int_bound 16));
+          (1, return (Ev Run_all));
+        ])
+  in
+  QCheck.Test.make ~name:"timers: order, pending and executed equal the sorted-list model"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_timer_op) QCheck.Gen.(list_size (int_bound 300) op))
+    (fun ops ->
+      let got = timer_trace (module Sim) ops in
+      (not (List.exists (fun (id, _, _, _) -> id = -2) got))
+      && got = timer_trace (module Model) ops)
+
+(* A cancelled timer leaves the queue at once and drops its thunk, even
+   while its handle is still held. *)
+let test_cancel_releases_thunk () =
+  let sim = Sim.create () in
+  let weak = Weak.create 1 in
+  let[@inline never] arm () =
+    let cell = ref 0 in
+    let thunk () = incr cell in
+    Weak.set weak 0 (Some thunk);
+    Sim.timer sim ~delay:5.0 thunk
+  in
+  let h = arm () in
+  Sim.schedule sim ~delay:1.0 ignore;
+  Sim.cancel sim h;
+  Alcotest.(check int) "out of the queue" 1 (Sim.pending sim);
+  Gc.full_major ();
+  Alcotest.(check bool) "thunk collected" false (Weak.check weak 0);
+  Sim.cancel sim (Sys.opaque_identity h);
+  Sim.run sim;
+  Alcotest.(check int) "only the event ran" 1 (Sim.executed sim)
+
 (* {1 The network model against the old id-keyed tables} *)
 
 module type NET = sig
@@ -470,4 +648,6 @@ let suite =
       test_queue_releases_popped;
     QCheck_alcotest.to_alcotest queue_matches_reference_prop;
     QCheck_alcotest.to_alcotest net_matches_reference_prop;
+    QCheck_alcotest.to_alcotest timers_match_model_prop;
+    Alcotest.test_case "timer: cancel drops the thunk at once" `Quick test_cancel_releases_thunk;
   ]
