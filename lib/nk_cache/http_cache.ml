@@ -13,38 +13,30 @@ type t = {
   mutable head : entry option; (* most recently used *)
   mutable tail : entry option; (* least recently used *)
   mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable metrics : Nk_telemetry.Metrics.t option;
+  metrics : Nk_telemetry.Metrics.t;
 }
 
-(* Mirror the internal counters into an attached registry so cache
-   behaviour shows up in [nakika stats] next to everything else. *)
-let meter t name =
-  match t.metrics with Some m -> Nk_telemetry.Metrics.incr m name | None -> ()
+module Counter = Nk_telemetry.Metrics.Counter
+module Gauge = Nk_telemetry.Metrics.Gauge
+
+(* The cache's counts live only here, in the registry it was given. *)
+module Meter = struct
+  let hits = Counter.v "cache.hits"
+  let misses = Counter.v "cache.misses"
+  let stale_misses = Counter.v "cache.stale-misses"
+  let insertions = Counter.v "cache.insertions"
+  let evictions = Counter.v "cache.evictions"
+  let bytes = Gauge.v "cache.bytes"
+  let entries = Gauge.v "cache.entries"
+end
 
 let meter_size t =
-  match t.metrics with
-  | Some m ->
-    Nk_telemetry.Metrics.set_gauge m "cache.bytes" (float_of_int t.bytes);
-    Nk_telemetry.Metrics.set_gauge m "cache.entries" (float_of_int (Hashtbl.length t.table))
-  | None -> ()
+  Gauge.set t.metrics Meter.bytes (float_of_int t.bytes);
+  Gauge.set t.metrics Meter.entries (float_of_int (Hashtbl.length t.table))
 
-let create ?(max_bytes = 256 * 1024 * 1024) () =
-  {
-    max_bytes;
-    table = Hashtbl.create 64;
-    head = None;
-    tail = None;
-    bytes = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    metrics = None;
-  }
-
-let set_metrics t metrics = t.metrics <- Some metrics
+let create ?(max_bytes = 256 * 1024 * 1024) ?metrics () =
+  let metrics = match metrics with Some m -> m | None -> Nk_telemetry.Metrics.create () in
+  { max_bytes; table = Hashtbl.create 64; head = None; tail = None; bytes = 0; metrics }
 
 let unlink t e =
   (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
@@ -69,22 +61,19 @@ let remove t ~key =
 let lookup t ~now ~key =
   match Hashtbl.find_opt t.table key with
   | None ->
-    t.misses <- t.misses + 1;
-    meter t "cache.misses";
+    Counter.incr t.metrics Meter.misses;
     None
   | Some e ->
     if e.expiry <= now then begin
       (* Stale: keep the entry for conditional revalidation. *)
-      t.misses <- t.misses + 1;
-      meter t "cache.misses";
-      meter t "cache.stale-misses";
+      Counter.incr t.metrics Meter.misses;
+      Counter.incr t.metrics Meter.stale_misses;
       None
     end
     else begin
       unlink t e;
       push_front t e;
-      t.hits <- t.hits + 1;
-      meter t "cache.hits";
+      Counter.incr t.metrics Meter.hits;
       Some (Nk_http.Message.copy_response e.response)
     end
 
@@ -119,8 +108,7 @@ let evict_until_fits t =
     match t.tail with
     | Some e ->
       drop t e;
-      t.evictions <- t.evictions + 1;
-      meter t "cache.evictions"
+      Counter.incr t.metrics Meter.evictions
     | None -> t.bytes <- 0
   done
 
@@ -146,7 +134,7 @@ let store t ~now ~key ~expiry response =
       Hashtbl.replace t.table key e;
       push_front t e;
       t.bytes <- t.bytes + size;
-      meter t "cache.insertions";
+      Counter.incr t.metrics Meter.insertions;
       evict_until_fits t;
       meter_size t;
       true
@@ -158,8 +146,4 @@ let entry_count t = Hashtbl.length t.table
 
 let size_bytes t = t.bytes
 
-let hits t = t.hits
-
-let misses t = t.misses
-
-let evictions t = t.evictions
+let hits t = Counter.get t.metrics Meter.hits

@@ -6,14 +6,12 @@
 
 type t
 
-val create : ?max_bytes:int -> unit -> t
-(** [max_bytes] bounds the summed body sizes (default 256 MiB). *)
-
-val set_metrics : t -> Nk_telemetry.Metrics.t -> unit
-(** Mirror hit/miss/insertion/eviction counters and size gauges into
-    the registry (["cache.hits"], ["cache.misses"],
-    ["cache.stale-misses"], ["cache.insertions"], ["cache.evictions"],
-    ["cache.bytes"], ["cache.entries"]). *)
+val create : ?max_bytes:int -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
+(** [max_bytes] bounds the summed body sizes (default 256 MiB). The
+    cache counts into [metrics] (a private registry when absent):
+    ["cache.hits"], ["cache.misses"], ["cache.stale-misses"],
+    ["cache.insertions"], ["cache.evictions"], and the ["cache.bytes"]
+    and ["cache.entries"] gauges. *)
 
 val lookup : t -> now:float -> key:string -> Nk_http.Message.response option
 (** Fresh hit or [None]. The returned response is a private copy.
@@ -54,7 +52,3 @@ val entry_count : t -> int
 val size_bytes : t -> int
 
 val hits : t -> int
-
-val misses : t -> int
-
-val evictions : t -> int

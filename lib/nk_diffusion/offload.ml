@@ -193,9 +193,13 @@ let create ~name ~incarnation ~schedule ~publish ?metrics () =
     next_id = 0;
   }
 
+module Meter = struct
+  let stale_replies = Nk_telemetry.Metrics.Counter.v "diffusion.stale_replies"
+end
+
 let count_stale t =
   match t.metrics with
-  | Some m -> Nk_telemetry.Metrics.incr m "diffusion.stale_replies"
+  | Some m -> Nk_telemetry.Metrics.Counter.incr m Meter.stale_replies
   | None -> ()
 
 let send t ~target ~target_incarnation ~site ~script_hash ~timeout ~request ~on_done =

@@ -86,6 +86,50 @@ let stage_cache_entries t = Nk_cache.Memo_cache.size t.stage_cache
 
 let now t = Nk_sim.Sim.now t.sim
 
+(* The node's metrics, declared once. *)
+module Counter = Nk_telemetry.Metrics.Counter
+module Gauge = Nk_telemetry.Metrics.Gauge
+module Hist = Nk_telemetry.Metrics.Hist
+
+module Meter = struct
+  let requests = Counter.v "requests"
+  let responses = Counter.v "responses"
+  let range_responses = Counter.v "range-responses"
+  let origin_fetches = Counter.v "origin-fetches"
+  let peer_fetches = Counter.v "peer-fetches"
+  let dht_hits = Counter.v "dht-hits"
+  let revalidations = Counter.v "revalidations"
+  let stale_served = Counter.v "cache.stale_served"
+  let integrity_unverified = Counter.v "integrity-unverified"
+  let integrity_violations = Counter.v "integrity-violations"
+  let emission_denials = Counter.v "emission-denials"
+  let script_errors = Counter.v "script-errors"
+  let dropped_termination = Counter.v "dropped-termination"
+  let rejected_throttle = Counter.v "rejected-throttle"
+  let log_posts = Counter.v "log-posts"
+  let hash_misses = Counter.v "diffusion.hash_misses"
+  let latency = Hist.v "latency"
+  let deadline_expired = Counter.family "deadline.expired" ~label:"at"
+  let retry_attempts = Counter.family "retry.attempts" ~label:"upstream"
+  let fetch_latency = Hist.family "fetch.latency" ~label:"upstream"
+  let site_requests = Counter.family "site.requests" ~label:"site"
+  let site_latency = Hist.family "site.latency" ~label:"site"
+  let compile_hits = Counter.family "script.compile_cache.hits" ~label:"site"
+  let compile_misses = Counter.family "script.compile_cache.misses" ~label:"site"
+  let lint_errors = Counter.family "script.lint.errors" ~label:"site"
+  let lint_warnings = Counter.family "script.lint.warnings" ~label:"site"
+  let script_fuel = Hist.family "script.fuel" ~label:"site"
+  let script_heap = Hist.family "script.heap" ~label:"site"
+  let offloads = Counter.family "diffusion.offloads" ~label:"target"
+  let offload_fallbacks = Counter.family "diffusion.fallbacks" ~label:"reason"
+  let offload_rejects = Counter.family "diffusion.rejects" ~label:"reason"
+  let queue_delay = Gauge.v "health.queue_delay"
+  let shed_rate = Gauge.v "health.shed_rate"
+  let open_breakers = Gauge.v "health.open_breakers"
+  let quarantined_sites = Gauge.v "health.quarantined_sites"
+  let pressure = Gauge.v "diffusion.pressure"
+end
+
 let peer_header = "X-NK-Peer"
 
 (* The §5.1 CPU cost model; [Config.default_costs] documents it. *)
@@ -235,7 +279,7 @@ let carried_deadline t req ~spent ~late =
    answer an immediate machine-readable 504 — the only useful thing
    left to do with the request is to say so quickly. *)
 let deadline_expired_response t ~at =
-  Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("at", at) ] "deadline.expired";
+  Counter.incr_at t.metrics Meter.deadline_expired at;
   Nk_resource.Deadline.expired_response ~reason:("deadline-" ^ at) ()
 
 (* --- the content handler: cache + DHT + origin --------------------- *)
@@ -297,9 +341,7 @@ let hedge_delay t ~timeout =
   Float.min timeout
     (Nk_resource.Hedge.delay
        ?histogram:
-         (Nk_telemetry.Metrics.histogram t.metrics
-            ~labels:[ ("upstream", "peer") ]
-            "fetch.latency")
+         (Hist.find_at t.metrics Meter.fetch_latency "peer")
        ~fallback:(timeout /. 4.0) ())
 
 (* Race a cooperative-cache peer fetch against one hedged backup
@@ -347,10 +389,7 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host, ticket) ~backup ~delay
       in
       let started = now t in
       Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:peer_host req (fun r ->
-          Nk_telemetry.Metrics.observe t.metrics
-            ~labels:[ ("upstream", "peer") ]
-            "fetch.latency"
-            (now t -. started);
+          Hist.observe_at t.metrics Meter.fetch_latency "peer" (now t -. started);
           settle_primary (r.Nk_http.Message.status < 500);
           finish peer (Some r);
           (* Resolved, and the primary settled: the timeout has nothing
@@ -427,7 +466,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                 ~timeout:(hop_timeout t deadline origin_timeout)
                 req
             in
-            Nk_telemetry.Metrics.incr t.metrics "origin-fetches";
+            Counter.incr t.metrics Meter.origin_fetches;
             set_attr sp "status"
               (match resp with
                | Some r -> string_of_int r.Nk_http.Message.status
@@ -473,9 +512,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                 else
                   match Nk_resource.Upstream.retry t.upstream ?deadline origin_key with
                   | `Granted ->
-                    Nk_telemetry.Metrics.incr t.metrics
-                      ~labels:[ ("upstream", origin_key) ]
-                      "retry.attempts";
+                    Counter.incr_at t.metrics Meter.retry_attempts origin_key;
                     set_attr osp "retried" "true";
                     attempt ()
                   | `Refused | `Unbudgeted -> resp
@@ -497,7 +534,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
               let age = Float.max 0.0 (now t -. expiry) in
               Nk_http.Message.set_resp_header old "X-NaKika-Stale"
                 (string_of_int (int_of_float age));
-              Nk_telemetry.Metrics.incr t.metrics "cache.stale_served";
+              Counter.incr t.metrics Meter.stale_served;
               set_attr osp "stale" "true";
               Some old
             | _ -> None
@@ -519,7 +556,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
           | Some resp -> (
             match (resp.Nk_http.Message.status, validator) with
             | 304, Some old ->
-              Nk_telemetry.Metrics.incr t.metrics "revalidations";
+              Counter.incr t.metrics Meter.revalidations;
               (match Nk_http.Message.response_expiry ~now:(now t) resp with
                | Some expiry -> Nk_cache.Http_cache.refresh t.cache ~key ~expiry
                | None -> Nk_cache.Http_cache.remove t.cache ~key);
@@ -571,7 +608,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
             Nk_resource.Upstream.settle ticket false;
             from_origin ()
           | Some peer_host ->
-            Nk_telemetry.Metrics.incr t.metrics "dht-hits";
+            Counter.incr t.metrics Meter.dht_hits;
             let peer_resp, served_by =
               in_span t ?parent:span "peer-fetch" [ ("peer", peer) ] (fun psp ->
                   let peer_req = Nk_http.Message.copy_request req in
@@ -626,11 +663,11 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
                               set_attr vsp "result" "ok";
                               true
                             | Error Nk_integrity.Integrity.Missing_headers ->
-                              Nk_telemetry.Metrics.incr t.metrics "integrity-unverified";
+                              Counter.incr t.metrics Meter.integrity_unverified;
                               set_attr vsp "result" "unverified";
                               true
                             | Error violation ->
-                              Nk_telemetry.Metrics.incr t.metrics "integrity-violations";
+                              Counter.incr t.metrics Meter.integrity_violations;
                               set_attr vsp "result" "violation";
                               Logs.warn (fun m ->
                                   m "[%s] integrity violation from %s: %s" (name t) peer
@@ -651,7 +688,7 @@ let content_fetch t ?(allow_peers = true) ?span ?deadline
             else Nk_resource.Upstream.record t.upstream ~budget:"peer" ("peer:" ^ served_by) ok;
             match peer_resp with
             | Some resp ->
-              Nk_telemetry.Metrics.incr t.metrics "peer-fetches";
+              Counter.incr t.metrics Meter.peer_fetches;
               insert_if_cacheable t ~key ~dht_key req resp;
               resp
             | None ->
@@ -702,7 +739,7 @@ let emission_check t (req : Nk_http.Message.request) ~load_wall =
           Nk_pipeline.Pipeline.run_handler stage ~this_request:req ~response:None handler
         with
         | Ok (Some denial) ->
-          Nk_telemetry.Metrics.incr t.metrics "emission-denials";
+          Counter.incr t.metrics Meter.emission_denials;
           Some denial
         | Ok None -> None
         | Error _ -> Some (Nk_http.Message.error_response 500))))
@@ -818,13 +855,12 @@ let site_max_heap t ~site =
    compile-cache outcome, and traces the lint (refused under strict
    mode before any script code runs) and the compile. *)
 let compile_source t ~span ~url ~site ~source ~host ~max_fuel ~max_heap_bytes ~seed =
-  let labels = [ ("site", site) ] in
   (* Whether this script body was already compiled (by this or any other
      simulated node in the process) or cost a fresh parse+compile. *)
   let on_compile_cache outcome =
     match outcome with
-    | `Hit -> Nk_telemetry.Metrics.incr t.metrics ~labels "script.compile_cache.hits"
-    | `Miss -> Nk_telemetry.Metrics.incr t.metrics ~labels "script.compile_cache.misses"
+    | `Hit -> Counter.incr_at t.metrics Meter.compile_hits site
+    | `Miss -> Counter.incr_at t.metrics Meter.compile_misses site
   in
   let on_lint report =
     in_span t ?parent:span "script.lint" [ ("stage", url) ] (fun sp ->
@@ -833,9 +869,9 @@ let compile_source t ~span ~url ~site ~source ~host ~max_fuel ~max_heap_bytes ~s
         set_attr sp "errors" (string_of_int errors);
         set_attr sp "warnings" (string_of_int warnings);
         if errors > 0 then
-          Nk_telemetry.Metrics.incr t.metrics ~labels ~by:errors "script.lint.errors";
+          Counter.incr_at t.metrics ~by:errors Meter.lint_errors site;
         if warnings > 0 then
-          Nk_telemetry.Metrics.incr t.metrics ~labels ~by:warnings "script.lint.warnings";
+          Counter.incr_at t.metrics ~by:warnings Meter.lint_warnings site;
         if t.cfg.Config.lint_mode = `Strict && errors > 0 then set_attr sp "rejected" "true")
   in
   in_span t ?parent:span "script.compile" [ ("stage", url) ] (fun _ ->
@@ -867,11 +903,10 @@ let rec install_stage t ~url ~site ?response build =
     (* Context reuse reports the previous pipeline's consumption. *)
     Nk_script.Interp.set_usage_observer (Nk_pipeline.Stage.context stage)
       (fun ~fuel ~heap ->
-        let labels = [ ("site", site) ] in
         if fuel > 0 then
-          Nk_telemetry.Metrics.observe t.metrics ~labels "script.fuel" (float_of_int fuel);
+          Hist.observe_at t.metrics Meter.script_fuel site (float_of_int fuel);
         if heap > 0 then
-          Nk_telemetry.Metrics.observe t.metrics ~labels "script.heap" (float_of_int heap));
+          Hist.observe_at t.metrics Meter.script_heap site (float_of_int heap));
     let expiry =
       match Option.bind response (Nk_http.Message.response_expiry ~now:(now t)) with
       | Some e -> e
@@ -880,7 +915,7 @@ let rec install_stage t ~url ~site ?response build =
     Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry { stage; site };
     Ok stage
   | Error msg as e ->
-    Nk_telemetry.Metrics.incr t.metrics "script-errors";
+    Counter.incr t.metrics Meter.script_errors;
     Logs.warn (fun m -> m "[%s] stage %s failed: %s" (name t) url msg);
     Nk_cache.Memo_cache.put t.negative ~key:url
       ~expiry:(now t +. negative_ttl) ();
@@ -1021,10 +1056,10 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
           in
           (match outcome.Nk_pipeline.Pipeline.source with
            | Nk_pipeline.Pipeline.From_failure Nk_pipeline.Pipeline.Killed ->
-             Nk_telemetry.Metrics.incr t.metrics "dropped-termination";
+             Counter.incr t.metrics Meter.dropped_termination;
              set_attr span "source" "killed"
            | Nk_pipeline.Pipeline.From_failure _ ->
-             Nk_telemetry.Metrics.incr t.metrics "script-errors";
+             Counter.incr t.metrics Meter.script_errors;
              set_attr span "source" "failure"
            | Nk_pipeline.Pipeline.From_script stage_url ->
              set_attr span "source" ("script:" ^ stage_url)
@@ -1054,10 +1089,9 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
     ~cpu:(costs.Config.proxy_base +. concurrency +. handler_cpu +. crossing_cpu)
     ~heap:(float_of_int heap) ~bytes ~elapsed;
   access_log t ~site ~req ~resp:response;
-  Nk_telemetry.Metrics.observe t.metrics "latency" elapsed;
-  let labels = [ ("site", site) ] in
-  Nk_telemetry.Metrics.incr t.metrics ~labels "site.requests";
-  Nk_telemetry.Metrics.observe t.metrics ~labels "site.latency" elapsed;
+  Hist.observe t.metrics Meter.latency elapsed;
+  Counter.incr_at t.metrics Meter.site_requests site;
+  Hist.observe_at t.metrics Meter.site_latency site elapsed;
   (response, fuel, heap)
 
 (* --- computation diffusion (C3PO over the health plane) --------------- *)
@@ -1110,8 +1144,7 @@ let offload_plan t ~site =
 let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~fallback =
   let target_name = target.Nk_diffusion.Neighbors.name in
   let fall_back reason =
-    Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("reason", reason) ]
-      "diffusion.fallbacks";
+    Counter.incr_at t.metrics Meter.offload_fallbacks reason;
     fallback ()
   in
   match Nk_resource.Upstream.acquire t.upstream ("offload:" ^ target_name) with
@@ -1153,14 +1186,12 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
         finish_span t ospan;
         match outcome with
         | Some (Nk_diffusion.Offload.Executed { response; fuel = _; heap = _ }) ->
-          Nk_telemetry.Metrics.incr t.metrics
-            ~labels:[ ("target", target_name) ]
-            "diffusion.offloads";
-          Nk_telemetry.Metrics.incr t.metrics "responses";
+          Counter.incr_at t.metrics Meter.offloads target_name;
+          Counter.incr t.metrics Meter.responses;
           (match range with
            | Some r ->
              if Nk_http.Range.apply r response then
-               Nk_telemetry.Metrics.incr t.metrics "range-responses"
+               Counter.incr t.metrics Meter.range_responses
            | None -> ());
           set_attr span "status" (string_of_int response.Nk_http.Message.status);
           set_attr span "source" ("offload:" ^ target_name);
@@ -1198,7 +1229,7 @@ let resolve_offload_stage t d (env : Nk_diffusion.Offload.request_envelope) =
          from the origin under its own — short — deadline and warm the
          HTTP cache so the pipeline's stage load finds it without paying
          [origin_timeout]. *)
-      Nk_telemetry.Metrics.incr t.metrics "diffusion.hash_misses";
+      Counter.incr t.metrics Meter.hash_misses;
       let req = Nk_http.Message.request url in
       (match
          await_fetch_opt t ~via:None ~timeout:d.policy.fetch_timeout req
@@ -1235,18 +1266,18 @@ let run_admitted t ~site ~span:(span_name, attrs) ?range req ~shed body ~on_done
       (fun () -> body span)
       ~on_done:(fun ((resp, _, _) as result) ->
         release ();
-        Nk_telemetry.Metrics.incr t.metrics "responses";
+        Counter.incr t.metrics Meter.responses;
         (match range with
          | Some r ->
            if Nk_http.Range.apply r resp then
-             Nk_telemetry.Metrics.incr t.metrics "range-responses"
+             Counter.incr t.metrics Meter.range_responses
          | None -> ());
         set_attr span "status" (string_of_int resp.Nk_http.Message.status);
         finish_span t span;
         on_done result)
       ~on_error:(fun exn ->
         release ();
-        Nk_telemetry.Metrics.incr t.metrics "script-errors";
+        Counter.incr t.metrics Meter.script_errors;
         Logs.warn (fun m ->
             m "[%s] %s pipeline error: %s" (name t) span_name (Printexc.to_string exn));
         set_attr span "error" (Printexc.to_string exn);
@@ -1260,8 +1291,7 @@ let handle_offload_request t d ~payload =
   | Ok env -> (
     let site = env.Nk_diffusion.Offload.site in
     let reject reason =
-      Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("reason", reason) ]
-        "diffusion.rejects";
+      Counter.incr_at t.metrics Meter.offload_rejects reason;
       Nk_diffusion.Offload.reply d.offload ~to_:env (Nk_diffusion.Offload.Rejected reason)
     in
     (* The sender addressed an incarnation of us that no longer exists:
@@ -1277,8 +1307,7 @@ let handle_offload_request t d ~payload =
          local queue may be shorter). *)
       match carried_deadline t req ~spent:"deadline-expired" ~late:"deadline-queue" with
       | _, Some reason ->
-        Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("at", "offload") ]
-          "deadline.expired";
+        Counter.incr_at t.metrics Meter.deadline_expired "offload";
         reject reason
       | deadline, None ->
         run_admitted t ~site
@@ -1294,7 +1323,7 @@ let handle_offload_request t d ~payload =
           ~on_error:(fun () -> reject "error"))
 
 let handle t (req : Nk_http.Message.request) k =
-  Nk_telemetry.Metrics.incr t.metrics "requests";
+  Counter.incr t.metrics Meter.requests;
   (* Peer requests serve straight from cache/origin: no pipeline, no
      further DHT consultation (avoids routing loops). *)
   if Nk_http.Message.req_header req peer_header <> None then begin
@@ -1302,14 +1331,14 @@ let handle t (req : Nk_http.Message.request) k =
        its next candidate within the budget. *)
     match carried_deadline t req ~spent:"peer" ~late:"peer-queue" with
     | _, Some at ->
-      Nk_telemetry.Metrics.incr t.metrics "responses";
+      Counter.incr t.metrics Meter.responses;
       k (deadline_expired_response t ~at)
     | deadline, None ->
       let span = start_request_span t "peer-request" req in
       Nk_util.Cothread.spawn
         (fun () -> content_fetch t ~allow_peers:false ?span ?deadline req)
         ~on_done:(fun resp ->
-          Nk_telemetry.Metrics.incr t.metrics "responses";
+          Counter.incr t.metrics Meter.responses;
           set_attr span "status" (string_of_int resp.Nk_http.Message.status);
           finish_span t span;
           k resp)
@@ -1340,14 +1369,14 @@ let handle t (req : Nk_http.Message.request) k =
          | None -> Nk_http.Message.error_response 503)
     in
     if Nk_resource.Quarantine.is_banned t.quarantine ~site then begin
-      Nk_telemetry.Metrics.incr t.metrics "dropped-termination";
+      Counter.incr t.metrics Meter.dropped_termination;
       reject ~retry_after:(Nk_resource.Quarantine.remaining t.quarantine ~site) "banned-site"
     end
     else if
       t.cfg.Config.enable_resource_controls && fraction > 0.0
       && Nk_util.Prng.float t.rng 1.0 < fraction
     then begin
-      Nk_telemetry.Metrics.incr t.metrics "rejected-throttle";
+      Counter.incr t.metrics Meter.rejected_throttle;
       reject "rejected-throttle"
     end
     else begin
@@ -1523,7 +1552,7 @@ let start_log_poster t =
             entries := [];
             let req = Nk_http.Message.request ~meth:Nk_http.Method_.POST ~body url in
             Nk_sim.Httpd.fetch t.web ~from:t.host req (fun _ ->
-                Nk_telemetry.Metrics.incr t.metrics "log-posts")
+                Counter.incr t.metrics Meter.log_posts)
           | _ -> ())
         t.log_urls)
 
@@ -1544,13 +1573,13 @@ let start_health_gauges t =
       was_down := down;
       if not down then begin
         let h = health t in
-        let set = Nk_telemetry.Metrics.set_gauge t.metrics in
-        set "health.queue_delay" h.queue_delay;
-        set "health.shed_rate" h.shed_rate;
-        set "health.open_breakers" (float_of_int (List.length h.open_breakers));
-        set "health.quarantined_sites" (float_of_int (List.length h.quarantined));
+        let set = Gauge.set t.metrics in
+        set Meter.queue_delay h.queue_delay;
+        set Meter.shed_rate h.shed_rate;
+        set Meter.open_breakers (float_of_int (List.length h.open_breakers));
+        set Meter.quarantined_sites (float_of_int (List.length h.quarantined));
         match t.diffusion with
-        | Some _ -> set "diffusion.pressure" (pressure t)
+        | Some _ -> set Meter.pressure (pressure t)
         | None -> ()
       end)
 
@@ -1621,7 +1650,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       bus;
       cfg = config;
       rng = Nk_util.Prng.create (script_seed + String.length (Nk_sim.Net.host_name host));
-      cache = Nk_cache.Http_cache.create ~max_bytes:config.Config.cache_bytes ();
+      cache = Nk_cache.Http_cache.create ~max_bytes:config.Config.cache_bytes ~metrics ();
       stage_cache = Nk_cache.Memo_cache.create ();
       negative = Nk_cache.Memo_cache.create ();
       accounting = Nk_resource.Accounting.create ();
@@ -1660,7 +1689,6 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       window_start = Nk_sim.Sim.now sim;
     }
   in
-  Nk_cache.Http_cache.set_metrics t.cache metrics;
   Nk_sim.Httpd.serve web ~host ~hostnames:[ Nk_sim.Net.host_name host ] (fun req k ->
       handle t req (answer_once t req k));
   (match dht with

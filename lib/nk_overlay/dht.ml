@@ -51,6 +51,21 @@ let create ?(values_per_key = 16) ?(replicas = 2) ?(seed = 0x5107) () =
     rates = Hashtbl.create 16; placements = Hashtbl.create 16;
     rng = Nk_util.Prng.create seed }
 
+module Counter = Nk_telemetry.Metrics.Counter
+module Gauge = Nk_telemetry.Metrics.Gauge
+module Hist = Nk_telemetry.Metrics.Hist
+
+module Meter = struct
+  let gets = Counter.v "dht.gets"
+  let get_hits = Counter.v "dht.get-hits"
+  let puts = Counter.v "dht.puts"
+  let fallbacks = Counter.v "dht.fallbacks"
+  let sloppy_hits = Counter.v "dht.sloppy_hits"
+  let hotspot_replications = Counter.v "dht.hotspot_replications"
+  let hotspots = Gauge.v "dht.hotspots"
+  let hops = Hist.v "dht.hops"
+end
+
 let metrics t = t.metrics
 
 let set_liveness t f = t.live <- f
@@ -186,7 +201,7 @@ let sweep t ~now =
         t.rates []
     in
     List.iter (Hashtbl.remove t.rates) cold;
-    Nk_telemetry.Metrics.set_gauge t.metrics "dht.hotspots"
+    Gauge.set t.metrics Meter.hotspots
       (float_of_int (Hashtbl.length t.placements))
 
 (* Place sloppy copies of [key]'s announcements on up to
@@ -217,8 +232,8 @@ let place_replicas t cfg ~now ~key ~owner ~path =
       List.iter (fun holder -> store_entries t holder key entries) holders;
       Hashtbl.replace t.placements key
         { holders; placed_expiry = now +. cfg.hot_ttl };
-      Nk_telemetry.Metrics.incr t.metrics "dht.hotspot_replications";
-      Nk_telemetry.Metrics.set_gauge t.metrics "dht.hotspots"
+      Counter.incr t.metrics Meter.hotspot_replications;
+      Gauge.set t.metrics Meter.hotspots
         (float_of_int (Hashtbl.length t.placements))
     end
   end
@@ -270,8 +285,8 @@ let put_key t ~now ~from ~key ~value ~ttl =
            in
            Hashtbl.replace store key entries)
        targets);
-  Nk_telemetry.Metrics.incr t.metrics "dht.puts";
-  Nk_telemetry.Metrics.observe t.metrics "dht.hops" (float_of_int hops);
+  Counter.incr t.metrics Meter.puts;
+  Hist.observe t.metrics Meter.hops (float_of_int hops);
   hops
 
 let live_values t ~now node key =
@@ -327,7 +342,7 @@ let get_key t ~now ~from ~(key : Key.t) =
     match sloppy_hit with
     | Some (holder, hop_count) ->
       let vs = match live_values t ~now holder key with Some vs -> vs | None -> [] in
-      Nk_telemetry.Metrics.incr t.metrics "dht.sloppy_hits";
+      Counter.incr t.metrics Meter.sloppy_hits;
       (vs, hop_count, 0)
     | None ->
       (* Read from the first *live* replica: owner, then its
@@ -349,11 +364,11 @@ let get_key t ~now ~from ~(key : Key.t) =
          in
          first_live 0 (replica_set t owner))
   in
-  Nk_telemetry.Metrics.incr t.metrics "dht.gets";
+  Counter.incr t.metrics Meter.gets;
   if fallbacks > 0 then
-    Nk_telemetry.Metrics.incr t.metrics "dht.fallbacks" ~by:fallbacks;
-  if values <> [] then Nk_telemetry.Metrics.incr t.metrics "dht.get-hits";
-  Nk_telemetry.Metrics.observe t.metrics "dht.hops" (float_of_int hops);
+    Counter.incr t.metrics ~by:fallbacks Meter.fallbacks;
+  if values <> [] then Counter.incr t.metrics Meter.get_hits;
+  Hist.observe t.metrics Meter.hops (float_of_int hops);
   { values; hops; fallbacks; owner }
 
 let get t ~now ~from ~key = get_key t ~now ~from ~key:(Key.of_string key)

@@ -24,18 +24,25 @@ type t = {
   seen : (int, unit) Hashtbl.t; (* receiver-side dedup of retried messages *)
   rng : Nk_util.Prng.t; (* deterministic backoff jitter *)
   mutable next_msg : int;
-  mutable delivered : int;
-  mutable dead_letters : int;
   metrics : Nk_telemetry.Metrics.t;
 }
 
 let create ?(seed = 42) net =
   { net; members = Hashtbl.create 8; retained = Hashtbl.create 8;
     seen = Hashtbl.create 64; rng = Nk_util.Prng.create seed;
-    next_msg = 0; delivered = 0; dead_letters = 0;
-    metrics = Nk_telemetry.Metrics.create () }
+    next_msg = 0; metrics = Nk_telemetry.Metrics.create () }
 
 let metrics t = t.metrics
+
+module Counter = Nk_telemetry.Metrics.Counter
+
+module Meter = struct
+  let published = Counter.v "bus.published"
+  let delivered = Counter.v "bus.delivered"
+  let retries = Counter.v "bus.retries"
+  let dead_letters = Counter.v "bus.dead_letters"
+  let payload_bytes = Nk_telemetry.Metrics.Hist.v "bus.payload-bytes"
+end
 
 let net t = t.net
 
@@ -69,8 +76,7 @@ let rec attempt t p =
     Nk_sim.Net.send t.net ~src:sender.host ~dst:receiver.host ~size (fun () ->
         if not (Hashtbl.mem t.seen p.id) then begin
           Hashtbl.add t.seen p.id ();
-          t.delivered <- t.delivered + 1;
-          Nk_telemetry.Metrics.incr t.metrics "bus.delivered";
+          Counter.incr t.metrics Meter.delivered;
           p.handler ~payload:p.p_payload ~from:p.p_from
         end;
         (* Ack even duplicate deliveries: the first ack may have been the
@@ -83,12 +89,9 @@ let rec attempt t p =
       Some
         (Nk_sim.Sim.timer sim ~delay:(backoff t p.attempts) (fun () ->
              if not p.acked then begin
-               if p.attempts >= max_attempts then begin
-                 t.dead_letters <- t.dead_letters + 1;
-                 Nk_telemetry.Metrics.incr t.metrics "bus.dead_letters"
-               end
+               if p.attempts >= max_attempts then Counter.incr t.metrics Meter.dead_letters
                else begin
-                 Nk_telemetry.Metrics.incr t.metrics "bus.retries";
+                 Counter.incr t.metrics Meter.retries;
                  attempt t p
                end
              end))
@@ -128,8 +131,8 @@ let publish t ~from ~topic ~payload =
   match Hashtbl.find_opt t.members from with
   | None -> invalid_arg (Printf.sprintf "Message_bus.publish: %s is not attached" from)
   | Some _ ->
-    Nk_telemetry.Metrics.incr t.metrics "bus.published";
-    Nk_telemetry.Metrics.observe t.metrics "bus.payload-bytes"
+    Counter.incr t.metrics Meter.published;
+    Nk_telemetry.Metrics.Hist.observe t.metrics Meter.payload_bytes
       (float_of_int (String.length payload));
     (match Hashtbl.find_opt t.retained topic with
      | Some backlog -> backlog := truncate_backlog ((from, payload) :: !backlog)
@@ -141,6 +144,3 @@ let publish t ~from ~topic ~payload =
         if name <> from then deliver t m ~name ~from ~topic ~payload)
       t.members
 
-let delivered t = t.delivered
-
-let dead_letters t = t.dead_letters

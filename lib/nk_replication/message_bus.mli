@@ -43,14 +43,9 @@ val subscribe :
 val publish : t -> from:string -> topic:string -> payload:string -> unit
 (** Deliver to every *other* subscribed member, in per-sender order. *)
 
-val delivered : t -> int
-(** Total messages delivered so far (for tests and benches). *)
-
-val dead_letters : t -> int
-(** Messages abandoned after exhausting their retry budget. 0 in a
-    fault-free run. *)
-
 val metrics : t -> Nk_telemetry.Metrics.t
 (** The bus's own registry: ["bus.published"] / ["bus.delivered"] /
     ["bus.retries"] / ["bus.dead_letters"] counters and the
-    ["bus.payload-bytes"] histogram. *)
+    ["bus.payload-bytes"] histogram. A dead letter is a message
+    abandoned after exhausting its retry budget: none in a fault-free
+    run. *)

@@ -59,6 +59,11 @@ type t = {
   mutable contended_until : float;
 }
 
+module Meter = struct
+  let queue_delay = Nk_telemetry.Metrics.Hist.v "admission.queue_delay"
+  let sheds = Nk_telemetry.Metrics.Counter.family2 "admission.sheds" ~labels:("reason", "site")
+end
+
 let create config ~clock ?metrics () =
   {
     config;
@@ -145,7 +150,7 @@ let offer t ~site ~queue_delay =
   roll_rate_window t now;
   t.window_arrivals <- t.window_arrivals + 1;
   (match t.metrics with
-   | Some m -> Nk_telemetry.Metrics.observe m "admission.queue_delay" queue_delay
+   | Some m -> Nk_telemetry.Metrics.Hist.observe m Meter.queue_delay queue_delay
    | None -> ());
   (* CoDel-style detection: transient bursts above the target are fine;
      only delay that stays above it for a full interval flips the node
@@ -185,9 +190,7 @@ let offer t ~site ~queue_delay =
     t.window_sheds <- t.window_sheds + 1;
     (match t.metrics with
      | Some m ->
-       Nk_telemetry.Metrics.incr m
-         ~labels:[ ("site", site); ("reason", reason) ]
-         "admission.sheds"
+       Nk_telemetry.Metrics.Counter.incr_at m Meter.sheds (reason, site)
      | None -> ());
     (* Tell the client when the backlog should have drained back to the
        target — cheap for us, actionable for it. *)

@@ -65,9 +65,14 @@ let opens t = t.opens
 
 let probes t = t.probes
 
-let incr_metric t counter =
+module Meter = struct
+  let opens = Nk_telemetry.Metrics.Counter.family "breaker.opens" ~label:"upstream"
+  let probes = Nk_telemetry.Metrics.Counter.family "breaker.probes" ~label:"upstream"
+end
+
+let incr_metric t family =
   match t.metrics with
-  | Some m -> Nk_telemetry.Metrics.incr m ~labels:[ ("upstream", t.name) ] counter
+  | Some m -> Nk_telemetry.Metrics.Counter.incr_at m family t.name
   | None -> ()
 
 let roll_window t now =
@@ -85,7 +90,7 @@ let trip t now =
   t.opens <- t.opens + 1;
   t.open_until <- now +. t.next_cooldown;
   t.next_cooldown <- Float.min t.config.max_cooldown (t.next_cooldown *. 2.0);
-  incr_metric t "breaker.opens"
+  incr_metric t Meter.opens
 
 let acquire t =
   let now = t.clock () in
@@ -97,7 +102,7 @@ let acquire t =
       t.state <- Half_open;
       t.probing <- true;
       t.probes <- t.probes + 1;
-      incr_metric t "breaker.probes";
+      incr_metric t Meter.probes;
       `Proceed
     end
     else `Reject (t.open_until -. now)
@@ -106,7 +111,7 @@ let acquire t =
     else begin
       t.probing <- true;
       t.probes <- t.probes + 1;
-      incr_metric t "breaker.probes";
+      incr_metric t Meter.probes;
       `Proceed
     end
 

@@ -22,22 +22,28 @@ let create ?(rate = default_rate) ?burst ?metrics () =
   if burst < 1.0 then invalid_arg "Hedge.create: burst must be at least 1";
   { rate; burst; tokens = burst; metrics }
 
-let incr t name =
-  match t.metrics with Some m -> Nk_telemetry.Metrics.incr m name | None -> ()
+module Meter = struct
+  let issued = Nk_telemetry.Metrics.Counter.v "hedge.issued"
+  let wins = Nk_telemetry.Metrics.Counter.v "hedge.wins"
+  let cancelled = Nk_telemetry.Metrics.Counter.v "hedge.cancelled"
+end
+
+let incr t counter =
+  match t.metrics with Some m -> Nk_telemetry.Metrics.Counter.incr m counter | None -> ()
 
 let note_primary t = t.tokens <- Float.min t.burst (t.tokens +. t.rate)
 
 let try_hedge t =
   if t.tokens >= 1.0 then begin
     t.tokens <- t.tokens -. 1.0;
-    incr t "hedge.issued";
+    incr t Meter.issued;
     true
   end
   else false
 
-let won t = incr t "hedge.wins"
+let won t = incr t Meter.wins
 
-let cancelled t = incr t "hedge.cancelled"
+let cancelled t = incr t Meter.cancelled
 
 (* The hedge delay: the upstream's observed p95 latency, read from the
    node's fetch-latency histogram. Below [min_samples] observations the

@@ -24,12 +24,18 @@ let create ~accounting ~is_congested ~throttle ~unthrottle ~terminate ?events ?m
     metrics;
   }
 
+module Meter = struct
+  let throttles = Nk_telemetry.Metrics.Counter.family "monitor.throttles" ~label:"site"
+  let unthrottles = Nk_telemetry.Metrics.Counter.family "monitor.unthrottles" ~label:"site"
+  let terminations = Nk_telemetry.Metrics.Counter.family "monitor.terminations" ~label:"site"
+end
+
 (* Every enforcement decision leaves a structured event (and a labeled
    counter) naming the offending site, so a bench or operator can audit
    exactly why traffic was refused. *)
 let emit t ~counter ~event ~site ~attrs =
   (match t.metrics with
-   | Some m -> Nk_telemetry.Metrics.incr m ~labels:[ ("site", site) ] counter
+   | Some m -> Nk_telemetry.Metrics.Counter.incr_at m counter site
    | None -> ());
   match t.events with
   | Some e -> Nk_telemetry.Events.record e ~attrs:(("site", site) :: attrs) event
@@ -52,7 +58,7 @@ let begin_control t resource =
         (fun (site, u) ->
           let fraction = if total > 0.0 then u /. total else 0.0 in
           t.throttle ~site ~fraction ~resource;
-          emit t ~counter:"monitor.throttles" ~event:"throttle" ~site
+          emit t ~counter:Meter.throttles ~event:"throttle" ~site
             ~attrs:
               [
                 ("resource", Resource.to_string resource);
@@ -82,7 +88,7 @@ let finish_control t resource =
     t.unthrottle resource;
     List.iter
       (fun (site, _) ->
-        emit t ~counter:"monitor.unthrottles" ~event:"unthrottle" ~site
+        emit t ~counter:Meter.unthrottles ~event:"unthrottle" ~site
           ~attrs:[ ("resource", Resource.to_string resource) ])
       ranked;
     `Unthrottled
@@ -92,7 +98,7 @@ let finish_control t resource =
     | (site, _) :: _ ->
       t.terminate ~site;
       t.terminations <- t.terminations + 1;
-      emit t ~counter:"monitor.terminations" ~event:"terminate" ~site
+      emit t ~counter:Meter.terminations ~event:"terminate" ~site
         ~attrs:[ ("resource", Resource.to_string resource) ];
       `Terminated site
     | [] -> unthrottled ()

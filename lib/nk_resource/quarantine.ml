@@ -40,6 +40,11 @@ type t = {
   mutable bans : int;
 }
 
+module Meter = struct
+  let bans = Nk_telemetry.Metrics.Counter.family "quarantine.bans" ~label:"site"
+  let window = Nk_telemetry.Metrics.Hist.v "quarantine.window"
+end
+
 let create config ~clock ?metrics () =
   {
     config;
@@ -88,8 +93,8 @@ let punish t ~site =
   t.bans <- t.bans + 1;
   (match t.metrics with
    | Some m ->
-     Nk_telemetry.Metrics.incr m ~labels:[ ("site", site) ] "quarantine.bans";
-     Nk_telemetry.Metrics.observe m "quarantine.window" window
+     Nk_telemetry.Metrics.Counter.incr_at m Meter.bans site;
+     Nk_telemetry.Metrics.Hist.observe m Meter.window window
    | None -> ());
   window
 

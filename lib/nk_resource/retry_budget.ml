@@ -18,6 +18,10 @@ type t = {
 
 let default_cap = 8.0
 
+module Meter = struct
+  let exhausted = Nk_telemetry.Metrics.Counter.family "retry.budget_exhausted" ~label:"upstream"
+end
+
 let create ~ratio ?(cap = default_cap) ?metrics () =
   if ratio <= 0.0 then invalid_arg "Retry_budget.create: ratio must be positive";
   if cap < 1.0 then invalid_arg "Retry_budget.create: cap must be at least 1";
@@ -51,8 +55,7 @@ let try_retry t ~upstream =
   else begin
     (match t.metrics with
      | Some m ->
-       Nk_telemetry.Metrics.incr m ~labels:[ ("upstream", upstream) ]
-         "retry.budget_exhausted"
+       Nk_telemetry.Metrics.Counter.incr_at m Meter.exhausted upstream
      | None -> ());
     false
   end

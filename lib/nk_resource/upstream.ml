@@ -29,11 +29,15 @@ let breaker t key =
     Hashtbl.add t.breakers key b;
     b
 
+module Meter = struct
+  let short_circuits = Nk_telemetry.Metrics.Counter.v "breaker-short-circuits"
+end
+
 let acquire t key =
   let breaker = breaker t key in
   match Breaker.acquire breaker with
   | `Reject retry ->
-    Option.iter (fun m -> Nk_telemetry.Metrics.incr m "breaker-short-circuits") t.metrics;
+    Option.iter (fun m -> Nk_telemetry.Metrics.Counter.incr m Meter.short_circuits) t.metrics;
     `Reject retry
   | `Proceed ->
     t.outstanding <- t.outstanding + 1;

@@ -50,6 +50,14 @@ let create sim ?(default_latency = 0.0002) ?(default_bandwidth = 12_500_000.0) (
     next_id = 0;
   }
 
+module Counter = Nk_telemetry.Metrics.Counter
+
+module Meter = struct
+  let crashes = Counter.v "node.crashes"
+  let dropped = Counter.v "net.dropped"
+  let lost_callbacks = Counter.v "net.lost-callbacks"
+end
+
 let sim t = t.sim
 
 let metrics t = t.metrics
@@ -80,7 +88,7 @@ let set_faults t plan =
   List.iter
     (fun (name, at) ->
       Sim.schedule_at t.sim ~daemon:true at (fun () ->
-          Nk_telemetry.Metrics.incr t.metrics "node.crashes";
+          Counter.incr t.metrics Meter.crashes;
           match Hashtbl.find_opt t.byname name with
           | None -> ()
           | Some host -> host.cpu.busy_until <- Sim.now t.sim))
@@ -125,7 +133,7 @@ let guard t host k =
       if
         Nk_faults.Plan.is_down plan ~now host.name
         || Nk_faults.Plan.incarnation plan ~now host.name <> epoch
-      then Nk_telemetry.Metrics.incr t.metrics "net.lost-callbacks"
+      then Counter.incr t.metrics Meter.lost_callbacks
       else k ()
 
 let send t ~src ~dst ~size k =
@@ -139,7 +147,7 @@ let send t ~src ~dst ~size k =
       else Nk_faults.Plan.link_fate plan ~now ~src:src.name ~dst:dst.name
   in
   match fate with
-  | `Drop -> Nk_telemetry.Metrics.incr t.metrics "net.dropped"
+  | `Drop -> Counter.incr t.metrics Meter.dropped
   | `Deliver extra ->
     let k = guard t dst k in
     if src.id = dst.id then Sim.schedule t.sim ~delay:0.0 k
@@ -184,7 +192,7 @@ let cpu_run t host ~seconds k =
     | _ -> now
   in
   if base = Float.infinity then
-    Nk_telemetry.Metrics.incr t.metrics "net.lost-callbacks"
+    Counter.incr t.metrics Meter.lost_callbacks
   else begin
     let start = Float.max base cpu.busy_until in
     let work = seconds /. host.cpu_speed in

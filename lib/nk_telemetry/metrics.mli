@@ -1,12 +1,22 @@
 (** The metrics registry: labeled counters, gauges and log-bucketed
     histograms, with exporters.
 
-    One registry per node (or per experiment); every instrument is
-    keyed by a metric name plus an optional label set, so per-site
-    resource-control decisions stay auditable ("how much latency did
-    site X see?"). Histograms are sparse logarithmic-bucket sketches:
-    cheap to record into, mergeable across nodes, and their quantile
-    estimates are within one bucket's relative error
+    Every metric is declared once, as a typed handle, in the module that
+    owns its event: {!Counter.v}, {!Gauge.v} and {!Hist.v} for plain
+    series, {!Counter.family} and {!Hist.family} for the per-site,
+    per-upstream, per-reason, per-[at] and per-target series. A
+    declaration gives the name a dense id in a process-wide catalogue,
+    and one registry per node (or per experiment) keeps its values in
+    arrays indexed by those ids, so recording is an array write, not a
+    hash of a (name, labels) key. A family's series live in a table made
+    on the family's first write and keyed by the label values.
+
+    The by-name calls ({!incr}, {!observe}, {!set_gauge} and the
+    readers) look the name up in the same catalogue and declare it on
+    first write. Exports list only the instruments a registry has
+    written, sorted by name then labels. Histograms are logarithmic-
+    bucket sketches: cheap to record into, mergeable across nodes, and
+    their quantile estimates are within one bucket's relative error
     ({!Histogram.growth}) of the exact sample percentiles. *)
 
 type t
@@ -45,7 +55,8 @@ module Histogram : sig
   val create : unit -> h
 
   val observe : h -> float -> unit
-  (** Samples [<= 0] land in a dedicated underflow bucket. *)
+  (** Samples [<= 0] land in a dedicated underflow bucket; a
+      non-finite sample counts in the highest bucket. *)
 
   val count : h -> int
 
@@ -72,17 +83,70 @@ module Histogram : sig
 end
 
 val observe : t -> ?labels:labels -> string -> float -> unit
+(** By name; the name is declared on first use, as for {!incr} and
+    {!set_gauge}. *)
 
 val histogram : t -> ?labels:labels -> string -> Histogram.h option
+
+(** {1 Declared handles} *)
+
+type registry = t
+
+module Counter : sig
+  type t
+
+  type 'v family
+  (** A labelled family whose series are addressed by ['v], the label
+      values. *)
+
+  val v : string -> t
+  (** Declare the counter [name]; declaring a name again returns the
+      same handle. *)
+
+  val incr : ?by:int -> registry -> t -> unit
+
+  val get : registry -> t -> int
+  (** 0 when never incremented. *)
+
+  val family : string -> label:string -> string family
+
+  val family2 : string -> labels:string * string -> (string * string) family
+  (** Two label keys, in sorted order: the values are passed in the
+      same order. *)
+
+  val incr_at : ?by:int -> registry -> 'v family -> 'v -> unit
+end
+
+module Gauge : sig
+  type t
+
+  val v : string -> t
+
+  val set : registry -> t -> float -> unit
+end
+
+module Hist : sig
+  type t
+
+  type 'v family
+
+  val v : string -> t
+
+  val observe : registry -> t -> float -> unit
+
+  val family : string -> label:string -> string family
+
+  val observe_at : registry -> 'v family -> 'v -> float -> unit
+
+  val find_at : registry -> 'v family -> 'v -> Histogram.h option
+  (** The series' histogram, if it was ever written. *)
+end
 
 (** {1 Registry-level operations} *)
 
 val merge : into:t -> t -> unit
 (** Fold a registry (e.g. another node's) into [into]: counters and
     histogram buckets add; gauges take the source's latest value. *)
-
-val counter_names : t -> string list
-(** Distinct counter metric names, sorted. *)
 
 val counters : t -> (string * labels * int) list
 val histograms : t -> (string * labels * Histogram.h) list

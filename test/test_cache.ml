@@ -7,14 +7,15 @@ open Core.Http
 let resp ?(body = "content") ?(headers = []) () = Message.response ~headers ~body ()
 
 let test_miss_then_hit () =
-  let c = Http_cache.create () in
+  let m = Core.Telemetry.Metrics.create () in
+  let c = Http_cache.create ~metrics:m () in
   Alcotest.(check bool) "miss" true (Http_cache.lookup c ~now:0.0 ~key:"k" = None);
   Http_cache.insert c ~now:0.0 ~key:"k" ~expiry:(Some 100.0) (resp ());
   (match Http_cache.lookup c ~now:1.0 ~key:"k" with
    | Some r -> Alcotest.(check string) "body" "content" (Body.to_string r.Message.resp_body)
    | None -> Alcotest.fail "expected hit");
   Alcotest.(check int) "hits" 1 (Http_cache.hits c);
-  Alcotest.(check int) "misses" 1 (Http_cache.misses c)
+  Alcotest.(check int) "misses" 1 (Core.Telemetry.Metrics.counter m "cache.misses")
 
 let test_expiry () =
   let c = Http_cache.create () in
@@ -62,7 +63,8 @@ let test_insert_copy_isolated () =
 let test_lru_eviction () =
   (* Three ~1KB entries in a cache sized for two. *)
   let body = String.make 1000 'x' in
-  let c = Http_cache.create ~max_bytes:2500 () in
+  let m = Core.Telemetry.Metrics.create () in
+  let c = Http_cache.create ~max_bytes:2500 ~metrics:m () in
   Http_cache.insert c ~now:0.0 ~key:"a" ~expiry:(Some 100.0) (resp ~body ());
   Http_cache.insert c ~now:0.0 ~key:"b" ~expiry:(Some 100.0) (resp ~body ());
   (* touch a so b becomes LRU *)
@@ -71,7 +73,7 @@ let test_lru_eviction () =
   Alcotest.(check bool) "a kept" true (Http_cache.lookup c ~now:3.0 ~key:"a" <> None);
   Alcotest.(check bool) "b evicted" true (Http_cache.lookup c ~now:3.0 ~key:"b" = None);
   Alcotest.(check bool) "c kept" true (Http_cache.lookup c ~now:3.0 ~key:"c" <> None);
-  Alcotest.(check int) "one eviction" 1 (Http_cache.evictions c)
+  Alcotest.(check int) "one eviction" 1 (Core.Telemetry.Metrics.counter m "cache.evictions")
 
 let test_oversized_entry_ignored () =
   let c = Http_cache.create ~max_bytes:200 () in

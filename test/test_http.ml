@@ -287,6 +287,62 @@ let url_roundtrip_prop =
 
 
 
+(* [Headers] compares names without lowercased copies; the reference
+   below is the copying version it replaced. Names come from a small
+   alphabet of mixed-case letters, a dash and non-ASCII bytes (which
+   [lowercase_ascii] leaves alone), so duplicates and near-misses are
+   common. *)
+module Reference_headers = struct
+  let norm = String.lowercase_ascii
+
+  let get t name = List.assoc_opt (norm name) (List.map (fun (k, v) -> (norm k, v)) t)
+
+  let get_all t name = List.filter_map (fun (k, v) -> if norm k = norm name then Some v else None) t
+
+  let mem t name = get t name <> None
+
+  let remove t name = List.filter (fun (k, _) -> norm k <> norm name) t
+
+  let set t name value =
+    let replaced = ref false in
+    let t' =
+      List.filter_map
+        (fun (k, v) ->
+          if norm k = norm name then
+            if !replaced then None
+            else begin
+              replaced := true;
+              Some (k, value)
+            end
+          else Some (k, v))
+        t
+    in
+    if !replaced then t' else t @ [ (name, value) ]
+end
+
+let header_name_gen =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'A'; 'b'; 'B'; '-'; '\xc9'; '\xe9'; 'z' ]) (int_range 0 3))
+
+let headers_match_reference_prop =
+  QCheck.Test.make ~name:"headers: case-insensitive lookups match the lowercasing reference"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(fun (l, n) ->
+          Printf.sprintf "%s / %S" (String.concat "; " (List.map (fun (k, v) -> k ^ "=" ^ v) l)) n)
+        Gen.(
+          pair
+            (list_size (int_range 0 8) (pair header_name_gen (map string_of_int small_nat)))
+            header_name_gen))
+    (fun (l, name) ->
+      let h = Headers.of_list l in
+      Headers.get h name = Reference_headers.get l name
+      && Headers.get_all h name = Reference_headers.get_all l name
+      && Headers.mem h name = Reference_headers.mem l name
+      && Headers.to_list (Headers.remove h name) = Reference_headers.remove l name
+      && Headers.to_list (Headers.set h name "new") = Reference_headers.set l name "new")
+
 let test_range_parse () =
   let check s expected =
     Alcotest.(check bool) s true
@@ -527,4 +583,5 @@ let suite =
     Alcotest.test_case "range: resolve" `Quick test_range_resolve;
     Alcotest.test_case "range: apply to a response" `Quick test_range_apply;
     Alcotest.test_case "url: to_string cases" `Quick test_url_to_string_cases;
+    QCheck_alcotest.to_alcotest headers_match_reference_prop;
   ]

@@ -52,7 +52,13 @@ let test_cache_hit_avoids_origin () =
   ignore (fetch_sync cluster ~client ~proxy (req ()));
   Alcotest.(check int) "no extra origin fetch" before (Origin.request_count origin);
   Alcotest.(check bool) "cache hit recorded" true
-    (Core.Cache.Http_cache.hits (Node.cache proxy) > 0)
+    (Core.Cache.Http_cache.hits (Node.cache proxy) > 0);
+  (* The cache counts into the node's registry, once. *)
+  Alcotest.(check bool) "the first fetch's misses, in the node's registry" true
+    (Core.Telemetry.Metrics.counter (Node.metrics proxy) "cache.misses" > 0);
+  Alcotest.(check int) "hits read through the registry"
+    (Core.Cache.Http_cache.hits (Node.cache proxy))
+    (Core.Telemetry.Metrics.counter (Node.metrics proxy) "cache.hits")
 
 let test_cache_expiry_refetches () =
   let cluster = Cluster.create () in
@@ -1087,10 +1093,10 @@ let test_settled_timeout_releases_callback () =
 (* Live heap per idle proxy: what [Cluster.add_proxy] keeps for a node
    that has served nothing. The first proxy pays for the cluster's
    shared state and is left out of the count. An idle proxy holds about
-   850 words; the bound, 8 KiB, leaves room for that to grow by a fifth,
+   750 words; the bound, 7 KiB, leaves room for that to grow by a fifth,
    and fails if either telemetry ring is preallocated again (the event
    ring alone is 1,025 words, the trace ring 257). *)
-let idle_proxy_words_bound = 1024
+let idle_proxy_words_bound = 896
 
 let test_idle_proxy_footprint () =
   let cluster = Cluster.create () in
@@ -1181,6 +1187,44 @@ let test_quiet_proxy_footprint () =
   Alcotest.(check int) "hop timers gone" (daemons + List.length proxies)
     (Core.Sim.Sim.pending sim);
   Alcotest.(check bool) "settled hop callbacks collected" false held
+
+(* What a proxy's metrics registry holds after serving: 200 requests
+   for 50 pages through four proxies, each page taken from the origin
+   by the first proxy and from a peer by the others. A registry keeps
+   one array slot per declared metric and a table per labelled family
+   it wrote. A string-keyed registry, with a hashed (name, labels) key
+   per instrument and a bucket table per histogram, held 526-538 words
+   per proxy here; this one holds 350-352, and the bound leaves it a
+   fifth of headroom. *)
+let registry_words_bound = 420
+
+let test_registry_footprint () =
+  let cluster = Cluster.create () in
+  let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
+  let pages = 50 in
+  for i = 0 to pages - 1 do
+    Origin.set_static origin ~path:(Printf.sprintf "/p%d.html" i) ~max_age:300 "<html>p</html>"
+  done;
+  let proxies =
+    Array.init 4 (fun i -> Cluster.add_proxy cluster ~name:(Printf.sprintf "nk%d.nakika.net" i) ())
+  in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let ok = ref 0 in
+  for i = 0 to 199 do
+    Cluster.fetch cluster ~client ~proxy:proxies.(i mod 4)
+      (Message.request (Printf.sprintf "http://www.example.edu/p%d.html" (i / 4 mod pages)))
+      (fun r -> if r.Message.status = 200 then incr ok);
+    Cluster.run cluster
+  done;
+  Alcotest.(check int) "all answered" 200 !ok;
+  Array.iter
+    (fun p ->
+      let words = Obj.reachable_words (Obj.repr (Node.metrics p)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d registry words, bound %d" (Node.name p) words registry_words_bound)
+        true
+        (words <= registry_words_bound))
+    proxies
 
 (* A proxy announces on the DHT only what its cache kept: an edge too
    small for the page serves it but does not tell peers it holds it. *)
@@ -1291,4 +1335,5 @@ let suite =
       test_quiet_proxy_footprint;
     Alcotest.test_case "a refused cache insert is not announced" `Quick
       test_refused_insert_not_announced;
+    Alcotest.test_case "registry footprint after 200 requests" `Quick test_registry_footprint;
   ]

@@ -68,7 +68,8 @@ let test_bus_delivery () =
       Alcotest.(check (list (triple string string string))) "other two receive"
         [ ("n1", "n0", "hello"); ("n2", "n0", "hello") ]
         got;
-      Alcotest.(check int) "delivered count" 2 (Message_bus.delivered bus))
+      Alcotest.(check int) "delivered count" 2
+        (Core.Telemetry.Metrics.counter (Message_bus.metrics bus) "bus.delivered"))
 
 let test_bus_topic_filtering () =
   with_bus 2 (fun sim bus hosts ->
@@ -265,7 +266,8 @@ let test_partition_convergence_via_retries () =
               (Replication.name r ^ " sees right") (Some "from-n1")
               (Replication.read r ~key:"right"))
           [ r0; r1 ];
-        Alcotest.(check int) "no dead letters after quiescence" 0 (Message_bus.dead_letters bus)
+        Alcotest.(check int) "no dead letters after quiescence" 0
+          (Core.Telemetry.Metrics.counter (Message_bus.metrics bus) "bus.dead_letters")
       | _ -> Alcotest.fail "expected two replicas")
 
 let test_long_partition_anti_entropy_recovery () =
@@ -284,7 +286,7 @@ let test_long_partition_anti_entropy_recovery () =
             ignore (Replication.update r0 ~key:"k" ~value:"survives"));
         Core.Sim.Sim.run ~until:(t0 +. 100.0) sim;
         Alcotest.(check bool) "the partition exhausted the retry budget" true
-          (Message_bus.dead_letters bus > 0);
+          (Core.Telemetry.Metrics.counter (Message_bus.metrics bus) "bus.dead_letters" > 0);
         Alcotest.(check (option string)) "anti-entropy converged the far side"
           (Some "survives") (Replication.read r1 ~key:"k")
       | _ -> Alcotest.fail "expected two replicas")

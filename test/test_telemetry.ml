@@ -71,7 +71,8 @@ let test_counters_and_labels () =
     (Metrics.counter m ~labels:[ ("site", "b.org"); ("kind", "x") ] "hits");
   Alcotest.(check int) "total over label sets" 6 (Metrics.counter_total m "hits");
   Alcotest.(check int) "absent counter" 0 (Metrics.counter m "nope");
-  Alcotest.(check (list string)) "names" [ "hits" ] (Metrics.counter_names m)
+  Alcotest.(check (list string)) "names" [ "hits" ]
+    (List.sort_uniq compare (List.map (fun (n, _, _) -> n) (Metrics.counters m)))
 
 let test_gauges () =
   let m = Metrics.create () in
@@ -358,6 +359,137 @@ let tracer_match_reference_prop =
              = List.map ref_trace (Ref.Tracer.slowest reference k))
            [ 0; 1; 5; 300 ])
 
+(* A non-finite sample must not stretch the dense bucket run to its
+   [int_of_float] (min_int on x86-64): it counts in the highest bucket. *)
+let test_histogram_non_finite () =
+  let h = Metrics.Histogram.create () in
+  List.iter (Metrics.Histogram.observe h) [ 0.5; infinity; Float.nan; 2.0 ];
+  Alcotest.(check int) "count" 4 (Metrics.Histogram.count h);
+  match List.rev (Metrics.Histogram.buckets h) with
+  | (lower, _, n) :: _ ->
+    Alcotest.(check int) "both in the top bucket" 2 n;
+    Alcotest.(check (float 0.0)) "top bucket" (Float.pow Metrics.Histogram.growth 4095.0) lower
+  | [] -> Alcotest.fail "no buckets"
+
+(* --- the registry against the string-keyed reference --------------- *)
+
+module Ref_metrics = Reference_metrics
+
+(* Random op sequences on two registries and two reference registries:
+   by-name writes with and without labels (label sets of up to three
+   pairs in any order, keys possibly repeated), [~by] of zero or less,
+   histogram samples at or below zero, writes through declared handles
+   (one- and two-label families and a plain histogram, mirrored by the
+   by-name op they stand for), and merges either way. Every export and
+   reader must agree byte for byte. *)
+let metric_names =
+  [| "requests"; "latency"; "site.requests"; "site.latency"; "admission.sheds";
+     "cache.hits"; "x.undeclared"; "client.responses" |]
+
+let label_keys = [| "site"; "reason"; "upstream"; "k" |]
+
+let label_values = [| "a"; "b"; ""; "1:"; "x:y"; "\xe9"; "www.crowd.example" |]
+
+let samples = [| 0.0; -1.5; 1e-6; 0.002; 0.5; 1.0; 3.7; 1e6 |]
+
+let sheds = Metrics.Counter.family2 "admission.sheds" ~labels:("reason", "site")
+
+let site_requests = Metrics.Counter.family "site.requests" ~label:"site"
+
+let site_latency = Metrics.Hist.family "site.latency" ~label:"site"
+
+let latency = Metrics.Hist.v "latency"
+
+let registry_matches_reference_prop =
+  QCheck.Test.make ~name:"metrics: registry matches the string-keyed reference" ~count:200
+    QCheck.(make ~print:Print.(pair int int) Gen.(pair (int_range 0 150) int))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let sample () =
+        if Random.State.bool rng then pick samples else Random.State.float rng 100.0
+      in
+      let labels () =
+        List.init (Random.State.int rng 4) (fun _ -> (pick label_keys, pick label_values))
+      in
+      let regs = [| Metrics.create (); Metrics.create () |]
+      and refs = [| Ref_metrics.create (); Ref_metrics.create () |] in
+      for _ = 1 to n do
+        let i = Random.State.int rng 2 in
+        let m = regs.(i) and r = refs.(i) in
+        match Random.State.int rng 8 with
+        | 0 ->
+          let name = pick metric_names and labels = labels () in
+          let by = Random.State.int rng 5 - 1 in
+          if Random.State.bool rng then begin
+            Metrics.incr m ~labels ~by name;
+            Ref_metrics.incr r ~labels ~by name
+          end
+          else begin
+            Metrics.incr m ~labels name;
+            Ref_metrics.incr r ~labels name
+          end
+        | 1 ->
+          let name = pick metric_names and labels = labels () and v = sample () in
+          Metrics.set_gauge m ~labels name v;
+          Ref_metrics.set_gauge r ~labels name v
+        | 2 | 3 ->
+          let name = pick metric_names and labels = labels () and x = sample () in
+          Metrics.observe m ~labels name x;
+          Ref_metrics.observe r ~labels name x
+        | 4 ->
+          let reason = pick label_values and site = pick label_values in
+          let by = Random.State.int rng 3 in
+          Metrics.Counter.incr_at m ~by sheds (reason, site);
+          Ref_metrics.incr r ~labels:[ ("site", site); ("reason", reason) ] ~by "admission.sheds"
+        | 5 ->
+          let site = pick label_values and x = sample () in
+          Metrics.Counter.incr_at m site_requests site;
+          Metrics.Hist.observe_at m site_latency site x;
+          Ref_metrics.incr r ~labels:[ ("site", site) ] "site.requests";
+          Ref_metrics.observe r ~labels:[ ("site", site) ] "site.latency" x
+        | 6 ->
+          let x = sample () in
+          Metrics.Hist.observe m latency x;
+          Ref_metrics.observe r "latency" x
+        | _ ->
+          Metrics.merge ~into:regs.(1 - i) m;
+          Ref_metrics.merge ~into:refs.(1 - i) r
+      done;
+      let quantiles = [ 0.0; 1.0; 50.0; 90.0; 99.0; 100.0 ] in
+      let hist h =
+        ( Metrics.Histogram.count h,
+          Metrics.Histogram.sum h,
+          Metrics.Histogram.min_value h,
+          Metrics.Histogram.max_value h,
+          Metrics.Histogram.buckets h,
+          List.map (Metrics.Histogram.quantile h) quantiles )
+      and ref_hist h =
+        ( Ref_metrics.Histogram.count h,
+          Ref_metrics.Histogram.sum h,
+          Ref_metrics.Histogram.min_value h,
+          Ref_metrics.Histogram.max_value h,
+          Ref_metrics.Histogram.buckets h,
+          List.map (Ref_metrics.Histogram.quantile h) quantiles )
+      in
+      let same m r =
+        Metrics.counters m = Ref_metrics.counters r
+        && List.map (fun (n, ls, h) -> (n, ls, hist h)) (Metrics.histograms m)
+           = List.map (fun (n, ls, h) -> (n, ls, ref_hist h)) (Ref_metrics.histograms r)
+        && Array.for_all
+             (fun name ->
+               Metrics.gauge m name = Ref_metrics.gauge r name
+               && Metrics.counter m name = Ref_metrics.counter r name
+               && Metrics.counter_total m name = Ref_metrics.counter_total r name
+               && Option.map hist (Metrics.histogram m name)
+                  = Option.map ref_hist (Ref_metrics.histogram r name))
+             metric_names
+        && String.equal (Metrics.to_json_lines m) (Ref_metrics.to_json_lines r)
+        && String.equal (Metrics.to_prometheus m) (Ref_metrics.to_prometheus r)
+        && String.equal (Metrics.to_table m) (Ref_metrics.to_table r)
+      in
+      same regs.(0) refs.(0) && same regs.(1) refs.(1))
+
 let suite =
   [
     Alcotest.test_case "counters and labels" `Quick test_counters_and_labels;
@@ -373,4 +505,6 @@ let suite =
     QCheck_alcotest.to_alcotest merge_equals_concat_prop;
     QCheck_alcotest.to_alcotest events_match_reference_prop;
     QCheck_alcotest.to_alcotest tracer_match_reference_prop;
+    QCheck_alcotest.to_alcotest registry_matches_reference_prop;
+    Alcotest.test_case "histogram: non-finite samples" `Quick test_histogram_non_finite;
   ]
