@@ -105,9 +105,15 @@ let resource_controls () =
       (Harness.throughput r)
       (fraction (count "rejected-throttle") offered)
       (fraction (count "dropped-termination") offered)
-      (match Core.Node.Node.terminated_sites proxy with
-       | [] -> ""
-       | sites -> Printf.sprintf "; terminated: %s" (List.hd sites));
+      (match
+         List.find_map
+           (fun (name, labels, n) ->
+             if name = "monitor.terminations" && n > 0 then List.assoc_opt "site" labels
+             else None)
+           (Core.Telemetry.Metrics.counters (Core.Node.Node.metrics proxy))
+       with
+       | None -> ""
+       | Some site -> Printf.sprintf "; terminated: %s" site);
     (* The monitor's decisions as structured telemetry: site-labeled
        counters plus the throttle/terminate event stream. *)
     let metrics = Core.Node.Node.metrics proxy in

@@ -18,7 +18,3 @@ val fold : 'a t -> init:'b -> f:('b -> string -> 'a -> 'b) -> 'b
 (** Every entry, expired ones included, in unspecified order. *)
 
 val size : 'a t -> int
-
-val hits : 'a t -> int
-
-val misses : 'a t -> int

@@ -177,12 +177,12 @@ type t = {
   incarnation : unit -> int;
   schedule : float -> (unit -> unit) -> unit;
   publish : topic:string -> payload:string -> unit;
-  metrics : Nk_telemetry.Metrics.t option;
+  metrics : Nk_telemetry.Metrics.t;
   waitings : (int, waiting) Hashtbl.t;
   mutable next_id : int;
 }
 
-let create ~name ~incarnation ~schedule ~publish ?metrics () =
+let create ~name ~incarnation ~schedule ~publish ~metrics =
   {
     name;
     incarnation;
@@ -197,10 +197,7 @@ module Meter = struct
   let stale_replies = Nk_telemetry.Metrics.Counter.v "diffusion.stale_replies"
 end
 
-let count_stale t =
-  match t.metrics with
-  | Some m -> Nk_telemetry.Metrics.Counter.incr m Meter.stale_replies
-  | None -> ()
+let count_stale t = Nk_telemetry.Metrics.Counter.incr t.metrics Meter.stale_replies
 
 let send t ~target ~target_incarnation ~site ~script_hash ~timeout ~request ~on_done =
   let id = t.next_id in

@@ -23,9 +23,9 @@
     the reply, and a reply from a different epoch than the sender
     recorded — or arriving after the sender's own crash epoch advanced,
     or after the timeout already fell back — is discarded
-    (["diffusion.stale_replies"]). Combined with the caller falling
-    back to local execution on timeout or rejection, diffusion can
-    never lose a request. *)
+    and counted (["diffusion.stale_replies"] in [metrics]). Combined
+    with the caller falling back to local execution on timeout or
+    rejection, diffusion can never lose a request. *)
 
 type outcome =
   | Executed of { response : Nk_http.Message.response; fuel : int; heap : int }
@@ -74,8 +74,7 @@ val create :
   incarnation:(unit -> int) ->
   schedule:(float -> (unit -> unit) -> unit) ->
   publish:(topic:string -> payload:string -> unit) ->
-  ?metrics:Nk_telemetry.Metrics.t ->
-  unit ->
+  metrics:Nk_telemetry.Metrics.t ->
   t
 (** [schedule delay k] must run [k] after [delay] seconds, and must do
     so even when the rest of the system has gone quiet: the timeout is

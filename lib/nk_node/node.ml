@@ -23,7 +23,6 @@ type t = {
   stage_cache : stage_entry Nk_cache.Memo_cache.t;
   negative : unit Nk_cache.Memo_cache.t;
   accounting : Nk_resource.Accounting.t;
-  mutable monitor : Nk_resource.Monitor.t option;
   throttles : (Nk_resource.Resource.t, (string, float) Hashtbl.t) Hashtbl.t;
   (* per resource: site -> reject probability *)
   quarantine : Nk_resource.Quarantine.t;
@@ -50,7 +49,6 @@ type t = {
   (* Same discipline for the deadline budget of the request on the
      CPU, so hosted scripts' own fetches run under it too. *)
   local_cidrs : Nk_http.Ip.cidr list;
-  mutable terminated : string list;
   mutable in_flight : int;
   (* congestion windows *)
   mutable mem_window : float;
@@ -72,15 +70,11 @@ let events t = t.events
 
 let cache t = t.cache
 
-let monitor t = t.monitor
-
 let quarantine t = t.quarantine
 
 let admission t = t.admission
 
 let upstream t = t.upstream
-
-let terminated_sites t = t.terminated
 
 let stage_cache_entries t = Nk_cache.Memo_cache.size t.stage_cache
 
@@ -1138,6 +1132,15 @@ let offload_plan t ~site =
           | None -> None
           | Some target -> Some (d, p, script_hash, target))))
 
+(* The one place ["responses"] is counted: the [range], if any, is cut
+   out of [resp] and the request span records the status. *)
+let respond t span ?range resp =
+  Counter.incr t.metrics Meter.responses;
+  (match range with
+   | Some r -> if Nk_http.Range.apply r resp then Counter.incr t.metrics Meter.range_responses
+   | None -> ());
+  set_attr span "status" (string_of_int resp.Nk_http.Message.status)
+
 (* Ship the request to [target]; any failure — open breaker, rejection,
    timeout — falls back to [fallback] (the normal local admission path),
    so diffusion can never lose a request, only decline to help. *)
@@ -1187,13 +1190,7 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
         match outcome with
         | Some (Nk_diffusion.Offload.Executed { response; fuel = _; heap = _ }) ->
           Counter.incr_at t.metrics Meter.offloads target_name;
-          Counter.incr t.metrics Meter.responses;
-          (match range with
-           | Some r ->
-             if Nk_http.Range.apply r response then
-               Counter.incr t.metrics Meter.range_responses
-           | None -> ());
-          set_attr span "status" (string_of_int response.Nk_http.Message.status);
+          respond t span ?range response;
           set_attr span "source" ("offload:" ^ target_name);
           finish_span t span;
           k response
@@ -1244,8 +1241,8 @@ let resolve_offload_stage t d (env : Nk_diffusion.Offload.request_envelope) =
    would see) and, once admitted, run [body] in its own cothread under
    a request span. However the pipeline ends, the admission slot is
    released and the span finished exactly once; [on_done] gets the
-   pipeline's result after ["responses"] is counted and the [range], if
-   any, has been cut out of the response. *)
+   pipeline's result after [respond] has counted it and cut the
+   [range], if any, out of the response. *)
 let run_admitted t ~site ~span:(span_name, attrs) ?range req ~shed body ~on_done ~on_error =
   let verdict =
     match t.admission with
@@ -1266,13 +1263,7 @@ let run_admitted t ~site ~span:(span_name, attrs) ?range req ~shed body ~on_done
       (fun () -> body span)
       ~on_done:(fun ((resp, _, _) as result) ->
         release ();
-        Counter.incr t.metrics Meter.responses;
-        (match range with
-         | Some r ->
-           if Nk_http.Range.apply r resp then
-             Counter.incr t.metrics Meter.range_responses
-         | None -> ());
-        set_attr span "status" (string_of_int resp.Nk_http.Message.status);
+        respond t span ?range resp;
         finish_span t span;
         on_done result)
       ~on_error:(fun exn ->
@@ -1331,15 +1322,15 @@ let handle t (req : Nk_http.Message.request) k =
        its next candidate within the budget. *)
     match carried_deadline t req ~spent:"peer" ~late:"peer-queue" with
     | _, Some at ->
-      Counter.incr t.metrics Meter.responses;
-      k (deadline_expired_response t ~at)
+      let resp = deadline_expired_response t ~at in
+      respond t None resp;
+      k resp
     | deadline, None ->
       let span = start_request_span t "peer-request" req in
       Nk_util.Cothread.spawn
         (fun () -> content_fetch t ~allow_peers:false ?span ?deadline req)
         ~on_done:(fun resp ->
-          Counter.incr t.metrics Meter.responses;
-          set_attr span "status" (string_of_int resp.Nk_http.Message.status);
+          respond t span resp;
           finish_span t span;
           k resp)
         ~on_error:(fun _ ->
@@ -1457,7 +1448,6 @@ let is_congested t ~final resource =
   | Nk_resource.Resource.Running_time | Nk_resource.Resource.Bytes_transferred -> false
 
 let terminate_site t ~site =
-  t.terminated <- site :: t.terminated;
   (* Kill the scripting contexts of every cached stage owned by the
      site (its [nakika.js] and whatever it chained to); in-flight
      pipelines die at their next evaluation step. *)
@@ -1501,9 +1491,8 @@ let start_monitor t =
         Hashtbl.replace table site (Float.max existing (fraction *. severity)))
       ~unthrottle:(fun resource -> Hashtbl.reset (resource_throttles t resource))
       ~terminate:(fun ~site -> terminate_site t ~site)
-      ~events:t.events ~metrics:t.metrics ()
+      ~events:t.events ~metrics:t.metrics
   in
-  t.monitor <- Some monitor;
   let rec cycle () =
     List.iter (fun r -> ignore (Nk_resource.Monitor.begin_control monitor r)) Nk_resource.Resource.all;
     reset_window t;
@@ -1636,7 +1625,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
               ~schedule:(fun delay k -> Nk_sim.Sim.schedule sim ~delay k)
               ~publish:(fun ~topic ~payload ->
                 Nk_replication.Message_bus.publish b ~from:node_name ~topic ~payload)
-              ~metrics ();
+              ~metrics;
         }
     | _ -> None
   in
@@ -1654,12 +1643,11 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       stage_cache = Nk_cache.Memo_cache.create ();
       negative = Nk_cache.Memo_cache.create ();
       accounting = Nk_resource.Accounting.create ();
-      monitor = None;
       throttles = Hashtbl.create 4;
-      quarantine = Nk_resource.Quarantine.create config.Config.quarantine ~clock ~metrics ();
+      quarantine = Nk_resource.Quarantine.create config.Config.quarantine ~clock ~metrics;
       admission =
         Option.map
-          (fun c -> Nk_resource.Admission.create c ~clock ~metrics ())
+          (fun c -> Nk_resource.Admission.create c ~clock ~metrics)
           config.Config.admission;
       diffusion;
       upstream =
@@ -1682,7 +1670,6 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
         List.filter_map
           (fun s -> Result.to_option (Nk_http.Ip.cidr_of_string s))
           config.Config.local_clients;
-      terminated = [];
       in_flight = 0;
       mem_window = 0.0;
       bw_window = 0.0;

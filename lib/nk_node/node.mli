@@ -50,8 +50,6 @@ val events : t -> Nk_telemetry.Events.t
 
 val cache : t -> Nk_cache.Http_cache.t
 
-val monitor : t -> Nk_resource.Monitor.t option
-
 val quarantine : t -> Nk_resource.Quarantine.t
 (** The escalating ban windows of terminated sites. *)
 
@@ -90,10 +88,6 @@ val observe_neighbor :
     table (the cluster calls this from its load-report cycle).
     Incarnation-guarded; self-observations and calls on a
     diffusion-disabled node are no-ops. *)
-
-val terminated_sites : t -> string list
-(** Sites whose pipelines the monitor has terminated (most recent
-    first; a site may appear more than once). *)
 
 val answer_once :
   t ->

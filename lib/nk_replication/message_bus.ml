@@ -3,13 +3,14 @@ type member = {
   subscriptions : (string, payload:string -> from:string -> unit) Hashtbl.t; (* by topic *)
 }
 
+(* One message on its way to one receiver; every retry reuses it. *)
 type pending = {
-  id : int;
   p_from : string;
   p_dst : string;
   p_payload : string;
   handler : payload:string -> from:string -> unit;
   mutable attempts : int;
+  mutable delivered : bool; (* the handler ran: later copies only ack *)
   mutable acked : bool;
   mutable retry : Nk_sim.Sim.timer option; (* the latest attempt's *)
 }
@@ -21,16 +22,13 @@ type t = {
   members : (string, member) Hashtbl.t;
   retained : (string, (string * string) list ref) Hashtbl.t;
   (* topic -> (from, payload), newest first: durable-subscription backlog *)
-  seen : (int, unit) Hashtbl.t; (* receiver-side dedup of retried messages *)
   rng : Nk_util.Prng.t; (* deterministic backoff jitter *)
-  mutable next_msg : int;
   metrics : Nk_telemetry.Metrics.t;
 }
 
 let create ?(seed = 42) net =
   { net; members = Hashtbl.create 8; retained = Hashtbl.create 8;
-    seen = Hashtbl.create 64; rng = Nk_util.Prng.create seed;
-    next_msg = 0; metrics = Nk_telemetry.Metrics.create () }
+    rng = Nk_util.Prng.create seed; metrics = Nk_telemetry.Metrics.create () }
 
 let metrics t = t.metrics
 
@@ -66,16 +64,15 @@ let max_attempts = 8
 (* One delivery attempt: data message to the receiver, ack message back,
    and a daemon retry timer in case the ack never arrives, which the ack
    cancels. Either leg may be dropped by the fault plan; the
-   receiver-side [seen] table keeps the handler exactly-once under
-   retries. *)
+   [delivered] flag keeps the handler exactly-once under retries. *)
 let rec attempt t p =
   match (Hashtbl.find_opt t.members p.p_from, Hashtbl.find_opt t.members p.p_dst) with
   | Some sender, Some receiver ->
     p.attempts <- p.attempts + 1;
     let size = String.length p.p_payload + 64 in
     Nk_sim.Net.send t.net ~src:sender.host ~dst:receiver.host ~size (fun () ->
-        if not (Hashtbl.mem t.seen p.id) then begin
-          Hashtbl.add t.seen p.id ();
+        if not p.delivered then begin
+          p.delivered <- true;
           Counter.incr t.metrics Meter.delivered;
           p.handler ~payload:p.p_payload ~from:p.p_from
         end;
@@ -100,11 +97,9 @@ let rec attempt t p =
 let deliver t m ~name ~from ~topic ~payload =
   match (Hashtbl.find_opt t.members from, Hashtbl.find_opt m.subscriptions topic) with
   | Some _, Some handler ->
-    let id = t.next_msg in
-    t.next_msg <- t.next_msg + 1;
     attempt t
-      { id; p_from = from; p_dst = name; p_payload = payload; handler; attempts = 0;
-        acked = false; retry = None }
+      { p_from = from; p_dst = name; p_payload = payload; handler; attempts = 0;
+        delivered = false; acked = false; retry = None }
   | _ -> ()
 
 let subscribe t ~name ~topic ~handler =

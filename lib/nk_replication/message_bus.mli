@@ -8,11 +8,12 @@
     published receives the topic's backlog, so late-joining replicas
     converge.
 
-    Delivery is acked: every message carries an id, the receiver sends
-    an ack back over the network, and an unacked message is retried with
-    capped exponential backoff plus deterministic jitter. The receiver
-    deduplicates by id, so handlers still run exactly once under
-    retries. A message still unacked after 8 attempts is counted as
+    Delivery is acked: the receiver sends an ack back over the network,
+    and an unacked message is retried with capped exponential backoff
+    plus deterministic jitter. A message's retries share one record
+    whose delivered flag the first arrival sets, so handlers still run
+    exactly once under retries and the bus keeps nothing of a message
+    once it settles. A message still unacked after 8 attempts is counted as
     a dead letter and abandoned (anti-entropy re-registration is the
     recovery path). Retry timers are daemon events: they never keep
     {!Nk_sim.Sim.run} alive. *)

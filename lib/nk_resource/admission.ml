@@ -41,12 +41,11 @@ type t = {
   config : config;
   shares : Shares.t;
   clock : unit -> float;
-  metrics : Nk_telemetry.Metrics.t option;
+  metrics : Nk_telemetry.Metrics.t;
   occupancy : (string, int ref) Hashtbl.t;
   mutable total : int;
   mutable above_since : float option;
   mutable shedding_ : bool;
-  mutable sheds : int;
   mutable window_start : float;
   mutable window_arrivals : int;
   mutable window_sheds : int;
@@ -64,7 +63,7 @@ module Meter = struct
   let sheds = Nk_telemetry.Metrics.Counter.family2 "admission.sheds" ~labels:("reason", "site")
 end
 
-let create config ~clock ?metrics () =
+let create config ~clock ~metrics =
   {
     config;
     shares = Shares.create config.shares;
@@ -74,7 +73,6 @@ let create config ~clock ?metrics () =
     total = 0;
     above_since = None;
     shedding_ = false;
-    sheds = 0;
     window_start = clock ();
     window_arrivals = 0;
     window_sheds = 0;
@@ -83,8 +81,6 @@ let create config ~clock ?metrics () =
   }
 
 let queue_length t = t.total
-
-let sheds t = t.sheds
 
 let shedding t = t.shedding_
 
@@ -149,9 +145,7 @@ let offer t ~site ~queue_delay =
   let now = t.clock () in
   roll_rate_window t now;
   t.window_arrivals <- t.window_arrivals + 1;
-  (match t.metrics with
-   | Some m -> Nk_telemetry.Metrics.Hist.observe m Meter.queue_delay queue_delay
-   | None -> ());
+  Nk_telemetry.Metrics.Hist.observe t.metrics Meter.queue_delay queue_delay;
   (* CoDel-style detection: transient bursts above the target are fine;
      only delay that stays above it for a full interval flips the node
      into shedding, and the first dip back below the target flips it
@@ -186,12 +180,8 @@ let offer t ~site ~queue_delay =
     t.total <- t.total + 1;
     Admitted
   | Some reason ->
-    t.sheds <- t.sheds + 1;
     t.window_sheds <- t.window_sheds + 1;
-    (match t.metrics with
-     | Some m ->
-       Nk_telemetry.Metrics.Counter.incr_at m Meter.sheds (reason, site)
-     | None -> ());
+    Nk_telemetry.Metrics.Counter.incr_at t.metrics Meter.sheds (reason, site);
     (* Tell the client when the backlog should have drained back to the
        target — cheap for us, actionable for it. *)
     let retry_after = Float.max t.config.interval (queue_delay -. t.config.target) in

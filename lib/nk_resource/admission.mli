@@ -27,8 +27,8 @@
       momentarily drains, so synchronized completion batches cannot let
       a greedy site refill past its declared slice.
 
-    Every decision is exported ([admission.sheds] counter labeled by
-    site and reason, [admission.queue_delay] histogram). The clock is
+    Every decision is counted in [metrics] ([admission.sheds] labeled
+    by site and reason, [admission.queue_delay] histogram). The clock is
     injected so the controller runs on simulated time. *)
 
 type t
@@ -56,7 +56,7 @@ val validate : config -> string list
 (** A finding per value that is wrong under any interpretation; [[]] accepts. *)
 
 val create :
-  config -> clock:(unit -> float) -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
+  config -> clock:(unit -> float) -> metrics:Nk_telemetry.Metrics.t -> t
 (** Shed rates are reported over a 5 s window. *)
 
 val fair_share : t -> site:string -> int
@@ -82,8 +82,6 @@ val site_occupancy : t -> site:string -> int
 
 val shedding : t -> bool
 (** Is the controller currently in the delay-overload shedding state? *)
-
-val sheds : t -> int
 
 val shed_rate : t -> float
 (** Fraction of arrivals shed over the current reporting window (falls

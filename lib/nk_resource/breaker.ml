@@ -28,7 +28,7 @@ type t = {
   name : string;
   config : config;
   clock : unit -> float;
-  metrics : Nk_telemetry.Metrics.t option;
+  metrics : Nk_telemetry.Metrics.t;
   mutable state : state;
   mutable consecutive : int;
   mutable window_start : float;
@@ -37,11 +37,9 @@ type t = {
   mutable open_until : float;
   mutable next_cooldown : float;
   mutable probing : bool;
-  mutable opens : int;
-  mutable probes : int;
 }
 
-let create ~name config ~clock ?metrics () =
+let create ~name config ~clock ~metrics =
   {
     name;
     config;
@@ -55,25 +53,16 @@ let create ~name config ~clock ?metrics () =
     open_until = 0.0;
     next_cooldown = config.cooldown;
     probing = false;
-    opens = 0;
-    probes = 0;
   }
 
 let state t = t.state
-
-let opens t = t.opens
-
-let probes t = t.probes
 
 module Meter = struct
   let opens = Nk_telemetry.Metrics.Counter.family "breaker.opens" ~label:"upstream"
   let probes = Nk_telemetry.Metrics.Counter.family "breaker.probes" ~label:"upstream"
 end
 
-let incr_metric t family =
-  match t.metrics with
-  | Some m -> Nk_telemetry.Metrics.Counter.incr_at m family t.name
-  | None -> ()
+let incr_metric t family = Nk_telemetry.Metrics.Counter.incr_at t.metrics family t.name
 
 let roll_window t now =
   if now -. t.window_start >= t.config.window then begin
@@ -87,7 +76,6 @@ let roll_window t now =
 let trip t now =
   t.state <- Open;
   t.probing <- false;
-  t.opens <- t.opens + 1;
   t.open_until <- now +. t.next_cooldown;
   t.next_cooldown <- Float.min t.config.max_cooldown (t.next_cooldown *. 2.0);
   incr_metric t Meter.opens
@@ -101,7 +89,6 @@ let acquire t =
       (* The cooldown elapsed: half-open, admit exactly one probe. *)
       t.state <- Half_open;
       t.probing <- true;
-      t.probes <- t.probes + 1;
       incr_metric t Meter.probes;
       `Proceed
     end
@@ -110,7 +97,6 @@ let acquire t =
     if t.probing then `Reject t.config.cooldown
     else begin
       t.probing <- true;
-      t.probes <- t.probes + 1;
       incr_metric t Meter.probes;
       `Proceed
     end

@@ -15,8 +15,8 @@
       re-opens it with a doubled (capped) cooldown.
 
     Time comes from an injected clock so breakers run on the simulated
-    clock and in unit tests alike. With [metrics], every trip and probe
-    is counted (["breaker.opens"], ["breaker.probes"]) labeled by the
+    clock and in unit tests alike. Every trip and probe is counted in
+    [metrics] (["breaker.opens"], ["breaker.probes"]), labeled by the
     upstream name. *)
 
 type t
@@ -41,8 +41,7 @@ val create :
   name:string ->
   config ->
   clock:(unit -> float) ->
-  ?metrics:Nk_telemetry.Metrics.t ->
-  unit ->
+  metrics:Nk_telemetry.Metrics.t ->
   t
 (** [name] identifies the upstream in metrics labels. *)
 
@@ -57,9 +56,3 @@ val success : t -> unit
 val failure : t -> unit
 
 val state : t -> state
-
-val opens : t -> int
-(** Times the breaker tripped open (including probe failures). *)
-
-val probes : t -> int
-(** Half-open probe slots granted. *)

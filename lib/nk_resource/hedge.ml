@@ -11,7 +11,7 @@ type t = {
   rate : float; (* tokens earned per primary fetch *)
   burst : float; (* bucket ceiling *)
   mutable tokens : float;
-  metrics : Nk_telemetry.Metrics.t option;
+  metrics : Nk_telemetry.Metrics.t;
 }
 
 let default_rate = 0.05
@@ -20,6 +20,7 @@ let create ?(rate = default_rate) ?burst ?metrics () =
   if rate <= 0.0 || rate > 1.0 then invalid_arg "Hedge.create: rate must be in (0, 1]";
   let burst = match burst with Some b -> b | None -> Float.max 1.0 (rate *. 100.0) in
   if burst < 1.0 then invalid_arg "Hedge.create: burst must be at least 1";
+  let metrics = match metrics with Some m -> m | None -> Nk_telemetry.Metrics.create () in
   { rate; burst; tokens = burst; metrics }
 
 module Meter = struct
@@ -28,8 +29,7 @@ module Meter = struct
   let cancelled = Nk_telemetry.Metrics.Counter.v "hedge.cancelled"
 end
 
-let incr t counter =
-  match t.metrics with Some m -> Nk_telemetry.Metrics.Counter.incr m counter | None -> ()
+let incr t counter = Nk_telemetry.Metrics.Counter.incr t.metrics counter
 
 let note_primary t = t.tokens <- Float.min t.burst (t.tokens +. t.rate)
 

@@ -7,7 +7,8 @@
     hedge delay: the upstream's p95 latency from an
     {!Nk_telemetry.Metrics.Histogram}, with a fallback until enough
     samples exist. Issue/win/cancel events land in the
-    [hedge.issued] / [hedge.wins] / [hedge.cancelled] counters. *)
+    [hedge.issued] / [hedge.wins] / [hedge.cancelled] counters of
+    [metrics]. *)
 
 type t
 
@@ -16,7 +17,9 @@ val default_rate : float
 val create :
   ?rate:float -> ?burst:float -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
 (** [rate] must be in (0, 1]; [burst] defaults to [max 1 (100 * rate)]
-    (5 tokens at the default rate) and is also the initial balance. *)
+    (5 tokens at the default rate) and is also the initial balance.
+    Events are counted into [metrics] (a private registry when
+    absent). *)
 
 val note_primary : t -> unit
 (** Record one primary fetch: earn [rate] tokens (capped at burst). *)

@@ -6,12 +6,11 @@ type t = {
   terminate : site:string -> unit;
   pending : (Resource.t, (string * float) list) Hashtbl.t;
   (* usage-ranked sites from the begin phase, largest first *)
-  mutable terminations : int;
-  events : Nk_telemetry.Events.t option;
-  metrics : Nk_telemetry.Metrics.t option;
+  events : Nk_telemetry.Events.t;
+  metrics : Nk_telemetry.Metrics.t;
 }
 
-let create ~accounting ~is_congested ~throttle ~unthrottle ~terminate ?events ?metrics () =
+let create ~accounting ~is_congested ~throttle ~unthrottle ~terminate ~events ~metrics =
   {
     accounting;
     is_congested;
@@ -19,7 +18,6 @@ let create ~accounting ~is_congested ~throttle ~unthrottle ~terminate ?events ?m
     unthrottle;
     terminate;
     pending = Hashtbl.create 8;
-    terminations = 0;
     events;
     metrics;
   }
@@ -34,12 +32,8 @@ end
    counter) naming the offending site, so a bench or operator can audit
    exactly why traffic was refused. *)
 let emit t ~counter ~event ~site ~attrs =
-  (match t.metrics with
-   | Some m -> Nk_telemetry.Metrics.Counter.incr_at m counter site
-   | None -> ());
-  match t.events with
-  | Some e -> Nk_telemetry.Events.record e ~attrs:(("site", site) :: attrs) event
-  | None -> ()
+  Nk_telemetry.Metrics.Counter.incr_at t.metrics counter site;
+  Nk_telemetry.Events.record t.events ~attrs:(("site", site) :: attrs) event
 
 let begin_control t resource =
   let congested = t.is_congested ~final:false resource in
@@ -97,12 +91,9 @@ let finish_control t resource =
     match ranked with
     | (site, _) :: _ ->
       t.terminate ~site;
-      t.terminations <- t.terminations + 1;
       emit t ~counter:Meter.terminations ~event:"terminate" ~site
         ~attrs:[ ("resource", Resource.to_string resource) ];
       `Terminated site
     | [] -> unthrottled ()
   end
   else unthrottled ()
-
-let terminations t = t.terminations

@@ -22,12 +22,11 @@ val create :
   throttle:(site:string -> fraction:float -> resource:Resource.t -> unit) ->
   unthrottle:(Resource.t -> unit) ->
   terminate:(site:string -> unit) ->
-  ?events:Nk_telemetry.Events.t ->
-  ?metrics:Nk_telemetry.Metrics.t ->
-  unit ->
+  events:Nk_telemetry.Events.t ->
+  metrics:Nk_telemetry.Metrics.t ->
   t
-(** With [events]/[metrics], every throttle, termination, and
-    restoration decision is recorded as a structured
+(** Every throttle, termination, and restoration decision is recorded
+    in [events] and [metrics]: a structured
     ["throttle"]/["terminate"]/["unthrottle"] event carrying the
     affected site, the resource, and (for throttles) the fraction —
     plus site-labeled ["monitor.throttles"] / ["monitor.terminations"]
@@ -37,5 +36,3 @@ val begin_control : t -> Resource.t -> [ `Congested of (string * float) list | `
 (** The list pairs each throttled site with its throttle fraction. *)
 
 val finish_control : t -> Resource.t -> [ `Terminated of string | `Unthrottled ]
-
-val terminations : t -> int

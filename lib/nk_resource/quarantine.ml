@@ -35,9 +35,8 @@ let validate c =
 type t = {
   config : config; (* site overrides match first-match, like the admission share table *)
   clock : unit -> float;
-  metrics : Nk_telemetry.Metrics.t option;
+  metrics : Nk_telemetry.Metrics.t;
   sites : (string, entry) Hashtbl.t;
-  mutable bans : int;
 }
 
 module Meter = struct
@@ -45,14 +44,7 @@ module Meter = struct
   let window = Nk_telemetry.Metrics.Hist.v "quarantine.window"
 end
 
-let create config ~clock ?metrics () =
-  {
-    config;
-    clock;
-    metrics;
-    sites = Hashtbl.create 8;
-    bans = 0;
-  }
+let create config ~clock ~metrics = { config; clock; metrics; sites = Hashtbl.create 8 }
 
 let params t ~site =
   match
@@ -90,12 +82,8 @@ let punish t ~site =
   e.expiry <- now +. window;
   (* Good behaviour only starts counting once the ban has expired. *)
   e.anchor <- e.expiry;
-  t.bans <- t.bans + 1;
-  (match t.metrics with
-   | Some m ->
-     Nk_telemetry.Metrics.Counter.incr_at m Meter.bans site;
-     Nk_telemetry.Metrics.Hist.observe m Meter.window window
-   | None -> ());
+  Nk_telemetry.Metrics.Counter.incr_at t.metrics Meter.bans site;
+  Nk_telemetry.Metrics.Hist.observe t.metrics Meter.window window;
   window
 
 let is_banned t ~site =
@@ -121,7 +109,5 @@ let active t =
     (fun site e acc -> if now < e.expiry then (site, e.expiry) :: acc else acc)
     t.sites []
   |> List.sort compare
-
-let bans t = t.bans
 
 let forgive t ~site = Hashtbl.remove t.sites site

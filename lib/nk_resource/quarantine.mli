@@ -10,7 +10,7 @@
     that re-offends every time it returns converges to the maximum
     ban.
 
-    Time is injected; with [metrics], every ban is counted
+    Time is injected. Every ban is counted in [metrics]
     (["quarantine.bans"], site-labeled) and the granted window sizes
     are recorded in the ["quarantine.window"] histogram. *)
 
@@ -37,7 +37,7 @@ val validate : config -> string list
 (** A finding per value that is wrong under any interpretation; [[]] accepts. *)
 
 val create :
-  config -> clock:(unit -> float) -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
+  config -> clock:(unit -> float) -> metrics:Nk_telemetry.Metrics.t -> t
 
 val punish : t -> site:string -> float
 (** Record an offense; returns the ban window granted (seconds). *)
@@ -52,9 +52,6 @@ val strikes : t -> site:string -> int
 
 val active : t -> (string * float) list
 (** Currently banned sites with their absolute expiry times, sorted. *)
-
-val bans : t -> int
-(** Total offenses recorded. *)
 
 val forgive : t -> site:string -> unit
 (** Drop all state for the site (operator override). *)

@@ -13,7 +13,7 @@ type t = {
   ratio : float; (* tokens added per observed success *)
   cap : float; (* bucket ceiling (also the initial balance) *)
   buckets : (string, bucket) Hashtbl.t; (* keyed by upstream *)
-  metrics : Nk_telemetry.Metrics.t option;
+  metrics : Nk_telemetry.Metrics.t;
 }
 
 let default_cap = 8.0
@@ -22,7 +22,7 @@ module Meter = struct
   let exhausted = Nk_telemetry.Metrics.Counter.family "retry.budget_exhausted" ~label:"upstream"
 end
 
-let create ~ratio ?(cap = default_cap) ?metrics () =
+let create ~ratio ?(cap = default_cap) ~metrics () =
   if ratio <= 0.0 then invalid_arg "Retry_budget.create: ratio must be positive";
   if cap < 1.0 then invalid_arg "Retry_budget.create: cap must be at least 1";
   { ratio; cap; buckets = Hashtbl.create 8; metrics }
@@ -53,9 +53,6 @@ let try_retry t ~upstream =
     true
   end
   else begin
-    (match t.metrics with
-     | Some m ->
-       Nk_telemetry.Metrics.Counter.incr_at m Meter.exhausted upstream
-     | None -> ());
+    Nk_telemetry.Metrics.Counter.incr_at t.metrics Meter.exhausted upstream;
     false
   end

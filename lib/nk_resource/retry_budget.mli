@@ -5,15 +5,15 @@
     spends one. Healthy upstreams earn their retries; failing ones see
     the budget dry up instead of a retry storm, leaving the circuit
     breakers to trip on the genuine error rate. Refused retries
-    increment the [retry.budget_exhausted] counter (labeled by
-    upstream). *)
+    increment the [retry.budget_exhausted] counter of [metrics]
+    (labeled by upstream). *)
 
 type t
 
 val default_cap : float
 
 val create :
-  ratio:float -> ?cap:float -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
+  ratio:float -> ?cap:float -> metrics:Nk_telemetry.Metrics.t -> unit -> t
 (** [ratio] is the refill per success and must be positive; [cap]
     (default {!default_cap}) is the bucket ceiling and initial
     balance, at least 1. *)

@@ -3,18 +3,18 @@ type t = {
   breakers : (string, Breaker.t) Hashtbl.t;
   budget : Retry_budget.t option;
   clock : unit -> float;
-  metrics : Nk_telemetry.Metrics.t option;
+  metrics : Nk_telemetry.Metrics.t;
   mutable outstanding : int;
 }
 
 type ticket = { owner : t; breaker : Breaker.t; mutable settled : bool }
 
-let create breaker ?(retry_ratio = 0.0) ~clock ?metrics () =
+let create breaker ?(retry_ratio = 0.0) ~clock ~metrics () =
   {
-    make = (fun name -> Breaker.create ~name breaker ~clock ?metrics ());
+    make = (fun name -> Breaker.create ~name breaker ~clock ~metrics);
     breakers = Hashtbl.create 8;
     budget =
-      (if retry_ratio > 0.0 then Some (Retry_budget.create ~ratio:retry_ratio ?metrics ())
+      (if retry_ratio > 0.0 then Some (Retry_budget.create ~ratio:retry_ratio ~metrics ())
        else None);
     clock;
     metrics;
@@ -37,7 +37,7 @@ let acquire t key =
   let breaker = breaker t key in
   match Breaker.acquire breaker with
   | `Reject retry ->
-    Option.iter (fun m -> Nk_telemetry.Metrics.Counter.incr m Meter.short_circuits) t.metrics;
+    Nk_telemetry.Metrics.Counter.incr t.metrics Meter.short_circuits;
     `Reject retry
   | `Proceed ->
     t.outstanding <- t.outstanding + 1;

@@ -12,8 +12,9 @@
 
     Breakers are created lazily, one per upstream key
     (["origin:<site>"], ["peer:<node>"], ["offload:<node>"]). Time
-    comes from an injected clock, as in {!Breaker}. With [metrics],
-    every rejected acquire counts ["breaker-short-circuits"]. *)
+    comes from an injected clock, as in {!Breaker}. Every rejected
+    acquire counts ["breaker-short-circuits"] in [metrics], which the
+    breakers and the retry budget share. *)
 
 type t
 
@@ -24,7 +25,7 @@ val create :
   Breaker.config ->
   ?retry_ratio:float ->
   clock:(unit -> float) ->
-  ?metrics:Nk_telemetry.Metrics.t ->
+  metrics:Nk_telemetry.Metrics.t ->
   unit ->
   t
 (** The breaker settings are passed to every {!Breaker.create}.

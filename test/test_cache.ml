@@ -130,9 +130,7 @@ let test_memo_cache () =
   Memo_cache.put m ~key:"k" ~expiry:10.0 "value";
   Alcotest.(check (option string)) "hit" (Some "value") (Memo_cache.find m ~now:5.0 "k");
   Alcotest.(check (option string)) "expired" None (Memo_cache.find m ~now:10.0 "k");
-  Alcotest.(check int) "expired entry dropped" 0 (Memo_cache.size m);
-  Alcotest.(check int) "hits" 1 (Memo_cache.hits m);
-  Alcotest.(check int) "misses" 2 (Memo_cache.misses m)
+  Alcotest.(check int) "expired entry dropped" 0 (Memo_cache.size m)
 
 let test_memo_cache_replace () =
   let m : int Memo_cache.t = Memo_cache.create () in

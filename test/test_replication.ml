@@ -308,6 +308,33 @@ let replication_convergence_prop =
       | [] -> true
       | first :: rest -> List.for_all (fun v -> v = first) rest)
 
+(* The bus keeps nothing of a settled message: after the retained
+   backlog fills, a few thousand more acked deliveries leave its
+   footprint where it was. *)
+let test_bus_forgets_settled_messages () =
+  with_bus 2 (fun sim bus hosts ->
+      List.iteri
+        (fun i host -> Message_bus.attach bus ~name:(Printf.sprintf "n%d" i) ~host)
+        hosts;
+      let delivered = ref 0 in
+      Message_bus.subscribe bus ~name:"n1" ~topic:"t" ~handler:(fun ~payload:_ ~from:_ ->
+          incr delivered);
+      let publish n =
+        for _ = 1 to n do
+          Message_bus.publish bus ~from:"n0" ~topic:"t" ~payload:"update";
+          Core.Sim.Sim.run sim
+        done
+      in
+      publish 200;
+      let before = Obj.reachable_words (Obj.repr bus) in
+      publish 3000;
+      let after = Obj.reachable_words (Obj.repr bus) in
+      Alcotest.(check int) "every message delivered once" 3200 !delivered;
+      Alcotest.(check int) "every message acked, none retried" 0
+        (Core.Telemetry.Metrics.counter (Message_bus.metrics bus) "bus.retries");
+      if after - before > 256 then
+        Alcotest.failf "bus grew by %d words over 3000 settled messages" (after - before))
+
 let suite =
   [
     Alcotest.test_case "store: basic operations" `Quick test_store_basic;
@@ -338,4 +365,6 @@ let suite =
     Alcotest.test_case "faults: anti-entropy recovers dead-lettered updates" `Quick
       test_long_partition_anti_entropy_recovery;
     QCheck_alcotest.to_alcotest replication_convergence_prop;
+    Alcotest.test_case "bus: settled messages leave nothing behind" `Quick
+      test_bus_forgets_settled_messages;
   ]
