@@ -74,12 +74,7 @@ let start_health_reports t node =
   Nk_sim.Sim.every t.sim ~period:Node.health_report_interval (fun () ->
       if not (Nk_sim.Net.host_down t.net host) then begin
         let h = Node.health node in
-        let incarnation =
-          match Nk_sim.Net.faults t.net with
-          | Some plan ->
-            Nk_faults.Plan.incarnation plan ~now:(Nk_sim.Sim.now t.sim) name
-          | None -> 0
-        in
+        let incarnation = Nk_sim.Net.incarnation t.net host in
         Nk_overlay.Redirector.report t.redirector ~host:name ~incarnation
           ~queue_delay:h.Node.queue_delay ~shed_rate:h.Node.shed_rate ();
         (* The same report, as diffusion gossip: every other proxy

@@ -15,11 +15,11 @@ let well_known_client_wall = "http://nakika.net/clientwall.js"
 
 let well_known_server_wall = "http://nakika.net/serverwall.js"
 
-let site_script_url (req : Nk_http.Message.request) =
-  Printf.sprintf "http://%s/nakika.js" (Nk_http.Url.site req.Nk_http.Message.url)
+let site_script_url site = Printf.sprintf "http://%s/nakika.js" site
 
-let default_stages req =
-  [ well_known_client_wall; site_script_url req; well_known_server_wall ]
+let default_stages (req : Nk_http.Message.request) =
+  let site = Nk_http.Url.site req.Nk_http.Message.url in
+  [ well_known_client_wall; site_script_url site; well_known_server_wall ]
 
 (* A handler may also *return* a response object instead of calling
    Request.respond — "the onRequest event handler ... returns either a
@@ -94,6 +94,11 @@ let failure_response = function
    scheduler forever. *)
 let max_stages = 64
 
+module Tracer = Nk_telemetry.Tracer
+
+(* Never written: under a [None] root every span helper runs bare. *)
+let untraced = Tracer.create ~clock:(fun () -> 0.0) ()
+
 let execute ~load_stage ~fetch ?telemetry req =
   let initial = default_stages req in
   let fuel = ref 0 and heap = ref 0 and matched = ref 0 and handlers = ref 0 in
@@ -105,20 +110,12 @@ let execute ~load_stage ~fetch ?telemetry req =
   (* Optional causal tracing: one "policy-match" span per stage
      selection and, per handler invocation, a "stage" span with an
      "interp" child carrying the fuel/heap the script consumed. *)
-  let in_span ?parent name attrs f =
-    match telemetry with
-    | None -> f None
-    | Some (tracer, root) ->
-      let parent = match parent with Some p -> p | None -> root in
-      Nk_telemetry.Tracer.with_span tracer ~parent ~attrs name (fun s -> f (Some s))
-  in
-  let set_attr span key value =
-    match span with Some s -> Nk_telemetry.Tracer.set_attr s key value | None -> ()
-  in
+  let tracer = match telemetry with Some (tracer, _) -> tracer | None -> untraced in
+  let root = Option.map snd telemetry in
   let select stage =
-    in_span "policy-match" [ ("stage", Stage.url stage) ] (fun span ->
+    Tracer.child tracer root ~attrs:[ ("stage", Stage.url stage) ] "policy-match" (fun span ->
         let policy = Stage.select stage req in
-        set_attr span "matched" (string_of_bool (policy <> None));
+        Tracer.set_attr_opt span "matched" (string_of_bool (policy <> None));
         policy)
   in
   let invoke stage ~phase ~response handler =
@@ -126,18 +123,19 @@ let execute ~load_stage ~fetch ?telemetry req =
     let ctx = Stage.context stage in
     let f0 = Nk_script.Interp.fuel_used ctx and h0 = Nk_script.Interp.heap_used ctx in
     let result =
-      in_span "stage" [ ("stage", Stage.url stage); ("phase", phase) ] (fun stage_span ->
+      Tracer.child tracer root ~attrs:[ ("stage", Stage.url stage); ("phase", phase) ] "stage"
+        (fun stage_span ->
           let result =
-            in_span ?parent:stage_span "interp" [] (fun interp_span ->
+            Tracer.child tracer stage_span "interp" (fun interp_span ->
                 let r = run_handler stage ~this_request:req ~response handler in
-                set_attr interp_span "fuel"
+                Tracer.set_attr_opt interp_span "fuel"
                   (string_of_int (Nk_script.Interp.fuel_used ctx - f0));
-                set_attr interp_span "heap"
+                Tracer.set_attr_opt interp_span "heap"
                   (string_of_int (max 0 (Nk_script.Interp.heap_used ctx - h0)));
                 r)
           in
           (match result with
-           | Error _ -> set_attr stage_span "error" "true"
+           | Error _ -> Tracer.set_attr_opt stage_span "error" "true"
            | Ok _ -> ());
           result)
     in

@@ -32,6 +32,9 @@ val well_known_client_wall : string
 
 val well_known_server_wall : string
 
+val site_script_url : string -> string
+(** Where a site publishes its script: ["http://<site>/nakika.js"]. *)
+
 val default_stages : Nk_http.Message.request -> string list
 (** The three default stages in pop order: client wall, site script,
     server wall. *)

@@ -80,6 +80,11 @@ let host_down t host =
   | None -> false
   | Some plan -> Nk_faults.Plan.is_down plan ~now:(Sim.now t.sim) host.name
 
+let incarnation t host =
+  match t.faults with
+  | None -> 0
+  | Some plan -> Nk_faults.Plan.incarnation plan ~now:(Sim.now t.sim) host.name
+
 let set_faults t plan =
   t.faults <- Some plan;
   (* A crash clears the host's CPU queue: everything queued or running is

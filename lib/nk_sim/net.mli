@@ -40,6 +40,10 @@ val host_down : t -> host -> bool
 (** Is the host currently inside a crash window of the installed plan?
     Always false without a plan. *)
 
+val incarnation : t -> host -> int
+(** The host's liveness epoch: bumped by every crash and restart of the
+    installed plan. Always 0 without a plan. *)
+
 val add_host : t -> name:string -> ?cpu_speed:float -> unit -> host
 (** [cpu_speed] scales CPU work: 1.0 = reference machine (the paper's
     2.8 GHz Pentium 4). *)

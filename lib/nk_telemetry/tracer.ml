@@ -72,9 +72,24 @@ let finish t span =
     end
   end
 
-let with_span t ~parent ?attrs name f =
-  let span = start_span t ~parent ?attrs name in
-  Fun.protect ~finally:(fun () -> finish t span) (fun () -> f span)
+let top =
+  { span_id = 0; trace_id = 0; parent_id = None; name = ""; started = 0.0; ended = None;
+    attrs = [] }
+
+(* No [Fun.protect]: its closures would cost every traced span a few
+   words more than the handler below. *)
+let child t parent ?attrs name f =
+  match parent with
+  | None -> f None
+  | Some parent ->
+    let span =
+      if parent == top then start_trace t ?attrs name else start_span t ~parent ?attrs name
+    in
+    let result = try f (Some span) with e -> finish t span; raise e in
+    finish t span;
+    result
+
+let set_attr_opt span key value = match span with Some s -> set_attr s key value | None -> ()
 
 let duration span = Option.map (fun e -> e -. span.started) span.ended
 

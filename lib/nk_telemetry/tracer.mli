@@ -41,10 +41,18 @@ val finish : t -> span -> unit
 (** Close a span (idempotent). Closing a root span completes its trace
     and moves it into the ring buffer. *)
 
-val with_span :
-  t -> parent:span -> ?attrs:(string * string) list -> string -> (span -> 'a) -> 'a
-(** Run a thunk under a fresh child span, finishing it even on
-    exceptions. *)
+val top : span
+(** The parent of every trace root: a {!child} of [top] opens a new
+    trace. It is never recorded, finished or rendered. *)
+
+val child :
+  t -> span option -> ?attrs:(string * string) list -> string -> (span option -> 'a) -> 'a
+(** [child t parent name f] runs [f] under a fresh child span of
+    [parent], finished even on exceptions. With [parent = None]
+    (tracing off, or no request context) it is [f None]. *)
+
+val set_attr_opt : span option -> string -> string -> unit
+(** {!set_attr} on [Some] span; nothing on [None]. *)
 
 val duration : span -> float option
 (** [ended - started]; [None] while the span is open. *)

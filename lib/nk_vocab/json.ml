@@ -168,19 +168,10 @@ let parse src =
     else Ok v
   with Json_error msg -> Error msg
 
+(* The escaping is the metrics exporters': one JSON string syntax. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  Buffer.add_string buf (Nk_telemetry.Metrics.json_escape s);
   Buffer.add_char buf '"'
 
 let print t =

@@ -28,4 +28,5 @@ let () =
       ("workload", Test_workload.suite);
       ("extensions", Test_extensions.suite);
       ("parsers", Test_parsers.suite);
+      ("spans", Test_spans.suite);
     ]
