@@ -259,8 +259,10 @@ let test_wire_size =
    Q1 schedules and runs one event against a queue 18k deep, the
    zipf-fleet peak (mostly timeouts that never fire); N1 sends 1 KB
    over a default link and runs the delivery, so the queue stays
-   empty. Guarded so an event costs no allocation beyond its thunk and
-   a send stays one out-link lookup. *)
+   empty. Guarded so an event stays a few boxed floats beyond its
+   thunk (six words per schedule+step: the sifts take the entry's time
+   boxed and [step] boxes the clock) and a send stays one out-link
+   lookup. *)
 let deep_sim =
   let sim = Core.Sim.Sim.create () in
   for i = 1 to 18_000 do

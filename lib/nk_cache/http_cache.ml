@@ -80,11 +80,6 @@ let lookup t ~now ~key =
 let lookup_stale t ~key =
   match Hashtbl.find_opt t.table key with
   | None -> None
-  | Some e -> Some (Nk_http.Message.copy_response e.response)
-
-let lookup_stale_entry t ~key =
-  match Hashtbl.find_opt t.table key with
-  | None -> None
   | Some e -> Some (Nk_http.Message.copy_response e.response, e.expiry)
 
 let refresh t ~key ~expiry =

@@ -18,14 +18,11 @@ val lookup : t -> now:float -> key:string -> Nk_http.Message.response option
     Expired entries are retained (until evicted) so they can be
     revalidated with a conditional request. *)
 
-val lookup_stale : t -> key:string -> Nk_http.Message.response option
-(** The stored entry regardless of freshness — the revalidation path's
-    view. Does not count as a hit or miss. *)
-
-val lookup_stale_entry : t -> key:string -> (Nk_http.Message.response * float) option
-(** Like {!lookup_stale} but also returns the entry's expiry time, so a
-    stale-if-error degradation path can bound how stale a served copy
-    is. *)
+val lookup_stale : t -> key:string -> (Nk_http.Message.response * float) option
+(** A private copy of the stored entry regardless of freshness, with its
+    expiry time: the revalidation path's validator, and the bound a
+    stale-if-error degradation path puts on how stale a served copy is.
+    Does not count as a hit or miss. *)
 
 val refresh : t -> key:string -> expiry:float -> unit
 (** Extend a stored entry's freshness lifetime (after a 304 Not

@@ -157,7 +157,7 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
           let req, validator =
             match Nk_cache.Http_cache.lookup_stale t.cache ~key with
             | None -> (req, None)
-            | Some old -> (
+            | Some (old, _) -> (
               match Nk_http.Message.resp_header old "ETag" with
               | Some etag -> conditional old ("If-None-Match", etag)
               | None -> (
@@ -232,7 +232,7 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
              header carries the staleness in seconds so clients and
              tests can tell degraded responses apart. *)
           let degrade () =
-            match Nk_cache.Http_cache.lookup_stale_entry t.cache ~key with
+            match Nk_cache.Http_cache.lookup_stale t.cache ~key with
             | Some (old, expiry)
               when Nk_http.Status.is_success old.Nk_http.Message.status
                    && now t -. expiry <= stale_if_error ->

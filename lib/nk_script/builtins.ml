@@ -1,7 +1,5 @@
 open Value
 
-let arg i args = match List.nth_opt args i with Some v -> v | None -> Vundefined
-
 let num1 f = fun _ args -> Vnum (f (to_number (arg 0 args)))
 
 let math_object prng =

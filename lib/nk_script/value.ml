@@ -321,6 +321,12 @@ and element_texts ~charge path a =
       | v -> to_string v)
     (arr_to_list a)
 
+(* A native function's [i]th argument, [Vundefined] when it was not
+   passed, and that argument as a string. *)
+let arg i args = match List.nth_opt args i with Some v -> v | None -> Vundefined
+
+let sarg i args = to_string (arg i args)
+
 let to_number = function
   | Vundefined -> Float.nan
   | Vnull -> 0.0

@@ -1,45 +1,46 @@
-(* The event queue is a binary min-heap kept as three parallel arrays:
-   times unboxed in a [Float.Array.t], tags in an [int array] and thunks
-   in their own array, so scheduling an event allocates nothing beyond
-   the caller's closure. A tag is the scheduling sequence number shifted
-   left one bit, with the low bit set for daemon events: tags are
-   unique, and comparing them compares scheduling order. Sifting moves a
-   hole instead of swapping, and every pop clears the slot it vacates so
-   the queue holds no closure it will not run.
+(* The event queue is one binary min-heap in four parallel arrays:
+   unboxed times, tags, thunks and timer handles. A tag is the
+   scheduling sequence number shifted left two bits, bit 0 flagging a
+   daemon event and bit 1 a cancellable timer; tags are unique, so ties
+   under the (time, tag) key run in scheduling order.
 
-   Cancellable timers sit in a second heap of the same layout, keyed by
-   the same (time, tag) pairs from the same sequence counter, so [step]
-   runs whichever head is earlier and the merged order is the order one
-   heap would give. Each timer's handle records its slot, rewritten on
-   every move, so [cancel] removes it in O(log n); the event heap pays
-   nothing for that bookkeeping. *)
+   A timer's handle holds its slot, rewritten whenever the entry moves,
+   so [cancel] removes it in O(log n). Only entries with the timer bit
+   touch the handles array, so moving a plain event costs no write
+   there; a slot a timer left keeps its stale handle (slot -1, no
+   closure) until another timer lands there. Every removal clears the
+   thunk slot it vacates, so the queue holds no closure it will not
+   run. Beyond the caller's closure (and a timer's two-word handle), a
+   schedule+step allocates six words: the sifts take the moving entry's
+   time boxed, on the push and on the pop that refills the root, and
+   [step] boxes the new clock. *)
 
-type timer = { mutable slot : int; (* -1 once fired or cancelled *) mutable fire : unit -> unit }
+type timer = { mutable slot : int (* -1 once fired or cancelled *) }
 
 type t = {
   mutable clock : float;
   mutable times : Float.Array.t;
   mutable tags : int array;
   mutable thunks : (unit -> unit) array;
+  mutable handles : timer array;
   mutable len : int;
-  mutable ttimes : Float.Array.t;
-  mutable ttags : int array;
-  mutable timers : timer array;
-  mutable tlen : int;
   mutable next_seq : int;
   mutable live : int; (* non-daemon events pending *)
   mutable executed : int; (* events run so far; scale soaks assert on it *)
 }
 
+let daemon_bit = 1
+
+let timer_bit = 2
+
 let vacant () = ()
 
-(* Fills the timer heap's free slots; never queued, never written. *)
-let no_timer = { slot = -1; fire = vacant }
+(* Fills handle slots no timer has used; never queued, never written. *)
+let no_timer = { slot = -1 }
 
 let create ?(start_time = 1_136_073_600.0) () =
-  { clock = start_time; times = Float.Array.create 0; tags = [||]; thunks = [||]; len = 0;
-    ttimes = Float.Array.create 0; ttags = [||]; timers = [||]; tlen = 0;
-    next_seq = 0; live = 0; executed = 0 }
+  { clock = start_time; times = Float.Array.create 0; tags = [||]; thunks = [||];
+    handles = [||]; len = 0; next_seq = 0; live = 0; executed = 0 }
 
 let now t = t.clock
 
@@ -52,197 +53,120 @@ let grow t =
   Array.blit t.tags 0 tags 0 t.len;
   let thunks = Array.make ncap vacant in
   Array.blit t.thunks 0 thunks 0 t.len;
+  let handles = Array.make ncap no_timer in
+  Array.blit t.handles 0 handles 0 t.len;
   t.times <- times;
   t.tags <- tags;
-  t.thunks <- thunks
+  t.thunks <- thunks;
+  t.handles <- handles
 
-let[@inline] place t i time tag thunk =
+(* A timer's handle follows its entry to slot [i]. *)
+let[@inline] track t i h =
+  Array.unsafe_set t.handles i h;
+  h.slot <- i
+
+let[@inline] place t i time tag thunk h =
   Float.Array.unsafe_set t.times i time;
   Array.unsafe_set t.tags i tag;
-  Array.unsafe_set t.thunks i thunk
+  Array.unsafe_set t.thunks i thunk;
+  if tag land timer_bit <> 0 then track t i h
 
 let[@inline] move t ~src ~dst =
-  place t dst (Float.Array.unsafe_get t.times src) (Array.unsafe_get t.tags src)
-    (Array.unsafe_get t.thunks src)
+  let tag = Array.unsafe_get t.tags src in
+  Float.Array.unsafe_set t.times dst (Float.Array.unsafe_get t.times src);
+  Array.unsafe_set t.tags dst tag;
+  Array.unsafe_set t.thunks dst (Array.unsafe_get t.thunks src);
+  if tag land timer_bit <> 0 then track t dst (Array.unsafe_get t.handles src)
 
-(* The new event has the largest tag, so it rises only past strictly
-   later times. *)
-let[@inline] push t time daemon thunk =
-  if t.len = Array.length t.thunks then grow t;
-  let tag = (t.next_seq lsl 1) lor Bool.to_int daemon in
-  t.next_seq <- t.next_seq + 1;
-  let hole = ref t.len in
-  t.len <- t.len + 1;
-  while
-    !hole > 0 && time < Float.Array.unsafe_get t.times ((!hole - 1) / 2)
-  do
+(* Whether the entry at [i] orders before (time, tag). *)
+let[@inline] before t i time tag =
+  let ti = Float.Array.unsafe_get t.times i in
+  ti < time || (ti = time && Array.unsafe_get t.tags i < tag)
+
+let sift_up t hole time tag thunk h =
+  let hole = ref hole in
+  while !hole > 0 && not (before t ((!hole - 1) / 2) time tag) do
     let parent = (!hole - 1) / 2 in
     move t ~src:parent ~dst:!hole;
     hole := parent
   done;
-  place t !hole time tag thunk
+  place t !hole time tag thunk h
 
-(* Remove the minimum: the last event fills the hole left at the root,
-   sifted down past every child that orders before it. *)
-let pop t =
-  let last = t.len - 1 in
-  t.len <- last;
-  if last > 0 then begin
-    let time = Float.Array.unsafe_get t.times last
-    and tag = Array.unsafe_get t.tags last
-    and thunk = Array.unsafe_get t.thunks last in
-    let hole = ref 0 and sifting = ref true in
-    while !sifting do
-      let l = (2 * !hole) + 1 in
-      if l >= last then sifting := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < last
-             && (let tl = Float.Array.unsafe_get t.times l
-                 and tr = Float.Array.unsafe_get t.times r in
-                 tr < tl || (tr = tl && Array.unsafe_get t.tags r < Array.unsafe_get t.tags l))
-          then r
-          else l
-        in
-        let tc = Float.Array.unsafe_get t.times c in
-        if tc < time || (tc = time && Array.unsafe_get t.tags c < tag) then begin
-          move t ~src:c ~dst:!hole;
-          hole := c
-        end
-        else sifting := false
-      end
-    done;
-    place t !hole time tag thunk
-  end;
-  Array.unsafe_set t.thunks last vacant
-
-let[@inline] enqueue t daemon time thunk =
-  let time = if time < t.clock then t.clock else time in
-  if not daemon then t.live <- t.live + 1;
-  push t time daemon thunk
-
-let schedule_at t ?(daemon = false) time thunk = enqueue t daemon time thunk
-
-let schedule t ?(daemon = false) ~delay thunk = enqueue t daemon (t.clock +. delay) thunk
-
-(* --- the timer heap ---------------------------------------------------- *)
-
-let grow_timers t =
-  let cap = Array.length t.timers in
-  let ncap = if cap = 0 then 64 else cap * 2 in
-  let times = Float.Array.create ncap in
-  Float.Array.blit t.ttimes 0 times 0 t.tlen;
-  let tags = Array.make ncap 0 in
-  Array.blit t.ttags 0 tags 0 t.tlen;
-  let timers = Array.make ncap no_timer in
-  Array.blit t.timers 0 timers 0 t.tlen;
-  t.ttimes <- times;
-  t.ttags <- tags;
-  t.timers <- timers
-
-let[@inline] tplace t i time tag h =
-  Float.Array.unsafe_set t.ttimes i time;
-  Array.unsafe_set t.ttags i tag;
-  Array.unsafe_set t.timers i h;
-  h.slot <- i
-
-(* Whether the timer at [i] orders before (time, tag). *)
-let[@inline] tbefore t i time tag =
-  let ti = Float.Array.unsafe_get t.ttimes i in
-  ti < time || (ti = time && Array.unsafe_get t.ttags i < tag)
-
-let tsift_up t hole time tag h =
-  let hole = ref hole in
-  while !hole > 0 && not (tbefore t ((!hole - 1) / 2) time tag) do
-    let parent = (!hole - 1) / 2 in
-    tplace t !hole (Float.Array.unsafe_get t.ttimes parent) (Array.unsafe_get t.ttags parent)
-      (Array.unsafe_get t.timers parent);
-    hole := parent
-  done;
-  tplace t !hole time tag h
-
-let tsift_down t hole time tag h =
+let sift_down t hole time tag thunk h =
+  let len = t.len in
   let hole = ref hole and sifting = ref true in
   while !sifting do
     let l = (2 * !hole) + 1 in
-    if l >= t.tlen then sifting := false
+    if l >= len then sifting := false
     else begin
       let r = l + 1 in
       let c =
-        if r < t.tlen
-           && tbefore t r (Float.Array.unsafe_get t.ttimes l) (Array.unsafe_get t.ttags l)
+        if r < len && before t r (Float.Array.unsafe_get t.times l) (Array.unsafe_get t.tags l)
         then r
         else l
       in
-      if tbefore t c time tag then begin
-        tplace t !hole (Float.Array.unsafe_get t.ttimes c) (Array.unsafe_get t.ttags c)
-          (Array.unsafe_get t.timers c);
+      if before t c time tag then begin
+        move t ~src:c ~dst:!hole;
         hole := c
       end
       else sifting := false
     end
   done;
-  tplace t !hole time tag h
+  place t !hole time tag thunk h
 
-(* Take the timer at slot [i] out: the last timer fills the hole and
-   sifts whichever way its key sends it. The handle is unlinked and lets
-   go of its closure. *)
-let remove_timer t i =
-  let h = Array.unsafe_get t.timers i in
-  let last = t.tlen - 1 in
-  t.tlen <- last;
+(* Take the entry at slot [i] out: the last entry fills the hole and
+   sifts whichever way its key sends it. *)
+let remove t i =
+  let last = t.len - 1 in
+  t.len <- last;
   if i < last then begin
-    let time = Float.Array.unsafe_get t.ttimes last
-    and tag = Array.unsafe_get t.ttags last
-    and moved = Array.unsafe_get t.timers last in
-    if i > 0 && not (tbefore t ((i - 1) / 2) time tag) then tsift_up t i time tag moved
-    else tsift_down t i time tag moved
+    let time = Float.Array.unsafe_get t.times last
+    and tag = Array.unsafe_get t.tags last
+    and thunk = Array.unsafe_get t.thunks last
+    and h = Array.unsafe_get t.handles last in
+    if i > 0 && not (before t ((i - 1) / 2) time tag) then sift_up t i time tag thunk h
+    else sift_down t i time tag thunk h
   end;
-  Array.unsafe_set t.timers last no_timer;
-  h.slot <- -1;
-  h.fire <- vacant
+  Array.unsafe_set t.thunks last vacant
+
+let push t time flags thunk h =
+  if t.len = Array.length t.thunks then grow t;
+  let time = if time < t.clock then t.clock else time in
+  let tag = (t.next_seq lsl 2) lor flags in
+  t.next_seq <- t.next_seq + 1;
+  t.len <- t.len + 1;
+  sift_up t (t.len - 1) time tag thunk h
+
+let[@inline] enqueue t daemon time thunk =
+  if not daemon then t.live <- t.live + 1;
+  push t time (if daemon then daemon_bit else 0) thunk no_timer
+
+let schedule_at t ?(daemon = false) time thunk = enqueue t daemon time thunk
+
+let schedule t ?(daemon = false) ~delay thunk = enqueue t daemon (t.clock +. delay) thunk
 
 let timer t ~delay fire =
-  if t.tlen = Array.length t.timers then grow_timers t;
-  let time = t.clock +. delay in
-  let time = if time < t.clock then t.clock else time in
-  let tag = (t.next_seq lsl 1) lor 1 in
-  t.next_seq <- t.next_seq + 1;
-  let h = { slot = -1; fire } in
-  t.tlen <- t.tlen + 1;
-  tsift_up t (t.tlen - 1) time tag h;
+  let h = { slot = -1 } in
+  push t (t.clock +. delay) (daemon_bit lor timer_bit) fire h;
   h
 
-let cancel t h = if h.slot >= 0 then remove_timer t h.slot
-
-(* The earliest timer runs when it orders before the earliest event. *)
-let[@inline] timer_first t =
-  t.tlen > 0
-  && (t.len = 0
-     || tbefore t 0 (Float.Array.unsafe_get t.times 0) (Array.unsafe_get t.tags 0))
-
-let fire_timer t =
-  let time = Float.Array.unsafe_get t.ttimes 0 in
-  let fire = (Array.unsafe_get t.timers 0).fire in
-  remove_timer t 0;
-  t.clock <- time;
-  t.executed <- t.executed + 1;
-  fire ()
+let cancel t h =
+  let i = h.slot in
+  if i >= 0 then begin
+    h.slot <- -1;
+    remove t i
+  end
 
 let step t =
-  if timer_first t then begin
-    fire_timer t;
-    true
-  end
-  else if t.len = 0 then false
+  if t.len = 0 then false
   else begin
     let time = Float.Array.unsafe_get t.times 0 in
     let tag = Array.unsafe_get t.tags 0 in
     let thunk = Array.unsafe_get t.thunks 0 in
-    pop t;
+    if tag land timer_bit <> 0 then (Array.unsafe_get t.handles 0).slot <- -1;
+    remove t 0;
     t.clock <- time;
-    if tag land 1 = 0 then t.live <- t.live - 1;
+    if tag land daemon_bit = 0 then t.live <- t.live - 1;
     t.executed <- t.executed + 1;
     thunk ();
     true
@@ -259,14 +183,11 @@ let run ?until t =
   match until with
   | None -> while t.live > 0 && step t do () done
   | Some deadline ->
-    while
-      (t.len > 0 && Float.Array.unsafe_get t.times 0 <= deadline)
-      || (t.tlen > 0 && Float.Array.unsafe_get t.ttimes 0 <= deadline)
-    do
+    while t.len > 0 && Float.Array.unsafe_get t.times 0 <= deadline do
       ignore (step t)
     done;
     if t.clock < deadline then t.clock <- deadline
 
-let pending t = t.len + t.tlen
+let pending t = t.len
 
 let executed t = t.executed

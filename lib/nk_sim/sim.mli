@@ -5,13 +5,14 @@
     scheduling order. The simulated clock stands in for both wall-clock
     latency and HTTP absolute expiration times.
 
-    The event queue is a binary heap specialised to thunks: times,
-    scheduling order (with the daemon flag in its low bit) and thunks
-    sit in three parallel arrays, so scheduling allocates nothing beyond
-    the thunk itself, and running an event drops the queue's reference
-    to it. Cancellable timers sit in a second heap beside it, ordered by
-    the same key, so the order of every event is the order one queue
-    would give. *)
+    The event queue is one binary heap specialised to thunks: times,
+    scheduling order (with daemon and timer flags in its low bits),
+    thunks and timer handles sit in four parallel arrays, and running
+    or cancelling an event drops the queue's reference to its thunk. A
+    cancellable timer is a daemon entry of that heap whose handle
+    tracks its slot. Beyond the thunk, a schedule and its step allocate
+    six words (two boxed times passed to the sifts and the boxed
+    clock); a timer adds its two-word handle. *)
 
 type t
 

@@ -2,10 +2,6 @@ open Nk_script.Value
 
 exception Terminate_request of Nk_http.Message.response
 
-let arg i args = match List.nth_opt args i with Some v -> v | None -> Vundefined
-
-let sarg i args = to_string (arg i args)
-
 let response_to_value (resp : Nk_http.Message.response) =
   let o = new_obj () in
   obj_set o "status" (Vnum (float_of_int resp.Nk_http.Message.status));

@@ -1,7 +1,5 @@
 open Nk_script.Value
 
-let arg i args = match List.nth_opt args i with Some v -> v | None -> Vundefined
-
 let body_string = function
   | Vbytes b ->
     (* Zero-copy read view: the decoder only reads the string within

@@ -28,7 +28,6 @@ let rec json_to_value = function
 
 let install ctx =
   let o = new_obj () in
-  let arg i args = match List.nth_opt args i with Some v -> v | None -> Vundefined in
   obj_set o "stringify"
     (native "stringify" (fun _ args ->
          let out = Json.print (value_to_json (arg 0 args)) in

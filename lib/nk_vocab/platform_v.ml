@@ -1,9 +1,5 @@
 open Nk_script.Value
 
-let arg i args = match List.nth_opt args i with Some v -> v | None -> Vundefined
-
-let sarg i args = to_string (arg i args)
-
 let system_object (host : Hostcall.t) =
   let o = new_obj () in
   obj_set o "isLocal" (native "isLocal" (fun _ args -> Vbool (host.is_local (sarg 0 args))));

@@ -1,7 +1,5 @@
 open Nk_script.Value
 
-let arg i args = match List.nth_opt args i with Some v -> v | None -> Vundefined
-
 (* Compiled patterns a context keeps; a script that cycles through more
    starts the table over, so its size stays bounded. *)
 let cache_capacity = 64

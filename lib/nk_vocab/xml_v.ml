@@ -1,7 +1,5 @@
 open Nk_script.Value
 
-let arg i args = match List.nth_opt args i with Some v -> v | None -> Vundefined
-
 let rec node_to_value = function
   | Xml.Text t -> Vstr t
   | Xml.Element (name, attrs, children) ->
