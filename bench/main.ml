@@ -36,7 +36,7 @@ let experiments =
   ]
 
 (* Real (process CPU) time per experiment, reported once at the end. *)
-let profile = Core.Telemetry.Profile.create ()
+let profile = Core.Telemetry.Profile.create ~clock:Sys.time ()
 
 let run_experiment name run =
   Harness.begin_experiment name;

@@ -678,34 +678,8 @@ let chaos_cmd =
   let proxy_names =
     [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net"; "nk-d.nakika.net" ]
   in
-  let random_plan seed =
-    let rng = Core.Util.Prng.create seed in
-    let plan = Plan.create ~seed () in
-    Plan.drop_link plan ~probability:(Core.Util.Prng.float rng 0.30) ();
-    if Core.Util.Prng.bool rng then
-      Plan.spike_link plan
-        ~probability:(Core.Util.Prng.float rng 0.2)
-        ~extra:(Core.Util.Prng.float rng 2.0)
-        ();
-    let n_partitions = Core.Util.Prng.int rng 3 in
-    for _ = 1 to n_partitions do
-      let split = 1 + Core.Util.Prng.int rng 3 in
-      let a = List.filteri (fun i _ -> i < split) proxy_names in
-      let b = List.filteri (fun i _ -> i >= split) proxy_names in
-      let at = epoch +. 5.0 +. Core.Util.Prng.float rng 25.0 in
-      Plan.partition plan ~a ~b ~at ~heal:(at +. 2.0 +. Core.Util.Prng.float rng 8.0)
-    done;
-    List.iter
-      (fun name ->
-        if Core.Util.Prng.bool rng then begin
-          let at = epoch +. 5.0 +. Core.Util.Prng.float rng 35.0 in
-          Plan.crash plan ~host:name ~at ~restart:(at +. 1.0 +. Core.Util.Prng.float rng 9.0) ()
-        end)
-      proxy_names;
-    plan
-  in
   let run seed =
-    let plan = random_plan seed in
+    let plan = Plan.random ~seed ~hosts:proxy_names ~start:epoch in
     let cluster = Core.Node.Cluster.create ~seed ~faults:plan () in
     let origin = Core.Node.Cluster.add_origin cluster ~name:"www.example.edu" () in
     Core.Node.Origin.set_static origin ~path:"/index.html" ~max_age:60 "<html>chaos</html>";

@@ -93,11 +93,6 @@ let refresh t ~key ~expiry =
 let fold_fresh t ~now ~init ~f =
   Hashtbl.fold (fun key e acc -> if e.expiry > now then f acc key e.expiry else acc) t.table init
 
-let mem t ~now ~key =
-  match Hashtbl.find_opt t.table key with
-  | Some e when e.expiry > now -> true
-  | _ -> false
-
 let evict_until_fits t =
   while t.bytes > t.max_bytes do
     match t.tail with
@@ -136,9 +131,5 @@ let store t ~now ~key ~expiry response =
     end
 
 let insert t ~now ~key ~expiry response = ignore (store t ~now ~key ~expiry response)
-
-let entry_count t = Hashtbl.length t.table
-
-let size_bytes t = t.bytes
 
 let hits t = Counter.get t.metrics Meter.hits

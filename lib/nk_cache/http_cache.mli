@@ -42,10 +42,4 @@ val fold_fresh : t -> now:float -> init:'a -> f:('a -> string -> float -> 'a) ->
 
 val remove : t -> key:string -> unit
 
-val mem : t -> now:float -> key:string -> bool
-
-val entry_count : t -> int
-
-val size_bytes : t -> int
-
 val hits : t -> int

@@ -15,21 +15,20 @@ let default =
     staleness = 3.0 }
 
 let validate c =
-  let problems = ref [] in
-  let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  let positive name v = if v <= 0.0 then reject "%s must be positive (got %g)" name v in
+  let module F = Nk_util.Findings in
+  let f = F.create () in
   if c.low_water < 0.0 then
-    reject "diffusion_low_water must not be negative (got %g)" c.low_water;
+    F.reject f "diffusion_low_water must not be negative (got %g)" c.low_water;
   if c.low_water >= c.high_water then
-    reject "diffusion_low_water (%g) must be below diffusion_high_water (%g)" c.low_water
+    F.reject f "diffusion_low_water (%g) must be below diffusion_high_water (%g)" c.low_water
       c.high_water;
   if c.high_water > 1.0 then
-    reject "diffusion_high_water must be at most 1 (got %g)" c.high_water;
-  if c.fanout <= 0 then reject "diffusion_fanout must be positive (got %d)" c.fanout;
-  positive "diffusion_offload_timeout" c.offload_timeout;
-  positive "diffusion_fetch_timeout" c.fetch_timeout;
-  positive "diffusion_staleness" c.staleness;
-  List.rev !problems
+    F.reject f "diffusion_high_water must be at most 1 (got %g)" c.high_water;
+  F.positive_int f "diffusion_fanout" c.fanout;
+  F.positive f "diffusion_offload_timeout" c.offload_timeout;
+  F.positive f "diffusion_fetch_timeout" c.fetch_timeout;
+  F.positive f "diffusion_staleness" c.staleness;
+  F.to_list f
 
 type decision = Local | Offload of Neighbors.info list
 

@@ -55,6 +55,29 @@ let fail_origin t ~host ~at ~until =
 let slow_origin t ~host ~at ~until ~factor =
   t.origins <- { ohost = host; oat = at; ountil = until; action = `Slow factor } :: t.origins
 
+let random ~seed ~hosts ~start =
+  let module Prng = Nk_util.Prng in
+  let rng = Prng.create seed in
+  let plan = create ~seed () in
+  drop_link plan ~probability:(Prng.float rng 0.30) ();
+  if Prng.bool rng then
+    spike_link plan ~probability:(Prng.float rng 0.2) ~extra:(Prng.float rng 2.0) ();
+  for _ = 1 to Prng.int rng 3 do
+    let split = 1 + Prng.int rng 3 in
+    let a = List.filteri (fun i _ -> i < split) hosts in
+    let b = List.filteri (fun i _ -> i >= split) hosts in
+    let at = start +. 5.0 +. Prng.float rng 25.0 in
+    partition plan ~a ~b ~at ~heal:(at +. 2.0 +. Prng.float rng 8.0)
+  done;
+  List.iter
+    (fun host ->
+      if Prng.bool rng then begin
+        let at = start +. 5.0 +. Prng.float rng 35.0 in
+        crash plan ~host ~at ~restart:(at +. 1.0 +. Prng.float rng 9.0) ()
+      end)
+    hosts;
+  plan
+
 let matches opt name = match opt with None -> true | Some n -> String.equal n name
 
 let partitioned t ~now ~src ~dst =

@@ -56,6 +56,13 @@ val slow_origin : t -> host:string -> at:float -> until:float -> factor:float ->
 (** The origin server's CPU cost per request is multiplied by [factor]
     between [at] and [until]. *)
 
+val random : seed:int -> hosts:string list -> start:float -> t
+(** A reproducible schedule drawn from [seed] (which also seeds the
+    plan): drops of up to 30% on every link, a latency spike half the
+    time, up to 2 partitions of [hosts] that heal within 10 s, and at
+    most one crash/restart per host, all between [start + 5] and
+    [start + 50]. The chaos soak and [nakika chaos] run these. *)
+
 (** {1 Queries (called by the simulator)} *)
 
 val link_fate : t -> now:float -> src:string -> dst:string -> [ `Deliver of float | `Drop ]

@@ -24,8 +24,6 @@ let get t name =
   in
   go t
 
-let get_all t name = List.filter_map (fun (k, v) -> if name_equal k name then Some v else None) t
-
 let mem t name = List.exists (fun (k, _) -> name_equal k name) t
 
 let remove t name = List.filter (fun (k, _) -> not (name_equal k name)) t

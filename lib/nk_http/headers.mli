@@ -13,8 +13,6 @@ val to_list : t -> (string * string) list
 val get : t -> string -> string option
 (** First value for the field, case-insensitive. *)
 
-val get_all : t -> string -> string list
-
 val set : t -> string -> string -> t
 (** Replace all existing values for the field with the single value,
     keeping the original position of the first occurrence. *)

@@ -15,10 +15,6 @@ val parse : string -> t option
 (** ["bytes=0-499"], ["bytes=500-"], ["bytes=-200"] (final 200 bytes).
     Multi-range requests are not supported and parse to [None]. *)
 
-val resolve : t -> length:int -> (int * int) option
-(** Inclusive byte offsets within an instance of [length] bytes;
-    [None] when the range is unsatisfiable. *)
-
 val apply : t -> Message.response -> bool
 (** Slice a 200 response in place into a 206 partial response (body,
     Content-Length, Content-Range). Returns false — leaving the

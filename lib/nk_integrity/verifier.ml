@@ -2,21 +2,18 @@ type t = {
   sample_fraction : float;
   eviction_threshold : int;
   members : (string, int) Hashtbl.t; (* node -> report count *)
-  mutable evicted_nodes : string list;
 }
 
 let create ?(sample_fraction = 0.05) ?(eviction_threshold = 3) () =
   if sample_fraction < 0.0 || sample_fraction > 1.0 then
     invalid_arg "Verifier.create: sample_fraction out of [0,1]";
-  { sample_fraction; eviction_threshold; members = Hashtbl.create 16; evicted_nodes = [] }
+  { sample_fraction; eviction_threshold; members = Hashtbl.create 16 }
 
 let should_sample t ~rng = Nk_util.Prng.float rng 1.0 < t.sample_fraction
 
 let register_node t node = if not (Hashtbl.mem t.members node) then Hashtbl.add t.members node 0
 
 let is_member t node = Hashtbl.mem t.members node
-
-let reports t ~node = match Hashtbl.find_opt t.members node with Some n -> n | None -> 0
 
 let check t ~node ~original ~reexecuted =
   if String.equal original reexecuted then `Match
@@ -25,12 +22,7 @@ let check t ~node ~original ~reexecuted =
      | Some count ->
        let count = count + 1 in
        Hashtbl.replace t.members node count;
-       if count >= t.eviction_threshold then begin
-         Hashtbl.remove t.members node;
-         t.evicted_nodes <- List.sort compare (node :: t.evicted_nodes)
-       end
+       if count >= t.eviction_threshold then Hashtbl.remove t.members node
      | None -> ());
     `Mismatch_reported
   end
-
-let evicted t = t.evicted_nodes

@@ -20,9 +20,5 @@ val is_member : t -> string -> bool
 val check :
   t -> node:string -> original:string -> reexecuted:string -> [ `Match | `Mismatch_reported ]
 (** Compare the content a node served against an independent
-    re-execution; a mismatch files a report and may evict. *)
-
-val reports : t -> node:string -> int
-
-val evicted : t -> string list
-(** Nodes evicted so far, sorted. *)
+    re-execution; a mismatch files a report, and the report that
+    reaches the threshold evicts the node ({!is_member} turns false). *)

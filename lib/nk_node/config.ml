@@ -128,37 +128,30 @@ let plain_proxy =
    timeouts); documented sentinel values (e.g. [request_deadline = 0]
    mints no budget) stay legal. *)
 let validate t =
-  let problems = ref [] in
-  let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  let positive name v = if v <= 0.0 then reject "%s must be positive (got %g)" name v in
-  if t.script_max_fuel <= 0 then
-    reject "script_max_fuel must be positive (got %d)" t.script_max_fuel;
-  if t.script_max_heap <= 0 then
-    reject "script_max_heap must be positive (got %d)" t.script_max_heap;
-  if t.cache_bytes < 0 then reject "cache_bytes must not be negative (got %d)" t.cache_bytes;
+  let module F = Nk_util.Findings in
+  let f = F.create () in
+  F.positive_int f "script_max_fuel" t.script_max_fuel;
+  F.positive_int f "script_max_heap" t.script_max_heap;
+  if t.cache_bytes < 0 then F.reject f "cache_bytes must not be negative (got %d)" t.cache_bytes;
   if t.request_deadline < 0.0 then
-    reject "request_deadline must not be negative (got %g)" t.request_deadline;
+    F.reject f "request_deadline must not be negative (got %g)" t.request_deadline;
   if t.hedge_rate <= 0.0 || t.hedge_rate > 1.0 then
-    reject "hedge_rate must be in (0, 1] (got %g)" t.hedge_rate;
+    F.reject f "hedge_rate must be in (0, 1] (got %g)" t.hedge_rate;
   if t.retry_budget_ratio < 0.0 || t.retry_budget_ratio > 1.0 then
-    reject "retry_budget_ratio must be in [0, 1] (got %g)" t.retry_budget_ratio;
-  positive "dht_ttl" t.dht_ttl;
-  positive "hotspot_threshold" t.hotspot_threshold;
-  if t.hotspot_replicas <= 0 then
-    reject "hotspot_replicas must be positive (got %d)" t.hotspot_replicas;
-  positive "hotspot_ttl" t.hotspot_ttl;
-  positive "hotspot_halflife" t.hotspot_halflife;
-  List.iter
-    (fun (pattern, fuel) ->
-      if fuel <= 0 then reject "site_fuel[%s]: fuel cap must be positive (got %d)" pattern fuel)
-    t.site_fuel;
-  List.iter
-    (fun (pattern, heap) ->
-      if heap <= 0 then reject "site_heap[%s]: heap cap must be positive (got %d)" pattern heap)
-    t.site_heap;
+    F.reject f "retry_budget_ratio must be in [0, 1] (got %g)" t.retry_budget_ratio;
+  F.positive f "dht_ttl" t.dht_ttl;
+  F.positive f "hotspot_threshold" t.hotspot_threshold;
+  F.positive_int f "hotspot_replicas" t.hotspot_replicas;
+  F.positive f "hotspot_ttl" t.hotspot_ttl;
+  F.positive f "hotspot_halflife" t.hotspot_halflife;
+  let per_site name caps =
+    List.iter (fun (pattern, v) -> F.positive_int f (Printf.sprintf name pattern) v) caps
+  in
+  per_site "site_fuel[%s]: fuel cap" t.site_fuel;
+  per_site "site_heap[%s]: heap cap" t.site_heap;
   let present check = Option.fold ~none:[] ~some:check in
   present Nk_resource.Admission.validate t.admission
-  @ List.rev !problems
+  @ F.to_list f
   @ Nk_resource.Quarantine.validate t.quarantine
   @ Nk_resource.Breaker.validate t.breaker
   @ present Nk_diffusion.Policy.validate t.diffusion

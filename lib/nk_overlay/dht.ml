@@ -27,8 +27,6 @@ type t = {
   stores : (int, node_store) Hashtbl.t; (* keyed by ring id *)
   ids : (string, Node_id.t) Hashtbl.t; (* node name -> id *)
   names : (int, string) Hashtbl.t; (* ring id -> node name *)
-  values_per_key : int;
-  replicas : int;
   mutable live : string -> bool;
   metrics : Nk_telemetry.Metrics.t;
   mutable hotspot : hotspot_config option; (* None = detection off *)
@@ -43,13 +41,18 @@ module Key = struct
   let of_string name = { name; id = Node_id.of_string name }
 end
 
-let create ?(values_per_key = 16) ?(replicas = 2) ?(seed = 0x5107) () =
-  if replicas < 1 then invalid_arg "Dht.create: replicas must be >= 1";
+(* Each key's announcements live on its owner and next distinct
+   successor, at most 16 of them (newest win). *)
+let replicas = 2
+
+let values_per_key = 16
+
+let create () =
   { ring = Ring.create (); stores = Hashtbl.create 16; ids = Hashtbl.create 16;
-    names = Hashtbl.create 16; values_per_key; replicas; live = (fun _ -> true);
+    names = Hashtbl.create 16; live = (fun _ -> true);
     metrics = Nk_telemetry.Metrics.create (); hotspot = None;
     rates = Hashtbl.create 16; placements = Hashtbl.create 16;
-    rng = Nk_util.Prng.create seed }
+    rng = Nk_util.Prng.create 0x5107 }
 
 module Counter = Nk_telemetry.Metrics.Counter
 module Gauge = Nk_telemetry.Metrics.Gauge
@@ -115,11 +118,11 @@ let route t ~from ~(key : Key.t) =
   (owner, List.length path)
 
 (* The owner plus its next distinct ring successors — the replica set
-   of a key, newest-responsibility first. At most [t.replicas] nodes.
+   of a key, newest-responsibility first. At most [replicas] nodes.
    O(k log n) via the ring's ordered membership (the old version
    materialized the whole sorted membership per put/get, a linear scan
    that dominated at 1000 nodes). *)
-let replica_set t owner = Ring.successors t.ring owner ~k:t.replicas
+let replica_set t owner = Ring.successors t.ring owner ~k:replicas
 
 let node_live t id =
   match Hashtbl.find_opt t.names (Node_id.to_int id) with
@@ -279,8 +282,8 @@ let put_key t ~now ~from ~key ~value ~ttl =
            in
            let entries = { value; expiry = now +. ttl } :: live in
            let entries =
-             if List.length entries > t.values_per_key then
-               List.filteri (fun i _ -> i < t.values_per_key) entries
+             if List.length entries > values_per_key then
+               List.filteri (fun i _ -> i < values_per_key) entries
              else entries
            in
            Hashtbl.replace store key entries)
@@ -378,7 +381,7 @@ let get t ~now ~from ~key = get_key t ~now ~from ~key:(Key.of_string key)
    hedging layer asks for these when it needs "the next live replica"
    beyond a lookup's announced holders. *)
 let replica_names t ~(key : Key.t) =
-  Ring.successors t.ring key.id ~k:t.replicas
+  Ring.successors t.ring key.id ~k:replicas
   |> List.filter_map (fun id ->
        match Hashtbl.find_opt t.names (Node_id.to_int id) with
        | Some name when t.live name -> Some name

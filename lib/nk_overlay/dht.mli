@@ -20,13 +20,11 @@ module Key : sig
   (** Hashes the string to its ring id (SHA-256, via {!Node_id.of_string}). *)
 end
 
-val create : ?values_per_key:int -> ?replicas:int -> ?seed:int -> unit -> t
-(** [values_per_key] caps coexisting announcements (default 16; newest
-    win). [replicas] (default 2) is how many ring nodes — the key's
-    owner plus its next distinct successors — hold each announcement, so
-    a lookup can fall back when the owner is down. [seed] drives the
-    deterministic PRNG used for sloppy replica placement. Raises
-    [Invalid_argument] when [replicas < 1]. *)
+val create : unit -> t
+(** Each key keeps at most 16 coexisting announcements (newest win),
+    held by 2 ring nodes — the key's owner and its next distinct
+    successor — so a lookup can fall back when the owner is down. A
+    fixed seed drives the PRNG used for sloppy replica placement. *)
 
 val set_hotspots :
   t -> ?halflife:float -> threshold:float -> replicas:int -> ttl:float -> unit -> unit

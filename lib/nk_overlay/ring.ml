@@ -30,8 +30,6 @@ let leave t id =
     t.sorted <- None
   end
 
-let size t = t.size
-
 let sorted_array t =
   match t.sorted with
   | Some a -> a

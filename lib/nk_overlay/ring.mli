@@ -16,8 +16,6 @@ val leave : t -> Node_id.t -> unit
 
 val mem : t -> Node_id.t -> bool
 
-val size : t -> int
-
 val nodes : t -> Node_id.t list
 (** Sorted by ring position. *)
 

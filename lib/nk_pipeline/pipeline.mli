@@ -35,10 +35,6 @@ val well_known_server_wall : string
 val site_script_url : string -> string
 (** Where a site publishes its script: ["http://<site>/nakika.js"]. *)
 
-val default_stages : Nk_http.Message.request -> string list
-(** The three default stages in pop order: client wall, site script,
-    server wall. *)
-
 val execute :
   load_stage:(string -> Stage.t option) ->
   fetch:(Nk_http.Message.request -> Nk_http.Message.response) ->

@@ -3,7 +3,7 @@ type node = {
   mutable here : Policy.t list; (* policies whose URL host pattern ends at this node *)
 }
 
-type t = { root : node; count : int }
+type t = { root : node }
 
 let new_node () = { children = Hashtbl.create 4; here = [] }
 
@@ -42,7 +42,7 @@ let build policies =
       | urls ->
         List.iter (fun pattern -> insert root (rev_labels (host_of_pattern pattern)) p) urls)
     policies;
-  { root; count = List.length policies }
+  { root }
 
 let find_closest t (req : Nk_http.Message.request) =
   (* Collect candidates along the host-label path, then run the full
@@ -59,11 +59,3 @@ let find_closest t (req : Nk_http.Message.request) =
   in
   walk t.root labels;
   Policy.closest_match !candidates req
-
-let policy_count t = t.count
-
-let node_count t =
-  let rec count node =
-    Hashtbl.fold (fun _ child acc -> acc + count child) node.children 1
-  in
-  count t.root

@@ -13,8 +13,3 @@ type t
 val build : Policy.t list -> t
 
 val find_closest : t -> Nk_http.Message.request -> Policy.t option
-
-val policy_count : t -> int
-
-val node_count : t -> int
-(** Size of the host trie, for the space/time tradeoff ablation. *)

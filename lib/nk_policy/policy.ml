@@ -9,12 +9,12 @@ type t = {
   order : int;
 }
 
-let make ?(urls = []) ?(clients = []) ?(methods = []) ?(headers = []) ?(order = 0) () =
+let make ?(urls = []) ?(order = 0) () =
   {
     urls;
-    clients;
-    methods;
-    headers = List.map (fun (name, pat) -> (name, Nk_regex.Regex.compile pat)) headers;
+    clients = [];
+    methods = [];
+    headers = [];
     on_request = None;
     on_response = None;
     next_stages = [];

@@ -18,24 +18,12 @@ type t = {
   order : int; (** registration order; later registrations win ties *)
 }
 
-val make :
-  ?urls:string list ->
-  ?clients:string list ->
-  ?methods:string list ->
-  ?headers:(string * string) list ->
-  ?order:int ->
-  unit ->
-  t
-(** Header regexes are compiled here; raises [Nk_regex.Regex.Parse_error]
-    on a bad pattern. *)
-
-type score = int * int * int * int
-(** Specificity as (url, client, method, headers) — compared
-    lexicographically, mirroring the paper's precedence order. *)
-
-val matches : t -> Nk_http.Message.request -> score option
-(** [None] when some non-empty property fails to match. *)
+val make : ?urls:string list -> ?order:int -> unit -> t
+(** A URL-only policy with no handlers (scripts build the rest through
+    {!Script_bridge}). *)
 
 val closest_match : t list -> Nk_http.Message.request -> t option
-(** Reference (brute force) selection: highest score; ties go to the
-    latest registration. [None] when no policy is valid. *)
+(** Reference (brute force) selection: highest specificity, as
+    (url, client, method, headers) compared lexicographically in the
+    paper's precedence order; ties go to the latest registration.
+    [None] when no policy is valid. *)

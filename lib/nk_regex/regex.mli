@@ -23,11 +23,8 @@ val matches : t -> step:(unit -> unit) -> string -> bool
 val find : t -> step:(unit -> unit) -> string -> (int * int) option
 (** Leftmost match as [(start, end_exclusive)]. *)
 
-val find_all : t -> step:(unit -> unit) -> string -> (int * int) list
-(** Non-overlapping leftmost matches. *)
-
 val replace : t -> step:(unit -> unit) -> by:string -> string -> string
-(** Replace every non-overlapping match. *)
+(** Replace every non-overlapping leftmost match. *)
 
 val split : t -> step:(unit -> unit) -> string -> string list
 (** Split the string on matches. *)

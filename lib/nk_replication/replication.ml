@@ -141,8 +141,6 @@ let keys t ~prefix =
   Store.keys t.store ~site:t.site ~prefix
   |> List.filter (fun k -> Store.get t.store ~site:t.site ~key:k <> Some tombstone)
 
-let name t = t.node_name
-
 (* Anti-entropy: periodically re-broadcast every key this replica knows,
    at its current version. Receivers that already have the version drop
    it (version-stale), so the cycle is idempotent; receivers that missed

@@ -39,8 +39,6 @@ val delete : node -> key:string -> unit
 val keys : node -> prefix:string -> string list
 (** Live (non-tombstoned) keys at this replica, sorted. *)
 
-val name : node -> string
-
 val start_anti_entropy : node -> unit
 (** Every 30 simulated seconds, re-broadcast all keys this replica
     knows at their current versions. Receivers ignore versions they

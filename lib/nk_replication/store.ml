@@ -1,8 +1,11 @@
 type site_state = { table : (string, string) Hashtbl.t; mutable bytes : int }
 
-type t = { quota : int; sites : (string, site_state) Hashtbl.t }
+type t = { sites : (string, site_state) Hashtbl.t }
 
-let create ?(quota_bytes = 16 * 1024 * 1024) () = { quota = quota_bytes; sites = Hashtbl.create 8 }
+(* Each site's byte quota. *)
+let quota = 16 * 1024 * 1024
+
+let create () = { sites = Hashtbl.create 8 }
 
 let site_state t site =
   match Hashtbl.find_opt t.sites site with
@@ -27,7 +30,7 @@ let put t ~site ~key value =
     | None -> 0
   in
   let new_bytes = s.bytes - old_size + entry_size key value in
-  if new_bytes > t.quota then false
+  if new_bytes > quota then false
   else begin
     Hashtbl.replace s.table key value;
     s.bytes <- new_bytes;

@@ -6,8 +6,8 @@
 
 type t
 
-val create : ?quota_bytes:int -> unit -> t
-(** [quota_bytes] is per site (default 16 MiB). *)
+val create : unit -> t
+(** Each site's quota is 16 MiB. *)
 
 val get : t -> site:string -> key:string -> string option
 

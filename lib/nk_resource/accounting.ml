@@ -3,9 +3,12 @@ type site_state = {
   average : (Resource.t, Nk_util.Ewma.t) Hashtbl.t;
 }
 
-type t = { alpha : float; sites : (string, site_state) Hashtbl.t }
+type t = { sites : (string, site_state) Hashtbl.t }
 
-let create ?(alpha = 0.3) () = { alpha; sites = Hashtbl.create 16 }
+(* The weight of the newest interval in [usage]. *)
+let alpha = 0.3
+
+let create () = { sites = Hashtbl.create 16 }
 
 let site_state t site =
   match Hashtbl.find_opt t.sites site with
@@ -23,11 +26,11 @@ let counter state resource =
     Hashtbl.add state.interval resource r;
     r
 
-let ewma t state resource =
+let ewma state resource =
   match Hashtbl.find_opt state.average resource with
   | Some e -> e
   | None ->
-    let e = Nk_util.Ewma.create ~alpha:t.alpha in
+    let e = Nk_util.Ewma.create ~alpha in
     Hashtbl.add state.average resource e;
     e
 
@@ -35,11 +38,6 @@ let charge t ~site resource amount =
   let state = site_state t site in
   let r = counter state resource in
   r := !r +. amount
-
-let interval_consumption t ~site resource =
-  match Hashtbl.find_opt t.sites site with
-  | None -> 0.0
-  | Some state -> ( match Hashtbl.find_opt state.interval resource with Some r -> !r | None -> 0.0)
 
 let usage t ~site resource =
   match Hashtbl.find_opt t.sites site with
@@ -51,31 +49,19 @@ let usage t ~site resource =
 
 let active_sites t = Hashtbl.fold (fun k _ acc -> k :: acc) t.sites [] |> List.sort compare
 
-let contribution t ~site resource =
-  let mine = usage t ~site resource in
-  if mine <= 0.0 then 0.0
-  else begin
-    let total =
-      List.fold_left (fun acc s -> acc +. usage t ~site:s resource) 0.0 (active_sites t)
-    in
-    if total <= 0.0 then 0.0 else mine /. total
-  end
-
-let fold_one t state resource r ~congested =
+let fold_one state resource r ~congested =
   let counts = (not (Resource.is_renewable resource)) || congested in
-  if counts then ignore (Nk_util.Ewma.update (ewma t state resource) !r)
+  if counts then ignore (Nk_util.Ewma.update (ewma state resource) !r)
   else
     (* Renewable and uncongested: the average still decays so past
        penalization is forgotten. *)
-    ignore (Nk_util.Ewma.update (ewma t state resource) 0.0);
+    ignore (Nk_util.Ewma.update (ewma state resource) 0.0);
   r := 0.0
 
 let close_resource_interval t resource ~congested =
   Hashtbl.iter
     (fun _site state ->
       match Hashtbl.find_opt state.interval resource with
-      | Some r -> fold_one t state resource r ~congested
+      | Some r -> fold_one state resource r ~congested
       | None -> ())
     t.sites
-
-let forget t ~site = Hashtbl.remove t.sites site

@@ -9,27 +9,18 @@
 
 type t
 
-val create : ?alpha:float -> unit -> t
-(** [alpha] is the EWMA weight of the newest interval (default 0.3). *)
+val create : unit -> t
+(** The average weighs the newest interval 0.3. *)
 
 val charge : t -> site:string -> Resource.t -> float -> unit
 (** Add consumption for the current interval (seconds of CPU, bytes of
     memory/bandwidth, ...). *)
 
-val interval_consumption : t -> site:string -> Resource.t -> float
-
 val usage : t -> site:string -> Resource.t -> float
 (** The weighted average (the paper's [site.usage]). *)
-
-val contribution : t -> site:string -> Resource.t -> float
-(** This site's share of the summed usage over all active sites, in
-    [0, 1]; 0 when nothing is recorded. Drives proportional
-    throttling. *)
 
 val active_sites : t -> string list
 (** Sites with any recorded activity, sorted. *)
 
 val close_resource_interval : t -> Resource.t -> congested:bool -> unit
 (** Same, for a single resource — CONTROL runs per tracked resource. *)
-
-val forget : t -> site:string -> unit

@@ -14,28 +14,28 @@ type config = {
 let default = { target = 0.5; interval = 0.5; capacity = 64; shares = [] }
 
 let validate c =
-  let problems = ref [] in
-  let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  if c.capacity <= 0 then reject "admission_capacity must be positive (got %d)" c.capacity;
-  if c.target <= 0.0 then reject "admission_target must be positive (got %g)" c.target;
-  if c.interval <= 0.0 then reject "admission_interval must be positive (got %g)" c.interval;
+  let module F = Nk_util.Findings in
+  let f = F.create () in
+  F.positive_int f "admission_capacity" c.capacity;
+  F.positive f "admission_target" c.target;
+  F.positive f "admission_interval" c.interval;
   let share_total = ref 0.0 in
   List.iter
-    (fun (pattern, f) ->
-      if pattern = "" then reject "site_shares: empty site pattern";
-      if f <= 0.0 || f > 1.0 then
-        reject "site_shares[%s]: share must be in (0, 1] (got %g)" pattern f
+    (fun (pattern, share) ->
+      if pattern = "" then F.reject f "site_shares: empty site pattern";
+      if share <= 0.0 || share > 1.0 then
+        F.reject f "site_shares[%s]: share must be in (0, 1] (got %g)" pattern share
       else begin
-        share_total := !share_total +. f;
-        if f *. float_of_int c.capacity < 0.5 then
-          reject "site_shares[%s]: share %g%% of capacity %d rounds to zero slots" pattern
-            (100.0 *. f) c.capacity
+        share_total := !share_total +. share;
+        if share *. float_of_int c.capacity < 0.5 then
+          F.reject f "site_shares[%s]: share %g%% of capacity %d rounds to zero slots" pattern
+            (100.0 *. share) c.capacity
       end)
     c.shares;
   if !share_total > 1.0 +. 1e-9 then
-    reject "site_shares: declared shares sum to %g%% of capacity (over 100%%)"
+    F.reject f "site_shares: declared shares sum to %g%% of capacity (over 100%%)"
       (100.0 *. !share_total);
-  List.rev !problems
+  F.to_list f
 
 type t = {
   config : config;
@@ -83,9 +83,6 @@ let create config ~clock ~metrics =
 let queue_length t = t.total
 
 let shedding t = t.shedding_
-
-let site_occupancy t ~site =
-  match Hashtbl.find_opt t.occupancy site with Some r -> !r | None -> 0
 
 (* The shed-rate reporting window (s). *)
 let rate_window = 5.0

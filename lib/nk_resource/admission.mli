@@ -59,10 +59,6 @@ val create :
   config -> clock:(unit -> float) -> metrics:Nk_telemetry.Metrics.t -> t
 (** Shed rates are reported over a 5 s window. *)
 
-val fair_share : t -> site:string -> int
-(** The slice of [capacity] the controller currently guarantees [site]
-    under contention (exposed for tests and [nakika plan explain]). *)
-
 val offer : t -> site:string -> queue_delay:float -> verdict
 (** Decide one arrival. On [Admitted] the request occupies a queue slot
     until the caller invokes {!release}; [Shed] carries the reason
@@ -77,8 +73,6 @@ val reset : t -> unit
     requests died with it and must not haunt the queue after restart). *)
 
 val queue_length : t -> int
-
-val site_occupancy : t -> site:string -> int
 
 val shedding : t -> bool
 (** Is the controller currently in the delay-overload shedding state? *)

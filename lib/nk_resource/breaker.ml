@@ -12,17 +12,16 @@ let default =
   { failure_threshold = 3; error_rate = 0.5; window = 10.0; cooldown = 5.0; max_cooldown = 60.0 }
 
 let validate c =
-  let problems = ref [] in
-  let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  if c.failure_threshold <= 0 then
-    reject "breaker_failures must be positive (got %d)" c.failure_threshold;
+  let module F = Nk_util.Findings in
+  let f = F.create () in
+  F.positive_int f "breaker_failures" c.failure_threshold;
   if c.error_rate <= 0.0 || c.error_rate > 1.0 then
-    reject "breaker_error_rate must be in (0, 1] (got %g)" c.error_rate;
-  if c.window <= 0.0 then reject "breaker_window must be positive (got %g)" c.window;
-  if c.cooldown <= 0.0 then reject "breaker_cooldown must be positive (got %g)" c.cooldown;
+    F.reject f "breaker_error_rate must be in (0, 1] (got %g)" c.error_rate;
+  F.positive f "breaker_window" c.window;
+  F.positive f "breaker_cooldown" c.cooldown;
   if c.cooldown > c.max_cooldown then
-    reject "breaker_cooldown (%g) exceeds breaker_max_cooldown (%g)" c.cooldown c.max_cooldown;
-  List.rev !problems
+    F.reject f "breaker_cooldown (%g) exceeds breaker_max_cooldown (%g)" c.cooldown c.max_cooldown;
+  F.to_list f
 
 type t = {
   name : string;

@@ -14,12 +14,6 @@ val header : string
 (** ["X-NaKika-Deadline"] — remaining budget in seconds, stamped on
     outgoing internal requests. *)
 
-val reason_header : string
-(** ["X-NaKika-Timeout"] — machine-readable reason on synthesized
-    504s (also used by the cluster client-timeout path). *)
-
-val mint : now:float -> budget:float -> t
-
 val of_request : now:float -> Nk_http.Message.request -> t option
 (** Parse a carried budget from the {!header} header; [None] when the
     header is absent or malformed. A non-positive value parses to an
@@ -44,5 +38,5 @@ val clamp : t -> now:float -> float -> float
 
 val expired_response :
   ?retry_after:float -> reason:string -> unit -> Nk_http.Message.response
-(** An immediate 504 with the reason in {!reason_header} and a
-    [Retry-After] hint. *)
+(** An immediate 504 with the reason in its [X-NaKika-Timeout] header
+    and a [Retry-After] hint. *)

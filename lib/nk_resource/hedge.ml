@@ -16,10 +16,9 @@ type t = {
 
 let default_rate = 0.05
 
-let create ?(rate = default_rate) ?burst ?metrics () =
+let create ?(rate = default_rate) ?metrics () =
   if rate <= 0.0 || rate > 1.0 then invalid_arg "Hedge.create: rate must be in (0, 1]";
-  let burst = match burst with Some b -> b | None -> Float.max 1.0 (rate *. 100.0) in
-  if burst < 1.0 then invalid_arg "Hedge.create: burst must be at least 1";
+  let burst = Float.max 1.0 (rate *. 100.0) in
   let metrics = match metrics with Some m -> m | None -> Nk_telemetry.Metrics.create () in
   { rate; burst; tokens = burst; metrics }
 

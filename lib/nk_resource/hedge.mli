@@ -14,10 +14,9 @@ type t
 
 val default_rate : float
 
-val create :
-  ?rate:float -> ?burst:float -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
-(** [rate] must be in (0, 1]; [burst] defaults to [max 1 (100 * rate)]
-    (5 tokens at the default rate) and is also the initial balance.
+val create : ?rate:float -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
+(** [rate] must be in (0, 1]; the bucket holds [max 1 (100 * rate)]
+    tokens (5 at the default rate) and starts full.
     Events are counted into [metrics] (a private registry when
     absent). *)
 

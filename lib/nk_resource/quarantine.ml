@@ -15,22 +15,21 @@ type config = {
 let default = { base = 30.0; max_window = 240.0; decay = 60.0; site_params = [] }
 
 let validate c =
-  let problems = ref [] in
-  let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  if c.base <= 0.0 then reject "termination_penalty must be positive (got %g)" c.base;
-  if c.max_window <= 0.0 then reject "quarantine_max must be positive (got %g)" c.max_window;
+  let module F = Nk_util.Findings in
+  let f = F.create () in
+  F.positive f "termination_penalty" c.base;
+  F.positive f "quarantine_max" c.max_window;
   if c.base > c.max_window then
-    reject "termination_penalty (%g) exceeds quarantine_max (%g)" c.base c.max_window;
+    F.reject f "termination_penalty (%g) exceeds quarantine_max (%g)" c.base c.max_window;
   List.iter
     (fun (pattern, base, max_window) ->
-      if pattern = "" then reject "site_quarantine: empty site pattern";
-      if base <= 0.0 then
-        reject "site_quarantine[%s]: base window must be positive (got %g)" pattern base;
+      if pattern = "" then F.reject f "site_quarantine: empty site pattern";
+      F.positive f (Printf.sprintf "site_quarantine[%s]: base window" pattern) base;
       if base > max_window then
-        reject "site_quarantine[%s]: base window (%g) exceeds max (%g)" pattern base
+        F.reject f "site_quarantine[%s]: base window (%g) exceeds max (%g)" pattern base
           max_window)
     c.site_params;
-  List.rev !problems
+  F.to_list f
 
 type t = {
   config : config; (* site overrides match first-match, like the admission share table *)
@@ -96,18 +95,9 @@ let remaining t ~site =
   | None -> 0.0
   | Some e -> Float.max 0.0 (e.expiry -. t.clock ())
 
-let strikes t ~site =
-  match Hashtbl.find_opt t.sites site with
-  | None -> 0
-  | Some e ->
-    decay_strikes t e (t.clock ());
-    e.strikes
-
 let active t =
   let now = t.clock () in
   Hashtbl.fold
     (fun site e acc -> if now < e.expiry then (site, e.expiry) :: acc else acc)
     t.sites []
   |> List.sort compare
-
-let forgive t ~site = Hashtbl.remove t.sites site

@@ -47,11 +47,5 @@ val is_banned : t -> site:string -> bool
 val remaining : t -> site:string -> float
 (** Seconds left on the site's ban; 0 when not banned. *)
 
-val strikes : t -> site:string -> int
-(** Current (decayed) strike count. *)
-
 val active : t -> (string * float) list
 (** Currently banned sites with their absolute expiry times, sorted. *)
-
-val forgive : t -> site:string -> unit
-(** Drop all state for the site (operator override). *)

@@ -11,21 +11,19 @@ type bucket = { mutable tokens : float }
 
 type t = {
   ratio : float; (* tokens added per observed success *)
-  cap : float; (* bucket ceiling (also the initial balance) *)
   buckets : (string, bucket) Hashtbl.t; (* keyed by upstream *)
   metrics : Nk_telemetry.Metrics.t;
 }
 
-let default_cap = 8.0
+let cap = 8.0
 
 module Meter = struct
   let exhausted = Nk_telemetry.Metrics.Counter.family "retry.budget_exhausted" ~label:"upstream"
 end
 
-let create ~ratio ?(cap = default_cap) ~metrics () =
+let create ~ratio ~metrics () =
   if ratio <= 0.0 then invalid_arg "Retry_budget.create: ratio must be positive";
-  if cap < 1.0 then invalid_arg "Retry_budget.create: cap must be at least 1";
-  { ratio; cap; buckets = Hashtbl.create 8; metrics }
+  { ratio; buckets = Hashtbl.create 8; metrics }
 
 (* Buckets start full: a cold upstream gets the benefit of the doubt
    for its first few retries, then has to earn the rest. *)
@@ -33,15 +31,13 @@ let bucket_for t upstream =
   match Hashtbl.find_opt t.buckets upstream with
   | Some b -> b
   | None ->
-    let b = { tokens = t.cap } in
+    let b = { tokens = cap } in
     Hashtbl.add t.buckets upstream b;
     b
 
 let success t ~upstream =
   let b = bucket_for t upstream in
-  b.tokens <- Float.min t.cap (b.tokens +. t.ratio)
-
-let tokens t ~upstream = (bucket_for t upstream).tokens
+  b.tokens <- Float.min cap (b.tokens +. t.ratio)
 
 (* One retry costs one token. A refused retry is the feature working,
    not an error — but it is counted, because a high exhaustion rate is

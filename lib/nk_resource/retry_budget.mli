@@ -10,18 +10,12 @@
 
 type t
 
-val default_cap : float
-
-val create :
-  ratio:float -> ?cap:float -> metrics:Nk_telemetry.Metrics.t -> unit -> t
-(** [ratio] is the refill per success and must be positive; [cap]
-    (default {!default_cap}) is the bucket ceiling and initial
-    balance, at least 1. *)
+val create : ratio:float -> metrics:Nk_telemetry.Metrics.t -> unit -> t
+(** [ratio] is the refill per success and must be positive. Each
+    bucket holds at most 8 tokens and starts full. *)
 
 val success : t -> upstream:string -> unit
 
 val try_retry : t -> upstream:string -> bool
 (** Spend one token; [false] (and a [retry.budget_exhausted] count)
     when the bucket is dry. *)
-
-val tokens : t -> upstream:string -> float

@@ -1343,7 +1343,7 @@ let cache_misses = ref 0
 
 let cache_evictions = ref 0
 
-let cache_capacity = ref 1024
+let cache_capacity = 1024
 
 (* Monotone access clock: cheaper than timestamps and immune to the
    simulated-vs-wall clock question (the cache is process-wide). *)
@@ -1352,8 +1352,6 @@ let cache_tick = ref 0
 let touch entry =
   incr cache_tick;
   entry.last_used <- !cache_tick
-
-let set_cache_capacity n = cache_capacity := max 1 n
 
 let cache_stats () =
   {
@@ -1382,7 +1380,7 @@ let evict_lru () =
 
 (* Compile [ast] under [digest] and cache the result. *)
 let admit digest ast =
-  while Hashtbl.length cache >= !cache_capacity do
+  while Hashtbl.length cache >= cache_capacity do
     evict_lru ()
   done;
   let script = { digest; ast; program = compile ast } in

@@ -62,11 +62,8 @@ val cache_stats : unit -> cache_stats
 
 val cache_clear : unit -> unit
 (** Drop all cached programs (tests/benchmarks). Counters are not
-    reset. *)
-
-val set_cache_capacity : int -> unit
-(** Bound on cached programs (default 1024, clamped to >= 1). On
-    overflow the least-recently-used entry is evicted — counted in
+    reset. The cache holds at most 1024 programs; on overflow the
+    least-recently-used entry is evicted — counted in
     [cache_stats.evictions] — so a flood of distinct script bodies
     (e.g. diffusion hash-miss traffic) cannot grow the table without
     bound or flush the hot wall scripts. *)

@@ -9,8 +9,6 @@ let create ?(clock = fun () -> 0.0) () = { clock; ring = Ring.create ~capacity }
 
 let record t ?(attrs = []) name = Ring.push t.ring { time = t.clock (); name; attrs }
 
-let count t = Ring.count t.ring
-
 let to_list t = Ring.to_list t.ring
 
 let event_to_string e =

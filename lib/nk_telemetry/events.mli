@@ -14,9 +14,6 @@ val create : ?clock:(unit -> float) -> unit -> t
 val record : t -> ?attrs:(string * string) list -> string -> unit
 (** Stamped with the store's clock. *)
 
-val count : t -> int
-(** Total events recorded (not capped by the ring capacity). *)
-
 val to_list : t -> event list
 (** Retained events, oldest first. *)
 

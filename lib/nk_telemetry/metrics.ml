@@ -104,12 +104,6 @@ module Histogram = struct
     dst.underflow <- dst.underflow + src.underflow;
     Array.iteri (fun off n -> if n > 0 then add_bucket dst (src.lo + off) n) src.counts
 
-  let merge a b =
-    let h = create () in
-    absorb h a;
-    absorb h b;
-    h
-
   let buckets h =
     let log_buckets = ref [] in
     for off = Array.length h.counts - 1 downto 0 do

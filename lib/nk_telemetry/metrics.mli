@@ -17,7 +17,7 @@
     written, sorted by name then labels. Histograms are logarithmic-
     bucket sketches: cheap to record into, mergeable across nodes, and
     their quantile estimates are within one bucket's relative error
-    ({!Histogram.growth}) of the exact sample percentiles. *)
+    (a factor of 2{^1/4} ≈ 1.19) of the exact sample percentiles. *)
 
 type t
 
@@ -48,10 +48,6 @@ val gauge : t -> string -> float
 module Histogram : sig
   type h
 
-  val growth : float
-  (** Geometric bucket growth factor (2{^1/4} ≈ 1.19): quantile
-      estimates carry at most this relative error. *)
-
   val create : unit -> h
 
   val observe : h -> float -> unit
@@ -73,13 +69,6 @@ module Histogram : sig
       observed maximum, so the estimate is an upper bound within one
       bucket of the exact percentile. 0 when empty. *)
 
-  val merge : h -> h -> h
-  (** Pure merge: the result is indistinguishable from the histogram of
-      the concatenated sample streams. *)
-
-  val buckets : h -> (float * float * int) list
-  (** Non-empty buckets as [(lower, upper, count)], ascending. The
-      underflow bucket reports as [(neg_infinity, 0., n)]. *)
 end
 
 val observe : t -> ?labels:labels -> string -> float -> unit

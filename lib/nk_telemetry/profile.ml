@@ -2,7 +2,7 @@ type cell = { mutable calls : int; mutable total : float; mutable max : float }
 
 type t = { clock : unit -> float; cells : (string, cell) Hashtbl.t }
 
-let create ?(clock = Sys.time) () = { clock; cells = Hashtbl.create 16 }
+let create ~clock () = { clock; cells = Hashtbl.create 16 }
 
 let cell t region =
   match Hashtbl.find_opt t.cells region with

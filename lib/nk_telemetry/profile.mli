@@ -6,16 +6,13 @@
 
 type t
 
-val create : ?clock:(unit -> float) -> unit -> t
-(** [clock] defaults to [Sys.time] (process CPU seconds). *)
+val create : clock:(unit -> float) -> unit -> t
+(** [clock] is typically [Sys.time] (process CPU seconds). *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
 (** Run the thunk, charging its elapsed clock time to the named region
     (exception-safe). Nested and repeated regions accumulate. *)
 
-type entry = { region : string; calls : int; total : float; max : float }
-
-val report : t -> entry list
-(** Regions sorted by total time, largest first. *)
-
 val to_table : t -> string
+(** One row per region (calls, total and max seconds), largest total
+    first. *)

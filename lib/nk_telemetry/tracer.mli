@@ -35,8 +35,6 @@ val start_trace : t -> ?attrs:(string * string) list -> string -> span
 
 val start_span : t -> parent:span -> ?attrs:(string * string) list -> string -> span
 
-val set_attr : span -> string -> string -> unit
-
 val finish : t -> span -> unit
 (** Close a span (idempotent). Closing a root span completes its trace
     and moves it into the ring buffer. *)
@@ -52,10 +50,7 @@ val child :
     (tracing off, or no request context) it is [f None]. *)
 
 val set_attr_opt : span option -> string -> string -> unit
-(** {!set_attr} on [Some] span; nothing on [None]. *)
-
-val duration : span -> float option
-(** [ended - started]; [None] while the span is open. *)
+(** Append an attribute to [Some] span; nothing on [None]. *)
 
 val completed : t -> int
 (** Total traces completed so far (not capped by the ring capacity). *)

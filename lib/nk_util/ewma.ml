@@ -13,7 +13,3 @@ let update t x =
   t.avg
 
 let value t = t.avg
-
-let reset t =
-  t.avg <- 0.0;
-  t.initialized <- false

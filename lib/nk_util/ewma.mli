@@ -13,5 +13,3 @@ val update : t -> float -> float
 
 val value : t -> float
 (** Current average (0 before any observation). *)
-
-val reset : t -> unit

@@ -18,8 +18,6 @@ let add t x =
   t.len <- t.len + 1;
   t.sorted <- None
 
-let count t = t.len
-
 let total t =
   let s = ref 0.0 in
   for i = 0 to t.len - 1 do
@@ -38,14 +36,6 @@ let sorted t =
     t.sorted <- Some a;
     a
 
-let min_value t =
-  let a = sorted t in
-  if Array.length a = 0 then 0.0 else a.(0)
-
-let max_value t =
-  let a = sorted t in
-  if Array.length a = 0 then 0.0 else a.(Array.length a - 1)
-
 let percentile t p =
   let a = sorted t in
   let n = Array.length a in
@@ -55,18 +45,6 @@ let percentile t p =
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     let idx = if rank <= 0 then 0 else if rank > n then n - 1 else rank - 1 in
     a.(idx)
-  end
-
-let stddev t =
-  if t.len < 2 then 0.0
-  else begin
-    let m = mean t in
-    let s = ref 0.0 in
-    for i = 0 to t.len - 1 do
-      let d = t.samples.(i) -. m in
-      s := !s +. (d *. d)
-    done;
-    sqrt (!s /. float_of_int (t.len - 1))
   end
 
 let cdf t ~points =

@@ -10,20 +10,12 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val count : t -> int
-
 val mean : t -> float
 (** 0 when empty. *)
-
-val min_value : t -> float
-
-val max_value : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0,100\]]; nearest-rank on the sorted
     samples. 0 when empty. *)
-
-val stddev : t -> float
 
 val cdf : t -> points:int -> (float * float) list
 (** [cdf t ~points] returns [(value, fraction <= value)] pairs at evenly

@@ -21,9 +21,8 @@ let synthesize ~width ~height ~seed =
 
 (* RLE straight out of a pixel buffer into a caller-provided scratch
    buffer (worst case 2*n: every pixel its own run). Returns the number
-   of bytes written. Shared by [encode_bytes] and the string-based
-   [rle_compress]; byte-for-byte the same output as the original
-   Buffer-based encoder. *)
+   of bytes written: (count, byte) pairs, byte-for-byte the output of
+   the original Buffer-based encoder. *)
 let rle_compress_into (px : Bytes.t) ~len (out : Bytes.t) : int =
   let i = ref 0 in
   let o = ref 0 in
@@ -39,12 +38,6 @@ let rle_compress_into (px : Bytes.t) ~len (out : Bytes.t) : int =
     i := !i + !run
   done;
   !o
-
-let rle_compress s =
-  let n = String.length s in
-  let out = Bytes.create (2 * n) in
-  let o = rle_compress_into (Bytes.unsafe_of_string s) ~len:n out in
-  Bytes.sub_string out 0 o
 
 (* Decompress [src] (from [pos] to the end) directly into [dst],
    filling runs in place — no intermediate buffer, no copy. Error

@@ -41,6 +41,3 @@ val format_of_mime : string -> format option
 (** "image/nki" -> Raw, "image/jpeg" | "image/nki-rle" -> Rle. *)
 
 val mime_of_format : format -> string
-
-val rle_compress : string -> string
-(** Run-length encoding: (count, byte) pairs. Exposed for tests. *)

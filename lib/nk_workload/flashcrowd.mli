@@ -13,8 +13,6 @@ val install_good_site : Nk_node.Origin.t -> unit
 val install_bomb_site : Nk_node.Origin.t -> unit
 (** A page whose site script is the memory bomb. *)
 
-val memory_bomb_script : string
-
 val good_request : unit -> Nk_http.Message.request
 
 val bomb_request : unit -> Nk_http.Message.request

@@ -16,11 +16,6 @@ type mode = Single_server | Edge
 val host : string
 (** "simm.med.nyu.edu" *)
 
-val modules : int
-(** 5 modules (as deployed at NYU). *)
-
-val lectures_per_module : int
-
 val video_bytes : int
 (** ~350 KB per media object. *)
 

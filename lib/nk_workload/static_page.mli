@@ -2,11 +2,8 @@
     document (Google's home page without inline images) plus the
     Pred-n / Match-1 site-script generators of Table 1. *)
 
-val page_bytes : int
-(** 2096 *)
-
 val page_body : string
-(** Exactly [page_bytes] bytes of plausible HTML. *)
+(** Exactly 2096 bytes of plausible HTML. *)
 
 val page_path : string
 (** "/index.html" *)

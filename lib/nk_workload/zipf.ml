@@ -11,7 +11,6 @@ type t = {
   universe : int;
   prob : float array; (* per-slot acceptance probability, in [0,1] *)
   alias : int array; (* slot to fall back to when the coin rejects *)
-  pmf : float array; (* normalized rank probabilities, for tests *)
 }
 
 let create ~s ~universe =
@@ -42,11 +41,7 @@ let create ~s ~universe =
   (* Leftovers are 1.0 up to rounding; both queues drain to prob = 1. *)
   Queue.iter (fun i -> prob.(i) <- 1.0) small;
   Queue.iter (fun i -> prob.(i) <- 1.0) large;
-  { universe = n; prob; alias; pmf }
-
-let prob t rank =
-  if rank < 0 || rank >= t.universe then invalid_arg "Zipf.prob: rank out of range";
-  t.pmf.(rank)
+  { universe = n; prob; alias }
 
 (* Alias-table internals exposed read-only so property tests can check
    the total-probability invariant without re-deriving the build. *)

@@ -20,10 +20,8 @@ val sample : t -> Nk_util.Prng.t -> int
     proportional to [(r+1)^-s]. Consumes exactly two PRNG outputs per
     draw, so streams are reproducible from the seed. *)
 
-val prob : t -> int -> float
-(** Exact normalized probability of a rank (for tests). *)
-
 val table : t -> float array * int array
 (** Copies of the alias table's (acceptance probabilities, alias
-    indices) — exposed so property tests can verify the construction
-    invariant: the implied per-rank mass matches {!prob}. *)
+    indices) — exposed so property tests can check the construction
+    against the exact pmf: the implied per-rank mass matches
+    [(r+1)^-s] normalized. *)

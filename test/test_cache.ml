@@ -6,6 +6,15 @@ open Core.Http
 
 let resp ?(body = "content") ?(headers = []) () = Message.response ~headers ~body ()
 
+(* A cache with its registry: tests read its size through the
+   [cache.entries] and [cache.bytes] gauges the node exports. *)
+let metered ?max_bytes () =
+  let m = Core.Telemetry.Metrics.create () in
+  (Http_cache.create ?max_bytes ~metrics:m (), m)
+
+let entries m = int_of_float (Core.Telemetry.Metrics.gauge m "cache.entries")
+let bytes m = int_of_float (Core.Telemetry.Metrics.gauge m "cache.bytes")
+
 let test_miss_then_hit () =
   let m = Core.Telemetry.Metrics.create () in
   let c = Http_cache.create ~metrics:m () in
@@ -18,12 +27,12 @@ let test_miss_then_hit () =
   Alcotest.(check int) "misses" 1 (Core.Telemetry.Metrics.counter m "cache.misses")
 
 let test_expiry () =
-  let c = Http_cache.create () in
+  let c, m = metered () in
   Http_cache.insert c ~now:0.0 ~key:"k" ~expiry:(Some 10.0) (resp ());
   Alcotest.(check bool) "fresh" true (Http_cache.lookup c ~now:9.9 ~key:"k" <> None);
   Alcotest.(check bool) "expired" true (Http_cache.lookup c ~now:10.0 ~key:"k" = None);
   (* Stale entries are retained for revalidation. *)
-  Alcotest.(check int) "stale entry retained" 1 (Http_cache.entry_count c);
+  Alcotest.(check int) "stale entry retained" 1 (entries m);
   Alcotest.(check bool) "stale lookup sees it" true (Http_cache.lookup_stale c ~key:"k" <> None)
 
 let test_refresh_revives_stale () =
@@ -38,11 +47,13 @@ let test_refresh_revives_stale () =
   Alcotest.(check bool) "ghost absent" true (Http_cache.lookup c ~now:20.0 ~key:"ghost" = None)
 
 let test_no_expiry_not_stored () =
-  let c = Http_cache.create () in
-  Http_cache.insert c ~now:0.0 ~key:"k" ~expiry:None (resp ());
-  Alcotest.(check int) "not stored" 0 (Http_cache.entry_count c);
-  Http_cache.insert c ~now:50.0 ~key:"k2" ~expiry:(Some 10.0) (resp ());
-  Alcotest.(check int) "already-stale not stored" 0 (Http_cache.entry_count c)
+  let c, m = metered () in
+  Alcotest.(check bool) "not stored" false
+    (Http_cache.store c ~now:0.0 ~key:"k" ~expiry:None (resp ()));
+  Alcotest.(check bool) "already-stale not stored" false
+    (Http_cache.store c ~now:50.0 ~key:"k2" ~expiry:(Some 10.0) (resp ()));
+  Alcotest.(check bool) "nothing to revalidate" true (Http_cache.lookup_stale c ~key:"k" = None);
+  Alcotest.(check int) "no insertions" 0 (Core.Telemetry.Metrics.counter m "cache.insertions")
 
 let test_returned_copy_isolated () =
   let c = Http_cache.create () in
@@ -76,45 +87,55 @@ let test_lru_eviction () =
   Alcotest.(check int) "one eviction" 1 (Core.Telemetry.Metrics.counter m "cache.evictions")
 
 let test_oversized_entry_ignored () =
-  let c = Http_cache.create ~max_bytes:200 () in
+  let c, m = metered ~max_bytes:200 () in
   let store ?(body = String.make 1000 'x') key =
     Http_cache.store c ~now:0.0 ~key ~expiry:(Some 100.0) (resp ~body ())
   in
   Alcotest.(check bool) "refused" false (store "big");
-  Alcotest.(check int) "ignored" 0 (Http_cache.entry_count c);
+  Alcotest.(check int) "ignored" 0 (entries m);
   Alcotest.(check bool) "kept" true (store ~body:"" "small");
   Alcotest.(check bool) "refused over a kept copy" false (store "small");
-  Alcotest.(check int) "old copy stays" 1 (Http_cache.entry_count c)
+  Alcotest.(check int) "old copy stays" 1 (entries m);
+  Alcotest.(check bool) "small still served" true
+    (Http_cache.lookup c ~now:1.0 ~key:"small" <> None)
 
 let test_replace_updates_size () =
-  let c = Http_cache.create () in
+  let c, m = metered () in
   Http_cache.insert c ~now:0.0 ~key:"k" ~expiry:(Some 100.0) (resp ~body:(String.make 1000 'x') ());
-  let size1 = Http_cache.size_bytes c in
+  let size1 = bytes m in
   Http_cache.insert c ~now:0.0 ~key:"k" ~expiry:(Some 100.0) (resp ~body:"tiny" ());
-  Alcotest.(check bool) "size shrank" true (Http_cache.size_bytes c < size1);
-  Alcotest.(check int) "one entry" 1 (Http_cache.entry_count c)
+  Alcotest.(check bool) "size shrank" true (bytes m < size1);
+  Alcotest.(check int) "one entry" 1 (entries m)
 
 let test_remove_and_clear () =
-  let c = Http_cache.create () in
+  (* The gauges move on the next store, so each removal is read there. *)
+  let c, m = metered () in
   Http_cache.insert c ~now:0.0 ~key:"a" ~expiry:(Some 100.0) (resp ());
+  let one = bytes m in
   Http_cache.insert c ~now:0.0 ~key:"b" ~expiry:(Some 100.0) (resp ());
   Http_cache.remove c ~key:"a";
-  Alcotest.(check int) "one left" 1 (Http_cache.entry_count c);
+  Alcotest.(check bool) "a gone" true (Http_cache.lookup_stale c ~key:"a" = None);
+  Http_cache.insert c ~now:0.0 ~key:"c" ~expiry:(Some 100.0) (resp ());
+  Alcotest.(check int) "a's slot freed" 2 (entries m);
   Http_cache.remove c ~key:"b";
-  Alcotest.(check int) "empty" 0 (Http_cache.entry_count c);
-  Alcotest.(check int) "no bytes" 0 (Http_cache.size_bytes c)
+  Http_cache.remove c ~key:"c";
+  Alcotest.(check bool) "empty" true
+    (List.for_all (fun key -> Http_cache.lookup_stale c ~key = None) [ "a"; "b"; "c" ]);
+  Http_cache.insert c ~now:0.0 ~key:"a" ~expiry:(Some 100.0) (resp ());
+  Alcotest.(check int) "no bytes left behind" one (bytes m);
+  Alcotest.(check int) "one entry" 1 (entries m)
 
 let test_mem () =
   let c = Http_cache.create () in
   Http_cache.insert c ~now:0.0 ~key:"k" ~expiry:(Some 10.0) (resp ());
-  Alcotest.(check bool) "mem fresh" true (Http_cache.mem c ~now:5.0 ~key:"k");
-  Alcotest.(check bool) "mem stale" false (Http_cache.mem c ~now:15.0 ~key:"k")
+  Alcotest.(check bool) "mem fresh" true (Http_cache.lookup c ~now:5.0 ~key:"k" <> None);
+  Alcotest.(check bool) "mem stale" false (Http_cache.lookup c ~now:15.0 ~key:"k" <> None)
 
 let lru_never_exceeds_budget_prop =
   QCheck.Test.make ~name:"http cache never exceeds its byte budget" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (int_range 1 2000))
     (fun sizes ->
-      let c = Http_cache.create ~max_bytes:5000 () in
+      let c, m = metered ~max_bytes:5000 () in
       List.iteri
         (fun i n ->
           Http_cache.insert c ~now:0.0
@@ -122,7 +143,7 @@ let lru_never_exceeds_budget_prop =
             ~expiry:(Some 100.0)
             (resp ~body:(String.make n 'x') ()))
         sizes;
-      Http_cache.size_bytes c <= 5000)
+      bytes m <= 5000)
 
 let test_memo_cache () =
   let m : string Memo_cache.t = Memo_cache.create () in

@@ -408,10 +408,10 @@ let test_stage_sharing_reports_hit () =
   Alcotest.(check bool) "first load was a miss" true (List.mem `Miss !outcomes)
 
 let test_cache_lru_eviction () =
-  (* With a capacity of 2, loading a third distinct body must evict
-     exactly the least-recently-used entry — not flush the table. *)
+  (* With the cache full at its 1024 programs, loading one more distinct
+     body must evict exactly the least-recently-used entry — not flush
+     the table. *)
   Compile.cache_clear ();
-  Compile.set_cache_capacity 2;
   let load source =
     let ctx = Interp.create () in
     Builtins.install ctx;
@@ -421,12 +421,15 @@ let test_cache_lru_eviction () =
   let before = Compile.cache_stats () in
   load a;
   load b;
+  for i = 1 to 1022 do
+    load (Printf.sprintf "var f = %d; f" i)
+  done;
   (* Touch [a] so [b] is the LRU victim. *)
   load a;
   load c;
   let after = Compile.cache_stats () in
   Alcotest.(check int) "one eviction" 1 (after.Compile.evictions - before.Compile.evictions);
-  Alcotest.(check int) "table stays at capacity" 2 after.Compile.entries;
+  Alcotest.(check int) "table stays at capacity" 1024 after.Compile.entries;
   let hash s = Core.Crypto.Sha256.digest s in
   Alcotest.(check bool) "a survived (recently used)" true
     (Compile.find_cached_by_hash (hash a) <> None);
@@ -438,7 +441,6 @@ let test_cache_lru_eviction () =
   load b;
   Alcotest.(check int) "victim recompiles as a miss" 1
     ((Compile.cache_stats ()).Compile.misses - miss_before);
-  Compile.set_cache_capacity 1024;
   Compile.cache_clear ()
 
 let test_compiled_handler_apply () =

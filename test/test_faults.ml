@@ -28,31 +28,10 @@ let seed_base =
 let proxy_names =
   [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net"; "nk-d.nakika.net" ]
 
-(* Derive a random-but-reproducible fault schedule from [seed], within
-   the soak envelope: drops <= 30%, at most 2 partitions that always
-   heal, at most one crash/restart per proxy. *)
-let random_plan seed =
-  let rng = Prng.create (seed_base + seed) in
-  let plan = Plan.create ~seed:(seed_base + seed) () in
-  Plan.drop_link plan ~probability:(Prng.float rng 0.30) ();
-  if Prng.bool rng then
-    Plan.spike_link plan ~probability:(Prng.float rng 0.2) ~extra:(Prng.float rng 2.0) ();
-  let n_partitions = Prng.int rng 3 in
-  for _ = 1 to n_partitions do
-    let split = 1 + Prng.int rng 3 in
-    let a = List.filteri (fun i _ -> i < split) proxy_names in
-    let b = List.filteri (fun i _ -> i >= split) proxy_names in
-    let at = epoch +. 5.0 +. Prng.float rng 25.0 in
-    Plan.partition plan ~a ~b ~at ~heal:(at +. 2.0 +. Prng.float rng 8.0)
-  done;
-  List.iter
-    (fun name ->
-      if Prng.bool rng then begin
-        let at = epoch +. 5.0 +. Prng.float rng 35.0 in
-        Plan.crash plan ~host:name ~at ~restart:(at +. 1.0 +. Prng.float rng 9.0) ()
-      end)
-    proxy_names;
-  plan
+(* A random-but-reproducible fault schedule within the soak envelope:
+   drops <= 30%, at most 2 partitions that always heal, at most one
+   crash/restart per proxy. *)
+let random_plan seed = Plan.random ~seed:(seed_base + seed) ~hosts:proxy_names ~start:epoch
 
 (* A 4-node cluster replaying a script-free workload (no nakika.js, so
    no process-global script caches can perturb the telemetry snapshot)

@@ -835,7 +835,7 @@ let test_client_timeout_reason_headers () =
   | Some r ->
     Alcotest.(check int) "synthesized 504" 504 r.Message.status;
     Alcotest.(check (option string)) "machine-readable reason" (Some "client-timeout")
-      (Message.resp_header r Core.Resource.Deadline.reason_header);
+      (Message.resp_header r "X-NaKika-Timeout");
     Alcotest.(check (option string)) "retry-after hint" (Some "2")
       (Message.resp_header r "Retry-After")
 
@@ -851,7 +851,7 @@ let test_deadline_zero_budget_admission () =
   let resp = fetch_sync cluster ~client ~proxy req in
   Alcotest.(check int) "504 at admission" 504 resp.Message.status;
   Alcotest.(check (option string)) "shedding point" (Some "deadline-admission")
-    (Message.resp_header resp Core.Resource.Deadline.reason_header);
+    (Message.resp_header resp "X-NaKika-Timeout");
   Alcotest.(check int) "counted at admission" 1
     (Core.Telemetry.Metrics.counter (Node.metrics proxy)
        ~labels:[ ("at", "admission") ]
@@ -1026,8 +1026,17 @@ p.url = ["bomb.example.org"];
 p.nextStages = ["http://bomb.example.org/b.js"];
 p.register();
 |};
+  (* The memory bomb [install_bomb_site] serves as nakika.js. *)
   Origin.set_static origin ~path:"/b.js" ~content_type:"text/javascript" ~max_age:300
-    Core.Workload.Flashcrowd.memory_bomb_script;
+    {|
+var p = new Policy();
+p.url = ["bomb.example.org"];
+p.onResponse = function() {
+  var s = "xxxxxxxxxxxxxxxx";
+  while (true) { s = s + s; }
+}
+p.register();
+|};
   let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" () in
   let client = Cluster.add_client cluster ~name:"c1" in
   let sim = Cluster.sim cluster in

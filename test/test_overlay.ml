@@ -20,9 +20,9 @@ let test_ring_membership () =
   let a = Node_id.of_int 100 in
   Ring.join r a;
   Ring.join r a;
-  Alcotest.(check int) "idempotent join" 1 (Ring.size r);
+  Alcotest.(check int) "idempotent join" 1 (List.length (Ring.nodes r));
   Ring.leave r a;
-  Alcotest.(check int) "left" 0 (Ring.size r)
+  Alcotest.(check int) "left" 0 (List.length (Ring.nodes r))
 
 let test_ring_successor () =
   let r = Ring.create () in
@@ -96,13 +96,15 @@ let test_dht_reannounce_dedupes () =
   Alcotest.(check (list string)) "single refreshed entry" [ "a" ] values
 
 let test_dht_value_cap () =
-  let dht = Dht.create ~values_per_key:3 () in
+  let dht = Dht.create () in
   ignore (Dht.join dht "n");
-  for i = 1 to 10 do
+  for i = 1 to 20 do
     ignore (Dht.put dht ~now:0.0 ~from:"n" ~key:"k" ~value:(string_of_int i) ~ttl:60.0)
   done;
   let values = (Dht.get dht ~now:1.0 ~from:"n" ~key:"k").Dht.values in
-  Alcotest.(check (list string)) "newest three" [ "10"; "9"; "8" ] values
+  Alcotest.(check (list string)) "newest sixteen"
+    (List.init 16 (fun i -> string_of_int (20 - i)))
+    values
 
 let test_dht_leave_drops_state () =
   let dht = Dht.create () in
@@ -511,7 +513,7 @@ let redirector_pick_matches_reference_prop =
             name (Redirector.pick red ~spread ~rng:mine ~client ())
             = name (reference_pick net red ~spread ~rng:theirs ~client)
             (* Same number of draws taken on both sides. *)
-            && Core.Util.Prng.next_int64 mine = Core.Util.Prng.next_int64 theirs)
+            && Core.Util.Prng.int mine max_int = Core.Util.Prng.int theirs max_int)
           [ 0; 1; 2; 3; 4; 5 ]
       in
       let first = agree () in
@@ -553,7 +555,7 @@ let ring_successor_matches_reference_prop =
     (fun (n, probe_seeds) ->
       let r, ids = ring_of_names n in
       let sorted = List.sort_uniq Node_id.compare ids in
-      Alcotest.(check int) "size" (List.length sorted) (Ring.size r);
+      Alcotest.(check int) "size" (List.length sorted) (List.length (Ring.nodes r));
       let probes =
         Node_id.of_int 0
         :: List.concat_map
@@ -629,7 +631,7 @@ let ring_churn_prop =
         | a :: (b :: _ as rest) -> Node_id.compare a b < 0 && sorted_distinct rest
         | _ -> true
       in
-      Ring.size r = List.length expected
+      List.length (Ring.nodes r) = List.length expected
       && sorted_distinct got
       && List.equal Node_id.equal got expected
       && List.for_all (fun id -> Ring.mem r id) expected)
@@ -670,7 +672,7 @@ let scan_lookup_path r ~from ~key =
           route next (next :: acc) (guard - 1)
         end
       in
-      route from [] (Ring.size r + 64)
+      route from [] (List.length (Ring.nodes r) + 64)
     end
 
 let ring_lookup_path_matches_scan_prop =
@@ -684,7 +686,7 @@ let ring_lookup_path_matches_scan_prop =
       let dense = Core.Util.Prng.bool rng in
       let fresh_id () =
         if dense then Node_id.of_int (Core.Util.Prng.int rng 4096)
-        else Node_id.of_int (Int64.to_int (Core.Util.Prng.next_int64 rng) land max_int)
+        else Node_id.of_int (Core.Util.Prng.int rng max_int)
       in
       let r = Ring.create () in
       for _ = 1 to n do
@@ -721,7 +723,7 @@ let test_ring_successors () =
 (* A DHT with [n] nodes, hotspots enabled, one announced key, and the
    name->id mapping the assertions need. *)
 let hot_dht ?(n = 24) ?(threshold = 5.0) ?(replicas = 3) ?(ttl = 30.0) () =
-  let dht = Dht.create ~seed:99 () in
+  let dht = Dht.create () in
   let names = List.init n (fun i -> Printf.sprintf "edge-%02d" i) in
   let ids = List.map (fun name -> (name, Dht.join dht name)) names in
   Dht.set_hotspots dht ~threshold ~replicas ~ttl ();
@@ -855,9 +857,9 @@ type dht_impl = {
 
 let dht_key_strings = Array.init 6 (Printf.sprintf "GET http://site.org/object-%d")
 
-let reference_dht ~replicas ~hot ~live names =
+let reference_dht ~hot ~live names =
   let module R = Reference_substrate.Dht in
-  let dht = R.create ~replicas ~seed:5 () in
+  let dht = R.create () in
   Array.iter (fun n -> ignore (R.join dht n)) names;
   R.set_liveness dht live;
   if hot then R.set_hotspots dht ~halflife:2.0 ~threshold:0.5 ~replicas:2 ~ttl:5.0 ();
@@ -874,8 +876,8 @@ let reference_dht ~replicas ~hot ~live names =
   }
 
 (* Each key is hashed once, up front, and reused by every operation. *)
-let keyed_dht ~replicas ~hot ~live names =
-  let dht = Dht.create ~replicas ~seed:5 () in
+let keyed_dht ~hot ~live names =
+  let dht = Dht.create () in
   Array.iter (fun n -> ignore (Dht.join dht n)) names;
   Dht.set_liveness dht live;
   if hot then Dht.set_hotspots dht ~halflife:2.0 ~threshold:0.5 ~replicas:2 ~ttl:5.0 ();
@@ -897,10 +899,10 @@ type dht_obs =
   | Names of string list
   | Hot of ((string * float) list * int)
 
-let dht_trace make ~n ~hot ~replicas ops =
+let dht_trace make ~n ~hot ops =
   let names = Array.init n (Printf.sprintf "edge-%02d") in
   let down = Hashtbl.create 4 in
-  let impl = make ~replicas ~hot ~live:(fun name -> not (Hashtbl.mem down name)) names in
+  let impl = make ~hot ~live:(fun name -> not (Hashtbl.mem down name)) names in
   let now = ref 0.0 in
   List.map
     (fun op ->
@@ -941,20 +943,9 @@ let dht_key_matches_reference_prop =
   QCheck.Test.make ~name:"dht: Key operations equal the string-keyed reference" ~count:200
     (QCheck.make
        ~print:
-         QCheck.Print.(
-           quad int bool int (list print_dht_op))
-       QCheck.Gen.(quad (int_range 2 24) bool (int_range 1 3) (list_size (int_bound 150) op)))
-    (fun (n, hot, replicas, ops) ->
-      dht_trace reference_dht ~n ~hot ~replicas ops = dht_trace keyed_dht ~n ~hot ~replicas ops)
-
-let test_dht_rejects_no_replicas () =
-  List.iter
-    (fun replicas ->
-      Alcotest.check_raises
-        (Printf.sprintf "replicas:%d" replicas)
-        (Invalid_argument "Dht.create: replicas must be >= 1")
-        (fun () -> ignore (Dht.create ~replicas ())))
-    [ 0; -1 ]
+         QCheck.Print.(triple int bool (list print_dht_op))
+       QCheck.Gen.(triple (int_range 2 24) bool (list_size (int_bound 150) op)))
+    (fun (n, hot, ops) -> dht_trace reference_dht ~n ~hot ops = dht_trace keyed_dht ~n ~hot ops)
 
 let suite =
   [
@@ -1002,7 +993,6 @@ let suite =
     QCheck_alcotest.to_alcotest ring_lookup_path_matches_scan_prop;
     QCheck_alcotest.to_alcotest ring_churn_prop;
     Alcotest.test_case "ring: successor sets" `Quick test_ring_successors;
-    Alcotest.test_case "dht: create rejects replicas < 1" `Quick test_dht_rejects_no_replicas;
     QCheck_alcotest.to_alcotest dht_key_matches_reference_prop;
     Alcotest.test_case "hotspot: replicated reads are bit-identical" `Quick
       test_hotspot_replicated_reads_identical;

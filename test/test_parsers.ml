@@ -106,6 +106,51 @@ site "shop.example" {
 |};
   ]
 
+let request_envelope_seeds =
+  [
+    Diffusion.Offload.encode_request_envelope
+      {
+        Diffusion.Offload.id = 7;
+        origin_node = "nk1.nakika.net";
+        origin_incarnation = 1;
+        target = "nk2.nakika.net";
+        target_incarnation = 2;
+        site = "a.org";
+        script_hash = String.make 64 'f';
+        request = Http.Message.request ~headers:[ ("Host", "a.org") ] "http://a.org/p?x=1";
+      };
+  ]
+
+(* What [Offload.reply] publishes: an executed outcome carrying the
+   response, and a rejection. *)
+let reply_envelope_seeds =
+  [
+    "nk-offload-rep/1\nid=7\nresponder=nk2.nakika.net\nresponder-inc=2\noutcome=executed\n"
+    ^ "fuel=1200\nheap=4096\n\n"
+    ^ Http.Codec.encode_response
+        (Http.Message.response ~headers:[ ("Content-Type", "text/html") ] ~body:"<p>x</p>" ());
+    "nk-offload-rep/1\nid=8\nresponder=nk3.nakika.net\nresponder-inc=1\noutcome=rejected\n"
+    ^ "reason=stale-incarnation\n\n";
+  ]
+
+let url_seeds = [ "http://a.org:8080/p/q?x=1&y&z=%41"; "www.example.edu/index.html"; "http://h/" ]
+
+let range_seeds = [ "bytes=0-499"; "bytes=500-"; "bytes=-200" ]
+
+let http_date_seeds = [ Http.Http_date.format 784111777.0; Http.Http_date.format 1136073600.0 ]
+
+let cache_control_seeds =
+  [ "max-age=60, s-maxage=30, stale-if-error=300"; "no-store"; "private, no-cache=\"Set-Cookie\"" ]
+
+let cookie_seeds = [ "sid=xyz; lang=en"; "a=1;b=2; empty=; =novalue" ]
+
+let log_line_seeds =
+  [
+    "128.122.1.1 - - [05/Jul/2006:14:30:00 +0000] \"GET /content/m1/lec1.xml?student=s1 HTTP/1.1\" "
+    ^ "200 9417";
+    "10.0.0.2 - alice [31/Dec/2005:23:59:59 -0500] \"POST /form HTTP/1.0\" 302 -";
+  ]
+
 (* A 9-byte header may claim 65535 x 65535 pixels; decoding must reject
    a payload that cannot fill them before sizing any buffer by them. *)
 let test_image_header_larger_than_payload () =
@@ -121,6 +166,24 @@ let test_image_header_larger_than_payload () =
   in
   Alcotest.(check bool) "no pixel buffer" true (bytes < 1e6)
 
+(* The seeds the newer properties mutate are valid inputs. *)
+let test_seeds_decode () =
+  let ok name seeds decode =
+    List.iter (fun s -> Alcotest.(check bool) (name ^ " " ^ String.escaped s) true (decode s)) seeds
+  in
+  let is_ok = function Ok _ -> true | Error _ -> false in
+  ok "request envelope" request_envelope_seeds (fun s ->
+      is_ok (Diffusion.Offload.decode_request_envelope s));
+  ok "reply envelope" reply_envelope_seeds (fun s ->
+      is_ok (Diffusion.Offload.decode_reply_envelope s));
+  ok "url" url_seeds (fun s -> is_ok (Http.Url.parse s));
+  ok "range" range_seeds (fun s -> Http.Range.parse s <> None);
+  ok "date" http_date_seeds (fun s -> Http.Http_date.parse s <> None);
+  ok "cache-control" [ List.hd cache_control_seeds ] (fun s ->
+      (Http.Cache_control.parse s).Http.Cache_control.max_age = Some 60);
+  ok "cookie" cookie_seeds (fun s -> Http.Cookie.parse s <> []);
+  ok "log line" log_line_seeds (fun s -> is_ok (Workload.Logreplay.parse_line s))
+
 let suite =
   Alcotest.test_case "Image.decode: oversized header, short payload" `Quick
     test_image_header_larger_than_payload
@@ -132,4 +195,15 @@ let suite =
       totality ~name:"Xml.parse" xml_seeds Vocab.Xml.parse;
       totality ~name:"Image.decode" image_seeds Vocab.Image.decode;
       totality ~name:"Provision.parse" plan_seeds Provision.Provision.parse;
+      totality ~name:"Offload.decode_request_envelope" request_envelope_seeds
+        Diffusion.Offload.decode_request_envelope;
+      totality ~name:"Offload.decode_reply_envelope" reply_envelope_seeds
+        Diffusion.Offload.decode_reply_envelope;
+      totality ~name:"Url.parse" url_seeds Http.Url.parse;
+      totality ~name:"Range.parse" range_seeds Http.Range.parse;
+      totality ~name:"Http_date.parse" http_date_seeds Http.Http_date.parse;
+      totality ~name:"Cache_control.parse" cache_control_seeds Http.Cache_control.parse;
+      totality ~name:"Cookie.parse" cookie_seeds Http.Cookie.parse;
+      totality ~name:"Logreplay.parse_line" log_line_seeds Workload.Logreplay.parse_line;
     ]
+  @ [ Alcotest.test_case "decoder seeds are valid inputs" `Quick test_seeds_decode ]

@@ -49,14 +49,21 @@ let test_stage_error_reported () =
   | Ok _ -> Alcotest.fail "expected stage error"
 
 let test_default_stages_order () =
-  (* Fig. 4 pop order: client wall, site script, server wall. *)
+  (* Fig. 4 pop order: client wall, site script, server wall, as
+     [execute] asks for them. *)
+  let asked = ref [] in
+  let load url =
+    asked := url :: !asked;
+    None
+  in
+  ignore (execute ~load_stage:load ~fetch:origin_fetch (req "http://site.org/x"));
   Alcotest.(check (list string)) "order"
     [
       "http://nakika.net/clientwall.js";
       "http://site.org/nakika.js";
       "http://nakika.net/serverwall.js";
     ]
-    (default_stages (req "http://site.org/x"))
+    (List.rev !asked)
 
 let test_pipeline_passthrough () =
   let load = loader [] in

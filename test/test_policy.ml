@@ -11,76 +11,96 @@ let req ?(meth = Method_.GET) ?(client = "1.2.3.4") ?(hostname = None) ?(headers
     url
 
 
+(* A policy with every predicate property, as a script's [register()]
+   builds one: header patterns compile to regexes. *)
+let policy ?(urls = []) ?(clients = []) ?(methods = []) ?(headers = []) ?(order = 0) () =
+  {
+    (Policy.make ~urls ~order ()) with
+    Policy.clients;
+    methods;
+    headers = List.map (fun (name, pat) -> (name, Core.Regex.Regex.compile pat)) headers;
+  }
+
+let matches p request = Policy.closest_match [ p ] request <> None
+
+let eval_policies src =
+  let ctx = Core.Script.Interp.create () in
+  Core.Script.Builtins.install ctx;
+  let registry = Script_bridge.create_registry () in
+  Script_bridge.install registry ctx;
+  ignore (Core.Script.Compile.run_string ctx src);
+  Script_bridge.policies registry
+
 let test_empty_policy_matches_everything () =
-  let p = Policy.make () in
-  Alcotest.(check bool) "wildcard" true (Policy.matches p (req "http://anything.org/x") <> None)
+  let p = policy () in
+  Alcotest.(check bool) "wildcard" true (matches p (req "http://anything.org/x"))
 
 let test_url_predicate () =
-  let p = Policy.make ~urls:[ "med.nyu.edu" ] () in
-  Alcotest.(check bool) "match" true (Policy.matches p (req "http://med.nyu.edu/a") <> None);
+  let p = policy ~urls:[ "med.nyu.edu" ] () in
+  Alcotest.(check bool) "match" true (matches p (req "http://med.nyu.edu/a"));
   Alcotest.(check bool) "subdomain" true
-    (Policy.matches p (req "http://www.med.nyu.edu/a") <> None);
-  Alcotest.(check bool) "other host" true (Policy.matches p (req "http://pitt.edu/a") = None)
+    (matches p (req "http://www.med.nyu.edu/a"));
+  Alcotest.(check bool) "other host" true (not (matches p (req "http://pitt.edu/a")))
 
 let test_url_disjunction () =
   (* Fig. 3: two URLs, either may match. *)
-  let p = Policy.make ~urls:[ "med.nyu.edu"; "medschool.pitt.edu" ] () in
-  Alcotest.(check bool) "first" true (Policy.matches p (req "http://med.nyu.edu/") <> None);
+  let p = policy ~urls:[ "med.nyu.edu"; "medschool.pitt.edu" ] () in
+  Alcotest.(check bool) "first" true (matches p (req "http://med.nyu.edu/"));
   Alcotest.(check bool) "second" true
-    (Policy.matches p (req "http://medschool.pitt.edu/") <> None);
-  Alcotest.(check bool) "neither" true (Policy.matches p (req "http://mit.edu/") = None)
+    (matches p (req "http://medschool.pitt.edu/"));
+  Alcotest.(check bool) "neither" true (not (matches p (req "http://mit.edu/")))
 
 let test_property_conjunction () =
   (* Fig. 3: url AND client must both match. *)
-  let p = Policy.make ~urls:[ "med.nyu.edu" ] ~clients:[ "10.0.0.0/8" ] () in
+  let p = policy ~urls:[ "med.nyu.edu" ] ~clients:[ "10.0.0.0/8" ] () in
   Alcotest.(check bool) "both match" true
-    (Policy.matches p (req ~client:"10.1.1.1" "http://med.nyu.edu/") <> None);
+    (matches p (req ~client:"10.1.1.1" "http://med.nyu.edu/"));
   Alcotest.(check bool) "client fails" true
-    (Policy.matches p (req ~client:"11.1.1.1" "http://med.nyu.edu/") = None);
+    (not (matches p (req ~client:"11.1.1.1" "http://med.nyu.edu/")));
   Alcotest.(check bool) "url fails" true
-    (Policy.matches p (req ~client:"10.1.1.1" "http://other.org/") = None)
+    (not (matches p (req ~client:"10.1.1.1" "http://other.org/")))
 
 let test_method_predicate () =
-  let p = Policy.make ~methods:[ "POST"; "PUT" ] () in
-  Alcotest.(check bool) "post" true (Policy.matches p (req ~meth:Method_.POST "http://a.org/") <> None);
-  Alcotest.(check bool) "get" true (Policy.matches p (req "http://a.org/") = None)
+  let p = policy ~methods:[ "POST"; "PUT" ] () in
+  Alcotest.(check bool) "post" true (matches p (req ~meth:Method_.POST "http://a.org/"));
+  Alcotest.(check bool) "get" true (not (matches p (req "http://a.org/")))
 
 let test_header_predicate () =
-  let p = Policy.make ~headers:[ ("User-Agent", "Nokia") ] () in
+  let p = policy ~headers:[ ("User-Agent", "Nokia") ] () in
   Alcotest.(check bool) "match" true
-    (Policy.matches p (req ~headers:[ ("User-Agent", "Nokia6600/2.0") ] "http://a.org/") <> None);
+    (matches p (req ~headers:[ ("User-Agent", "Nokia6600/2.0") ] "http://a.org/"));
   Alcotest.(check bool) "different agent" true
-    (Policy.matches p (req ~headers:[ ("User-Agent", "Mozilla") ] "http://a.org/") = None);
-  Alcotest.(check bool) "absent header" true (Policy.matches p (req "http://a.org/") = None)
+    (not (matches p (req ~headers:[ ("User-Agent", "Mozilla") ] "http://a.org/")));
+  Alcotest.(check bool) "absent header" true (not (matches p (req "http://a.org/")))
 
 let test_header_predicate_step_bound () =
   (* A client header is matched outside any script: a catastrophic
      backtracking pattern gives up at the step bound and counts as no
      match, instead of running for seconds. *)
-  let p = Policy.make ~headers:[ ("User-Agent", "(a*)*b") ] () in
+  let p = policy ~headers:[ ("User-Agent", "(a*)*b") ] () in
   let r = req ~headers:[ ("User-Agent", String.make 26 'a') ] "http://a.org/" in
   let t0 = Sys.time () in
-  Alcotest.(check bool) "no match" true (Policy.matches p r = None);
+  Alcotest.(check bool) "no match" true (not (matches p r));
   Alcotest.(check bool) "stopped at the step bound" true (Sys.time () -. t0 < 0.5)
 
 let test_header_conjunction () =
-  let p = Policy.make ~headers:[ ("A", "1"); ("B", "2") ] () in
+  let p = policy ~headers:[ ("A", "1"); ("B", "2") ] () in
   Alcotest.(check bool) "both" true
-    (Policy.matches p (req ~headers:[ ("A", "x1x"); ("B", "y2y") ] "http://a.org/") <> None);
+    (matches p (req ~headers:[ ("A", "x1x"); ("B", "y2y") ] "http://a.org/"));
   Alcotest.(check bool) "one missing" true
-    (Policy.matches p (req ~headers:[ ("A", "1") ] "http://a.org/") = None)
+    (not (matches p (req ~headers:[ ("A", "1") ] "http://a.org/")))
 
 let test_client_hostname_predicate () =
   (* Fig. 3's client lists are domain names. *)
-  let p = Policy.make ~clients:[ "nyu.edu"; "pitt.edu" ] () in
+  let p = policy ~clients:[ "nyu.edu"; "pitt.edu" ] () in
   Alcotest.(check bool) "nyu client" true
-    (Policy.matches p (req ~hostname:(Some "dialup.cs.nyu.edu") "http://a.org/") <> None);
+    (matches p (req ~hostname:(Some "dialup.cs.nyu.edu") "http://a.org/"));
   Alcotest.(check bool) "unknown client" true
-    (Policy.matches p (req ~hostname:(Some "example.com") "http://a.org/") = None)
+    (not (matches p (req ~hostname:(Some "example.com") "http://a.org/")))
 
 let test_closest_match_url_specificity () =
-  let general = Policy.make ~urls:[ "nyu.edu" ] ~order:0 () in
-  let specific = Policy.make ~urls:[ "med.nyu.edu/library" ] ~order:1 () in
+  let general = policy ~urls:[ "nyu.edu" ] ~order:0 () in
+  let specific = policy ~urls:[ "med.nyu.edu/library" ] ~order:1 () in
   let chosen =
     Policy.closest_match [ general; specific ] (req "http://med.nyu.edu/library/x")
   in
@@ -92,9 +112,9 @@ let test_closest_match_url_specificity () =
 
 let test_precedence_url_over_client () =
   (* URL specificity takes precedence over client specificity. *)
-  let url_specific = Policy.make ~urls:[ "a.org/path" ] ~order:0 () in
+  let url_specific = policy ~urls:[ "a.org/path" ] ~order:0 () in
   let client_specific =
-    Policy.make ~urls:[ "a.org" ] ~clients:[ "1.2.3.4" ] ~order:1 ()
+    policy ~urls:[ "a.org" ] ~clients:[ "1.2.3.4" ] ~order:1 ()
   in
   let chosen =
     Policy.closest_match [ url_specific; client_specific ]
@@ -104,26 +124,26 @@ let test_precedence_url_over_client () =
     (Option.map (fun p -> p.Policy.order) chosen)
 
 let test_ties_go_to_later_registration () =
-  let p0 = Policy.make ~urls:[ "a.org" ] ~order:0 () in
-  let p1 = Policy.make ~urls:[ "a.org" ] ~order:1 () in
+  let p0 = policy ~urls:[ "a.org" ] ~order:0 () in
+  let p1 = policy ~urls:[ "a.org" ] ~order:1 () in
   let chosen = Policy.closest_match [ p0; p1 ] (req "http://a.org/") in
   Alcotest.(check (option int)) "later registration" (Some 1)
     (Option.map (fun p -> p.Policy.order) chosen)
 
 let test_no_match () =
-  let p = Policy.make ~urls:[ "only.example.org" ] () in
+  let p = policy ~urls:[ "only.example.org" ] () in
   Alcotest.(check bool) "none" true (Policy.closest_match [ p ] (req "http://other.org/") = None)
 
 let test_cidr_specificity () =
-  let broad = Policy.make ~clients:[ "10.0.0.0/8" ] ~order:0 () in
-  let narrow = Policy.make ~clients:[ "10.1.0.0/16" ] ~order:1 () in
+  let broad = policy ~clients:[ "10.0.0.0/8" ] ~order:0 () in
+  let narrow = policy ~clients:[ "10.1.0.0/16" ] ~order:1 () in
   let chosen = Policy.closest_match [ broad; narrow ] (req ~client:"10.1.2.3" "http://a.org/") in
   Alcotest.(check (option int)) "narrow CIDR wins" (Some 1)
     (Option.map (fun p -> p.Policy.order) chosen)
 
 let test_bad_header_regex_rejected () =
-  match Policy.make ~headers:[ ("A", "(unclosed") ] () with
-  | exception Core.Regex.Regex.Parse_error _ -> ()
+  match eval_policies {| p = new Policy(); p.headers = { "A": "(unclosed" }; p.register(); |} with
+  | exception Core.Script.Value.Script_error _ -> ()
   | _ -> Alcotest.fail "expected regex parse error"
 
 (* --- decision tree ---------------------------------------------------- *)
@@ -132,30 +152,30 @@ let tree_find policies request =
   Decision_tree.find_closest (Decision_tree.build policies) request
 
 let test_tree_basic () =
-  let p = Policy.make ~urls:[ "med.nyu.edu" ] () in
+  let p = policy ~urls:[ "med.nyu.edu" ] () in
   Alcotest.(check bool) "hit" true (tree_find [ p ] (req "http://med.nyu.edu/x") <> None);
   Alcotest.(check bool) "miss" true (tree_find [ p ] (req "http://mit.edu/x") = None)
 
 let test_tree_wildcard_reachable () =
-  let wild = Policy.make ~order:0 () in
+  let wild = policy ~order:0 () in
   Alcotest.(check bool) "wildcard found from any host" true
     (tree_find [ wild ] (req "http://whatever.example/x") <> None)
 
 let test_tree_subdomain () =
-  let p = Policy.make ~urls:[ "nyu.edu" ] () in
+  let p = policy ~urls:[ "nyu.edu" ] () in
   Alcotest.(check bool) "deep subdomain" true
     (tree_find [ p ] (req "http://a.b.c.nyu.edu/x") <> None)
 
 let test_tree_many_policies () =
   let policies =
-    List.init 200 (fun i -> Policy.make ~urls:[ Printf.sprintf "site%d.org" i ] ~order:i ())
+    List.init 200 (fun i -> policy ~urls:[ Printf.sprintf "site%d.org" i ] ~order:i ())
   in
   let t = Decision_tree.build policies in
-  Alcotest.(check int) "policy count" 200 (Decision_tree.policy_count t);
-  Alcotest.(check bool) "tree has nodes" true (Decision_tree.node_count t > 200);
-  (match Decision_tree.find_closest t (req "http://site42.org/x") with
-   | Some p -> Alcotest.(check int) "right policy" 42 p.Policy.order
-   | None -> Alcotest.fail "no match")
+  Alcotest.(check (list (option int))) "each of the 200 policies found"
+    (List.init 200 Option.some)
+    (List.init 200 (fun i ->
+         Decision_tree.find_closest t (req (Printf.sprintf "http://site%d.org/x" i))
+         |> Option.map (fun p -> p.Policy.order)))
 
 (* Random policy/request generators for the equivalence property. *)
 let hosts = [| "a.org"; "b.a.org"; "c.org"; "d.c.org"; "e.net" |]
@@ -185,7 +205,7 @@ let tree_equivalence_prop =
     (fun (policy_specs, (host, client, post)) ->
       let policies =
         List.mapi
-          (fun i (urls, clients, methods) -> Policy.make ~urls ~clients ~methods ~order:i ())
+          (fun i (urls, clients, methods) -> policy ~urls ~clients ~methods ~order:i ())
           policy_specs
       in
       let request =
@@ -199,14 +219,6 @@ let tree_equivalence_prop =
       = Option.map (fun p -> p.Policy.order) via_tree)
 
 (* --- script bridge ----------------------------------------------------- *)
-
-let eval_policies src =
-  let ctx = Core.Script.Interp.create () in
-  Core.Script.Builtins.install ctx;
-  let registry = Script_bridge.create_registry () in
-  Script_bridge.install registry ctx;
-  ignore (Core.Script.Compile.run_string ctx src);
-  Script_bridge.policies registry
 
 let test_bridge_figure3 () =
   let policies =
@@ -268,8 +280,7 @@ p.register();
   | [ p ] ->
     Alcotest.(check int) "one header" 1 (List.length p.Policy.headers);
     Alcotest.(check bool) "matches" true
-      (Policy.matches p (req ~headers:[ ("User-Agent", "a Nokia phone") ] "http://x.org/")
-       <> None)
+      (matches p (req ~headers:[ ("User-Agent", "a Nokia phone") ] "http://x.org/"))
   | _ -> Alcotest.fail "expected 1 policy"
 
 let test_bridge_rejects_bad_handler () =

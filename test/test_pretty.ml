@@ -92,7 +92,15 @@ p.register();
 |});
     ("nkp.js", Core.Pipeline.Nkp.script);
     ("esi.js", Core.Pipeline.Esi.script);
-    ("memory bomb", Core.Workload.Flashcrowd.memory_bomb_script);
+    ("memory bomb", {|
+var p = new Policy();
+p.url = ["bomb.example.org"];
+p.onResponse = function() {
+  var s = "xxxxxxxxxxxxxxxx";
+  while (true) { s = s + s; }
+}
+p.register();
+|});
     ("image transcoding", Core.Workload.Extensions.image_transcoding);
     ("annotations",
      Core.Workload.Extensions.annotations ~site:"notes.org" ~target_site:"simm.org");

@@ -697,15 +697,27 @@ let test_plan_drives_a_node () =
   (match !result with
    | Some resp -> Alcotest.(check int) "served" 200 resp.Core.Http.Message.status
    | None -> Alcotest.fail "no response");
-  (* The plan's share table reached the admission controller. *)
+  (* The plan's share table reached the admission controller: once an
+     undeclared site holds half the queue (contended), a declared site
+     is admitted up to its slice and shed past it. *)
+  let module A = Core.Resource.Admission in
+  let slice adm site =
+    A.reset adm;
+    for _ = 1 to 32 do
+      ignore (A.offer adm ~site:"filler.example" ~queue_delay:0.0)
+    done;
+    let rec admit n =
+      match A.offer adm ~site ~queue_delay:0.0 with
+      | A.Admitted -> admit (n + 1)
+      | A.Shed _ -> n
+    in
+    admit 0
+  in
   match Core.Node.Node.admission proxy with
   | None -> Alcotest.fail "admission controller missing"
   | Some adm ->
-    Alcotest.(check int) "video slice: 30% of 64"
-      19
-      (Core.Resource.Admission.fair_share adm ~site:"video.example");
-    Alcotest.(check int) "news slice: 20% of 64" 13
-      (Core.Resource.Admission.fair_share adm ~site:"news.example")
+    Alcotest.(check int) "video slice: 30% of 64" 19 (slice adm "video.example");
+    Alcotest.(check int) "news slice: 20% of 64" 13 (slice adm "news.example")
 
 let suite =
   [

@@ -17,24 +17,26 @@ let test_store_site_partitioning () =
   Alcotest.(check (option string)) "a sees a" (Some "for-a") (Store.get s ~site:"a.org" ~key:"k");
   Alcotest.(check (option string)) "b sees b" (Some "for-b") (Store.get s ~site:"b.org" ~key:"k")
 
+(* [n] MiB of [c]: each site's quota is 16 MiB. *)
+let mib ?(c = 'x') n = String.make (n * 1024 * 1024) c
+
 let test_store_quota () =
-  let s = Store.create ~quota_bytes:200 () in
-  Alcotest.(check bool) "fits" true (Store.put s ~site:"a" ~key:"k1" (String.make 100 'x'));
-  Alcotest.(check bool) "over quota" false (Store.put s ~site:"a" ~key:"k2" (String.make 100 'x'));
+  let s = Store.create () in
+  Alcotest.(check bool) "fits" true (Store.put s ~site:"a" ~key:"k1" (mib 10));
+  Alcotest.(check bool) "over quota" false (Store.put s ~site:"a" ~key:"k2" (mib 10));
   Alcotest.(check (option string)) "rejected write absent" None (Store.get s ~site:"a" ~key:"k2");
   (* Quota is per site. *)
-  Alcotest.(check bool) "other site unaffected" true
-    (Store.put s ~site:"b" ~key:"k" (String.make 100 'x'))
+  Alcotest.(check bool) "other site unaffected" true (Store.put s ~site:"b" ~key:"k" (mib 10))
 
 let test_store_overwrite_counts_delta () =
-  let s = Store.create ~quota_bytes:200 () in
-  ignore (Store.put s ~site:"a" ~key:"k" (String.make 100 'x'));
+  let s = Store.create () in
+  ignore (Store.put s ~site:"a" ~key:"k" (mib 10));
   Alcotest.(check bool) "same-size overwrite fits" true
-    (Store.put s ~site:"a" ~key:"k" (String.make 100 'y'));
+    (Store.put s ~site:"a" ~key:"k" (mib ~c:'y' 10));
+  Alcotest.(check bool) "grow elsewhere refused" false (Store.put s ~site:"a" ~key:"k2" (mib 12));
   Alcotest.(check bool) "shrink then grow elsewhere" true
     (Store.put s ~site:"a" ~key:"k" "small");
-  Alcotest.(check bool) "freed space reusable" true
-    (Store.put s ~site:"a" ~key:"k2" (String.make 80 'z'))
+  Alcotest.(check bool) "freed space reusable" true (Store.put s ~site:"a" ~key:"k2" (mib 12))
 
 let test_store_keys_prefix () =
   let s = Store.create () in
@@ -257,13 +259,13 @@ let test_partition_convergence_via_retries () =
             ignore (Replication.update r1 ~key:"right" ~value:"from-n1"));
         (* Retry timers are daemon events: drive the clock explicitly. *)
         Core.Sim.Sim.run ~until:(t0 +. 60.0) sim;
-        List.iter
-          (fun r ->
+        List.iteri
+          (fun i r ->
             Alcotest.(check (option string))
-              (Replication.name r ^ " sees left") (Some "from-n0")
+              (Printf.sprintf "n%d sees left" i) (Some "from-n0")
               (Replication.read r ~key:"left");
             Alcotest.(check (option string))
-              (Replication.name r ^ " sees right") (Some "from-n1")
+              (Printf.sprintf "n%d sees right" i) (Some "from-n1")
               (Replication.read r ~key:"right"))
           [ r0; r1 ];
         Alcotest.(check int) "no dead letters after quiescence" 0

@@ -8,12 +8,12 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_prng_deterministic () =
   let a = Prng.create 42 and b = Prng.create 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Prng.next_int64 a) (Prng.next_int64 b)
+    Alcotest.(check int) "same stream" (Prng.int a max_int) (Prng.int b max_int)
   done
 
 let test_prng_seeds_differ () =
   let a = Prng.create 1 and b = Prng.create 2 in
-  Alcotest.(check bool) "different streams" false (Prng.next_int64 a = Prng.next_int64 b)
+  Alcotest.(check bool) "different streams" false (Prng.int a max_int = Prng.int b max_int)
 
 let test_prng_int_bounds () =
   let rng = Prng.create 7 in
@@ -79,8 +79,8 @@ let test_prng_shuffle_permutation () =
 let test_prng_split_independent () =
   let a = Prng.create 42 in
   (* A child stream seeded from the parent's next draw. *)
-  let b = Prng.create (Int64.to_int (Prng.next_int64 a)) in
-  Alcotest.(check bool) "split streams differ" false (Prng.next_int64 a = Prng.next_int64 b)
+  let b = Prng.create (Prng.int a max_int) in
+  Alcotest.(check bool) "split streams differ" false (Prng.int a max_int = Prng.int b max_int)
 
 (* The binary heap is the simulator's event queue, specialised to
    thunks inside [Sim]; these drive it through [schedule_at] and [step]
@@ -142,9 +142,10 @@ let test_stats_basic () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
   check_float "mean" 2.5 (Stats.mean s);
-  check_float "min" 1.0 (Stats.min_value s);
-  check_float "max" 4.0 (Stats.max_value s);
-  Alcotest.(check int) "count" 4 (Stats.count s)
+  (* The bench tables read extremes and sample counts through these. *)
+  check_float "min" 1.0 (Stats.percentile s 0.0);
+  check_float "max" 4.0 (Stats.percentile s 100.0);
+  check_float "one sample in four" 0.25 (Stats.fraction_at_least s 4.0)
 
 let test_stats_empty () =
   let s = Stats.create () in
@@ -191,11 +192,6 @@ let test_stats_cdf_monotone () =
   in
   Alcotest.(check bool) "monotone" true (monotone cdf)
 
-let test_stats_stddev () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check (float 0.01)) "sample stddev" 2.138 (Stats.stddev s)
-
 let test_ewma_first_value () =
   let e = Ewma.create ~alpha:0.5 in
   check_float "first observation" 10.0 (Ewma.update e 10.0)
@@ -212,13 +208,6 @@ let test_ewma_weighting () =
   let e = Ewma.create ~alpha:0.3 in
   ignore (Ewma.update e 10.0);
   check_float "weighted" (0.3 *. 20.0 +. 0.7 *. 10.0) (Ewma.update e 20.0)
-
-let test_ewma_reset () =
-  let e = Ewma.create ~alpha:0.5 in
-  ignore (Ewma.update e 50.0);
-  Ewma.reset e;
-  check_float "reset to 0" 0.0 (Ewma.value e);
-  check_float "first again" 7.0 (Ewma.update e 7.0)
 
 let test_ewma_bad_alpha () =
   Alcotest.check_raises "alpha 0" (Invalid_argument "Ewma.create: alpha out of (0,1]")
@@ -328,11 +317,9 @@ let suite =
       test_stats_percentile_after_add;
     Alcotest.test_case "stats: fraction_at_least" `Quick test_stats_fraction_at_least;
     Alcotest.test_case "stats: cdf is monotone" `Quick test_stats_cdf_monotone;
-    Alcotest.test_case "stats: sample stddev" `Quick test_stats_stddev;
     Alcotest.test_case "ewma: first value taken as-is" `Quick test_ewma_first_value;
     Alcotest.test_case "ewma: converges to constant input" `Quick test_ewma_converges;
     Alcotest.test_case "ewma: weighting formula" `Quick test_ewma_weighting;
-    Alcotest.test_case "ewma: reset" `Quick test_ewma_reset;
     Alcotest.test_case "ewma: rejects bad alpha" `Quick test_ewma_bad_alpha;
     Alcotest.test_case "strutil: prefixes and suffixes" `Quick test_strutil_basics;
     Alcotest.test_case "strutil: split_first" `Quick test_strutil_split_first;

@@ -139,11 +139,18 @@ module Ref_image = struct
     { Image.width; height; pixels }
 end
 
+(* The RLE payload [Image.encode] writes for a one-row image of [s],
+   past its 9-byte header. *)
+let rle_compress s =
+  let n = String.length s in
+  let e = Image.encode { Image.width = n; height = 1; pixels = Bytes.of_string s } Image.Rle in
+  String.sub e 9 (String.length e - 9)
+
 let test_rle_roundtrip () =
   let cases = [ ""; "a"; "aaaa"; "abab"; String.make 300 'x'; "mixed aaa bbb c" ] in
   List.iter
     (fun s ->
-      match Ref_image.rle_decompress (Image.rle_compress s) with
+      match Ref_image.rle_decompress (rle_compress s) with
       | Ok s' -> Alcotest.(check string) "roundtrip" s s'
       | Error e -> Alcotest.fail e)
     cases
@@ -151,7 +158,7 @@ let test_rle_roundtrip () =
 let rle_roundtrip_prop =
   QCheck.Test.make ~name:"rle: compress/decompress roundtrip" ~count:200
     QCheck.(string_of_size (QCheck.Gen.int_bound 500))
-    (fun s -> Ref_image.rle_decompress (Image.rle_compress s) = Ok s)
+    (fun s -> Ref_image.rle_decompress (rle_compress s) = Ok s)
 
 let same_decode a b =
   match (a, b) with
@@ -671,8 +678,9 @@ let test_xml_simm_lectures () =
   let check src =
     if not (xml_agrees src) then Alcotest.failf "renderers disagree on %S" src
   in
-  for module_ = 1 to Simm.modules do
-    for lecture = 1 to Simm.lectures_per_module do
+  (* Every lecture of the five deployed modules, 20 each. *)
+  for module_ = 1 to 5 do
+    for lecture = 1 to 20 do
       List.iter
         (fun student -> check (Simm.lecture_xml ~module_ ~lecture ~student))
         [ "s1"; ""; "a<b"; "x & y"; "O'Brien" ]

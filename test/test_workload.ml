@@ -6,8 +6,6 @@ open Core.Http
 
 let test_static_page_size () =
   Alcotest.(check int) "exactly 2096 bytes (Google home page)" 2096
-    (String.length Static_page.page_body);
-  Alcotest.(check int) "constant agrees" Static_page.page_bytes
     (String.length Static_page.page_body)
 
 let test_pred_script_registers_n_policies () =
@@ -44,11 +42,13 @@ let test_pred_script_nonmatching () =
   let decoys = List.filter (fun p -> p.Core.Policy.Policy.order < 20) policies in
   List.iter
     (fun p ->
-      Alcotest.(check bool) "decoy never matches" true (Core.Policy.Policy.matches p req = None))
+      Alcotest.(check bool) "decoy never matches" true
+        (Core.Policy.Policy.closest_match [ p ] req = None))
     decoys
 
 let test_simm_xml_well_formed () =
-  for m = 1 to Simm.modules do
+  (* The five modules deployed at NYU. *)
+  for m = 1 to 5 do
     let xml = Simm.lecture_xml ~module_:m ~lecture:1 ~student:"s1" in
     match Core.Vocab.Xml.parse xml with
     | Ok node ->
@@ -227,8 +227,6 @@ let test_driver_replay () =
   Alcotest.(check int) "all replayed" 5 !seen
 
 let test_flashcrowd_scripts () =
-  Alcotest.(check bool) "bomb doubles a string" true
-    (Core.Util.Strutil.contains_sub Flashcrowd.memory_bomb_script ~sub:"s + s");
   let r = Flashcrowd.good_request () in
   Alcotest.(check string) "good host" Flashcrowd.good_host r.Message.url.Url.host;
   let b = Flashcrowd.bomb_request () in
@@ -333,6 +331,13 @@ let test_logreplay_drives_cluster () =
    (a) the construction invariant, (b) seed determinism, and (c) that
    the empirical rank frequencies actually track r^-s. *)
 
+(* The exact normalized pmf, (r+1)^-s over its sum: the oracle the
+   sampler's alias table is built from. *)
+let pmf ~s ~universe =
+  let weights = Array.init universe (fun i -> float_of_int (i + 1) ** -.s) in
+  let total = Array.fold_left ( +. ) 0. weights in
+  Array.map (fun w -> w /. total) weights
+
 let zipf_alias_invariant_prop =
   (* The alias table redistributes mass but must conserve it: the
      implied probability of each rank — its own slot's acceptance mass
@@ -342,6 +347,7 @@ let zipf_alias_invariant_prop =
     (fun (s, universe) ->
       let z = Zipf.create ~s ~universe in
       let prob, alias = Zipf.table z in
+      let pmf = pmf ~s ~universe in
       let n = float_of_int universe in
       let implied = Array.make universe 0.0 in
       Array.iteri
@@ -351,7 +357,7 @@ let zipf_alias_invariant_prop =
         prob;
       let ok = ref true in
       for r = 0 to universe - 1 do
-        if abs_float (implied.(r) -. Zipf.prob z r) > 1e-9 then ok := false
+        if abs_float (implied.(r) -. pmf.(r)) > 1e-9 then ok := false
       done;
       !ok)
 
@@ -374,6 +380,7 @@ let zipf_frequency_tracks_power_law () =
   List.iter
     (fun (s, universe, seed) ->
       let z = Zipf.create ~s ~universe in
+      let pmf = pmf ~s ~universe in
       let rng = Core.Util.Prng.create seed in
       let draws = 100_000 in
       let counts = Array.make universe 0 in
@@ -382,7 +389,7 @@ let zipf_frequency_tracks_power_law () =
         counts.(r) <- counts.(r) + 1
       done;
       for r = 0 to universe - 1 do
-        let expected = Zipf.prob z r *. float_of_int draws in
+        let expected = pmf.(r) *. float_of_int draws in
         if expected >= 500.0 then begin
           let got = float_of_int counts.(r) in
           let rel = abs_float (got -. expected) /. expected in
@@ -401,7 +408,10 @@ let test_zipf_edges () =
   (* Uniform when s = 0; single-rank universes always sample 0;
      invalid parameters rejected. *)
   let z = Zipf.create ~s:0.0 ~universe:4 in
-  List.iter (fun r -> Alcotest.(check (float 1e-9)) "uniform" 0.25 (Zipf.prob z r)) [ 0; 1; 2; 3 ];
+  let prob, alias = Zipf.table z in
+  Alcotest.(check (array (float 1e-9))) "uniform: every slot keeps its own rank"
+    [| 1.0; 1.0; 1.0; 1.0 |] prob;
+  Alcotest.(check (array int)) "no aliases" [| 0; 1; 2; 3 |] alias;
   let one = Zipf.create ~s:0.9 ~universe:1 in
   let rng = Core.Util.Prng.create 3 in
   for _ = 1 to 20 do
