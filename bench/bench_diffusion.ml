@@ -15,13 +15,6 @@
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
 
-let epoch = 1_136_073_600.0
-
-let seed_base =
-  match int_of_string_opt (try Sys.getenv "NAKIKA_CHAOS_SEED" with Not_found -> "0") with
-  | Some n -> n * 1_000_003
-  | None -> 0
-
 let hot_proxy = "nk-a.nakika.net"
 let neighbor_names = [ "nk-b.nakika.net"; "nk-c.nakika.net" ]
 
@@ -62,7 +55,7 @@ let run_scenario ~attach ~diffusion () =
       }
     else Core.Node.Config.default
   in
-  let cluster = Core.Node.Cluster.create ~seed:(seed_base + 5) () in
+  let cluster = Core.Node.Cluster.create ~seed:(Harness.seed_base + 5) () in
   let origin = Core.Node.Cluster.add_origin cluster ~name:"www.example.edu" () in
   Core.Node.Origin.set_static origin ~path:"/hot.html" ~max_age:60
     "<html>flash crowd at the origin</html>";
@@ -89,7 +82,7 @@ let run_scenario ~attach ~diffusion () =
      has gossiped at least once. *)
   for i = 0 to 599 do
     Sim.schedule_at sim
-      (epoch +. 5.0 +. (0.002 *. float_of_int i))
+      (Sim.epoch +. 5.0 +. (0.002 *. float_of_int i))
       (fun () ->
         incr issued;
         let started = Sim.now sim in
@@ -105,7 +98,7 @@ let run_scenario ~attach ~diffusion () =
             | 503 -> incr rejected
             | _ -> incr errors))
   done;
-  Sim.run ~until:(epoch +. 60.0) sim;
+  Sim.run ~until:(Sim.epoch +. 60.0) sim;
   if attach then begin
     List.iter Harness.attach_node (pa :: neighbors);
     match Harness.registry () with

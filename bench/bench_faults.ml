@@ -1,85 +1,38 @@
-(* Fault tolerance: the chaos acceptance scenario as an experiment.
-   The same 4-node topology and 30-request workload run twice — once
-   fault-free and once under 10% uniform message drops plus a 15 s
-   partition that heals — and the report checks that no request hangs
-   (every fetch resolves, possibly with a synthesized 504) and that the
-   degraded run keeps at least 80% of the baseline's successes.
-   BENCH_faults.json records both success rates next to the degraded
-   run's fault-layer counters (net.dropped, bus.retries,
+(* Fault tolerance: the chaos acceptance scenario (Workload.Chaos) as
+   an experiment. The 4-node topology and 30-request workload run
+   twice — once fault-free and once under 10% uniform message drops
+   plus a 15 s partition that heals — and the report checks that no
+   request hangs (every fetch resolves, possibly with a synthesized
+   504) and that the degraded run keeps at least 80% of the baseline's
+   successes. BENCH_faults.json records both success rates next to the
+   degraded run's fault-layer counters (net.dropped, bus.retries,
    bus.dead_letters, node.crashes, dht.fallbacks, cache.stale_served). *)
 
-module Plan = Core.Faults.Plan
+module Chaos = Core.Workload.Chaos
 module Metrics = Core.Telemetry.Metrics
 
-(* The simulator's default start time; fault plans use absolute times
-   and are built before the cluster exists. *)
-let epoch = 1_136_073_600.0
-
-let proxy_names =
-  [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net"; "nk-d.nakika.net" ]
-
-(* Mirrors the chaos test suite's workload: 30 requests over 60 s from
-   two clients, round-robined over the four proxies, each with a 15 s
-   client timeout. Only the [attach]ed run's registries land in the
-   experiment dump, so baseline and degraded counters do not mix. *)
+(* Only the [attach]ed run's registries land in the experiment dump, so
+   baseline and degraded counters do not mix. *)
 let run_scenario ~attach plan =
-  let cluster = Core.Node.Cluster.create ~seed:(Plan.seed plan) ~faults:plan () in
-  let origin = Core.Node.Cluster.add_origin cluster ~name:"www.example.edu" () in
-  Core.Node.Origin.set_static origin ~path:"/index.html" ~max_age:60 "<html>chaos</html>";
-  Core.Node.Origin.set_static origin ~path:"/other.html" ~max_age:60 "<html>other</html>";
-  let proxies =
-    List.map (fun name -> Core.Node.Cluster.add_proxy cluster ~name ()) proxy_names
-  in
-  let clients =
-    [ Core.Node.Cluster.add_client cluster ~name:"c1";
-      Core.Node.Cluster.add_client cluster ~name:"c2" ]
-  in
-  let sim = Core.Node.Cluster.sim cluster in
-  let proxy_arr = Array.of_list proxies in
-  let client_arr = Array.of_list clients in
-  let issued = ref 0 and answered = ref 0 and ok = ref 0 in
-  for i = 0 to 29 do
-    Core.Sim.Sim.schedule_at sim
-      (epoch +. 1.0 +. (2.0 *. float_of_int i))
-      (fun () ->
-        incr issued;
-        let path = if i mod 3 = 0 then "/other.html" else "/index.html" in
-        Core.Node.Cluster.fetch cluster
-          ~client:client_arr.(i mod Array.length client_arr)
-          ~proxy:proxy_arr.(i mod Array.length proxy_arr)
-          ~timeout:15.0
-          (Core.Http.Message.request ("http://www.example.edu" ^ path))
-          (fun resp ->
-            incr answered;
-            if Core.Http.Status.is_success resp.Core.Http.Message.status then incr ok))
-  done;
-  (* Past the last client timeout (offset 59 + 15 s) with slack for
-     retry and anti-entropy daemons. *)
-  Core.Sim.Sim.run ~until:(epoch +. 120.0) sim;
+  let run = Chaos.run_chaos ~seed:(Core.Faults.Plan.seed plan) plan in
   if attach then begin
-    List.iter Harness.attach_node proxies;
-    match Harness.registry () with
-    | Some m ->
-      Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster));
-      Metrics.merge ~into:m
-        (Core.Replication.Message_bus.metrics (Core.Node.Cluster.bus cluster));
-      Metrics.merge ~into:m (Core.Overlay.Dht.metrics (Core.Node.Cluster.dht cluster))
-    | None -> ()
+    List.iter Harness.attach_node run.Chaos.proxies;
+    Option.iter (fun into -> Chaos.merge_fault_telemetry ~into run) (Harness.registry ())
   end;
-  (!issued, !answered, !ok)
+  let ok =
+    List.length
+      (List.filter
+         (fun a -> Core.Http.Status.is_success a.Chaos.response.Core.Http.Message.status)
+         run.Chaos.answers)
+  in
+  (run.Chaos.issued, List.length run.Chaos.answers, ok)
 
 let rate ok issued = 100.0 *. float_of_int ok /. float_of_int (max 1 issued)
 
 let faults () =
   Harness.header "Fault tolerance (chaos acceptance scenario)";
-  let b_issued, b_answered, b_ok = run_scenario ~attach:false (Plan.create ~seed:3 ()) in
-  let plan = Plan.create ~seed:3 () in
-  Plan.drop_link plan ~probability:0.10 ();
-  Plan.partition plan
-    ~a:[ "nk-a.nakika.net"; "nk-b.nakika.net" ]
-    ~b:[ "nk-c.nakika.net"; "nk-d.nakika.net" ]
-    ~at:(epoch +. 10.0) ~heal:(epoch +. 25.0);
-  let d_issued, d_answered, d_ok = run_scenario ~attach:true plan in
+  let b_issued, b_answered, b_ok = run_scenario ~attach:false (Chaos.chaos_baseline ()) in
+  let d_issued, d_answered, d_ok = run_scenario ~attach:true (Chaos.chaos_degraded ()) in
   let hung = b_issued - b_answered + (d_issued - d_answered) in
   let ratio = float_of_int d_ok /. float_of_int (max 1 b_ok) in
   Printf.printf "  %-34s %3d issued  %3d answered  %3d ok  (%.0f%% success)\n"

@@ -25,8 +25,6 @@
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
 
-let epoch = 1_136_073_600.0
-
 let universe = 10_000
 let skew = 0.9
 let hot_ranks = 16 (* the crowd's head: URLs whose p99 the report tracks *)
@@ -117,7 +115,7 @@ let run_arm ~nodes ~replication =
   let issued = ref 0 and ok = ref 0 and rejected = ref 0 and errors = ref 0 in
   let latencies = ref [] and hot_latencies = ref [] in
   for i = 0 to total_requests - 1 do
-    let at = epoch +. 5.0 +. (float_of_int i /. rate) in
+    let at = Sim.epoch +. 5.0 +. (float_of_int i /. rate) in
     let rank = Core.Workload.Zipf.sample zipf wl in
     let client = clients.(Core.Util.Prng.int wl (Array.length clients)) in
     let url = Printf.sprintf "http://www.crowd.example/zipf/%d.html" rank in
@@ -135,7 +133,7 @@ let run_arm ~nodes ~replication =
             | 503 -> incr rejected
             | _ -> incr errors))
   done;
-  let horizon = epoch +. 5.0 +. (float_of_int total_requests /. rate) +. 15.0 in
+  let horizon = Sim.epoch +. 5.0 +. (float_of_int total_requests /. rate) +. 15.0 in
   Sim.run ~until:horizon sim;
   let sorted l =
     let a = Array.of_list l in

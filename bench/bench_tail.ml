@@ -23,13 +23,6 @@ module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
 module Plan = Core.Faults.Plan
 
-let epoch = 1_136_073_600.0
-
-let seed_base =
-  match int_of_string_opt (try Sys.getenv "NAKIKA_CHAOS_SEED" with Not_found -> "0") with
-  | Some n -> n * 1_000_003
-  | None -> 0
-
 let holder_a = "nk-a.nakika.net"
 let holder_b = "nk-b.nakika.net" (* warmed last -> newest announcement -> primary *)
 let edge = "nk-c.nakika.net"
@@ -59,10 +52,10 @@ let percentile sorted p =
   | a -> a.(min (Array.length a - 1) (int_of_float (float_of_int (Array.length a) *. p)))
 
 let run_scenario ~attach ~tail () =
-  let plan = Plan.create ~seed:(11 + seed_base) () in
+  let plan = Plan.create ~seed:(11 + Harness.seed_base) () in
   Plan.spike_link plan ~src:edge ~dst:holder_b ~probability:spike_probability
     ~extra:spike_extra ();
-  let cluster = Core.Node.Cluster.create ~seed:(seed_base + 7) ~faults:plan () in
+  let cluster = Core.Node.Cluster.create ~seed:(Harness.seed_base + 7) ~faults:plan () in
   let origin = Core.Node.Cluster.add_origin cluster ~name:"www.crowd.example" () in
   for r = 0 to universe - 1 do
     Core.Node.Origin.set_static origin
@@ -123,7 +116,7 @@ let run_scenario ~attach ~tail () =
   for i = 0 to total_requests - 1 do
     let rank = Core.Workload.Zipf.sample zipf wl in
     Sim.schedule_at sim
-      (epoch +. 5.0 +. (0.01 *. float_of_int i))
+      (Sim.epoch +. 5.0 +. (0.01 *. float_of_int i))
       (fun () ->
         incr issued;
         let started = Sim.now sim in
@@ -138,7 +131,7 @@ let run_scenario ~attach ~tail () =
             | 503 -> incr rejected
             | _ -> incr errors))
   done;
-  Sim.run ~until:(epoch +. 5.0 +. (0.01 *. float_of_int total_requests) +. 20.0) sim;
+  Sim.run ~until:(Sim.epoch +. 5.0 +. (0.01 *. float_of_int total_requests) +. 20.0) sim;
   if attach then begin
     Harness.attach_node pc;
     match Harness.registry () with

@@ -14,6 +14,14 @@ type experiment = {
 
 let current_experiment : experiment option ref = ref None
 
+(* CI reruns the chaos experiments (overload, diffusion, tail) under
+   NAKIKA_CHAOS_SEED 1-3; the value offsets their cluster seeds. Unset,
+   it is 0 and the committed BENCH files reproduce. *)
+let seed_base =
+  match int_of_string_opt (try Sys.getenv "NAKIKA_CHAOS_SEED" with Not_found -> "0") with
+  | Some n -> n * 1_000_003
+  | None -> 0
+
 let registry () = Option.map (fun e -> e.registry) !current_experiment
 
 let attach_node node =

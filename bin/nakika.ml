@@ -247,7 +247,7 @@ let health_config () =
    steady crowd on an uncacheable live page keeps hitting the DHT so
    its key crosses the plan's hotspot threshold. *)
 let health_scenario () =
-  let epoch = 1_136_073_600.0 in
+  let epoch = Core.Sim.Sim.epoch in
   let plan = Core.Faults.Plan.create () in
   Core.Faults.Plan.fail_origin plan ~host:"dead.example.org" ~at:epoch
     ~until:(epoch +. 3600.0);
@@ -661,12 +661,12 @@ let plan_cmd =
           lowers to node configs, $(b,explain) shows the lowering map.")
     [ check_cmd; compile_cmd; explain_cmd ]
 
-(* A seeded chaos run: same envelope as the test suite's soak (drops
-   <= 30%, partitions that always heal, at most one crash per proxy),
-   derived deterministically from --seed so a failure seen in CI can be
-   replayed locally with the same number. *)
+(* A seeded chaos run: the chaos test suite's scenario and schedule
+   envelope (drops <= 30%, partitions that always heal, at most one
+   crash per proxy), derived deterministically from --seed so a failure
+   seen in CI can be replayed locally with the same number. *)
 let chaos_cmd =
-  let module Plan = Core.Faults.Plan in
+  let module Chaos = Core.Workload.Chaos in
   let module Metrics = Core.Telemetry.Metrics in
   let seed_arg =
     Arg.(
@@ -674,54 +674,22 @@ let chaos_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:"Seed for the fault schedule; the same seed reproduces the same run.")
   in
-  let epoch = 1_136_073_600.0 in
-  let proxy_names =
-    [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net"; "nk-d.nakika.net" ]
-  in
   let run seed =
-    let plan = Plan.random ~seed ~hosts:proxy_names ~start:epoch in
-    let cluster = Core.Node.Cluster.create ~seed ~faults:plan () in
-    let origin = Core.Node.Cluster.add_origin cluster ~name:"www.example.edu" () in
-    Core.Node.Origin.set_static origin ~path:"/index.html" ~max_age:60 "<html>chaos</html>";
-    Core.Node.Origin.set_static origin ~path:"/other.html" ~max_age:60 "<html>other</html>";
-    let proxies =
-      List.map (fun name -> Core.Node.Cluster.add_proxy cluster ~name ()) proxy_names
-    in
-    let clients =
-      [ Core.Node.Cluster.add_client cluster ~name:"c1";
-        Core.Node.Cluster.add_client cluster ~name:"c2" ]
-    in
-    let sim = Core.Node.Cluster.sim cluster in
-    let proxy_arr = Array.of_list proxies in
-    let client_arr = Array.of_list clients in
-    let issued = ref 0 and answered = ref 0 and ok = ref 0 in
-    for i = 0 to 29 do
-      Core.Sim.Sim.schedule_at sim
-        (epoch +. 1.0 +. (2.0 *. float_of_int i))
-        (fun () ->
-          incr issued;
-          let path = if i mod 3 = 0 then "/other.html" else "/index.html" in
-          Core.Node.Cluster.fetch cluster
-            ~client:client_arr.(i mod Array.length client_arr)
-            ~proxy:proxy_arr.(i mod Array.length proxy_arr)
-            ~timeout:15.0
-            (Core.Http.Message.request ("http://www.example.edu" ^ path))
-            (fun resp ->
-              incr answered;
-              if Core.Http.Status.is_success resp.Core.Http.Message.status then incr ok))
-    done;
-    Core.Sim.Sim.run ~until:(epoch +. 120.0) sim;
+    let plan = Chaos.random_plan seed in
+    let run = Chaos.run_chaos ~seed:(Core.Faults.Plan.seed plan) plan in
     let m = Metrics.create () in
-    Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster));
-    Metrics.merge ~into:m
-      (Core.Replication.Message_bus.metrics (Core.Node.Cluster.bus cluster));
-    Metrics.merge ~into:m (Core.Overlay.Dht.metrics (Core.Node.Cluster.dht cluster));
-    List.iter
-      (fun p -> Metrics.merge ~into:m (Core.Node.Node.metrics p))
-      proxies;
-    Printf.printf "chaos run (seed %d): %s\n" seed (Plan.describe plan);
-    Printf.printf "  requests:     %d issued, %d answered, %d ok, %d failed\n" !issued
-      !answered !ok (!answered - !ok);
+    Chaos.merge_fault_telemetry ~into:m run;
+    List.iter (fun p -> Metrics.merge ~into:m (Core.Node.Node.metrics p)) run.Chaos.proxies;
+    let issued = run.Chaos.issued and answered = List.length run.Chaos.answers in
+    let ok =
+      List.length
+        (List.filter
+           (fun a -> Core.Http.Status.is_success a.Chaos.response.Core.Http.Message.status)
+           run.Chaos.answers)
+    in
+    Printf.printf "chaos run (seed %d): %s\n" seed (Core.Faults.Plan.describe plan);
+    Printf.printf "  requests:     %d issued, %d answered, %d ok, %d failed\n" issued
+      answered ok (answered - ok);
     Printf.printf "  stale served: %d\n" (Metrics.counter m "cache.stale_served");
     Printf.printf "  network:      %d dropped, %d callbacks lost to crashes\n"
       (Metrics.counter m "net.dropped")
@@ -731,8 +699,8 @@ let chaos_cmd =
       (Metrics.counter m "bus.retries")
       (Metrics.counter m "bus.dead_letters");
     Printf.printf "  dht:          %d replica fallbacks\n" (Metrics.counter m "dht.fallbacks");
-    if !answered <> !issued then begin
-      Printf.printf "  %d request(s) HUNG — this is a bug\n" (!issued - !answered);
+    if answered <> issued then begin
+      Printf.printf "  %d request(s) HUNG — this is a bug\n" (issued - answered);
       1
     end
     else 0

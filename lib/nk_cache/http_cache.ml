@@ -56,7 +56,11 @@ let drop t e =
   t.bytes <- t.bytes - e.size
 
 let remove t ~key =
-  match Hashtbl.find_opt t.table key with Some e -> drop t e | None -> ()
+  match Hashtbl.find_opt t.table key with
+  | Some e ->
+    drop t e;
+    meter_size t
+  | None -> ()
 
 let lookup t ~now ~key =
   match Hashtbl.find_opt t.table key with
@@ -110,7 +114,7 @@ let store t ~now ~key ~expiry response =
     let size = Nk_http.Message.content_length response + 128 in
     if size > t.max_bytes then false
     else begin
-      remove t ~key;
+      (match Hashtbl.find_opt t.table key with Some old -> drop t old | None -> ());
       let e =
         {
           key;

@@ -41,5 +41,6 @@ val fold_fresh : t -> now:float -> init:'a -> f:('a -> string -> float -> 'a) ->
     periodic soft-state re-announcement to the overlay. *)
 
 val remove : t -> key:string -> unit
+(** Drop the entry, if any; the size gauges follow at once. *)
 
 val hits : t -> int

@@ -22,11 +22,11 @@ let response_wire_size (r : Message.response) =
   + String.length (Status.reason r.status)
   + 2 + headers_length r.resp_headers + Body.length r.resp_body
 
-(* Header lines, the blank line and the body chunks, then the bytes. *)
+(* Header lines, the blank line and the body, then the bytes. *)
 let finish buf headers body =
   List.iter (fun (k, v) -> Printf.bprintf buf "%s: %s%s" k v crlf) (Headers.to_list headers);
   Buffer.add_string buf crlf;
-  List.iter (Buffer.add_string buf) (Body.chunks body);
+  Buffer.add_string buf (Body.to_string body);
   Buffer.contents buf
 
 let encode_request (r : Message.request) =

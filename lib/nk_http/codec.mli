@@ -15,8 +15,8 @@ val decode_response : string -> (Message.response, string) result
 val request_wire_size : Message.request -> int
 (** Bytes on the wire; drives the simulator's bandwidth model. Equal to
     [String.length (encode_request r)], but summed from the field
-    lengths: the body contributes its tracked {!Body.length}, so no
-    chunk is read and nothing is allocated for it. *)
+    lengths: the body contributes its {!Body.length}, so nothing is
+    allocated for it. *)
 
 val response_wire_size : Message.response -> int
 (** [String.length (encode_response r)], computed the same way. *)

@@ -32,12 +32,8 @@ let absolute_expires resp =
       | None -> Error Relative_expiry)
     | None -> Error Relative_expiry
 
-(* Hashed chunk by chunk: a multi-chunk body is never concatenated. *)
 let body_hash resp =
-  let ctx = Nk_crypto.Sha256.init () in
-  List.iter (Nk_crypto.Sha256.update ctx)
-    (Nk_http.Body.chunks resp.Nk_http.Message.resp_body);
-  Nk_crypto.Sha256.hex (Nk_crypto.Sha256.finalize ctx)
+  Nk_crypto.Sha256.digest_hex (Nk_http.Body.to_string resp.Nk_http.Message.resp_body)
 
 let sign ~key resp =
   match absolute_expires resp with

@@ -91,15 +91,6 @@ let join t name =
     Ring.join t.ring id;
     id
 
-let leave t name =
-  match Hashtbl.find_opt t.ids name with
-  | None -> ()
-  | Some id ->
-    Hashtbl.remove t.ids name;
-    Hashtbl.remove t.names (Node_id.to_int id);
-    Hashtbl.remove t.stores (Node_id.to_int id);
-    Ring.leave t.ring id
-
 let node_id t name =
   match Hashtbl.find_opt t.ids name with
   | Some id -> id
@@ -386,11 +377,3 @@ let replica_names t ~(key : Key.t) =
        match Hashtbl.find_opt t.names (Node_id.to_int id) with
        | Some name when t.live name -> Some name
        | _ -> None)
-
-let stored_keys t name =
-  match Hashtbl.find_opt t.ids name with
-  | None -> 0
-  | Some id -> (
-    match Hashtbl.find_opt t.stores (Node_id.to_int id) with
-    | None -> 0
-    | Some store -> Hashtbl.length store)

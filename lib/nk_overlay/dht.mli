@@ -69,9 +69,6 @@ val metrics : t -> Nk_telemetry.Metrics.t
 val join : t -> string -> Node_id.t
 (** Add a node by name; returns its ring id. *)
 
-val leave : t -> string -> unit
-(** Remove the node and drop the soft state it stored. *)
-
 type lookup = { values : string list; hops : int; fallbacks : int; owner : Node_id.t option }
 
 val put_key : t -> now:float -> from:string -> key:Key.t -> value:string -> ttl:float -> int
@@ -98,6 +95,3 @@ val replica_names : t -> key:Key.t -> string list
     plus its next distinct ring successors ({!Ring.successors}), in
     ring order. The hedging layer uses this to find the next live
     replica when a lookup's announced holders are exhausted. *)
-
-val stored_keys : t -> string -> int
-(** Number of keys currently stored at the named node. *)

@@ -38,7 +38,9 @@ let vacant () = ()
 (* Fills handle slots no timer has used; never queued, never written. *)
 let no_timer = { slot = -1 }
 
-let create ?(start_time = 1_136_073_600.0) () =
+let epoch = 1_136_073_600.0
+
+let create ?(start_time = epoch) () =
   { clock = start_time; times = Float.Array.create 0; tags = [||]; thunks = [||];
     handles = [||]; len = 0; next_seq = 0; live = 0; executed = 0 }
 

@@ -16,10 +16,14 @@
 
 type t
 
+val epoch : float
+(** 1,136,073,600: January 2006, the paper's era, in Unix seconds. The
+    default clock origin, so HTTP dates look plausible; fault plans and
+    scheduled workloads built before their cluster count from it. *)
+
 val create : ?start_time:float -> unit -> t
-(** [start_time] is the initial clock value in epoch seconds (defaults
-    to 1,136,073,600 — January 2006, the paper's era — so HTTP dates
-    look plausible). *)
+(** [start_time] is the initial clock value in Unix seconds (defaults
+    to {!epoch}). *)
 
 val now : t -> float
 

@@ -120,16 +120,23 @@ let install_response ctx (resp : Nk_http.Message.response) =
   let sink = { written = [] } in
   let o = new_obj_with_shape response_shape in
   let slots = o.slots in
-  let reader = ref (Nk_http.Body.reader resp.Nk_http.Message.resp_body) in
+  (* The body [read()] has yet to return: all of it until the first
+     read, then nothing; "" reads as null. *)
+  let unread = ref (Nk_http.Body.to_string resp.Nk_http.Message.resp_body) in
   slots.(0) <- Vnum (float_of_int resp.Nk_http.Message.status);
   slots.(1) <- (match Nk_http.Message.content_type resp with Some ct -> Vstr ct | None -> Vnull);
   slots.(2) <- Vnum (float_of_int (Nk_http.Message.content_length resp));
   slots.(3) <-
     native "read" (fun _ _ ->
-        match Nk_http.Body.read !reader with Some chunk -> Vstr chunk | None -> Vnull);
+        let body = !unread in
+        if body = "" then Vnull
+        else begin
+          unread := "";
+          Vstr body
+        end);
   slots.(4) <-
     native "rewind" (fun _ _ ->
-        reader := Nk_http.Body.reader resp.Nk_http.Message.resp_body;
+        unread := Nk_http.Body.to_string resp.Nk_http.Message.resp_body;
         Vundefined);
   slots.(5) <-
     native "write" (fun _ args ->

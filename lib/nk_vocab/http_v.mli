@@ -15,8 +15,9 @@ type response_sink
 (** Script writes to the response body, kept as written. *)
 
 val install_response : Nk_script.Interp.ctx -> Nk_http.Message.response -> response_sink
-(** Define the [Response] global: [read()] yields body chunks,
-    [write(data)] collects replacement content. *)
+(** Define the [Response] global: [read()] returns the whole body once,
+    then [null] until [rewind()], and [write(data)] collects replacement
+    content. *)
 
 val apply_writes : response_sink -> Nk_http.Message.response -> unit
 (** After the handler returns: when the script wrote anything, replace

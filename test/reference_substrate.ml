@@ -97,7 +97,7 @@ module Sim = struct
     mutable executed : int;
   }
 
-  let create ?(start_time = 1_136_073_600.0) () =
+  let create ?(start_time = Core.Sim.Sim.epoch) () =
     { clock = start_time; queue = Heap.create (); live = 0; executed = 0 }
 
   let now t = t.clock
@@ -378,15 +378,6 @@ module Dht = struct
       Core.Overlay.Ring.join t.ring id;
       id
 
-  let leave t name =
-    match Hashtbl.find_opt t.ids name with
-    | None -> ()
-    | Some id ->
-      Hashtbl.remove t.ids name;
-      Hashtbl.remove t.names (Core.Overlay.Node_id.to_int id);
-      Hashtbl.remove t.stores (Core.Overlay.Node_id.to_int id);
-      Core.Overlay.Ring.leave t.ring id
-
   let node_id t name =
     match Hashtbl.find_opt t.ids name with
     | Some id -> id
@@ -641,12 +632,4 @@ module Dht = struct
          match Hashtbl.find_opt t.names (Core.Overlay.Node_id.to_int id) with
          | Some name when t.live name -> Some name
          | _ -> None)
-
-  let stored_keys t name =
-    match Hashtbl.find_opt t.ids name with
-    | None -> 0
-    | Some id -> (
-      match Hashtbl.find_opt t.stores (Core.Overlay.Node_id.to_int id) with
-      | None -> 0
-      | Some store -> Hashtbl.length store)
 end

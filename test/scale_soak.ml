@@ -16,8 +16,6 @@
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
 
-let epoch = 1_136_073_600.0
-
 let nodes =
   match Option.bind (Sys.getenv_opt "NAKIKA_SOAK_NODES") int_of_string_opt with
   | Some n when n > 0 -> n
@@ -78,7 +76,7 @@ let run () =
   let statuses = Buffer.create (2 * requests) in
   let ok = ref 0 and latency_sum = ref 0.0 in
   for i = 0 to requests - 1 do
-    let at = epoch +. 5.0 +. (float_of_int i /. rate) in
+    let at = Sim.epoch +. 5.0 +. (float_of_int i /. rate) in
     let rank = Core.Workload.Zipf.sample zipf wl in
     let client = clients.(Core.Util.Prng.int wl (Array.length clients)) in
     let url = Printf.sprintf "http://www.crowd.example/zipf/%d.html" rank in
@@ -93,7 +91,7 @@ let run () =
               latency_sum := !latency_sum +. (Sim.now sim -. started)
             end))
   done;
-  Sim.run ~until:(epoch +. 5.0 +. (float_of_int requests /. rate) +. 15.0) sim;
+  Sim.run ~until:(Sim.epoch +. 5.0 +. (float_of_int requests /. rate) +. 15.0) sim;
   let merged = Metrics.create () in
   Metrics.merge ~into:merged (Core.Overlay.Dht.metrics (Core.Node.Cluster.dht cluster));
   Metrics.merge ~into:merged (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster));

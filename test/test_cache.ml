@@ -108,19 +108,24 @@ let test_replace_updates_size () =
   Alcotest.(check int) "one entry" 1 (entries m)
 
 let test_remove_and_clear () =
-  (* The gauges move on the next store, so each removal is read there. *)
+  (* Each removal moves the gauges at once. *)
   let c, m = metered () in
   Http_cache.insert c ~now:0.0 ~key:"a" ~expiry:(Some 100.0) (resp ());
   let one = bytes m in
   Http_cache.insert c ~now:0.0 ~key:"b" ~expiry:(Some 100.0) (resp ());
   Http_cache.remove c ~key:"a";
   Alcotest.(check bool) "a gone" true (Http_cache.lookup_stale c ~key:"a" = None);
+  Alcotest.(check int) "removal drops an entry" 1 (entries m);
+  Alcotest.(check int) "removal frees its bytes" one (bytes m);
   Http_cache.insert c ~now:0.0 ~key:"c" ~expiry:(Some 100.0) (resp ());
   Alcotest.(check int) "a's slot freed" 2 (entries m);
   Http_cache.remove c ~key:"b";
+  Alcotest.(check int) "b's entry gone" 1 (entries m);
   Http_cache.remove c ~key:"c";
   Alcotest.(check bool) "empty" true
     (List.for_all (fun key -> Http_cache.lookup_stale c ~key = None) [ "a"; "b"; "c" ]);
+  Alcotest.(check int) "no entries" 0 (entries m);
+  Alcotest.(check int) "no bytes" 0 (bytes m);
   Http_cache.insert c ~now:0.0 ~key:"a" ~expiry:(Some 100.0) (resp ());
   Alcotest.(check int) "no bytes left behind" one (bytes m);
   Alcotest.(check int) "one entry" 1 (entries m)

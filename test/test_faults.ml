@@ -11,12 +11,8 @@ open Core.Http
 module Plan = Core.Faults.Plan
 module Sim = Core.Sim.Sim
 module Net = Core.Sim.Net
-module Prng = Core.Util.Prng
 module Metrics = Core.Telemetry.Metrics
-
-(* The simulator's default start time (January 2006); fault plans use
-   absolute times and are built before the cluster exists. *)
-let epoch = 1_136_073_600.0
+module Chaos = Core.Workload.Chaos
 
 (* CI reruns the chaos soak under a few fixed seeds via this variable;
    locally it defaults to 0. *)
@@ -25,61 +21,38 @@ let seed_base =
   | Some n -> n * 1_000_003
   | None -> 0
 
-let proxy_names =
-  [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net"; "nk-d.nakika.net" ]
-
 (* A random-but-reproducible fault schedule within the soak envelope:
    drops <= 30%, at most 2 partitions that always heal, at most one
    crash/restart per proxy. *)
-let random_plan seed = Plan.random ~seed:(seed_base + seed) ~hosts:proxy_names ~start:epoch
+let random_plan seed = Chaos.random_plan (seed_base + seed)
 
-(* A 4-node cluster replaying a script-free workload (no nakika.js, so
-   no process-global script caches can perturb the telemetry snapshot)
+(* The chaos scenario (a script-free workload: no nakika.js, so no
+   process-global script caches can perturb the telemetry snapshot)
    under the given plan. Returns (issued, answered, ok, statuses in
-   order, fault-layer telemetry, upstream tickets left unsettled across
-   the proxies once the run is quiet). *)
+   answer order, fault-layer telemetry, upstream tickets left unsettled
+   across the proxies once the run is quiet). *)
 let run_chaos plan =
-  let cluster = Cluster.create ~seed:(Plan.seed plan) ~faults:plan () in
-  let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
-  Origin.set_static origin ~path:"/index.html" ~max_age:60 "<html>chaos</html>";
-  Origin.set_static origin ~path:"/other.html" ~max_age:60 "<html>other</html>";
-  let proxies =
-    List.map (fun name -> Cluster.add_proxy cluster ~name ()) proxy_names
-  in
-  let clients =
-    [ Cluster.add_client cluster ~name:"c1"; Cluster.add_client cluster ~name:"c2" ]
-  in
-  let issued = ref 0 and answered = ref 0 and ok = ref 0 in
+  let run = Chaos.run_chaos ~seed:(Plan.seed plan) plan in
   let statuses = Buffer.create 256 in
-  let sim = Cluster.sim cluster in
-  let proxy_arr = Array.of_list proxies in
-  let client_arr = Array.of_list clients in
-  for i = 0 to 29 do
-    let offset = 1.0 +. (2.0 *. float_of_int i) in
-    Sim.schedule_at sim (epoch +. offset) (fun () ->
-        incr issued;
-        let path = if i mod 3 = 0 then "/other.html" else "/index.html" in
-        let client = client_arr.(i mod Array.length client_arr) in
-        let proxy = proxy_arr.(i mod Array.length proxy_arr) in
-        Cluster.fetch cluster ~client ~proxy ~timeout:15.0
-          (Message.request ("http://www.example.edu" ^ path))
-          (fun resp ->
-            incr answered;
-            if Status.is_success resp.Message.status then incr ok;
-            Buffer.add_string statuses (string_of_int resp.Message.status);
-            Buffer.add_char statuses ' '))
-  done;
-  (* Past the last possible client timeout (offset 59 + 15s) with slack
-     for retry/anti-entropy daemons. *)
-  Sim.run ~until:(epoch +. 120.0) sim;
+  List.iter
+    (fun a ->
+      Buffer.add_string statuses (string_of_int a.Chaos.response.Message.status);
+      Buffer.add_char statuses ' ')
+    run.Chaos.answers;
   let m = Metrics.create () in
-  Metrics.merge ~into:m (Net.metrics (Cluster.net cluster));
-  Metrics.merge ~into:m (Core.Replication.Message_bus.metrics (Cluster.bus cluster));
-  Metrics.merge ~into:m (Core.Overlay.Dht.metrics (Cluster.dht cluster));
+  Chaos.merge_fault_telemetry ~into:m run;
   let unsettled =
-    List.fold_left (fun n p -> n + Core.Resource.Upstream.outstanding (Node.upstream p)) 0 proxies
+    List.fold_left
+      (fun n p -> n + Core.Resource.Upstream.outstanding (Node.upstream p))
+      0 run.Chaos.proxies
   in
-  (!issued, !answered, !ok, Buffer.contents statuses, Metrics.to_json_lines m, unsettled)
+  ( run.Chaos.issued,
+    List.length run.Chaos.answers,
+    List.length
+      (List.filter (fun a -> Status.is_success a.Chaos.response.Message.status) run.Chaos.answers),
+    Buffer.contents statuses,
+    Metrics.to_json_lines m,
+    unsettled )
 
 (* --- the qcheck soak ------------------------------------------------ *)
 
@@ -234,14 +207,8 @@ let test_degraded_run_keeps_most_successes () =
     Alcotest.(check int) "no hung requests" issued answered;
     ok
   in
-  let baseline = run (Plan.create ~seed:3 ()) in
-  let plan = Plan.create ~seed:3 () in
-  Plan.drop_link plan ~probability:0.10 ();
-  Plan.partition plan
-    ~a:[ "nk-a.nakika.net"; "nk-b.nakika.net" ]
-    ~b:[ "nk-c.nakika.net"; "nk-d.nakika.net" ]
-    ~at:(epoch +. 10.0) ~heal:(epoch +. 25.0);
-  let degraded = run plan in
+  let baseline = run (Chaos.chaos_baseline ()) in
+  let degraded = run (Chaos.chaos_degraded ()) in
   Alcotest.(check bool)
     (Printf.sprintf "degraded %d/30 within 80%% of baseline %d/30" degraded baseline)
     true
@@ -249,65 +216,31 @@ let test_degraded_run_keeps_most_successes () =
 
 (* --- overload acceptance: flash crowd + crash + dead origin ---------- *)
 
-(* The bench/bench_overload.ml scenario as a pass/fail test: a 600-
-   request flash crowd on one hot page plus a 30-request stream to a
-   fragile origin, run fault-free and then with one proxy crashing
-   mid-crowd (restarting 15 s later) and the fragile origin dead for
-   the rest of the run. The overload defenses (admission control,
-   health-aware redirection, circuit breakers, stale-if-error) must
-   keep goodput at >= 70% of baseline, answer every request, mark every
-   shed with Retry-After, and bound how often the dead origin is
-   actually contacted. *)
+(* The overload scenario as a pass/fail test: a 600-request flash
+   crowd on one hot page plus a 30-request stream to a fragile origin,
+   run fault-free and then with one proxy crashing mid-crowd
+   (restarting 15 s later) and the fragile origin dead for the rest of
+   the run. The overload defenses (admission control, health-aware
+   redirection, circuit breakers, stale-if-error) must keep goodput at
+   >= 70% of baseline, answer every request, mark every shed with
+   Retry-After, and bound how often the dead origin is actually
+   contacted. *)
 let run_overload plan =
-  let cluster = Cluster.create ~seed:(seed_base + Plan.seed plan) ~faults:plan () in
-  let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
-  Origin.set_static origin ~path:"/hot.html" ~max_age:60 "<html>flash crowd</html>";
-  let dead = Cluster.add_origin cluster ~name:"dead.example.org" () in
-  Origin.set_static dead ~path:"/item.html" ~max_age:2 "<html>fragile</html>";
-  let proxies =
-    List.map
-      (fun name -> Cluster.add_proxy cluster ~name ())
-      [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net" ]
-  in
-  let clients =
-    [
-      Cluster.add_client cluster ~name:"c1";
-      Cluster.add_client cluster ~name:"c2";
-      Cluster.add_client cluster ~name:"c3";
-    ]
-  in
-  let sim = Cluster.sim cluster in
-  let client_arr = Array.of_list clients in
-  let issued = ref 0 and answered = ref 0 and ok = ref 0 in
+  let run = Chaos.run_overload ~seed:(seed_base + Plan.seed plan) plan in
   (* On the hot page the origin stays healthy, so every 503 there is
      node-generated (admission shed, quarantine, breaker) and must
      carry Retry-After. The dead origin's own 503s pass through
      verbatim until its breaker trips — those are exempt. *)
-  let sheds_without_retry_after = ref 0 in
-  let fetch_at ?(shed_must_hint = false) at url =
-    Sim.schedule_at sim at (fun () ->
-        incr issued;
-        Cluster.fetch cluster
-          ~client:client_arr.(!issued mod Array.length client_arr)
-          ~timeout:10.0 (Message.request url)
-          (fun resp ->
-            incr answered;
-            match resp.Message.status with
-            | 200 -> incr ok
-            | 503 ->
-              if shed_must_hint && Message.resp_header resp "Retry-After" = None then
-                incr sheds_without_retry_after
-            | _ -> ()))
+  let sheds_without_retry_after =
+    List.length
+      (List.filter
+         (fun a ->
+           a.Chaos.url = "http://www.example.edu/hot.html"
+           && a.Chaos.response.Message.status = 503
+           && Message.resp_header a.Chaos.response "Retry-After" = None)
+         run.Chaos.answers)
   in
-  for i = 0 to 599 do
-    fetch_at ~shed_must_hint:true
-      (epoch +. 5.0 +. (0.002 *. float_of_int i))
-      "http://www.example.edu/hot.html"
-  done;
-  for i = 0 to 29 do
-    fetch_at (epoch +. 1.0 +. float_of_int i) "http://dead.example.org/item.html"
-  done;
-  Sim.run ~until:(epoch +. 90.0) sim;
+  let proxies = run.Chaos.proxies in
   let open_breakers = List.map (fun p -> (Node.health p).Node.open_breakers) proxies in
   List.iter
     (fun p ->
@@ -315,21 +248,21 @@ let run_overload plan =
         (Core.Resource.Upstream.open_breakers (Node.upstream p))
         (Node.health p).Node.open_breakers)
     proxies;
-  ( !issued,
-    !answered,
-    !ok,
-    !sheds_without_retry_after,
-    Origin.request_count dead,
+  ( run.Chaos.issued,
+    List.length run.Chaos.answers,
+    List.length
+      (List.filter (fun a -> a.Chaos.response.Message.status = 200) run.Chaos.answers),
+    sheds_without_retry_after,
+    Origin.request_count (List.nth run.Chaos.origins 1),
     List.concat open_breakers )
 
 let test_overload_acceptance () =
-  let issued, answered, baseline_ok, _, _, _ = run_overload (Plan.create ~seed:5 ()) in
+  let issued, answered, baseline_ok, _, _, _ = run_overload (Chaos.overload_baseline ()) in
   Alcotest.(check int) "baseline: all issued" 630 issued;
   Alcotest.(check int) "baseline: no hung requests" issued answered;
-  let plan = Plan.create ~seed:5 () in
-  Plan.crash plan ~host:"nk-b.nakika.net" ~at:(epoch +. 5.6) ~restart:(epoch +. 21.0) ();
-  Plan.fail_origin plan ~host:"dead.example.org" ~at:(epoch +. 4.0) ~until:(epoch +. 90.0);
-  let issued, answered, ok, bare_503s, dead_hits, open_breakers = run_overload plan in
+  let issued, answered, ok, bare_503s, dead_hits, open_breakers =
+    run_overload (Chaos.overload_degraded ())
+  in
   Alcotest.(check int) "degraded: all issued" 630 issued;
   Alcotest.(check int) "degraded: no hung requests" issued answered;
   Alcotest.(check int) "degraded: every shed carries Retry-After" 0 bare_503s;

@@ -191,7 +191,7 @@ let test_http_date_roundtrip () =
       match Http_date.parse (Http_date.format t) with
       | Some t' -> Alcotest.(check (float 0.5)) "roundtrip" t t'
       | None -> Alcotest.failf "failed to parse %s" (Http_date.format t))
-    [ 0.0; 1_136_073_600.0; 1_600_000_000.0; 86_399.0; 86_400.0 ]
+    [ 0.0; Core.Sim.Sim.epoch; 1_600_000_000.0; 86_399.0; 86_400.0 ]
 
 let test_http_date_epoch () =
   Alcotest.(check string) "epoch" "Thu, 01 Jan 1970 00:00:00 GMT" (Http_date.format 0.0)
@@ -206,14 +206,13 @@ let test_http_date_bad () =
     (fun s -> Alcotest.(check bool) s true (Http_date.parse s = None))
     [ "not a date"; "Sun, 06 Nov 1994"; "Sun, 06 Xxx 1994 08:49:37 GMT" ]
 
-let test_body_chunks () =
-  let b = Body.of_chunks [ "hello "; ""; "world" ] in
+let test_body_string () =
+  let s = "hello world" in
+  let b = Body.of_string s in
   Alcotest.(check int) "length" 11 (Body.length b);
-  Alcotest.(check string) "full" "hello world" (Body.to_string b);
-  let r = Body.reader b in
-  Alcotest.(check (option string)) "chunk 1" (Some "hello ") (Body.read r);
-  Alcotest.(check (option string)) "chunk 2" (Some "world") (Body.read r);
-  Alcotest.(check (option string)) "eof" None (Body.read r)
+  Alcotest.(check bool) "to_string is the string itself" true (Body.to_string b == s);
+  Alcotest.(check int) "empty" 0 (Body.length (Body.of_string ""));
+  Alcotest.(check int) "length counts bytes" 5 (Body.length (Body.of_string "caf\xc3\xa9"))
 
 let test_message_request () =
   let r = Message.request ~meth:Method_.POST ~headers:[ ("X", "1") ] ~body:"data"
@@ -424,8 +423,7 @@ let codec_roundtrip_prop =
    of the actual encoding on every message shape the simulator can see. *)
 let gen_word lo hi = QCheck.Gen.(string_size ~gen:(char_range 'a' 'z') (int_range lo hi))
 
-let gen_body =
-  QCheck.Gen.(map Body.of_chunks (list_size (int_bound 4) (string_size ~gen:printable (int_bound 40))))
+let gen_body = QCheck.Gen.(map Body.of_string (string_size ~gen:printable (int_bound 160)))
 
 let gen_headers =
   QCheck.Gen.(map Headers.of_list (list_size (int_bound 5) (pair (gen_word 1 12) (gen_word 0 20))))
@@ -528,10 +526,10 @@ let test_wire_size_large_body () =
 
 let test_wire_size_chunked_body () =
   let req = Message.request ~meth:Method_.POST "http://e.org:8080/up?a&b=2" in
-  req.Message.body <- Body.of_chunks [ "first,"; ""; "second,"; "third" ];
+  req.Message.body <- Body.of_string (String.concat "" [ "first,"; ""; "second,"; "third" ]);
   let encoded = Codec.encode_request req in
   Alcotest.(check int) "3-chunk body" (String.length encoded) (Codec.request_wire_size req);
-  Alcotest.(check string) "chunks in order"
+  Alcotest.(check string) "parts in order"
     "POST http://e.org:8080/up?a&b=2 HTTP/1.1\r\n\r\nfirst,second,third" encoded
 
 let suite =
@@ -565,7 +563,7 @@ let suite =
     Alcotest.test_case "http-date: epoch rendering" `Quick test_http_date_epoch;
     Alcotest.test_case "http-date: malformed" `Quick test_http_date_bad;
     Alcotest.test_case "http-date: RFC 2616 example" `Quick test_http_date_known;
-    Alcotest.test_case "body: chunked reads" `Quick test_body_chunks;
+    Alcotest.test_case "body: one string" `Quick test_body_string;
     Alcotest.test_case "message: request construction" `Quick test_message_request;
     Alcotest.test_case "message: content-length maintenance" `Quick
       test_message_response_content_length;

@@ -137,7 +137,7 @@ let url_seeds = [ "http://a.org:8080/p/q?x=1&y&z=%41"; "www.example.edu/index.ht
 
 let range_seeds = [ "bytes=0-499"; "bytes=500-"; "bytes=-200" ]
 
-let http_date_seeds = [ Http.Http_date.format 784111777.0; Http.Http_date.format 1136073600.0 ]
+let http_date_seeds = [ Http.Http_date.format 784111777.0; Http.Http_date.format Sim.Sim.epoch ]
 
 let cache_control_seeds =
   [ "max-age=60, s-maxage=30, stale-if-error=300"; "no-store"; "private, no-cache=\"Set-Cookie\"" ]
