@@ -4,8 +4,17 @@
     the work it causes — cache lookup, policy match, pipeline stages,
     script interpretation, DHT hops, origin fetch, revalidation,
     integrity verification — runs under child spans. Completed traces
-    land in a bounded ring buffer, and {!slowest} answers "where
-    did this request's time go?" for the worst offenders. *)
+    are retained, the 256 most recent of them, and {!slowest} answers
+    "where did this request's time go?" for the worst offenders.
+
+    A span record lives only while its trace is open. When the root
+    closes, the trace is copied once into flat arrays (ids, times,
+    names, attributes) that the tracer reuses in place, and {!traces},
+    {!slowest} rebuild records from that copy. So a span finished or
+    annotated after its root closed is not reflected in the retained
+    trace: it stays open, without the late attributes. The node never
+    does this; each of its spans closes inside the phase that opened
+    it. *)
 
 type span = {
   span_id : int;
@@ -15,6 +24,8 @@ type span = {
   started : float;
   mutable ended : float option;
   mutable attrs : (string * string) list;
+      (** newest first while the span is live, oldest first in a
+          retained trace's records *)
 }
 
 type trace = {
@@ -26,9 +37,11 @@ type trace = {
 type t
 
 val create : clock:(unit -> float) -> unit -> t
-(** The completed-trace ring buffer keeps the 256 most recent traces;
-    it starts empty and grows as traces complete. [clock] is typically
-    [fun () -> Nk_sim.Sim.now sim]. *)
+(** The tracer retains the 256 most recent completed traces. Its stores
+    start empty, so a tracer that completes no trace holds none; a store
+    doubles only when the retained traces would not fit in it, and
+    otherwise a new trace overwrites the oldest one's slots. [clock] is
+    typically [fun () -> Nk_sim.Sim.now sim]. *)
 
 val start_trace : t -> ?attrs:(string * string) list -> string -> span
 (** Open a new trace; the returned span is its root. *)
@@ -37,7 +50,7 @@ val start_span : t -> parent:span -> ?attrs:(string * string) list -> string -> 
 
 val finish : t -> span -> unit
 (** Close a span (idempotent). Closing a root span completes its trace
-    and moves it into the ring buffer. *)
+    and copies it into the retained traces. *)
 
 val top : span
 (** The parent of every trace root: a {!child} of [top] opens a new

@@ -187,6 +187,59 @@ let test_tracer_ring_and_slowest () =
     Alcotest.(check string) "slowest retained trace" "r20" first.Tracer.root.Tracer.name
   | [] -> Alcotest.fail "no traces retained"
 
+(* A retained trace is the copy taken when its root closed: a span
+   finished or annotated later is not reflected in it. *)
+let test_tracer_copy_at_root_close () =
+  let now = ref 0.0 in
+  let tracer = Tracer.create ~clock:(fun () -> !now) () in
+  let root = Tracer.start_trace tracer ~attrs:[ ("url", "http://x/") ] "request" in
+  let child = Tracer.start_span tracer ~parent:root "origin-fetch" in
+  now := 0.002;
+  Tracer.finish tracer root;
+  now := 0.005;
+  Tracer.set_attr_opt (Some root) "late" "true";
+  Tracer.set_attr_opt (Some child) "late" "true";
+  Tracer.finish tracer child;
+  match Tracer.traces tracer with
+  | [ { Tracer.spans = [ r; c ]; _ } ] ->
+    Alcotest.(check (option (float 0.0))) "root closed at 2 ms" (Some 0.002) r.Tracer.ended;
+    Alcotest.(check (list (pair string string))) "root attributes as at close"
+      [ ("url", "http://x/") ] r.Tracer.attrs;
+    Alcotest.(check (option (float 0.0))) "child still open" None c.Tracer.ended;
+    Alcotest.(check (list (pair string string))) "child not annotated" [] c.Tracer.attrs
+  | _ -> Alcotest.fail "expected one trace of two spans"
+
+(* Retaining a trace copies it into stores reused in place, so once 256
+   traces have sized them, a trace whose names and attribute values
+   already exist promotes nothing. A minor collection every 64 traces
+   makes every retained trace outlive one, as a request's trace does on
+   a node. *)
+let test_tracer_retention_promotes_nothing () =
+  let now = ref 0.0 in
+  let tracer = Tracer.create ~clock:(fun () -> !now) () in
+  let trace () =
+    Tracer.child tracer (Some Tracer.top) ~attrs:[ ("url", "http://x/") ] "request"
+      (fun root ->
+        for _ = 1 to 11 do
+          Tracer.child tracer root ~attrs:[ ("stage", "s") ] "stage" (fun span ->
+              now := !now +. 0.001;
+              Tracer.set_attr_opt span "hit" "true")
+        done)
+  in
+  for _ = 1 to 256 do
+    trace ()
+  done;
+  let traces = 4096 in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 1 to traces do
+    trace ();
+    if i mod 64 = 0 then Gc.minor ()
+  done;
+  let per_trace = ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int traces in
+  if per_trace > 1.0 then
+    Alcotest.failf "%.1f words promoted per retained trace (bound 1)" per_trace
+
 (* --- events and profile ------------------------------------------------ *)
 
 let test_events_ring () =
@@ -329,8 +382,11 @@ let events_match_reference_prop =
              (fun e -> (e.Ref.Events.time, e.Ref.Events.name, e.Ref.Events.attrs))
              (Ref.Events.to_list reference))
 
-(* Each trace gets up to three children, some left open, on a clock
-   that moves in whole milliseconds so that durations tie. *)
+(* Most traces get up to three children, one in 40 up to 600, so that a
+   store grows while older traces are still retained. A child hangs
+   under the root or under the previous child; some are left open. Roots
+   and children start with and gain attributes. The clock moves in
+   whole milliseconds, so that durations tie. *)
 let tracer_match_reference_prop =
   QCheck.Test.make ~name:"tracer: growing ring matches the fixed-capacity reference"
     ~count:100
@@ -340,32 +396,57 @@ let tracer_match_reference_prop =
       let now = ref 0.0 in
       let clock () = !now in
       let tick () = now := !now +. (0.001 *. float_of_int (Random.State.int rng 20)) in
+      let draw () = string_of_int (Random.State.int rng 100) in
+      let draw_attrs () = List.init (Random.State.int rng 3) (fun _ -> ("a" ^ draw (), draw ())) in
+      let annotate span ref_span =
+        for _ = 1 to Random.State.int rng 3 do
+          let key = "k" ^ draw () and value = draw () in
+          Tracer.set_attr_opt (Some span) key value;
+          Ref.Tracer.set_attr ref_span key value
+        done
+      in
       let tracer = Tracer.create ~clock () and reference = Ref.Tracer.create ~clock () in
       for i = 1 to n do
-        let name = Printf.sprintf "t%d" i in
-        let root = Tracer.start_trace tracer name
-        and ref_root = Ref.Tracer.start_trace reference name in
-        for j = 1 to Random.State.int rng 4 do
-          let child = Tracer.start_span tracer ~parent:root "child"
-          and ref_child = Ref.Tracer.start_span reference ~parent:ref_root "child" in
+        let name = Printf.sprintf "t%d" i and attrs = draw_attrs () in
+        let root = Tracer.start_trace tracer ~attrs name
+        and ref_root = Ref.Tracer.start_trace reference ~attrs name in
+        let children =
+          if Random.State.int rng 40 = 0 then Random.State.int rng 601
+          else Random.State.int rng 4
+        in
+        let last = ref (root, ref_root) in
+        for _ = 1 to children do
+          let parent, ref_parent = if Random.State.bool rng then (root, ref_root) else !last in
+          let attrs = draw_attrs () in
+          let child = Tracer.start_span tracer ~parent ~attrs "child"
+          and ref_child = Ref.Tracer.start_span reference ~parent:ref_parent ~attrs "child" in
           tick ();
-          if j <> 3 then begin
+          annotate child ref_child;
+          if Random.State.int rng 4 <> 0 then begin
             Tracer.finish tracer child;
             Ref.Tracer.finish reference ref_child
-          end
+          end;
+          last := (child, ref_child)
         done;
+        annotate root ref_root;
         tick ();
         Tracer.finish tracer root;
         Ref.Tracer.finish reference ref_root
       done;
       let span s =
-        (s.Tracer.span_id, s.Tracer.parent_id, s.Tracer.name, s.Tracer.started, s.Tracer.ended)
+        ( s.Tracer.span_id,
+          s.Tracer.parent_id,
+          s.Tracer.name,
+          s.Tracer.started,
+          s.Tracer.ended,
+          s.Tracer.attrs )
       and ref_span s =
         ( s.Ref.Tracer.span_id,
           s.Ref.Tracer.parent_id,
           s.Ref.Tracer.name,
           s.Ref.Tracer.started,
-          s.Ref.Tracer.ended )
+          s.Ref.Tracer.ended,
+          s.Ref.Tracer.attrs )
       in
       let trace t = (t.Tracer.id, span t.Tracer.root, List.map span t.Tracer.spans)
       and ref_trace t =
@@ -533,4 +614,8 @@ let suite =
     QCheck_alcotest.to_alcotest tracer_match_reference_prop;
     QCheck_alcotest.to_alcotest registry_matches_reference_prop;
     Alcotest.test_case "histogram: non-finite samples" `Quick test_histogram_non_finite;
+    Alcotest.test_case "tracer: a retained trace is copied when its root closes" `Quick
+      test_tracer_copy_at_root_close;
+    Alcotest.test_case "tracer: a retained trace promotes nothing" `Quick
+      test_tracer_retention_promotes_nothing;
   ]
