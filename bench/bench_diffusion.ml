@@ -78,8 +78,8 @@ let run_scenario ~attach ~diffusion () =
   let latencies = ref [] in
   (* 600 requests for the hot page inside ~1.2 s, every one pinned to
      nk-a (the client population that a stale DNS answer or a hardcoded
-     proxy setting sends to one node), starting after the health plane
-     has gossiped at least once. *)
+     proxy setting sends to one node), starting after every proxy's
+     health tick has reported at least once. *)
   for i = 0 to 599 do
     Sim.schedule_at sim
       (Sim.epoch +. 5.0 +. (0.002 *. float_of_int i))

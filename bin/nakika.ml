@@ -264,9 +264,9 @@ let health_scenario () =
   let p2 = Core.Node.Cluster.add_proxy cluster ~name:"nk2.nakika.net" ~config () in
   let client = Core.Node.Cluster.add_client cluster ~name:"client" in
   let sim = Core.Node.Cluster.sim cluster in
-  (* The crowd starts after the first load-report cycle (1 s) so the
-     proxies have gossiped pressure once and diffusion has a neighbor
-     table to offload into. *)
+  (* The crowd starts after the first health tick (1 s) so the proxies
+     have reported their pressure once and diffusion has candidates to
+     offload into. *)
   for i = 0 to 299 do
     Core.Sim.Sim.schedule_at sim
       (epoch +. 1.5 +. (0.001 *. float_of_int i))

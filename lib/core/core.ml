@@ -63,8 +63,9 @@ module Overlay = Nk_overlay
 (** The structured overlay: ring, DHT soft state, DNS redirection. *)
 
 module Diffusion = Nk_diffusion
-(** Proactive computation diffusion (C3PO): pressure signal, neighbor
-    table, offload policy, and the hash-addressed migration protocol. *)
+(** Proactive computation diffusion (C3PO): pressure signal, offload
+    policy (candidates read from the redirector's report table), and the
+    hash-addressed migration protocol. *)
 
 module Replication = Nk_replication
 (** Hard state: per-site stores, reliable messaging, replication. *)

@@ -30,32 +30,41 @@ let validate c =
   F.positive f "diffusion_staleness" c.staleness;
   F.to_list f
 
-type decision = Local | Offload of Neighbors.info list
+type candidate = { name : string; incarnation : int; pressure : float; distance : float }
+
+let candidates redirector ~self ~now ~staleness ~fanout =
+  let fresh =
+    Nk_overlay.Redirector.fold_reports redirector ~from:self ~init:[]
+      ~f:(fun name ~distance (h : Nk_overlay.Redirector.health) acc ->
+        match h.pressure with
+        | Some pressure when now -. h.reported_at <= staleness ->
+          { name; incarnation = h.incarnation; pressure; distance } :: acc
+        | _ -> acc)
+  in
+  match fresh with
+  | [] -> []
+  | fresh ->
+    (* Work should diffuse to neighbors, not across the world: the
+       redirector's close-by rule, around the nearest fresh reporter. *)
+    let nearest = List.fold_left (fun acc c -> Float.min acc c.distance) infinity fresh in
+    let bound = Nk_overlay.Redirector.close_bound nearest in
+    List.filter (fun c -> c.distance <= bound) fresh
+    |> List.sort (fun a b ->
+           match Float.compare a.pressure b.pressure with
+           | 0 -> String.compare a.name b.name
+           | c -> c)
+    |> List.filteri (fun i _ -> i < max 1 fanout)
+
+type decision = Local | Offload of candidate list
 
 let margin = 0.05
 
 let decide ~pressure ~low_water ~candidates =
   if pressure < low_water then Local
   else
-    match
-      List.filter (fun (c : Neighbors.info) -> c.pressure +. margin <= pressure) candidates
-    with
+    match List.filter (fun c -> c.pressure +. margin <= pressure) candidates with
     | [] -> Local
     | eligible -> Offload eligible
 
-let pick ~rng = function
-  | [] -> None
-  | candidates ->
-    let weighted =
-      List.map
-        (fun (c : Neighbors.info) -> (Float.max 0.05 (1.0 -. c.pressure), c))
-        candidates
-    in
-    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
-    let roll = Nk_util.Prng.float rng total in
-    let rec choose acc = function
-      | [] -> None
-      | [ (_, c) ] -> Some c
-      | (w, c) :: rest -> if roll < acc +. w then Some c else choose (acc +. w) rest
-    in
-    choose 0.0 weighted
+let pick ~rng candidates =
+  Nk_util.Prng.weighted rng (fun c -> Float.max 0.05 (1.0 -. c.pressure)) candidates

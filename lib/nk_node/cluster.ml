@@ -7,10 +7,9 @@ type t = {
   redirector : Nk_overlay.Redirector.t;
   nakika_origin : Origin.t;
   rng : Nk_util.Prng.t;
-  mutable proxies : Node.t list;
-  (* Host-name index over [proxies]: [pick_proxy] resolves the
-     redirector's choice per request, and a linear scan over 1000
-     proxies per request dominated planet-scale runs. *)
+  (* The proxies by host name: [pick_proxy] resolves the redirector's
+     choice per request, and a linear scan over 1000 proxies per
+     request dominated planet-scale runs. *)
   by_name : (string, Node.t) Hashtbl.t;
 }
 
@@ -60,47 +59,14 @@ let create ?(seed = 11) ?default_latency ?default_bandwidth ?client_wall ?server
     redirector;
     nakika_origin;
     rng = Nk_util.Prng.create (seed * 31);
-    proxies = [];
     by_name = Hashtbl.create 64;
   }
 
-(* Periodic load reports to the redirector: queueing delay, shed rate,
-   and the liveness incarnation (so a report from before a crash can't
-   shadow the restarted node's view). A crashed node reports nothing —
-   the redirector's own [host_down] filter covers the gap. *)
-let start_health_reports t node =
-  let host = Node.host node in
-  let name = Nk_sim.Net.host_name host in
-  Nk_sim.Sim.every t.sim ~period:Node.health_report_interval (fun () ->
-      if not (Nk_sim.Net.host_down t.net host) then begin
-        let h = Node.health node in
-        let incarnation = Nk_sim.Net.incarnation t.net host in
-        Nk_overlay.Redirector.report t.redirector ~host:name ~incarnation
-          ~queue_delay:h.Node.queue_delay ~shed_rate:h.Node.shed_rate ();
-        (* The same report, as diffusion gossip: every other proxy
-           learns this node's pressure (and how far away it is), which
-           is the whole neighbor table the offload policy runs on — no
-           separate protocol, the health plane carries it. Gated on
-           the sender's diffusion policy: a diffusion-off node never
-           accepts offloads, so broadcasting its pressure is pure
-           overhead — and at 1000 proxies this loop is the difference
-           between O(n) and O(n^2) work per report interval. *)
-        if Option.is_some (Node.config node).Config.diffusion then begin
-          let p = Node.pressure node in
-          List.iter
-            (fun other ->
-              if Nk_sim.Net.host_name (Node.host other) <> name then
-                Node.observe_neighbor other ~name ~pressure:p ~incarnation
-                  ~distance:
-                    (Nk_sim.Net.transfer_time_estimate t.net ~src:(Node.host other)
-                       ~dst:host ~size:1024))
-            t.proxies
-        end
-      end)
-
 let add_proxy t ~name ?(cpu_speed = 1.0) ?config () =
   let host = Nk_sim.Net.add_host t.net ~name ~cpu_speed () in
-  let node = Node.create ~web:t.web ~host ~dht:t.dht ~bus:t.bus ?config () in
+  let node =
+    Node.create ~web:t.web ~host ~redirector:t.redirector ~dht:t.dht ~bus:t.bus ?config ()
+  in
   (* Diffusion deployments also bound how long the redirector trusts a
      load report: a silent node must stop attracting clients just as it
      stops attracting offloads. Gated on the policy so a diffusion-free
@@ -117,9 +83,7 @@ let add_proxy t ~name ?(cpu_speed = 1.0) ?config () =
       ~threshold:cfg.Config.hotspot_threshold ~replicas:cfg.Config.hotspot_replicas
       ~ttl:cfg.Config.hotspot_ttl ();
   Nk_overlay.Redirector.add_proxy t.redirector host;
-  t.proxies <- node :: t.proxies;
   Hashtbl.replace t.by_name name node;
-  start_health_reports t node;
   node
 
 let add_origin t ~name ?(cpu_speed = 1.0) ?sign_key () =

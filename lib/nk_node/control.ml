@@ -142,10 +142,16 @@ let start_log_poster t =
           | _ -> ())
         t.log_urls)
 
-(* Publish the node's own load view as gauges every report interval, so
-   [nakika stats --health] and merged benchmark registries can show
-   per-node overload state without poking node internals. *)
-let start_health_gauges t =
+(* The node's one health tick per report interval: its load view is
+   computed once, published as [health.*] gauges (for [nakika stats
+   --health] and merged benchmark registries) and reported to the
+   redirector with the liveness incarnation, so a report from before a
+   crash can't shadow the restarted node's view. The report carries the
+   node's pressure when it runs diffusion; the other diffusion nodes
+   read their offload candidates from the same table. A crashed node
+   reports nothing: the redirector's own [host_down] filter covers the
+   gap. *)
+let start_health_tick t =
   let was_down = ref false in
   Nk_sim.Sim.every t.sim ~period:health_report_interval (fun () ->
       let down = Nk_sim.Net.host_down t.net t.host in
@@ -156,13 +162,14 @@ let start_health_gauges t =
       was_down := down;
       if not down then begin
         let h = health t in
+        let pressure = Option.map (fun _ -> pressure t) t.diffusion in
         let set = Gauge.set t.metrics in
         set Meter.queue_delay h.queue_delay;
         set Meter.shed_rate h.shed_rate;
         set Meter.open_breakers (float_of_int (List.length h.open_breakers));
         set Meter.quarantined_sites (float_of_int (List.length h.quarantined));
-        match t.diffusion with
-        | Some _ -> set Meter.pressure (pressure t)
-        | None -> ()
+        Option.iter (set Meter.pressure) pressure;
+        Nk_overlay.Redirector.report t.redirector t.host
+          ~incarnation:(Nk_sim.Net.incarnation t.net t.host)
+          ?pressure ~queue_delay:h.queue_delay ~shed_rate:h.shed_rate ()
       end)
-

@@ -3,15 +3,11 @@
 
 type stage_entry = { stage : Nk_pipeline.Stage.t; site : string }
 
-(* Proactive computation diffusion (C3PO): the policy settings, the
-   neighbor pressure table fed by the cluster's load-report gossip, plus
-   the offload protocol instance (envelope codec, pending table, reply
-   matching). *)
-type diffusion = {
-  policy : Nk_diffusion.Policy.config;
-  neighbors : Nk_diffusion.Neighbors.t;
-  offload : Nk_diffusion.Offload.t;
-}
+(* Proactive computation diffusion (C3PO): the policy settings and the
+   offload protocol instance (envelope codec, pending table, reply
+   matching). Offload candidates come from the redirector's report
+   table. *)
+type diffusion = { policy : Nk_diffusion.Policy.config; offload : Nk_diffusion.Offload.t }
 
 (* A request's context: the span its phases open children under and its
    remaining deadline budget. Every internal hop runs under the budget;
@@ -24,8 +20,11 @@ type t = {
   net : Nk_sim.Net.t;
   sim : Nk_sim.Sim.t;
   host : Nk_sim.Net.host;
-  dht : Nk_overlay.Dht.t option;
+  dht : Nk_overlay.Dht.t option; (* [None] unless [Config.enable_dht] *)
   bus : Nk_replication.Message_bus.t option;
+  redirector : Nk_overlay.Redirector.t;
+  (* the cluster's one load-report table: this node's health tick
+     writes to it, and its offload decisions read it *)
   cfg : Config.t;
   rng : Nk_util.Prng.t;
   cache : Nk_cache.Http_cache.t;
@@ -216,7 +215,8 @@ let health t =
     quarantined = List.map fst (Nk_resource.Quarantine.active t.quarantine);
   }
 
-(* The period of the node's load reports and [health.*] gauges. *)
+(* The period of the node's health tick: one load report and the
+   [health.*] gauges. *)
 let health_report_interval = 1.0
 
 (* The scalar load signal diffusion decisions run on: admission queue
@@ -238,14 +238,6 @@ let pressure t =
   Nk_diffusion.Pressure.compute ~target:cfg.Nk_resource.Admission.target
     ~queue_delay:(Nk_sim.Net.cpu_backlog t.net t.host)
     ~shed_rate ~queue_frac
-
-let observe_neighbor t ~name:peer ~pressure ~incarnation ~distance =
-  match t.diffusion with
-  | None -> ()
-  | Some d ->
-    if peer <> name t then
-      Nk_diffusion.Neighbors.observe d.neighbors ~name:peer ~incarnation ~pressure
-        ~distance ~now:(now t)
 
 let retry_after_response seconds =
   let resp = Nk_http.Message.error_response 503 in

@@ -35,7 +35,7 @@ let insert_if_cacheable t ~key ~dht_key req resp =
     let expiry = Nk_http.Message.response_expiry ~now:(now t) resp in
     if Nk_cache.Http_cache.store t.cache ~now:(now t) ~key ~expiry resp then
       match (expiry, t.dht) with
-      | Some expiry, Some dht when t.cfg.Config.enable_dht -> announce t dht ~key:dht_key ~expiry
+      | Some expiry, Some dht -> announce t dht ~key:dht_key ~expiry
       | _ -> ()
   end
 
@@ -266,7 +266,7 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
             | None, None, None -> Nk_http.Message.error_response 504))
     in
     match t.dht with
-    | Some dht when t.cfg.Config.enable_dht && allow_peers ->
+    | Some dht when allow_peers ->
       let result =
         phase t ctx "dht-lookup" (fun { span = sp; _ } ->
             let result =

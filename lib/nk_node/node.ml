@@ -195,7 +195,7 @@ let answer_once t (req : Nk_http.Message.request) k =
       k resp
     end
 
-let create ~web ~host ?dht ?bus ?(config = Config.default) () =
+let create ~web ~host ~redirector ?dht ?bus ?(config = Config.default) () =
   let net = Nk_sim.Httpd.net web in
   let sim = Nk_sim.Net.sim net in
   let clock () = Nk_sim.Sim.now sim in
@@ -217,7 +217,6 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       Some
         {
           policy;
-          neighbors = Nk_diffusion.Neighbors.create ();
           offload =
             Nk_diffusion.Offload.create ~name:node_name
               ~incarnation:(fun () -> Nk_sim.Net.incarnation net host)
@@ -238,8 +237,10 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       net;
       sim;
       host;
-      dht;
+      (* Cooperative caching is on exactly when the node holds the DHT. *)
+      dht = (if config.Config.enable_dht then dht else None);
       bus;
+      redirector;
       cfg = config;
       rng = Nk_util.Prng.create (Stages.script_seed + String.length (Nk_sim.Net.host_name host));
       cache = Nk_cache.Http_cache.create ~max_bytes:config.Config.cache_bytes ~metrics ();
@@ -280,8 +281,8 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
   in
   Nk_sim.Httpd.serve web ~host ~hostnames:[ Nk_sim.Net.host_name host ] (fun req k ->
       handle t req (answer_once t req k));
-  (match dht with
-   | Some dht when config.Config.enable_dht ->
+  (match t.dht with
+   | Some dht ->
      ignore (Nk_overlay.Dht.join dht (name t));
      Control.start_reannouncer t dht;
      if config.Config.enable_hotspots then Control.start_dht_sweeper t dht
@@ -303,5 +304,5 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
        ~handler:(fun ~payload ~from:_ -> handle_offload_request t d ~payload)
    | _ -> ());
   Control.start_log_poster t;
-  Control.start_health_gauges t;
+  Control.start_health_tick t;
   t

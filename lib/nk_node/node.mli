@@ -15,13 +15,17 @@ type t
 val create :
   web:Nk_sim.Httpd.t ->
   host:Nk_sim.Net.host ->
+  redirector:Nk_overlay.Redirector.t ->
   ?dht:Nk_overlay.Dht.t ->
   ?bus:Nk_replication.Message_bus.t ->
   ?config:Config.t ->
   unit ->
   t
 (** Registers the node as the HTTP server on [host] (hostname =
-    [Net.host_name host]) and, when given a DHT, joins the overlay. *)
+    [Net.host_name host]) and, when given a DHT and [Config.enable_dht]
+    holds, joins the overlay. [redirector] is the cluster's one
+    load-report table: the node's health tick reports into it, and its
+    offload decisions read their candidates from it. *)
 
 val host : t -> Nk_sim.Net.host
 
@@ -70,24 +74,17 @@ type health = {
 }
 
 val health : t -> health
-(** The node's own overload view — what it publishes to the redirector
-    and exports as [health.*] gauges every {!health_report_interval}. *)
-
-val health_report_interval : float
-(** The period (1 s) of the node's load reports and [health.*] gauges. *)
+(** The node's own overload view. A node has one health tick, a single
+    [Sim.every] loop with a 1 s period: it computes this view once (and,
+    when the node runs diffusion, its {!pressure}), sets the [health.*]
+    gauges, resets admission on the first tick after a restart, and
+    writes one load report into the redirector's table. *)
 
 val pressure : t -> float
 (** The scalar diffusion load signal in [0, 1]: queueing delay, shed
     rate and admission-queue occupancy combined (monotone in each;
     crosses 0.5 at the admission delay target). Meaningful whether or
     not diffusion is enabled. *)
-
-val observe_neighbor :
-  t -> name:string -> pressure:float -> incarnation:int -> distance:float -> unit
-(** Feed one neighbor load observation into the diffusion pressure
-    table (the cluster calls this from its load-report cycle).
-    Incarnation-guarded; self-observations and calls on a
-    diffusion-disabled node are no-ops. *)
 
 val answer_once :
   t ->

@@ -31,7 +31,7 @@ let offload_plan t ~site =
       | None -> None
       | Some script_hash -> (
         let candidates =
-          Nk_diffusion.Neighbors.candidates d.neighbors ~now:(now t)
+          Nk_diffusion.Policy.candidates t.redirector ~self:t.host ~now:(now t)
             ~staleness:d.policy.staleness ~fanout:d.policy.fanout
         in
         match
@@ -49,7 +49,7 @@ let offload_plan t ~site =
    request's trace ([ctx] is its arrival context) records the offload
    as its only phase. *)
 let attempt_offload t ctx ~site ~plan:(d, p, script_hash, target) ~range req k ~fallback =
-  let target_name = target.Nk_diffusion.Neighbors.name in
+  let target_name = target.Nk_diffusion.Policy.name in
   let fall_back reason =
     Counter.incr_at t.metrics Meter.offload_fallbacks reason;
     fallback ()
@@ -64,7 +64,7 @@ let attempt_offload t ctx ~site ~plan:(d, p, script_hash, target) ~range req k ~
     stamp_deadline t ctx.deadline req;
     let send resume =
       Nk_diffusion.Offload.send d.offload ~target:target_name
-        ~target_incarnation:target.Nk_diffusion.Neighbors.incarnation ~site ~script_hash
+        ~target_incarnation:target.Nk_diffusion.Policy.incarnation ~site ~script_hash
         ~timeout:(hop_timeout t ctx.deadline d.policy.offload_timeout)
         ~request:req ~on_done:resume
     in

@@ -1,6 +1,7 @@
 type health = {
   queue_delay : float;
   shed_rate : float;
+  pressure : float option;
   incarnation : int;
   reported_at : float;
 }
@@ -15,7 +16,7 @@ type t = {
   mutable proxies : proxy list;
   registered : (string, proxy) Hashtbl.t; (* by host name *)
   mutable next_seq : int;
-  reports : (string, health) Hashtbl.t;
+  reports : (string, Nk_sim.Net.host * health) Hashtbl.t; (* by reporter's name *)
   mutable staleness : float;
 }
 
@@ -44,24 +45,44 @@ let remove_proxy t host =
 
 let proxies t = List.map (fun p -> p.host) t.proxies
 
-let report t ~host ?(incarnation = 0) ~queue_delay ~shed_rate () =
+let report t host ~incarnation ?pressure ~queue_delay ~shed_rate () =
+  let name = Nk_sim.Net.host_name host in
   let fresh =
-    match Hashtbl.find_opt t.reports host with
-    | Some prev -> incarnation >= prev.incarnation
+    match Hashtbl.find_opt t.reports name with
+    | Some (_, prev) -> incarnation >= prev.incarnation
     | None -> true
   in
   (* A report from a pre-crash incarnation may arrive after the node
      restarted and re-announced; never let it shadow the newer view. *)
   if fresh then
-    Hashtbl.replace t.reports host
-      {
-        queue_delay;
-        shed_rate;
-        incarnation;
-        reported_at = Nk_sim.Sim.now (Nk_sim.Net.sim t.net);
-      }
+    Hashtbl.replace t.reports name
+      ( host,
+        {
+          queue_delay;
+          shed_rate;
+          pressure;
+          incarnation;
+          reported_at = Nk_sim.Sim.now (Nk_sim.Net.sim t.net);
+        } )
 
-let health t ~host = Hashtbl.find_opt t.reports host
+let health t host = Option.map snd (Hashtbl.find_opt t.reports (Nk_sim.Net.host_name host))
+
+let probe_size = 1024
+
+let fold_reports t ~from ~init ~f =
+  let self = Nk_sim.Net.host_name from in
+  Hashtbl.fold
+    (fun name (host, h) acc ->
+      if name = self then acc
+      else
+        f name
+          ~distance:(Nk_sim.Net.transfer_time_estimate t.net ~src:from ~dst:host ~size:probe_size)
+          h acc)
+    t.reports init
+
+(* "Close-by": comparable to the nearest, so neither a client nor a
+   diffused request is sent across the world. *)
+let close_bound nearest = (nearest *. 2.0) +. 1e-4
 
 (* An unloaded node has headroom 1.0; queueing delay and shed rate each
    scale it down, floored so a struggling node still gets a trickle of
@@ -69,7 +90,7 @@ let health t ~host = Hashtbl.find_opt t.reports host
 let headroom t host =
   match Hashtbl.find_opt t.reports (Nk_sim.Net.host_name host) with
   | None -> 1.0
-  | Some h ->
+  | Some (_, h) ->
     let age = Nk_sim.Sim.now (Nk_sim.Net.sim t.net) -. h.reported_at in
     if age > t.staleness then
       (* A node that stopped reporting is suspect, not idle: its last
@@ -82,8 +103,6 @@ let headroom t host =
       let delay_factor = 1.0 /. (1.0 +. (h.queue_delay /. 0.1)) in
       let shed_factor = 1.0 -. Float.min 0.95 h.shed_rate in
       Float.max 0.02 (delay_factor *. shed_factor)
-
-let probe_size = 1024
 
 (* A pick ranks proxies by estimated transfer time from the client, ties
    in list order: the order a stable sort of the proxy list by estimate
@@ -130,16 +149,15 @@ let pick t ?(spread = 1) ~rng ~client () =
   match first_live special t.proxies with
   | None -> None
   | Some (best, nearest_host, special, rest) ->
-    (* "Close-by": only proxies comparable to the nearest count as
-       spread candidates, so load balancing never sends a client across
-       the world. The spread is clamped to the live close-by candidates
-       — a spread of 4 over 2 proxies is a spread of 2. *)
-    let close_bound = (best *. 2.0) +. 1e-4 in
+    (* Only close-by proxies count as spread candidates. The spread is
+       clamped to the live close-by candidates — a spread of 4 over 2
+       proxies is a spread of 2. *)
+    let bound = close_bound best in
     let rec collect acc k special rest =
       if k = 0 then List.rev acc
       else
         match next special rest with
-        | Some (s, h, special, rest) when s <= close_bound ->
+        | Some (s, h, special, rest) when s <= bound ->
           if live h then collect (h :: acc) (k - 1) special rest else collect acc k special rest
         | _ -> List.rev acc
     in
@@ -147,12 +165,4 @@ let pick t ?(spread = 1) ~rng ~client () =
     (* Weighted choice by reported headroom: among equally close nodes,
        an idle one draws proportionally more clients than one shedding
        half its arrivals. *)
-    let weighted = List.map (fun p -> (headroom t p, p)) nearest in
-    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
-    let roll = Nk_util.Prng.float rng total in
-    let rec choose acc = function
-      | [] -> None
-      | [ (_, p) ] -> Some p
-      | (w, p) :: rest -> if roll < acc +. w then Some p else choose (acc +. w) rest
-    in
-    choose 0.0 weighted
+    Nk_util.Prng.weighted rng (headroom t) nearest

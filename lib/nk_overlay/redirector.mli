@@ -6,16 +6,21 @@
     but close-by proxies" load balancing (§5.2).
 
     The redirector is additionally {e health-aware}: nodes publish load
-    reports (queueing delay, shed rate, liveness incarnation) and [pick]
-    skips crashed proxies entirely while weighting among the close-by
+    reports (queueing delay, shed rate, liveness incarnation, and the
+    diffusion pressure of nodes that run diffusion) and [pick] skips
+    crashed proxies entirely while weighting among the close-by
     survivors by reported headroom, so a flash crowd drains toward the
-    nodes with capacity to absorb it. *)
+    nodes with capacity to absorb it. The report table is the cluster's
+    one load view: diffusion reads its offload candidates from it too
+    ({!fold_reports}). *)
 
 type t
 
 type health = {
   queue_delay : float;  (** seconds of queued work the node reported *)
   shed_rate : float;  (** fraction of recent arrivals the node shed *)
+  pressure : float option;
+      (** the node's diffusion pressure; [None] when it runs no diffusion *)
   incarnation : int;  (** liveness epoch; bumped on restart *)
   reported_at : float;  (** simulated time of the report *)
 }
@@ -33,17 +38,35 @@ val proxies : t -> Nk_sim.Net.host list
 
 val report :
   t ->
-  host:string ->
-  ?incarnation:int ->
+  Nk_sim.Net.host ->
+  incarnation:int ->
+  ?pressure:float ->
   queue_delay:float ->
   shed_rate:float ->
   unit ->
   unit
-(** Publish a load report for [host]. Reports carrying an incarnation
-    lower than the stored one are stale (sent before a crash the
-    redirector already heard about) and are ignored. *)
+(** Publish a load report for a host, replacing its previous one.
+    Reports carrying an incarnation lower than the stored one are stale
+    (sent before a crash the redirector already heard about) and are
+    ignored. *)
 
-val health : t -> host:string -> health option
+val health : t -> Nk_sim.Net.host -> health option
+
+val fold_reports :
+  t ->
+  from:Nk_sim.Net.host ->
+  init:'a ->
+  f:(string -> distance:float -> health -> 'a -> 'a) ->
+  'a
+(** Folds [f] over the stored reports other than [from]'s own, in no
+    particular order, passing each reporter's host name and its
+    distance from [from]: the same [Net.transfer_time_estimate] a
+    {!pick} ranks by, read now. *)
+
+val close_bound : float -> float
+(** [close_bound nearest] is the farthest distance still "close-by"
+    next to the [nearest] one: [2 * nearest + 0.1 ms]. {!pick} spreads
+    clients, and diffusion work, only within it. *)
 
 val set_staleness : t -> float -> unit
 (** Bound on load-report age. A proxy whose last report is older than
@@ -60,8 +83,9 @@ val pick : t -> ?spread:int -> rng:Nk_util.Prng.t -> client:Nk_sim.Net.host -> u
     live proxy is registered.
 
     Proxies rank by [Net.transfer_time_estimate] from the client, ties
-    in {!proxies} order; "close-by" means within [2 * best + 0.1 ms].
-    Exactly one draw is taken from [rng] whenever a proxy is returned.
+    in {!proxies} order; "close-by" means within {!close_bound} of the
+    best. Exactly one draw is taken from [rng] whenever a proxy is
+    returned.
     Nothing is cached per client: only the client itself and its
     {!Nk_sim.Net.linked} hosts can rank apart from the default estimate,
     so a pick ranks those few and walks the rest of the list in order

@@ -31,7 +31,8 @@ type store = {
 type t = {
   clock : unit -> float;
   mutable next_id : int;
-  live : (int, span list ref) Hashtbl.t; (* trace id -> spans, newest first *)
+  mutable live : (int, span list ref) Hashtbl.t;
+  (* trace id -> spans, newest first; [no_live] until a span opens *)
   mutable store : store; (* [no_store] until a trace completes *)
 }
 
@@ -46,7 +47,12 @@ let empty_store () =
    written: the first completed trace replaces it. *)
 let no_store = empty_store ()
 
-let create ~clock () = { clock; next_id = 1; live = Hashtbl.create 16; store = no_store }
+(* Likewise shared by every tracer that has opened no span, and never
+   written: the first span replaces it. An untraced node never opens
+   one. *)
+let no_live : (int, span list ref) Hashtbl.t = Hashtbl.create 1
+
+let create ~clock () = { clock; next_id = 1; live = no_live; store = no_store }
 
 let fresh_id t =
   let id = t.next_id in
@@ -54,6 +60,7 @@ let fresh_id t =
   id
 
 let record_live t span =
+  if t.live == no_live then t.live <- Hashtbl.create 16;
   match Hashtbl.find_opt t.live span.trace_id with
   | Some spans -> spans := span :: !spans
   | None -> Hashtbl.add t.live span.trace_id (ref [ span ])

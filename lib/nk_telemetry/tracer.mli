@@ -38,7 +38,8 @@ type t
 
 val create : clock:(unit -> float) -> unit -> t
 (** The tracer retains the 256 most recent completed traces. Its stores
-    start empty, so a tracer that completes no trace holds none; a store
+    start empty, so a tracer that completes no trace holds none, and
+    its table of open traces is made by the first span it opens; a store
     doubles only when the retained traces would not fit in it, and
     otherwise a new trace overwrites the oldest one's slots. [clock] is
     typically [fun () -> Nk_sim.Sim.now sim]. *)

@@ -20,6 +20,21 @@ let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r /. 9007199254740992.0 *. bound
 
+(* One [float] draw over the summed weights; the last item takes any
+   rounding slack. *)
+let weighted t weight = function
+  | [] -> None
+  | items ->
+    let weighted = List.map (fun x -> (weight x, x)) items in
+    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
+    let roll = float t total in
+    let rec choose acc = function
+      | [] -> None
+      | [ (_, x) ] -> Some x
+      | (w, x) :: rest -> if roll < acc +. w then Some x else choose (acc +. w) rest
+    in
+    choose 0.0 weighted
+
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let pick t arr =

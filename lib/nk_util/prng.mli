@@ -18,6 +18,12 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
+val weighted : t -> ('a -> float) -> 'a list -> 'a option
+(** [weighted t weight items] picks an item with probability
+    proportional to [weight item], taking exactly one {!float} draw;
+    [None], and no draw, for an empty list. Weights are read once each,
+    in list order. *)
+
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

@@ -24,7 +24,7 @@ let nodes =
 let requests =
   match Option.bind (Sys.getenv_opt "NAKIKA_SOAK_REQUESTS") int_of_string_opt with
   | Some n when n > 0 -> n
-  | _ -> 125_000
+  | _ -> 135_000
 
 let universe = 10_000
 let rate = 3000.0
@@ -116,7 +116,7 @@ let () =
      10^6 floor is a full-scale claim; reduced spot-checks still must
      clear a few events per request, so an early exit cannot pass. *)
   let min_events =
-    if nodes >= 1000 && requests >= 125_000 then 1_000_000 else requests * 3
+    if nodes >= 1000 && requests >= 135_000 then 1_000_000 else requests * 3
   in
   let failures = ref 0 in
   let check label ok = if ok then Printf.printf "  %s: ok\n" label

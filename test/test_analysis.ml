@@ -448,9 +448,10 @@ let test_offload_digest () =
   in
   let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config () in
   let client = Cluster.add_client cluster ~name:"c1" in
+  let spy = Cluster.add_client cluster ~name:"spy" in
   let bus = Cluster.bus cluster in
   let shipped = ref [] in
-  Core.Replication.Message_bus.attach bus ~name:"spy" ~host:client;
+  Core.Replication.Message_bus.attach bus ~name:"spy" ~host:spy;
   Core.Replication.Message_bus.subscribe bus ~name:"spy"
     ~topic:(Core.Diffusion.Offload.request_topic "spy")
     ~handler:(fun ~payload ~from:_ ->
@@ -460,7 +461,8 @@ let test_offload_digest () =
   let req () = Core.Http.Message.request "http://www.example.edu/index.html" in
   (* The first request builds the stage locally; the second offloads. *)
   ignore (fetch_sync cluster ~client ~proxy (req ()));
-  Node.observe_neighbor proxy ~name:"spy" ~pressure:(-1.0) ~incarnation:1 ~distance:0.01;
+  Core.Overlay.Redirector.report (Cluster.redirector cluster) spy ~incarnation:1 ~pressure:(-1.0)
+    ~queue_delay:0.0 ~shed_rate:0.0 ();
   ignore (fetch_sync cluster ~client ~proxy (req ()));
   Alcotest.(check (list string)) "digest of the body"
     [ Core.Crypto.Sha256.digest broken_script ]

@@ -8,6 +8,7 @@ open Core.Http
 module Offload = Core.Diffusion.Offload
 module Pressure = Core.Diffusion.Pressure
 module Bus = Core.Replication.Message_bus
+module Policy = Core.Diffusion.Policy
 
 let fetch_sync cluster ~client ?proxy req =
   let result = ref None in
@@ -43,14 +44,22 @@ let diffusion_config =
       Some
         {
           Core.Diffusion.Policy.default with
-          (* Offload on any pressure at all, and trust planted/gossiped
-             neighbor entries for a long time: the tests drive the decision
-             deterministically instead of waiting for a real flash crowd. *)
+          (* Offload on any pressure at all, and trust planted or
+             reported load reports for a long time: the tests drive the
+             decision deterministically instead of waiting for a real
+             flash crowd. *)
           low_water = 0.0;
           staleness = 1000.0;
           offload_timeout = 0.3;
         };
   }
+
+(* Plant [node] in the cluster's one report table as an irresistibly
+   idle diffusion neighbor (pressure below anything a node can report),
+   stamped with [incarnation] as its own health tick would stamp it. *)
+let plant cluster node ~incarnation =
+  Core.Overlay.Redirector.report (Cluster.redirector cluster) (Node.host node) ~incarnation
+    ~pressure:(-1.0) ~queue_delay:0.0 ~shed_rate:0.0 ()
 
 (* --- pressure: monotone, bounded, proactive crossing ------------------- *)
 
@@ -195,19 +204,15 @@ let test_fallback_on_breaker_open () =
   let cluster = Cluster.create ~faults:plan () in
   ignore (transforming_site cluster);
   let p1 = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config:diffusion_config () in
-  ignore (Cluster.add_proxy cluster ~name:"nk2.nakika.net" ~config:diffusion_config ());
+  let p2 = Cluster.add_proxy cluster ~name:"nk2.nakika.net" ~config:diffusion_config () in
   let client = Cluster.add_client cluster ~name:"c1" in
   let req () = Message.request "http://www.example.edu/index.html" in
   (* Warm-up: the first request executes locally (hash not yet known)
      and caches the site stage, making later requests offloadable. *)
   Alcotest.(check string) "warm-up served" "<html>edge</html>"
     (body (fetch_sync cluster ~client ~proxy:p1 (req ())));
-  (* Plant nk2 as an irresistibly idle neighbor (pressure below
-     anything nk1 can report), incarnation-stamped like gossip would. *)
-  let plant () =
-    Node.observe_neighbor p1 ~name:"nk2.nakika.net" ~pressure:(-1.0) ~incarnation:1
-      ~distance:0.01
-  in
+  (* Plant nk2 as an irresistibly idle neighbor. *)
+  let plant () = plant cluster p2 ~incarnation:1 in
   let failures = (Node.config p1).Config.breaker.Core.Resource.Breaker.failure_threshold in
   for i = 1 to failures do
     plant ();
@@ -281,10 +286,7 @@ let test_chaos_crash_during_offload () =
   let req () = Message.request "http://www.example.edu/index.html" in
   (* Warm-up executes locally and learns the script hash. *)
   ignore (fetch_sync cluster ~client ~proxy:p1 (req ()));
-  let plant ~incarnation =
-    Node.observe_neighbor p1 ~name:"nk2.nakika.net" ~pressure:(-1.0) ~incarnation
-      ~distance:0.01
-  in
+  let plant ~incarnation = plant cluster p2 ~incarnation in
   (* While nk2 is up: a real offload, executed remotely. *)
   plant ~incarnation:0;
   let resp = fetch_sync cluster ~client ~proxy:p1 (req ()) in
@@ -359,8 +361,7 @@ let test_offload_sheds_expired_deadline () =
   let result = ref None in
   Core.Sim.Sim.schedule_at sim (t0 +. 0.5) (fun () ->
     Core.Sim.Net.cpu_run (Cluster.net cluster) (Node.host p2) ~seconds:2.0 (fun () -> ());
-    Node.observe_neighbor p1 ~name:"nk2.nakika.net" ~pressure:(-1.0) ~incarnation:0
-      ~distance:0.01;
+    plant cluster p2 ~incarnation:0;
     let r = req () in
     Message.set_req_header r Core.Resource.Deadline.header "0.01";
     Cluster.fetch cluster ~client ~proxy:p1 r (fun resp -> result := Some resp));
@@ -384,6 +385,89 @@ let test_offload_sheds_expired_deadline () =
        "diffusion.fallbacks"
     >= 1)
 
+(* --- candidates: the report-table reader against a reference model ---- *)
+
+(* The model keeps its own table of the reports, applying the
+   incarnation guard itself, and computes the candidate list from the
+   rules written out: another reporter, one that carries a pressure,
+   no older than [staleness], within twice the nearest such distance
+   plus 0.1 ms, ordered by (pressure, name), the first [fanout]. *)
+let reference_candidates net table ~self ~now ~staleness ~fanout =
+  let fresh =
+    List.filter_map
+      (fun (name, (host, incarnation, pressure, reported_at)) ->
+        match pressure with
+        | Some pressure when name <> Core.Sim.Net.host_name self && now -. reported_at <= staleness
+          ->
+          let distance =
+            Core.Sim.Net.transfer_time_estimate net ~src:self ~dst:host ~size:1024
+          in
+          Some (name, incarnation, pressure, distance)
+        | _ -> None)
+      table
+  in
+  let nearest = List.fold_left (fun acc (_, _, _, d) -> Float.min acc d) infinity fresh in
+  List.filter (fun (_, _, _, d) -> d <= (nearest *. 2.0) +. 1e-4) fresh
+  |> List.sort (fun (n1, _, p1, _) (n2, _, p2, _) -> compare (p1, n1) (p2, n2))
+  |> List.filteri (fun i _ -> i < max 1 fanout)
+
+let candidates_match_reference_prop =
+  QCheck.Test.make ~name:"candidates: the report-table reader equals a reference model"
+    ~count:300 QCheck.int
+    (fun seed ->
+      let rng = Core.Util.Prng.create seed in
+      let chance n = Core.Util.Prng.int rng n = 0 in
+      let sim = Core.Sim.Sim.create () in
+      let net = Core.Sim.Net.create sim ~default_latency:0.005 ~default_bandwidth:12_500_000.0 () in
+      let red = Core.Overlay.Redirector.create net in
+      let hosts =
+        Array.init
+          (1 + Core.Util.Prng.int rng 8)
+          (fun i -> Core.Sim.Net.add_host net ~name:(Printf.sprintf "nk%d" i) ())
+      in
+      let self = Core.Util.Prng.pick rng hosts in
+      (* Explicit links around the default estimate, some tying it. *)
+      let links = [| (0.0005, 12_500_000.0); (0.005, 12_500_000.0); (0.002, 1e7); (0.05, 1e7) |] in
+      Array.iter
+        (fun h ->
+          if chance 2 then begin
+            let latency, bandwidth = Core.Util.Prng.pick rng links in
+            Core.Sim.Net.connect net self h ~latency ~bandwidth
+          end)
+        hosts;
+      (* Reports from every host, the decider's own included, over a
+         stretch of simulated time; a quarter run no diffusion, and
+         pressures come from a few values so that names break ties. *)
+      let table = ref [] in
+      for _ = 1 to Core.Util.Prng.int rng 30 do
+        Core.Sim.Sim.run ~until:(Core.Sim.Sim.now sim +. Core.Util.Prng.float rng 2.0) sim;
+        let host = Core.Util.Prng.pick rng hosts in
+        let name = Core.Sim.Net.host_name host in
+        let incarnation = Core.Util.Prng.int rng 3 in
+        let pressure =
+          if chance 4 then None else Some (float_of_int (Core.Util.Prng.int rng 5) /. 4.0)
+        in
+        Core.Overlay.Redirector.report red host ~incarnation ?pressure
+          ~queue_delay:(Core.Util.Prng.float rng 1.0) ~shed_rate:0.0 ();
+        match List.assoc_opt name !table with
+        | Some (_, prev, _, _) when incarnation < prev -> ()
+        | _ ->
+          table :=
+            (name, (host, incarnation, pressure, Core.Sim.Sim.now sim))
+            :: List.remove_assoc name !table
+      done;
+      let now = Core.Sim.Sim.now sim +. Core.Util.Prng.float rng 3.0 in
+      List.for_all
+        (fun staleness ->
+          let fanout = Core.Util.Prng.int rng 5 in
+          let mine =
+            Policy.candidates red ~self ~now ~staleness ~fanout
+            |> List.map (fun (c : Policy.candidate) ->
+                   (c.Policy.name, c.Policy.incarnation, c.Policy.pressure, c.Policy.distance))
+          in
+          mine = reference_candidates net !table ~self ~now ~staleness ~fanout)
+        [ 0.5; 1.0; 3.0; 1000.0 ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest pressure_monotone_prop;
@@ -399,4 +483,5 @@ let suite =
       test_chaos_crash_during_offload;
     Alcotest.test_case "deadline: receiver sheds a doomed offload, sender recovers" `Quick
       test_offload_sheds_expired_deadline;
+    QCheck_alcotest.to_alcotest candidates_match_reference_prop;
   ]

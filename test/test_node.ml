@@ -1102,7 +1102,7 @@ let test_settled_timeout_releases_callback () =
 (* Live heap per idle proxy: what [Cluster.add_proxy] keeps for a node
    that has served nothing. The first proxy pays for the cluster's
    shared state and is left out of the count. An idle proxy holds about
-   750 words; the bound, 7 KiB, leaves room for that to grow by a fifth,
+   690 words; the bound, 7 KiB, leaves room for that to grow by 30%,
    and fails if either telemetry ring is preallocated again (the event
    ring alone is 1,025 words, the trace ring 257). *)
 let idle_proxy_words_bound = 896
@@ -1254,6 +1254,43 @@ let test_refused_insert_not_announced () =
   ignore (fetch_sync cluster ~client ~proxy:full (req ()));
   Alcotest.(check bool) "kept copies announced" true (puts () > before)
 
+(* A proxy's health plane is one loop: each second it sets its gauges
+   and writes one load report into the redirector's table, which the
+   redirector and diffusion both read. Over [seconds] simulated seconds
+   an idle cluster therefore executes exactly one event per proxy per
+   second; plain proxies run no other loop this short (the log poster's
+   period is 30 s), with diffusion on or off. *)
+let test_one_health_tick_per_proxy () =
+  let cluster = Cluster.create () in
+  let diffusion =
+    { Config.plain_proxy with Config.diffusion = Some Core.Diffusion.Policy.default }
+  in
+  let proxies =
+    List.init 4 (fun i ->
+        let config = if i mod 2 = 0 then Config.plain_proxy else diffusion in
+        Cluster.add_proxy cluster ~name:(Printf.sprintf "nk%d.nakika.net" i) ~config ())
+  in
+  let sim = Cluster.sim cluster in
+  let t0 = Core.Sim.Sim.now sim in
+  let seconds = 20 in
+  Core.Sim.Sim.run ~until:(t0 +. 0.5) sim;
+  let before = Core.Sim.Sim.executed sim in
+  Core.Sim.Sim.run ~until:(t0 +. 0.5 +. float_of_int seconds) sim;
+  Alcotest.(check int) "one health event per proxy per second"
+    (List.length proxies * seconds)
+    (Core.Sim.Sim.executed sim - before);
+  List.iter
+    (fun p ->
+      match Core.Overlay.Redirector.health (Cluster.redirector cluster) (Node.host p) with
+      | None -> Alcotest.fail (Node.name p ^ " never reported")
+      | Some h ->
+        Alcotest.(check (float 0.0)) "reported on the last tick" (t0 +. float_of_int seconds)
+          h.Core.Overlay.Redirector.reported_at;
+        Alcotest.(check bool) "pressure carried only with diffusion on"
+          (Option.is_some (Node.config p).Config.diffusion)
+          (Option.is_some h.Core.Overlay.Redirector.pressure))
+    proxies
+
 let suite =
   [
     Alcotest.test_case "proxying a static page" `Quick test_plain_proxying;
@@ -1345,4 +1382,6 @@ let suite =
     Alcotest.test_case "a refused cache insert is not announced" `Quick
       test_refused_insert_not_announced;
     Alcotest.test_case "registry footprint after 200 requests" `Quick test_registry_footprint;
+    Alcotest.test_case "one health tick per proxy per interval" `Quick
+      test_one_health_tick_per_proxy;
   ]

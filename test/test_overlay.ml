@@ -300,8 +300,8 @@ let test_redirector_health_weighting () =
   Core.Sim.Net.connect net client busy ~latency:0.01 ~bandwidth:1e7;
   Redirector.add_proxy red idle;
   Redirector.add_proxy red busy;
-  Redirector.report red ~host:"idle" ~queue_delay:0.0 ~shed_rate:0.0 ();
-  Redirector.report red ~host:"busy" ~queue_delay:5.0 ~shed_rate:0.9 ();
+  Redirector.report red idle ~incarnation:0 ~queue_delay:0.0 ~shed_rate:0.0 ();
+  Redirector.report red busy ~incarnation:0 ~queue_delay:5.0 ~shed_rate:0.9 ();
   let rng = Core.Util.Prng.create 11 in
   let busy_picks = ref 0 in
   let draws = 400 in
@@ -323,17 +323,17 @@ let test_redirector_incarnation_guard () =
   let red = Redirector.create net in
   let p = Core.Sim.Net.add_host net ~name:"p" () in
   Redirector.add_proxy red p;
-  Redirector.report red ~host:"p" ~incarnation:1 ~queue_delay:0.1 ~shed_rate:0.2 ();
-  Redirector.report red ~host:"p" ~incarnation:0 ~queue_delay:9.9 ~shed_rate:0.9 ();
-  (match Redirector.health red ~host:"p" with
+  Redirector.report red p ~incarnation:1 ~queue_delay:0.1 ~shed_rate:0.2 ();
+  Redirector.report red p ~incarnation:0 ~queue_delay:9.9 ~shed_rate:0.9 ();
+  (match Redirector.health red p with
    | Some h ->
      Alcotest.(check (float 1e-9)) "stale delay ignored" 0.1 h.Redirector.queue_delay;
      Alcotest.(check (float 1e-9)) "stale rate ignored" 0.2 h.Redirector.shed_rate;
      Alcotest.(check int) "incarnation kept" 1 h.Redirector.incarnation
    | None -> Alcotest.fail "report stored");
   (* Same-incarnation reports refresh freely. *)
-  Redirector.report red ~host:"p" ~incarnation:1 ~queue_delay:0.5 ~shed_rate:0.0 ();
-  match Redirector.health red ~host:"p" with
+  Redirector.report red p ~incarnation:1 ~queue_delay:0.5 ~shed_rate:0.0 ();
+  match Redirector.health red p with
   | Some h -> Alcotest.(check (float 1e-9)) "refreshed" 0.5 h.Redirector.queue_delay
   | None -> Alcotest.fail "report stored"
 
@@ -353,10 +353,10 @@ let test_redirector_staleness_bound () =
   Redirector.add_proxy red silent;
   Redirector.add_proxy red fresh;
   (* Both report idle at t=0; only [fresh] keeps reporting. *)
-  Redirector.report red ~host:"silent" ~queue_delay:0.0 ~shed_rate:0.0 ();
-  Redirector.report red ~host:"fresh" ~queue_delay:0.0 ~shed_rate:0.0 ();
+  Redirector.report red silent ~incarnation:0 ~queue_delay:0.0 ~shed_rate:0.0 ();
+  Redirector.report red fresh ~incarnation:0 ~queue_delay:0.0 ~shed_rate:0.0 ();
   Core.Sim.Sim.schedule sim ~delay:10.0 (fun () ->
-      Redirector.report red ~host:"fresh" ~queue_delay:0.0 ~shed_rate:0.0 ());
+      Redirector.report red fresh ~incarnation:0 ~queue_delay:0.0 ~shed_rate:0.0 ());
   Core.Sim.Sim.run sim;
   let rng = Core.Util.Prng.create 13 in
   let silent_picks = ref 0 in
@@ -371,7 +371,7 @@ let test_redirector_staleness_bound () =
     true
     (float_of_int !silent_picks < 0.1 *. float_of_int draws);
   (* A fresh report brings it straight back into rotation. *)
-  Redirector.report red ~host:"silent" ~queue_delay:0.0 ~shed_rate:0.0 ();
+  Redirector.report red silent ~incarnation:0 ~queue_delay:0.0 ~shed_rate:0.0 ();
   let silent_after = ref 0 in
   for _ = 1 to draws do
     match Redirector.pick red ~spread:2 ~rng ~client () with
@@ -412,7 +412,7 @@ let test_redirector_link_after_pick () =
    the headroom-weighted draw. [headroom] mirrors the redirector's
    formula for reports that never go stale. *)
 let reference_headroom red p =
-  match Redirector.health red ~host:(Core.Sim.Net.host_name p) with
+  match Redirector.health red p with
   | None -> 1.0
   | Some h ->
     let delay_factor = 1.0 /. (1.0 +. (h.Redirector.queue_delay /. 0.1)) in
@@ -485,7 +485,7 @@ let redirector_pick_matches_reference_prop =
       Array.iter
         (fun p ->
           if chance 4 then
-            Redirector.report red ~host:(Core.Sim.Net.host_name p)
+            Redirector.report red p ~incarnation:0
               ~queue_delay:(Core.Util.Prng.float rng 1.0) ~shed_rate:(Core.Util.Prng.float rng 1.0) ())
         proxies;
       (* Crash a random subset, and half the time the nearest proxy. *)

@@ -105,8 +105,8 @@ let span_trees () =
   (* Offload: nk4 warms the site's stage locally, then ships the next
      request to nk5. *)
   get nk4 "/script.html";
-  Node.observe_neighbor nk4 ~name:"nk5.nakika.net" ~pressure:(-1.0) ~incarnation:0
-    ~distance:0.01;
+  Core.Overlay.Redirector.report (Cluster.redirector cluster) (Node.host nk5) ~incarnation:0
+    ~pressure:(-1.0) ~queue_delay:0.0 ~shed_rate:0.0 ();
   get nk4 "/script.html";
   (* The two one-span rejects. *)
   ignore (Core.Resource.Quarantine.punish (Node.quarantine nk2) ~site:"www.example.edu");
