@@ -20,7 +20,7 @@ let matcher () =
         List.init n (fun i ->
             Core.Policy.Policy.make
               ~urls:[ Printf.sprintf "site%d.org" i ]
-              ~order:i ())
+              ~order:i)
       in
       let tree = Core.Policy.Decision_tree.build policies in
       let iterations = 2000 in

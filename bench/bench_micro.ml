@@ -12,7 +12,7 @@ let payload_1k = String.init 1024 (fun i -> Char.chr (i mod 256))
 (* Table 2 / M1: predicate evaluation, decision trees, script handling. *)
 let policies_100 =
   List.init 100 (fun i ->
-      Core.Policy.Policy.make ~urls:[ Printf.sprintf "site%d.org" i ] ~order:i ())
+      Core.Policy.Policy.make ~urls:[ Printf.sprintf "site%d.org" i ] ~order:i)
 
 let tree_100 = Core.Policy.Decision_tree.build policies_100
 

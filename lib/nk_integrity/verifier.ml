@@ -4,7 +4,7 @@ type t = {
   members : (string, int) Hashtbl.t; (* node -> report count *)
 }
 
-let create ?(sample_fraction = 0.05) ?(eviction_threshold = 3) () =
+let create ~sample_fraction ~eviction_threshold =
   if sample_fraction < 0.0 || sample_fraction > 1.0 then
     invalid_arg "Verifier.create: sample_fraction out of [0,1]";
   { sample_fraction; eviction_threshold; members = Hashtbl.create 16 }

@@ -118,16 +118,6 @@ let start_reannouncer t dht =
         ~f:(fun () key expiry ->
           Fetch.announce t dht ~key:(lazy (Nk_overlay.Dht.Key.of_string key)) ~expiry))
 
-(* Expired sloppy placements otherwise die only lazily, on the next
-   lookup of their own key: a crowd that moves on leaves its copies
-   pinned on the holders until someone asks again. Sweeping on half
-   the placement TTL makes reconvergence a property of the clock, not
-   of lookup luck. Idempotent, so every hotspot-enabled node may run
-   one against the shared index. *)
-let start_dht_sweeper t dht =
-  Nk_sim.Sim.every t.sim ~period:(Float.max 1.0 (t.cfg.Config.hotspot_ttl /. 2.0)) (fun () ->
-      Nk_overlay.Dht.sweep dht ~now:(now t))
-
 let start_log_poster t =
   Nk_sim.Sim.every t.sim ~period:30.0 (fun () ->
       Hashtbl.iter
@@ -161,15 +151,17 @@ let start_health_tick t =
         Option.iter Nk_resource.Admission.reset t.admission;
       was_down := down;
       if not down then begin
-        let h = health t in
+        let queue_delay = queue_delay t and shed_rate = shed_rate t in
         let pressure = Option.map (fun _ -> pressure t) t.diffusion in
         let set = Gauge.set t.metrics in
-        set Meter.queue_delay h.queue_delay;
-        set Meter.shed_rate h.shed_rate;
-        set Meter.open_breakers (float_of_int (List.length h.open_breakers));
-        set Meter.quarantined_sites (float_of_int (List.length h.quarantined));
+        set Meter.queue_delay queue_delay;
+        set Meter.shed_rate shed_rate;
+        set Meter.open_breakers
+          (float_of_int (Nk_resource.Upstream.count_open_breakers t.upstream));
+        set Meter.quarantined_sites
+          (float_of_int (Nk_resource.Quarantine.count_active t.quarantine));
         Option.iter (set Meter.pressure) pressure;
         Nk_overlay.Redirector.report t.redirector t.host
           ~incarnation:(Nk_sim.Net.incarnation t.net t.host)
-          ?pressure ~queue_delay:h.queue_delay ~shed_rate:h.shed_rate ()
+          ?pressure ~queue_delay ~shed_rate ()
       end)

@@ -195,7 +195,7 @@ let answer_once t (req : Nk_http.Message.request) k =
       k resp
     end
 
-let create ~web ~host ~redirector ?dht ?bus ?(config = Config.default) () =
+let create ~web ~host ~redirector ~dht ~bus ?(config = Config.default) () =
   let net = Nk_sim.Httpd.net web in
   let sim = Nk_sim.Net.sim net in
   let clock () = Nk_sim.Sim.now sim in
@@ -212,9 +212,8 @@ let create ~web ~host ~redirector ?dht ?bus ?(config = Config.default) () =
       (Printf.sprintf "Node.create %s: invalid config: %s" node_name
          (String.concat "; " problems)));
   let diffusion =
-    match (bus, config.Config.diffusion) with
-    | Some b, Some policy ->
-      Some
+    Option.map
+      (fun policy ->
         {
           policy;
           offload =
@@ -226,10 +225,10 @@ let create ~web ~host ~redirector ?dht ?bus ?(config = Config.default) () =
                  simulation drain and strand the request). *)
               ~schedule:(fun delay k -> Nk_sim.Sim.schedule sim ~delay k)
               ~publish:(fun ~topic ~payload ->
-                Nk_replication.Message_bus.publish b ~from:node_name ~topic ~payload)
+                Nk_replication.Message_bus.publish bus ~from:node_name ~topic ~payload)
               ~metrics;
-        }
-    | _ -> None
+        })
+      config.Config.diffusion
   in
   let t =
     {
@@ -238,7 +237,7 @@ let create ~web ~host ~redirector ?dht ?bus ?(config = Config.default) () =
       sim;
       host;
       (* Cooperative caching is on exactly when the node holds the DHT. *)
-      dht = (if config.Config.enable_dht then dht else None);
+      dht = (if config.Config.enable_dht then Some dht else None);
       bus;
       redirector;
       cfg = config;
@@ -256,7 +255,7 @@ let create ~web ~host ~redirector ?dht ?bus ?(config = Config.default) () =
       diffusion;
       upstream =
         Nk_resource.Upstream.create config.Config.breaker
-          ~retry_ratio:config.Config.retry_budget_ratio ~clock ~metrics ();
+          ~retry_ratio:config.Config.retry_budget_ratio ~clock ~metrics;
       hedge =
         (if config.Config.enable_hedging then
            Some (Nk_resource.Hedge.create ~rate:config.Config.hedge_rate ~metrics ())
@@ -267,7 +266,7 @@ let create ~web ~host ~redirector ?dht ?bus ?(config = Config.default) () =
       log_entries = Hashtbl.create 4;
       metrics;
       tracer = Nk_telemetry.Tracer.create ~clock ();
-      events = Nk_telemetry.Events.create ~clock ();
+      events = Nk_telemetry.Events.create ~clock;
       active = untraced;
       local_cidrs =
         List.filter_map
@@ -284,25 +283,24 @@ let create ~web ~host ~redirector ?dht ?bus ?(config = Config.default) () =
   (match t.dht with
    | Some dht ->
      ignore (Nk_overlay.Dht.join dht (name t));
-     Control.start_reannouncer t dht;
-     if config.Config.enable_hotspots then Control.start_dht_sweeper t dht
-   | _ -> ());
+     Control.start_reannouncer t dht
+   | None -> ());
   if config.Config.enable_resource_controls then Control.start_monitor t;
   (* The offload protocol rides the bus: each node owns a request topic
      (work addressed to it) and a reply topic (answers to work it
      shipped). Point-to-point semantics over pub/sub, with the bus's
      acked-retry reliability for free. *)
-  (match (t.diffusion, bus) with
-   | Some d, Some b ->
-     Nk_replication.Message_bus.attach b ~name:node_name ~host;
-     Nk_replication.Message_bus.subscribe b ~name:node_name
-       ~topic:(Nk_diffusion.Offload.reply_topic node_name)
-       ~handler:(fun ~payload ~from:_ ->
-         Nk_diffusion.Offload.handle_reply d.offload ~payload);
-     Nk_replication.Message_bus.subscribe b ~name:node_name
-       ~topic:(Nk_diffusion.Offload.request_topic node_name)
-       ~handler:(fun ~payload ~from:_ -> handle_offload_request t d ~payload)
-   | _ -> ());
+  Option.iter
+    (fun d ->
+      Nk_replication.Message_bus.attach bus ~name:node_name ~host;
+      Nk_replication.Message_bus.subscribe bus ~name:node_name
+        ~topic:(Nk_diffusion.Offload.reply_topic node_name)
+        ~handler:(fun ~payload ~from:_ ->
+          Nk_diffusion.Offload.handle_reply d.offload ~payload);
+      Nk_replication.Message_bus.subscribe bus ~name:node_name
+        ~topic:(Nk_diffusion.Offload.request_topic node_name)
+        ~handler:(fun ~payload ~from:_ -> handle_offload_request t d ~payload))
+    t.diffusion;
   Control.start_log_poster t;
   Control.start_health_tick t;
   t

@@ -16,14 +16,15 @@ val create :
   web:Nk_sim.Httpd.t ->
   host:Nk_sim.Net.host ->
   redirector:Nk_overlay.Redirector.t ->
-  ?dht:Nk_overlay.Dht.t ->
-  ?bus:Nk_replication.Message_bus.t ->
+  dht:Nk_overlay.Dht.t ->
+  bus:Nk_replication.Message_bus.t ->
   ?config:Config.t ->
   unit ->
   t
 (** Registers the node as the HTTP server on [host] (hostname =
-    [Net.host_name host]) and, when given a DHT and [Config.enable_dht]
-    holds, joins the overlay. [redirector] is the cluster's one
+    [Net.host_name host]) and, when [Config.enable_dht] holds, joins
+    the cluster's [dht]. The cluster's [bus] carries hard-state
+    replication and offloads. [redirector] is the cluster's one
     load-report table: the node's health tick reports into it, and its
     offload decisions read their candidates from it. *)
 

@@ -127,7 +127,7 @@ let create ~web ~host ?sign_key () =
     (fun req k -> handle t req k);
   t
 
-let set_static t ~path ?(content_type = "text/html") ?(max_age = 300) body =
+let set_static t ~path ?(content_type = "text/html") ~max_age body =
   Hashtbl.replace t.statics path
     {
       content_type;

@@ -22,9 +22,9 @@ val create :
 val host : t -> Nk_sim.Net.host
 
 val set_static :
-  t -> path:string -> ?content_type:string -> ?max_age:int -> string -> unit
-(** Install or replace a static resource; [max_age] (default 300 s)
-    controls proxy cacheability, [max_age = 0] makes it uncacheable. *)
+  t -> path:string -> ?content_type:string -> max_age:int -> string -> unit
+(** Install or replace a static resource; [max_age] (seconds) controls
+    proxy cacheability, [max_age = 0] makes it uncacheable. *)
 
 val set_dynamic :
   t ->

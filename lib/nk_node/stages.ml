@@ -4,19 +4,18 @@
 open Edge
 
 let replica t site =
-  match (Hashtbl.find_opt t.replicas site, t.bus) with
-  | Some r, _ -> Some r
-  | None, Some bus ->
+  match Hashtbl.find_opt t.replicas site with
+  | Some r -> r
+  | None ->
     let r =
-      Nk_replication.Replication.attach ~bus ~name:(name t) ~host:t.host ~store:t.store ~site
-        Nk_replication.Replication.Optimistic
+      Nk_replication.Replication.attach ~bus:t.bus ~name:(name t) ~host:t.host ~store:t.store
+        ~site Nk_replication.Replication.Optimistic
     in
     (* Re-converge after partitions that outlast the bus's retry budget:
        periodically re-broadcast everything this replica knows. *)
     Nk_replication.Replication.start_anti_entropy r;
     Hashtbl.add t.replicas site r;
-    Some r
-  | None, None -> None
+    r
 
 (* Emission control (§3.2): hosted scripts' own web accesses pass the
    server-side administrative wall before leaving the node. The wall
@@ -43,10 +42,6 @@ let emission_check t (req : Nk_http.Message.request) ~load_wall =
 
 let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
   let vocab_key key = Printf.sprintf "vocab:%s:%s" site key in
-  (* Hard state goes through the site's replica when the node is on a bus. *)
-  let state replicated local =
-    match replica t site with Some r -> replicated r | None -> local t.store
-  in
   let open Nk_replication in
   {
     Nk_vocab.Hostcall.now = (fun () -> now t);
@@ -90,19 +85,12 @@ let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
         match resource with
         | Some r -> Nk_resource.Accounting.usage t.accounting ~site r
         | None -> 0.0);
-    hard_state_get = (fun ~key -> state (Replication.read ~key) (Store.get ~site ~key));
-    hard_state_put =
-      (fun ~key value ->
-        state (Replication.update ~key ~value) (fun s -> Store.put s ~site ~key value));
-    hard_state_delete =
-      (fun ~key -> state (Replication.delete ~key) (Store.delete ~site ~key));
-    hard_state_keys =
-      (fun ~prefix -> state (Replication.keys ~prefix) (Store.keys ~site ~prefix));
+    hard_state_get = (fun ~key -> Replication.read (replica t site) ~key);
+    hard_state_put = (fun ~key value -> Replication.update (replica t site) ~key ~value);
+    hard_state_delete = (fun ~key -> Replication.delete (replica t site) ~key);
+    hard_state_keys = (fun ~prefix -> Replication.keys (replica t site) ~prefix);
     publish =
-      (fun ~topic payload ->
-        match t.bus with
-        | Some bus -> Nk_replication.Message_bus.publish bus ~from:(name t) ~topic ~payload
-        | None -> ());
+      (fun ~topic payload -> Message_bus.publish t.bus ~from:(name t) ~topic ~payload);
     enable_access_log = (fun ~url -> Hashtbl.replace t.log_urls site url);
   }
 

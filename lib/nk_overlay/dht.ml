@@ -73,7 +73,7 @@ let metrics t = t.metrics
 
 let set_liveness t f = t.live <- f
 
-let set_hotspots t ?(halflife = 10.) ~threshold ~replicas ~ttl () =
+let set_hotspots t ~halflife ~threshold ~replicas ~ttl () =
   if threshold <= 0. then invalid_arg "Dht.set_hotspots: threshold must be > 0";
   if replicas < 1 then invalid_arg "Dht.set_hotspots: replicas must be >= 1";
   if ttl <= 0. then invalid_arg "Dht.set_hotspots: ttl must be > 0";
@@ -171,9 +171,9 @@ let active_placement t ~now key =
       None
     end
 
-(* Expire every stale placement and prune decayed rate entries; called
-   opportunistically from [get] so the tables stay bounded under
-   crowds that move between keys. *)
+(* Expire every stale placement and prune decayed rate entries; the
+   cluster's one DHT sweeper calls it every half placement TTL, so the
+   tables stay bounded under crowds that move between keys. *)
 let sweep t ~now =
   match t.hotspot with
   | None -> ()

@@ -27,10 +27,10 @@ val create : unit -> t
     fixed seed drives the PRNG used for sloppy replica placement. *)
 
 val set_hotspots :
-  t -> ?halflife:float -> threshold:float -> replicas:int -> ttl:float -> unit -> unit
+  t -> halflife:float -> threshold:float -> replicas:int -> ttl:float -> unit -> unit
 (** Enable hotspot detection and Coral-style sloppy replication
     (off by default). Every {!get} bumps the key's exponentially
-    decayed request-rate estimate ([halflife] seconds, default 10);
+    decayed request-rate estimate ([halflife] seconds);
     when a key's rate crosses [threshold] requests/second its
     announcements are copied onto up to [replicas] random live nodes
     drawn from the tail of the triggering lookup's path, and later
@@ -50,7 +50,8 @@ val sloppy_replicas : t -> int
 val sweep : t -> now:float -> unit
 (** Expire stale sloppy placements (removing the copies from their
     holders) and prune decayed rate entries. {!get} already expires
-    the placement of the key it touches; [sweep] is for idle keys. *)
+    the placement of the key it touches; the cluster's sweeper runs
+    [sweep] for idle keys every half placement TTL. *)
 
 val set_liveness : t -> (string -> bool) -> unit
 (** Install the liveness oracle (by node name) that {!get} consults

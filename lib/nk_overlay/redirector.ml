@@ -113,7 +113,7 @@ let headroom t host =
    order. Both inputs are sorted by (estimate, position), so the merge
    is too. A pick stops as soon as it has its candidates, so it never
    ranks the whole fleet. *)
-let pick t ?(spread = 1) ~rng ~client () =
+let pick t ~spread ~rng ~client () =
   let estimate host = Nk_sim.Net.transfer_time_estimate t.net ~src:client ~dst:host ~size:probe_size in
   let special =
     client :: Nk_sim.Net.linked t.net client

@@ -76,7 +76,7 @@ val set_staleness : t -> float -> unit
     attracting redirected traffic beyond a trickle. Default: [infinity]
     (reports never go stale). *)
 
-val pick : t -> ?spread:int -> rng:Nk_util.Prng.t -> client:Nk_sim.Net.host -> unit -> Nk_sim.Net.host option
+val pick : t -> spread:int -> rng:Nk_util.Prng.t -> client:Nk_sim.Net.host -> unit -> Nk_sim.Net.host option
 (** The nearest live proxy, or with [spread = k > 1] a headroom-weighted
     choice among the [k] nearest ([spread] is clamped to the close-by
     live candidates). Crashed proxies are never returned. [None] when no

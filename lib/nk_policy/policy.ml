@@ -9,7 +9,7 @@ type t = {
   order : int;
 }
 
-let make ?(urls = []) ?(order = 0) () =
+let make ~urls ~order =
   {
     urls;
     clients = [];

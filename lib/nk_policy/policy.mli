@@ -18,7 +18,7 @@ type t = {
   order : int; (** registration order; later registrations win ties *)
 }
 
-val make : ?urls:string list -> ?order:int -> unit -> t
+val make : urls:string list -> order:int -> t
 (** A URL-only policy with no handlers (scripts build the rest through
     {!Script_bridge}). *)
 

@@ -37,16 +37,6 @@ let put t ~site ~key value =
     true
   end
 
-let delete t ~site ~key =
-  match Hashtbl.find_opt t.sites site with
-  | None -> ()
-  | Some s -> (
-    match Hashtbl.find_opt s.table key with
-    | None -> ()
-    | Some old ->
-      Hashtbl.remove s.table key;
-      s.bytes <- s.bytes - entry_size key old)
-
 let keys t ~site ~prefix =
   match Hashtbl.find_opt t.sites site with
   | None -> []

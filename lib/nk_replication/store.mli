@@ -15,7 +15,5 @@ val put : t -> site:string -> key:string -> string -> bool
 (** False (and no change) when the write would push the site over
     quota. Overwrites account only the size delta. *)
 
-val delete : t -> site:string -> key:string -> unit
-
 val keys : t -> site:string -> prefix:string -> string list
 (** Sorted. *)

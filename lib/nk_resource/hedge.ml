@@ -16,7 +16,7 @@ type t = {
 
 let default_rate = 0.05
 
-let create ?(rate = default_rate) ?metrics () =
+let create ~rate ?metrics () =
   if rate <= 0.0 || rate > 1.0 then invalid_arg "Hedge.create: rate must be in (0, 1]";
   let burst = Float.max 1.0 (rate *. 100.0) in
   let metrics = match metrics with Some m -> m | None -> Nk_telemetry.Metrics.create () in

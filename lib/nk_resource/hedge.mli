@@ -14,7 +14,7 @@ type t
 
 val default_rate : float
 
-val create : ?rate:float -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
+val create : rate:float -> ?metrics:Nk_telemetry.Metrics.t -> unit -> t
 (** [rate] must be in (0, 1]; the bucket holds [max 1 (100 * rate)]
     tokens (5 at the default rate) and starts full.
     Events are counted into [metrics] (a private registry when

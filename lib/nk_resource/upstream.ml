@@ -9,7 +9,7 @@ type t = {
 
 type ticket = { owner : t; breaker : Breaker.t; mutable settled : bool }
 
-let create breaker ?(retry_ratio = 0.0) ~clock ~metrics () =
+let create breaker ~retry_ratio ~clock ~metrics =
   {
     make = (fun name -> Breaker.create ~name breaker ~clock ~metrics);
     breakers = Hashtbl.create 8;
@@ -58,7 +58,7 @@ let settle ?budget ticket ok =
   ticket.owner.outstanding <- ticket.owner.outstanding - 1;
   outcome ticket.owner ?budget ticket.breaker ok
 
-let record t ?budget key ok = outcome t ?budget (breaker t key) ok
+let record t ~budget key ok = outcome t ~budget (breaker t key) ok
 
 let retry t ?deadline upstream =
   match t.budget with
@@ -76,5 +76,8 @@ let open_breakers t =
     (fun key b acc -> if Breaker.state b <> Breaker.Closed then key :: acc else acc)
     t.breakers []
   |> List.sort compare
+
+let count_open_breakers t =
+  Hashtbl.fold (fun _ b n -> if Breaker.state b <> Breaker.Closed then n + 1 else n) t.breakers 0
 
 let outstanding t = t.outstanding

@@ -23,14 +23,13 @@ type ticket
 
 val create :
   Breaker.config ->
-  ?retry_ratio:float ->
+  retry_ratio:float ->
   clock:(unit -> float) ->
   metrics:Nk_telemetry.Metrics.t ->
-  unit ->
   t
 (** The breaker settings are passed to every {!Breaker.create}.
     [retry_ratio > 0] enables a {!Retry_budget} with that refill per
-    success; the default [0] runs without one. *)
+    success; [0] runs without one. *)
 
 val acquire : t -> string -> [ `Proceed of ticket | `Reject of float ]
 (** Ask the breaker of upstream [key] to send one call. [`Reject retry]
@@ -43,7 +42,7 @@ val settle : ?budget:string -> ticket -> bool -> unit
     (none when omitted).
     @raise Invalid_argument when the ticket was already settled. *)
 
-val record : t -> ?budget:string -> string -> bool -> unit
+val record : t -> budget:string -> string -> bool -> unit
 (** {!settle} for a call that never held a ticket (a hedged backup
     that won its race): the outcome of upstream [key], recorded as if
     it had been acquired. *)
@@ -57,6 +56,9 @@ val retry : t -> ?deadline:Deadline.t -> string -> [ `Granted | `Refused | `Unbu
 
 val open_breakers : t -> string list
 (** Keys of the breakers not in the closed state, sorted. *)
+
+val count_open_breakers : t -> int
+(** The length of {!open_breakers}, counted without building it. *)
 
 val outstanding : t -> int
 (** Tickets acquired and not yet settled. *)

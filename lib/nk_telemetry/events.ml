@@ -12,9 +12,9 @@ let capacity = 1024
 
 (* The array starts empty and doubles as it fills, so a store that
    never records holds no slots. *)
-let create ?(clock = fun () -> 0.0) () = { clock; slots = [||]; next = 0; count = 0 }
+let create ~clock = { clock; slots = [||]; next = 0; count = 0 }
 
-let record t ?(attrs = []) name =
+let record t ~attrs name =
   let e = { time = t.clock (); name; attrs } in
   let n = Array.length t.slots in
   if t.next = n then

@@ -6,12 +6,11 @@ type event = { time : float; name : string; attrs : (string * string) list }
 
 type t
 
-val create : ?clock:(unit -> float) -> unit -> t
+val create : clock:(unit -> float) -> t
 (** The ring keeps the 1024 most recent events; it starts empty and
-    grows as events arrive. [clock] defaults to a constant 0 — pass the
-    simulated clock to get meaningful timestamps. *)
+    grows as events arrive. *)
 
-val record : t -> ?attrs:(string * string) list -> string -> unit
+val record : t -> attrs:(string * string) list -> string -> unit
 (** Stamped with the store's clock. *)
 
 val to_list : t -> event list

@@ -13,12 +13,12 @@ let closed_loop cluster ~client ?proxy ?(think = 0.0) ~until ~make_request ~on_r
   in
   iteration 0
 
-let replay cluster ~client ?proxy ~events ~on_response () =
+let replay cluster ~client ~proxy ~events ~on_response () =
   let sim = Nk_node.Cluster.sim cluster in
   List.iter
     (fun (offset, req) ->
       Nk_sim.Sim.schedule sim ~delay:offset (fun () ->
           let started = Nk_sim.Sim.now sim in
-          Nk_node.Cluster.fetch cluster ~client ?proxy req (fun resp ->
+          Nk_node.Cluster.fetch cluster ~client ~proxy req (fun resp ->
               on_response req resp (Nk_sim.Sim.now sim -. started))))
     events

@@ -23,7 +23,7 @@ val closed_loop :
 val replay :
   Nk_node.Cluster.t ->
   client:Nk_sim.Net.host ->
-  ?proxy:Nk_node.Node.t ->
+  proxy:Nk_node.Node.t ->
   events:(float * Nk_http.Message.request) list ->
   on_response:(Nk_http.Message.request -> Nk_http.Message.response -> float -> unit) ->
   unit ->

@@ -110,7 +110,7 @@ let parse_log text =
     ([], 0) lines
   |> fun (entries, errors) -> (List.rev entries, errors)
 
-let to_events ~host ?(accelerate = 4.0) entries =
+let to_events ~host ~accelerate entries =
   match entries with
   | [] -> []
   | first :: _ ->

@@ -24,10 +24,10 @@ val parse_log : string -> entry list * int
     lines. *)
 
 val to_events :
-  host:string -> ?accelerate:float -> entry list -> (float * Nk_http.Message.request) list
+  host:string -> accelerate:float -> entry list -> (float * Nk_http.Message.request) list
 (** Timed events for {!Driver.replay}: offsets are relative to the
-    first entry and divided by [accelerate] (default 4.0, the paper's
-    factor). Each request carries its log entry's client address. *)
+    first entry and divided by [accelerate] (the paper replays at 4x).
+    Each request carries its log entry's client address. *)
 
 val synthesize :
   rng:Nk_util.Prng.t ->

@@ -1291,6 +1291,28 @@ let test_one_health_tick_per_proxy () =
           (Option.is_some h.Core.Overlay.Redirector.pressure))
     proxies
 
+(* The sweeper of expired sloppy placements runs once per cluster, not
+   once per hotspot-enabled proxy: all of them share one DHT index, and
+   every sweep after the first finds nothing left to expire. With a
+   60 s placement TTL the sweep period is 30 s, so over 61 idle seconds
+   four hotspot-enabled proxies cost exactly two more events than four
+   without hotspots. *)
+let test_one_dht_sweeper_per_cluster () =
+  let executed ~hotspots =
+    let cluster = Cluster.create () in
+    let config =
+      { Config.default with Config.enable_hotspots = hotspots; hotspot_ttl = 60.0 }
+    in
+    for i = 0 to 3 do
+      ignore (Cluster.add_proxy cluster ~name:(Printf.sprintf "nk%d.nakika.net" i) ~config ())
+    done;
+    let sim = Cluster.sim cluster in
+    Core.Sim.Sim.run ~until:(Core.Sim.Sim.now sim +. 61.0) sim;
+    Core.Sim.Sim.executed sim
+  in
+  Alcotest.(check int) "one sweeper's two firings" 2
+    (executed ~hotspots:true - executed ~hotspots:false)
+
 let suite =
   [
     Alcotest.test_case "proxying a static page" `Quick test_plain_proxying;
@@ -1384,4 +1406,5 @@ let suite =
     Alcotest.test_case "registry footprint after 200 requests" `Quick test_registry_footprint;
     Alcotest.test_case "one health tick per proxy per interval" `Quick
       test_one_health_tick_per_proxy;
+    Alcotest.test_case "one DHT sweeper per cluster" `Quick test_one_dht_sweeper_per_cluster;
   ]

@@ -206,7 +206,7 @@ let test_redirector_nearest () =
   Redirector.add_proxy red far;
   let rng = Core.Util.Prng.create 1 in
   for _ = 1 to 10 do
-    match Redirector.pick red ~rng ~client () with
+    match Redirector.pick red ~spread:1 ~rng ~client () with
     | Some h -> Alcotest.(check string) "nearest" "near" (Core.Sim.Net.host_name h)
     | None -> Alcotest.fail "no proxy"
   done
@@ -233,7 +233,7 @@ let test_redirector_empty () =
   let red = Redirector.create net in
   let client = Core.Sim.Net.add_host net ~name:"c" () in
   Alcotest.(check bool) "none" true
-    (Redirector.pick red ~rng:(Core.Util.Prng.create 1) ~client () = None)
+    (Redirector.pick red ~spread:1 ~rng:(Core.Util.Prng.create 1) ~client () = None)
 
 let test_redirector_remove () =
   let sim = Core.Sim.Sim.create () in
@@ -399,7 +399,7 @@ let test_redirector_link_after_pick () =
   List.iter (Redirector.add_proxy red) [ near; far; nearer ];
   let rng = Core.Util.Prng.create 1 in
   let pick () =
-    match Redirector.pick red ~rng ~client () with
+    match Redirector.pick red ~spread:1 ~rng ~client () with
     | Some h -> Core.Sim.Net.host_name h
     | None -> Alcotest.fail "no proxy"
   in
@@ -717,7 +717,7 @@ let hot_dht ?(n = 24) ?(threshold = 5.0) ?(replicas = 3) ?(ttl = 30.0) () =
   let dht = Dht.create () in
   let names = List.init n (fun i -> Printf.sprintf "edge-%02d" i) in
   let ids = List.map (fun name -> (name, Dht.join dht name)) names in
-  Dht.set_hotspots dht ~threshold ~replicas ~ttl ();
+  Dht.set_hotspots dht ~halflife:10.0 ~threshold ~replicas ~ttl ();
   (dht, names, ids)
 
 let name_of ids id = fst (List.find (fun (_, i) -> Node_id.equal i id) ids)
@@ -776,7 +776,7 @@ let test_hotspot_replicas_expire () =
   Alcotest.(check (float 0.1)) "hotspots gauge reconverged" 0.0
     (Core.Telemetry.Metrics.gauge (Dht.metrics dht) "dht.hotspots");
   (* Decay also empties the hot list: the rate estimator halves every
-     10 s (default halflife), so minutes later nothing is hot. *)
+     10 s (hot_dht's halflife), so minutes later nothing is hot. *)
   Alcotest.(check (list (pair string (float 1e9)))) "no hot keys" []
     (Dht.hotspots dht ~now:(t +. 600.0));
   (* And reads still work — served by the owner again. *)

@@ -15,7 +15,7 @@ let req ?(meth = Method_.GET) ?(client = "1.2.3.4") ?(hostname = None) ?(headers
    builds one: header patterns compile to regexes. *)
 let policy ?(urls = []) ?(clients = []) ?(methods = []) ?(headers = []) ?(order = 0) () =
   {
-    (Policy.make ~urls ~order ()) with
+    (Policy.make ~urls ~order) with
     Policy.clients;
     methods;
     headers = List.map (fun (name, pat) -> (name, Core.Regex.Regex.compile pat)) headers;

@@ -6,9 +6,7 @@ open Core.Replication
 let test_store_basic () =
   let s = Store.create () in
   Alcotest.(check bool) "put" true (Store.put s ~site:"a.org" ~key:"k" "v");
-  Alcotest.(check (option string)) "get" (Some "v") (Store.get s ~site:"a.org" ~key:"k");
-  Store.delete s ~site:"a.org" ~key:"k";
-  Alcotest.(check (option string)) "deleted" None (Store.get s ~site:"a.org" ~key:"k")
+  Alcotest.(check (option string)) "get" (Some "v") (Store.get s ~site:"a.org" ~key:"k")
 
 let test_store_site_partitioning () =
   let s = Store.create () in

@@ -19,7 +19,7 @@ let shares a resource =
       ~throttle:(fun ~site:_ ~fraction:_ ~resource:_ -> ())
       ~unthrottle:(fun _ -> ())
       ~terminate:(fun ~site:_ -> ())
-      ~events:(Core.Telemetry.Events.create ())
+      ~events:(Core.Telemetry.Events.create ~clock:(fun () -> 0.0))
       ~metrics:(Core.Telemetry.Metrics.create ())
   in
   match Monitor.begin_control monitor resource with
@@ -126,7 +126,7 @@ let make_harness () =
       ~throttle:(fun ~site ~fraction ~resource:_ -> throttled := (site, fraction) :: !throttled)
       ~unthrottle:(fun _ -> incr unthrottled)
       ~terminate:(fun ~site -> killed := site :: !killed)
-      ~events:(Core.Telemetry.Events.create ()) ~metrics
+      ~events:(Core.Telemetry.Events.create ~clock:(fun () -> 0.0)) ~metrics
   in
   { accounting; monitor; congested; throttled; unthrottled; killed; metrics }
 
@@ -202,7 +202,7 @@ let test_control_unthrottle_event () =
      site, symmetric with [throttle]/[terminate]. *)
   let accounting = Accounting.create () in
   let congested = ref true in
-  let events = Core.Telemetry.Events.create () in
+  let events = Core.Telemetry.Events.create ~clock:(fun () -> 0.0) in
   let metrics = Core.Telemetry.Metrics.create () in
   let monitor =
     Monitor.create ~accounting
@@ -245,7 +245,7 @@ let test_control_no_unthrottle_event_when_idle () =
   (* A control cycle that never throttled anyone has nothing to restore:
      no spurious events. *)
   let h = make_harness () in
-  let events = Core.Telemetry.Events.create () in
+  let events = Core.Telemetry.Events.create ~clock:(fun () -> 0.0) in
   let monitor =
     Monitor.create ~accounting:h.accounting
       ~is_congested:(fun ~final:_ _ -> false)
@@ -740,15 +740,15 @@ let test_hedge_delay_from_histogram () =
 
 (* --- the upstream-call path -------------------------------------- *)
 
-let make_upstream ?retry_ratio () =
+let make_upstream ?(retry_ratio = 0.0) () =
   let clock = ref 0.0 in
   let metrics = Core.Telemetry.Metrics.create () in
   let up =
     Upstream.create
       { Breaker.default with failure_threshold = 1; cooldown = 5.0 }
-      ?retry_ratio
+      ~retry_ratio
       ~clock:(fun () -> !clock)
-      ~metrics ()
+      ~metrics
   in
   (clock, metrics, up)
 
@@ -828,7 +828,7 @@ let test_upstream_breaker_listing () =
   Upstream.settle (proceed up "offload:c") true;
   (* A hedged backup that won never held a ticket; its outcome still
      reaches its breaker. *)
-  Upstream.record up "peer:y" false;
+  Upstream.record up ~budget:"peer" "peer:y" false;
   Alcotest.(check (list string)) "open breakers, sorted"
     [ "origin:b"; "peer:y"; "peer:z" ] (Upstream.open_breakers up);
   Alcotest.(check int) "record holds no ticket" 0 (Upstream.outstanding up)

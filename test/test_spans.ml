@@ -38,11 +38,11 @@ p.register();
 let span_trees () =
   let cluster = Cluster.create () in
   let origin = Cluster.add_origin cluster ~name:"www.example.edu" ~sign_key:key () in
-  Origin.set_static origin ~path:"/index.html" "<html>hello</html>";
-  Origin.set_static origin ~path:"/study.html" "<html>study</html>";
-  Origin.set_static origin ~path:"/fragment" "fragment";
+  Origin.set_static origin ~path:"/index.html" ~max_age:300 "<html>hello</html>";
+  Origin.set_static origin ~path:"/study.html" ~max_age:300 "<html>study</html>";
+  Origin.set_static origin ~path:"/fragment" ~max_age:300 "fragment";
   Origin.set_static origin ~path:"/page.html" ~max_age:10 "stable";
-  Origin.set_static origin ~path:"/nakika.js" ~content_type:"text/javascript" site_script;
+  Origin.set_static origin ~path:"/nakika.js" ~content_type:"text/javascript" ~max_age:300 site_script;
   let verify = { Config.default with Config.integrity_key = Some key } in
   let diffusion =
     {

@@ -244,14 +244,14 @@ let test_tracer_retention_promotes_nothing () =
 
 let test_events_ring () =
   let now = ref 1.0 in
-  let events = Events.create ~clock:(fun () -> !now) () in
+  let events = Events.create ~clock:(fun () -> !now) in
   Events.record events ~attrs:[ ("site", "a.org") ] "throttle";
   now := 2.0;
   for _ = 1 to 1023 do
-    Events.record events "terminate"
+    Events.record events ~attrs:[] "terminate"
   done;
   now := 3.0;
-  Events.record events "throttle";
+  Events.record events ~attrs:[] "throttle";
   match Events.to_list events with
   | e1 :: _ as l when List.length l = 1024 ->
     Alcotest.(check string) "oldest retained" "terminate" e1.Events.name;
@@ -367,7 +367,7 @@ let events_match_reference_prop =
       let rng = Random.State.make [| seed |] in
       let now = ref 0.0 in
       let clock () = !now in
-      let events = Events.create ~clock () and reference = Ref.Events.create ~clock () in
+      let events = Events.create ~clock and reference = Ref.Events.create ~clock () in
       for i = 1 to n do
         now := !now +. float_of_int (Random.State.int rng 3);
         let name = Printf.sprintf "e%d" (Random.State.int rng 5) in

@@ -317,7 +317,7 @@ let test_logreplay_drives_cluster () =
       ~paths:[| "/a.html"; "/b.html" |]
   in
   let entries, _ = Logreplay.parse_log log in
-  let events = Logreplay.to_events ~host:"site.org" entries in
+  let events = Logreplay.to_events ~host:"site.org" ~accelerate:4.0 entries in
   let ok = ref 0 in
   Driver.replay cluster ~client ~proxy ~events
     ~on_response:(fun _ resp _ -> if resp.Core.Http.Message.status = 200 then incr ok)

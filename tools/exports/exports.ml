@@ -16,6 +16,11 @@
    is one, supplied when an application of that [val] passes it
    ([~label:v] or [?label:o]); applications inside the declaring unit
    are matched by name, since they carry the implementation's uids.
+   A parameter is always passed when shipped code applies its [val]
+   and every such application passes it as [~label:v]: forwarding
+   an option ([?label:o]), leaving it out, or using the [val] without
+   applying it (as a closure or through a module) each count as
+   omitting it, so its default is reachable.
    Each field of [Nk_node.Config.t] is one, and so is each field of a
    lib/ record type a [Config.t] field holds, directly or under
    [option] ([Nk_resource.Breaker.config]). A field is set when a
@@ -24,12 +29,14 @@
    ([Config.default], [Breaker.default]) do not count.
 
    Uses under [test/] do not count as shipped. An export or knob with
-   no shipped use must be listed in ALLOW, one per line: the value's
+   no shipped use, and a parameter every shipped application passes,
+   must be listed in ALLOW, one per line: the value's
    path ([Module.path.value]), a parameter ([Module.path.value ?label])
    or a field ([Nk_node.Config.field], [Nk_resource.Breaker.window]),
    then a reason. The gate fails on any other, and on an ALLOW entry
-   that now has a shipped use, has no use at all, gives no reason, or
-   is no longer declared.
+   that now has a shipped use (for a parameter: that some shipped
+   application also omits), has no use at all, gives no reason, or is
+   no longer declared.
 
    The executables' main modules get a [.cmt] only from [dune build
    @check], so run it on a tree built that way. *)
@@ -56,6 +63,12 @@ let params : (Shape.Uid.t * string, string) Hashtbl.t = Hashtbl.create 256
 let fields : (string * string) Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 64
 let shipped_knobs : (string, unit) Hashtbl.t = Hashtbl.create 256
 let tested_knobs : (string, unit) Hashtbl.t = Hashtbl.create 256
+
+(* uid -> the [val]'s optional labels; the parameters some shipped code
+   passes as [~label:v], and those some shipped code omits, by name *)
+let labels : string list Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 256
+let passed : (string, unit) Hashtbl.t = Hashtbl.create 256
+let omitted : (string, unit) Hashtbl.t = Hashtbl.create 256
 
 (* Every record type in a lib/ interface, by path: "Nk_node.Config.t" ->
    (unit, module path, labels) *)
@@ -105,12 +118,14 @@ let rec declare unit prefix items =
           let uid = vd.val_val.val_uid in
           Shape.Uid.Tbl.replace decls uid d;
           Hashtbl.replace decl_by_name d.name uid;
+          let ls = optional_labels vd.val_val.val_type in
+          if ls <> [] then Shape.Uid.Tbl.replace labels uid ls;
           List.iter
             (fun l ->
               let name = Printf.sprintf "%s ?%s" d.name l in
               Hashtbl.replace params (uid, l) name;
               add_knob name unit d.loc)
-            (optional_labels vd.val_val.val_type)
+            ls
       | Tsig_type (_, tds) ->
           List.iter
             (fun td ->
@@ -179,6 +194,13 @@ let supplied = function
   | Some _ -> true
   | None -> false
 
+(* [~label:v] reaches an optional parameter wrapped in a [Some] whose
+   constructor has no source location; [?label:o] passes [o] itself. *)
+let passed_explicitly = function
+  | Some { exp_desc = Texp_construct ({ loc; _ }, { cstr_name = "Some"; _ }, [ _ ]); _ } ->
+      loc.loc_ghost
+  | _ -> false
+
 (* The components a module value carries at run time, in the order a
    [Tcoerce_structure] numbers them. *)
 let is_runtime_component = function
@@ -225,24 +247,44 @@ let rec use_module mark (me : module_expr) cc =
   | _ -> ()
 
 let uses ~test unit (str : structure) =
-  let mark = use (if test then tested else shipped) unit in
+  let use_value = use (if test then tested else shipped) unit in
   let knob name = Hashtbl.replace (if test then tested_knobs else shipped_knobs) name () in
+  let labels_of uid = Option.value ~default:[] (Shape.Uid.Tbl.find_opt labels uid) in
+  (* Whether shipped code passes or omits parameter [l] of [uid]. *)
+  let note table uid l =
+    if not test then
+      Option.iter (fun name -> Hashtbl.replace table name ()) (Hashtbl.find_opt params (uid, l))
+  in
+  (* A use that applies nothing reaches every default of the [val]; a
+     module use hands its values over unapplied. *)
+  let unapplied uid = List.iter (note omitted uid) (labels_of uid) in
+  let mark (vd : Types.value_description) =
+    use_value vd;
+    if Shape.Uid.Tbl.mem decls vd.val_uid then unapplied vd.val_uid
+  in
+  let apply uid args =
+    List.iter
+      (fun l ->
+        let arg = Option.join (List.assoc_opt (Asttypes.Optional l) args) in
+        if supplied arg then Option.iter knob (Hashtbl.find_opt params (uid, l));
+        note (if passed_explicitly arg then passed else omitted) uid l)
+      (labels_of uid)
+  in
   let open Tast_iterator in
   let expr sub (e : expression) =
-    (match e.exp_desc with
-    | Texp_ident (_, _, vd) -> mark vd
-    | Texp_pack me -> use_module mark me Tcoerce_none
-    | Texp_apply ({ exp_desc = Texp_ident (path, _, vd); _ }, args) -> (
-        match callee unit path vd with
-        | Some uid ->
-            List.iter
-              (fun (label, arg) ->
-                match label with
-                | Asttypes.Optional l when supplied arg ->
-                    Option.iter knob (Hashtbl.find_opt params (uid, l))
-                | _ -> ())
-              args
-        | None -> ())
+    match e.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (path, _, vd); _ }, args) ->
+        (* The head is a use but not an unapplied one, so only the
+           arguments are visited. *)
+        use_value vd;
+        Option.iter (fun uid -> apply uid args) (callee unit path vd);
+        List.iter (fun (_, arg) -> Option.iter (sub.expr sub) arg) args
+    | Texp_ident (path, _, vd) ->
+        use_value vd;
+        Option.iter unapplied (callee unit path vd)
+    | Texp_pack me ->
+        use_module mark me Tcoerce_none;
+        default_iterator.expr sub e
     | Texp_record { fields = fs; extended_expression; _ } ->
         Array.iter
           (fun ((lbl : Types.label_description), def) ->
@@ -251,9 +293,9 @@ let uses ~test unit (str : structure) =
               when not (owner = unit && extended_expression = None) ->
                 knob name
             | _ -> ())
-          fs
-    | _ -> ());
-    default_iterator.expr sub e
+          fs;
+        default_iterator.expr sub e
+    | _ -> default_iterator.expr sub e
   in
   let module_expr sub (me : module_expr) =
     (match me.mod_desc with
@@ -340,11 +382,21 @@ let () =
           if not (List.mem_assoc d.name allow) then
             report (if Hashtbl.mem tested_knobs d.name then "test-only" else "unused") d.name (where d))
         knob_offenders;
+      let always name = Hashtbl.mem passed name && not (Hashtbl.mem omitted name) in
+      let always_passed =
+        Hashtbl.fold (fun name d acc -> if always name then d :: acc else acc) knobs []
+        |> List.sort compare
+      in
+      List.iter
+        (fun d -> if not (List.mem_assoc d.name allow) then report "always" d.name (where d))
+        always_passed;
       List.iter
         (fun (name, reason) ->
           let state =
             match Hashtbl.find_opt decl_by_name name with
             | Some uid -> Some (Shape.Uid.Tbl.mem shipped uid, Shape.Uid.Tbl.mem tested uid)
+            (* listed because every shipped application passes it *)
+            | None when always name -> Some (false, true)
             | None when Hashtbl.mem knobs name ->
                 Some (Hashtbl.mem shipped_knobs name, Hashtbl.mem tested_knobs name)
             | None -> None
@@ -360,11 +412,11 @@ let () =
       let all_knobs = Hashtbl.fold (fun _ d acc -> d :: acc) knobs [] in
       Printf.printf
         "exports: %d vals in lib/ interfaces, %d without a shipped caller; %d optional \
-         parameters, %d never passed by shipped code; %d Config fields, %d never set by \
-         shipped code; %d allowlisted\n"
+         parameters, %d never passed by shipped code, %d always passed; %d Config fields, \
+         %d never set by shipped code; %d allowlisted\n"
         (Shape.Uid.Tbl.length decls) (List.length offenders) (count true all_knobs)
-        (count true knob_offenders) (count false all_knobs) (count false knob_offenders)
-        (List.length allow);
+        (count true knob_offenders) (List.length always_passed) (count false all_knobs)
+        (count false knob_offenders) (List.length allow);
       if !errors > 0 then exit 1
   | _ ->
       prerr_endline "usage: exports.exe ALLOW DIR...";
