@@ -44,7 +44,7 @@ let probabilistic_verification () =
   Harness.section "processed content: probabilistic re-execution";
   List.iter
     (fun fraction ->
-      let verifier = Core.Integrity.Verifier.create ~sample_fraction:fraction ~eviction_threshold:3 in
+      let verifier = Core.Integrity.Verifier.create ~sample_fraction:fraction in
       Core.Integrity.Verifier.register_node verifier "honest";
       Core.Integrity.Verifier.register_node verifier "tamperer";
       let rng = Core.Util.Prng.create 13 in

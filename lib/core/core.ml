@@ -12,9 +12,9 @@
     {[
       let cluster = Core.Node.Cluster.create () in
       let origin = Core.Node.Cluster.add_origin cluster ~name:"www.example.edu" () in
-      Core.Node.Origin.set_static origin ~path:"/index.html" "<html>hi</html>";
+      Core.Node.Origin.set_static origin ~path:"/index.html" ~max_age:300 "<html>hi</html>";
       Core.Node.Origin.set_static origin ~path:"/nakika.js"
-        ~content_type:"text/javascript" "...site script...";
+        ~content_type:"text/javascript" ~max_age:300 "...site script...";
       let proxy = Core.Node.Cluster.add_proxy cluster ~name:"nk1.nakika.net" () in
       ignore proxy;
       let client = Core.Node.Cluster.add_client cluster ~name:"client" in

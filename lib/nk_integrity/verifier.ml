@@ -1,13 +1,15 @@
+(* Corroborated reports that evict a node. *)
+let eviction_threshold = 3
+
 type t = {
   sample_fraction : float;
-  eviction_threshold : int;
   members : (string, int) Hashtbl.t; (* node -> report count *)
 }
 
-let create ~sample_fraction ~eviction_threshold =
+let create ~sample_fraction =
   if sample_fraction < 0.0 || sample_fraction > 1.0 then
     invalid_arg "Verifier.create: sample_fraction out of [0,1]";
-  { sample_fraction; eviction_threshold; members = Hashtbl.create 16 }
+  { sample_fraction; members = Hashtbl.create 16 }
 
 let should_sample t ~rng = Nk_util.Prng.float rng 1.0 < t.sample_fraction
 
@@ -22,7 +24,7 @@ let check t ~node ~original ~reexecuted =
      | Some count ->
        let count = count + 1 in
        Hashtbl.replace t.members node count;
-       if count >= t.eviction_threshold then Hashtbl.remove t.members node
+       if count >= eviction_threshold then Hashtbl.remove t.members node
      | None -> ());
     `Mismatch_reported
   end

@@ -7,9 +7,9 @@
 
 type t
 
-val create : sample_fraction:float -> eviction_threshold:int -> t
-(** Sample [sample_fraction] of responses; evict a node after
-    [eviction_threshold] corroborated reports. *)
+val create : sample_fraction:float -> t
+(** Sample [sample_fraction] of responses; evict a node after 3
+    corroborated reports. *)
 
 val should_sample : t -> rng:Nk_util.Prng.t -> bool
 

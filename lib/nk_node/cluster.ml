@@ -12,6 +12,7 @@ type t = {
      request dominated planet-scale runs. *)
   by_name : (string, Node.t) Hashtbl.t;
   mutable hotspots : bool; (* a hotspot-enabled proxy configured [dht] *)
+  mutable sweeping : bool; (* [dht]'s one sweeper is running *)
 }
 
 let sim t = t.sim
@@ -62,6 +63,7 @@ let create ?(seed = 11) ?default_latency ?default_bandwidth ?client_wall ?server
     rng = Nk_util.Prng.create (seed * 31);
     by_name = Hashtbl.create 64;
     hotspots = false;
+    sweeping = false;
   }
 
 let add_proxy t ~name ?(cpu_speed = 1.0) ?config () =
@@ -78,17 +80,20 @@ let add_proxy t ~name ?(cpu_speed = 1.0) ?config () =
    | Some d -> Nk_overlay.Redirector.set_staleness t.redirector d.Nk_diffusion.Policy.staleness
    | None -> ());
   (* Same pattern for hotspot replication: the first hotspot-enabled
-     proxy configures the cluster's shared DHT index and starts its one
-     sweeper. An expired sloppy placement otherwise dies only on the
-     next lookup of its key; sweeping every half placement TTL makes
-     reconvergence a property of the clock, not of lookup luck. Gated
-     on the flag so hotspot-free clusters keep their exact prior
-     behavior. *)
+     proxy configures the cluster's shared DHT index. Gated on its
+     flag so hotspot-free clusters keep their exact prior behavior. *)
   if cfg.Config.enable_hotspots && not t.hotspots then begin
     t.hotspots <- true;
     Nk_overlay.Dht.set_hotspots t.dht ~halflife:cfg.Config.hotspot_halflife
       ~threshold:cfg.Config.hotspot_threshold ~replicas:cfg.Config.hotspot_replicas
-      ~ttl:cfg.Config.hotspot_ttl ();
+      ~ttl:cfg.Config.hotspot_ttl ()
+  end;
+  (* The first proxy that also joined the DHT starts its one sweeper.
+     An expired sloppy placement otherwise dies only on the next lookup
+     of its key; sweeping every half placement TTL makes reconvergence
+     a property of the clock, not of lookup luck. *)
+  if cfg.Config.enable_hotspots && cfg.Config.enable_dht && not t.sweeping then begin
+    t.sweeping <- true;
     Nk_sim.Sim.every t.sim ~period:(Float.max 1.0 (cfg.Config.hotspot_ttl /. 2.0)) (fun () ->
         Nk_overlay.Dht.sweep t.dht ~now:(Nk_sim.Sim.now t.sim))
   end;

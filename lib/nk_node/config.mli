@@ -90,7 +90,8 @@ type t = {
       (** hotspot detection + Coral-style sloppy replication on the
           cluster's shared DHT index (default false). The first
           hotspot-enabled proxy added to a cluster configures the
-          shared DHT with the knobs below and starts its one sweeper. *)
+          shared DHT with the knobs below; the first one with
+          [enable_dht] also starts the DHT's one sweeper. *)
   hotspot_threshold : float; (** decayed request rate (req/s) at which a
                                  DHT key counts as hot and gets sloppy
                                  replicas *)

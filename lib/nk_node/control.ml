@@ -151,17 +151,15 @@ let start_health_tick t =
         Option.iter Nk_resource.Admission.reset t.admission;
       was_down := down;
       if not down then begin
-        let queue_delay = queue_delay t and shed_rate = shed_rate t in
+        let h = health t in
         let pressure = Option.map (fun _ -> pressure t) t.diffusion in
         let set = Gauge.set t.metrics in
-        set Meter.queue_delay queue_delay;
-        set Meter.shed_rate shed_rate;
-        set Meter.open_breakers
-          (float_of_int (Nk_resource.Upstream.count_open_breakers t.upstream));
-        set Meter.quarantined_sites
-          (float_of_int (Nk_resource.Quarantine.count_active t.quarantine));
+        set Meter.queue_delay h.queue_delay;
+        set Meter.shed_rate h.shed_rate;
+        set Meter.open_breakers (float_of_int (List.length h.open_breakers));
+        set Meter.quarantined_sites (float_of_int (List.length h.quarantined));
         Option.iter (set Meter.pressure) pressure;
         Nk_overlay.Redirector.report t.redirector t.host
           ~incarnation:(Nk_sim.Net.incarnation t.net t.host)
-          ?pressure ~queue_delay ~shed_rate ()
+          ?pressure ~queue_delay:h.queue_delay ~shed_rate:h.shed_rate ()
       end)

@@ -204,15 +204,11 @@ type health = {
   quarantined : string list;
 }
 
-let queue_delay t = Nk_sim.Net.cpu_backlog t.net t.host
-
-let shed_rate t =
-  match t.admission with Some a -> Nk_resource.Admission.shed_rate a | None -> 0.0
-
 let health t =
   {
-    queue_delay = queue_delay t;
-    shed_rate = shed_rate t;
+    queue_delay = Nk_sim.Net.cpu_backlog t.net t.host;
+    shed_rate =
+      (match t.admission with Some a -> Nk_resource.Admission.shed_rate a | None -> 0.0);
     shedding =
       (match t.admission with Some a -> Nk_resource.Admission.shedding a | None -> false);
     open_breakers = Nk_resource.Upstream.open_breakers t.upstream;
@@ -240,7 +236,8 @@ let pressure t =
     | None -> (0.0, 0.0)
   in
   Nk_diffusion.Pressure.compute ~target:cfg.Nk_resource.Admission.target
-    ~queue_delay:(queue_delay t) ~shed_rate ~queue_frac
+    ~queue_delay:(Nk_sim.Net.cpu_backlog t.net t.host)
+    ~shed_rate ~queue_frac
 
 let retry_after_response seconds =
   let resp = Nk_http.Message.error_response 503 in

@@ -95,10 +95,6 @@ let remaining t ~site =
   | None -> 0.0
   | Some e -> Float.max 0.0 (e.expiry -. t.clock ())
 
-let count_active t =
-  let now = t.clock () in
-  Hashtbl.fold (fun _ e n -> if now < e.expiry then n + 1 else n) t.sites 0
-
 let active t =
   let now = t.clock () in
   Hashtbl.fold

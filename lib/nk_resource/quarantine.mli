@@ -49,6 +49,3 @@ val remaining : t -> site:string -> float
 
 val active : t -> (string * float) list
 (** Currently banned sites with their absolute expiry times, sorted. *)
-
-val count_active : t -> int
-(** The length of {!active}, counted without building it. *)

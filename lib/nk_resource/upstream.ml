@@ -77,7 +77,4 @@ let open_breakers t =
     t.breakers []
   |> List.sort compare
 
-let count_open_breakers t =
-  Hashtbl.fold (fun _ b n -> if Breaker.state b <> Breaker.Closed then n + 1 else n) t.breakers 0
-
 let outstanding t = t.outstanding

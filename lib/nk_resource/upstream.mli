@@ -57,8 +57,5 @@ val retry : t -> ?deadline:Deadline.t -> string -> [ `Granted | `Refused | `Unbu
 val open_breakers : t -> string list
 (** Keys of the breakers not in the closed state, sorted. *)
 
-val count_open_breakers : t -> int
-(** The length of {!open_breakers}, counted without building it. *)
-
 val outstanding : t -> int
 (** Tickets acquired and not yet settled. *)

@@ -96,7 +96,7 @@ let tamper_detected_prop =
       Integrity.verify ~key:"k" ~now:100.0 r <> Ok ())
 
 let test_verifier_match_no_report () =
-  let v = Verifier.create ~sample_fraction:0.05 ~eviction_threshold:3 in
+  let v = Verifier.create ~sample_fraction:0.05 in
   Verifier.register_node v "nk1";
   Alcotest.(check bool) "match" true (Verifier.check v ~node:"nk1" ~original:"x" ~reexecuted:"x" = `Match);
   (* Had the match filed a report, the third mismatch below the
@@ -109,7 +109,7 @@ let test_verifier_match_no_report () =
   Alcotest.(check bool) "third report evicts" false (Verifier.is_member v "nk1")
 
 let test_verifier_eviction_threshold () =
-  let v = Verifier.create ~sample_fraction:0.05 ~eviction_threshold:3 in
+  let v = Verifier.create ~sample_fraction:0.05 in
   Verifier.register_node v "cheat";
   for _ = 1 to 2 do
     ignore (Verifier.check v ~node:"cheat" ~original:"a" ~reexecuted:"b")
@@ -122,7 +122,7 @@ let test_verifier_eviction_threshold () =
      && not (Verifier.is_member v "cheat"))
 
 let test_verifier_sampling_fraction () =
-  let v = Verifier.create ~sample_fraction:0.2 ~eviction_threshold:3 in
+  let v = Verifier.create ~sample_fraction:0.2 in
   let rng = Core.Util.Prng.create 123 in
   let sampled = ref 0 in
   let n = 20_000 in
@@ -136,7 +136,7 @@ let test_verifier_sampling_fraction () =
 let test_verifier_detection_probability () =
   (* A node that tampers with every response is caught after about
      threshold/fraction observations. *)
-  let v = Verifier.create ~sample_fraction:0.1 ~eviction_threshold:3 in
+  let v = Verifier.create ~sample_fraction:0.1 in
   Verifier.register_node v "tamper";
   let rng = Core.Util.Prng.create 7 in
   let observations = ref 0 in
@@ -155,7 +155,7 @@ let test_verifier_detection_probability () =
 let test_verifier_bad_fraction () =
   Alcotest.check_raises "fraction > 1"
     (Invalid_argument "Verifier.create: sample_fraction out of [0,1]") (fun () ->
-      ignore (Verifier.create ~sample_fraction:1.5 ~eviction_threshold:3))
+      ignore (Verifier.create ~sample_fraction:1.5))
 
 let suite =
   [
