@@ -14,6 +14,7 @@
 
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
+module Driver = Core.Workload.Driver
 
 let hot_proxy = "nk-a.nakika.net"
 let neighbor_names = [ "nk-b.nakika.net"; "nk-c.nakika.net" ]
@@ -34,17 +35,13 @@ p.register();
 |}
 
 type outcome = {
-  issued : int;
-  ok : int;
-  rejected : int;
-  errors : int;
-  p99 : float;
+  summary : Harness.summary;
   offload_spread : (string * int) list;  (** per-neighbor offload counts at nk-a *)
   rejects : int;
   fallbacks : int;
 }
 
-let goodput o = float_of_int o.ok /. float_of_int (max 1 o.issued)
+let goodput o = Harness.goodput o.summary
 
 let run_scenario ~attach ~diffusion () =
   let config =
@@ -74,51 +71,26 @@ let run_scenario ~attach ~diffusion () =
   in
   let sim = Core.Node.Cluster.sim cluster in
   let client_arr = Array.of_list clients in
-  let issued = ref 0 and ok = ref 0 and rejected = ref 0 and errors = ref 0 in
-  let latencies = ref [] in
+  let recorder = Driver.recorder cluster in
   (* 600 requests for the hot page inside ~1.2 s, every one pinned to
      nk-a (the client population that a stale DNS answer or a hardcoded
      proxy setting sends to one node), starting after every proxy's
-     health tick has reported at least once. *)
+     health tick has reported at least once. Request n (in issue order,
+     from 0) comes from client (n + 1) mod 3. *)
   for i = 0 to 599 do
     Sim.schedule_at sim
       (Sim.epoch +. 5.0 +. (0.002 *. float_of_int i))
       (fun () ->
-        incr issued;
-        let started = Sim.now sim in
-        Core.Node.Cluster.fetch cluster
-          ~client:client_arr.(!issued mod Array.length client_arr)
-          ~proxy:pa ~timeout:10.0
-          (Core.Http.Message.request "http://www.example.edu/hot.html")
-          (fun resp ->
-            match resp.Core.Http.Message.status with
-            | 200 ->
-              incr ok;
-              latencies := (Sim.now sim -. started) :: !latencies
-            | 503 -> incr rejected
-            | _ -> incr errors))
+        Driver.send recorder
+          ~client:client_arr.((Driver.issued recorder + 1) mod Array.length client_arr)
+          ~proxy:(Some pa) ~timeout:10.0
+          (Core.Http.Message.request "http://www.example.edu/hot.html"))
   done;
-  Sim.run ~until:(Sim.epoch +. 60.0) sim;
-  if attach then begin
-    List.iter Harness.attach_node (pa :: neighbors);
-    match Harness.registry () with
-    | Some m -> Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster))
-    | None -> ()
-  end;
-  let p99 =
-    match List.sort compare !latencies with
-    | [] -> 0.0
-    | sorted ->
-      let n = List.length sorted in
-      List.nth sorted (min (n - 1) (int_of_float (Float.of_int n *. 0.99)))
-  in
+  let answers = Driver.finish recorder ~until:(Sim.epoch +. 60.0) in
+  if attach then Harness.attach_run cluster (pa :: neighbors);
   let ma = Core.Node.Node.metrics pa in
   {
-    issued = !issued;
-    ok = !ok;
-    rejected = !rejected;
-    errors = !errors;
-    p99;
+    summary = Harness.summarize ~issued:(Driver.issued recorder) answers;
     offload_spread =
       List.map
         (fun name ->
@@ -138,7 +110,8 @@ let diffusion () =
   let report label o =
     Printf.printf
       "  %-24s %3d issued  %3d ok  %3d shed  %3d errors  p99 %6.3fs  (%.0f%% goodput)\n"
-      label o.issued o.ok o.rejected o.errors o.p99 (100.0 *. goodput o)
+      label o.summary.issued o.summary.ok o.summary.shed o.summary.errors o.summary.p99
+      (100.0 *. goodput o)
   in
   report "redirect-only baseline:" baseline;
   report "diffusion enabled:" diffused;
@@ -150,8 +123,8 @@ let diffusion () =
   Printf.printf "  goodput %.2f -> %.2f %s   p99 %.3fs -> %.3fs %s   spread %d %s\n"
     (goodput baseline) (goodput diffused)
     (if goodput diffused > goodput baseline then "(improved: pass)" else "(NOT IMPROVED)")
-    baseline.p99 diffused.p99
-    (if diffused.p99 <= baseline.p99 then "(bounded: pass)" else "(WORSE)")
+    baseline.summary.p99 diffused.summary.p99
+    (if diffused.summary.p99 <= baseline.summary.p99 then "(bounded: pass)" else "(WORSE)")
     (List.length spread)
     (if List.length spread >= 2 then "(>= 2 neighbors: pass)" else "(TOO NARROW)");
   match Harness.registry () with
@@ -159,8 +132,8 @@ let diffusion () =
   | Some m ->
     Metrics.set_gauge m "diffusion.baseline-goodput" (goodput baseline);
     Metrics.set_gauge m "diffusion.enabled-goodput" (goodput diffused);
-    Metrics.set_gauge m "diffusion.baseline-p99" baseline.p99;
-    Metrics.set_gauge m "diffusion.enabled-p99" diffused.p99;
+    Metrics.set_gauge m "diffusion.baseline-p99" baseline.summary.p99;
+    Metrics.set_gauge m "diffusion.enabled-p99" diffused.summary.p99;
     Metrics.set_gauge m "diffusion.offload-spread" (float_of_int (List.length spread));
-    Metrics.set_gauge m "diffusion.baseline-sheds" (float_of_int baseline.rejected);
-    Metrics.set_gauge m "diffusion.enabled-sheds" (float_of_int diffused.rejected)
+    Metrics.set_gauge m "diffusion.baseline-sheds" (float_of_int baseline.summary.shed);
+    Metrics.set_gauge m "diffusion.enabled-sheds" (float_of_int diffused.summary.shed)

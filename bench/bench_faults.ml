@@ -22,7 +22,8 @@ let run_scenario ~attach plan =
   let ok =
     List.length
       (List.filter
-         (fun a -> Core.Http.Status.is_success a.Chaos.response.Core.Http.Message.status)
+         (fun (a : Core.Workload.Driver.answer) ->
+           Core.Http.Status.is_success a.response.Core.Http.Message.status)
          run.Chaos.answers)
   in
   (run.Chaos.issued, List.length run.Chaos.answers, ok)

@@ -19,73 +19,29 @@
 module Chaos = Core.Workload.Chaos
 module Metrics = Core.Telemetry.Metrics
 
-type outcome = {
-  issued : int;
-  ok : int;
-  rejected : int;
-  errors : int;
-  dead_origin_hits : int;
-  p99 : float;
-}
-
-let goodput o = float_of_int o.ok /. float_of_int (max 1 o.issued)
-
 let run_scenario ~attach plan =
   let run =
     Chaos.run_overload ~seed:(Harness.seed_base + Core.Faults.Plan.seed plan) plan
   in
-  if attach then begin
-    List.iter Harness.attach_node run.Chaos.proxies;
-    match Harness.registry () with
-    | Some m ->
-      Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net run.Chaos.cluster))
-    | None -> ()
-  end;
-  let count status =
-    List.length
-      (List.filter
-         (fun a -> a.Chaos.response.Core.Http.Message.status = status)
-         run.Chaos.answers)
-  in
-  let ok = count 200 and rejected = count 503 in
-  let latencies =
-    List.filter_map
-      (fun a ->
-        if a.Chaos.response.Core.Http.Message.status = 200 then
-          Some (a.Chaos.received -. a.Chaos.sent)
-        else None)
-      run.Chaos.answers
-  in
-  let p99 =
-    match List.sort compare latencies with
-    | [] -> 0.0
-    | sorted ->
-      let n = List.length sorted in
-      List.nth sorted (min (n - 1) (int_of_float (Float.of_int n *. 0.99)))
-  in
-  let dead = List.nth run.Chaos.origins 1 in
-  {
-    issued = run.Chaos.issued;
-    ok;
-    rejected;
-    errors = List.length run.Chaos.answers - ok - rejected;
-    dead_origin_hits = Core.Node.Origin.request_count dead;
-    p99;
-  }
+  if attach then Harness.attach_run run.Chaos.cluster run.Chaos.proxies;
+  (* The run's summary, and how often the fragile origin was contacted. *)
+  ( Harness.summarize ~issued:run.Chaos.issued run.Chaos.answers,
+    Core.Node.Origin.request_count (List.nth run.Chaos.origins 1) )
 
 let overload () =
   Harness.header "Overload resilience (flash crowd + crash + dead origin)";
-  let baseline = run_scenario ~attach:false (Chaos.overload_baseline ()) in
-  let degraded = run_scenario ~attach:true (Chaos.overload_degraded ()) in
+  let baseline, baseline_dead_hits = run_scenario ~attach:false (Chaos.overload_baseline ()) in
+  let degraded, dead_origin_hits = run_scenario ~attach:true (Chaos.overload_degraded ()) in
+  let goodput = Harness.goodput in
   let ratio = goodput degraded /. Float.max 1e-9 (goodput baseline) in
-  let report label o =
+  let report label (o : Harness.summary) =
     Printf.printf "  %-28s %3d issued  %3d ok  %3d shed  %3d errors  p99 %6.3fs  (%.0f%% goodput)\n"
-      label o.issued o.ok o.rejected o.errors o.p99 (100.0 *. goodput o)
+      label o.issued o.ok o.shed o.errors o.p99 (100.0 *. goodput o)
   in
   report "fault-free baseline:" baseline;
   report "crash + dead origin:" degraded;
   Printf.printf "  dead-origin fetches: baseline %d, degraded %d (breaker-bounded)\n"
-    baseline.dead_origin_hits degraded.dead_origin_hits;
+    baseline_dead_hits dead_origin_hits;
   Printf.printf "  goodput ratio: %.2f %s   degraded p99: %.3fs %s\n" ratio
     (if ratio >= 0.7 then "(>= 0.70: pass)" else "(BELOW TARGET)")
     degraded.p99
@@ -98,4 +54,4 @@ let overload () =
     Metrics.set_gauge m "overload.goodput-ratio" ratio;
     Metrics.set_gauge m "overload.baseline-p99" baseline.p99;
     Metrics.set_gauge m "overload.degraded-p99" degraded.p99;
-    Metrics.set_gauge m "overload.dead-origin-hits" (float_of_int degraded.dead_origin_hits)
+    Metrics.set_gauge m "overload.dead-origin-hits" (float_of_int dead_origin_hits)

@@ -20,8 +20,8 @@
    shape, which stays fixed so the two runs are comparable. *)
 
 module Metrics = Core.Telemetry.Metrics
-module Sim = Core.Sim.Sim
 module Plan = Core.Faults.Plan
+module Crowd = Core.Workload.Crowd
 
 let holder_a = "nk-a.nakika.net"
 let holder_b = "nk-b.nakika.net" (* warmed last -> newest announcement -> primary *)
@@ -32,37 +32,19 @@ let spike_extra = 1.5
 let spike_probability = 0.02
 
 type outcome = {
-  issued : int;
-  ok : int;
-  rejected : int;
-  errors : int;
-  p50 : float;
-  p99 : float;
+  summary : Harness.summary;
   hedges : int;
   wins : int;
   cancelled : int;
   expired : int;
 }
 
-let goodput o = float_of_int o.ok /. float_of_int (max 1 o.issued)
-
-let percentile sorted p =
-  match sorted with
-  | [||] -> 0.0
-  | a -> a.(min (Array.length a - 1) (int_of_float (float_of_int (Array.length a) *. p)))
-
 let run_scenario ~attach ~tail () =
   let plan = Plan.create ~seed:(11 + Harness.seed_base) () in
   Plan.spike_link plan ~src:edge ~dst:holder_b ~probability:spike_probability
     ~extra:spike_extra ();
   let cluster = Core.Node.Cluster.create ~seed:(Harness.seed_base + 7) ~faults:plan () in
-  let origin = Core.Node.Cluster.add_origin cluster ~name:"www.crowd.example" () in
-  for r = 0 to universe - 1 do
-    Core.Node.Origin.set_static origin
-      ~path:(Printf.sprintf "/zipf/%d.html" r)
-      ~max_age:600
-      (Printf.sprintf "<html>zipf rank %d</html>" r)
-  done;
+  Crowd.publish cluster ~universe;
   let base =
     {
       Core.Node.Config.default with
@@ -90,10 +72,7 @@ let run_scenario ~attach ~tail () =
   let pa = Core.Node.Cluster.add_proxy cluster ~name:holder_a ~config:base () in
   let pb = Core.Node.Cluster.add_proxy cluster ~name:holder_b ~config:base () in
   let pc = Core.Node.Cluster.add_proxy cluster ~name:edge ~config:edge_config () in
-  ignore pa;
-  ignore pb;
   let client = Core.Node.Cluster.add_client cluster ~name:"c1" in
-  let sim = Core.Node.Cluster.sim cluster in
   (* Warm every rank at both holders: nk-a first, then nk-b, so nk-b's
      DHT announcement is the newer one and every edge lookup fetches
      from nk-b — the link under fault injection. *)
@@ -101,52 +80,22 @@ let run_scenario ~attach ~tail () =
     (fun proxy ->
       for r = 0 to universe - 1 do
         Core.Node.Cluster.fetch cluster ~client ~proxy
-          (Core.Http.Message.request
-             (Printf.sprintf "http://www.crowd.example/zipf/%d.html" r))
+          (Core.Http.Message.request (Crowd.url r))
           (fun _ -> ())
       done;
       Core.Node.Cluster.run cluster)
     [ pa; pb ];
-  (* The crowd: Zipf(s = 0.9) over the warmed universe, drawn from its
-     own PRNG so both arms see the identical request stream. *)
-  let zipf = Core.Workload.Zipf.create ~s:0.9 ~universe in
-  let wl = Core.Util.Prng.create 9001 in
-  let issued = ref 0 and ok = ref 0 and rejected = ref 0 and errors = ref 0 in
-  let latencies = ref [] in
-  for i = 0 to total_requests - 1 do
-    let rank = Core.Workload.Zipf.sample zipf wl in
-    Sim.schedule_at sim
-      (Sim.epoch +. 5.0 +. (0.01 *. float_of_int i))
-      (fun () ->
-        incr issued;
-        let started = Sim.now sim in
-        Core.Node.Cluster.fetch cluster ~client ~proxy:pc ~timeout:10.0
-          (Core.Http.Message.request
-             (Printf.sprintf "http://www.crowd.example/zipf/%d.html" rank))
-          (fun resp ->
-            match resp.Core.Http.Message.status with
-            | 200 ->
-              incr ok;
-              latencies := (Sim.now sim -. started) :: !latencies
-            | 503 -> incr rejected
-            | _ -> incr errors))
-  done;
-  Sim.run ~until:(Sim.epoch +. 5.0 +. (0.01 *. float_of_int total_requests) +. 20.0) sim;
-  if attach then begin
-    Harness.attach_node pc;
-    match Harness.registry () with
-    | Some m -> Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster))
-    | None -> ()
-  end;
-  let sorted = Array.of_list (List.sort compare !latencies) in
+  (* The crowd (Workload.Crowd) over the warmed universe, 100
+     requests a second through the edge; both arms see the identical
+     request stream. *)
+  let issued, answers =
+    Crowd.run cluster ~universe ~requests:total_requests ~rate:100.0 ~slack:20.0
+      (Crowd.Via (client, pc))
+  in
+  if attach then Harness.attach_run cluster [ pc ];
   let mc = Core.Node.Node.metrics pc in
   {
-    issued = !issued;
-    ok = !ok;
-    rejected = !rejected;
-    errors = !errors;
-    p50 = percentile sorted 0.50;
-    p99 = percentile sorted 0.99;
+    summary = Harness.summarize ~issued answers;
     hedges = Metrics.counter_total mc "hedge.issued";
     wins = Metrics.counter_total mc "hedge.wins";
     cancelled = Metrics.counter_total mc "hedge.cancelled";
@@ -157,20 +106,22 @@ let tail () =
   Harness.header "Tail tolerance (Zipf crowd through one edge, latency-spiked primary)";
   let baseline = run_scenario ~attach:false ~tail:false () in
   let hedged = run_scenario ~attach:true ~tail:true () in
+  let goodput o = Harness.goodput o.summary in
   let report label o =
     Printf.printf
       "  %-22s %3d issued  %3d ok  %2d shed  %2d errors  p50 %6.3fs  p99 %6.3fs  (%.0f%% \
        goodput)\n"
-      label o.issued o.ok o.rejected o.errors o.p50 o.p99 (100.0 *. goodput o)
+      label o.summary.issued o.summary.ok o.summary.shed o.summary.errors o.summary.p50
+      o.summary.p99 (100.0 *. goodput o)
   in
   report "tail machinery off:" baseline;
   report "deadlines + hedging:" hedged;
-  let overhead = float_of_int hedged.hedges /. float_of_int (max 1 hedged.issued) in
+  let overhead = float_of_int hedged.hedges /. float_of_int (max 1 hedged.summary.issued) in
   Printf.printf "  hedges %d (%.1f%% of load)  wins %d  cancelled %d  deadline-expired %d\n"
     hedged.hedges (100.0 *. overhead) hedged.wins hedged.cancelled hedged.expired;
-  let p99_ratio = hedged.p99 /. Float.max 1e-9 baseline.p99 in
+  let p99_ratio = hedged.summary.p99 /. Float.max 1e-9 baseline.summary.p99 in
   Printf.printf "  p99 %.3fs -> %.3fs (%.0f%% %s)   goodput %.2f vs %.2f %s   overhead %s\n"
-    baseline.p99 hedged.p99 (100.0 *. p99_ratio)
+    baseline.summary.p99 hedged.summary.p99 (100.0 *. p99_ratio)
     (if p99_ratio <= 0.6 then "of baseline: pass" else "NOT <= 60%")
     (goodput baseline) (goodput hedged)
     (if Float.abs (goodput hedged -. goodput baseline) <= 0.02 then "(within 2%: pass)"
@@ -179,14 +130,14 @@ let tail () =
        (100 * rate tokens); anything above that means the bucket leaked. *)
     (if
        float_of_int hedged.hedges
-       <= (0.05 *. float_of_int hedged.issued) +. (100.0 *. 0.05) +. 1.0
+       <= (0.05 *. float_of_int hedged.summary.issued) +. (100.0 *. 0.05) +. 1.0
      then "(<= 5% + burst: pass)"
      else "(OVER BUDGET)");
   match Harness.registry () with
   | None -> ()
   | Some m ->
-    Metrics.set_gauge m "tail.baseline-p99" baseline.p99;
-    Metrics.set_gauge m "tail.enabled-p99" hedged.p99;
+    Metrics.set_gauge m "tail.baseline-p99" baseline.summary.p99;
+    Metrics.set_gauge m "tail.enabled-p99" hedged.summary.p99;
     Metrics.set_gauge m "tail.p99-ratio" p99_ratio;
     Metrics.set_gauge m "tail.baseline-goodput" (goodput baseline);
     Metrics.set_gauge m "tail.enabled-goodput" (goodput hedged);

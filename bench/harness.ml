@@ -29,6 +29,15 @@ let attach_node node =
   | Some e when not (List.memq node e.nodes) -> e.nodes <- node :: e.nodes
   | _ -> ()
 
+(* A run whose counters land in the dump: its proxies' registries and
+   its cluster's network counters. *)
+let attach_run cluster proxies =
+  List.iter attach_node proxies;
+  Option.iter
+    (fun into ->
+      Core.Telemetry.Metrics.merge ~into (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster)))
+    (registry ())
+
 let begin_experiment id =
   (* The compile cache is process-wide: without a reset, an experiment's
      compile-cache counters would depend on which experiments ran before
@@ -126,6 +135,40 @@ let run_load cluster ~clients ~proxy ~duration ~warmup ~make_request () =
     clients;
   Core.Node.Cluster.run cluster;
   { responses = !responses; rejected = !rejected; errors = !errors; duration; latency }
+
+(* One summary of an open-loop run's answers (Workload.Driver): how many
+   were sent, served (200), shed (503) or failed otherwise, and the
+   nearest-rank p50 and p99 of the served requests' latency. *)
+type summary = {
+  issued : int;
+  ok : int;
+  shed : int;
+  errors : int;
+  p50 : float;
+  p99 : float;
+}
+
+let summarize ~issued answers =
+  let latency = Core.Util.Stats.create () and ok = ref 0 and shed = ref 0 in
+  List.iter
+    (fun (a : Core.Workload.Driver.answer) ->
+      match a.response.Core.Http.Message.status with
+      | 200 ->
+        incr ok;
+        Core.Util.Stats.add latency (a.received -. a.sent)
+      | 503 -> incr shed
+      | _ -> ())
+    answers;
+  {
+    issued;
+    ok = !ok;
+    shed = !shed;
+    errors = List.length answers - !ok - !shed;
+    p50 = Core.Util.Stats.percentile latency 50.0;
+    p99 = Core.Util.Stats.percentile latency 99.0;
+  }
+
+let goodput s = float_of_int s.ok /. float_of_int (max 1 s.issued)
 
 let paper_vs_measured ~label ~paper ~measured ~unit_ =
   Printf.printf "  %-42s paper %10s   measured %10s %s\n" label paper measured unit_

@@ -684,7 +684,8 @@ let chaos_cmd =
     let ok =
       List.length
         (List.filter
-           (fun a -> Core.Http.Status.is_success a.Chaos.response.Core.Http.Message.status)
+           (fun (a : Core.Workload.Driver.answer) ->
+             Core.Http.Status.is_success a.response.Core.Http.Message.status)
            run.Chaos.answers)
     in
     Printf.printf "chaos run (seed %d): %s\n" seed (Core.Faults.Plan.describe plan);

@@ -59,23 +59,28 @@ let () =
   let events =
     Core.Workload.Logreplay.to_events ~host:"portal.example.edu" ~accelerate:1.0 entries
   in
-  let assembled = ref 0 and last_body = ref "" in
-  Core.Workload.Driver.replay cluster ~client ~proxy ~events
-    ~on_response:(fun _ resp _ ->
-      let body = Core.Http.Body.to_string resp.Core.Http.Message.resp_body in
-      if
-        resp.Core.Http.Message.status = 200
-        && Core.Util.Strutil.contains_sub body ~sub:"breaking news"
-        && Core.Util.Strutil.contains_sub body ~sub:"<nav>"
-      then begin
-        incr assembled;
-        last_body := body
-      end)
-    ();
-  Core.Node.Cluster.run cluster;
+  let sim = Core.Node.Cluster.sim cluster in
+  let recorder = Core.Workload.Driver.recorder cluster in
+  List.iter
+    (fun (offset, req) ->
+      Core.Sim.Sim.schedule sim ~delay:offset (fun () ->
+          Core.Workload.Driver.send recorder ~client ~proxy:(Some proxy) ~timeout:30.0 req))
+    events;
+  let pages =
+    List.filter_map
+      (fun (a : Core.Workload.Driver.answer) ->
+        let body = Core.Http.Body.to_string a.response.Core.Http.Message.resp_body in
+        if
+          a.response.Core.Http.Message.status = 200
+          && Core.Util.Strutil.contains_sub body ~sub:"breaking news"
+          && Core.Util.Strutil.contains_sub body ~sub:"<nav>"
+        then Some body
+        else None)
+      (Core.Workload.Driver.finish recorder ~until:(Core.Sim.Sim.now sim +. 60.0))
+  in
 
-  Printf.printf "pages fully assembled at the edge: %d\n" !assembled;
-  Printf.printf "last page:\n%s\n" !last_body;
+  Printf.printf "pages fully assembled at the edge: %d\n" (List.length pages);
+  Printf.printf "last page:\n%s\n" (List.fold_left (fun _ body -> body) "" pages);
   Printf.printf "origin requests: %d total, %d to the volatile news fragment\n"
     (Core.Node.Origin.request_count origin)
     !news_version;

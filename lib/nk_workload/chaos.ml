@@ -4,20 +4,12 @@ module Origin = Nk_node.Origin
 module Sim = Nk_sim.Sim
 module Metrics = Nk_telemetry.Metrics
 
-type answer = {
-  index : int;
-  url : string;
-  sent : float;
-  received : float;
-  response : Nk_http.Message.response;
-}
-
 type run = {
   cluster : Cluster.t;
   proxies : Nk_node.Node.t list;
   origins : Origin.t list;
   issued : int;
-  answers : answer list;
+  answers : Driver.answer list;
 }
 
 let epoch = Sim.epoch
@@ -47,7 +39,7 @@ let overload_degraded () =
   plan
 
 (* The cluster with its origins, proxies and clients, plus [send],
-   which issues one request and records its answer, [issued], the
+   which issues one request through the run's recorder, [issued], the
    number sent so far, and [finish], which runs the simulation to
    [until] and collects the run. Clients join last first (c2 before
    c1); that order fixes every host's id. *)
@@ -68,21 +60,16 @@ let start ~seed plan ~origins ~proxies ~clients =
     Array.of_list
       (List.rev_map (fun name -> Cluster.add_client cluster ~name) (List.rev clients))
   in
-  let sim = Cluster.sim cluster in
-  let issued = ref 0 and answers = ref [] in
+  let recorder = Driver.recorder cluster in
   let send ?proxy ~client ~timeout url =
-    let index = !issued in
-    incr issued;
-    let sent = Sim.now sim in
-    Cluster.fetch cluster ~client:clients.(client) ?proxy ~timeout (Nk_http.Message.request url)
-      (fun response ->
-        answers := { index; url; sent; received = Sim.now sim; response } :: !answers)
+    Driver.send recorder ~client:clients.(client) ~proxy ~timeout (Nk_http.Message.request url)
   in
+  let issued () = Driver.issued recorder in
   let finish ~until =
-    Sim.run ~until sim;
-    { cluster; proxies; origins; issued = !issued; answers = List.rev !answers }
+    let answers = Driver.finish recorder ~until in
+    { cluster; proxies; origins; issued = issued (); answers }
   in
-  (sim, Array.of_list proxies, send, (fun () -> !issued), finish)
+  (Cluster.sim cluster, Array.of_list proxies, send, issued, finish)
 
 let run_chaos ~seed plan =
   let sim, proxies, send, _, finish =

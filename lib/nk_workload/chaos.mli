@@ -16,17 +16,10 @@
       origin serves with a 2 s max-age. Client timeout 10 s; the run
       stops at [+90 s].
 
-    Times count from {!Nk_sim.Sim.epoch}. A run only builds the cluster,
-    drives the workload and records what came back; callers compute
-    their own counts, percentiles and telemetry from it. *)
-
-type answer = {
-  index : int;  (** Issue order, from 0. *)
-  url : string;
-  sent : float;  (** Simulated time the client sent it. *)
-  received : float;  (** Simulated time the answer reached the client. *)
-  response : Nk_http.Message.response;
-}
+    Times count from {!Nk_sim.Sim.epoch}. A run only builds the cluster
+    and schedules the workload; every request goes out through one
+    {!Driver.recorder}, which records what came back. Callers compute
+    their own counts, percentiles and telemetry from the answers. *)
 
 type run = {
   cluster : Nk_node.Cluster.t;
@@ -35,7 +28,7 @@ type run = {
       (** [www.example.edu], then (overload only) the fragile
           [dead.example.org]. *)
   issued : int;
-  answers : answer list;  (** In answer order. *)
+  answers : Driver.answer list;  (** In answer order. *)
 }
 
 val random_plan : int -> Nk_faults.Plan.t

@@ -2,9 +2,9 @@
 
     The SIMM experiments "replay access logs for the SIMMs collected by
     NYU's medical school; log replay is accelerated 4x" (§5.2). This
-    module parses CLF, converts entries into timed request events for
-    {!Driver.replay}, and can synthesize plausible logs for tests and
-    benches. *)
+    module parses CLF, converts entries into timed request events that
+    a replay sends through {!Driver.send}, and can synthesize plausible
+    logs for tests and benches. *)
 
 type entry = {
   client : Nk_http.Ip.t;
@@ -25,7 +25,7 @@ val parse_log : string -> entry list * int
 
 val to_events :
   host:string -> accelerate:float -> entry list -> (float * Nk_http.Message.request) list
-(** Timed events for {!Driver.replay}: offsets are relative to the
+(** Timed events for an open-loop replay: offsets are relative to the
     first entry and divided by [accelerate] (the paper replays at 4x).
     Each request carries its log entry's client address. *)
 

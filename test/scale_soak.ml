@@ -7,14 +7,18 @@
    redirector's proximity cache, the alias-table Zipf sampler, and
    hotspot replication's PRNG-driven placement.
 
-   Gated behind `dune build @scale-soak` (not part of `dune runtest`):
-   the two runs take a minute or so. NAKIKA_SOAK_NODES and
-   NAKIKA_SOAK_REQUESTS shrink it for spot checks; the 10^6
+   The fleet and the crowd are Workload.Crowd's, as in the capacity
+   curve (bench -- scale). Gated behind `dune build @scale-soak` (not
+   part of `dune runtest`, which runs a 10-node crowd instead): the
+   two runs take about 20 s on a shared 2-vCPU VM. NAKIKA_SOAK_NODES
+   and NAKIKA_SOAK_REQUESTS shrink it for spot checks; the 10^6
    event-volume floor applies at the full default scale, reduced runs
    keep a per-request floor so an early exit cannot pass. *)
 
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
+module Crowd = Core.Workload.Crowd
+module Driver = Core.Workload.Driver
 
 let nodes =
   match Option.bind (Sys.getenv_opt "NAKIKA_SOAK_NODES") int_of_string_opt with
@@ -29,78 +33,25 @@ let requests =
 let universe = 10_000
 let rate = 3000.0
 
+(* Statuses in answer order, and the served requests' latency sum. *)
+let digest answers =
+  let status a = a.Driver.response.Core.Http.Message.status in
+  let served = List.filter (fun a -> status a = 200) answers in
+  Printf.sprintf "ok=%d latency_sum=%.9f statuses=%s" (List.length served)
+    (List.fold_left (fun sum a -> sum +. (a.Driver.received -. a.Driver.sent)) 0.0 served)
+    (Core.Crypto.Sha256.digest_hex
+       (String.concat "" (List.map (fun a -> string_of_int (status a) ^ ";") answers)))
+
 let run () =
-  let cluster =
-    Core.Node.Cluster.create ~seed:4242 ~default_latency:0.005
-      ~default_bandwidth:12_500_000.0 ()
+  let { Crowd.cluster; proxies; clients } = Crowd.fleet ~nodes ~universe ~hotspots:true in
+  let _, answers =
+    Crowd.run cluster ~universe ~requests ~rate ~slack:15.0 (Crowd.Fleet clients)
   in
-  let origin = Core.Node.Cluster.add_origin cluster ~name:"www.crowd.example" () in
-  for r = 0 to universe - 1 do
-    Core.Node.Origin.set_static origin
-      ~path:(Printf.sprintf "/zipf/%d.html" r)
-      ~max_age:600
-      (Printf.sprintf "<html>zipf rank %d</html>" r)
-  done;
-  let config =
-    {
-      Core.Node.Config.default with
-      Core.Node.Config.enable_pipeline = false;
-      enable_tracing = false;
-      enable_resource_controls = false;
-      lint_mode = `Off;
-      enable_hotspots = true;
-      hotspot_threshold = 5.0;
-      hotspot_replicas = 4;
-      hotspot_ttl = 60.0;
-      hotspot_halflife = 5.0;
-    }
-  in
-  let proxies =
-    List.init nodes (fun i ->
-        Core.Node.Cluster.add_proxy cluster ~name:(Printf.sprintf "edge-%04d.nakika.net" i)
-          ~config ())
-  in
-  let clients =
-    List.mapi
-      (fun i proxy ->
-        let c = Core.Node.Cluster.add_client cluster ~name:(Printf.sprintf "client-%04d" i) in
-        Core.Node.Cluster.connect cluster c (Core.Node.Node.host proxy) ~latency:0.0005
-          ~bandwidth:12_500_000.0;
-        c)
-      proxies
-    |> Array.of_list
-  in
-  let sim = Core.Node.Cluster.sim cluster in
-  let zipf = Core.Workload.Zipf.create ~s:0.9 ~universe in
-  let wl = Core.Util.Prng.create 9001 in
-  let statuses = Buffer.create (2 * requests) in
-  let ok = ref 0 and latency_sum = ref 0.0 in
-  for i = 0 to requests - 1 do
-    let at = Sim.epoch +. 5.0 +. (float_of_int i /. rate) in
-    let rank = Core.Workload.Zipf.sample zipf wl in
-    let client = clients.(Core.Util.Prng.int wl (Array.length clients)) in
-    let url = Printf.sprintf "http://www.crowd.example/zipf/%d.html" rank in
-    Sim.schedule_at sim at (fun () ->
-        let started = Sim.now sim in
-        Core.Node.Cluster.fetch cluster ~client ~timeout:10.0 (Core.Http.Message.request url)
-          (fun resp ->
-            Buffer.add_string statuses (string_of_int resp.Core.Http.Message.status);
-            Buffer.add_char statuses ';';
-            if resp.Core.Http.Message.status = 200 then begin
-              incr ok;
-              latency_sum := !latency_sum +. (Sim.now sim -. started)
-            end))
-  done;
-  Sim.run ~until:(Sim.epoch +. 5.0 +. (float_of_int requests /. rate) +. 15.0) sim;
   let merged = Metrics.create () in
   Metrics.merge ~into:merged (Core.Overlay.Dht.metrics (Core.Node.Cluster.dht cluster));
   Metrics.merge ~into:merged (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster));
   List.iter (fun p -> Metrics.merge ~into:merged (Core.Node.Node.metrics p)) proxies;
-  let digest =
-    Printf.sprintf "ok=%d latency_sum=%.9f statuses=%s" !ok !latency_sum
-      (Core.Crypto.Sha256.digest_hex (Buffer.contents statuses))
-  in
-  (Sim.executed sim, digest, Metrics.to_json_lines merged)
+  (Sim.executed (Core.Node.Cluster.sim cluster), digest answers, Metrics.to_json_lines merged)
 
 let () =
   Printf.printf "scale soak: %d nodes, %d Zipf requests, two same-seed runs\n%!" nodes requests;

@@ -13,6 +13,7 @@ module Sim = Core.Sim.Sim
 module Net = Core.Sim.Net
 module Metrics = Core.Telemetry.Metrics
 module Chaos = Core.Workload.Chaos
+module Driver = Core.Workload.Driver
 
 (* CI reruns the chaos soak under a few fixed seeds via this variable;
    locally it defaults to 0. *)
@@ -33,12 +34,10 @@ let random_plan seed = Chaos.random_plan (seed_base + seed)
    across the proxies once the run is quiet). *)
 let run_chaos plan =
   let run = Chaos.run_chaos ~seed:(Plan.seed plan) plan in
-  let statuses = Buffer.create 256 in
-  List.iter
-    (fun a ->
-      Buffer.add_string statuses (string_of_int a.Chaos.response.Message.status);
-      Buffer.add_char statuses ' ')
-    run.Chaos.answers;
+  let statuses =
+    String.concat ""
+      (List.map (fun a -> string_of_int a.Driver.response.Message.status ^ " ") run.Chaos.answers)
+  in
   let m = Metrics.create () in
   Chaos.merge_fault_telemetry ~into:m run;
   let unsettled =
@@ -49,8 +48,8 @@ let run_chaos plan =
   ( run.Chaos.issued,
     List.length run.Chaos.answers,
     List.length
-      (List.filter (fun a -> Status.is_success a.Chaos.response.Message.status) run.Chaos.answers),
-    Buffer.contents statuses,
+      (List.filter (fun a -> Status.is_success a.Driver.response.Message.status) run.Chaos.answers),
+    statuses,
     Metrics.to_json_lines m,
     unsettled )
 
@@ -235,9 +234,9 @@ let run_overload plan =
     List.length
       (List.filter
          (fun a ->
-           a.Chaos.url = "http://www.example.edu/hot.html"
-           && a.Chaos.response.Message.status = 503
-           && Message.resp_header a.Chaos.response "Retry-After" = None)
+           a.Driver.url = "http://www.example.edu/hot.html"
+           && a.Driver.response.Message.status = 503
+           && Message.resp_header a.Driver.response "Retry-After" = None)
          run.Chaos.answers)
   in
   let proxies = run.Chaos.proxies in
@@ -251,7 +250,7 @@ let run_overload plan =
   ( run.Chaos.issued,
     List.length run.Chaos.answers,
     List.length
-      (List.filter (fun a -> a.Chaos.response.Message.status = 200) run.Chaos.answers),
+      (List.filter (fun a -> a.Driver.response.Message.status = 200) run.Chaos.answers),
     sheds_without_retry_after,
     Origin.request_count (List.nth run.Chaos.origins 1),
     List.concat open_breakers )

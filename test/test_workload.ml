@@ -214,6 +214,31 @@ let test_driver_think_time_limits_rate () =
   Alcotest.(check bool) (Printf.sprintf "rate capped (%d)" !responses) true
     (!responses >= 8 && !responses <= 12)
 
+(* The recorder's contract: every sent request is answered exactly
+   once, the indices are 0 .. issued-1, and no answer reaches its
+   client before the request left. *)
+let check_recorder ~issued answers =
+  Alcotest.(check (list int)) "each request answered once, indices 0..issued-1"
+    (List.init issued Fun.id)
+    (List.sort compare (List.map (fun a -> a.Driver.index) answers));
+  List.iter
+    (fun a -> Alcotest.(check bool) "received >= sent" true (a.Driver.received >= a.Driver.sent))
+    answers
+
+(* Each event goes out at its offset from now, without waiting for
+   earlier answers: the open-loop log replay of §5.2. *)
+let replay cluster ~client ~proxy events =
+  let sim = Core.Node.Cluster.sim cluster in
+  let recorder = Driver.recorder cluster in
+  List.iter
+    (fun (offset, req) ->
+      Core.Sim.Sim.schedule sim ~delay:offset (fun () ->
+          Driver.send recorder ~client ~proxy:(Some proxy) ~timeout:30.0 req))
+    events;
+  let answers = Driver.finish recorder ~until:(Core.Sim.Sim.now sim +. 120.0) in
+  check_recorder ~issued:(Driver.issued recorder) answers;
+  answers
+
 let test_driver_replay () =
   let cluster = Core.Node.Cluster.create () in
   let origin = Core.Node.Cluster.add_origin cluster ~name:"w.org" () in
@@ -221,10 +246,7 @@ let test_driver_replay () =
   let proxy = Core.Node.Cluster.add_proxy cluster ~name:"nk1.nakika.net" () in
   let client = Core.Node.Cluster.add_client cluster ~name:"c" in
   let events = List.init 5 (fun i -> (float_of_int i *. 0.1, Message.request "http://w.org/p")) in
-  let seen = ref 0 in
-  Driver.replay cluster ~client ~proxy ~events ~on_response:(fun _ _ _ -> incr seen) ();
-  Core.Node.Cluster.run cluster;
-  Alcotest.(check int) "all replayed" 5 !seen
+  Alcotest.(check int) "all replayed" 5 (List.length (replay cluster ~client ~proxy events))
 
 let test_flashcrowd_scripts () =
   let r = Flashcrowd.good_request () in
@@ -318,12 +340,9 @@ let test_logreplay_drives_cluster () =
   in
   let entries, _ = Logreplay.parse_log log in
   let events = Logreplay.to_events ~host:"site.org" ~accelerate:4.0 entries in
-  let ok = ref 0 in
-  Driver.replay cluster ~client ~proxy ~events
-    ~on_response:(fun _ resp _ -> if resp.Core.Http.Message.status = 200 then incr ok)
-    ();
-  Core.Node.Cluster.run cluster;
-  Alcotest.(check int) "all served" (List.length events) !ok
+  let answers = replay cluster ~client ~proxy events in
+  Alcotest.(check int) "all served" (List.length events)
+    (List.length (List.filter (fun a -> a.Driver.response.Message.status = 200) answers))
 
 (* {1 Zipf sampler properties}
 
@@ -422,6 +441,28 @@ let test_zipf_edges () =
   Alcotest.check_raises "negative skew" (Invalid_argument "Zipf.create: skew must be non-negative")
     (fun () -> ignore (Zipf.create ~s:(-0.1) ~universe:4))
 
+(* The Zipf crowd at the capacity curve's seeds (cluster 4242, stream
+   9001, 1200 req/s, replication on) at 10 nodes, with its answer
+   digest formed as the determinism soak forms it. The digest is
+   pinned, so a change to the schedule, the draw order or the recorder
+   fails under `dune runtest`, not only in the soak. *)
+let test_crowd_digest () =
+  let { Crowd.cluster; clients; _ } = Crowd.fleet ~nodes:10 ~universe:10_000 ~hotspots:true in
+  let issued, answers =
+    Crowd.run cluster ~universe:10_000 ~requests:2000 ~rate:1200.0 ~slack:15.0
+      (Crowd.Fleet clients)
+  in
+  check_recorder ~issued answers;
+  let status a = a.Driver.response.Message.status in
+  let served = List.filter (fun a -> status a = 200) answers in
+  Alcotest.(check string) "answer digest"
+    "2000 ok=2000 latency_sum=23.145098209 \
+     statuses=b20104a274fc4abfb20ee265ff8d921247a4a01572336a7b5313691f91a2c5b8"
+    (Printf.sprintf "%d ok=%d latency_sum=%.9f statuses=%s" issued (List.length served)
+       (List.fold_left (fun sum a -> sum +. (a.Driver.received -. a.Driver.sent)) 0.0 served)
+       (Core.Crypto.Sha256.digest_hex
+          (String.concat "" (List.map (fun a -> string_of_int (status a) ^ ";") answers))))
+
 let suite =
   [
     Alcotest.test_case "static page is exactly 2096 bytes" `Quick test_static_page_size;
@@ -453,4 +494,6 @@ let suite =
     Alcotest.test_case "zipf: edge cases" `Quick test_zipf_edges;
     Alcotest.test_case "simm: lecture xml matches the Printf reference" `Quick
       test_simm_xml_matches_reference;
+    Alcotest.test_case "crowd: 10-node digest matches the capacity curve's loop" `Quick
+      test_crowd_digest;
   ]
