@@ -72,8 +72,7 @@ let control_step t monitor control =
   List.iter (fun r -> ignore (control monitor r)) Nk_resource.Resource.all;
   reset_window t
 
-let start_monitor t =
-  let accounting = t.accounting in
+let start_monitor t accounting =
   let monitor =
     Nk_resource.Monitor.create ~accounting
       ~is_congested:(fun ~final r -> is_congested t ~final r)

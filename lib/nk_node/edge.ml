@@ -30,7 +30,10 @@ type t = {
   cache : Nk_cache.Http_cache.t;
   stage_cache : stage_entry Nk_cache.Memo_cache.t;
   negative : unit Nk_cache.Memo_cache.t;
-  accounting : Nk_resource.Accounting.t;
+  accounting : Nk_resource.Accounting.t option;
+  (* per-site usage for the resource monitor, its only reader: [Some]
+     exactly when [Config.enable_resource_controls] starts the monitor.
+     Without it nothing is charged and [usage] would stay 0.0 forever. *)
   throttles : (Nk_resource.Resource.t, (string, float) Hashtbl.t) Hashtbl.t;
   (* per resource: site -> reject probability *)
   quarantine : Nk_resource.Quarantine.t;

@@ -245,7 +245,9 @@ let create ~web ~host ~redirector ~dht ~bus ?(config = Config.default) () =
       cache = Nk_cache.Http_cache.create ~max_bytes:config.Config.cache_bytes ~metrics ();
       stage_cache = Nk_cache.Memo_cache.create ();
       negative = Nk_cache.Memo_cache.create ();
-      accounting = Nk_resource.Accounting.create ();
+      accounting =
+        (if config.Config.enable_resource_controls then Some (Nk_resource.Accounting.create ())
+         else None);
       throttles = Hashtbl.create 4;
       quarantine = Nk_resource.Quarantine.create config.Config.quarantine ~clock ~metrics;
       admission =
@@ -285,7 +287,7 @@ let create ~web ~host ~redirector ~dht ~bus ?(config = Config.default) () =
      ignore (Nk_overlay.Dht.join dht (name t));
      Control.start_reannouncer t dht
    | None -> ());
-  if config.Config.enable_resource_controls then Control.start_monitor t;
+  Option.iter (Control.start_monitor t) t.accounting;
   (* The offload protocol rides the bus: each node owns a request topic
      (work addressed to it) and a reply topic (answers to work it
      shipped). Point-to-point semantics over pub/sub, with the bus's

@@ -60,7 +60,9 @@ let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
               | None -> Fetch.content_fetch t ctx req)
         in
         let bytes = float_of_int (Nk_http.Message.content_length resp) in
-        Nk_resource.Accounting.charge t.accounting ~site Nk_resource.Resource.Bandwidth bytes;
+        Option.iter
+          (fun a -> Nk_resource.Accounting.charge a ~site Nk_resource.Resource.Bandwidth bytes)
+          t.accounting;
         t.bw_window <- t.bw_window +. bytes;
         resp);
     cache_lookup =
@@ -82,9 +84,9 @@ let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
             (fun r -> Nk_resource.Resource.to_string r = resource_name)
             Nk_resource.Resource.all
         in
-        match resource with
-        | Some r -> Nk_resource.Accounting.usage t.accounting ~site r
-        | None -> 0.0);
+        match (t.accounting, resource) with
+        | Some a, Some r -> Nk_resource.Accounting.usage a ~site r
+        | _ -> 0.0);
     hard_state_get = (fun ~key -> Replication.read (replica t site) ~key);
     hard_state_put = (fun ~key value -> Replication.update (replica t site) ~key ~value);
     hard_state_delete = (fun ~key -> Replication.delete (replica t site) ~key);
@@ -254,12 +256,15 @@ let access_log t ~site ~(req : Nk_http.Message.request) ~(resp : Nk_http.Message
   end
 
 let account t ~site ~cpu ~heap ~bytes ~elapsed =
-  let charge = Nk_resource.Accounting.charge t.accounting ~site in
-  charge Nk_resource.Resource.Cpu cpu;
-  charge Nk_resource.Resource.Memory heap;
-  charge Nk_resource.Resource.Bandwidth bytes;
-  charge Nk_resource.Resource.Running_time elapsed;
-  charge Nk_resource.Resource.Bytes_transferred bytes;
+  (match t.accounting with
+   | None -> ()
+   | Some a ->
+     let charge = Nk_resource.Accounting.charge a ~site in
+     charge Nk_resource.Resource.Cpu cpu;
+     charge Nk_resource.Resource.Memory heap;
+     charge Nk_resource.Resource.Bandwidth bytes;
+     charge Nk_resource.Resource.Running_time elapsed;
+     charge Nk_resource.Resource.Bytes_transferred bytes);
   t.mem_window <- t.mem_window +. heap;
   t.bw_window <- t.bw_window +. bytes
 

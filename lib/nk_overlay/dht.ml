@@ -86,8 +86,8 @@ let join t name =
   | None ->
     let id = Node_id.of_string name in
     Hashtbl.replace t.ids name id;
-    Hashtbl.replace t.names (Node_id.to_int id) name;
-    Hashtbl.replace t.stores (Node_id.to_int id) (Hashtbl.create 16);
+    Hashtbl.replace t.names (id : Node_id.t :> int) name;
+    Hashtbl.replace t.stores (id : Node_id.t :> int) (Hashtbl.create 16);
     Ring.join t.ring id;
     id
 
@@ -109,24 +109,28 @@ let route t ~from ~(key : Key.t) =
   (owner, List.length path)
 
 (* The owner plus its next distinct ring successors — the replica set
-   of a key, newest-responsibility first. At most [replicas] nodes.
-   O(k log n) via the ring's ordered membership (the old version
-   materialized the whole sorted membership per put/get, a linear scan
-   that dominated at 1000 nodes). *)
+   of a key, newest-responsibility first. At most [replicas] nodes,
+   read from consecutive slots of the ring's sorted members. *)
 let replica_set t owner = Ring.successors t.ring owner ~k:replicas
 
 let node_live t id =
-  match Hashtbl.find_opt t.names (Node_id.to_int id) with
+  match Hashtbl.find_opt t.names (id : Node_id.t :> int) with
   | None -> false
   | Some name -> t.live name
 
+(* [entries] without the expired ones: [entries] itself when none has
+   expired, so nodes that one put wrote keep sharing its list. *)
+let live_entries ~now entries =
+  if List.for_all (fun e -> e.expiry > now) entries then entries
+  else List.filter (fun e -> e.expiry > now) entries
+
 let store_entries t node key entries =
-  match Hashtbl.find_opt t.stores (Node_id.to_int node) with
+  match Hashtbl.find_opt t.stores (node : Node_id.t :> int) with
   | None -> ()
   | Some store -> Hashtbl.replace store key entries
 
 let read_entries t node key =
-  match Hashtbl.find_opt t.stores (Node_id.to_int node) with
+  match Hashtbl.find_opt t.stores (node : Node_id.t :> int) with
   | None -> []
   | Some store -> ( match Hashtbl.find_opt store key with Some es -> es | None -> [])
 
@@ -155,7 +159,7 @@ let note_request t cfg ~now key =
 let drop_placement t key p =
   List.iter
     (fun holder ->
-      match Hashtbl.find_opt t.stores (Node_id.to_int holder) with
+      match Hashtbl.find_opt t.stores (holder : Node_id.t :> int) with
       | None -> ()
       | Some store -> Hashtbl.remove store key)
     p.holders;
@@ -204,7 +208,7 @@ let sweep t ~now =
    greedy routes converge, so later lookups from elsewhere still pass
    a holder. *)
 let place_replicas t cfg ~now ~key ~owner ~path =
-  let entries = read_entries t owner key |> List.filter (fun e -> e.expiry > now) in
+  let entries = live_entries ~now (read_entries t owner key) in
   if entries <> [] then begin
     let candidates =
       List.filter
@@ -262,20 +266,32 @@ let put_key t ~now ~from ~key ~value ~ttl =
        | None -> base
        | Some p -> base @ List.filter (fun h -> not (List.exists (Node_id.equal h) base)) p.holders
      in
+     (* The new announcement ahead of the old list's live entries for
+        other values, at most [values_per_key] in all. Targets written
+        together hold one physical list, so the list is rebuilt once per
+        distinct old list ([==]) and the result shared by its holders. *)
+     let fresh = { value; expiry = now +. ttl } in
+     let rec keep n = function
+       | [] -> []
+       | e :: rest ->
+         if n = 0 then []
+         else if e.expiry > now && e.value <> value then e :: keep (n - 1) rest
+         else keep n rest
+     in
+     let rebuilt = ref [] in
      List.iter
        (fun node ->
-         match Hashtbl.find_opt t.stores (Node_id.to_int node) with
+         match Hashtbl.find_opt t.stores (node : Node_id.t :> int) with
          | None -> ()
          | Some store ->
-           let live =
-             (match Hashtbl.find_opt store key with Some es -> es | None -> [])
-             |> List.filter (fun e -> e.expiry > now && e.value <> value)
-           in
-           let entries = { value; expiry = now +. ttl } :: live in
+           let old = match Hashtbl.find_opt store key with Some es -> es | None -> [] in
            let entries =
-             if List.length entries > values_per_key then
-               List.filteri (fun i _ -> i < values_per_key) entries
-             else entries
+             match List.assq_opt old !rebuilt with
+             | Some entries -> entries
+             | None ->
+               let entries = fresh :: keep (values_per_key - 1) old in
+               rebuilt := (old, entries) :: !rebuilt;
+               entries
            in
            Hashtbl.replace store key entries)
        targets);
@@ -284,14 +300,14 @@ let put_key t ~now ~from ~key ~value ~ttl =
   hops
 
 let live_values t ~now node key =
-  match Hashtbl.find_opt t.stores (Node_id.to_int node) with
+  match Hashtbl.find_opt t.stores (node : Node_id.t :> int) with
   | None -> None
   | Some store -> (
     match Hashtbl.find_opt store key with
     | None -> None
     | Some entries ->
-      let live = List.filter (fun e -> e.expiry > now) entries in
-      Hashtbl.replace store key live;
+      let live = live_entries ~now entries in
+      if live != entries then Hashtbl.replace store key live;
       Some (List.map (fun e -> e.value) live))
 
 let put t ~now ~from ~key ~value ~ttl = put_key t ~now ~from ~key:(Key.of_string key) ~value ~ttl
@@ -374,6 +390,6 @@ let get t ~now ~from ~key = get_key t ~now ~from ~key:(Key.of_string key)
 let replica_names t ~(key : Key.t) =
   Ring.successors t.ring key.id ~k:replicas
   |> List.filter_map (fun id ->
-       match Hashtbl.find_opt t.names (Node_id.to_int id) with
+       match Hashtbl.find_opt t.names (id : Node_id.t :> int) with
        | Some name when t.live name -> Some name
        | _ -> None)

@@ -73,8 +73,13 @@ val join : t -> string -> Node_id.t
 type lookup = { values : string list; hops : int; fallbacks : int; owner : Node_id.t option }
 
 val put_key : t -> now:float -> from:string -> key:Key.t -> value:string -> ttl:float -> int
-(** Announce [value] under [key] at every replica; returns the routing
-    hop count. Raises [Invalid_argument] if [from] never joined. *)
+(** Announce [value] under [key] at every replica (and every active
+    sloppy holder); returns the routing hop count. Each target stores
+    the new announcement ahead of its live entries for other values,
+    newest first, at most 16. Targets that held one physical list
+    (written by one earlier put, and untouched by expiry since) get one
+    physical list again: it is built once, not once per target. Raises
+    [Invalid_argument] if [from] never joined. *)
 
 val put : t -> now:float -> from:string -> key:string -> value:string -> ttl:float -> int
 (** [put_key] on [Key.of_string key]. *)

@@ -4,12 +4,27 @@ let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+(* splitmix64's output function of a state. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_int64 t =
+  t.state <- Int64.add t.state golden;
+  mix t.state
+
+(* [n] draws' low bytes, with the state in a local: the bytes [n] calls
+   of [int t 256] give, without boxing each draw. *)
+let bytes t n =
+  let b = Bytes.create n in
+  let state = ref t.state in
+  for i = 0 to n - 1 do
+    state := Int64.add !state golden;
+    Bytes.unsafe_set b i (Char.unsafe_chr (Int64.to_int (mix !state) land 0xff))
+  done;
+  t.state <- !state;
+  Bytes.unsafe_to_string b
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

@@ -13,6 +13,11 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
     if [bound <= 0]. *)
 
+val bytes : t -> int -> string
+(** [bytes t n] is [n] bytes, each the low byte of one draw: the bytes
+    [n] successive [int t 256] calls give, leaving [t] in the same
+    state. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

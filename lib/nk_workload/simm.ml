@@ -85,14 +85,8 @@ let render_html ~module_ ~lecture ~student =
   | Ok html -> html
   | Error e -> invalid_arg ("Simm.render_html: " ^ e)
 
-let video_body k =
-  (* Deterministic pseudo-media bytes. *)
-  let buf = Buffer.create video_bytes in
-  let rng = Nk_util.Prng.create (1000 + k) in
-  while Buffer.length buf < video_bytes do
-    Buffer.add_char buf (Char.chr (Nk_util.Prng.int rng 256))
-  done;
-  Buffer.contents buf
+(* Deterministic pseudo-media bytes. *)
+let video_body k = Nk_util.Prng.bytes (Nk_util.Prng.create (1000 + k)) video_bytes
 
 let query_param (req : Nk_http.Message.request) name =
   Nk_http.Url.query_get req.Nk_http.Message.url name

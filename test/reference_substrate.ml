@@ -373,8 +373,8 @@ module Dht = struct
     | None ->
       let id = Core.Overlay.Node_id.of_string name in
       Hashtbl.replace t.ids name id;
-      Hashtbl.replace t.names (Core.Overlay.Node_id.to_int id) name;
-      Hashtbl.replace t.stores (Core.Overlay.Node_id.to_int id) (Hashtbl.create 16);
+      Hashtbl.replace t.names (id : Core.Overlay.Node_id.t :> int) name;
+      Hashtbl.replace t.stores (id : Core.Overlay.Node_id.t :> int) (Hashtbl.create 16);
       Core.Overlay.Ring.join t.ring id;
       id
 
@@ -399,17 +399,17 @@ module Dht = struct
   let replica_set t owner = Core.Overlay.Ring.successors t.ring owner ~k:t.replicas
 
   let node_live t id =
-    match Hashtbl.find_opt t.names (Core.Overlay.Node_id.to_int id) with
+    match Hashtbl.find_opt t.names (id : Core.Overlay.Node_id.t :> int) with
     | None -> false
     | Some name -> t.live name
 
   let store_entries t node key entries =
-    match Hashtbl.find_opt t.stores (Core.Overlay.Node_id.to_int node) with
+    match Hashtbl.find_opt t.stores (node : Core.Overlay.Node_id.t :> int) with
     | None -> ()
     | Some store -> Hashtbl.replace store key entries
 
   let read_entries t node key =
-    match Hashtbl.find_opt t.stores (Core.Overlay.Node_id.to_int node) with
+    match Hashtbl.find_opt t.stores (node : Core.Overlay.Node_id.t :> int) with
     | None -> []
     | Some store -> ( match Hashtbl.find_opt store key with Some es -> es | None -> [])
 
@@ -434,7 +434,7 @@ module Dht = struct
   let drop_placement t key p =
     List.iter
       (fun holder ->
-        match Hashtbl.find_opt t.stores (Core.Overlay.Node_id.to_int holder) with
+        match Hashtbl.find_opt t.stores (holder : Core.Overlay.Node_id.t :> int) with
         | None -> ()
         | Some store -> Hashtbl.remove store key)
       p.holders;
@@ -532,7 +532,7 @@ module Dht = struct
        in
        List.iter
          (fun node ->
-           match Hashtbl.find_opt t.stores (Core.Overlay.Node_id.to_int node) with
+           match Hashtbl.find_opt t.stores (node : Core.Overlay.Node_id.t :> int) with
            | None -> ()
            | Some store ->
              let live =
@@ -552,7 +552,7 @@ module Dht = struct
     hops
 
   let live_values t ~now node key =
-    match Hashtbl.find_opt t.stores (Core.Overlay.Node_id.to_int node) with
+    match Hashtbl.find_opt t.stores (node : Core.Overlay.Node_id.t :> int) with
     | None -> None
     | Some store -> (
       match Hashtbl.find_opt store key with
@@ -629,7 +629,7 @@ module Dht = struct
   let replica_names t ~key =
     Core.Overlay.Ring.successors t.ring (Core.Overlay.Node_id.of_string key) ~k:t.replicas
     |> List.filter_map (fun id ->
-         match Hashtbl.find_opt t.names (Core.Overlay.Node_id.to_int id) with
+         match Hashtbl.find_opt t.names (id : Core.Overlay.Node_id.t :> int) with
          | Some name when t.live name -> Some name
          | _ -> None)
 end

@@ -9,11 +9,36 @@ let test_node_id_deterministic () =
   Alcotest.(check bool) "names differ" false
     (Node_id.equal (Node_id.of_string "node-a") (Node_id.of_string "node-b"))
 
-let test_node_id_distance () =
-  let a = Node_id.of_int 10 and b = Node_id.of_int 20 in
-  Alcotest.(check int) "forward" 10 (Node_id.distance a b);
-  Alcotest.(check bool) "wraps" true (Node_id.distance b a > 0);
-  Alcotest.(check int) "self" 0 (Node_id.distance a a)
+(* Ids are ints in [0, 2^62): their order, and clockwise distance on
+   the ring. *)
+let int_of_id (id : Node_id.t) = (id :> int)
+
+let id_compare a b = Int.compare (int_of_id a) (int_of_id b)
+
+let distance a b = (int_of_id b - int_of_id a) land max_int
+
+let test_ring_distance () =
+  (* Every hop before the owner lands strictly closer to the key,
+     clockwise; the owner is the key's successor. *)
+  let r = Ring.create () in
+  for i = 1 to 64 do
+    Ring.join r (Node_id.of_string (Printf.sprintf "node%d" i))
+  done;
+  List.iter (fun n -> Ring.join r (Node_id.of_int n)) [ 0; max_int ];
+  let from = Node_id.of_string "node1" in
+  for i = 1 to 100 do
+    let key = Node_id.of_string (Printf.sprintf "key%d" i) in
+    let rec closer prev = function
+      | [] -> ()
+      | [ owner ] ->
+        Alcotest.(check int) "ends at the successor"
+          (int_of_id (Option.get (Ring.successor r key))) (int_of_id owner)
+      | hop :: rest ->
+        Alcotest.(check bool) "hop moves closer" true (distance hop key < distance prev key);
+        closer hop rest
+    in
+    closer from (Ring.lookup_path r ~from ~key)
+  done
 
 let test_ring_membership () =
   let r = Ring.create () in
@@ -27,7 +52,7 @@ let test_ring_membership () =
 let test_ring_successor () =
   let r = Ring.create () in
   List.iter (fun i -> Ring.join r (Node_id.of_int i)) [ 10; 20; 30 ];
-  let successor k = Node_id.to_int (Option.get (Ring.successor r (Node_id.of_int k))) in
+  let successor k = int_of_id (Option.get (Ring.successor r (Node_id.of_int k))) in
   Alcotest.(check int) "between" 20 (successor 15);
   Alcotest.(check int) "exact" 20 (successor 20);
   Alcotest.(check int) "wraparound" 10 (successor 31);
@@ -529,7 +554,7 @@ let redirector_pick_matches_reference_prop =
 (* Reference model: a plain sorted list. Successor = first element >=
    key, wrapping to the minimum. *)
 let ref_successor sorted key =
-  match List.find_opt (fun x -> Node_id.compare x key >= 0) sorted with
+  match List.find_opt (fun x -> id_compare x key >= 0) sorted with
   | Some _ as s -> s
   | None -> ( match sorted with [] -> None | x :: _ -> Some x)
 
@@ -545,7 +570,7 @@ let ring_successor_matches_reference_prop =
     QCheck.(pair (int_range 1 2048) (small_list small_int))
     (fun (n, probe_seeds) ->
       let r, ids = ring_of_names n in
-      let sorted = List.sort_uniq Node_id.compare ids in
+      let sorted = List.sort_uniq id_compare ids in
       Alcotest.(check int) "size" (List.length sorted) (List.length (Ring.nodes r));
       let probes =
         Node_id.of_int 0
@@ -615,11 +640,11 @@ let ring_churn_prop =
         ops;
       let expected =
         Hashtbl.fold (fun i () acc -> id_of i :: acc) reference []
-        |> List.sort Node_id.compare
+        |> List.sort id_compare
       in
       let got = Ring.nodes r in
       let rec sorted_distinct = function
-        | a :: (b :: _ as rest) -> Node_id.compare a b < 0 && sorted_distinct rest
+        | a :: (b :: _ as rest) -> id_compare a b < 0 && sorted_distinct rest
         | _ -> true
       in
       List.length (Ring.nodes r) = List.length expected
@@ -634,7 +659,7 @@ let test_ring_lookup_path_non_member_raises () =
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "expected Invalid_argument for a non-member start");
   Alcotest.(check (list int)) "empty ring still routes nowhere" []
-    (List.map Node_id.to_int
+    (List.map int_of_id
        (Ring.lookup_path (Ring.create ()) ~from:(Node_id.of_int 15) ~key:(Node_id.of_int 25)))
 
 (* Reference: the greedy route as a scan of all 62 fingers per hop,
@@ -651,11 +676,11 @@ let scan_lookup_path r ~from ~key =
           let best = ref None in
           for i = 61 downto 0 do
             if !best = None then
-              match Ring.successor r (Node_id.add_pow2 current i) with
+              match Ring.successor r (Node_id.of_int ((int_of_id current + (1 lsl i)) land max_int)) with
               | Some f
                 when (not (Node_id.equal f current))
-                     && Node_id.distance current f < Node_id.distance current key
-                     && Node_id.distance current f > 0 ->
+                     && distance current f < distance current key
+                     && distance current f > 0 ->
                 best := Some f
               | _ -> ()
           done;
@@ -684,7 +709,7 @@ let ring_lookup_path_matches_scan_prop =
         Ring.join r (fresh_id ())
       done;
       let members = Array.of_list (Ring.nodes r) in
-      let near id delta = Node_id.of_int ((Node_id.to_int id + delta) land max_int) in
+      let near id delta = Node_id.of_int ((int_of_id id + delta) land max_int) in
       List.for_all
         (fun _ ->
           let from = Core.Util.Prng.pick rng members in
@@ -696,10 +721,124 @@ let ring_lookup_path_matches_scan_prop =
             [ fresh_id (); m; near m 1; near m (-1); from ])
         (List.init 30 Fun.id))
 
+(* {2 Queries between membership changes}
+
+   The ring answers from a snapshot and a finger table built lazily
+   after a change. This replays random joins and leaves interleaved
+   with every query against a plain sorted list of ints, routing by a
+   scan of all 62 fingers over that list, so a table or snapshot kept
+   past a change shows as a wrong answer. *)
+
+(* The model's successor: the first member >= key, wrapping. *)
+let model_successor members key =
+  match List.find_opt (fun x -> x >= key) members with Some x -> x | None -> List.hd members
+
+let model_route members ~from ~key =
+  let owner = model_successor members key in
+  let rec route current acc =
+    if current = owner then List.rev acc
+    else begin
+      let best = ref None in
+      for i = 61 downto 0 do
+        if !best = None then begin
+          let f = model_successor members ((current + (1 lsl i)) land max_int) in
+          let d = (f - current) land max_int in
+          if d > 0 && d < (key - current) land max_int then best := Some f
+        end
+      done;
+      let next = Option.value !best ~default:owner in
+      route next (next :: acc)
+    end
+  in
+  if owner = from then [] else route from []
+
+let ring_ops_match_model_prop =
+  QCheck.Test.make ~name:"ring: queries between joins and leaves agree with a sorted list"
+    ~count:60
+    QCheck.(pair int (int_range 1 400))
+    (fun (seed, steps) ->
+      let rng = Core.Util.Prng.create seed in
+      (* Dense ids (below 64) collide and empty the ring often; sparse
+         ones spread over the whole 62-bit space. *)
+      let dense = Core.Util.Prng.bool rng in
+      let fresh () = Core.Util.Prng.int rng (if dense then 64 else max_int) in
+      let r = Ring.create () in
+      let members = ref [] in
+      let agree what expected got =
+        if expected <> got then
+          QCheck.Test.fail_reportf "%s disagrees at %d members" what (List.length !members)
+      in
+      let ints ids = List.map int_of_id ids in
+      let pick ms = List.nth ms (Core.Util.Prng.int rng (List.length ms)) in
+      (* A key at, just before or just after a member, or anywhere. *)
+      let key () =
+        match !members with
+        | _ :: _ as ms when Core.Util.Prng.bool rng ->
+          (pick ms + Core.Util.Prng.int rng 3 - 1) land max_int
+        | _ -> fresh ()
+      in
+      for _ = 1 to steps do
+        match Core.Util.Prng.int rng 10 with
+        | 0 | 1 | 2 | 3 ->
+          let id = fresh () in
+          Ring.join r (Node_id.of_int id);
+          members := List.sort_uniq Int.compare (id :: !members)
+        | 4 | 5 ->
+          let id = match !members with [] -> fresh () | ms -> pick ms in
+          Ring.leave r (Node_id.of_int id);
+          members := List.filter (( <> ) id) !members
+        | 6 | 7 -> (
+          match !members with
+          | [] ->
+            agree "route on an empty ring" []
+              (ints (Ring.lookup_path r ~from:(Node_id.of_int 0) ~key:(Node_id.of_int 0)))
+          | ms ->
+            let from = pick ms and k = key () in
+            agree "lookup_path" (model_route ms ~from ~key:k)
+              (ints (Ring.lookup_path r ~from:(Node_id.of_int from) ~key:(Node_id.of_int k))))
+        | 8 ->
+          let k = key () in
+          agree "successor"
+            (match !members with [] -> None | ms -> Some (model_successor ms k))
+            (Option.map int_of_id (Ring.successor r (Node_id.of_int k)))
+        | _ ->
+          let k = key () and n = Core.Util.Prng.int rng 4 in
+          let expected =
+            match !members with
+            | [] -> []
+            | ms ->
+              let arr = Array.of_list ms in
+              let len = Array.length arr in
+              let owner = model_successor ms k in
+              let start = List.length (List.filter (fun x -> x < owner) ms) in
+              List.init (min n len) (fun j -> arr.((start + j) mod len))
+          in
+          agree "successors" expected (ints (Ring.successors r (Node_id.of_int k) ~k:n))
+      done;
+      true)
+
+(* What copying a list of [n] elements allocates: [n] cons cells. *)
+let cons_cells n =
+  let l = List.init n Fun.id in
+  snd (Alloc.allocated_bytes (fun () -> List.map Fun.id l))
+
+(* A route reads the finger table and allocates nothing but the path
+   it returns: one cons cell per hop. *)
+let test_ring_lookup_path_allocates_its_path () =
+  let r, ids = ring_of_names 1000 in
+  let members = Array.of_list ids in
+  (* The first route builds the snapshot and the finger table. *)
+  ignore (Ring.lookup_path r ~from:members.(0) ~key:members.(1));
+  for i = 0 to 199 do
+    let from = members.(i * 5) and key = Node_id.of_string (Printf.sprintf "alloc-key-%d" i) in
+    let path, bytes = Alloc.allocated_bytes (fun () -> Ring.lookup_path r ~from ~key) in
+    Alcotest.(check (float 0.0)) "one cons cell per hop" (cons_cells (List.length path)) bytes
+  done
+
 let test_ring_successors () =
   let r = Ring.create () in
   List.iter (fun i -> Ring.join r (Node_id.of_int i)) [ 10; 20; 30 ];
-  let ints key k = List.map Node_id.to_int (Ring.successors r (Node_id.of_int key) ~k) in
+  let ints key k = List.map int_of_id (Ring.successors r (Node_id.of_int key) ~k) in
   Alcotest.(check (list int)) "owner plus successors" [ 20; 30 ] (ints 15 2);
   Alcotest.(check (list int)) "wraps" [ 30; 10 ] (ints 25 2);
   Alcotest.(check (list int)) "clamps to ring size" [ 10; 20; 30 ] (ints 5 7);
@@ -707,7 +846,7 @@ let test_ring_successors () =
   Alcotest.(check (list int)) "k=0 is empty" [] (ints 15 0);
   Alcotest.(check (list int)) "negative k is empty" [] (ints 15 (-1));
   Alcotest.(check (list int)) "empty ring" []
-    (List.map Node_id.to_int (Ring.successors (Ring.create ()) (Node_id.of_int 1) ~k:2))
+    (List.map int_of_id (Ring.successors (Ring.create ()) (Node_id.of_int 1) ~k:2))
 
 (* {1 Hotspot detection and sloppy replication} *)
 
@@ -761,6 +900,27 @@ let test_hotspot_replicated_reads_identical () =
         Alcotest.(check (list string)) "write-through" [ "holder-B"; "holder-A" ] l.Dht.values)
   in
   ()
+
+(* A put whose four targets (the key's owner, its successor and two
+   sloppy holders) hold one physical entry list builds the new list
+   once: each further live entry adds one cons cell to what the put
+   allocates, not one per target. *)
+let test_dht_put_builds_one_list () =
+  let dht, names, _ = hot_dht ~threshold:2.0 ~replicas:2 ~ttl:3600.0 () in
+  let key = "GET http://popular.example/shared" in
+  let from = List.hd names in
+  let put i =
+    let value = Printf.sprintf "v%02d" i in
+    Alloc.allocated_bytes (fun () -> Dht.put dht ~now:100.0 ~from ~key ~value ~ttl:3600.0)
+  in
+  ignore (put 0);
+  let _ = crowd dht names ~key ~from_t:0.0 ~dt:0.01 ~rounds:4 ~check:ignore in
+  Alcotest.(check int) "placement active" 1 (Dht.sloppy_replicas dht);
+  (* Put [i] finds [i] live entries and stores [i + 1]. *)
+  let allocated = Array.init 16 (fun i -> if i = 0 then 0.0 else snd (put i)) in
+  Alcotest.(check (float 0.0)) "one cons cell per entry"
+    (cons_cells 6 -. cons_cells 0)
+    (allocated.(15) -. allocated.(9))
 
 let test_hotspot_replicas_expire () =
   (* Replicas are soft state: after the TTL with no sweep-triggering
@@ -860,7 +1020,7 @@ let reference_dht ~hot ~live names =
     get =
       (fun ~now ~from ~key:k ->
         let l = R.get dht ~now ~from ~key:(key k) in
-        (l.R.values, l.R.hops, l.R.fallbacks, Option.map Node_id.to_int l.R.owner));
+        (l.R.values, l.R.hops, l.R.fallbacks, Option.map int_of_id l.R.owner));
     replicas = (fun ~key:k -> R.replica_names dht ~key:(key k));
     sweep = (fun ~now -> R.sweep dht ~now);
     hot = (fun ~now -> (R.hotspots dht ~now, R.sloppy_replicas dht));
@@ -878,7 +1038,7 @@ let keyed_dht ~hot ~live names =
     get =
       (fun ~now ~from ~key ->
         let l = Dht.get_key dht ~now ~from ~key:keys.(key) in
-        (l.Dht.values, l.Dht.hops, l.Dht.fallbacks, Option.map Node_id.to_int l.Dht.owner));
+        (l.Dht.values, l.Dht.hops, l.Dht.fallbacks, Option.map int_of_id l.Dht.owner));
     replicas = (fun ~key -> Dht.replica_names dht ~key:keys.(key));
     sweep = (fun ~now -> Dht.sweep dht ~now);
     hot = (fun ~now -> (Dht.hotspots dht ~now, Dht.sloppy_replicas dht));
@@ -941,7 +1101,7 @@ let dht_key_matches_reference_prop =
 let suite =
   [
     Alcotest.test_case "node ids are deterministic" `Quick test_node_id_deterministic;
-    Alcotest.test_case "ring distance" `Quick test_node_id_distance;
+    Alcotest.test_case "ring distance" `Quick test_ring_distance;
     Alcotest.test_case "ring membership" `Quick test_ring_membership;
     Alcotest.test_case "ring successor" `Quick test_ring_successor;
     Alcotest.test_case "lookup paths terminate at the owner" `Quick
@@ -981,9 +1141,14 @@ let suite =
     Alcotest.test_case "ring: lookup from a non-member raises" `Quick
       test_ring_lookup_path_non_member_raises;
     QCheck_alcotest.to_alcotest ring_lookup_path_matches_scan_prop;
+    QCheck_alcotest.to_alcotest ring_ops_match_model_prop;
     QCheck_alcotest.to_alcotest ring_churn_prop;
     Alcotest.test_case "ring: successor sets" `Quick test_ring_successors;
+    Alcotest.test_case "ring: lookup_path allocates only its path" `Quick
+      test_ring_lookup_path_allocates_its_path;
     QCheck_alcotest.to_alcotest dht_key_matches_reference_prop;
+    Alcotest.test_case "dht: a put to one shared list builds it once" `Quick
+      test_dht_put_builds_one_list;
     Alcotest.test_case "hotspot: replicated reads are bit-identical" `Quick
       test_hotspot_replicated_reads_identical;
     Alcotest.test_case "hotspot: replicas expire and the ring reconverges" `Quick

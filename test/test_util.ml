@@ -27,6 +27,17 @@ let test_prng_int_rejects_nonpositive () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Prng.int: bound must be positive")
     (fun () -> ignore (Prng.int rng 0))
 
+let test_prng_bytes_are_int_draws () =
+  (* Each byte is one [int _ 256] draw, and the state moves on as far:
+     the next draws of both generators agree. *)
+  List.iter
+    (fun n ->
+      let a = Prng.create (1000 + n) and b = Prng.create (1000 + n) in
+      let expected = String.init n (fun _ -> Char.chr (Prng.int a 256)) in
+      Alcotest.(check string) "bytes" expected (Prng.bytes b n);
+      Alcotest.(check int) "state after" (Prng.int a max_int) (Prng.int b max_int))
+    [ 0; 1; 7; 4096 ]
+
 let test_prng_float_bounds () =
   let rng = Prng.create 3 in
   for _ = 1 to 1000 do
@@ -300,6 +311,8 @@ let suite =
     Alcotest.test_case "prng: int rejects non-positive bound" `Quick
       test_prng_int_rejects_nonpositive;
     Alcotest.test_case "prng: float stays in bounds" `Quick test_prng_float_bounds;
+    Alcotest.test_case "prng: bytes are the low bytes of int draws" `Quick
+      test_prng_bytes_are_int_draws;
     Alcotest.test_case "prng: exponential non-negative" `Quick test_prng_exponential_positive;
     Alcotest.test_case "prng: exponential has requested mean" `Slow test_prng_exponential_mean;
     Alcotest.test_case "prng: pareto respects xmin" `Quick test_prng_pareto_min;
