@@ -55,10 +55,10 @@ let expiry ~now ~date ~cache_control:cc ~expires =
       match cc.max_age with
       | Some age -> Some (now +. float_of_int age)
       | None -> (
-        match expires with
+        match expires () with
         | Some exp ->
           (* Expires is absolute; interpret relative to the response Date
              when present so clock skew between origin and proxy cancels. *)
-          let base = Option.value date ~default:now in
+          let base = Option.value (date ()) ~default:now in
           Some (now +. (exp -. base))
         | None -> None))

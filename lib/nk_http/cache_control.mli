@@ -19,14 +19,17 @@ val empty : t
 val parse : string -> t
 (** Parse a Cache-Control header value; unknown directives are ignored. *)
 
-val cacheable : t -> bool
-(** False for no-store / private / no-cache (a shared proxy cache may
-    not reuse such responses without revalidation, which we fold into
-    non-cacheability). *)
-
 val expiry :
-  now:float -> date:float option -> cache_control:t -> expires:float option -> float option
+  now:float ->
+  date:(unit -> float option) ->
+  cache_control:t ->
+  expires:(unit -> float option) ->
+  float option
 (** Absolute expiry time for a response received at [now]:
     s-maxage wins over max-age wins over Expires. [None] means the
     response carries no freshness lifetime (treated as immediately
-    stale). *)
+    stale), or is not cacheable: no-store, private and no-cache (a
+    shared proxy cache may not reuse such responses without
+    revalidation, which we fold into non-cacheability). [expires] is
+    called only when [cache_control] allows caching and gives no
+    max-age, and [date] only when [expires] gives a time. *)

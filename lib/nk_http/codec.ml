@@ -16,9 +16,15 @@ let request_wire_size (r : Message.request) =
   String.length (Method_.to_string r.meth) + 1 + Url.length r.url + 1 + String.length version + 2
   + headers_length r.headers + Body.length r.body
 
+(* [String.length (string_of_int n)] without building the string; the
+   digits are counted on the way to zero, so [min_int] needs no negation. *)
+let int_text_length n =
+  let rec digits n = if n > -10 && n < 10 then 1 else 1 + digits (n / 10) in
+  (if n < 0 then 1 else 0) + digits n
+
 (* "HTTP/1.1 code reason\r\n" *)
 let response_wire_size (r : Message.response) =
-  String.length version + 1 + String.length (string_of_int r.status) + 1
+  String.length version + 1 + int_text_length r.status + 1
   + String.length (Status.reason r.status)
   + 2 + headers_length r.resp_headers + Body.length r.resp_body
 

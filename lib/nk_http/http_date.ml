@@ -26,14 +26,49 @@ let days_from_civil y m d =
   let doe = (365 * yoe) + (yoe / 4) - (yoe / 100) + doy in
   (era * 146097) + doe - 719468
 
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* [n] (0-99) as two digits at [pos]. *)
+let put2 b pos n =
+  Bytes.set b pos (Char.chr (48 + (n / 10)));
+  Bytes.set b (pos + 1) (Char.chr (48 + (n mod 10)))
+
+(* The digits of [n >= 0] ending at [last], zero-filled back to [first]. *)
+let rec put_digits b ~first last n =
+  if last >= first then begin
+    Bytes.set b last (Char.chr (48 + (n mod 10)));
+    put_digits b ~first (last - 1) (n / 10)
+  end
+
+(* Byte for byte what [Printf.sprintf "%s, %02d %s %04d %02d:%02d:%02d
+   GMT"] writes: "Thu, 01 Jan 1970 00:00:00 GMT", 29 bytes for the years
+   0-9999. Like [%04d], a year takes at least four characters, sign
+   included, zero-filled after the sign. *)
 let format t =
   let secs = int_of_float (floor t) in
   let days = if secs >= 0 then secs / 86400 else (secs - 86399) / 86400 in
   let rem = secs - (days * 86400) in
   let y, m, d = civil_from_days days in
   let dow = (((days mod 7) + 7) mod 7 + 4) mod 7 in
-  Printf.sprintf "%s, %02d %s %04d %02d:%02d:%02d GMT" day_names.(dow) d
-    month_names.(m - 1) y (rem / 3600) (rem / 60 mod 60) (rem mod 60)
+  let year_len = max 4 (if y < 0 then 1 + digits (-y) else digits y) in
+  let b = Bytes.create (25 + year_len) in
+  Bytes.blit_string day_names.(dow) 0 b 0 3;
+  Bytes.blit_string ", " 0 b 3 2;
+  put2 b 5 d;
+  Bytes.set b 7 ' ';
+  Bytes.blit_string month_names.(m - 1) 0 b 8 3;
+  Bytes.set b 11 ' ';
+  put_digits b ~first:12 (11 + year_len) (abs y);
+  if y < 0 then Bytes.set b 12 '-';
+  let p = 12 + year_len in
+  Bytes.set b p ' ';
+  put2 b (p + 1) (rem / 3600);
+  Bytes.set b (p + 3) ':';
+  put2 b (p + 4) (rem / 60 mod 60);
+  Bytes.set b (p + 6) ':';
+  put2 b (p + 7) (rem mod 60);
+  Bytes.blit_string " GMT" 0 b (p + 9) 4;
+  Bytes.unsafe_to_string b
 
 let of_civil ~y ~month ~d ~hh ~mm ~ss =
   float_of_int ((days_from_civil y month d * 86400) + (hh * 3600) + (mm * 60) + ss)

@@ -63,23 +63,18 @@ let set_body r body =
   r.resp_body <- Body.of_string body;
   set_resp_header r "Content-Length" (string_of_int (String.length body))
 
+(* Cache-Control is parsed once; Date and Expires only when it neither
+   forbids caching nor gives a max-age. *)
 let response_expiry ~now r =
   let cache_control =
     match resp_header r "Cache-Control" with
     | Some v -> Cache_control.parse v
     | None -> Cache_control.empty
   in
-  let date = Option.bind (resp_header r "Date") Http_date.parse in
-  let expires = Option.bind (resp_header r "Expires") Http_date.parse in
+  let date () = Option.bind (resp_header r "Date") Http_date.parse in
+  let expires () = Option.bind (resp_header r "Expires") Http_date.parse in
   Cache_control.expiry ~now ~date ~cache_control ~expires
 
-let cacheable req resp =
-  Method_.is_safe req.meth
-  && resp.status = Status.ok
-  &&
-  let cc =
-    match resp_header resp "Cache-Control" with
-    | Some v -> Cache_control.parse v
-    | None -> Cache_control.empty
-  in
-  Cache_control.cacheable cc
+let cache_expiry ~now req resp =
+  if Method_.is_safe req.meth && resp.status = Status.ok then response_expiry ~now resp
+  else None

@@ -57,5 +57,7 @@ val response_expiry : now:float -> response -> float option
 (** Absolute freshness deadline per Cache-Control/Expires/Date; [None]
     when uncacheable or no lifetime given. *)
 
-val cacheable : request -> response -> bool
-(** Safe method, 200 status, and cacheable response directives. *)
+val cache_expiry : now:float -> request -> response -> float option
+(** How long a shared cache may keep [resp] as its answer to [req]:
+    [response_expiry] for a safe method and a 200 status, [None]
+    otherwise. *)

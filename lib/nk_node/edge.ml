@@ -158,7 +158,12 @@ let phase t ctx name ?attrs f =
   | None -> f ctx
   | parent -> Tracer.child t.tracer parent ?attrs name (fun span -> f { ctx with span })
 
+(* [set_attr span key format v] records [format v] only under a live
+   span: an untraced request builds no attribute text. *)
 let set_attr = Tracer.set_attr_opt
+
+(* Seconds to a tenth of a millisecond, as span attributes show them. *)
+let seconds_text s = Printf.sprintf "%.4f" s
 
 (* A root span's attributes: URL, site, then [attrs]; none untraced. *)
 let request_attrs ctx (req : Nk_http.Message.request) attrs =
@@ -183,7 +188,7 @@ let respond t span ?range resp =
   (match range with
    | Some r -> if Nk_http.Range.apply r resp then Counter.incr t.metrics Meter.range_responses
    | None -> ());
-  set_attr span "status" (string_of_int resp.Nk_http.Message.status)
+  set_attr span "status" string_of_int resp.Nk_http.Message.status
 
 (* --- CPU charging (suspends the current cothread) ------------------ *)
 

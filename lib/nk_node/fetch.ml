@@ -27,17 +27,21 @@ let announce t dht ~key ~expiry =
       (Nk_overlay.Dht.put_key dht ~now:(now t) ~from:(name t) ~key:(Lazy.force key)
          ~value:(name t) ~ttl)
 
+(* An origin fetch's ["status"] attribute, formatted only under a live
+   span. *)
+let status_text = function
+  | Some r -> string_of_int r.Nk_http.Message.status
+  | None -> "timeout"
+
 (* [key] is [cache_key req]; [dht_key] is its DHT key. Only a copy the
    cache kept is announced: a peer sent here for one it refused would
    find nothing. *)
 let insert_if_cacheable t ~key ~dht_key req resp =
-  if Nk_http.Message.cacheable req resp then begin
-    let expiry = Nk_http.Message.response_expiry ~now:(now t) resp in
-    if Nk_cache.Http_cache.store t.cache ~now:(now t) ~key ~expiry resp then
-      match (expiry, t.dht) with
-      | Some expiry, Some dht -> announce t dht ~key:dht_key ~expiry
-      | _ -> ()
-  end
+  let expiry = Nk_http.Message.cache_expiry ~now:(now t) req resp in
+  if Nk_cache.Http_cache.store t.cache ~now:(now t) ~key ~expiry resp then
+    match (expiry, t.dht) with
+    | Some expiry, Some dht -> announce t dht ~key:dht_key ~expiry
+    | _ -> ()
 
 (* --- tail tolerance: hedged replica fetches -------------------------- *)
 
@@ -132,7 +136,7 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
   let cached =
     phase t ctx "cache-lookup" (fun { span = sp; _ } ->
         let hit = Nk_cache.Http_cache.lookup t.cache ~now:(now t) ~key in
-        set_attr sp "hit" (string_of_bool (hit <> None));
+        set_attr sp "hit" string_of_bool (hit <> None);
         (match hit with
          | Some _ -> charge_cpu t costs.Config.cache_hit
          | None -> ());
@@ -172,10 +176,7 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
                 req
             in
             Counter.incr t.metrics Meter.origin_fetches;
-            set_attr sp "status"
-              (match resp with
-               | Some r -> string_of_int r.Nk_http.Message.status
-               | None -> "timeout");
+            set_attr sp "status" status_text resp;
             resp
           in
           (* A tripped breaker short-circuits the fetch entirely: the
@@ -186,7 +187,7 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
           let resp, short_circuit =
             match Nk_resource.Upstream.acquire t.upstream origin_key with
             | `Reject retry ->
-              set_attr osp "breaker" "open";
+              set_attr osp "breaker" Fun.id "open";
               (None, Some retry)
             | `Proceed ticket ->
               let attempt () =
@@ -195,11 +196,10 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
                 | Some _ ->
                   phase t octx "revalidation" (fun { span = rsp; _ } ->
                       let resp = do_fetch rsp in
-                      set_attr rsp "not-modified"
-                        (string_of_bool
-                           (match resp with
-                            | Some r -> r.Nk_http.Message.status = 304
-                            | None -> false));
+                      set_attr rsp "not-modified" string_of_bool
+                        (match resp with
+                         | Some r -> r.Nk_http.Message.status = 304
+                         | None -> false);
                       resp)
               in
               let answered resp =
@@ -218,7 +218,7 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
                   match Nk_resource.Upstream.retry t.upstream ?deadline origin_key with
                   | `Granted ->
                     Counter.incr_at t.metrics Meter.retry_attempts origin_key;
-                    set_attr osp "retried" "true";
+                    set_attr osp "retried" Fun.id "true";
                     attempt ()
                   | `Refused | `Unbudgeted -> resp
               in
@@ -240,7 +240,7 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
               Nk_http.Message.set_resp_header old "X-NaKika-Stale"
                 (string_of_int (int_of_float age));
               Counter.incr t.metrics Meter.stale_served;
-              set_attr osp "stale" "true";
+              set_attr osp "stale" Fun.id "true";
               Some old
             | _ -> None
           in
@@ -275,8 +275,8 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
             charge_cpu t
               (float_of_int (max 1 result.Nk_overlay.Dht.hops)
               *. costs.Config.dht_per_hop);
-            set_attr sp "hops" (string_of_int result.Nk_overlay.Dht.hops);
-            set_attr sp "values" (string_of_int (List.length result.Nk_overlay.Dht.values));
+            set_attr sp "hops" string_of_int result.Nk_overlay.Dht.hops;
+            set_attr sp "values" string_of_int (List.length result.Nk_overlay.Dht.values);
             result)
       in
       let peers =
@@ -334,17 +334,17 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
                               (Nk_sim.Httpd.resolve t.web c))
                       in
                       let delay = hedge_delay t ~timeout in
-                      set_attr psp "hedge_delay" (Printf.sprintf "%.4f" delay);
+                      set_attr psp "hedge_delay" seconds_text delay;
                       let resp, server =
                         hedged_peer_fetch t ~hedge ~primary:(peer, peer_host, ticket)
                           ~backup ~delay ~timeout ~deadline peer_req
                       in
-                      if server <> peer then set_attr psp "hedge_winner" server;
+                      if server <> peer then set_attr psp "hedge_winner" Fun.id server;
                       (resp, server)
                   in
                   match raw with
                   | None ->
-                    set_attr psp "timeout" "true";
+                    set_attr psp "timeout" Fun.id "true";
                     (None, served_by)
                   | Some resp ->
                     let verified =
@@ -360,21 +360,21 @@ let content_fetch t ?(allow_peers = true) ctx (req : Nk_http.Message.request) =
                         phase t pctx "integrity-verify" (fun { span = vsp; _ } ->
                             match Nk_integrity.Integrity.verify ~key ~now:(now t) resp with
                             | Ok () ->
-                              set_attr vsp "result" "ok";
+                              set_attr vsp "result" Fun.id "ok";
                               true
                             | Error Nk_integrity.Integrity.Missing_headers ->
                               Counter.incr t.metrics Meter.integrity_unverified;
-                              set_attr vsp "result" "unverified";
+                              set_attr vsp "result" Fun.id "unverified";
                               true
                             | Error violation ->
                               Counter.incr t.metrics Meter.integrity_violations;
-                              set_attr vsp "result" "violation";
+                              set_attr vsp "result" Fun.id "violation";
                               Logs.warn (fun m ->
                                   m "[%s] integrity violation from %s: %s" (name t) peer
                                     (Nk_integrity.Integrity.violation_to_string violation));
                               false)
                     in
-                    set_attr psp "verified" (string_of_bool verified);
+                    set_attr psp "verified" string_of_bool verified;
                     if verified && Nk_http.Status.is_success resp.Nk_http.Message.status
                     then (Some resp, served_by)
                     else (None, served_by))

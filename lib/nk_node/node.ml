@@ -37,7 +37,7 @@ let run_admitted t ctx ~site ~span:(span_name, attrs) ?range req ~shed body ~on_
           Counter.incr t.metrics Meter.script_errors;
           Logs.warn (fun m ->
               m "[%s] %s pipeline error: %s" (name t) span_name (Printexc.to_string exn));
-          set_attr rctx.span "error" (Printexc.to_string exn);
+          set_attr rctx.span "error" Printexc.to_string exn;
           None)
       (function Some result -> on_done result | None -> on_error ())
 
@@ -110,7 +110,7 @@ let handle t (req : Nk_http.Message.request) k =
             respond t ctx.span resp;
             resp
           | exception _ ->
-            set_attr ctx.span "error" "true";
+            set_attr ctx.span "error" Fun.id "true";
             Nk_http.Message.error_response 500)
         k
   end

@@ -43,6 +43,16 @@ let offload_plan t ~site =
           | None -> None
           | Some target -> Some (d, p, script_hash, target))))
 
+(* Span-attribute formatters, called only under a live span. *)
+let pressure_text p = Printf.sprintf "%.3f" p
+
+let outcome_text = function
+  | Some (Nk_diffusion.Offload.Executed _) -> "executed"
+  | Some (Nk_diffusion.Offload.Rejected reason) -> "rejected:" ^ reason
+  | None -> "timeout"
+
+let offload_source target = "offload:" ^ target
+
 (* Ship the request to [target]; any failure — open breaker, rejection,
    timeout — falls back to [fallback] (the normal local admission path),
    so diffusion can never lose a request, only decline to help. The
@@ -68,9 +78,9 @@ let attempt_offload t ctx ~site ~plan:(d, p, script_hash, target) ~range req k ~
         ~timeout:(hop_timeout t ctx.deadline d.policy.offload_timeout)
         ~request:req ~on_done:resume
     in
-    serve t ctx "request" req
-      ~attrs:[ ("pressure", Printf.sprintf "%.3f" p) ]
+    serve t ctx "request" req ~attrs:[]
       (fun rctx ->
+        set_attr rctx.span "pressure" pressure_text p;
         let outcome =
           phase t rctx "offload" ~attrs:[ ("target", target_name) ] (fun octx ->
               let outcome = Nk_util.Cothread.await send in
@@ -79,21 +89,17 @@ let attempt_offload t ctx ~site ~plan:(d, p, script_hash, target) ~range req k ~
                  loaded-but-healthy neighbor would blind us to it for a
                  whole cooldown. *)
               Nk_resource.Upstream.settle ticket (Option.is_some outcome);
-              set_attr octx.span "outcome"
-                (match outcome with
-                 | Some (Nk_diffusion.Offload.Executed _) -> "executed"
-                 | Some (Nk_diffusion.Offload.Rejected reason) -> "rejected:" ^ reason
-                 | None -> "timeout");
+              set_attr octx.span "outcome" outcome_text outcome;
               outcome)
         in
         match outcome with
         | Some (Nk_diffusion.Offload.Executed { response; fuel = _; heap = _ }) ->
           Counter.incr_at t.metrics Meter.offloads target_name;
           respond t rctx.span ?range response;
-          set_attr rctx.span "source" ("offload:" ^ target_name);
+          set_attr rctx.span "source" offload_source target_name;
           Ok response
         | Some (Nk_diffusion.Offload.Rejected _) | None ->
-          set_attr rctx.span "source" "offload-fallback";
+          set_attr rctx.span "source" Fun.id "offload-fallback";
           Error (if Option.is_some outcome then "rejected" else "timeout"))
       (function Ok response -> k response | Error reason -> fall_back reason)
 

@@ -55,7 +55,7 @@ let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
           phase t t.active "script-fetch" ~attrs:[ ("site", site) ] (fun ctx ->
               match emission_check t req ~load_wall with
               | Some denial ->
-                set_attr ctx.span "denied" "true";
+                set_attr ctx.span "denied" Fun.id "true";
                 denial
               | None -> Fetch.content_fetch t ctx req)
         in
@@ -135,13 +135,13 @@ let compile_source t ctx ~url ~site ~source ~host ~max_fuel ~max_heap_bytes ~see
     phase t ctx "script.lint" ~attrs:[ ("stage", url) ] (fun { span = sp; _ } ->
         let errors = Nk_analysis.Analysis.errors report in
         let warnings = Nk_analysis.Analysis.warnings report in
-        set_attr sp "errors" (string_of_int errors);
-        set_attr sp "warnings" (string_of_int warnings);
+        set_attr sp "errors" string_of_int errors;
+        set_attr sp "warnings" string_of_int warnings;
         if errors > 0 then
           Counter.incr_at t.metrics ~by:errors Meter.lint_errors site;
         if warnings > 0 then
           Counter.incr_at t.metrics ~by:warnings Meter.lint_warnings site;
-        if t.cfg.Config.lint_mode = `Strict && errors > 0 then set_attr sp "rejected" "true")
+        if t.cfg.Config.lint_mode = `Strict && errors > 0 then set_attr sp "rejected" Fun.id "true")
   in
   phase t ctx "script.compile" ~attrs:[ ("stage", url) ] (fun _ ->
       Nk_pipeline.Stage.of_script ~url ~host ~max_fuel ~max_heap_bytes ~seed
@@ -268,6 +268,9 @@ let account t ~site ~cpu ~heap ~bytes ~elapsed =
   t.mem_window <- t.mem_window +. heap;
   t.bw_window <- t.bw_window +. bytes
 
+(* The request span's ["source"] when a stage script answered. *)
+let script_source url = "script:" ^ url
+
 (* Process one client request inside a cothread; returns the response
    plus the interpreter fuel and heap the pipeline consumed (offload
    replies ship those, so a remote execution stays accountable). *)
@@ -278,8 +281,8 @@ let process t ctx (req : Nk_http.Message.request) =
   let concurrency = float_of_int t.in_flight *. costs.Config.concurrency_cpu in
   (match ctx.deadline with
    | Some d ->
-     set_attr ctx.span "deadline_remaining"
-       (Printf.sprintf "%.4f" (Nk_resource.Deadline.remaining d ~now:(now t)))
+     set_attr ctx.span "deadline_remaining" seconds_text
+       (Nk_resource.Deadline.remaining d ~now:(now t))
    | None -> ());
   (* Expose this request's context to the hostcall closures while the
      pipeline runs (best effort: restored even on exceptions, but a
@@ -310,13 +313,13 @@ let process t ctx (req : Nk_http.Message.request) =
           (match outcome.Nk_pipeline.Pipeline.source with
            | Nk_pipeline.Pipeline.From_failure Nk_pipeline.Pipeline.Killed ->
              Counter.incr t.metrics Meter.dropped_termination;
-             set_attr ctx.span "source" "killed"
+             set_attr ctx.span "source" Fun.id "killed"
            | Nk_pipeline.Pipeline.From_failure _ ->
              Counter.incr t.metrics Meter.script_errors;
-             set_attr ctx.span "source" "failure"
+             set_attr ctx.span "source" Fun.id "failure"
            | Nk_pipeline.Pipeline.From_script stage_url ->
-             set_attr ctx.span "source" ("script:" ^ stage_url)
-           | Nk_pipeline.Pipeline.From_origin -> set_attr ctx.span "source" "origin");
+             set_attr ctx.span "source" script_source stage_url
+           | Nk_pipeline.Pipeline.From_origin -> set_attr ctx.span "source" Fun.id "origin");
           ( outcome.Nk_pipeline.Pipeline.response,
             outcome.Nk_pipeline.Pipeline.fuel,
             outcome.Nk_pipeline.Pipeline.heap,

@@ -115,7 +115,7 @@ let execute ~load_stage ~fetch ?telemetry req =
   let select stage =
     Tracer.child tracer root ~attrs:[ ("stage", Stage.url stage) ] "policy-match" (fun span ->
         let policy = Stage.select stage req in
-        Tracer.set_attr_opt span "matched" (string_of_bool (policy <> None));
+        Tracer.set_attr_opt span "matched" string_of_bool (policy <> None);
         policy)
   in
   let invoke stage ~phase ~response handler =
@@ -128,14 +128,14 @@ let execute ~load_stage ~fetch ?telemetry req =
           let result =
             Tracer.child tracer stage_span "interp" (fun interp_span ->
                 let r = run_handler stage ~this_request:req ~response handler in
-                Tracer.set_attr_opt interp_span "fuel"
-                  (string_of_int (Nk_script.Interp.fuel_used ctx - f0));
-                Tracer.set_attr_opt interp_span "heap"
-                  (string_of_int (max 0 (Nk_script.Interp.heap_used ctx - h0)));
+                Tracer.set_attr_opt interp_span "fuel" string_of_int
+                  (Nk_script.Interp.fuel_used ctx - f0);
+                Tracer.set_attr_opt interp_span "heap" string_of_int
+                  (max 0 (Nk_script.Interp.heap_used ctx - h0));
                 r)
           in
           (match result with
-           | Error _ -> Tracer.set_attr_opt stage_span "error" "true"
+           | Error _ -> Tracer.set_attr_opt stage_span "error" Fun.id "true"
            | Ok _ -> ());
           result)
     in

@@ -213,7 +213,8 @@ let child t parent ?attrs name f =
     finish t span;
     result
 
-let set_attr_opt span key value = match span with Some s -> set_attr s key value | None -> ()
+let set_attr_opt span key format v =
+  match span with Some s -> set_attr s key (format v) | None -> ()
 
 let duration span = Option.map (fun e -> e -. span.started) span.ended
 

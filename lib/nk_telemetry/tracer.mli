@@ -63,8 +63,13 @@ val child :
     [parent], finished even on exceptions. With [parent = None]
     (tracing off, or no request context) it is [f None]. *)
 
-val set_attr_opt : span option -> string -> string -> unit
-(** Append an attribute to [Some] span; nothing on [None]. *)
+val set_attr_opt : span option -> string -> ('a -> string) -> 'a -> unit
+(** [set_attr_opt span key format v] appends [(key, format v)] to
+    [Some] span. On [None] it does nothing and never calls [format], so
+    an untraced request builds no attribute text. Callers pass the
+    formatter and its argument ([set_attr_opt span "hops" string_of_int
+    hops], or [Fun.id] with a constant), never a string built at the
+    call. *)
 
 val completed : t -> int
 (** Total traces completed so far (not capped by the ring capacity). *)

@@ -124,7 +124,7 @@ let test_sha256_every_length () =
 (* The schedule and state live in the context and full blocks are read
    in place, so a digest allocates the same words whatever the length. *)
 let test_sha256_allocation_constant () =
-  let allocated s = snd (Alloc.allocated_bytes (fun () -> ignore (Sha256.digest s))) in
+  let allocated s = snd (Alloc.gc_allocated (fun () -> ignore (Sha256.digest s))) in
   let empty = allocated "" in
   Alcotest.(check (float 0.0)) "64 KB allocates what the empty string does" empty
     (allocated (String.make 65536 'x'))

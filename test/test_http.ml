@@ -163,19 +163,25 @@ let test_cache_control_parse () =
   let cc = Cache_control.parse "max-age=300, public" in
   Alcotest.(check (option int)) "max-age" (Some 300) cc.Cache_control.max_age;
   Alcotest.(check bool) "public" true cc.Cache_control.public;
-  Alcotest.(check bool) "cacheable" true (Cache_control.cacheable cc)
+  Alcotest.(check (option (float 0.0))) "cacheable" (Some 300.0)
+    (Cache_control.expiry ~now:0.0 ~date:(fun () -> None) ~cache_control:cc
+       ~expires:(fun () -> None))
 
+(* Each directive forbids caching: no lifetime, whatever max-age or
+   Expires says. *)
 let test_cache_control_uncacheable () =
   List.iter
     (fun v ->
-      Alcotest.(check bool) v false (Cache_control.cacheable (Cache_control.parse v)))
+      Alcotest.(check (option (float 0.0))) v None
+        (Cache_control.expiry ~now:0.0 ~date:(fun () -> None)
+           ~cache_control:(Cache_control.parse v) ~expires:(fun () -> Some 60.0)))
     [ "no-store"; "private"; "no-cache"; "max-age=300, no-store" ]
 
 let test_cache_control_expiry_priority () =
   let now = 1000.0 in
   let exp cc_str expires =
-    Cache_control.expiry ~now ~date:(Some now)
-      ~cache_control:(Cache_control.parse cc_str) ~expires
+    Cache_control.expiry ~now ~date:(fun () -> Some now)
+      ~cache_control:(Cache_control.parse cc_str) ~expires:(fun () -> expires)
   in
   Alcotest.(check (option (float 0.001))) "s-maxage wins" (Some 1010.0)
     (exp "s-maxage=10, max-age=100" (Some 2000.0));
@@ -230,15 +236,20 @@ let test_message_response_content_length () =
     (Message.resp_header r "Content-Length")
 
 let test_message_cacheable () =
+  let now = 1000.0 in
+  let expiry = Message.cache_expiry ~now in
   let req = Message.request "http://e.org/" in
   let ok = Message.response ~headers:[ ("Cache-Control", "max-age=60") ] ~body:"x" () in
-  Alcotest.(check bool) "cacheable" true (Message.cacheable req ok);
+  Alcotest.(check (option (float 0.0))) "cacheable" (Some 1060.0) (expiry req ok);
   let nostore = Message.response ~headers:[ ("Cache-Control", "no-store") ] ~body:"x" () in
-  Alcotest.(check bool) "no-store" false (Message.cacheable req nostore);
+  Alcotest.(check (option (float 0.0))) "no-store" None (expiry req nostore);
+  let lifetimeless = Message.response ~body:"x" () in
+  Alcotest.(check (option (float 0.0))) "no lifetime" None (expiry req lifetimeless);
   let post = Message.request ~meth:Method_.POST "http://e.org/" in
-  Alcotest.(check bool) "POST not cacheable" false (Message.cacheable post ok);
+  Alcotest.(check (option (float 0.0))) "POST not cacheable" None (expiry post ok);
   let err = Message.error_response 500 in
-  Alcotest.(check bool) "500 not cacheable" false (Message.cacheable req err)
+  Message.set_resp_header err "Cache-Control" "max-age=60";
+  Alcotest.(check (option (float 0.0))) "500 not cacheable" None (expiry req err)
 
 let test_message_copy_isolation () =
   let r = Message.response ~body:"orig" () in
@@ -460,7 +471,13 @@ let gen_request =
 let gen_response =
   let open QCheck.Gen in
   let status =
-    oneof [ int_range 100 599; int_range (-9999) (-1); int_range 1000 9999; oneofl [ 0; 200; 304; 504 ] ]
+    oneof
+      [
+        int_range 100 599;
+        int_range (-9999) (-1);
+        int_range 1000 9999;
+        oneofl [ 0; -1; 200; 304; 504; min_int; max_int ];
+      ]
   in
   map
     (fun (status, resp_headers, resp_body) -> { Message.status; resp_headers; resp_body })
@@ -475,6 +492,106 @@ let response_wire_size_prop =
   QCheck.Test.make ~name:"codec: response_wire_size = encoded length" ~count:500
     (QCheck.make ~print:Codec.encode_response gen_response)
     (fun r -> Codec.response_wire_size r = String.length (Codec.encode_response r))
+
+(* [Http_date.format] writes its bytes by hand; this is the Printf
+   version it replaced, with its own civil-from-days, and the
+   specification it must match byte for byte. *)
+let reference_http_date_format t =
+  let civil_from_days z =
+    let z = z + 719468 in
+    let era = (if z >= 0 then z else z - 146096) / 146097 in
+    let doe = z - (era * 146097) in
+    let yoe = (doe - (doe / 1460) + (doe / 36524) - (doe / 146096)) / 365 in
+    let doy = doe - ((365 * yoe) + (yoe / 4) - (yoe / 100)) in
+    let mp = ((5 * doy) + 2) / 153 in
+    let d = doy - (((153 * mp) + 2) / 5) + 1 in
+    let m = if mp < 10 then mp + 3 else mp - 9 in
+    ((yoe + (era * 400)) + (if m <= 2 then 1 else 0), m, d)
+  in
+  let secs = int_of_float (floor t) in
+  let days = if secs >= 0 then secs / 86400 else (secs - 86399) / 86400 in
+  let rem = secs - (days * 86400) in
+  let y, m, d = civil_from_days days in
+  let dow = (((days mod 7) + 7) mod 7 + 4) mod 7 in
+  Printf.sprintf "%s, %02d %s %04d %02d:%02d:%02d GMT"
+    [| "Sun"; "Mon"; "Tue"; "Wed"; "Thu"; "Fri"; "Sat" |].(dow)
+    d
+    [| "Jan"; "Feb"; "Mar"; "Apr"; "May"; "Jun"; "Jul"; "Aug"; "Sep"; "Oct"; "Nov"; "Dec" |].(m - 1)
+    y (rem / 3600) (rem / 60 mod 60) (rem mod 60)
+
+(* Times whose years run from -9999 to 99999 (so the year takes one to
+   five digits, with or without a sign), fractional and negative ones
+   included, with the Unix epoch's neighbourhood drawn more often. *)
+let gen_http_time =
+  let lo = Http_date.of_civil ~y:(-9999) ~month:1 ~d:1 ~hh:0 ~mm:0 ~ss:0
+  and hi = Http_date.of_civil ~y:99999 ~month:12 ~d:31 ~hh:23 ~mm:59 ~ss:59 in
+  QCheck.Gen.(
+    oneof
+      [
+        float_range lo hi;
+        float_range (-1e6) 1e6;
+        map float_of_int (int_range (int_of_float lo) (int_of_float hi));
+        oneofl [ lo; hi; 0.0; -0.5; -1.0; -86400.0; Core.Sim.Sim.epoch ];
+      ])
+
+let http_date_format_prop =
+  QCheck.Test.make ~name:"http-date: format matches the Printf reference" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%.3f") gen_http_time)
+    (fun t ->
+      let s = Http_date.format t and expected = reference_http_date_format t in
+      s = expected || QCheck.Test.fail_reportf "%S, expected %S" s expected)
+
+(* The expiry [Message.response_expiry] gave when it parsed Cache-Control,
+   Date and Expires up front, whatever the directives said. *)
+let reference_response_expiry ~now r =
+  let cc =
+    match Message.resp_header r "Cache-Control" with
+    | Some v -> Cache_control.parse v
+    | None -> Cache_control.empty
+  in
+  let date = Option.bind (Message.resp_header r "Date") Http_date.parse in
+  let expires = Option.bind (Message.resp_header r "Expires") Http_date.parse in
+  if cc.Cache_control.no_store || cc.Cache_control.private_ || cc.Cache_control.no_cache then None
+  else
+    match (cc.Cache_control.s_maxage, cc.Cache_control.max_age, expires) with
+    | Some age, _, _ | None, Some age, _ -> Some (now +. float_of_int age)
+    | None, None, Some exp -> Some (now +. (exp -. Option.value date ~default:now))
+    | None, None, None -> None
+
+(* Responses whose Cache-Control, Date and Expires are each absent,
+   well-formed or garbage, in every combination. *)
+let gen_cached_response =
+  let open QCheck.Gen in
+  let directive =
+    oneofl
+      [
+        "max-age=60"; "max-age=0"; "max-age=x"; "s-maxage=30"; "S-MaxAge=5"; "no-cache";
+        "no-store"; "private"; "public"; "must-revalidate"; "max-age"; "junk"; "";
+      ]
+  in
+  let cache_control = map (String.concat ", ") (list_size (int_bound 3) directive) in
+  let date = map Http_date.format (float_range 0.0 4e9) in
+  let value = oneof [ date; oneofl [ "yesterday"; ""; "Thu, 01 Jan 1970 00:00:00" ] ] in
+  let header name = opt (map (fun v -> (name, v)) value) in
+  map
+    (fun (cc, d, e) ->
+      let headers =
+        List.filter_map Fun.id
+          [ Option.map (fun v -> ("Cache-Control", v)) cc; d; e ]
+      in
+      Message.response ~headers ~body:"x" ())
+    (triple (opt cache_control) (header "Date") (header "Expires"))
+
+let response_expiry_prop =
+  QCheck.Test.make ~name:"message: response_expiry matches the eager reference" ~count:2000
+    (QCheck.make
+       ~print:(fun (now, r) ->
+         Printf.sprintf "now=%h %s" now
+           (String.concat "; "
+              (List.map (fun (k, v) -> k ^ ": " ^ v) (Headers.to_list r.Message.resp_headers))))
+       QCheck.Gen.(
+         pair (oneof [ float_range (-1e10) 1e10; oneofl [ 0.0; 1e9 ] ]) gen_cached_response))
+    (fun (now, r) -> Message.response_expiry ~now r = reference_response_expiry ~now r)
 
 (* [Url.to_string] and [Ip.to_string] build their strings by hand; these
    Printf versions are the specification they must match. *)
@@ -585,4 +702,6 @@ let suite =
     Alcotest.test_case "range: apply to a response" `Quick test_range_apply;
     Alcotest.test_case "url: to_string cases" `Quick test_url_to_string_cases;
     QCheck_alcotest.to_alcotest headers_match_reference_prop;
+    QCheck_alcotest.to_alcotest http_date_format_prop;
+    QCheck_alcotest.to_alcotest response_expiry_prop;
   ]

@@ -1313,6 +1313,49 @@ let test_one_dht_sweeper_per_cluster () =
   Alcotest.(check int) "one sweeper's two firings" 2
     (executed ~hotspots:true - executed ~hotspots:false)
 
+(* An untraced request formats no span attribute. The two readings are
+   of hedged requests through an edge and one peer that differ only in
+   the deadline budget they carry, 5 s or 500 s. The budget reaches
+   text in two places: the X-NaKika-Deadline header stamped on the peer
+   hop ("%.6f": 8 or 10 characters, two words of string either way) and
+   the request span's deadline_remaining attribute ("%.4f": 6 or 8
+   characters, one word or two). So the two allocate alike unless the
+   attribute's text is built without a span to hold it. Each reading is
+   the least of several requests, so a table that grows inside one
+   request or a daemon tick that lands in it does not count. *)
+let test_untraced_request_builds_no_span_text () =
+  let cluster = Cluster.create () in
+  let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
+  let pages = 24 in
+  for i = 0 to pages - 1 do
+    Origin.set_static origin ~path:(Printf.sprintf "/p%02d.html" i) ~max_age:300 "<html>p</html>"
+  done;
+  let config =
+    { Config.default with Config.enable_tracing = false; enable_hedging = true }
+  in
+  let edge = Cluster.add_proxy cluster ~name:"nk-a.nakika.net" ~config () in
+  let peer = Cluster.add_proxy cluster ~name:"nk-b.nakika.net" ~config () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let request i = Message.request (Printf.sprintf "http://www.example.edu/p%02d.html" i) in
+  (* The peer takes every page from the origin and announces it. *)
+  for i = 0 to pages - 1 do
+    ignore (fetch_sync cluster ~client ~proxy:peer (request i))
+  done;
+  let least = [| infinity; infinity |] in
+  for i = 0 to pages - 1 do
+    let req = request i and budget = i mod 2 in
+    Message.set_req_header req "X-NaKika-Deadline" (if budget = 0 then "5" else "500");
+    let resp, allocated =
+      Alloc.gc_allocated (fun () -> fetch_sync cluster ~client ~proxy:edge req)
+    in
+    Alcotest.(check int) "answered" 200 resp.Message.status;
+    (* The first requests warm the edge's script cache and metrics. *)
+    if i >= 4 then least.(budget) <- Float.min least.(budget) allocated
+  done;
+  Alcotest.(check bool) "every page came from the peer" true
+    (Core.Telemetry.Metrics.counter (Node.metrics edge) "peer-fetches" >= pages);
+  Alcotest.(check (float 0.0)) "5 s and 500 s budgets allocate alike" least.(0) least.(1)
+
 let suite =
   [
     Alcotest.test_case "proxying a static page" `Quick test_plain_proxying;
@@ -1407,4 +1450,6 @@ let suite =
     Alcotest.test_case "one health tick per proxy per interval" `Quick
       test_one_health_tick_per_proxy;
     Alcotest.test_case "one DHT sweeper per cluster" `Quick test_one_dht_sweeper_per_cluster;
+    Alcotest.test_case "an untraced request builds no span text" `Quick
+      test_untraced_request_builds_no_span_text;
   ]

@@ -820,7 +820,7 @@ let ring_ops_match_model_prop =
 (* What copying a list of [n] elements allocates: [n] cons cells. *)
 let cons_cells n =
   let l = List.init n Fun.id in
-  snd (Alloc.allocated_bytes (fun () -> List.map Fun.id l))
+  snd (Alloc.gc_allocated (fun () -> List.map Fun.id l))
 
 (* A route reads the finger table and allocates nothing but the path
    it returns: one cons cell per hop. *)
@@ -831,8 +831,8 @@ let test_ring_lookup_path_allocates_its_path () =
   ignore (Ring.lookup_path r ~from:members.(0) ~key:members.(1));
   for i = 0 to 199 do
     let from = members.(i * 5) and key = Node_id.of_string (Printf.sprintf "alloc-key-%d" i) in
-    let path, bytes = Alloc.allocated_bytes (fun () -> Ring.lookup_path r ~from ~key) in
-    Alcotest.(check (float 0.0)) "one cons cell per hop" (cons_cells (List.length path)) bytes
+    let path, allocated = Alloc.gc_allocated (fun () -> Ring.lookup_path r ~from ~key) in
+    Alcotest.(check (float 0.0)) "one cons cell per hop" (cons_cells (List.length path)) allocated
   done
 
 let test_ring_successors () =
@@ -911,7 +911,7 @@ let test_dht_put_builds_one_list () =
   let from = List.hd names in
   let put i =
     let value = Printf.sprintf "v%02d" i in
-    Alloc.allocated_bytes (fun () -> Dht.put dht ~now:100.0 ~from ~key ~value ~ttl:3600.0)
+    Alloc.gc_allocated (fun () -> Dht.put dht ~now:100.0 ~from ~key ~value ~ttl:3600.0)
   in
   ignore (put 0);
   let _ = crowd dht names ~key ~from_t:0.0 ~dt:0.01 ~rounds:4 ~check:ignore in

@@ -155,8 +155,8 @@ let log_line_seeds =
    a payload that cannot fill them before sizing any buffer by them. *)
 let test_image_header_larger_than_payload () =
   let claim = "NKI1\xff\xff\xff\xff\x01" in
-  let (), bytes =
-    Alloc.allocated_bytes (fun () ->
+  let (), allocated =
+    Alloc.gc_allocated (fun () ->
         Alcotest.(check bool) "size mismatch" true
           (Vocab.Image.decode (claim ^ "\x05a") = Error "RLE payload size mismatch");
         Alcotest.(check bool) "zero run still reported" true
@@ -164,7 +164,7 @@ let test_image_header_larger_than_payload () =
         Alcotest.(check bool) "odd length still reported" true
           (Vocab.Image.decode (claim ^ "\x05") = Error "RLE payload has odd length"))
   in
-  Alcotest.(check bool) "no pixel buffer" true (bytes < 1e6)
+  Alcotest.(check bool) "no pixel buffer" true (allocated < 1e6)
 
 (* The seeds the newer properties mutate are valid inputs. *)
 let test_seeds_decode () =

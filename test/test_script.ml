@@ -315,25 +315,25 @@ w
 let mib = 1024 * 1024
 
 (* Run [src] under a 1 MiB heap cap. Returns the outcome, the context
-   and the bytes the run allocated ([Alloc.allocated_bytes]). *)
+   and what the run allocated, in [Alloc.gc_allocated]'s reading. *)
 let run_capped src =
   let ctx = Interp.create ~max_heap_bytes:mib () in
   Builtins.install ctx;
   let prog = (Compile.lookup src).Compile.program in
-  let outcome, bytes =
-    Alloc.allocated_bytes (fun () ->
+  let outcome, allocated =
+    Alloc.gc_allocated (fun () ->
         match Compile.run ctx prog with v -> Ok v | exception e -> Error e)
   in
-  (outcome, ctx, bytes)
+  (outcome, ctx, allocated)
 
 let expect_capped name src ~check_error =
   match run_capped src with
-  | Error e, _, bytes ->
+  | Error e, _, allocated ->
     check_error e;
     Alcotest.(check bool)
-      (Printf.sprintf "%s allocates under 1 MiB (%.0f bytes)" name bytes)
+      (Printf.sprintf "%s allocates under 1 Mi (%.0f allocated)" name allocated)
       true
-      (bytes < float_of_int mib)
+      (allocated < float_of_int mib)
   | Ok v, _, _ -> Alcotest.failf "%s: returned a %s" name (Value.type_name v)
 
 (* Heap charged by a script that must succeed. *)
@@ -406,13 +406,13 @@ let test_array_text_in_sandbox () =
   List.iter
     (fun (name, src) ->
       match run_capped src with
-      | Error e, _, bytes ->
+      | Error e, _, allocated ->
         heap_exhausted name e;
         (* Each nested array costs a few list cells besides its text. *)
         Alcotest.(check bool)
-          (Printf.sprintf "%s allocates under 16 MiB (%.0f bytes)" name bytes)
+          (Printf.sprintf "%s allocates under 16 Mi (%.0f allocated)" name allocated)
           true
-          (bytes < float_of_int (16 * mib))
+          (allocated < float_of_int (16 * mib))
       | Ok _, _, _ -> Alcotest.failf "%s: printed under a 1 MiB cap" name)
     [
       ("String", doubling ^ "String(a)");
@@ -495,11 +495,11 @@ let run_add ~max_heap_bytes s src =
   let ctx = Interp.create ~max_heap_bytes () in
   Interp.define_global ctx "s" (Value.Vstr s);
   let prog = (Compile.lookup src).Compile.program in
-  let outcome, bytes =
-    Alloc.allocated_bytes (fun () ->
+  let outcome, allocated =
+    Alloc.gc_allocated (fun () ->
         match Compile.run ctx prog with v -> Ok v | exception e -> Error e)
   in
-  (outcome, Interp.heap_used ctx, bytes)
+  (outcome, Interp.heap_used ctx, allocated)
 
 let test_string_add_charges_first () =
   let s = String.make 600_000 'x' in
@@ -508,7 +508,7 @@ let test_string_add_charges_first () =
     heap_exhausted "s + s" e;
     Alcotest.(check int) "charged the would-be result" (1_200_000 + 16) heap;
     Alcotest.(check bool)
-      (Printf.sprintf "allocated %.0f bytes, less than the result" allocated)
+      (Printf.sprintf "allocated %.0f, less than the result's length" allocated)
       true (allocated < 1_200_000.)
   | Ok _, _, _ -> Alcotest.fail "s + s must pass the 1 MiB heap cap"
 

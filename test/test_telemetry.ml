@@ -150,7 +150,7 @@ let test_tracer_span_tree () =
   let root = Tracer.start_trace tracer ~attrs:[ ("url", "http://x/") ] "request" in
   now := 0.010;
   let child = Tracer.start_span tracer ~parent:root "cache-lookup" in
-  Tracer.set_attr_opt (Some child) "hit" "false";
+  Tracer.set_attr_opt (Some child) "hit" Fun.id "false";
   now := 0.015;
   Tracer.finish tracer child;
   Alcotest.(check (option (float 1e-9))) "child duration" (Some 0.005) (duration child);
@@ -169,6 +169,28 @@ let test_tracer_span_tree () =
            go 0))
       [ "request"; "cache-lookup"; "hit=false"; "url=http://x/" ]
   | traces -> Alcotest.fail (Printf.sprintf "expected 1 trace, got %d" (List.length traces))
+
+(* An attribute's text is built only under a live span: on [None] the
+   formatter is never called, on [Some] span once, and the attribute
+   holds what it returned. *)
+let test_tracer_formats_only_live_spans () =
+  let tracer = Tracer.create ~clock:(fun () -> 0.0) () in
+  let calls = ref 0 in
+  let format n =
+    incr calls;
+    string_of_int n
+  in
+  Tracer.set_attr_opt None "n" format 1;
+  Tracer.child tracer None "untraced" (fun span -> Tracer.set_attr_opt span "n" format 2);
+  Alcotest.(check int) "no call without a span" 0 !calls;
+  Tracer.child tracer (Some Tracer.top) "traced" (fun span ->
+      Tracer.set_attr_opt span "n" format 3);
+  Alcotest.(check int) "one call under a live span" 1 !calls;
+  match Tracer.traces tracer with
+  | [ tr ] ->
+    Alcotest.(check (list (pair string string))) "attribute" [ ("n", "3") ]
+      tr.Tracer.root.Tracer.attrs
+  | traces -> Alcotest.failf "expected 1 trace, got %d" (List.length traces)
 
 let test_tracer_ring_and_slowest () =
   let now = ref 0.0 in
@@ -197,8 +219,8 @@ let test_tracer_copy_at_root_close () =
   now := 0.002;
   Tracer.finish tracer root;
   now := 0.005;
-  Tracer.set_attr_opt (Some root) "late" "true";
-  Tracer.set_attr_opt (Some child) "late" "true";
+  Tracer.set_attr_opt (Some root) "late" Fun.id "true";
+  Tracer.set_attr_opt (Some child) "late" Fun.id "true";
   Tracer.finish tracer child;
   match Tracer.traces tracer with
   | [ { Tracer.spans = [ r; c ]; _ } ] ->
@@ -223,7 +245,7 @@ let test_tracer_retention_promotes_nothing () =
         for _ = 1 to 11 do
           Tracer.child tracer root ~attrs:[ ("stage", "s") ] "stage" (fun span ->
               now := !now +. 0.001;
-              Tracer.set_attr_opt span "hit" "true")
+              Tracer.set_attr_opt span "hit" Fun.id "true")
         done)
   in
   for _ = 1 to 256 do
@@ -401,7 +423,7 @@ let tracer_match_reference_prop =
       let annotate span ref_span =
         for _ = 1 to Random.State.int rng 3 do
           let key = "k" ^ draw () and value = draw () in
-          Tracer.set_attr_opt (Some span) key value;
+          Tracer.set_attr_opt (Some span) key Fun.id value;
           Ref.Tracer.set_attr ref_span key value
         done
       in
@@ -618,4 +640,6 @@ let suite =
       test_tracer_copy_at_root_close;
     Alcotest.test_case "tracer: a retained trace promotes nothing" `Quick
       test_tracer_retention_promotes_nothing;
+    Alcotest.test_case "tracer: attribute text is formatted only under a live span" `Quick
+      test_tracer_formats_only_live_spans;
   ]
