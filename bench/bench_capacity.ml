@@ -119,10 +119,11 @@ let resource_controls () =
     let metrics = Core.Node.Node.metrics proxy in
     let throttles = Core.Telemetry.Metrics.counter_total metrics "monitor.throttles" in
     let terminations = Core.Telemetry.Metrics.counter_total metrics "monitor.terminations" in
-    if throttles > 0 || terminations > 0 then begin
+    match Core.Node.Node.events proxy with
+    | Some events when throttles > 0 || terminations > 0 ->
       Printf.printf "      monitor decisions: %d throttle(s), %d termination(s)\n"
         throttles terminations;
-      let events = Core.Telemetry.Events.to_list (Core.Node.Node.events proxy) in
+      let events = Core.Telemetry.Events.to_list events in
       let tail =
         let n = List.length events in
         List.filteri (fun i _ -> i >= n - 3) events
@@ -131,7 +132,7 @@ let resource_controls () =
         (fun e ->
           Printf.printf "        %s\n" (Core.Telemetry.Events.event_to_string e))
         tail
-    end
+    | _ -> ()
   in
   let r1, p1 = run_good_load (make_cluster ~controls:false ~with_bomb:false ()) ~generators:30 in
   report "30 generators, no controls" "294 rps" r1 p1;

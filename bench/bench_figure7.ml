@@ -82,10 +82,8 @@ let replay_session cluster ~client ~proxy ~rng ~mode ~student ~start ~duration ~
       (fun () ->
         let req = Core.Workload.Simm.make_request ~rng ~mode ~student in
         let t0 = Core.Sim.Sim.now sim in
-        let finish resp = on_response req resp (Core.Sim.Sim.now sim -. t0) in
-        match proxy with
-        | Some p -> Core.Node.Cluster.fetch cluster ~client ~proxy:p req finish
-        | None -> Core.Sim.Httpd.fetch (Core.Node.Cluster.web cluster) ~from:client req finish)
+        Core.Node.Cluster.fetch cluster ~client ?proxy req (fun resp ->
+            on_response req resp (Core.Sim.Sim.now sim -. t0)))
   done
 
 (* --- Figure 7: wide area ------------------------------------------------ *)

@@ -264,39 +264,32 @@ let health_scenario () =
   let p2 = Core.Node.Cluster.add_proxy cluster ~name:"nk2.nakika.net" ~config () in
   let client = Core.Node.Cluster.add_client cluster ~name:"client" in
   let sim = Core.Node.Cluster.sim cluster in
+  let recorder = Core.Workload.Driver.recorder cluster in
+  let send_at at proxy url =
+    Core.Sim.Sim.schedule_at sim at (fun () ->
+        Core.Workload.Driver.send recorder ~client ~proxy:(Some proxy) ~timeout:10.0
+          (Core.Http.Message.request url))
+  in
   (* The crowd starts after the first health tick (1 s) so the proxies
      have reported their pressure once and diffusion has candidates to
      offload into. *)
   for i = 0 to 299 do
-    Core.Sim.Sim.schedule_at sim
-      (epoch +. 1.5 +. (0.001 *. float_of_int i))
-      (fun () ->
-        Core.Node.Cluster.fetch cluster ~client ~proxy:p1
-          (Core.Http.Message.request "http://www.example.edu.nakika.net/index.html")
-          (fun _ -> ()))
+    send_at (epoch +. 1.5 +. (0.001 *. float_of_int i)) p1
+      "http://www.example.edu.nakika.net/index.html"
   done;
   for i = 0 to 5 do
-    Core.Sim.Sim.schedule_at sim
-      (epoch +. 1.0 +. float_of_int i)
-      (fun () ->
-        Core.Node.Cluster.fetch cluster ~client ~proxy:p2
-          (Core.Http.Message.request "http://dead.example.org.nakika.net/index.html")
-          (fun _ -> ()))
+    send_at (epoch +. 1.0 +. float_of_int i) p2 "http://dead.example.org.nakika.net/index.html"
   done;
   (* The live-page crowd: 10 req/s against an uncacheable URL, so each
      request misses the local cache and does a DHT lookup — its decayed
      rate holds above the plan's 3 req/s hotspot threshold right up to
      the snapshot at t = 30 s. *)
   for i = 0 to 199 do
-    Core.Sim.Sim.schedule_at sim
-      (epoch +. 10.0 +. (0.1 *. float_of_int i))
-      (fun () ->
-        Core.Node.Cluster.fetch cluster ~client
-          ~proxy:(if i mod 2 = 0 then p1 else p2)
-          (Core.Http.Message.request "http://live.example.net.nakika.net/scores.html")
-          (fun _ -> ()))
+    send_at (epoch +. 10.0 +. (0.1 *. float_of_int i))
+      (if i mod 2 = 0 then p1 else p2)
+      "http://live.example.net.nakika.net/scores.html"
   done;
-  Core.Sim.Sim.run ~until:(epoch +. 30.0) sim;
+  ignore (Core.Workload.Driver.finish recorder ~until:(epoch +. 30.0));
   (cluster, [ p1; p2 ])
 
 let print_health (cluster, proxies) =

@@ -55,16 +55,11 @@ let run_deployment ~label ~use_edge =
     (fun idx (client, proxy) ->
       let rng = Core.Util.Prng.create (100 + idx) in
       let student = Printf.sprintf "student%d" idx in
-      let fetch req k =
-        match proxy with
-        | Some p -> Core.Node.Cluster.fetch cluster ~client ~proxy:p req k
-        | None -> Core.Sim.Httpd.fetch (Core.Node.Cluster.web cluster) ~from:client req k
-      in
       let rec session () =
         if Core.Sim.Sim.now sim < until then begin
           let req = Core.Workload.Simm.make_request ~rng ~mode ~student in
           let started = Core.Sim.Sim.now sim in
-          fetch req (fun resp ->
+          Core.Node.Cluster.fetch cluster ~client ?proxy req (fun resp ->
               let elapsed = Core.Sim.Sim.now sim -. started in
               let size = Core.Http.Message.content_length resp in
               if Core.Workload.Simm.is_video req then begin

@@ -17,7 +17,6 @@ type t = {
 
 let sim t = t.sim
 let net t = t.net
-let web t = t.web
 let dht t = t.dht
 let bus t = t.bus
 let redirector t = t.redirector

@@ -25,7 +25,6 @@ val create :
 
 val sim : t -> Nk_sim.Sim.t
 val net : t -> Nk_sim.Net.t
-val web : t -> Nk_sim.Httpd.t
 val dht : t -> Nk_overlay.Dht.t
 val bus : t -> Nk_replication.Message_bus.t
 val redirector : t -> Nk_overlay.Redirector.t

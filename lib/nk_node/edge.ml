@@ -30,14 +30,9 @@ type t = {
   cache : Nk_cache.Http_cache.t;
   stage_cache : stage_entry Nk_cache.Memo_cache.t;
   negative : unit Nk_cache.Memo_cache.t;
-  accounting : Nk_resource.Accounting.t option;
-  (* per-site usage for the resource monitor, its only reader: [Some]
-     exactly when [Config.enable_resource_controls] starts the monitor.
-     Without it nothing is charged and [usage] would stay 0.0 forever. *)
-  throttles : (Nk_resource.Resource.t, (string, float) Hashtbl.t) Hashtbl.t;
-  (* per resource: site -> reject probability *)
-  quarantine : Nk_resource.Quarantine.t;
-  (* terminated sites serve escalating, decaying ban windows *)
+  controls : Control.t option;
+  (* Fig. 6's per-site usage, throttles, windows, quarantine and events:
+     [Some] exactly when the node runs resource controls *)
   admission : Nk_resource.Admission.t option;
   diffusion : diffusion option;
   upstream : Nk_resource.Upstream.t;
@@ -50,7 +45,6 @@ type t = {
   log_entries : (string, string list ref) Hashtbl.t;
   metrics : Nk_telemetry.Metrics.t;
   tracer : Nk_telemetry.Tracer.t;
-  events : Nk_telemetry.Events.t;
   mutable active : ctx;
   (* The context of the pipeline currently on the CPU: hosted scripts'
      own fetches (hostcall closures are per-stage, not per-request) run
@@ -58,10 +52,6 @@ type t = {
      suspended on a sub-fetch can interleave with another request. *)
   local_cidrs : Nk_http.Ip.cidr list;
   mutable in_flight : int;
-  (* congestion windows *)
-  mutable mem_window : float;
-  mutable bw_window : float;
-  mutable window_start : float;
 }
 
 let host t = t.host
@@ -74,11 +64,11 @@ let metrics t = t.metrics
 
 let tracer t = t.tracer
 
-let events t = t.events
+let events t = Option.map Control.events t.controls
 
 let cache t = t.cache
 
-let quarantine t = t.quarantine
+let quarantine t = Option.map Control.quarantine t.controls
 
 let admission t = t.admission
 
@@ -220,7 +210,7 @@ let health t =
     shedding =
       (match t.admission with Some a -> Nk_resource.Admission.shedding a | None -> false);
     open_breakers = Nk_resource.Upstream.open_breakers t.upstream;
-    quarantined = List.map fst (Nk_resource.Quarantine.active t.quarantine);
+    quarantined = Option.fold ~none:[] ~some:Control.quarantined t.controls;
   }
 
 (* The period of the node's health tick: one load report and the

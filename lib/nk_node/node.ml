@@ -58,7 +58,7 @@ let handle_offload_request t d ~payload =
        whatever it believed about our load died with it. *)
     if env.Nk_diffusion.Offload.target_incarnation <> Nk_sim.Net.incarnation t.net t.host then
       reject "incarnation"
-    else if Nk_resource.Quarantine.is_banned t.quarantine ~site then
+    else if Control.ban t.controls ~site > 0.0 then
       reject "banned-site"
     else if pressure t >= d.policy.high_water then reject "pressure"
     else
@@ -120,7 +120,6 @@ let handle t (req : Nk_http.Message.request) k =
      | Some origin -> req.Nk_http.Message.url <- origin
      | None -> ());
     let site = Nk_http.Url.site req.Nk_http.Message.url in
-    let fraction = Control.throttle_fraction t site in
     (* With [retry_after], the 503 tells the client when trying again
        might actually succeed. *)
     let reject ?retry_after outcome =
@@ -130,14 +129,12 @@ let handle t (req : Nk_http.Message.request) k =
          | Some s -> retry_after_response s
          | None -> Nk_http.Message.error_response 503)
     in
-    if Nk_resource.Quarantine.is_banned t.quarantine ~site then begin
+    let ban = Control.ban t.controls ~site in
+    if ban > 0.0 then begin
       Counter.incr t.metrics Meter.dropped_termination;
-      reject ~retry_after:(Nk_resource.Quarantine.remaining t.quarantine ~site) "banned-site"
+      reject ~retry_after:ban "banned-site"
     end
-    else if
-      t.cfg.Config.enable_resource_controls && fraction > 0.0
-      && Nk_util.Prng.float t.rng 1.0 < fraction
-    then begin
+    else if Control.throttled t.controls ~rng:t.rng ~site then begin
       Counter.incr t.metrics Meter.rejected_throttle;
       reject "rejected-throttle"
     end
@@ -195,6 +192,62 @@ let answer_once t (req : Nk_http.Message.request) k =
       k resp
     end
 
+(* Soft-state maintenance: DHT announcements are TTL'd ([dht_ttl]),
+   typically shorter than cached entries' lifetimes; re-announce fresh
+   cache contents so cooperative caching keeps finding them (Coral-style
+   refresh). *)
+let start_reannouncer t dht =
+  Nk_sim.Sim.every t.sim ~period:(Float.max 5.0 (t.cfg.Config.dht_ttl /. 2.0)) (fun () ->
+      Nk_cache.Http_cache.fold_fresh t.cache ~now:(now t) ~init:()
+        ~f:(fun () key expiry ->
+          Fetch.announce t dht ~key:(lazy (Nk_overlay.Dht.Key.of_string key)) ~expiry))
+
+let start_log_poster t =
+  Nk_sim.Sim.every t.sim ~period:30.0 (fun () ->
+      Hashtbl.iter
+        (fun site url ->
+          match Hashtbl.find_opt t.log_entries site with
+          | Some entries when !entries <> [] ->
+            let body = String.concat "\n" (List.rev !entries) in
+            entries := [];
+            let req = Nk_http.Message.request ~meth:Nk_http.Method_.POST ~body url in
+            Nk_sim.Httpd.fetch t.web ~from:t.host req (fun _ ->
+                Counter.incr t.metrics Meter.log_posts)
+          | _ -> ())
+        t.log_urls)
+
+(* The node's one health tick per report interval: its load view is
+   computed once, published as [health.*] gauges (for [nakika stats
+   --health] and merged benchmark registries) and reported to the
+   redirector with the liveness incarnation, so a report from before a
+   crash can't shadow the restarted node's view. The report carries the
+   node's pressure when it runs diffusion; the other diffusion nodes
+   read their offload candidates from the same table. A crashed node
+   reports nothing: the redirector's own [host_down] filter covers the
+   gap. *)
+let start_health_tick t =
+  let was_down = ref false in
+  Nk_sim.Sim.every t.sim ~period:health_report_interval (fun () ->
+      let down = Nk_sim.Net.host_down t.net t.host in
+      (* Requests admitted before a crash died with the host: their
+         queue slots must not haunt admission after restart. *)
+      if !was_down && not down then
+        Option.iter Nk_resource.Admission.reset t.admission;
+      was_down := down;
+      if not down then begin
+        let h = health t in
+        let pressure = Option.map (fun _ -> pressure t) t.diffusion in
+        let set = Gauge.set t.metrics in
+        set Meter.queue_delay h.queue_delay;
+        set Meter.shed_rate h.shed_rate;
+        set Meter.open_breakers (float_of_int (List.length h.open_breakers));
+        set Meter.quarantined_sites (float_of_int (List.length h.quarantined));
+        Option.iter (set Meter.pressure) pressure;
+        Nk_overlay.Redirector.report t.redirector t.host
+          ~incarnation:(Nk_sim.Net.incarnation t.net t.host)
+          ?pressure ~queue_delay:h.queue_delay ~shed_rate:h.shed_rate ()
+      end)
+
 let create ~web ~host ~redirector ~dht ~bus ?(config = Config.default) () =
   let net = Nk_sim.Httpd.net web in
   let sim = Nk_sim.Net.sim net in
@@ -230,6 +283,7 @@ let create ~web ~host ~redirector ~dht ~bus ?(config = Config.default) () =
         })
       config.Config.diffusion
   in
+  let stage_cache = Nk_cache.Memo_cache.create () in
   let t =
     {
       web;
@@ -243,13 +297,14 @@ let create ~web ~host ~redirector ~dht ~bus ?(config = Config.default) () =
       cfg = config;
       rng = Nk_util.Prng.create (Stages.script_seed + String.length (Nk_sim.Net.host_name host));
       cache = Nk_cache.Http_cache.create ~max_bytes:config.Config.cache_bytes ~metrics ();
-      stage_cache = Nk_cache.Memo_cache.create ();
+      stage_cache;
       negative = Nk_cache.Memo_cache.create ();
-      accounting =
-        (if config.Config.enable_resource_controls then Some (Nk_resource.Accounting.create ())
+      controls =
+        (if config.Config.enable_resource_controls then
+           Some
+             (Control.start config.Config.quarantine ~net ~host ~clock ~metrics
+                ~kill_stages:(Stages.kill_stages stage_cache))
          else None);
-      throttles = Hashtbl.create 4;
-      quarantine = Nk_resource.Quarantine.create config.Config.quarantine ~clock ~metrics;
       admission =
         Option.map
           (fun c -> Nk_resource.Admission.create c ~clock ~metrics)
@@ -268,16 +323,12 @@ let create ~web ~host ~redirector ~dht ~bus ?(config = Config.default) () =
       log_entries = Hashtbl.create 4;
       metrics;
       tracer = Nk_telemetry.Tracer.create ~clock ();
-      events = Nk_telemetry.Events.create ~clock;
       active = untraced;
       local_cidrs =
         List.filter_map
           (fun s -> Result.to_option (Nk_http.Ip.cidr_of_string s))
           config.Config.local_clients;
       in_flight = 0;
-      mem_window = 0.0;
-      bw_window = 0.0;
-      window_start = Nk_sim.Sim.now sim;
     }
   in
   Nk_sim.Httpd.serve web ~host ~hostnames:[ Nk_sim.Net.host_name host ] (fun req k ->
@@ -285,9 +336,8 @@ let create ~web ~host ~redirector ~dht ~bus ?(config = Config.default) () =
   (match t.dht with
    | Some dht ->
      ignore (Nk_overlay.Dht.join dht (name t));
-     Control.start_reannouncer t dht
+     start_reannouncer t dht
    | None -> ());
-  Option.iter (Control.start_monitor t) t.accounting;
   (* The offload protocol rides the bus: each node owns a request topic
      (work addressed to it) and a reply topic (answers to work it
      shipped). Point-to-point semantics over pub/sub, with the bus's
@@ -303,6 +353,6 @@ let create ~web ~host ~redirector ~dht ~bus ?(config = Config.default) () =
         ~topic:(Nk_diffusion.Offload.request_topic node_name)
         ~handler:(fun ~payload ~from:_ -> handle_offload_request t d ~payload))
     t.diffusion;
-  Control.start_log_poster t;
-  Control.start_health_tick t;
+  start_log_poster t;
+  start_health_tick t;
   t

@@ -48,15 +48,17 @@ val tracer : t -> Nk_telemetry.Tracer.t
 (** Per-request span trees (a ring buffer of the 256 most recent
     completed traces; disabled when [Config.enable_tracing] is false). *)
 
-val events : t -> Nk_telemetry.Events.t
+val events : t -> Nk_telemetry.Events.t option
 (** Structured resource-control decisions: one ["throttle"] /
     ["terminate"] event per monitor action, with site and resource
-    attributes. *)
+    attributes. [None] on a node without resource controls, which holds
+    no resource-control state at all. *)
 
 val cache : t -> Nk_cache.Http_cache.t
 
-val quarantine : t -> Nk_resource.Quarantine.t
-(** The escalating ban windows of terminated sites. *)
+val quarantine : t -> Nk_resource.Quarantine.t option
+(** The escalating ban windows of terminated sites, consulted before a
+    site's request or offload runs. [None] without resource controls. *)
 
 val admission : t -> Nk_resource.Admission.t option
 (** Front-door admission controller ([None] when [Config.admission]
@@ -71,7 +73,7 @@ type health = {
   shed_rate : float;  (** fraction of recent arrivals shed *)
   shedding : bool;  (** admission currently in the shedding state *)
   open_breakers : string list;  (** breakers not in the closed state *)
-  quarantined : string list;  (** sites currently serving a ban *)
+  quarantined : string list;  (** sites serving a ban; [[]] without resource controls *)
 }
 
 val health : t -> health

@@ -59,11 +59,7 @@ let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
                 denial
               | None -> Fetch.content_fetch t ctx req)
         in
-        let bytes = float_of_int (Nk_http.Message.content_length resp) in
-        Option.iter
-          (fun a -> Nk_resource.Accounting.charge a ~site Nk_resource.Resource.Bandwidth bytes)
-          t.accounting;
-        t.bw_window <- t.bw_window +. bytes;
+        Control.charge_fetch t.controls ~site resp;
         resp);
     cache_lookup =
       (fun key -> Nk_cache.Http_cache.lookup t.cache ~now:(now t) ~key:(vocab_key key));
@@ -77,16 +73,7 @@ let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
         match Nk_http.Ip.of_string ip_str with
         | Error _ -> false
         | Ok ip -> List.exists (fun cidr -> Nk_http.Ip.cidr_contains cidr ip) t.local_cidrs);
-    congestion =
-      (fun resource_name ->
-        let resource =
-          List.find_opt
-            (fun r -> Nk_resource.Resource.to_string r = resource_name)
-            Nk_resource.Resource.all
-        in
-        match (t.accounting, resource) with
-        | Some a, Some r -> Nk_resource.Accounting.usage a ~site r
-        | _ -> 0.0);
+    congestion = (fun resource_name -> Control.usage t.controls ~site resource_name);
     hard_state_get = (fun ~key -> Replication.read (replica t site) ~key);
     hard_state_put = (fun ~key value -> Replication.update (replica t site) ~key ~value);
     hard_state_delete = (fun ~key -> Replication.delete (replica t site) ~key);
@@ -242,6 +229,16 @@ let install_stage_from_program t ~url ~site script =
          charge_cpu t costs.Config.context_create;
          Nk_pipeline.Stage.of_program ~url ~host ~max_fuel ~max_heap_bytes ~seed script))
 
+(* Fig. 6's termination of [site]: kill the scripting context of every
+   cached stage it owns (its [nakika.js] and whatever it chained to);
+   in-flight pipelines die at their next evaluation step. *)
+let kill_stages stage_cache site =
+  Nk_cache.Memo_cache.fold stage_cache ~init:[] ~f:(fun acc url entry ->
+      if entry.site = site then (url, entry) :: acc else acc)
+  |> List.iter (fun (url, entry) ->
+         Nk_script.Interp.kill (Nk_pipeline.Stage.context entry.stage);
+         Nk_cache.Memo_cache.remove stage_cache url)
+
 let access_log t ~site ~(req : Nk_http.Message.request) ~(resp : Nk_http.Message.response) =
   if Hashtbl.mem t.log_urls site then begin
     let entry =
@@ -254,19 +251,6 @@ let access_log t ~site ~(req : Nk_http.Message.request) ~(resp : Nk_http.Message
     | Some r -> r := entry :: !r
     | None -> Hashtbl.add t.log_entries site (ref [ entry ])
   end
-
-let account t ~site ~cpu ~heap ~bytes ~elapsed =
-  (match t.accounting with
-   | None -> ()
-   | Some a ->
-     let charge = Nk_resource.Accounting.charge a ~site in
-     charge Nk_resource.Resource.Cpu cpu;
-     charge Nk_resource.Resource.Memory heap;
-     charge Nk_resource.Resource.Bandwidth bytes;
-     charge Nk_resource.Resource.Running_time elapsed;
-     charge Nk_resource.Resource.Bytes_transferred bytes);
-  t.mem_window <- t.mem_window +. heap;
-  t.bw_window <- t.bw_window +. bytes
 
 (* The request span's ["source"] when a stage script answered. *)
 let script_source url = "script:" ^ url
@@ -340,10 +324,12 @@ let process t ctx (req : Nk_http.Message.request) =
   charge_cpu_background t (costs.Config.proxy_base +. concurrency +. crossing_cpu);
   t.in_flight <- t.in_flight - 1;
   let elapsed = now t -. started in
-  let bytes = float_of_int (Nk_http.Message.content_length response) in
-  account t ~site
-    ~cpu:(costs.Config.proxy_base +. concurrency +. handler_cpu +. crossing_cpu)
-    ~heap:(float_of_int heap) ~bytes ~elapsed;
+  (match t.controls with
+   | Some controls ->
+     Control.account controls ~site
+       ~cpu:(costs.Config.proxy_base +. concurrency +. handler_cpu +. crossing_cpu)
+       ~heap ~response ~elapsed
+   | None -> ());
   access_log t ~site ~req ~resp:response;
   Hist.observe t.metrics Meter.latency elapsed;
   Counter.incr_at t.metrics Meter.site_requests site;

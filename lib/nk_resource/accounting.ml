@@ -1,67 +1,55 @@
-type site_state = {
-  interval : (Resource.t, float ref) Hashtbl.t;
-  average : (Resource.t, Nk_util.Ewma.t) Hashtbl.t;
-}
+(* Per site, one slot per resource: the open interval's consumption and
+   the weighted average of the closed ones. A slot's average exists once
+   the resource is charged, and only such slots fold when an interval
+   closes; the float array's writes allocate nothing. *)
+type site_state = { interval : float array; average : Nk_util.Ewma.t option array }
 
 type t = { sites : (string, site_state) Hashtbl.t }
 
 (* The weight of the newest interval in [usage]. *)
 let alpha = 0.3
 
+let slot = function
+  | Resource.Cpu -> 0
+  | Resource.Memory -> 1
+  | Resource.Bandwidth -> 2
+  | Resource.Running_time -> 3
+  | Resource.Bytes_transferred -> 4
+
 let create () = { sites = Hashtbl.create 16 }
 
-let site_state t site =
-  match Hashtbl.find_opt t.sites site with
-  | Some s -> s
-  | None ->
-    let s = { interval = Hashtbl.create 8; average = Hashtbl.create 8 } in
-    Hashtbl.add t.sites site s;
-    s
-
-let counter state resource =
-  match Hashtbl.find_opt state.interval resource with
-  | Some r -> r
-  | None ->
-    let r = ref 0.0 in
-    Hashtbl.add state.interval resource r;
-    r
-
-let ewma state resource =
-  match Hashtbl.find_opt state.average resource with
-  | Some e -> e
-  | None ->
-    let e = Nk_util.Ewma.create ~alpha in
-    Hashtbl.add state.average resource e;
-    e
-
 let charge t ~site resource amount =
-  let state = site_state t site in
-  let r = counter state resource in
-  r := !r +. amount
+  let state =
+    match Hashtbl.find_opt t.sites site with
+    | Some s -> s
+    | None ->
+      let s = { interval = Array.make 5 0.0; average = Array.make 5 None } in
+      Hashtbl.add t.sites site s;
+      s
+  in
+  let i = slot resource in
+  if Option.is_none state.average.(i) then
+    state.average.(i) <- Some (Nk_util.Ewma.create ~alpha);
+  state.interval.(i) <- state.interval.(i) +. amount
 
 let usage t ~site resource =
   match Hashtbl.find_opt t.sites site with
+  | Some state -> Option.fold ~none:0.0 ~some:Nk_util.Ewma.value state.average.(slot resource)
   | None -> 0.0
-  | Some state -> (
-    match Hashtbl.find_opt state.average resource with
-    | Some e -> Nk_util.Ewma.value e
-    | None -> 0.0)
 
 let active_sites t = Hashtbl.fold (fun k _ acc -> k :: acc) t.sites [] |> List.sort compare
 
-let fold_one state resource r ~congested =
-  let counts = (not (Resource.is_renewable resource)) || congested in
-  if counts then ignore (Nk_util.Ewma.update (ewma state resource) !r)
-  else
-    (* Renewable and uncongested: the average still decays so past
-       penalization is forgotten. *)
-    ignore (Nk_util.Ewma.update (ewma state resource) 0.0);
-  r := 0.0
-
+(* A renewable resource's consumption counts only while it is congested;
+   otherwise a zero folds in, so the average still decays and past
+   penalization is forgotten. *)
 let close_resource_interval t resource ~congested =
+  let counts = (not (Resource.is_renewable resource)) || congested in
+  let i = slot resource in
   Hashtbl.iter
     (fun _site state ->
-      match Hashtbl.find_opt state.interval resource with
-      | Some r -> fold_one state resource r ~congested
+      match state.average.(i) with
+      | Some average ->
+        ignore (Nk_util.Ewma.update average (if counts then state.interval.(i) else 0.0));
+        state.interval.(i) <- 0.0
       | None -> ())
     t.sites

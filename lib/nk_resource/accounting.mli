@@ -23,4 +23,7 @@ val active_sites : t -> string list
 (** Sites with any recorded activity, sorted. *)
 
 val close_resource_interval : t -> Resource.t -> congested:bool -> unit
-(** Same, for a single resource — CONTROL runs per tracked resource. *)
+(** Close [resource]'s interval for every site charged it: its
+    consumption (a zero when the resource is renewable and uncongested)
+    folds into the average, and a new interval starts. CONTROL runs per
+    tracked resource. *)

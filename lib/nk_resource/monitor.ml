@@ -4,8 +4,8 @@ type t = {
   throttle : site:string -> fraction:float -> resource:Resource.t -> unit;
   unthrottle : Resource.t -> unit;
   terminate : site:string -> unit;
-  pending : (Resource.t, (string * float) list) Hashtbl.t;
-  (* usage-ranked sites from the begin phase, largest first *)
+  mutable pending : (Resource.t * (string * float) list) list;
+  (* per resource, the usage-ranked sites of its begin phase, largest first *)
   events : Nk_telemetry.Events.t;
   metrics : Nk_telemetry.Metrics.t;
 }
@@ -17,7 +17,7 @@ let create ~accounting ~is_congested ~throttle ~unthrottle ~terminate ~events ~m
     throttle;
     unthrottle;
     terminate;
-    pending = Hashtbl.create 8;
+    pending = [];
     events;
     metrics;
   }
@@ -37,63 +37,48 @@ let emit t ~counter ~event ~site ~attrs =
 
 let begin_control t resource =
   let congested = t.is_congested ~final:false resource in
-  if congested then begin
-    Accounting.close_resource_interval t.accounting resource ~congested:true;
+  (* The interval closes regardless: uncongested, a renewable folds a
+     zero (consumption under no congestion never counts, and the average
+     decays so past penalization is forgotten), and a nonrenewable its
+     actual consumption. *)
+  Accounting.close_resource_interval t.accounting resource ~congested;
+  if not congested then `Clear
+  else begin
     let ranked =
       Accounting.active_sites t.accounting
       |> List.map (fun site -> (site, Accounting.usage t.accounting ~site resource))
       |> List.filter (fun (_, u) -> u > 0.0)
       |> List.sort (fun (_, a) (_, b) -> compare b a)
     in
-    Hashtbl.replace t.pending resource ranked;
+    t.pending <- (resource, ranked) :: List.remove_assoc resource t.pending;
     let total = List.fold_left (fun acc (_, u) -> acc +. u) 0.0 ranked in
-    let throttled =
-      List.map
-        (fun (site, u) ->
-          let fraction = if total > 0.0 then u /. total else 0.0 in
-          t.throttle ~site ~fraction ~resource;
-          emit t ~counter:Meter.throttles ~event:"throttle" ~site
-            ~attrs:
-              [
-                ("resource", Resource.to_string resource);
-                ("fraction", Printf.sprintf "%.3f" fraction);
-              ];
-          (site, fraction))
-        ranked
-    in
-    `Congested throttled
-  end
-  else begin
-    (* Close the interval regardless: for renewables this folds a zero
-       (consumption under no congestion never counts, and the average
-       decays so past penalization is forgotten); for nonrenewables the
-       actual consumption folds in. *)
-    Accounting.close_resource_interval t.accounting resource ~congested:false;
-    `Clear
+    let name = Resource.to_string resource in
+    `Congested
+      (List.map
+         (fun (site, u) ->
+           let fraction = if total > 0.0 then u /. total else 0.0 in
+           t.throttle ~site ~fraction ~resource;
+           emit t ~counter:Meter.throttles ~event:"throttle" ~site
+             ~attrs:[ ("resource", name); ("fraction", Printf.sprintf "%.3f" fraction) ];
+           (site, fraction))
+         ranked)
   end
 
 let finish_control t resource =
-  let ranked = match Hashtbl.find_opt t.pending resource with Some r -> r | None -> [] in
-  Hashtbl.remove t.pending resource;
+  let ranked = Option.value (List.assoc_opt resource t.pending) ~default:[] in
+  t.pending <- List.remove_assoc resource t.pending;
   (* Restoration is as auditable as enforcement: every site throttled in
      the begin phase gets a matching [unthrottle] event when the clamp
      is lifted. *)
-  let unthrottled () =
+  let attrs = [ ("resource", Resource.to_string resource) ] in
+  match ranked with
+  | (site, _) :: _ when t.is_congested ~final:true resource ->
+    t.terminate ~site;
+    emit t ~counter:Meter.terminations ~event:"terminate" ~site ~attrs;
+    `Terminated site
+  | _ ->
     t.unthrottle resource;
     List.iter
-      (fun (site, _) ->
-        emit t ~counter:Meter.unthrottles ~event:"unthrottle" ~site
-          ~attrs:[ ("resource", Resource.to_string resource) ])
+      (fun (site, _) -> emit t ~counter:Meter.unthrottles ~event:"unthrottle" ~site ~attrs)
       ranked;
     `Unthrottled
-  in
-  if t.is_congested ~final:true resource then begin
-    match ranked with
-    | (site, _) :: _ ->
-      t.terminate ~site;
-      emit t ~counter:Meter.terminations ~event:"terminate" ~site
-        ~attrs:[ ("resource", Resource.to_string resource) ];
-      `Terminated site
-    | [] -> unthrottled ()
-  end
-  else unthrottled ()

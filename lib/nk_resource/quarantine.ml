@@ -85,11 +85,6 @@ let punish t ~site =
   Nk_telemetry.Metrics.Hist.observe t.metrics Meter.window window;
   window
 
-let is_banned t ~site =
-  match Hashtbl.find_opt t.sites site with
-  | None -> false
-  | Some e -> t.clock () < e.expiry
-
 let remaining t ~site =
   match Hashtbl.find_opt t.sites site with
   | None -> 0.0

@@ -42,8 +42,6 @@ val create :
 val punish : t -> site:string -> float
 (** Record an offense; returns the ban window granted (seconds). *)
 
-val is_banned : t -> site:string -> bool
-
 val remaining : t -> site:string -> float
 (** Seconds left on the site's ban; 0 when not banned. *)
 

@@ -271,6 +271,57 @@ let test_no_termination_without_controls () =
   Alcotest.(check int) "nobody terminated" 0
     (Core.Telemetry.Metrics.counter_total (Node.metrics proxy) "monitor.terminations")
 
+(* Resource controls only act on congestion: an uncongested node with
+   them gives every answer that one without them gives, byte for byte
+   and at the same simulated instant, while the node without them holds
+   no control state. The stream mixes a scripted site (its stage loads,
+   then serves from the stage cache) with a plain one (a cache miss, then
+   hits), and runs long enough for several monitor cycles. *)
+let test_controls_invisible_when_uncongested () =
+  let run controls =
+    let cluster = Cluster.create () in
+    let scripted = basic_site cluster in
+    Origin.set_static scripted ~path:"/nakika.js" ~content_type:"text/javascript" ~max_age:300
+      {|
+var p = new Policy();
+p.url = ["www.example.edu"];
+p.onResponse = function() { Response.write(Response.read().replace("hello", "edge")); }
+p.register();
+|};
+    let plain = Cluster.add_origin cluster ~name:"plain.example.org" () in
+    Origin.set_static plain ~path:"/a.html" ~max_age:300 "<html>plain</html>";
+    let config = { Config.default with Config.enable_resource_controls = controls } in
+    let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config () in
+    let client = Cluster.add_client cluster ~name:"c1" in
+    let sim = Cluster.sim cluster in
+    let recorder = Core.Workload.Driver.recorder cluster in
+    for i = 0 to 39 do
+      let url =
+        if i mod 2 = 0 then "http://www.example.edu/index.html"
+        else "http://plain.example.org/a.html"
+      in
+      Core.Sim.Sim.schedule sim ~delay:(0.1 +. (0.25 *. float_of_int i)) (fun () ->
+          Core.Workload.Driver.send recorder ~client ~proxy:(Some proxy) ~timeout:30.0
+            (Message.request url))
+    done;
+    (proxy, Core.Workload.Driver.finish recorder ~until:(Core.Sim.Sim.now sim +. 60.0))
+  in
+  let answer (a : Core.Workload.Driver.answer) =
+    Printf.sprintf "%d %s %d %h %s" a.index a.url a.response.Message.status
+      (a.received -. a.sent) (body a.response)
+  in
+  let on, with_controls = run true and off, without = run false in
+  Alcotest.(check int) "every request answered" 40 (List.length without);
+  Alcotest.(check bool) "the script ran" true
+    (List.exists (fun a -> body a.Core.Workload.Driver.response = "<html>edge</html>") without);
+  Alcotest.(check (list string)) "same statuses, bodies and latencies"
+    (List.map answer with_controls) (List.map answer without);
+  Alcotest.(check bool) "the controlled node holds its state" true
+    (Option.is_some (Node.quarantine on) && Option.is_some (Node.events on));
+  Alcotest.(check bool) "no quarantine without controls" true (Node.quarantine off = None);
+  Alcotest.(check bool) "no event ring without controls" true (Node.events off = None);
+  Alcotest.(check (list string)) "nothing quarantined" [] (Node.health off).Node.quarantined
+
 let test_quarantine_recovery () =
   (* §3.2: penalized sites must be able to recover. A terminated site
      is refused (503 + Retry-After) only for its quarantine window;
@@ -285,7 +336,12 @@ let test_quarantine_recovery () =
   Alcotest.(check int) "clean site serves" 200
     (fetch_sync cluster ~client ~proxy (req ())).Message.status;
   (* First offense: the Fig. 6 monitor would call this on termination. *)
-  let w1 = Core.Resource.Quarantine.punish (Node.quarantine proxy) ~site:"www.example.edu" in
+  let quarantine =
+    match Node.quarantine proxy with
+    | Some q -> q
+    | None -> Alcotest.fail "the default config runs resource controls"
+  in
+  let w1 = Core.Resource.Quarantine.punish quarantine ~site:"www.example.edu" in
   Alcotest.(check (float 1e-9)) "base window" 30.0 w1;
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
   Alcotest.(check int) "refused while banned" 503 resp.Message.status;
@@ -302,7 +358,7 @@ let test_quarantine_recovery () =
     (fetch_sync cluster ~client ~proxy (req ())).Message.status;
   (* Repeat offense: escalated window — still banned after the base
      window, recovered after the doubled one. *)
-  let w2 = Core.Resource.Quarantine.punish (Node.quarantine proxy) ~site:"www.example.edu" in
+  let w2 = Core.Resource.Quarantine.punish quarantine ~site:"www.example.edu" in
   Alcotest.(check (float 1e-9)) "doubled window" 60.0 w2;
   Core.Sim.Sim.run ~until:(Core.Sim.Sim.now sim +. 31.0) sim;
   Alcotest.(check int) "still banned past the base window" 503
@@ -1102,7 +1158,7 @@ let test_settled_timeout_releases_callback () =
 (* Live heap per idle proxy: what [Cluster.add_proxy] keeps for a node
    that has served nothing. The first proxy pays for the cluster's
    shared state and is left out of the count. An idle proxy holds about
-   690 words; the bound, 7 KiB, leaves room for that to grow by 30%,
+   650 words; the bound, 7 KiB, leaves room for that to grow by a third,
    and fails if either telemetry ring is preallocated again (the event
    ring alone is 1,025 words, the trace ring 257). *)
 let idle_proxy_words_bound = 896
@@ -1452,4 +1508,6 @@ let suite =
     Alcotest.test_case "one DHT sweeper per cluster" `Quick test_one_dht_sweeper_per_cluster;
     Alcotest.test_case "an untraced request builds no span text" `Quick
       test_untraced_request_builds_no_span_text;
+    Alcotest.test_case "resource controls do not change an uncongested node's answers" `Quick
+      test_controls_invisible_when_uncongested;
   ]

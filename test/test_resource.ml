@@ -513,13 +513,13 @@ let make_quarantine ?(base = 30.0) ?(max_window = 240.0) ?(decay = 60.0)
 
 let test_quarantine_ban_expires () =
   let clock, q = make_quarantine ~base:30.0 () in
-  Alcotest.(check bool) "clean site unbanned" false (Quarantine.is_banned q ~site:"s");
+  Alcotest.(check bool) "clean site unbanned" false (Quarantine.remaining q ~site:"s" > 0.0);
   let w = Quarantine.punish q ~site:"s" in
   Alcotest.(check (float 1e-9)) "first offense gets the base window" 30.0 w;
-  Alcotest.(check bool) "banned" true (Quarantine.is_banned q ~site:"s");
+  Alcotest.(check bool) "banned" true (Quarantine.remaining q ~site:"s" > 0.0);
   Alcotest.(check (float 1e-9)) "remaining" 30.0 (Quarantine.remaining q ~site:"s");
   clock := 30.0;
-  Alcotest.(check bool) "expired" false (Quarantine.is_banned q ~site:"s");
+  Alcotest.(check bool) "expired" false (Quarantine.remaining q ~site:"s" > 0.0);
   Alcotest.(check (float 1e-9)) "nothing remaining" 0.0 (Quarantine.remaining q ~site:"s")
 
 let test_quarantine_escalates_and_caps () =
@@ -551,7 +551,7 @@ let test_quarantine_strikes_decay () =
      counts after expiry. Two decay periods later, both strikes are
      gone and the next offense gets the base window again. *)
   clock := Quarantine.remaining q ~site:"s" +. 120.0;
-  Alcotest.(check bool) "served again" false (Quarantine.is_banned q ~site:"s");
+  Alcotest.(check bool) "served again" false (Quarantine.remaining q ~site:"s" > 0.0);
   let w = Quarantine.punish q ~site:"s" in
   Alcotest.(check (float 1e-9)) "recovered to the base window" 30.0 w
 

@@ -109,7 +109,9 @@ let span_trees () =
     ~pressure:(-1.0) ~queue_delay:0.0 ~shed_rate:0.0 ();
   get nk4 "/script.html";
   (* The two one-span rejects. *)
-  ignore (Core.Resource.Quarantine.punish (Node.quarantine nk2) ~site:"www.example.edu");
+  (match Node.quarantine nk2 with
+   | Some q -> ignore (Core.Resource.Quarantine.punish q ~site:"www.example.edu")
+   | None -> Alcotest.fail "nk2 runs resource controls");
   get nk2 "/index.html";
   get nk1 ~deadline:"0" "/index.html";
   let buf = Buffer.create 4096 in
